@@ -38,18 +38,27 @@ from repro.affine.ir import (
 )
 
 
-def lower_program(program: PolyProgram) -> FuncOp:
-    """Lower a polyhedral program (with built AST) to a FuncOp."""
+def lower_program(program: PolyProgram, stats=None) -> FuncOp:
+    """Lower a polyhedral program (with built AST) to a FuncOp.
+
+    ``stats`` is accounted as in :func:`lower_program_incremental`:
+    every top-level nest counts as (re)lowered.
+    """
     with _trace.span("affine.lower_program", "affine"):
+        start = perf_counter()
         ast = program.build_ast()
-        return lower_ast(ast, program.function)
+        if stats is not None:
+            stats.astbuild_s += perf_counter() - start
+        func = lower_ast(ast, program.function)
+    if stats is not None:
+        stats.group_lowerings += len(func.body)
+    return func
 
 
 def lower_program_incremental(
     program: PolyProgram,
     cache: Optional[Dict[tuple, List]] = None,
     stats=None,
-    verify: bool = False,
 ) -> FuncOp:
     """Lower a program, re-lowering only top-level nests not seen before.
 
@@ -65,21 +74,17 @@ def lower_program_incremental(
     ``stats``, when given, must expose ``group_lowerings``,
     ``lowering_cache_hits``/``lowering_cache_misses`` counters and an
     ``astbuild_s`` accumulator (see :class:`repro.dse.stats.DseStats`).
-
-    With ``verify``, the structural verifier runs on the assembled
-    function whenever at least one group was freshly lowered (cached
-    groups were already verified when first built).
+    ``group_lowerings`` and ``astbuild_s`` are accounted with or without
+    a ``cache`` (no cache: one whole-program build, every nest lowered).
     """
     if cache is None:
-        return lower_program(program)
+        return lower_program(program, stats)
     function = program.function
     func = FuncOp(function.name, function.placeholders())
-    freshly_lowered = False
     for group in program.toplevel_groups():
         key = tuple(stmt.fingerprint() for stmt in group)
         ops = cache.get(key)
         if ops is None:
-            freshly_lowered = True
             if stats is not None:
                 stats.lowering_cache_misses += 1
                 stats.group_lowerings += 1
@@ -99,17 +104,7 @@ def lower_program_incremental(
             stats.lowering_cache_hits += 1
         for op in ops:
             func.body.append(op)
-    partitions = {
-        p.name: p.partition_scheme
-        for p in function.placeholders()
-        if p.partition_scheme is not None
-    }
-    if partitions:
-        func.attributes["partitions"] = partitions
-    if verify and freshly_lowered:
-        from repro.affine.passes.verify import verify_func
-
-        verify_func(func).raise_if_errors()
+    _record_partitions(func, function)
     return func
 
 
@@ -117,6 +112,11 @@ def lower_ast(ast: AstNode, function: Function) -> FuncOp:
     """Lower an annotated polyhedral AST into the affine dialect."""
     func = FuncOp(function.name, function.placeholders())
     _lower_node(ast, func.body)
+    _record_partitions(func, function)
+    return func
+
+
+def _record_partitions(func: FuncOp, function: Function) -> None:
     partitions = {
         p.name: p.partition_scheme
         for p in function.placeholders()
@@ -124,7 +124,6 @@ def lower_ast(ast: AstNode, function: Function) -> FuncOp:
     }
     if partitions:
         func.attributes["partitions"] = partitions
-    return func
 
 
 def _lower_node(node: AstNode, block: Block) -> None:

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.affine.passes.verify import verify_func
 from repro.dataflow.design import DataflowDesign
 from repro.dataflow.estimate import (
     DataflowReport,
@@ -42,6 +43,7 @@ from repro.dataflow.estimate import (
     resolve_depths,
 )
 from repro.dse.engine import DseResult, auto_dse
+from repro.dse.evaluator import Evaluator
 from repro.dse.options import DseOptions
 from repro.dse.pareto import Objective, ParetoFrontier, ParetoPoint
 from repro.hls.device import FPGADevice
@@ -384,39 +386,15 @@ def _realize_stage(
 ) -> SynthesisReport:
     """Replay one frontier candidate exactly and leave it installed.
 
-    The same per-candidate pipeline as the engine's sequential search
-    and the speculation workers (plan stage 1, plan node configs,
-    install schedule, derive + apply partitions), then a fresh
-    end-to-end estimate -- so the returned report is real, and the stage
+    The candidate goes through the engine's own
+    :class:`~repro.dse.evaluator.Evaluator`, so the returned report is
+    real, the lowered function is structurally verified, and the stage
     function's schedule now *is* the selected design (``codegen()``
     emits it).
     """
-    from repro.depgraph.graph import build_dependence_graph
-    from repro.dse.engine import (
-        _apply_partitions,
-        _install_schedule,
-        _prepare_function,
+    evaluator = Evaluator(
+        function, device, clock_ns, keep_existing_schedule=keep_existing_schedule
     )
-    from repro.dse.stage1 import plan_stage1
-    from repro.dse.stage2 import derive_partitions, plan_node_config, stage1_program
-    from repro.pipeline import estimate
-
-    structural, saved_partitions = _prepare_function(
-        function, keep_existing_schedule
-    )
-    graph = build_dependence_graph(function, analyze=False)
-    plan = plan_stage1(function, graph)
-    program = stage1_program(function, plan)
-    configs = {
-        compute.name: plan_node_config(
-            function, plan, compute.name,
-            parallelism.get(compute.name, 1), program=program,
-        )
-        for compute in function.computes
-    }
-    _install_schedule(function, plan, configs, structural, program)
-    _apply_partitions(
-        function, saved_partitions,
-        derive_partitions(function, max_banks=bank_cap),
-    )
-    return estimate(function, device=device, clock_ns=clock_ns)
+    report, func_op = evaluator.realize(evaluator.configs(parallelism), bank_cap)
+    verify_func(func_op).raise_if_errors()
+    return report

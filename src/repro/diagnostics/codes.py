@@ -8,6 +8,7 @@ instead of parsing message strings.  Codes group by layer:
 * ``SCH0xx`` -- schedule directives (parameters, application);
 * ``LEG0xx`` -- schedule-legality preflight (dependence violations);
 * ``VER0xx`` -- affine IR structural verifier;
+* ``ISL0xx`` -- polyhedral substrate resource bounds;
 * ``DSE0xx`` -- design space exploration fault handling;
 * ``RPT0xx`` -- evaluation harness;
 * ``FUZ0xx`` -- schedule fuzzing (differential harness);
@@ -47,6 +48,8 @@ CODES: Dict[str, str] = {
     "VER004": "malformed HLS pragma attribute",
     "VER005": "malformed op or region structure",
     "VER006": "degenerate loop bounds",
+    # -- polyhedral substrate --------------------------------------------
+    "ISL001": "Fourier-Motzkin elimination step exceeds the working-set bound",
     # -- design space exploration ---------------------------------------
     "DSE001": "design-point candidate quarantined",
     "DSE002": "estimator failed after bounded retries",

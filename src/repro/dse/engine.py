@@ -8,32 +8,24 @@ next step is infeasible (or maxed out) leaves the optimization list; the
 search ends when the list is empty.  The winning schedule is installed
 on the function.
 
-Evaluation is memoized at several layers (all local to one ``auto_dse``
-call unless noted):
+This module is the *search*: which candidates to visit, in what order,
+and what to do when one fails (quarantine, journal, budgets).  How one
+candidate is scored -- and every memo layer that makes scoring cheap --
+lives in :class:`repro.dse.evaluator.Evaluator`, which the speculation
+workers and dataflow realization share.
 
-- *node config*: ``(node, parallelism)`` -> :class:`NodeConfig`;
-- *evaluation*: ``(config fingerprints, bank_cap)`` -> scored design;
-- *design*: ``(config fingerprints, partition fingerprints)`` -> lowered
-  function + report, catching bank caps that derive identical banking;
-- *partitions*: ``(config fingerprints, bank_cap)`` -> derived factors;
-- *nest lowering*: per top-level loop nest, keyed on statement
-  fingerprints (incremental lowering splices unchanged nests);
-- *reports*: per estimator instance, keyed on function fingerprints;
-- *isl kernels*: global process-wide memo tables
-  (:mod:`repro.isl.memo`).
-
-``cache=False`` disables every layer (including the global isl tables
-for the duration of the call) so measured speedups compare genuinely
-uncached runs; cached and uncached searches visit identical design
-points and return bit-identical results.
+``cache=False`` disables every memo layer (including the global isl
+tables for the duration of the call) so measured speedups compare
+genuinely uncached runs; cached and uncached searches visit identical
+design points and return bit-identical results.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import faults as _faults
 from repro import trace as _trace
@@ -41,25 +33,15 @@ from repro.diagnostics import (
     Diagnostic,
     DiagnosticEngine,
     DiagnosticError,
-    Severity,
     SourceLocation,
 )
-from repro.util.deadline import (
-    Deadline,
-    DeadlineExceeded,
-    active as _active_deadline,
-    deadline_scope,
-)
+from repro.util.deadline import Deadline
 from repro.dsl.function import Function
 from repro.dsl.schedule import Schedule
-from repro.depgraph.graph import build_dependence_graph
-from repro.affine.ir import AffineStoreOp, FuncOp
-from repro.affine.lowering import lower_program_incremental
-from repro.hls.device import DEFAULT_DEVICE, FPGADevice
-from repro.hls.estimator import HlsEstimator, TransientEstimatorError
+from repro.affine.ir import FuncOp
+from repro.hls.device import FPGADevice
 from repro.hls.report import SynthesisReport, speedup
 from repro.isl import memo as _isl_memo
-from repro.polyir.program import PolyProgram
 from repro.util.deprecation import warn_deprecated, warn_deprecated_kwargs
 from repro.dse.checkpoint import (
     CheckpointJournal,
@@ -67,7 +49,12 @@ from repro.dse.checkpoint import (
     make_header,
     workload_fingerprint,
 )
-from repro.dse.options import MAX_PARALLELISM, DseOptions
+from repro.dse.evaluator import (  # noqa: F401  (re-exported helpers)
+    Evaluator,
+    _backoff_sleep,
+    _node_latencies,
+)
+from repro.dse.options import DseOptions
 from repro.dse.pareto import (
     Objective,
     ParetoFrontier,
@@ -78,97 +65,13 @@ from repro.dse.surrogate import (
     candidate_features,
     memo_hit_rate,
 )
-from repro.dse.stage1 import Stage1Plan, plan_stage1
-from repro.dse.stage2 import (
-    NodeConfig,
-    config_directives,
-    derive_partitions,
-    plan_node_config,
-    stage1_program,
-)
+from repro.dse.stage1 import Stage1Plan
+from repro.dse.stage2 import NodeConfig
 from repro.dse.stats import DseStats
 
-MAX_ESTIMATOR_RETRIES = 2
-RETRY_BACKOFF_S = 0.05
 # The banking fallback ladder: full banking first, then trade banks for
 # operator sharing when the spatial design overflows the device.
 BANK_CAPS = (128, 16, 8)
-# Cap on how long one retry-backoff slice may sleep before re-polling
-# the active deadlines.
-BACKOFF_SLICE_S = 0.01
-
-
-def _backoff_sleep(
-    seconds: float,
-    sweep_deadline: Optional[Deadline] = None,
-    slice_s: float = BACKOFF_SLICE_S,
-) -> float:
-    """Sleep up to ``seconds`` without sleeping through a deadline.
-
-    The estimator retry backoff must not let a sweep overshoot its
-    budgets while blocked in ``time.sleep``: the sleep is taken in small
-    slices, each of which first polls the active per-candidate
-    :class:`Deadline` (raising :class:`DeadlineExceeded`, which the
-    candidate scope converts to a ``DSE003`` timeout quarantine) and
-    gives up early -- without raising -- once the whole-sweep deadline
-    is exhausted, so the search loop's own budget check fires at the
-    next iteration.  Returns the wall time actually slept so callers can
-    attribute it separately from estimation time.
-    """
-    slept = 0.0
-    end = time.monotonic() + seconds
-    while True:
-        candidate_deadline = _active_deadline()
-        if candidate_deadline is not None:
-            candidate_deadline.poll()
-        if sweep_deadline is not None and sweep_deadline.exceeded():
-            return slept
-        left = end - time.monotonic()
-        if left <= 0:
-            return slept
-        nap = min(slice_s, left)
-        if candidate_deadline is not None:
-            # Never sleep meaningfully past the candidate budget; the
-            # +1ms keeps the loop progressing when the budget boundary
-            # lands inside this slice (the next poll then raises).
-            nap = min(nap, max(candidate_deadline.remaining(), 0.0) + 0.001)
-        time.sleep(nap)
-        slept += nap
-
-
-def _estimate_with_retries(
-    estimator: HlsEstimator,
-    func_op: FuncOp,
-    location: SourceLocation,
-    on_retry: Optional[Callable[[float], None]] = None,
-    sweep_deadline: Optional[Deadline] = None,
-) -> SynthesisReport:
-    """Estimate with bounded, deadline-aware retry backoff.
-
-    Shared by the in-process search and the speculative evaluation
-    workers (:mod:`repro.dse.parallel`) so both retry transient
-    estimator failures identically and raise the same ``DSE002`` when
-    the retries run out.  ``on_retry`` receives the backoff actually
-    slept before each retry.
-    """
-    last: Optional[TransientEstimatorError] = None
-    for attempt in range(MAX_ESTIMATOR_RETRIES + 1):
-        try:
-            return estimator.estimate(func_op)
-        except TransientEstimatorError as exc:
-            last = exc
-            if attempt < MAX_ESTIMATOR_RETRIES:
-                slept = _backoff_sleep(
-                    RETRY_BACKOFF_S * (2 ** attempt), sweep_deadline
-                )
-                if on_retry is not None:
-                    on_retry(slept)
-    raise DiagnosticError(
-        f"estimator failed after {MAX_ESTIMATOR_RETRIES + 1} "
-        f"attempts: {last}",
-        code="DSE002",
-        location=location,
-    ) from last
 
 
 @dataclass
@@ -262,16 +165,6 @@ class DseResult:
         return speedup(baseline, self.report)
 
 
-@dataclass
-class _Resilience:
-    """Crash-safety state threaded through one sweep."""
-
-    journal: Optional[CheckpointJournal] = None
-    candidate_timeout_s: Optional[float] = None
-    sweep_deadline: Optional[Deadline] = None
-    fault_plan: Optional[_faults.FaultPlan] = None
-
-
 def auto_dse(
     function: Function,
     options: Optional[DseOptions] = None,
@@ -324,8 +217,8 @@ def auto_dse(
     """
     options = _coerce_options(options, legacy_kwargs)
     # Function-independent validation first, before anything (device
-    # scaling, estimator construction) can fail with a less precise
-    # message or leave a side effect behind.
+    # scaling) can fail with a less precise message or leave a side
+    # effect behind.
     options.validate()
     objective = options.parsed_objective()
     start = time.perf_counter()
@@ -337,9 +230,6 @@ def auto_dse(
     fault_plan = options.fault_plan
     jobs = options.jobs
     budget = device.scaled(resource_fraction) if resource_fraction < 1.0 else device
-    estimator = HlsEstimator(
-        device=device, clock_ns=clock_ns, memoize_reports=cache
-    )
 
     stats = DseStats(cache_enabled=cache)
     engine = DiagnosticEngine()
@@ -366,31 +256,13 @@ def auto_dse(
             "fault plan schedules a hang but no candidate_timeout_s is "
             "set; the injected stall would have no active deadline"
         )
-    resilience = _Resilience(
-        candidate_timeout_s=options.candidate_timeout_s,
-        sweep_deadline=(
-            Deadline(options.time_budget_s)
-            if options.time_budget_s is not None
-            else None
-        ),
-        fault_plan=fault_plan,
+    sweep_deadline = (
+        Deadline(options.time_budget_s)
+        if options.time_budget_s is not None
+        else None
     )
 
-    journal: Optional[CheckpointJournal] = None
-    if checkpoint is not None:
-        header = make_header(
-            function, device, resource_fraction, clock_ns,
-            options.max_parallelism, options.keep_existing_schedule,
-        )
-        if options.resume:
-            journal = CheckpointJournal.resume(
-                checkpoint, header, engine=engine, fault_plan=fault_plan
-            )
-        else:
-            journal = CheckpointJournal.create(
-                checkpoint, header, fault_plan=fault_plan
-            )
-    resilience.journal = journal
+    journal = _open_journal(function, options, device, clock_ns, engine)
 
     speculator = None
     isl_before = _isl_memo.stats_snapshot()
@@ -407,6 +279,13 @@ def auto_dse(
             "cache": cache,
             "jobs": jobs or 1,
         }
+    # The settings the local evaluator and the speculation workers share.
+    evaluator_options = dict(
+        device=device,
+        clock_ns=clock_ns,
+        keep_existing_schedule=options.keep_existing_schedule,
+        candidate_timeout_s=options.candidate_timeout_s,
+    )
     try:
         with _trace.span("dse.auto_dse", "dse", span_args):
             if jobs is not None and jobs > 1:
@@ -422,12 +301,7 @@ def auto_dse(
 
                     try:
                         speculator = SpeculativeEvaluator(
-                            function,
-                            device=device,
-                            clock_ns=clock_ns,
-                            keep_existing_schedule=options.keep_existing_schedule,
-                            candidate_timeout_s=options.candidate_timeout_s,
-                            jobs=jobs,
+                            function, jobs, **evaluator_options
                         )
                     except Exception as exc:
                         engine.note(
@@ -437,11 +311,19 @@ def auto_dse(
                         )
             if speculator is not None:
                 stats.speculation_jobs = speculator.jobs
+            # Built after the workers forked: the search preamble
+            # mutates the function they must capture pristine.
+            evaluator = Evaluator(
+                function, cache=cache, sweep_deadline=sweep_deadline,
+                stats=stats, diagnostics=engine, **evaluator_options,
+            )
             result = _search(
-                function, device, budget, estimator, stats,
-                options.max_parallelism, options.keep_existing_schedule, cache,
-                engine, quarantine, resilience, speculator,
-                objective=objective, surrogate=options.surrogate,
+                _Sweep(
+                    evaluator, budget, objective, options.surrogate,
+                    options.max_parallelism, engine, quarantine,
+                    journal=journal, fault_plan=fault_plan,
+                    speculator=speculator,
+                )
             )
     finally:
         _isl_memo.set_enabled(isl_was_enabled)
@@ -453,8 +335,8 @@ def auto_dse(
             journal.close()
 
     stats.finish_isl(isl_before, _isl_memo.stats_snapshot())
-    stats.report_hits = estimator.report_hits
-    stats.report_misses = estimator.report_misses
+    stats.report_hits = evaluator.estimator.report_hits
+    stats.report_misses = evaluator.estimator.report_misses
     stats.total_s = time.perf_counter() - start
 
     tracer = _trace.active()
@@ -476,6 +358,29 @@ def auto_dse(
         journal_path=checkpoint,
         objective=objective.canonical,
         frontier=frontier,
+    )
+
+
+def _open_journal(
+    function: Function,
+    options: DseOptions,
+    device: FPGADevice,
+    clock_ns: float,
+    engine: DiagnosticEngine,
+) -> Optional[CheckpointJournal]:
+    """Create (or, with ``resume``, validate and reopen) the checkpoint journal."""
+    if options.checkpoint is None:
+        return None
+    header = make_header(
+        function, device, options.resource_fraction, clock_ns,
+        options.max_parallelism, options.keep_existing_schedule,
+    )
+    if options.resume:
+        return CheckpointJournal.resume(
+            options.checkpoint, header, engine=engine, fault_plan=options.fault_plan
+        )
+    return CheckpointJournal.create(
+        options.checkpoint, header, fault_plan=options.fault_plan
     )
 
 
@@ -530,8 +435,6 @@ _STATS_METRICS = (
     ("timeouts", "dse.timeouts"),
     ("speculative_submitted", "dse.speculative_submitted"),
     ("speculative_used", "dse.speculative_used"),
-    ("eval_cache_hits", "dse.cache.evaluation.hits"),
-    ("eval_cache_misses", "dse.cache.evaluation.misses"),
     ("design_cache_hits", "dse.cache.design.hits"),
     ("design_cache_misses", "dse.cache.design.misses"),
     ("lowering_cache_hits", "dse.cache.nest_lowering.hits"),
@@ -567,516 +470,432 @@ def _publish_stats_metrics(tracer, stats: DseStats) -> None:
         metrics.observe("dse.timeout_s", stats.timeout_s)
 
 
-def _search(
-    function: Function,
-    device: FPGADevice,
-    budget: FPGADevice,
-    estimator: HlsEstimator,
-    stats: DseStats,
-    max_parallelism: int,
-    keep_existing_schedule: bool,
-    cache: bool,
-    engine: DiagnosticEngine,
-    quarantine: List[QuarantinedCandidate],
-    resilience: _Resilience,
-    speculator=None,
-    objective: Optional[Objective] = None,
-    surrogate: bool = True,
-) -> Tuple[
+@dataclass
+class _Best:
+    """The design the ladder currently stands on."""
+
+    report: SynthesisReport
+    configs: Dict[str, NodeConfig]
+    parallelism: Dict[str, int]
+    bank_cap: int
+    #: None when the score was replayed from a journal: no lowering
+    #: happened in this process yet.
+    func_op: Optional[FuncOp] = None
+
+
+@dataclass
+class _Sweep:
+    """What one sweep's ladder and frontier enrichment pass share."""
+
+    evaluator: Evaluator
+    budget: FPGADevice
+    objective: Objective
+    surrogate: bool
+    max_parallelism: int
+    engine: DiagnosticEngine
+    quarantine: List[QuarantinedCandidate]
+    journal: Optional[CheckpointJournal] = None
+    fault_plan: Optional[_faults.FaultPlan] = None
+    #: A :class:`repro.dse.parallel.SpeculativeEvaluator` under ``jobs > 1``.
+    speculator: Optional[object] = None
+    best: Optional[_Best] = None
+    # Multi-objective bookkeeping.  The ladder runs identically for every
+    # objective (single-objective results stay bit-identical); frontier
+    # modes additionally remember every scored candidate, in visit
+    # order, so the post-ladder enrichment pass can complete the
+    # (visited parallelism) x (bank cap) grid deterministically.
+    scored: Dict[str, Tuple[Dict[str, int], int, SynthesisReport]] = field(
+        default_factory=dict
+    )
+
+    @property
+    def stats(self) -> DseStats:
+        return self.evaluator.stats
+
+
+def _search(sweep: _Sweep) -> Tuple[
     SynthesisReport, Dict[str, NodeConfig], Stage1Plan,
     Optional[List[ParetoPoint]],
 ]:
-    if objective is None:
-        objective = Objective()
-    journal = resilience.journal
-    plan_hooks = resilience.fault_plan
-    structural, saved_partitions = _prepare_function(
-        function, keep_existing_schedule
-    )
-
-    # Legality preflight on the directives the search will build upon
-    # (structural after/fuse, or the user's full schedule when kept):
-    # a dependence-violating directive is rejected here, before any
-    # lowering, with a diagnostic naming the violated dependence.
-    from repro.preflight import preflight_schedule
-
-    preflight_schedule(function, engine=engine)
-    engine.raise_if_errors()
-
-    graph = build_dependence_graph(function, analyze=False)
-    t0 = time.perf_counter()
-    with _trace.span("dse.stage1", "dse"):
-        plan = plan_stage1(function, graph)
-        program = stage1_program(function, plan)
-    stats.stage1_s += time.perf_counter() - t0
-
-    nodes = [c.name for c in function.computes]
-    parallelism = {name: 1 for name in nodes}
-
-    # -- memo layers (all scoped to this call) ------------------------------
-    config_cache: Dict[Tuple[str, int], NodeConfig] = {}
-    eval_cache: Dict[tuple, Tuple[SynthesisReport, Dict[str, NodeConfig], FuncOp]] = {}
-    design_cache: Dict[tuple, Tuple[SynthesisReport, FuncOp]] = {}
-    partitions_cache: Dict[tuple, Dict[str, Tuple[int, ...]]] = {}
-    nest_cache: Optional[Dict[tuple, list]] = {} if cache else None
-
-    def node_config(name: str, degree: int) -> NodeConfig:
-        if not cache:
-            return plan_node_config(function, plan, name, degree, program=program)
-        key = (name, degree)
-        config = config_cache.get(key)
-        if config is None:
-            stats.config_cache_misses += 1
-            config = plan_node_config(function, plan, name, degree, program=program)
-            config_cache[key] = config
-        else:
-            stats.config_cache_hits += 1
-        return config
-
-    def _diagnostic_of(exc: BaseException) -> Diagnostic:
-        if isinstance(exc, DiagnosticError):
-            return exc.diagnostic
-        return Diagnostic(
-            Severity.ERROR,
-            "DSE001",
-            f"{type(exc).__name__}: {exc}",
-            location=SourceLocation(function=function.name),
-        )
-
-    def quarantine_candidate(
-        exc: BaseException, par: Dict[str, int], bank_cap: int
-    ) -> None:
-        diagnostic = _diagnostic_of(exc)
-        elapsed = getattr(exc, "elapsed_s", None)
-        stats.quarantined += 1
-        if diagnostic.code == "DSE003":
-            stats.timeouts += 1
-            if elapsed is not None:
-                stats.timeout_s += elapsed
-        quarantine.append(
-            QuarantinedCandidate(dict(par), bank_cap, diagnostic, elapsed_s=elapsed)
-        )
-        engine.emit(diagnostic)
-        if journal is not None:
-            journal.append_eval(
-                stats.candidates, candidate_key(par, bank_cap), par, bank_cap,
-                code=diagnostic.code, message=diagnostic.message,
-                elapsed_s=elapsed,
-            )
-
-    @contextmanager
-    def candidate_deadline():
-        """Arm the per-candidate watchdog; overruns become DSE003 errors.
-
-        The :class:`Deadline` is polled cooperatively from the hot loops
-        of Fourier-Motzkin elimination, AST building, and lowering, so a
-        pathological candidate is abandoned at its next checkpoint
-        instead of hanging the sweep.
-        """
-        budget_s = resilience.candidate_timeout_s
-        if budget_s is None:
-            yield
-            return
-        try:
-            with deadline_scope(Deadline(budget_s)):
-                yield
-        except DeadlineExceeded as exc:
-            error = DiagnosticError(
-                f"candidate evaluation timed out after {exc.elapsed_s:.3f}s "
-                f"(budget {exc.budget_s:.3f}s)",
-                code="DSE003",
-                location=SourceLocation(function=function.name),
-            )
-            error.elapsed_s = exc.elapsed_s
-            raise error from exc
-
-    def timed_estimate(func_op: FuncOp) -> SynthesisReport:
-        stats.estimations += 1
-        t0 = time.perf_counter()
-        backoff_before = stats.retry_backoff_s
-
-        def on_retry(slept: float) -> None:
-            stats.estimator_retries += 1
-            stats.retry_backoff_s += slept
-
-        try:
-            return _estimate_with_retries(
-                estimator, func_op,
-                location=SourceLocation(function=function.name),
-                on_retry=on_retry,
-                sweep_deadline=resilience.sweep_deadline,
-            )
-        finally:
-            # Retry backoff is idle waiting, not estimation: attribute
-            # it to its own counter so --stats does not inflate the
-            # estimator's share of the profile.
-            stats.estimation_s += (
-                time.perf_counter() - t0
-                - (stats.retry_backoff_s - backoff_before)
-            )
-
-    def lower_and_estimate(
-        configs_fp: tuple, bank_cap: int, exact: bool = False
-    ) -> Tuple[SynthesisReport, FuncOp]:
-        """Install partitions, lower, estimate -- with design-level reuse.
-
-        ``exact=True`` bypasses the design-cache *read* (never the
-        write) so the estimator genuinely runs: the exhaustive
-        (``surrogate=False``) frontier pass uses it to make
-        ``stats.estimations`` an honest count of exact estimator calls.
-        """
-        pkey = (configs_fp, bank_cap)
-        derived = partitions_cache.get(pkey) if cache else None
-        if derived is None:
-            if cache:
-                stats.partition_cache_misses += 1
-            derived = derive_partitions(function, max_banks=bank_cap)
-            if cache:
-                partitions_cache[pkey] = derived
-        else:
-            stats.partition_cache_hits += 1
-        _apply_partitions(function, saved_partitions, derived)
-
-        partitions_fp = tuple(p.fingerprint() for p in function.placeholders())
-        dkey = (configs_fp, partitions_fp)
-        if cache and not exact:
-            hit = design_cache.get(dkey)
-            if hit is not None:
-                stats.design_cache_hits += 1
-                return hit
-            stats.design_cache_misses += 1
-        stats.lowerings += 1
-        t0 = time.perf_counter()
-        scheduled = PolyProgram(function).apply_schedule()
-        func_op = lower_program_incremental(scheduled, cache=nest_cache, stats=stats)
-        stats.lowering_s += time.perf_counter() - t0
-        if nest_cache is None:
-            stats.group_lowerings += len(func_op.body)
-        report = timed_estimate(func_op)
-        if cache:
-            design_cache[dkey] = (report, func_op)
-        return report, func_op
-
-    # -- multi-objective bookkeeping ----------------------------------------
-    # The ladder runs identically for every objective (single-objective
-    # results stay bit-identical); frontier modes additionally remember
-    # every scored candidate and every distinct parallelism vector, in
-    # visit order, so the post-ladder enrichment pass can complete the
-    # (visited parallelism) x (bank cap) grid deterministically.
-    scored: Dict[str, Tuple[Dict[str, int], int, SynthesisReport]] = {}
-    visited_pars: List[Dict[str, int]] = []
-    _seen_pars: set = set()
-
-    def note_scored(
-        par: Dict[str, int], bank_cap: int, report: SynthesisReport
-    ) -> None:
-        if not objective.wants_frontier:
-            return
-        frozen = tuple(sorted(par.items()))
-        if frozen not in _seen_pars:
-            _seen_pars.add(frozen)
-            visited_pars.append(dict(par))
-        jkey = candidate_key(par, bank_cap)
-        if jkey not in scored:
-            scored[jkey] = (dict(par), bank_cap, report)
-
-    def evaluate(
-        par: Dict[str, int],
-        bank_cap: int = 128,
-        force: bool = False,
-        remote=None,
-        exact: bool = False,
-    ) -> Tuple[SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp]]:
-        stats.evaluations += 1
-        configs = {name: node_config(name, par[name]) for name in nodes}
-        configs_fp = tuple(configs[name].fingerprint() for name in nodes)
-        ekey = (configs_fp, bank_cap)
-        if cache and not force and not exact:
-            hit = eval_cache.get(ekey)
-            if hit is not None:
-                stats.eval_cache_hits += 1
-                note_scored(par, bank_cap, hit[0])
-                return hit
-            stats.eval_cache_misses += 1
-        jkey = candidate_key(par, bank_cap)
-        if journal is not None and not force and not exact:
-            record = journal.replay(jkey)
-            if record is not None:
-                # Resumed sweep: this candidate was already scored before
-                # the crash.  The journaled cycles/resources are all the
-                # search decisions consume; no func_op exists (the final
-                # best design is re-lowered for real at the end).
-                stats.replayed += 1
-                report = journal.report_from(
-                    record, function.name, device, estimator.clock_ns
-                )
-                note_scored(par, bank_cap, report)
-                return report, configs, None
-        ordinal = stats.candidates
-        stats.candidates += 1
-        span_args = None
-        if _trace.enabled():
-            span_args = {
-                "ordinal": ordinal,
-                "bank_cap": bank_cap,
-                "parallelism": dict(par),
-                "speculative": remote is not None,
-            }
-        if remote is not None:
-            # Commit a speculatively computed outcome at this candidate's
-            # sequential position: same counters, journal record, and
-            # failure semantics as the local path, with the lowering and
-            # estimation already paid for in a worker process.  No
-            # func_op exists; only rejected scores are committed this
-            # way, so the search never needs one (accepted candidates
-            # are re-evaluated locally before commit).
-            stats.speculative_used += 1
-            tracer = _trace.active()
-            if tracer is not None:
-                with tracer.span("dse.candidate", "dse", span_args):
-                    if getattr(remote, "trace", None) is not None:
-                        tracer.graft(remote.trace)
-            if not remote.ok:
-                error = DiagnosticError(remote.diagnostic)
-                if remote.diagnostic.code == "DSE003" and remote.elapsed_s is not None:
-                    error.elapsed_s = remote.elapsed_s
-                raise error
-            if journal is not None:
-                journal.append_eval(
-                    ordinal, jkey, par, bank_cap,
-                    report=remote.report, elapsed_s=remote.elapsed_s,
-                )
-            result = (remote.report, configs, None)
-            if cache:
-                eval_cache[ekey] = result
-            note_scored(par, bank_cap, remote.report)
-            return result
-        if plan_hooks is not None:
-            plan_hooks.enter_candidate(ordinal)
-        t0 = time.perf_counter()
-        try:
-            with _trace.span("dse.candidate", "dse", span_args):
-                with candidate_deadline():
-                    _install_schedule(function, plan, configs, structural, program)
-                    report, func_op = lower_and_estimate(
-                        configs_fp, bank_cap, exact=exact
-                    )
-        finally:
-            if plan_hooks is not None:
-                plan_hooks.exit_candidate()
-        if journal is not None:
-            journal.append_eval(
-                ordinal, jkey, par, bank_cap,
-                report=report, elapsed_s=time.perf_counter() - t0,
-            )
-        result = (report, configs, func_op)
-        if cache:
-            eval_cache[ekey] = result
-        note_scored(par, bank_cap, report)
-        return result
-
+    evaluator, objective = sweep.evaluator, sweep.objective
+    parallelism = {name: 1 for name in evaluator.nodes}
     # The degree-1 baseline must evaluate: without it there is no legal
     # design to degrade to, so a failure here is fatal (as a diagnostic,
     # not a traceback).
     try:
-        report, configs, func_op = evaluate(parallelism)
+        report, configs, func_op = _evaluate(sweep, parallelism)
     except KeyboardInterrupt:
         raise
     except Exception as exc:
-        raise DiagnosticError(_diagnostic_of(exc)) from exc
-    best = (report, configs, dict(parallelism), 128)
+        raise DiagnosticError(evaluator.diagnostic_of(exc)) from exc
+    sweep.best = _Best(report, configs, dict(parallelism), 128, func_op)
     # The degree-1 design is the latency normalizer for weighted
     # objectives (the worst latency the ladder ever accepts).
     baseline_report = report
 
+    _climb(sweep, parallelism)
+
+    # The ladder above ran exactly as it does for "single" (its
+    # trajectory, journal records, and best design are bit-identical);
+    # frontier modes now complete the (visited parallelism) x (bank cap)
+    # grid so latency-vs-resource tradeoffs the ladder rejected (or
+    # never tried at smaller bank caps) become frontier candidates.
+    frontier_points: Optional[List[ParetoPoint]] = None
+    if objective.wants_frontier and not sweep.stats.interrupted:
+        with _trace.span("dse.pareto", "dse"):
+            frontier_points = _enrich(sweep)
+        if objective.mode == "weighted" and frontier_points:
+            # Select the frontier member minimizing the normalized
+            # weighted sum; it becomes the installed design.
+            reference = objective.reference_vector(baseline_report, sweep.budget)
+            selected = min(
+                frontier_points,
+                key=lambda p: (
+                    objective.scalarize(p.values, reference), p.key,
+                ),
+            )
+            sel_par = dict(selected.parallelism)
+            sweep.best = _Best(
+                sweep.scored[selected.key][2], evaluator.configs(sel_par),
+                sel_par, selected.bank_cap,
+            )
+
+    # Reinstall the best schedule (the last trial may have been rejected).
+    best = sweep.best
+    with _trace.span("dse.finalize", "dse"):
+        report, _ = evaluator.realize(best.configs, best.bank_cap)
+    return report, best.configs, evaluator.plan, frontier_points
+
+
+def _note_scored(
+    sweep: _Sweep, par: Dict[str, int], bank_cap: int, report: SynthesisReport
+) -> None:
+    if sweep.objective.wants_frontier:
+        sweep.scored.setdefault(
+            candidate_key(par, bank_cap), (dict(par), bank_cap, report)
+        )
+
+
+def _quarantine(
+    sweep: _Sweep, exc: BaseException, par: Dict[str, int], bank_cap: int
+) -> None:
+    stats = sweep.stats
+    diagnostic = sweep.evaluator.diagnostic_of(exc)
+    elapsed = getattr(exc, "elapsed_s", None)
+    stats.quarantined += 1
+    if diagnostic.code == "DSE003":
+        stats.timeouts += 1
+        if elapsed is not None:
+            stats.timeout_s += elapsed
+    sweep.quarantine.append(
+        QuarantinedCandidate(dict(par), bank_cap, diagnostic, elapsed_s=elapsed)
+    )
+    sweep.engine.emit(diagnostic)
+    if sweep.journal is not None:
+        sweep.journal.append_eval(
+            stats.candidates, candidate_key(par, bank_cap), par, bank_cap,
+            code=diagnostic.code, message=diagnostic.message,
+            elapsed_s=elapsed,
+        )
+
+
+def _evaluate(
+    sweep: _Sweep,
+    par: Dict[str, int],
+    bank_cap: int = 128,
+    force: bool = False,
+    remote=None,
+    exact: bool = False,
+) -> Tuple[SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp]]:
+    """Score one candidate at its sequential position in the sweep.
+
+    Journal replay, candidate ordinals, fault-plan hooks and the
+    checkpoint append live here; the scoring itself is
+    :meth:`Evaluator.realize` (or a worker's already-computed ``remote``
+    outcome).
+    """
+    evaluator, stats, journal = sweep.evaluator, sweep.stats, sweep.journal
+    stats.evaluations += 1
+    configs = evaluator.configs(par)
+    jkey = candidate_key(par, bank_cap)
+    if journal is not None and not force and not exact:
+        record = journal.replay(jkey)
+        if record is not None:
+            # Resumed sweep: this candidate was already scored before
+            # the crash.  The journaled cycles/resources are all the
+            # search decisions consume; no func_op exists (the final
+            # best design is re-lowered for real at the end).
+            stats.replayed += 1
+            report = journal.report_from(
+                record, evaluator.function.name,
+                evaluator.estimator.device, evaluator.estimator.clock_ns,
+            )
+            _note_scored(sweep, par, bank_cap, report)
+            return report, configs, None
+    ordinal = stats.candidates
+    stats.candidates += 1
+    span_args = None
+    if _trace.enabled():
+        span_args = {
+            "ordinal": ordinal,
+            "bank_cap": bank_cap,
+            "parallelism": dict(par),
+            "speculative": remote is not None,
+        }
+    if sweep.fault_plan is not None:
+        sweep.fault_plan.enter_candidate(ordinal)
+    t0 = time.perf_counter()
+    try:
+        with _trace.span("dse.candidate", "dse", span_args):
+            if remote is None:
+                with evaluator.watchdog():
+                    report, func_op = evaluator.realize(configs, bank_cap, exact=exact)
+            else:
+                report, func_op = _commit_remote(stats, remote), None
+    finally:
+        if sweep.fault_plan is not None:
+            sweep.fault_plan.exit_candidate()
+    if journal is not None:
+        elapsed = time.perf_counter() - t0 if remote is None else remote.elapsed_s
+        journal.append_eval(
+            ordinal, jkey, par, bank_cap, report=report, elapsed_s=elapsed
+        )
+    _note_scored(sweep, par, bank_cap, report)
+    return report, configs, func_op
+
+
+def _commit_remote(stats: DseStats, remote) -> SynthesisReport:
+    """Commit a worker-computed outcome at its sequential position.
+
+    Same counters, journal record, and failure semantics as the local
+    path, with the lowering and estimation already paid for in a worker
+    process.  No func_op exists; only rejected scores are committed this
+    way, so the search never needs one (accepted candidates are
+    re-evaluated locally before commit).
+    """
+    stats.speculative_used += 1
+    tracer = _trace.active()
+    if tracer is not None and getattr(remote, "trace", None) is not None:
+        tracer.graft(remote.trace)
+    if not remote.ok:
+        error = DiagnosticError(remote.diagnostic)
+        if remote.diagnostic.code == "DSE003" and remote.elapsed_s is not None:
+            error.elapsed_s = remote.elapsed_s
+        raise error
+    return remote.report
+
+
+def _latencies_for_best(sweep: _Sweep) -> Dict[str, int]:
+    """Per-node latencies of the current best design, journal-aware.
+
+    On a resumed sweep the best design may have been replayed (no
+    lowered func_op); its latency attribution comes from the journal,
+    or -- if the crash landed between the eval and lat appends -- from
+    one forced re-evaluation.
+    """
+    best, journal = sweep.best, sweep.journal
+    jkey = candidate_key(best.parallelism, best.bank_cap)
+    if best.func_op is None:
+        cached = journal.latencies(jkey) if journal is not None else None
+        if cached is not None:
+            return cached
+        _, _, best.func_op = _evaluate(
+            sweep, best.parallelism, best.bank_cap, force=True
+        )
+    latencies = sweep.evaluator.node_latencies(best.func_op)
+    if journal is not None:
+        journal.append_latencies(jkey, latencies)
+    return latencies
+
+
+def _group_trial(
+    sweep: _Sweep, parallelism: Dict[str, int], members: List[str]
+) -> Optional[Dict[str, int]]:
+    """``parallelism`` with one fusion group doubled; None past its cap."""
+    trial = dict(parallelism)
+    function = sweep.evaluator.function
+    exhausted = False
+    for member in members:
+        trial[member] = parallelism[member] * 2
+        if trial[member] > _max_parallelism(function, member, sweep.max_parallelism):
+            exhausted = True
+    return None if exhausted else trial
+
+
+def _is_noop_step(
+    sweep: _Sweep, trial: Dict[str, int], members: List[str]
+) -> bool:
+    """Whether doubling ``members`` re-plans the best design's own configs.
+
+    Factor quantization (even-divisor preference, legality) can make a
+    doubled degree produce the exact same configs; that is a no-op step,
+    not a dead end -- the ladder keeps climbing.  Planning runs under
+    the candidate watchdog; its failures are the caller's to handle.
+    """
+    configs = sweep.best.configs
+    with sweep.evaluator.watchdog():
+        trial_plan = {
+            member: sweep.evaluator.node_config(member, trial[member])
+            for member in members
+        }
+    return all(
+        trial_plan[member].unrolls == configs[member].unrolls
+        and trial_plan[member].pipeline_dim == configs[member].pipeline_dim
+        for member in members
+    )
+
+
+# -- speculative evaluation (auto_dse(jobs=N)) --------------------------------
+# The ladder's control flow under "every trial gets rejected" is a pure
+# function of the current latencies, so the next few trials the
+# sequential search would really evaluate can be predicted and
+# dispatched to worker processes ahead of time.  The search itself stays
+# sequential: it *commits* results -- via _evaluate(remote=...) -- in
+# exactly the order it would have visited them, so cached, uncached, and
+# speculative sweeps are bit-identical.  A mispredicted or lost
+# speculation only costs worker time, never correctness.
+
+
+def _speculation_frontier(
+    sweep: _Sweep,
+    latencies: Dict[str, int],
+    active: set,
+    parallelism: Dict[str, int],
+    group_of: Dict[str, List[str]],
+) -> List[Dict[str, int]]:
+    """The next trials the search would evaluate, assuming rejections."""
+    graph, nodes = sweep.evaluator.graph, sweep.evaluator.nodes
+    sim_active = set(active)
+    sim_par = dict(parallelism)
+    trials: List[Dict[str, int]] = []
+    steps = 0
+    while (
+        sim_active
+        and len(trials) < sweep.speculator.depth
+        and steps < 8 * len(nodes) + 8
+    ):
+        steps += 1
+        pick = _pick_bottleneck(graph, latencies, sim_active)
+        if pick is None:
+            break
+        sim_members = group_of[pick]
+        sim_trial = _group_trial(sweep, sim_par, sim_members)
+        if sim_trial is None:
+            sim_active.difference_update(sim_members)
+            continue
+        try:
+            noop = _is_noop_step(sweep, sim_trial, sim_members)
+        except KeyboardInterrupt:
+            raise
+        except Exception:
+            # The real search will re-derive and quarantine this one.
+            sim_active.difference_update(sim_members)
+            continue
+        if noop:
+            sim_par = sim_trial
+            continue
+        trials.append(sim_trial)
+        sim_active.difference_update(sim_members)
+    return trials
+
+
+def _prefetch(sweep: _Sweep, trial: Dict[str, int]) -> None:
+    """Dispatch one trial's full bank-cap ladder to the workers."""
+    for cap in BANK_CAPS:
+        jkey = candidate_key(trial, cap)
+        if sweep.journal is not None and sweep.journal.replay(jkey) is not None:
+            continue
+        if sweep.speculator.prefetch(trial, cap):
+            sweep.stats.speculative_submitted += 1
+
+
+def _evaluate_trial(
+    sweep: _Sweep, par: Dict[str, int], bank_cap: int
+) -> Tuple[SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp]]:
+    """One ladder evaluation, served speculatively when possible.
+
+    A speculative score destined for *rejection* is committed as-is
+    (the search never needs its lowered function).  A score that
+    will be *accepted* is re-evaluated locally so the search owns a
+    real func_op for bottleneck attribution -- the same work the
+    sequential search performs for an accepted candidate, with the
+    rejected siblings' work offloaded to the pool.
+    """
+    if sweep.speculator is None:
+        return _evaluate(sweep, par, bank_cap)
+    outcome = sweep.speculator.take(par, bank_cap)
+    if outcome is None or (outcome.ok and _improves(sweep, outcome.report)):
+        return _evaluate(sweep, par, bank_cap)
+    return _evaluate(sweep, par, bank_cap, remote=outcome)
+
+
+def _improves(sweep: _Sweep, report: SynthesisReport) -> bool:
+    """Whether the ladder would accept ``report`` over its best design."""
+    return (
+        _within_budget(report, sweep.budget)
+        and report.total_cycles < sweep.best.report.total_cycles
+    )
+
+
+def _climb(sweep: _Sweep, parallelism: Dict[str, int]) -> None:
+    """The bottleneck ladder: double the critical group until nothing fits."""
+    evaluator, stats, engine = sweep.evaluator, sweep.stats, sweep.engine
+    graph, deadline = evaluator.graph, evaluator.sweep_deadline
     # Fused statements share one pipeline, so they step together: the
     # optimization unit is the fusion group of the bottleneck node.
-    group_of = {name: [name] for name in nodes}
-    for group in plan.fused_groups:
+    group_of = {name: [name] for name in evaluator.nodes}
+    for group in evaluator.plan.fused_groups:
         for member in group:
             group_of[member] = group
-
-    def latencies_for_best() -> Dict[str, int]:
-        """Per-node latencies of the current best design, journal-aware.
-
-        On a resumed sweep the best design may have been replayed (no
-        lowered func_op); its latency attribution comes from the journal,
-        or -- if the crash landed between the eval and lat appends -- from
-        one forced re-evaluation.
-        """
-        nonlocal report, configs, func_op
-        jkey = candidate_key(best[2], best[3])
-        if func_op is None:
-            cached = journal.latencies(jkey) if journal is not None else None
-            if cached is not None:
-                return cached
-            report, configs, func_op = evaluate(best[2], best[3], force=True)
-        latencies = _node_latencies(func_op, timed_estimate)
-        if journal is not None:
-            journal.append_latencies(jkey, latencies)
-        return latencies
-
-    active = set(nodes)
-
-    # -- speculative evaluation (auto_dse(jobs=N)) --------------------------
-    # The ladder's control flow under "every trial gets rejected" is a
-    # pure function of the current latencies, so the next few trials the
-    # sequential search would really evaluate can be predicted and
-    # dispatched to worker processes ahead of time.  The search itself
-    # stays sequential: it *commits* results -- via evaluate(remote=...)
-    # -- in exactly the order it would have visited them, so cached,
-    # uncached, and speculative sweeps are bit-identical.  A mispredicted
-    # or lost speculation only costs worker time, never correctness.
-
-    def speculation_frontier(latencies: Dict[str, int]) -> List[Dict[str, int]]:
-        """The next trials the search would evaluate, assuming rejections."""
-        sim_active = set(active)
-        sim_par = dict(parallelism)
-        trials: List[Dict[str, int]] = []
-        steps = 0
-        while sim_active and len(trials) < speculator.depth and steps < 8 * len(nodes) + 8:
-            steps += 1
-            pick = _pick_bottleneck(graph, latencies, sim_active)
-            if pick is None:
-                break
-            sim_members = group_of[pick]
-            sim_trial = dict(sim_par)
-            sim_exhausted = False
-            for member in sim_members:
-                sim_trial[member] = sim_par[member] * 2
-                if sim_trial[member] > _max_parallelism(function, member, max_parallelism):
-                    sim_exhausted = True
-            if sim_exhausted:
-                sim_active.difference_update(sim_members)
-                continue
-            try:
-                with candidate_deadline():
-                    sim_plan = {
-                        member: node_config(member, sim_trial[member])
-                        for member in sim_members
-                    }
-            except KeyboardInterrupt:
-                raise
-            except Exception:
-                # The real search will re-derive and quarantine this one.
-                sim_active.difference_update(sim_members)
-                continue
-            if all(
-                sim_plan[member].unrolls == configs[member].unrolls
-                and sim_plan[member].pipeline_dim == configs[member].pipeline_dim
-                for member in sim_members
-            ):
-                sim_par = sim_trial
-                continue
-            trials.append(sim_trial)
-            sim_active.difference_update(sim_members)
-        return trials
-
-    def prefetch(trial: Dict[str, int]) -> None:
-        """Dispatch one trial's full bank-cap ladder to the workers."""
-        trial_configs_fp = tuple(
-            node_config(name, trial[name]).fingerprint() for name in nodes
-        )
-        for cap in BANK_CAPS:
-            if cache and (trial_configs_fp, cap) in eval_cache:
-                continue
-            jkey = candidate_key(trial, cap)
-            if journal is not None and journal.replay(jkey) is not None:
-                continue
-            if speculator.prefetch(trial, cap):
-                stats.speculative_submitted += 1
-
-    def evaluate_trial(
-        par: Dict[str, int], bank_cap: int
-    ) -> Tuple[SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp]]:
-        """One ladder evaluation, served speculatively when possible.
-
-        A speculative score destined for *rejection* is committed as-is
-        (the search never needs its lowered function).  A score that
-        will be *accepted* is re-evaluated locally so the search owns a
-        real func_op for bottleneck attribution -- the same work the
-        sequential search performs for an accepted candidate, with the
-        rejected siblings' work offloaded to the pool.
-        """
-        if speculator is None:
-            return evaluate(par, bank_cap)
-        outcome = speculator.take(par, bank_cap)
-        if outcome is None:
-            return evaluate(par, bank_cap)
-        if (
-            outcome.ok
-            and _within_budget(outcome.report, budget)
-            and outcome.report.total_cycles < best[0].total_cycles
-        ):
-            return evaluate(par, bank_cap)
-        return evaluate(par, bank_cap, remote=outcome)
-
+    active = set(evaluator.nodes)
     try:
         while active:
-            if (
-                resilience.sweep_deadline is not None
-                and resilience.sweep_deadline.exceeded()
-            ):
+            if deadline is not None and deadline.exceeded():
                 # Same graceful-degradation contract as estimator faults:
                 # the best design found so far is the answer.
                 stats.time_budget_hit = True
                 engine.note(
                     "DSE004",
-                    f"sweep time budget "
-                    f"({resilience.sweep_deadline.budget_s:.1f}s) exhausted; "
+                    f"sweep time budget ({deadline.budget_s:.1f}s) exhausted; "
                     "stopping at the best design found so far",
                 )
                 break
             try:
-                latencies = latencies_for_best()
+                latencies = _latencies_for_best(sweep)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
                 # Bottleneck analysis failed on an already-accepted design:
                 # degrade gracefully to the best design found so far.
-                engine.emit(_diagnostic_of(exc))
+                engine.emit(evaluator.diagnostic_of(exc))
                 engine.note(
                     "GEN001",
                     "bottleneck analysis failed; stopping the search at the "
                     "best design found so far",
                 )
                 break
-            if speculator is not None:
-                for speculative_trial in speculation_frontier(latencies):
-                    prefetch(speculative_trial)
+            if sweep.speculator is not None:
+                for speculative_trial in _speculation_frontier(
+                    sweep, latencies, active, parallelism, group_of
+                ):
+                    _prefetch(sweep, speculative_trial)
             bottleneck = _pick_bottleneck(graph, latencies, active)
             if bottleneck is None:
                 break
             members = group_of[bottleneck]
-            trial = dict(parallelism)
-            exhausted = False
-            for member in members:
-                trial[member] = parallelism[member] * 2
-                if trial[member] > _max_parallelism(function, member, max_parallelism):
-                    exhausted = True
-            if exhausted:
+            trial = _group_trial(sweep, parallelism, members)
+            if trial is None:
                 active.difference_update(members)
                 continue
-            # Factor quantization (even-divisor preference, legality) can make
-            # a doubled degree produce the exact same configs; that is a no-op
-            # step, not a dead end -- keep climbing the ladder.
             try:
-                with candidate_deadline():
-                    trial_plan = {
-                        member: node_config(member, trial[member])
-                        for member in members
-                    }
+                noop = _is_noop_step(sweep, trial, members)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
-                quarantine_candidate(exc, trial, 0)
+                _quarantine(sweep, exc, trial, 0)
                 active.difference_update(members)
                 continue
-            if all(
-                trial_plan[member].unrolls == configs[member].unrolls
-                and trial_plan[member].pipeline_dim == configs[member].pipeline_dim
-                for member in members
-            ):
+            if noop:
                 parallelism = trial
                 continue
             accepted = False
@@ -1085,7 +904,9 @@ def _search(
             # units -- the paper's BICG [1,32] / II=2 design point).
             for bank_cap in BANK_CAPS:
                 try:
-                    trial_report, trial_configs, trial_func = evaluate_trial(trial, bank_cap)
+                    trial_report, trial_configs, trial_func = _evaluate_trial(
+                        sweep, trial, bank_cap
+                    )
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
@@ -1093,12 +914,14 @@ def _search(
                     # failure must not abort the sweep.  Quarantine it (the
                     # failure is banking-independent, so other caps are not
                     # retried) and keep searching from the best design.
-                    quarantine_candidate(exc, trial, bank_cap)
+                    _quarantine(sweep, exc, trial, bank_cap)
                     break
-                if _within_budget(trial_report, budget) and trial_report.total_cycles < best[0].total_cycles:
+                if _improves(sweep, trial_report):
                     parallelism = trial
-                    best = (trial_report, trial_configs, dict(parallelism), bank_cap)
-                    report, configs, func_op = trial_report, trial_configs, trial_func
+                    sweep.best = _Best(
+                        trial_report, trial_configs, dict(trial), bank_cap,
+                        trial_func,
+                    )
                     accepted = True
                     break
             if not accepted:
@@ -1113,261 +936,139 @@ def _search(
             "sweep interrupted; stopping at the best design found so far",
         )
 
-    # -- frontier enrichment (objective="pareto"/"weighted") ----------------
-    # The ladder above ran exactly as it does for "single" (its
-    # trajectory, journal records, and best design are bit-identical);
-    # frontier modes now complete the (visited parallelism) x (bank cap)
-    # grid so latency-vs-resource tradeoffs the ladder rejected (or
-    # never tried at smaller bank caps) become frontier candidates.
-    frontier_points: Optional[List[ParetoPoint]] = None
-    if objective.wants_frontier and not stats.interrupted:
-        frontier = ParetoFrontier()
-        with _trace.span("dse.pareto", "dse"):
-            grid: List[Tuple[Dict[str, int], int, str]] = []
-            for par in visited_pars:
-                for cap in BANK_CAPS:
-                    grid.append((par, cap, candidate_key(par, cap)))
-            stats.pareto_candidates += len(grid)
-            pending = [entry for entry in grid if entry[2] not in scored]
 
-            # Provable skips (surrogate mode only): a pending candidate
-            # whose *design signature* -- node-config fingerprints plus
-            # the partition factors derived at its bank cap -- matches
-            # an already-scored design lowers to the bit-identical
-            # design, so its report is copied instead of estimated.
-            # Signature equality is the only skip condition; the
-            # surrogate model merely orders the exact evaluations, which
-            # is why the frontier is provably identical with the
-            # surrogate on or off (the differential suite pins this).
-            sig_partitions: Dict[tuple, Dict[str, Tuple[int, ...]]] = {}
-
-            def design_signature(par: Dict[str, int], cap: int) -> tuple:
-                sig_configs = {
-                    name: node_config(name, par[name]) for name in nodes
-                }
-                sig_fp = tuple(
-                    sig_configs[name].fingerprint() for name in nodes
-                )
-                pkey = (sig_fp, cap)
-                derived = sig_partitions.get(pkey)
-                if derived is None:
-                    derived = partitions_cache.get(pkey) if cache else None
-                    if derived is None:
-                        _install_schedule(
-                            function, plan, sig_configs, structural, program
-                        )
-                        derived = derive_partitions(function, max_banks=cap)
-                    sig_partitions[pkey] = derived
-                return (
-                    sig_fp,
-                    tuple(
-                        sorted(
-                            (name, tuple(factors))
-                            for name, factors in derived.items()
-                        )
-                    ),
-                )
-
-            def total_par(par: Dict[str, int]) -> int:
-                total = 1
-                for degree in par.values():
-                    total *= degree
-                return total
-
-            iteration_volume = 0
-            for compute in function.computes:
-                volume = 1
-                for it in compute.iters:
-                    volume *= it.extent
-                iteration_volume += volume
-            hit_rate = memo_hit_rate(_isl_memo.stats_snapshot())
-
-            if surrogate:
-                sig_to_report: Dict[tuple, SynthesisReport] = {}
-                for skey in scored:
-                    spar, scap, sreport = scored[skey]
-                    sig_to_report.setdefault(
-                        design_signature(spar, scap), sreport
-                    )
-                model = SurrogateModel(
-                    axes=objective.axes, weights=objective.weights
-                )
-                for skey in scored:
-                    spar, scap, sreport = scored[skey]
-                    model.observe(
-                        candidate_features(
-                            total_par(spar), scap, iteration_volume, hit_rate
-                        ),
-                        objective.vector(sreport),
-                    )
-                ordered = model.rank(
-                    [
-                        (
-                            entry,
-                            candidate_features(
-                                total_par(entry[0]), entry[1],
-                                iteration_volume, hit_rate,
-                            ),
-                        )
-                        for entry in pending
-                    ]
-                )
-            else:
-                ordered = pending
-
-            try:
-                for par, cap, jkey in ordered:
-                    if (
-                        resilience.sweep_deadline is not None
-                        and resilience.sweep_deadline.exceeded()
-                    ):
-                        if not stats.time_budget_hit:
-                            stats.time_budget_hit = True
-                            engine.note(
-                                "DSE004",
-                                f"sweep time budget "
-                                f"({resilience.sweep_deadline.budget_s:.1f}s) "
-                                "exhausted; publishing the partial frontier",
-                            )
-                        break
-                    if surrogate:
-                        signature = design_signature(par, cap)
-                        donor = sig_to_report.get(signature)
-                        if donor is not None:
-                            # Bit-identical design already scored: copy
-                            # its report.  Journaled (ordinal unchanged:
-                            # no real evaluation started) so a resumed
-                            # sweep replays the copy too.
-                            stats.surrogate_skips += 1
-                            note_scored(par, cap, donor)
-                            if journal is not None:
-                                journal.append_eval(
-                                    stats.candidates, jkey, par, cap,
-                                    report=donor, elapsed_s=0.0,
-                                )
-                            continue
-                    try:
-                        enriched_report, _, _ = evaluate(
-                            par, cap, exact=not surrogate
-                        )
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:
-                        quarantine_candidate(exc, par, cap)
-                        continue
-                    stats.pareto_evaluated += 1
-                    if surrogate:
-                        sig_to_report.setdefault(signature, enriched_report)
-            except KeyboardInterrupt:
-                stats.interrupted = True
-                engine.note(
-                    "DSE007",
-                    "sweep interrupted; publishing the partial frontier",
-                )
-
-            for par, cap, jkey in grid:
-                entry = scored.get(jkey)
-                if entry is None:
-                    continue
-                if not _within_budget(entry[2], budget):
-                    continue
-                frontier.insert(
-                    ParetoPoint.from_report(jkey, par, cap, objective, entry[2])
-                )
-            frontier_points = frontier.points()
-            stats.frontier_size += len(frontier_points)
-            if journal is not None:
-                journal.append_frontier(
-                    objective.canonical, frontier.to_records()
-                )
-
-        if objective.mode == "weighted" and frontier_points:
-            # Select the frontier member minimizing the normalized
-            # weighted sum; it becomes the installed design.
-            reference = objective.reference_vector(baseline_report, budget)
-            selected = min(
-                frontier_points,
-                key=lambda p: (
-                    objective.scalarize(p.values, reference), p.key,
-                ),
-            )
-            sel_par = dict(selected.parallelism)
-            sel_configs = {
-                name: node_config(name, sel_par[name]) for name in nodes
-            }
-            best = (scored[selected.key][2], sel_configs, sel_par,
-                    selected.bank_cap)
-
-    # Reinstall the best schedule (the last trial may have been rejected).
-    report, configs, best_cap = best[0], best[1], best[3]
-    with _trace.span("dse.finalize", "dse"):
-        _install_schedule(function, plan, configs, structural, program)
-        configs_fp = tuple(configs[name].fingerprint() for name in nodes)
-        report, _ = lower_and_estimate(configs_fp, best_cap)
-    return report, configs, plan, frontier_points
+# -- frontier enrichment (objective="pareto"/"weighted") ----------------------
 
 
-def _prepare_function(function: Function, keep_existing_schedule: bool):
-    """Reset the function to the directives the search builds upon.
+def _design_signature(sweep: _Sweep, par: Dict[str, int], cap: int) -> tuple:
+    """Node-config fingerprints plus the partition factors at ``cap``.
 
-    Returns the structural directives and the baseline partition
-    schemes.  Shared by :func:`_search` and the speculative evaluation
-    workers (:mod:`repro.dse.parallel`), which must replicate the exact
-    pre-search state on their own copy of the function.
+    Two candidates with equal signatures lower to the bit-identical
+    design.  The partitions come from (and land in) the evaluator's one
+    partitions memo, so an enrichment candidate that is then really
+    evaluated does not derive them a second time.
     """
-    structural = function.structural_directives()
-    if not keep_existing_schedule:
-        function.reset_schedule()
-        for directive in structural:
-            function.schedule.add(directive)
-    saved_partitions = {p.name: p.partition_scheme for p in function.placeholders()}
-    return structural, saved_partitions
-
-
-def _install_schedule(
-    function: Function,
-    plan: Stage1Plan,
-    configs,
-    structural=(),
-    program: Optional[PolyProgram] = None,
-) -> None:
-    """Install a trial schedule on the function (partitions separate).
-
-    Structural after/fuse directives (algorithm-level loop sharing) are
-    re-added first so they keep their meaning under the new schedule.
-    """
-    function.reset_schedule()
-    for directive in structural:
-        function.schedule.add(directive)
-    for directive in config_directives(function, plan, configs, program=program):
-        function.schedule.add(directive)
-
-
-def _apply_partitions(function: Function, saved_partitions, derived) -> None:
-    """Reset partition schemes to the saved baseline, then apply derived."""
-    for placeholder in function.placeholders():
-        placeholder.partition_scheme = saved_partitions.get(placeholder.name)
-    for name, factors in derived.items():
-        if any(f > 1 for f in factors):
-            placeholder = next(
-                p for p in function.placeholders() if p.name == name
-            )
-            placeholder.partition(list(factors), "cyclic")
-
-
-def _install(
-    function: Function,
-    plan: Stage1Plan,
-    configs,
-    saved_partitions,
-    bank_cap: int = 128,
-    structural=(),
-) -> None:
-    """Install a trial schedule and derived partitions on the function."""
-    _install_schedule(function, plan, configs, structural)
-    _apply_partitions(
-        function, saved_partitions, derive_partitions(function, max_banks=bank_cap)
+    evaluator = sweep.evaluator
+    configs = evaluator.configs(par)
+    derived = evaluator.partitions(configs, cap)
+    return (
+        evaluator.fingerprint(configs),
+        tuple(sorted((name, tuple(factors)) for name, factors in derived.items())),
     )
+
+
+def _rank_pending(sweep: _Sweep, pending: list) -> list:
+    """Order the exact evaluations by the surrogate's predicted value."""
+    objective = sweep.objective
+    iteration_volume = sum(
+        _iteration_volume(compute) for compute in sweep.evaluator.function.computes
+    )
+    hit_rate = memo_hit_rate(_isl_memo.stats_snapshot())
+
+    def features(par: Dict[str, int], bank_cap: int):
+        return candidate_features(
+            math.prod(par.values()), bank_cap, iteration_volume, hit_rate
+        )
+
+    model = SurrogateModel(axes=objective.axes, weights=objective.weights)
+    for spar, scap, sreport in sweep.scored.values():
+        model.observe(features(spar, scap), objective.vector(sreport))
+    return model.rank([(entry, features(entry[0], entry[1])) for entry in pending])
+
+
+def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
+    """Complete the (visited parallelism) x (bank cap) grid; the frontier.
+
+    Provable skips (surrogate mode only): a pending candidate whose
+    *design signature* matches an already-scored design lowers to the
+    bit-identical design, so its report is copied instead of estimated.
+    Signature equality is the only skip condition; the surrogate model
+    merely orders the exact evaluations, which is why the frontier is
+    provably identical with the surrogate on or off (the differential
+    suite pins this).
+    """
+    stats, journal, engine = sweep.stats, sweep.journal, sweep.engine
+    objective, surrogate, scored = sweep.objective, sweep.surrogate, sweep.scored
+    deadline = sweep.evaluator.sweep_deadline
+    # Distinct parallelism vectors, in the order the sweep first scored them.
+    visited: Dict[tuple, Dict[str, int]] = {}
+    for par, _, _ in scored.values():
+        visited.setdefault(tuple(sorted(par.items())), par)
+    grid: List[Tuple[Dict[str, int], int, str]] = [
+        (par, cap, candidate_key(par, cap))
+        for par in visited.values()
+        for cap in BANK_CAPS
+    ]
+    stats.pareto_candidates += len(grid)
+    pending = [entry for entry in grid if entry[2] not in scored]
+
+    if surrogate:
+        pending = _rank_pending(sweep, pending)
+        sig_to_report: Dict[tuple, SynthesisReport] = {}
+        for spar, scap, sreport in scored.values():
+            sig_to_report.setdefault(_design_signature(sweep, spar, scap), sreport)
+
+    try:
+        for par, cap, jkey in pending:
+            if deadline is not None and deadline.exceeded():
+                if not stats.time_budget_hit:
+                    stats.time_budget_hit = True
+                    engine.note(
+                        "DSE004",
+                        f"sweep time budget ({deadline.budget_s:.1f}s) "
+                        "exhausted; publishing the partial frontier",
+                    )
+                break
+            if surrogate:
+                signature = _design_signature(sweep, par, cap)
+                donor = sig_to_report.get(signature)
+                if donor is not None:
+                    # Bit-identical design already scored: copy
+                    # its report.  Journaled (ordinal unchanged:
+                    # no real evaluation started) so a resumed
+                    # sweep replays the copy too.
+                    stats.surrogate_skips += 1
+                    _note_scored(sweep, par, cap, donor)
+                    if journal is not None:
+                        journal.append_eval(
+                            stats.candidates, jkey, par, cap,
+                            report=donor, elapsed_s=0.0,
+                        )
+                    continue
+            try:
+                enriched_report, _, _ = _evaluate(
+                    sweep, par, cap, exact=not surrogate
+                )
+            except KeyboardInterrupt:
+                raise
+            except Exception as exc:
+                _quarantine(sweep, exc, par, cap)
+                continue
+            stats.pareto_evaluated += 1
+            if surrogate:
+                sig_to_report.setdefault(signature, enriched_report)
+    except KeyboardInterrupt:
+        stats.interrupted = True
+        engine.note(
+            "DSE007",
+            "sweep interrupted; publishing the partial frontier",
+        )
+
+    frontier = ParetoFrontier()
+    for par, cap, jkey in grid:
+        entry = scored.get(jkey)
+        if entry is None:
+            continue
+        if not _within_budget(entry[2], sweep.budget):
+            continue
+        frontier.insert(
+            ParetoPoint.from_report(jkey, par, cap, objective, entry[2])
+        )
+    frontier_points = frontier.points()
+    stats.frontier_size += len(frontier_points)
+    if journal is not None:
+        journal.append_frontier(objective.canonical, frontier.to_records())
+    return frontier_points
 
 
 def _within_budget(report: SynthesisReport, budget: FPGADevice) -> bool:
@@ -1376,40 +1077,6 @@ def _within_budget(report: SynthesisReport, budget: FPGADevice) -> bool:
         and report.resources.lut <= budget.lut
         and report.resources.ff <= budget.ff
     )
-
-
-def _node_latencies(
-    func_op: FuncOp, estimate: Callable[[FuncOp], SynthesisReport]
-) -> Dict[str, int]:
-    """Latency attributed to each compute via its top-level loop nest.
-
-    Per-nest estimates are reused across ladder steps for free: each
-    shell function's fingerprint covers only the one nest (and the
-    partition schemes of arrays it touches), so a memoizing ``estimate``
-    recognizes nests unchanged since the previous evaluation.
-    """
-    latencies: Dict[str, int] = {}
-    for op in func_op.body:
-        shell = FuncOp(func_op.name, func_op.arrays)
-        # Deep-copy dict-valued attributes: the shells must never alias
-        # the parent's mutable attribute payloads (e.g. partitions).
-        shell.attributes.update(
-            {
-                key: dict(value) if isinstance(value, dict) else value
-                for key, value in func_op.attributes.items()
-            }
-        )
-        shell.body.append(op)
-        cycles = estimate(shell).total_cycles
-        names = {
-            inner.attributes.get("statement")
-            for inner in op.walk()
-            if isinstance(inner, AffineStoreOp)
-        }
-        for name in names:
-            if name:
-                latencies[name] = latencies.get(name, 0) + cycles
-    return latencies
 
 
 def _pick_bottleneck(graph, latencies: Dict[str, int], active) -> Optional[str]:
@@ -1430,9 +1097,9 @@ def _pick_bottleneck(graph, latencies: Dict[str, int], active) -> Optional[str]:
     return None
 
 
+def _iteration_volume(compute) -> int:
+    return math.prod(it.extent for it in compute.iters)
+
+
 def _max_parallelism(function: Function, node: str, cap: int) -> int:
-    compute = function.get_compute(node)
-    total = 1
-    for it in compute.iters:
-        total *= it.extent
-    return min(cap, total)
+    return min(cap, _iteration_volume(function.get_compute(node)))

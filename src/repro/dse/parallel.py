@@ -21,12 +21,11 @@ guarantee (parallel runs are bit-identical to sequential runs):
   bank-cap fallback ladder ``(128, 16, 8)`` of the next independent
   bottleneck-group trials), dispatches them to persistent worker
   processes ahead of time, and *commits* the scores strictly in
-  sequential visit order.  Workers replicate the search preamble
-  (:func:`~repro.dse.engine._prepare_function`, stage 1 planning) on
-  their own copy of the function, then run the exact per-candidate
-  pipeline -- plan configs, install schedule, derive partitions, lower,
-  estimate with deadline-aware retries -- and ship back a picklable
-  :class:`SpeculativeOutcome` (a score or a structured diagnostic).
+  sequential visit order.  Each worker builds the search's own
+  :class:`~repro.dse.evaluator.Evaluator` on its copy of the function
+  and scores candidates through it -- the one pipeline, not a replica --
+  shipping back a picklable :class:`SpeculativeOutcome` (a score or a
+  structured diagnostic).
   A lost or mispredicted speculation costs only worker time: the
   engine falls back to evaluating locally whenever the pool cannot
   deliver (see :meth:`~repro.util.pool.WorkerPool.result`).
@@ -43,36 +42,16 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
-from repro.diagnostics import (
-    Diagnostic,
-    DiagnosticError,
-    Severity,
-    SourceLocation,
-)
+from repro.diagnostics import Diagnostic
 from repro.dse.checkpoint import candidate_key
-from repro.dse.engine import (
-    DseResult,
-    QuarantinedCandidate,
-    _apply_partitions,
-    _estimate_with_retries,
-    _install_schedule,
-    _prepare_function,
-    auto_dse,
-)
+from repro.dse.engine import DseResult, QuarantinedCandidate, auto_dse
+from repro.dse.evaluator import Evaluator
 from repro.dse.options import DseOptions
-from repro.dse.stage1 import plan_stage1
-from repro.dse.stage2 import derive_partitions, plan_node_config, stage1_program
 from repro.dse.stats import DseStats
 from repro import trace as _trace
-from repro.affine.lowering import lower_program_incremental
-from repro.depgraph.graph import build_dependence_graph
-from repro.hls.device import DEFAULT_DEVICE, FPGADevice
-from repro.hls.estimator import HlsEstimator
-from repro.polyir.program import PolyProgram
-from repro.util.deadline import Deadline, DeadlineExceeded, deadline_scope
 from repro.util.pool import WorkerPool, available_jobs, run_ordered
 
 # The default sweep `repro dse --all` and the parallel benchmark run:
@@ -117,140 +96,53 @@ class SpeculativeOutcome:
     trace: Optional[_trace.TraceData] = None
 
 
-@dataclass
-class _WorkerState:
-    """Per-worker replica of the sequential search's evaluation state."""
-
-    function: object
-    estimator: HlsEstimator
-    structural: tuple
-    saved_partitions: dict
-    plan: object
-    program: object
-    nodes: List[str]
-    candidate_timeout_s: Optional[float]
-    trace: bool = False
-    config_cache: Dict[Tuple[str, int], object] = field(default_factory=dict)
-    nest_cache: Dict[tuple, list] = field(default_factory=dict)
-
-
-def _spec_init(
-    function,
-    device: FPGADevice,
-    clock_ns: float,
-    keep_existing_schedule: bool,
-    candidate_timeout_s: Optional[float],
-    trace: bool = False,
-) -> _WorkerState:
-    """Worker initializer: replicate the search preamble once.
+def _spec_init(function, evaluator_options: dict, trace: bool) -> Tuple[Evaluator, bool]:
+    """Worker initializer: build the search's evaluator once.
 
     Runs in the worker process on its own copy of the function (forked
-    or unpickled before the parent's search mutates it), mirroring
-    ``_search``: reset to structural directives, plan stage 1, build the
-    shared polyhedral program.
+    or unpickled before the parent's search mutates it).  The evaluator
+    is the one the sequential search uses, minus the sweep-level
+    plumbing (no journal, no sweep deadline, private stats).
     """
     # A forked worker inherits the driver's active tracer object; it
     # must never record into that orphaned copy.  Per-candidate tracing
     # (when requested) uses a fresh local tracer in _spec_eval.
     _trace.install(None)
-    estimator = HlsEstimator(device=device, clock_ns=clock_ns, memoize_reports=True)
-    structural, saved_partitions = _prepare_function(function, keep_existing_schedule)
-    graph = build_dependence_graph(function, analyze=False)
-    plan = plan_stage1(function, graph)
-    program = stage1_program(function, plan)
-    return _WorkerState(
-        function=function,
-        estimator=estimator,
-        structural=structural,
-        saved_partitions=saved_partitions,
-        plan=plan,
-        program=program,
-        nodes=[c.name for c in function.computes],
-        candidate_timeout_s=candidate_timeout_s,
-        trace=trace,
-    )
+    return Evaluator(function, **evaluator_options), trace
 
 
-def _spec_eval(state: _WorkerState, payload) -> SpeculativeOutcome:
+def _spec_eval(state: Tuple[Evaluator, bool], payload) -> SpeculativeOutcome:
     """Evaluate one ``(parallelism, bank_cap)`` candidate in a worker.
 
-    The exact per-candidate pipeline of the sequential search -- plan
-    node configs, install the trial schedule, derive and apply
-    partitions, lower incrementally, estimate with deadline-aware
-    retries -- under the same per-candidate watchdog, producing either
-    the identical report or the identical diagnostic.  When the driver
-    traces, the candidate's spans are captured into a local tracer and
-    shipped back on the outcome.
+    Produces the report -- or the diagnostic -- the sequential search
+    would have, by construction: both call :meth:`Evaluator.realize`
+    under :meth:`Evaluator.watchdog`.  When the driver traces, the
+    candidate's spans are captured into a local tracer and shipped back
+    on the outcome.
     """
-    if not state.trace:
-        return _spec_eval_untraced(state, payload)
-    tracer = _trace.Tracer()
-    previous = _trace.install(tracer)
-    try:
-        outcome = _spec_eval_untraced(state, payload)
-    finally:
-        _trace.install(previous)
-    outcome.trace = tracer.export_data()
-    return outcome
-
-
-def _spec_eval_untraced(state: _WorkerState, payload) -> SpeculativeOutcome:
+    evaluator, traced = state
     par, bank_cap = payload
-    function = state.function
-    location = SourceLocation(function=function.name)
+    tracer = _trace.Tracer() if traced else None
+    previous = _trace.install(tracer)
     t0 = time.perf_counter()
     try:
-        configs = {}
-        for name in state.nodes:
-            key = (name, par[name])
-            config = state.config_cache.get(key)
-            if config is None:
-                config = plan_node_config(
-                    function, state.plan, name, par[name], program=state.program
-                )
-                state.config_cache[key] = config
-            configs[name] = config
-        def body():
-            _install_schedule(
-                function, state.plan, configs, state.structural, state.program
-            )
-            derived = derive_partitions(function, max_banks=bank_cap)
-            _apply_partitions(function, state.saved_partitions, derived)
-            scheduled = PolyProgram(function).apply_schedule()
-            func_op = lower_program_incremental(scheduled, cache=state.nest_cache)
-            return _estimate_with_retries(state.estimator, func_op, location=location)
-
-        try:
-            if state.candidate_timeout_s is not None:
-                with deadline_scope(Deadline(state.candidate_timeout_s)):
-                    report = body()
-            else:
-                report = body()
-        except DeadlineExceeded as exc:
-            error = DiagnosticError(
-                f"candidate evaluation timed out after {exc.elapsed_s:.3f}s "
-                f"(budget {exc.budget_s:.3f}s)",
-                code="DSE003",
-                location=location,
-            )
-            error.elapsed_s = exc.elapsed_s
-            raise error from exc
-        return SpeculativeOutcome(
+        configs = evaluator.configs(par)
+        with evaluator.watchdog():
+            report, _ = evaluator.realize(configs, bank_cap)
+        outcome = SpeculativeOutcome(
             ok=True, report=report, elapsed_s=time.perf_counter() - t0
         )
     except Exception as exc:
-        if isinstance(exc, DiagnosticError):
-            diagnostic = exc.diagnostic
-        else:
-            diagnostic = Diagnostic(
-                Severity.ERROR,
-                "DSE001",
-                f"{type(exc).__name__}: {exc}",
-                location=location,
-            )
-        return SpeculativeOutcome(
-            ok=False, diagnostic=diagnostic, elapsed_s=getattr(exc, "elapsed_s", None)
+        outcome = SpeculativeOutcome(
+            ok=False,
+            diagnostic=evaluator.diagnostic_of(exc),
+            elapsed_s=getattr(exc, "elapsed_s", None),
         )
+    finally:
+        _trace.install(previous)
+    if tracer is not None:
+        outcome.trace = tracer.export_data()
+    return outcome
 
 
 class SpeculativeEvaluator:
@@ -258,7 +150,7 @@ class SpeculativeEvaluator:
 
     Constructed by ``auto_dse(jobs=N)`` before the search mutates the
     function: workers capture the pristine pre-search function and
-    replicate the search preamble on it (:func:`_spec_init`).  The
+    build their own evaluator on it (:func:`_spec_init`).  The
     engine then :meth:`prefetch`-es candidates its frontier simulation
     predicts, and :meth:`take`-s them at their sequential visit
     position.  ``take`` returns ``None`` for anything the pool cannot
@@ -267,15 +159,10 @@ class SpeculativeEvaluator:
     answers or determinism.
     """
 
-    def __init__(
-        self,
-        function,
-        device: Optional[FPGADevice] = None,
-        clock_ns: float = 10.0,
-        keep_existing_schedule: bool = False,
-        candidate_timeout_s: Optional[float] = None,
-        jobs: int = 2,
-    ):
+    def __init__(self, function, jobs: int = 2, **evaluator_options):
+        """``evaluator_options`` are the workers' :class:`Evaluator`
+        keywords (device, clock_ns, keep_existing_schedule,
+        candidate_timeout_s), passed through untouched."""
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
@@ -285,11 +172,8 @@ class SpeculativeEvaluator:
         self.depth = max(2, jobs)
         self._tickets: Dict[str, int] = {}
         self._pool = WorkerPool(
-            _spec_init,
-            (function, device or DEFAULT_DEVICE, clock_ns, keep_existing_schedule,
-             candidate_timeout_s, _trace.enabled()),
-            _spec_eval,
-            jobs,
+            _spec_init, (function, evaluator_options, _trace.enabled()),
+            _spec_eval, jobs,
         )
 
     def prefetch(self, parallelism: Dict[str, int], bank_cap: int) -> bool:

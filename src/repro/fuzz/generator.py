@@ -47,6 +47,7 @@ from repro.dsl.schedule import (
     Tile,
     Unroll,
 )
+from repro.isl.constraint import EliminationBlowup
 from repro.polyir.program import PolyProgram
 from repro.polyir.transforms import TransformError
 from repro.preflight import preflight_schedule
@@ -213,7 +214,10 @@ def random_schedule(
         if directive is None:
             continue
         candidate = Schedule(accepted + [directive])
-        engine = preflight_schedule(function, candidate)
+        try:
+            engine = preflight_schedule(function, candidate)
+        except EliminationBlowup:
+            continue  # dependence analysis of this prefix is out of bounds
         if engine.errors():
             continue
         try:

@@ -65,12 +65,15 @@ def checksum(buffer: np.ndarray) -> int:
 
     Floats are quantized to 1/256 steps before hashing so that C's
     float arithmetic and numpy's match bit-for-bit on the mild values
-    the testbench uses.
+    the testbench uses.  Ties round half away from zero, exactly as the
+    emitted C does (add +/-0.5, truncate); Python's ``round`` is
+    half-to-even and would hash an exact x.5 differently.
     """
     h = 2166136261
     flat = buffer.reshape(-1)
     for value in flat:
-        quantized = int(round(float(value) * 256.0)) & 0xFFFFFFFF
+        scaled = float(value) * 256.0
+        quantized = int(scaled + (0.5 if scaled >= 0 else -0.5)) & 0xFFFFFFFF
         h = (h ^ quantized) * 16777619 % (1 << 32)
     return h
 

@@ -11,11 +11,33 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
+from repro.diagnostics import DiagnosticError
 from repro.isl import intern as _intern
 from repro.isl.affine import AffineExpr, ExprLike
 
 EQ = "=="
 GE = ">="
+
+#: Most (lower, upper) bound pairs one Fourier-Motzkin step may combine.
+#: Every pair becomes a row before pruning, so the working set is
+#: quadratic in the system size; registry workloads pair a few dozen
+#: rows per step, while a runaway system (random skew/shift chains under
+#: dependence sampling) reaches 10**9 pairs -- tens of GiB -- in one step.
+MAX_FM_PAIRS = 1 << 20
+
+
+class EliminationBlowup(DiagnosticError):
+    """A Fourier-Motzkin step would exceed :data:`MAX_FM_PAIRS` (``ISL001``)."""
+
+
+def check_fm_pairs(lowers: int, uppers: int, name: str) -> None:
+    """Refuse an elimination step whose pairing is out of bounds."""
+    if lowers * uppers > MAX_FM_PAIRS:
+        raise EliminationBlowup(
+            f"eliminating {name!r} would combine {lowers} x {uppers} bound "
+            f"pairs (limit {MAX_FM_PAIRS})",
+            code="ISL001",
+        )
 
 
 class Constraint:

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.isl.affine import AffineExpr
-from repro.isl.constraint import EQ, GE, Constraint
+from repro.isl.constraint import EQ, GE, Constraint, check_fm_pairs
 
 #: Largest |coefficient| packed into int64 matrices: pair combination
 #: multiplies two coefficients and adds, so 2 * (2**30)**2 < 2**63.
@@ -216,6 +216,7 @@ def eliminate(
     negatives = matrix[neg_mask] * np.where(a[neg_mask] < 0, 1, -1)[:, None]
     del sign
 
+    check_fm_pairs(positives.shape[0], negatives.shape[0], name)
     combined = np.zeros((0, matrix.shape[1]), dtype=np.int64)
     if positives.shape[0] and negatives.shape[0]:
         ap = positives[:, col]  # > 0

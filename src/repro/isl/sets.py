@@ -22,7 +22,13 @@ from repro.isl import intern as _intern
 from repro.isl import matrix as _matrix
 from repro.isl import memo as _memo
 from repro.isl.affine import AffineExpr, ExprLike
-from repro.isl.constraint import EQ, GE, Constraint, prune_parallel
+from repro.isl.constraint import (
+    EQ,
+    GE,
+    Constraint,
+    check_fm_pairs,
+    prune_parallel,
+)
 from repro.util import deadline as _deadline
 
 #: Below this many constraints the pure-Python Fourier-Motzkin step is
@@ -496,6 +502,7 @@ def _eliminate_reference(constraints: List[Constraint], name: str) -> List[Const
         else:
             negatives.append((a, rest))
 
+    check_fm_pairs(len(positives), len(negatives), name)
     for (ap, rp) in positives:
         for (an, rn) in negatives:
             # ap*name + rp >= 0 and an*name + rn >= 0 with ap>0, an<0

@@ -2,7 +2,7 @@
 
 import pytest
 
-import repro.dse.engine as engine_mod
+import repro.dse.evaluator as evaluator_mod
 from repro.diagnostics import DiagnosticError
 from repro.hls.estimator import HlsEstimator, TransientEstimatorError
 from repro.workloads import polybench
@@ -28,14 +28,14 @@ def test_failing_candidates_are_quarantined_not_fatal(monkeypatch):
     # Sabotage every degree-4 node config: the search must complete,
     # quarantine the failures, and return the best design reachable
     # without them -- identical to an honest search capped at degree 2.
-    original = engine_mod.plan_node_config
+    original = evaluator_mod.plan_node_config
 
     def sabotaged(function, plan, name, degree, program=None):
         if degree >= 4:
             raise RuntimeError("synthetic failure at degree 4")
         return original(function, plan, name, degree, program=program)
 
-    monkeypatch.setattr(engine_mod, "plan_node_config", sabotaged)
+    monkeypatch.setattr(evaluator_mod, "plan_node_config", sabotaged)
     result = polybench.gemm(16).auto_DSE()
 
     assert result.quarantine, "failed candidates must be recorded"
@@ -47,7 +47,7 @@ def test_failing_candidates_are_quarantined_not_fatal(monkeypatch):
         assert any(degree >= 4 for degree in candidate.parallelism.values())
     assert any(d.code == "DSE001" for d in result.diagnostics)
 
-    monkeypatch.setattr(engine_mod, "plan_node_config", original)
+    monkeypatch.setattr(evaluator_mod, "plan_node_config", original)
     capped = polybench.gemm(16).auto_DSE(options=DseOptions(max_parallelism=2))
     assert result.report.total_cycles == capped.report.total_cycles
 
@@ -87,14 +87,14 @@ def test_persistent_estimator_failure_becomes_dse002(monkeypatch):
 
 
 def test_quarantine_counts_reported_in_stats_summary(monkeypatch):
-    original = engine_mod.plan_node_config
+    original = evaluator_mod.plan_node_config
 
     def sabotaged(function, plan, name, degree, program=None):
         if degree >= 4:
             raise RuntimeError("synthetic failure")
         return original(function, plan, name, degree, program=program)
 
-    monkeypatch.setattr(engine_mod, "plan_node_config", sabotaged)
+    monkeypatch.setattr(evaluator_mod, "plan_node_config", sabotaged)
     result = polybench.gemm(16).auto_DSE()
     summary = result.stats.summary()
     assert "quarantined" in summary

@@ -54,6 +54,22 @@ class TestLegality:
         engine = preflight_schedule(function)
         assert not engine.errors(), [d.render() for d in engine.errors()]
 
+    def test_runaway_elimination_is_a_rejected_proposal(self):
+        """gemm@12 under this trial seed proposes a prefix whose
+        dependence sampling pairs 35 493 x 35 493 Fourier-Motzkin rows
+        (a 28 GiB allocation); the bound turns it into a redraw."""
+        import tracemalloc
+
+        function = build_workload("gemm", 12)
+        tracemalloc.start()
+        try:
+            random_schedule(function, random.Random(404377371))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 30
+        assert not preflight_schedule(function).errors()
+
     @pytest.mark.parametrize("seed", range(8))
     def test_respects_max_directives(self, seed):
         function = _generate("gemm", 8, seed, max_directives=3)

@@ -48,6 +48,22 @@ class TestGeneration:
         y = np.array([2.0, 1.0], dtype=np.float32)
         assert checksum(x) != checksum(y)
 
+    def test_checksum_rounds_ties_away_from_zero_like_the_c(self):
+        """x * 256 landing on an exact .5 must quantize as the emitted
+        testbench does (+/-0.5 then truncate), not half-to-even."""
+        import numpy as np
+
+        def reference(quantized):
+            h = 2166136261
+            for q in quantized:
+                h = (h ^ (q & 0xFFFFFFFF)) * 16777619 % (1 << 32)
+            return h
+
+        ties = np.array([1294.5, 2.5, -2.5, 0.5, -0.5, 3.5, -3.5]) / 256.0
+        assert checksum(ties.astype(np.float32)) == reference(
+            [1295, 3, -3, 1, -1, 4, -4]
+        )
+
 
 @requires_cc
 class TestCosimulation:
@@ -86,6 +102,14 @@ class TestCosimulation:
         f = image.blur(16)
         f.auto_DSE()
         result = cosimulate(f)
+        assert result.matched, result.mismatches()
+
+    def test_doitgen_exact_tie(self):
+        # acc has one value with x * 256 == 1294.5 exactly: half-to-even
+        # on the Python side used to report a false mismatch.
+        from repro import workloads
+
+        result = cosimulate(workloads.get("doitgen", 16))
         assert result.matched, result.mismatches()
 
     def test_guarded_ragged_split(self):

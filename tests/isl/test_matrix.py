@@ -128,6 +128,22 @@ class TestEliminateIdentity:
         cons = [Constraint.ge(AffineExpr({"k": 1, "i": big}, 0))]
         assert _matrix.eliminate(cons, "k") is None
 
+    def test_pairing_past_the_bound_raises_isl001(self, monkeypatch):
+        """Both implementations refuse a step whose lower x upper bound
+        pairing exceeds MAX_FM_PAIRS, before allocating or looping."""
+        from repro.isl import constraint as _constraint
+
+        cons = _structured_system(tiles=12)  # 25 lowers x 13 uppers of k
+        monkeypatch.setattr(_constraint, "MAX_FM_PAIRS", 25 * 13 - 1)
+        for eliminate in (_matrix.eliminate, _sets._eliminate_reference):
+            with pytest.raises(_constraint.EliminationBlowup) as info:
+                eliminate(list(cons), "k")
+            assert info.value.code == "ISL001"
+        monkeypatch.setattr(_constraint, "MAX_FM_PAIRS", 25 * 13)
+        assert _matrix.eliminate(list(cons), "k") == _sets._eliminate_reference(
+            list(cons), "k"
+        )
+
     def test_dispatcher_is_identical_to_reference(self):
         # The public path through BasicSet must not depend on which
         # implementation the size-threshold dispatch picks.

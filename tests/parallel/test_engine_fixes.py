@@ -54,7 +54,7 @@ class TestDeadlineAwareBackoff:
         """The old code slept RETRY_BACKOFF_S * 2**attempt unconditionally:
         with a huge backoff the candidate watchdog must still fire on
         time, quarantining the candidate as a DSE003 timeout."""
-        monkeypatch.setattr("repro.dse.engine.RETRY_BACKOFF_S", 30.0)
+        monkeypatch.setattr("repro.dse.evaluator.RETRY_BACKOFF_S", 30.0)
         plan = FaultPlan([Fault("transient", 1, count=1)])
         start = time.perf_counter()
         result = auto_dse(polybench.gemm(16), options=DseOptions(fault_plan=plan, candidate_timeout_s=0.2))
@@ -76,7 +76,7 @@ class TestDeadlineAwareBackoff:
     def test_retry_backoff_respects_sweep_time_budget(self, monkeypatch):
         """With no candidate watchdog, the backoff must still give up at
         the whole-sweep budget so DSE004 degradation fires on time."""
-        monkeypatch.setattr("repro.dse.engine.RETRY_BACKOFF_S", 30.0)
+        monkeypatch.setattr("repro.dse.evaluator.RETRY_BACKOFF_S", 30.0)
         plan = FaultPlan([Fault("transient", 1, count=1)])
         start = time.perf_counter()
         result = auto_dse(polybench.gemm(16), options=DseOptions(fault_plan=plan, time_budget_s=0.3))
@@ -90,7 +90,7 @@ class TestBackoffAttribution:
     def test_backoff_is_excluded_from_estimation_time(self, monkeypatch):
         """The backoff sleep used to be folded into stats.estimation_s by
         the finally-timer; it must land in stats.retry_backoff_s only."""
-        monkeypatch.setattr("repro.dse.engine.RETRY_BACKOFF_S", 0.3)
+        monkeypatch.setattr("repro.dse.evaluator.RETRY_BACKOFF_S", 0.3)
         plan = FaultPlan([Fault("transient", 1, count=1)])
         result = auto_dse(polybench.gemm(16), options=DseOptions(fault_plan=plan))
         assert result.stats.estimator_retries == 1

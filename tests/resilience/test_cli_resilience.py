@@ -3,6 +3,7 @@
 import pytest
 
 import repro.dse.engine as engine_mod
+import repro.dse.evaluator as evaluator_mod
 from repro.cli import main
 from repro.workloads import polybench
 from repro.dse.options import DseOptions
@@ -11,14 +12,14 @@ pytestmark = pytest.mark.resilience
 
 
 def _sabotage_degree_4(monkeypatch):
-    original = engine_mod.plan_node_config
+    original = evaluator_mod.plan_node_config
 
     def sabotaged(function, plan, name, degree, program=None):
         if degree >= 4:
             raise RuntimeError("synthetic failure at degree 4")
         return original(function, plan, name, degree, program=program)
 
-    monkeypatch.setattr(engine_mod, "plan_node_config", sabotaged)
+    monkeypatch.setattr(evaluator_mod, "plan_node_config", sabotaged)
 
 
 def test_degraded_sweep_exits_nonzero(monkeypatch, capsys):

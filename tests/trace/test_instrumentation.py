@@ -104,10 +104,10 @@ class TestMetricParity:
         stats = result.stats
         assert metrics.value("dse.evaluations") == stats.evaluations
         assert metrics.value("dse.estimations") == stats.estimations
-        assert metrics.value("dse.cache.evaluation.hits") == stats.eval_cache_hits
+        assert metrics.value("dse.cache.design.hits") == stats.design_cache_hits
         assert (
-            metrics.value("dse.cache.evaluation.misses")
-            == stats.eval_cache_misses
+            metrics.value("dse.cache.design.misses")
+            == stats.design_cache_misses
         )
 
     def test_hot_loop_counters_recorded(self, traced_dse):
