@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import trace as _trace
 from repro.dsl.compute import Compute
 from repro.dsl.expr import Access
 from repro.isl.affine import AffineExpr
@@ -102,55 +103,63 @@ def _sink_name(dim: str) -> str:
     return dim + _SINK_SUFFIX
 
 
-def dependence_relation(
-    compute: Compute,
-    src: Access,
-    snk: Access,
-    level: int,
+def _step(dim: str) -> AffineExpr:
+    """``dim' - dim``: how far the sink instance is ahead of the source."""
+    return AffineExpr.var(_sink_name(dim)) - AffineExpr.var(dim)
+
+
+def _pair_relation(
+    dims: Sequence[str],
+    domain: BasicSet,
+    src_idx: Sequence[AffineExpr],
+    snk_idx: Sequence[AffineExpr],
 ) -> BasicSet:
+    """Instances ``(v, v')`` of ``domain`` with ``src(v) == snk(v')``."""
+    sink = {d: _sink_name(d) for d in dims}
+    relation = BasicSet(
+        tuple(dims) + tuple(sink.values()),
+        domain.constraints + domain.rename_dims(sink).constraints,
+    )
+    return relation.with_constraints(
+        Constraint.eq(s, k.rename(sink)) for s, k in zip(src_idx, snk_idx)
+    )
+
+
+def _carried_at(relation: BasicSet, dims: Sequence[str], level: int) -> BasicSet:
+    """``relation`` restricted to pairs carried at ``level``: equality on
+    all dims above it and strict lexicographic precedence at it."""
+    above = [Constraint.eq(_step(d), 0) for d in dims[:level]]
+    return relation.with_constraints(above + [Constraint.ge(_step(dims[level]), 1)])
+
+
+def dependence_relation(compute: Compute, src: Access, snk: Access, level: int) -> BasicSet:
     """Instances ``(v, v')`` with ``src(v) == snk(v')`` carried at ``level``.
 
     The source instance precedes the sink lexicographically with equality
     on all dims above ``level`` and strict inequality at ``level``.
     """
     dims = compute.iter_names
-    sink_dims = [_sink_name(d) for d in dims]
-    domain = domain_of(compute)
-    src_dom = domain
-    snk_dom = domain.rename_dims(dict(zip(dims, sink_dims)))
-
-    all_dims = tuple(dims) + tuple(sink_dims)
-    relation = BasicSet(all_dims, [])
-    relation = relation.with_constraints(src_dom.constraints)
-    relation = relation.with_constraints(snk_dom.constraints)
-
-    # Access equality: src indices at v equal snk indices at v'.
-    snk_rename = dict(zip(dims, sink_dims))
-    for src_index, snk_index in zip(src.affine_indices(), snk.affine_indices()):
-        relation = relation.with_constraints(
-            [Constraint.eq(src_index, snk_index.rename(snk_rename))]
-        )
-
-    # Lexicographic carrying at `level`.
-    constraints = []
-    for d in dims[:level]:
-        constraints.append(Constraint.eq(AffineExpr.var(d), AffineExpr.var(_sink_name(d))))
-    carried = dims[level]
-    constraints.append(
-        Constraint.lt(AffineExpr.var(carried), AffineExpr.var(_sink_name(carried)))
+    relation = _pair_relation(
+        dims, domain_of(compute), src.affine_indices(), snk.affine_indices()
     )
-    return relation.with_constraints(constraints)
+    return _carried_at(relation, dims, level)
 
 
-def _distance_entry(relation: BasicSet, dim: str) -> Optional[int]:
-    """The constant value of ``dim' - dim`` over the relation, or None."""
-    sample = relation.sample()
-    if sample is None:
+def _constant_entry(relation: BasicSet, dim: str, candidate: Optional[int]) -> Optional[int]:
+    """``candidate`` when ``dim' - dim`` takes no other value over the relation."""
+    if candidate is None:
         return None
-    delta = AffineExpr.var(_sink_name(dim)) - AffineExpr.var(dim)
-    candidate = sample[_sink_name(dim)] - sample[dim]
-    above = relation.with_constraints([Constraint.ge(delta, candidate + 1)])
-    below = relation.with_constraints([Constraint.le(delta, candidate - 1)])
+    step = _step(dim)
+    # An explicit equality (the level's own, or a uniform access pair)
+    # leaves both cuts below rationally empty, which Fourier-Motzkin
+    # always proves: same answer without running it.
+    if (
+        Constraint.eq(step, candidate) in relation.constraints
+        or Constraint.eq(-step, -candidate) in relation.constraints
+    ):
+        return candidate
+    above = relation.with_constraints([Constraint.ge(step, candidate + 1)])
+    below = relation.with_constraints([Constraint.le(step, candidate - 1)])
     if above.is_empty() and below.is_empty():
         return candidate
     return None
@@ -158,40 +167,90 @@ def _distance_entry(relation: BasicSet, dim: str) -> Optional[int]:
 
 def _min_distance(relation: BasicSet, dim: str, extent: int) -> Optional[int]:
     """Minimum of ``dim' - dim`` over the relation (>= 1 when carried)."""
-    delta = AffineExpr.var(_sink_name(dim)) - AffineExpr.var(dim)
+    step = _step(dim)
     lo, hi = 1, extent
-    if relation.with_constraints([Constraint.le(delta, hi)]).is_empty():
+    if relation.with_constraints([Constraint.le(step, hi)]).is_empty():
         return None
     while lo < hi:
         mid = (lo + hi) // 2
-        if relation.with_constraints([Constraint.le(delta, mid)]).is_empty():
+        if relation.with_constraints([Constraint.le(step, mid)]).is_empty():
             lo = mid + 1
         else:
             hi = mid
     return lo
 
 
-def _access_pairs(compute: Compute) -> List[Tuple[str, Access, Access]]:
-    """(kind, src, snk) pairs to analyze for self-dependences."""
-    store = compute.store()
-    pairs: List[Tuple[str, Access, Access]] = []
-    seen_raw = set()
-    for load in compute.loads():
-        if load.array_name == store.array_name:
-            key = tuple(map(str, load.indices))
-            if key not in seen_raw:
-                seen_raw.add(key)
-                pairs.append((RAW, store, load))
-                pairs.append((WAR, load, store))
-    pairs.append((WAW, store, store))
+_Pair = Tuple[str, str, Sequence[AffineExpr], Sequence[AffineExpr]]
+
+
+def access_pairs(
+    dest: Access, loads: Sequence[Access], kinds: Sequence[str] = (RAW, WAR, WAW)
+) -> List[_Pair]:
+    """``(kind, array, src indices, snk indices)`` self-dependence pairs of
+    a statement writing ``dest``: RAW and WAR against each distinct load
+    of the written array, then WAW."""
+    store = dest.affine_indices()
+    pairs: List[_Pair] = []
+    seen = set()
+    for load in loads:
+        key = tuple(map(str, load.indices))
+        if load.array_name != dest.array_name or key in seen:
+            continue
+        seen.add(key)
+        if RAW in kinds:
+            pairs.append((RAW, dest.array_name, store, load.affine_indices()))
+        if WAR in kinds:
+            pairs.append((WAR, dest.array_name, load.affine_indices(), store))
+    if WAW in kinds:
+        pairs.append((WAW, dest.array_name, store, store))
     return pairs
 
 
+def _carried(
+    dims: Sequence[str], domain: BasicSet, pairs: Sequence[_Pair], extents: Dict[str, int]
+) -> List[CarriedDependence]:
+    """The one engine: split each pair's relation by carrying level.
+
+    A non-empty level is sampled once; each distance entry is constant
+    exactly when the relation is empty on both sides of the sampled value.
+    Private so that ``analyze_compute`` shares it without counting as a
+    call of the public entry point, which the benchmark times.
+    """
+    dims = tuple(dims)
+    results: List[CarriedDependence] = []
+    args = {"dims": len(dims), "pairs": len(pairs)} if _trace.enabled() else None
+    with _trace.span("depgraph.carried", "depgraph", args):
+        for kind, array, src_idx, snk_idx in pairs:
+            pair_relation = _pair_relation(dims, domain, src_idx, snk_idx)
+            for level, carried in enumerate(dims):
+                relation = _carried_at(pair_relation, dims, level)
+                if relation.is_empty():
+                    continue
+                _trace.count("depgraph.samples")
+                sample = relation.sample()
+                if sample is None:  # rational points only: nothing is known
+                    steps = [None] * len(dims)
+                else:
+                    steps = [sample[_sink_name(d)] - sample[d] for d in dims]
+                distance = DistanceVector(
+                    dims, tuple(_constant_entry(relation, d, s) for d, s in zip(dims, steps))
+                )
+                # A sampled pair one step apart is the minimum: every
+                # probe of the search would contain that (real) point.
+                min_distance = 1 if steps[level] == 1 else _min_distance(
+                    relation, carried, extents.get(carried, 1)
+                )
+                results.append(CarriedDependence(
+                    array, kind, level, dims, distance, distance.direction(), min_distance
+                ))
+        _trace.count("depgraph.relations", len(results))
+        if args is not None:
+            args["relations"] = len(results)
+    return results
+
+
 def carried_dependences_generic(
-    dims: Sequence[str],
-    domain: BasicSet,
-    pairs: Sequence[Tuple[str, str, Sequence[AffineExpr], Sequence[AffineExpr]]],
-    extents: Dict[str, int],
+    dims: Sequence[str], domain: BasicSet, pairs: Sequence[_Pair], extents: Dict[str, int]
 ) -> List[CarriedDependence]:
     """Carried dependences for arbitrary affine accesses over ``dims``.
 
@@ -201,57 +260,13 @@ def carried_dependences_generic(
     estimator runs on the affine dialect (where loop structure no longer
     matches the original computes).
     """
-    dims = list(dims)
-    sink_dims = [_sink_name(d) for d in dims]
-    snk_rename = dict(zip(dims, sink_dims))
-    src_dom = domain
-    snk_dom = domain.rename_dims(snk_rename)
-    results: List[CarriedDependence] = []
-
-    for kind, array, src_idx, snk_idx in pairs:
-        base = BasicSet(tuple(dims) + tuple(sink_dims), [])
-        base = base.with_constraints(src_dom.constraints)
-        base = base.with_constraints(snk_dom.constraints)
-        for s_expr, k_expr in zip(src_idx, snk_idx):
-            base = base.with_constraints(
-                [Constraint.eq(s_expr, k_expr.rename(snk_rename))]
-            )
-        for level in range(len(dims)):
-            constraints = []
-            for d in dims[:level]:
-                constraints.append(
-                    Constraint.eq(AffineExpr.var(d), AffineExpr.var(_sink_name(d)))
-                )
-            carried = dims[level]
-            constraints.append(
-                Constraint.lt(AffineExpr.var(carried), AffineExpr.var(_sink_name(carried)))
-            )
-            relation = base.with_constraints(constraints)
-            if relation.is_empty():
-                continue
-            entries = tuple(_distance_entry(relation, d) for d in dims)
-            distance = DistanceVector(tuple(dims), entries)
-            extent = extents.get(carried, 1)
-            min_dist = _min_distance(relation, carried, extent)
-            results.append(
-                CarriedDependence(
-                    array=array,
-                    kind=kind,
-                    level=level,
-                    dims=tuple(dims),
-                    distance=distance,
-                    direction=distance.direction(),
-                    min_distance=min_dist,
-                )
-            )
-    return results
+    return _carried(dims, domain, pairs, extents)
 
 
 def analyze_compute(compute: Compute) -> NodeAnalysis:
     """Full fine-grained analysis of one compute node."""
     analysis = NodeAnalysis(compute=compute)
     dims = compute.iter_names
-    bounds = compute.domain_bounds()
 
     # Reduction dims: iteration dims absent from the destination pattern.
     dest_dims = set()
@@ -259,27 +274,9 @@ def analyze_compute(compute: Compute) -> NodeAnalysis:
         dest_dims.update(index.dims())
     analysis.reduction_dims = [d for d in dims if d not in dest_dims]
 
-    for kind, src, snk in _access_pairs(compute):
-        for level in range(len(dims)):
-            relation = dependence_relation(compute, src, snk, level)
-            if relation.is_empty():
-                continue
-            entries = tuple(_distance_entry(relation, d) for d in dims)
-            distance = DistanceVector(tuple(dims), entries)
-            carried_dim = dims[level]
-            extent = bounds[carried_dim][1] - bounds[carried_dim][0] + 1
-            min_dist = _min_distance(relation, carried_dim, extent)
-            analysis.carried.append(
-                CarriedDependence(
-                    array=src.array_name,
-                    kind=kind,
-                    level=level,
-                    dims=tuple(dims),
-                    distance=distance,
-                    direction=distance.direction(),
-                    min_distance=min_dist,
-                )
-            )
+    extents = {d: hi - lo + 1 for d, (lo, hi) in compute.domain_bounds().items()}
+    pairs = access_pairs(compute.store(), compute.loads())
+    analysis.carried = _carried(dims, domain_of(compute), pairs, extents)
     return analysis
 
 

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.depgraph.analysis import CarriedDependence, carried_dependences_generic
+from repro.depgraph.analysis import (
+    CarriedDependence,
+    access_pairs,
+    carried_dependences_generic,
+)
 from repro.polyir.statement import PolyStatement
 
 
@@ -27,23 +31,7 @@ def carried_for_statement(
     domain = stmt.domain.project_onto(dims) if set(stmt.domain.dims) != set(dims) else stmt.domain
     domain = domain.reorder_dims(dims)
 
-    store_idx = stmt.dest.affine_indices()
-    pairs = []
-    seen = set()
-    for load in stmt.body.loads():
-        if load.array_name != stmt.dest.array_name:
-            continue
-        key = tuple(map(str, load.indices))
-        if key in seen:
-            continue
-        seen.add(key)
-        load_idx = load.affine_indices()
-        if "RAW" in kinds:
-            pairs.append(("RAW", stmt.dest.array_name, store_idx, load_idx))
-        if "WAR" in kinds:
-            pairs.append(("WAR", stmt.dest.array_name, load_idx, store_idx))
-    if "WAW" in kinds:
-        pairs.append(("WAW", stmt.dest.array_name, store_idx, store_idx))
+    pairs = access_pairs(stmt.dest, stmt.body.loads(), kinds)
 
     extents: Dict[str, int] = {}
     for dim in dims:

@@ -46,7 +46,7 @@ class Stage1Plan:
     # Number of leading loop levels frozen by structural after/fuse
     # (shared loops carry the algorithm's interleaving and must survive).
     frozen: Dict[str, int] = field(default_factory=dict)
-    # Lazily-filled cache of full (RAW/WAR/WAW) dependence sets per node;
+    # Full (RAW/WAR/WAW) dependence sets per node, filled by stage 1;
     # stage 2 consults these on every parallelism trial.
     deps_cache: Dict[str, list] = field(default_factory=dict)
 
@@ -79,7 +79,13 @@ def plan_stage1(function: Function, graph: Optional[DependenceGraph] = None) -> 
         plan.directives.extend(directives)
         final = program.statement(stmt.name)
         plan.orders[stmt.name] = list(final.loop_order)
-        plan.free[stmt.name] = free_dims(final)
+        # The final statement is the one stage 2 plans over (replaying
+        # the directives rebuilds it exactly), so analyze it once, for
+        # every kind, and read the RAW-free dims off that.
+        deps = carried_for_statement(final, kinds=("RAW", "WAR", "WAW"))
+        plan.deps_cache[stmt.name] = deps
+        carried = {d.carried_dim for d in deps if d.kind == "RAW"}
+        plan.free[stmt.name] = [d for d in final.loop_order if d not in carried]
         plan.skewed[stmt.name] = any(isinstance(d, Skew) for d in directives)
 
     plan.fused_groups = _plan_fusion(function, program)

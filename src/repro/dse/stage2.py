@@ -23,7 +23,7 @@ from repro.dsl.schedule import (
     Unroll,
 )
 from repro.polyir.program import PolyProgram
-from repro.dse.analysis import carried_for_statement, legal_order
+from repro.dse.analysis import legal_order
 from repro.dse.stage1 import Stage1Plan
 
 MAX_FACTOR_PER_DIM = 64
@@ -90,10 +90,7 @@ def plan_node_config(
         program = stage1_program(function, plan)
     order = list(plan.orders[node])
     extents = _node_extents(program, node, order)
-    deps = plan.deps_cache.get(node)
-    if deps is None:
-        deps = carried_for_statement(program.statement(node), kinds=("RAW", "WAR", "WAW"))
-        plan.deps_cache[node] = deps
+    deps = plan.deps_cache[node]
     prefix = plan.frozen.get(node, 0)
     movable = order[prefix:]
 

@@ -373,13 +373,20 @@ class BasicSet:
         )
 
     def sample(self) -> Optional[Dict[str, int]]:
-        """Find one integer point, or None when empty.
+        """The lexicographically smallest integer point, or None when empty.
 
-        Works by recursively fixing dimensions to values inside their
-        projected bounds; exact for the integrally-tight sets produced by
-        the loop transformations in this library.
+        Dimensions are eliminated last to first *once*; system ``k`` of
+        that chain bounds ``dims[k]`` in terms of the earlier dims, so
+        the search walks first to last, evaluating each range at the
+        values already fixed with plain integer arithmetic.  Ranges are
+        tried in ascending order with full backtracking and the found
+        point is checked against the original constraints, so loose
+        Fourier-Motzkin bounds cost time, never correctness.  A
+        direction with no bound is searched in a window of 33 values
+        (around zero, or from its one bound), which is exact for the
+        bounded sets the loop transformations in this library produce.
         """
-        return _sample(self, {})
+        return _sample(self)
 
     # -- protocol -----------------------------------------------------------
 
@@ -527,33 +534,58 @@ def _eliminate_reference(constraints: List[Constraint], name: str) -> List[Const
     return prune_parallel(result)
 
 
-def _sample(bset: BasicSet, fixed: Dict[str, int]) -> Optional[Dict[str, int]]:
-    remaining = [d for d in bset.dims if d not in fixed]
-    if not remaining:
-        return dict(fixed) if bset.contains(fixed) else None
-    name = remaining[0]
-    # Project onto already-fixed dims + this one to get its feasible range.
-    sub = bset
-    for fixed_name, value in fixed.items():
-        sub = sub.with_constraints([Constraint.eq(AffineExpr.var(fixed_name), value)])
-    lowers, uppers = sub.dim_bounds(name)
-    lo_values = [b.evaluate(fixed) for b in lowers if set(b.expr.dims()) <= set(fixed)]
-    hi_values = [b.evaluate(fixed) for b in uppers if set(b.expr.dims()) <= set(fixed)]
-    if not lo_values or not hi_values:
-        # Unbounded direction: try a small window around zero.
-        lo, hi = -16, 16
-        if lo_values:
-            lo = max(lo_values)
+def _sample(bset: BasicSet) -> Optional[Dict[str, int]]:
+    """Back-substitution over one elimination chain (see ``sample``)."""
+    dims = bset.dims
+    position = {name: k for k, name in enumerate(dims)}
+    # levels[k]: the rows ``a*dims[k] + rest >= 0`` of the system over
+    # dims[:k + 1], as (a, earlier-dim terms, constant); an equality
+    # contributes the row and its negation.
+    levels = []
+    constraints = list(bset.constraints)
+    for name in reversed(dims):
+        rows = []
+        for constraint in constraints:
+            a = constraint.expr._coeffs.get(name, 0)
+            if a:
+                rest = tuple(
+                    (position[n], c) for n, c in constraint.expr._items if n != name
+                )
+                rows.append((a, rest, constraint.expr._const))
+                if constraint.kind == EQ:
+                    negated = tuple((at, -c) for at, c in rest)
+                    rows.append((-a, negated, -constraint.expr._const))
+        levels.append(rows)
+        constraints = _eliminate(constraints, name)
+        if any(c.is_contradiction() for c in constraints):
+            return None
+    levels.reverse()
+    values = [0] * len(dims)
+
+    def search(k: int) -> Optional[Dict[str, int]]:
+        if k == len(dims):
+            point = dict(zip(dims, values))
+            return point if bset.contains(point) else None
+        _deadline.checkpoint()
+        lo = hi = None
+        for a, rest, r in levels[k]:
+            for at, coeff in rest:
+                r += coeff * values[at]
+            if a > 0:  # x >= ceil(-r / a)
+                lo = -(r // a) if lo is None else max(lo, -(r // a))
+            else:  # x <= floor(r / -a)
+                hi = r // -a if hi is None else min(hi, r // -a)
+        if lo is None and hi is None:
+            lo, hi = -16, 16  # unbounded direction: a small window
+        elif hi is None:
             hi = lo + 32
-        if hi_values:
-            hi = min(hi_values)
+        elif lo is None:
             lo = hi - 32
-    else:
-        lo, hi = max(lo_values), min(hi_values)
-    for value in range(lo, hi + 1):
-        fixed[name] = value
-        found = _sample(bset, fixed)
-        if found is not None:
-            return found
-        del fixed[name]
-    return None
+        for value in range(lo, hi + 1):
+            values[k] = value
+            found = search(k + 1)
+            if found is not None:
+                return found
+        return None
+
+    return search(0)

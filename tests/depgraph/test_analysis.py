@@ -196,3 +196,36 @@ class TestCrossOffsets:
             p = compute("P", [i, j], A(i, j) + 1.0, B(i, j))
             c = compute("C_", [i, j], B(j, i) * 2.0, C(i, j))
         assert cross_offsets(p, c) == {"B": None}
+
+
+@pytest.mark.perfsmoke
+def test_perfsmoke_one_sample_per_carried_level(monkeypatch):
+    """Count-based guard (no timing): the engine samples a relation once
+    per non-empty (pair, level), and sampling shares one elimination
+    chain instead of re-projecting per dim -- a vgg16 conv statement
+    cost 54 samples and 323 projection-table misses before that."""
+    from repro import workloads
+    from repro.dse.analysis import carried_for_statement
+    from repro.dse.stage1 import plan_stage1
+    from repro.dse.stage2 import stage1_program
+    from repro.isl import memo
+    from repro.isl.sets import BasicSet
+
+    function = workloads.get("vgg16", 4)
+    program = stage1_program(function, plan_stage1(function))
+    stmt = program.statement("conv2")
+
+    samples = []
+    original = BasicSet.sample
+    monkeypatch.setattr(
+        BasicSet, "sample", lambda self: samples.append(self) or original(self)
+    )
+    context = memo.MemoContext()
+    previous = memo.activate(context)
+    try:
+        deps = carried_for_statement(stmt, kinds=("RAW", "WAR", "WAW"))
+    finally:
+        memo.activate(previous)
+    assert len(deps) == 9
+    assert len(samples) == len(deps)
+    assert context.stats_snapshot()["projection"][1] <= 80

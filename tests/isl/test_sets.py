@@ -1,5 +1,7 @@
 """Unit tests for basic integer sets and Fourier-Motzkin projection."""
 
+import random
+
 import pytest
 
 from repro.isl.affine import AffineExpr
@@ -227,6 +229,74 @@ class TestEnumeration:
 
     def test_sample_empty(self):
         assert BasicSet.box({"i": (5, 2)}).sample() is None
+
+
+def lexmin(s):
+    """The first point of the set in dimension order, by enumeration."""
+    points = sorted(tuple(p[d] for d in s.dims) for p in s.points())
+    return dict(zip(s.dims, points[0])) if points else None
+
+
+class TestSampleIsLexmin:
+    """``sample()`` is the first of ``sorted(points())``, or None."""
+
+    def test_random_constrained_boxes(self, isl_mode):
+        rng = random.Random(20240302)
+        empty = 0
+        for _ in range(300):
+            dims = ["a", "b", "c", "d"][: rng.randint(1, 4)]
+            box = {}
+            for d in dims:
+                lo = rng.randint(-4, 4)
+                box[d] = (lo, lo + rng.randint(-1, 5))
+            extra = []
+            for _ in range(rng.randint(0, 3)):
+                expr = e({d: rng.randint(-4, 4) for d in dims}, rng.randint(-6, 6))
+                extra.append(Constraint(expr, rng.choice(["==", ">=", ">="])))
+            s = BasicSet.box(box, order=dims).with_constraints(extra)
+            want = lexmin(s)
+            assert s.sample() == want, s
+            empty += want is None
+        assert 30 < empty < 270  # both outcomes are well represented
+
+    def test_non_unit_equality(self, isl_mode):
+        s = BasicSet.box({"i": (-3, 5), "j": (3, 9)}).with_constraints(
+            [Constraint.eq(2 * e.var("i"), e.var("j"))]
+        )
+        assert s.sample() == lexmin(s) == {"i": 2, "j": 4}
+
+    def test_split_dims(self, isl_mode):
+        tile = 4 * e.var("i0") + e.var("i1")
+        s = BasicSet(
+            ["i0", "i1"],
+            [Constraint.ge(tile, 6), Constraint.le(tile, 13),
+             Constraint.ge("i1", 0), Constraint.le("i1", 3)],
+        )
+        assert s.sample() == lexmin(s) == {"i0": 1, "i1": 2}
+
+    def test_backtracks_out_of_an_integer_hole(self, isl_mode):
+        # i = 0 passes every projected bound but leaves 3j == 1 for j.
+        s = BasicSet.box({"i": (0, 4), "j": (0, 4)}).with_constraints(
+            [Constraint.eq(3 * e.var("j"), e.var("i") + 1)]
+        )
+        assert s.sample() == lexmin(s) == {"i": 2, "j": 1}
+
+    def test_integer_empty_sets(self, isl_mode):
+        assert BasicSet.box({"i": (5, 2)}).sample() is None
+        assert BasicSet(["i"], [Constraint.eq(2 * e.var("i"), 1)]).sample() is None
+        odd = BasicSet.box({"i": (0, 9), "j": (3, 3)}).with_constraints(
+            [Constraint.eq(2 * e.var("i"), e.var("j"))]
+        )
+        assert lexmin(odd) is None and odd.sample() is None
+
+    def test_unbounded_directions_use_a_window(self, isl_mode):
+        assert BasicSet(["i"], []).sample() == {"i": -16}
+        assert BasicSet(["i"], [Constraint.ge("i", 3)]).sample() == {"i": 3}
+        assert BasicSet(["i"], [Constraint.le("i", -2)]).sample() == {"i": -34}
+        tied = BasicSet(
+            ["i", "j"], [Constraint.ge("i", 3), Constraint.eq("j", e.var("i") + 100)]
+        )
+        assert tied.sample() == {"i": 3, "j": 103}
 
 
 class TestLoopBound:

@@ -72,6 +72,23 @@ class TestSingleSweepIdentity:
         assert _outcome(untraced) == _outcome(traced)
 
 
+class TestDependenceAnalysisIdentity:
+    def test_analysis_is_identical_traced_and_untraced(self):
+        from repro.depgraph import analyze_compute
+        from repro.workloads import stencils
+
+        def carried():
+            function = stencils.seidel(8)
+            return [analyze_compute(c).carried for c in function.computes]
+
+        untraced = carried()
+        with trace.tracing() as tracer:
+            traced = carried()
+        assert untraced == traced
+        assert any(s.name == "depgraph.carried" for s in tracer.spans)
+        assert tracer.metrics.value("depgraph.samples") > 0
+
+
 @pytest.mark.parallel
 class TestShardedSweepIdentity:
     def _sweep(self):

@@ -38,8 +38,8 @@ class TestSpanCoverage:
     def test_at_least_five_pipeline_layers(self, traced_dse):
         tracer, _ = traced_dse
         categories = set(_categories(tracer))
-        expected = {"schedule", "polyir", "isl", "affine", "hls", "dse"}
-        assert len(categories & expected) >= 5, categories
+        expected = {"schedule", "depgraph", "polyir", "isl", "affine", "hls", "dse"}
+        assert len(categories & expected) >= 6, categories
 
     def test_dse_engine_spans(self, traced_dse):
         tracer, _ = traced_dse
@@ -48,6 +48,19 @@ class TestSpanCoverage:
         assert "dse.stage1" in names
         assert "dse.candidate" in names
         assert "dse.finalize" in names
+
+    def test_dependence_analysis_spans(self, traced_dse):
+        tracer, _ = traced_dse
+        carried = [s for s in tracer.spans if s.name == "depgraph.carried"]
+        assert carried
+        for span in carried:
+            assert span.category == "depgraph"
+            assert span.args["dims"] >= 1 and span.args["pairs"] >= 1
+            assert span.args["relations"] >= 0
+        # Stage 1's rechecks and stage 2's planning are no longer
+        # anonymous self time of their parents.
+        parents = {tracer.spans[s.parent].name for s in carried}
+        assert "dse.stage1" in parents
 
     def test_sweep_root_carries_workload_fingerprint(self, traced_dse):
         tracer, result = traced_dse
@@ -116,6 +129,16 @@ class TestMetricParity:
         assert tracer.metrics.value("isl.fm_eliminations") > 0
         assert tracer.metrics.value("isl.ast_nodes") > 0
         assert tracer.metrics.value("polyir.directives_applied") > 0
+
+    def test_dependence_counters_agree_with_spans(self, traced_dse):
+        tracer, _ = traced_dse
+        relations = sum(
+            s.args["relations"] for s in tracer.spans if s.name == "depgraph.carried"
+        )
+        assert relations > 0
+        assert tracer.metrics.value("depgraph.relations") == relations
+        # One sample per carried (pair, level) relation, never one per dim.
+        assert tracer.metrics.value("depgraph.samples") == relations
 
     def test_compile_only_trace_has_no_dse_spans(self):
         function = polybench.gemm(16)
