@@ -27,23 +27,39 @@ Failure policy, per attempt:
 * **drain** (SIGTERM/SIGINT) -- no new admissions, running jobs get
   ``drain_grace_s`` to finish, stragglers are terminated and left
   *accepted-without-done* in the ledger (``SRV006``), so a restarted
-  server re-queues them (``SRV007``) and their journals resume.
+  server re-queues them (``SRV007``) and their journals resume.  A
+  draining executor starts no worker: pending jobs wait for the restart.
+
+Supervision is event-driven: workers are forked from a warm template
+(:func:`repro.serve.jobs.preload`) and report over a one-way pipe whose
+``send`` is synchronous, so a fired ``Process.sentinel`` means
+everything sent is readable.  One monitor thread owns every pipe and
+process; it blocks on all of them plus a self-pipe that ``submit`` /
+``drain`` / ``close`` write to, with a timeout only while a real
+deadline exists (retry backoff, hard-kill budget, drain grace), and it
+reads, joins and kills outside the executor lock.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue as _queue_mod
+import os
 import threading
 import time
 from collections import deque
+from multiprocessing.connection import wait as _wait_ready
 from typing import Deque, Dict, List, Optional
 
-from repro.serve.jobs import JobSpec, cache_key, execute_job
+from repro.serve.jobs import JobSpec, cache_key, execute_job, preload
+from repro.serve.session import SessionContext
 from repro.serve.store import ResultStore
+from repro.util.deadline import DeadlineExceeded
 
 #: Terminal job statuses.
 TERMINAL = ("done", "failed", "timeout", "interrupted")
+#: An exact partition of a job's ``wall_s``, summed over attempts: waiting for
+#: a slot or a retry backoff, inside fork, worker alive, outcome known -> stored.
+PHASES = ("queued_s", "spawn_s", "run_s", "finalize_s")
 
 _JOB_IDS = itertools.count(1)
 
@@ -78,6 +94,18 @@ class Job:
         self.created = time.monotonic()
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
+        self.phases = dict.fromkeys(PHASES, 0.0)
+        self._phase, self._stamp = "queued_s", self.created
+
+    def enter(self, phase: str) -> float:
+        """Charge the time since the last transition to the phase being left."""
+        now = time.monotonic()
+        self.phases[self._phase] += now - self._stamp
+        self._phase, self._stamp = phase, now
+        return now
+
+    def timeline(self) -> dict:
+        return {name: round(spent, 6) for name, spent in self.phases.items()}
 
     def add_event(self, event: dict) -> None:
         event = dict(event)
@@ -92,6 +120,7 @@ class Job:
             "status": self.status,
             "attempts": self.attempts,
             "events": len(self.events),
+            "phases": self.timeline(),
         }
         if self.code:
             record["code"] = self.code
@@ -99,71 +128,54 @@ class Job:
             record["error"] = self.error
         if self.result is not None:
             record["result"] = self.result
-        if self.finished is not None and self.started is not None:
-            record["wall_s"] = round(self.finished - self.started, 6)
+        if self.finished is not None:
+            record["wall_s"] = round(self.finished - self.created, 6)
         return record
 
 
 def _worker_main(request: dict, journal_path, arm_faults, job_timeout_s, channel):
     """Worker-subprocess entry point: one job, one fresh session.
 
-    Puts ``("event", ...)`` progress messages, then exactly one of
-    ``("result", payload)`` or ``("error", {code?, message})``.  An
-    injected crash propagates (it is a BaseException) and kills the
+    Sends ``("event", ...)`` progress messages, then exactly one
+    ``(status, fields)`` outcome in the form ``_finalize_locked`` takes.
+    An injected crash propagates (it is a BaseException) and kills the
     process -- the monitor sees the nonzero exit, which is the point.
     """
-    from repro.serve.session import SessionContext
-    from repro.util.deadline import DeadlineExceeded
-
     spec = JobSpec.from_request(request)
 
     def emit(event: dict) -> None:
         try:
-            channel.put(("event", event))
+            channel.send(("event", event))
         except Exception:
             pass
 
     session = SessionContext()
     try:
         with session.activate():
-            payload = execute_job(
-                spec,
-                journal_path=journal_path,
-                arm_faults=arm_faults,
-                job_timeout_s=job_timeout_s,
-                emit=emit,
-            )
-        channel.put(("result", payload))
+            payload = execute_job(spec, journal_path, arm_faults, job_timeout_s, emit)
+        channel.send(("done", {"result": payload}))
     except DeadlineExceeded as exc:
-        channel.put(
-            (
-                "error",
-                {
-                    "code": "SRV003",
-                    "message": (
-                        f"job exceeded its {exc.budget_s:.3g}s budget "
-                        f"(elapsed {exc.elapsed_s:.3g}s)"
-                    ),
-                },
-            )
+        error = (
+            f"job exceeded its {exc.budget_s:.3g}s budget "
+            f"(elapsed {exc.elapsed_s:.3g}s)"
         )
+        channel.send(("timeout", {"code": "SRV003", "error": error}))
     except Exception as exc:
-        channel.put(
-            ("error", {"message": f"{type(exc).__name__}: {exc}"})
-        )
+        channel.send(("failed", {"error": f"{type(exc).__name__}: {exc}"}))
 
 
 class _Running:
-    """Book-keeping for one live worker process."""
+    """Book-keeping for one live worker process (monitor thread only)."""
 
-    __slots__ = ("job", "process", "channel", "started", "staged")
+    __slots__ = ("job", "process", "conn", "started", "inbox", "exited")
 
-    def __init__(self, job, process, channel):
+    def __init__(self, job, process, conn, started):
         self.job = job
         self.process = process
-        self.channel = channel
-        self.started = time.monotonic()
-        self.staged = None  # the ("result"|"error", payload) seen so far
+        self.conn = conn  # read end of the worker's one-way pipe
+        self.started = started
+        self.inbox: List[tuple] = []  # read by _pump, applied under the lock
+        self.exited = False  # sentinel fired, or the pipe hit EOF
 
 
 class JobExecutor:
@@ -178,7 +190,6 @@ class JobExecutor:
         kill_grace_s: float = 10.0,
         max_attempts: int = 3,
         backoff_s: float = 0.05,
-        poll_s: float = 0.02,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -191,7 +202,6 @@ class JobExecutor:
         self.kill_grace_s = kill_grace_s
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self.poll_s = poll_s
         from repro.util.pool import _context
 
         self._ctx = _context()
@@ -205,7 +215,12 @@ class JobExecutor:
         # ages out instead of skewing admission hints forever.
         self._service_times: Deque[float] = deque(maxlen=16)
         self._draining = False
+        self._drain_deadline = 0.0
         self._stop = False
+        # The self-pipe: a byte written here interrupts the monitor's wait.
+        # One byte per admission, so it can never fill and block a writer.
+        self._wake_r, self._wake_w = os.pipe()
+        preload()  # every worker is a fork of this process: fork it warm
         self._thread = threading.Thread(
             target=self._monitor, name="serve-executor", daemon=True
         )
@@ -241,6 +256,7 @@ class JobExecutor:
             job = Job(job_id or f"job-{next(_JOB_IDS)}", spec, key)
             self._jobs[job.id] = job
             self._pending.append(job)
+            self._wake_locked()
             self._changed.notify_all()
         if ledger:
             self.store.job_accepted(job.id, spec, key)
@@ -281,7 +297,7 @@ class JobExecutor:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return job
-                self._changed.wait(remaining if remaining is not None else 0.5)
+                self._changed.wait(remaining)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -306,73 +322,95 @@ class JobExecutor:
         """
         with self._lock:
             self._draining = True
-            self._changed.notify_all()
-        deadline = time.monotonic() + grace_s
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._running:
-                    break
-            time.sleep(self.poll_s)
-        interrupted = 0
-        with self._lock:
-            for running in list(self._running.values()):
-                self._kill(running.process)
-                self._finalize_locked(
-                    running.job,
-                    "interrupted",
-                    code="SRV006",
-                    error="server draining: job checkpointed for restart",
-                    ledger=False,
-                )
-                del self._running[running.job.id]
-                interrupted += 1
+            self._drain_deadline = time.monotonic() + grace_s
             for job in self._pending:
                 job.status = "interrupted"
                 job.code = "SRV006"
                 job.error = "server draining: job re-queued at next start"
-                interrupted += 1
+            interrupted = len(self._pending)
             self._pending.clear()
-            finished = sum(
-                1 for job in self._jobs.values() if job.status == "done"
-            )
+            stragglers = [running.job for running in self._running.values()]
+            self._wake_locked()
             self._changed.notify_all()
+            # The monitor interrupts whatever outlives the deadline.
+            while self._running:
+                self._changed.wait()
+            interrupted += sum(job.status == "interrupted" for job in stragglers)
+            finished = sum(job.status == "done" for job in self._jobs.values())
         return {"finished": finished, "interrupted": interrupted}
 
     def close(self) -> None:
         with self._lock:
+            if self._stop:
+                return
+            self._wake_locked()
             self._stop = True
             self._changed.notify_all()
-        self._thread.join(timeout=5.0)
+        self._thread.join()
         with self._lock:
-            for running in list(self._running.values()):
-                self._kill(running.process)
+            # The monitor is gone, so its workers are ours to collect.
+            leftover = list(self._running.values())
             self._running.clear()
+        for running in leftover:
+            running.process.kill()
+            self._reap(running)
+        os.close(self._wake_r)
+        os.close(self._wake_w)
+
+    def _wake_locked(self) -> None:
+        if not self._stop:  # close() has closed the pipe
+            os.write(self._wake_w, b"\0")
 
     # -- monitor thread ------------------------------------------------
 
     def _monitor(self) -> None:
+        """Sleep until a worker speaks or dies, another thread writes
+        the self-pipe, or the earliest real deadline passes."""
+        watched: List[_Running] = []
         while True:
             with self._lock:
-                if self._stop:
-                    return
-                self._start_ready_locked()
-                self._poll_running_locked()
-            time.sleep(self.poll_s)
+                decided = self._poll_running_locked(watched)
+                stop = self._stop
+                if not stop:
+                    self._start_ready_locked()
+                watched = list(self._running.values())
+                timeout = self._timeout_locked()
+            for running in decided:
+                self._reap(running)
+            if stop:
+                return
+            waitables = [self._wake_r]
+            for running in watched:
+                waitables += (running.conn, running.process.sentinel)
+            ready = set(_wait_ready(waitables, timeout))
+            if self._wake_r in ready:
+                os.read(self._wake_r, 4096)
+            for running in watched:
+                exited = running.process.sentinel in ready
+                if exited or running.conn in ready:
+                    self._pump(running, exited)
+
+    def _timeout_locked(self) -> Optional[float]:
+        """Seconds to the earliest real deadline; None when there is none."""
+        now = time.monotonic()
+        deadlines = [job.not_before for job in self._pending if job.not_before > now]
+        if self._running and self._draining:
+            deadlines.append(self._drain_deadline)
+        if self._running and self.job_timeout_s is not None:
+            oldest = min(running.started for running in self._running.values())
+            deadlines.append(oldest + self.job_timeout_s + self.kill_grace_s)
+        return max(0.0, min(deadlines) - now) if deadlines else None
 
     def _start_ready_locked(self) -> None:
         now = time.monotonic()
-        index = 0
-        while self._pending and len(self._running) < self.workers:
-            if index >= len(self._pending):
+        for job in [job for job in self._pending if job.not_before <= now]:
+            if len(self._running) >= self.workers:
                 break
-            job = self._pending[index]
-            if job.not_before > now:
-                index += 1
-                continue
-            self._pending.pop(index)
+            self._pending.remove(job)
             self._spawn_locked(job)
 
     def _spawn_locked(self, job: Job) -> None:
+        job.enter("spawn_s")
         job.attempts += 1
         arm_faults = job.attempts == 1
         journal_path = (
@@ -380,7 +418,7 @@ class JobExecutor:
             if job.key is not None and job.spec.kind == "dse"
             else None
         )
-        channel = self._ctx.Queue()
+        conn, channel = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -393,81 +431,87 @@ class JobExecutor:
             daemon=False,
         )
         process.start()
+        # Only the worker may hold the write end (no later-forked sibling
+        # inherits it from us): its death is then an EOF on ``conn``.
+        channel.close()
+        started = job.enter("run_s")
         job.status = "running"
         if job.started is None:
-            job.started = time.monotonic()
+            job.started = started
         job.add_event(
             {"stage": "spawn", "attempt": job.attempts, "faults_armed": arm_faults}
         )
-        self._running[job.id] = _Running(job, process, channel)
+        self._running[job.id] = _Running(job, process, conn, started)
         self._changed.notify_all()
 
-    def _poll_running_locked(self) -> None:
-        now = time.monotonic()
-        for running in list(self._running.values()):
-            job = running.job
-            self._drain_channel(running)
-            alive = running.process.is_alive()
-            if not alive:
-                # The feeder thread flushes before exit; one last drain
-                # picks up messages still in the pipe.
-                self._drain_channel(running, final=True)
-            if running.staged is not None:
-                kind, payload = running.staged
-                if not alive or kind == "result":
-                    del self._running[job.id]
-                    self._kill(running.process)
-                    if kind == "result":
-                        self._finalize_locked(job, "done", result=payload)
-                    else:
-                        status = (
-                            "timeout" if payload.get("code") == "SRV003" else "failed"
-                        )
-                        self._finalize_locked(
-                            job,
-                            status,
-                            code=payload.get("code"),
-                            error=payload.get("message"),
-                        )
-                continue
-            if not alive:
-                del self._running[job.id]
-                self._handle_crash_locked(job, running.process.exitcode)
-                continue
-            if self.job_timeout_s is not None:
-                budget = self.job_timeout_s + self.kill_grace_s
-                if now - running.started > budget:
-                    # Blew past the cooperative deadline: a genuine hang.
-                    self._kill(running.process)
-                    del self._running[job.id]
-                    self._finalize_locked(
-                        job,
-                        "timeout",
-                        code="SRV003",
-                        error=(
-                            f"worker unresponsive {budget:.3g}s after its "
-                            f"{self.job_timeout_s:.3g}s budget; killed"
-                        ),
-                    )
+    @staticmethod
+    def _pump(running: _Running, exited: bool) -> None:
+        """Read what the worker has sent (monitor thread, lock not held):
+        once the sentinel has fired, ``poll(0)`` finds all of it.  EOF or
+        a message cut short means the only writer is gone -- a death."""
+        try:
+            while running.conn.poll(0):
+                running.inbox.append(running.conn.recv())
+        except (EOFError, OSError):
+            exited = True
+        if exited:
+            running.process.join(timeout=1.0)  # collects the exit code
+            running.exited = True
 
-    def _drain_channel(self, running: _Running, final: bool = False) -> None:
-        while True:
-            try:
-                message = running.channel.get(timeout=0.05) if final else (
-                    running.channel.get_nowait()
+    @staticmethod
+    def _reap(running: _Running) -> None:
+        """Collect a worker whose job is decided (lock not held): let a
+        clean exit finish, kill what lingers, close our handles."""
+        process = running.process
+        process.join(timeout=1.0)
+        if process.is_alive():
+            process.kill()
+            process.join()
+        process.close()
+        running.conn.close()
+
+    def _poll_running_locked(self, watched: List[_Running]) -> List[_Running]:
+        """Apply what :meth:`_pump` read, expire deadlines; return decided workers."""
+        now = time.monotonic()
+        budget = None
+        if self.job_timeout_s is not None:
+            budget = self.job_timeout_s + self.kill_grace_s
+        decided = []
+        for running in watched:
+            job = running.job
+            outcome = None
+            for kind, payload in running.inbox:
+                if kind == "event":
+                    job.add_event(payload)
+                else:
+                    outcome = (kind, payload)
+            running.inbox.clear()
+            if outcome is not None:
+                self._finalize_locked(job, outcome[0], **outcome[1])
+            elif running.exited:
+                self._handle_crash_locked(job, running.process.exitcode)
+            elif self._draining and now >= self._drain_deadline:
+                running.process.kill()
+                error = "server draining: job checkpointed for restart"
+                self._finalize_locked(job, "interrupted", "SRV006", error, ledger=False)
+            elif budget is not None and now - running.started >= budget:
+                # Blew past the cooperative deadline: a genuine hang.
+                running.process.kill()
+                error = (
+                    f"worker unresponsive {budget:.3g}s after its "
+                    f"{self.job_timeout_s:.3g}s budget; killed"
                 )
-            except (_queue_mod.Empty, OSError, EOFError):
-                return
-            kind, payload = message
-            if kind == "event":
-                running.job.add_event(payload)
+                self._finalize_locked(job, "timeout", "SRV003", error)
             else:
-                running.staged = (kind, payload)
+                continue
+            del self._running[job.id]
+            decided.append(running)
+        return decided
 
     def _handle_crash_locked(self, job: Job, exitcode) -> None:
         if job.attempts < self.max_attempts and not self._draining:
             backoff = self.backoff_s * (2 ** (job.attempts - 1))
-            job.not_before = time.monotonic() + backoff
+            job.not_before = job.enter("queued_s") + backoff
             job.status = "queued"
             job.add_event(
                 {
@@ -480,47 +524,32 @@ class JobExecutor:
             self._pending.append(job)
             self._changed.notify_all()
             return
-        self._finalize_locked(
-            job,
-            "failed",
-            code="SRV004",
-            error=(
-                f"worker died (exit {exitcode}) on attempt {job.attempts}"
-                f"/{self.max_attempts}"
-            ),
+        error = (
+            f"worker died (exit {exitcode}) on attempt {job.attempts}"
+            f"/{self.max_attempts}"
         )
+        self._finalize_locked(job, "failed", "SRV004", error)
 
     def _finalize_locked(
         self,
         job: Job,
         status: str,
-        result: Optional[dict] = None,
         code: Optional[str] = None,
         error: Optional[str] = None,
+        result: Optional[dict] = None,
         ledger: bool = True,
     ) -> None:
+        job.enter("finalize_s")
         job.status = status
         job.result = result
         job.code = code
         job.error = error
-        job.finished = time.monotonic()
-        if job.started is not None:
-            self._service_times.append(job.finished - job.started)
-        job.add_event({"stage": "finished", "status": status})
         if status == "done" and job.key is not None and result is not None:
             self.store.record(job.key, job.spec, result)
         if ledger:
             self.store.job_done(job.id, status)
+        job.finished = job.enter("finalize_s")
+        if job.started is not None:
+            self._service_times.append(job.finished - job.started)
+        job.add_event({"stage": "finished", "status": status, "phases": job.timeline()})
         self._changed.notify_all()
-
-    @staticmethod
-    def _kill(process) -> None:
-        try:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=1.0)
-        except Exception:
-            pass

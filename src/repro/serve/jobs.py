@@ -284,6 +284,27 @@ def _noop_emit(event: dict) -> None:
     pass
 
 
+def preload() -> None:
+    """Import everything a job imports lazily, once, in the server.
+
+    Workers are forks of the server process, so a module loaded here is
+    already loaded in every worker; one missing from this list is paid
+    for again by every job.  The list mirrors the function-level imports
+    of :func:`execute_job`'s helpers (and of the engine beneath them);
+    ``tests/serve/test_supervision.py`` fails when it falls behind.
+    """
+    import numpy.ma  # noqa: F401  (np.unique in the bank-pressure model)
+    import numpy.random  # noqa: F401  (fuzz schedule generator)
+
+    import repro.dataflow  # noqa: F401
+    import repro.depgraph.footprint  # noqa: F401  (dataflow stream windows)
+    import repro.dse.parallel  # noqa: F401
+    import repro.fuzz  # noqa: F401
+    import repro.pipeline  # noqa: F401
+    import repro.preflight  # noqa: F401
+    import repro.util.deadline  # noqa: F401
+
+
 def execute_job(
     spec: JobSpec,
     journal_path: Optional[str] = None,

@@ -110,7 +110,8 @@ class ReproServer:
                 job = self.executor.submit(spec, job_id=job_id, ledger=False)
             except (QueueFull, Draining):
                 break
-            job.add_event({"stage": "recovered", "code": "SRV007"})
+            with self.executor._lock:  # the monitor may already be forking it
+                job.add_event({"stage": "recovered", "code": "SRV007"})
             self.recovered += 1
 
     # -- request handling (called from HTTP threads) -------------------

@@ -99,14 +99,23 @@ def test_crashing_job_converges_to_the_batch_design(
     )
 
 
-def test_drain_restart_resume_matches_batch(serve_factory, batch_designs):
+#: The job in flight when the drain hits: a ~1 s sweep, so it provably
+#: cannot finish inside the 50 ms grace window however fast the executor
+#: reacts (the size-48 kernels above finish in ~40 ms and can).
+LONG_JOB = ("vgg16", 4)
+
+
+def test_drain_restart_resume_matches_batch(serve_factory):
     """SIGTERM-equivalent drain mid-job, restart, recovered job bit-matches."""
-    name, size = WORKLOADS[1]
+    name, size = LONG_JOB
+    batch = design_fingerprint(
+        dse_design_payload(auto_dse(build_workload(name, size)), name, size)
+    )
     first, client = serve_factory(subdir="restart", drain_grace_s=0.05)
     status, payload = client.submit("dse", name, size)
     assert status == 202
     job_id = payload["job"]
-    first.shutdown()  # the job cannot finish inside a 50ms grace window
+    first.shutdown()
 
     job = first.executor.get(job_id)
     assert job.status == "interrupted"
@@ -116,20 +125,14 @@ def test_drain_restart_resume_matches_batch(serve_factory, batch_designs):
     assert second.recovered == 1
     record = client2.wait_done(job_id, timeout_s=120)
     assert record["status"] == "done", record
-    assert (
-        design_fingerprint(record["result"]["design"])
-        == batch_designs[(name, size)]
-    )
+    assert design_fingerprint(record["result"]["design"]) == batch
     events = client2.events(job_id)["events"]
     assert any(e.get("code") == "SRV007" for e in events)
 
     # And the finished result is now a warm hit for everyone else.
     status, payload = client2.submit("dse", name, size)
     assert status == 200
-    assert (
-        design_fingerprint(payload["result"]["design"])
-        == batch_designs[(name, size)]
-    )
+    assert design_fingerprint(payload["result"]["design"]) == batch
 
 
 def test_pareto_dse_jobs_match_batch_frontier(serve_factory):

@@ -65,8 +65,11 @@ class _Daemon:
 
 def test_daemon_smoke_concurrent_sigterm_restart_resume(tmp_path):
     state_dir = tmp_path / "state"
+    # The sweep in flight at SIGTERM is a ~1 s one, so it cannot finish
+    # inside the 0.1 s drain grace however fast the executor reacts.
     batch = {
-        name: _batch_fingerprint(name, 48) for name in ("gemm", "bicg")
+        "gemm": _batch_fingerprint("gemm", 48),
+        "vgg16": _batch_fingerprint("vgg16", 4),
     }
 
     # Phase 1: boot, run dse + verify concurrently, check results.
@@ -92,7 +95,7 @@ def test_daemon_smoke_concurrent_sigterm_restart_resume(tmp_path):
         # Phase 2: submit a fresh sweep and SIGTERM mid-flight.  The
         # 0.1s drain grace guarantees the job is checkpointed, not
         # finished.
-        status, payload = client.submit("dse", "bicg", 48)
+        status, payload = client.submit("dse", "vgg16", 4)
         assert status == 202
         interrupted_job = payload["job"]
         out = daemon.terminate()
@@ -112,13 +115,13 @@ def test_daemon_smoke_concurrent_sigterm_restart_resume(tmp_path):
         record = client.wait_done(interrupted_job, timeout_s=120)
         assert record["status"] == "done", record
         assert (
-            design_fingerprint(record["result"]["design"]) == batch["bicg"]
+            design_fingerprint(record["result"]["design"]) == batch["vgg16"]
         )
 
         # The finished result is now a warm store hit.
-        status, payload = client.submit("dse", "bicg", 48)
+        status, payload = client.submit("dse", "vgg16", 4)
         assert status == 200
-        assert design_fingerprint(payload["result"]["design"]) == batch["bicg"]
+        assert design_fingerprint(payload["result"]["design"]) == batch["vgg16"]
 
         out = restarted.terminate()
         assert "drained and stopped" in out
