@@ -16,16 +16,15 @@ Flag conventions (shared verbatim across subcommands and
 ``repro.evaluation.report_all``; see ``docs/api.md``): ``--jobs N``
 for worker processes, ``--checkpoint PATH`` for crash-safe journaling,
 ``--stats`` for work/cache profiles, ``--trace PATH`` for a Chrome
-``trace_event`` JSON of the run.  Pre-unification spellings remain as
-hidden deprecated aliases.
+``trace_event`` JSON of the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-import warnings
 from typing import Dict, Optional
 
 
@@ -34,8 +33,8 @@ from typing import Dict, Optional
 #: One help string per shared flag, so every subcommand documents it
 #: identically (asserted by tests/trace/test_cli_trace.py).
 JOBS_HELP = (
-    "worker processes (sharded or speculative execution; "
-    "results merge deterministically)"
+    "worker processes, one whole sweep / experiment / fuzz wave each "
+    "(results merge deterministically)"
 )
 CHECKPOINT_HELP = (
     "journal every evaluated candidate to PATH (crash-safe sweep); "
@@ -45,25 +44,6 @@ STATS_HELP = "print per-phase wall time and work/cache counters"
 TRACE_HELP = "write a Chrome trace_event JSON of this run to PATH"
 
 
-class _DeprecatedFlagAlias(argparse.Action):
-    """A hidden pre-unification spelling of a canonical flag.
-
-    Still parsed (same dest), absent from ``--help``, and warns once
-    per use via :func:`repro.util.deprecation.warn_deprecated_alias`.
-    """
-
-    def __init__(self, option_strings, dest, canonical="", nargs=None, **kwargs):
-        self.canonical = canonical
-        kwargs["help"] = argparse.SUPPRESS
-        super().__init__(option_strings, dest, nargs=nargs, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        from repro.util.deprecation import warn_deprecated_alias
-
-        warn_deprecated_alias(option_string, self.canonical, context="CLI flag")
-        setattr(namespace, self.dest, True if self.nargs == 0 else values)
-
-
 def _add_run_flags(
     parser,
     jobs: bool = False,
@@ -71,36 +51,20 @@ def _add_run_flags(
     stats: bool = False,
     trace: bool = False,
 ) -> None:
-    """Register the shared run flags (and their hidden legacy aliases)."""
+    """Register the shared run flags."""
     if jobs:
         parser.add_argument(
             "--jobs", type=int, default=None, metavar="N", help=JOBS_HELP
-        )
-        parser.add_argument(
-            "--parallel", dest="jobs", type=int, metavar="N",
-            canonical="--jobs", action=_DeprecatedFlagAlias,
         )
     if checkpoint:
         parser.add_argument(
             "--checkpoint", metavar="PATH", default=None, help=CHECKPOINT_HELP
         )
-        parser.add_argument(
-            "--journal", dest="checkpoint", metavar="PATH",
-            canonical="--checkpoint", action=_DeprecatedFlagAlias,
-        )
     if stats:
         parser.add_argument("--stats", action="store_true", help=STATS_HELP)
-        parser.add_argument(
-            "--profile", dest="stats", nargs=0,
-            canonical="--stats", action=_DeprecatedFlagAlias,
-        )
     if trace:
         parser.add_argument(
             "--trace", metavar="PATH", default=None, help=TRACE_HELP
-        )
-        parser.add_argument(
-            "--trace-out", dest="trace", metavar="PATH",
-            canonical="--trace", action=_DeprecatedFlagAlias,
         )
 
 
@@ -450,6 +414,13 @@ def cmd_dse(args) -> int:
         return _cmd_dse_all(args)
     if args.workload is None:
         raise SystemExit("a workload name is required unless --all is given")
+    if args.jobs is not None:
+        print(
+            "--jobs shards whole sweeps across processes and needs --all; "
+            "a single workload's sweep is sequential",
+            file=sys.stderr,
+        )
+        return 2
     function = _build_workload(args.workload, args.size)
     checkpoint = args.resume or args.checkpoint
     options = DseOptions(
@@ -460,7 +431,6 @@ def cmd_dse(args) -> int:
         resume=args.resume is not None,
         candidate_timeout_s=args.candidate_timeout,
         time_budget_s=args.time_budget,
-        jobs=args.jobs,
         objective=objective,
         surrogate=not args.no_surrogate,
     )
@@ -508,7 +478,6 @@ def cmd_dse(args) -> int:
     if args.stats:
         print()
         print(result.stats.summary())
-        _warn_single_cpu(args.jobs)
     if result.stats.interrupted:
         print("sweep interrupted; stopped at best design found", file=sys.stderr)
         if checkpoint:
@@ -567,7 +536,7 @@ def cmd_trace(args) -> int:
         if args.dse:
             from repro.dse.options import DseOptions
 
-            function.auto_DSE(options=DseOptions(jobs=args.jobs, device=device))
+            function.auto_DSE(options=DseOptions(device=device))
         elif isinstance(function, DataflowDesign):
             function.estimate(device=device)
         else:
@@ -721,12 +690,12 @@ def cmd_experiment(args) -> int:
 
     for name in names:
         module = ALL_EXPERIMENTS[name]
-        try:
-            if args.size is not None:
-                module.main(args.size)
-            else:
-                module.main()
-        except TypeError:
+        if args.size is None:
+            module.main()
+        elif "size" in inspect.signature(module.main).parameters:
+            module.main(size=args.size)
+        else:
+            print(f"note: --size does not apply to {name}; ignored", file=sys.stderr)
             module.main()
         print()
     return 0
@@ -847,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dse", action="store_true",
         help="trace a full auto-DSE sweep instead of a single compile",
     )
-    _add_run_flags(trace_p, jobs=True, trace=True)
+    _add_run_flags(trace_p, trace=True)
     _add_device_flag(trace_p)
     trace_p.set_defaults(func=cmd_trace)
 
@@ -938,13 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Python hides DeprecationWarning outside __main__ by default, which
-    # would silence the hidden-alias notices for exactly the people they
-    # are meant for.  Surface them -- unless the user passed -W, which
-    # always wins (that is also what keeps CI's error::DeprecationWarning
-    # job authoritative over CLI-driving tests).
-    if not sys.warnoptions:
-        warnings.filterwarnings("default", category=DeprecationWarning)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

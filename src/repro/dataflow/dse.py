@@ -8,8 +8,8 @@ optimize alone overspends on fast stages and starves the bottleneck.
 1. **Per-stage frontiers.** Each stage runs the standard two-stage
    engine (:func:`repro.dse.engine.auto_dse`) with a full Pareto
    objective, producing its latency-vs-resource frontier (checkpoint /
-   resume / speculation all inherited; a design checkpoint fans out to
-   one journal per stage at ``<path>.<stage>``).
+   resume inherited; a design checkpoint fans out to one journal per
+   stage at ``<path>.<stage>``).
 2. **Throughput balancing.** A greedy walk starts every stage at its
    cheapest frontier point, then repeatedly upgrades only the current
    *bottleneck* stage to its next-faster point, admitting the step only

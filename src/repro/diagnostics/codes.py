@@ -58,8 +58,7 @@ CODES: Dict[str, str] = {
     "DSE005": "checkpoint journal rejected (missing, unreadable, or stale header)",
     "DSE006": "corrupt or truncated checkpoint journal line skipped",
     "DSE007": "sweep interrupted; stopped at best design found (checkpoint flushed)",
-    "DSE008": "speculative parallel evaluation disabled or unavailable; "
-              "evaluating sequentially",
+    # DSE008 is retired; the number is not reused.
     # -- evaluation harness ---------------------------------------------
     "RPT001": "experiment failed during evaluation",
     # -- tracing and metrics ---------------------------------------------

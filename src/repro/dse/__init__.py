@@ -31,7 +31,6 @@ from repro.dse.parallel import (
     DEFAULT_SWEEP,
     ShardResult,
     ShardSpec,
-    SpeculativeEvaluator,
     SweepResult,
     build_workload,
     default_sweep_specs,
@@ -65,7 +64,6 @@ __all__ = [
     "DEFAULT_SWEEP",
     "ShardResult",
     "ShardSpec",
-    "SpeculativeEvaluator",
     "SweepResult",
     "build_workload",
     "default_sweep_specs",

@@ -11,8 +11,8 @@ on the function.
 This module is the *search*: which candidates to visit, in what order,
 and what to do when one fails (quarantine, journal, budgets).  How one
 candidate is scored -- and every memo layer that makes scoring cheap --
-lives in :class:`repro.dse.evaluator.Evaluator`, which the speculation
-workers and dataflow realization share.
+lives in :class:`repro.dse.evaluator.Evaluator`, which dataflow
+realization shares.
 
 ``cache=False`` disables every memo layer (including the global isl
 tables for the duration of the call) so measured speedups compare
@@ -42,7 +42,6 @@ from repro.affine.ir import FuncOp
 from repro.hls.device import FPGADevice
 from repro.hls.report import SynthesisReport, speedup
 from repro.isl import memo as _isl_memo
-from repro.util.deprecation import warn_deprecated, warn_deprecated_kwargs
 from repro.dse.checkpoint import (
     CheckpointJournal,
     candidate_key,
@@ -168,31 +167,16 @@ class DseResult:
 def auto_dse(
     function: Function,
     options: Optional[DseOptions] = None,
-    **legacy_kwargs,
 ) -> DseResult:
     """Run the two-stage DSE and install the best schedule found.
 
     All configuration travels in one :class:`~repro.dse.options.DseOptions`::
 
-        auto_dse(function, options=DseOptions(cache=False, jobs=4))
-
-    The pre-consolidation keyword form (``auto_dse(function,
-    cache=False)``) still works with identical behavior but emits one
-    :class:`DeprecationWarning` per call; see ``docs/api.md`` for the
-    deprecation policy.
+        auto_dse(function, options=DseOptions(cache=False))
 
     ``options.cache=False`` disables all memoization layers (for
     measurement); the search trajectory and the result are identical
     either way.
-
-    ``options.jobs`` > 1 enables *speculative candidate evaluation*:
-    worker processes pre-evaluate the bank-cap fallback ladder and the
-    next independent bottleneck-group trials while the search commits
-    results strictly in sequential visit order, so the best design,
-    report, and quarantine set stay bit-identical to a ``jobs=1`` sweep
-    (see :mod:`repro.dse.parallel`).  Speculation is disabled under
-    fault injection -- injected faults key on sequential candidate
-    ordinals.
 
     Crash safety (see ``docs/resilience.md``):
 
@@ -215,7 +199,12 @@ def auto_dse(
     bulk-publishes its :class:`~repro.dse.stats.DseStats` counters as
     trace metrics.  Tracing never changes the result.
     """
-    options = _coerce_options(options, legacy_kwargs)
+    if options is None:
+        options = DseOptions()
+    elif not isinstance(options, DseOptions):
+        raise TypeError(
+            f"auto_dse() options must be a DseOptions, got {type(options).__name__}"
+        )
     # Function-independent validation first, before anything (device
     # scaling) can fail with a less precise message or leave a side
     # effect behind.
@@ -228,7 +217,6 @@ def auto_dse(
     cache = options.cache
     checkpoint = options.checkpoint
     fault_plan = options.fault_plan
-    jobs = options.jobs
     budget = device.scaled(resource_fraction) if resource_fraction < 1.0 else device
 
     stats = DseStats(cache_enabled=cache)
@@ -264,7 +252,6 @@ def auto_dse(
 
     journal = _open_journal(function, options, device, clock_ns, engine)
 
-    speculator = None
     isl_before = _isl_memo.stats_snapshot()
     isl_was_enabled = _isl_memo.set_enabled(cache)
     previous_plan = _faults.install(fault_plan) if fault_plan is not None else None
@@ -277,60 +264,27 @@ def auto_dse(
                 function, options.keep_existing_schedule
             ),
             "cache": cache,
-            "jobs": jobs or 1,
         }
-    # The settings the local evaluator and the speculation workers share.
-    evaluator_options = dict(
-        device=device,
-        clock_ns=clock_ns,
-        keep_existing_schedule=options.keep_existing_schedule,
-        candidate_timeout_s=options.candidate_timeout_s,
-    )
     try:
         with _trace.span("dse.auto_dse", "dse", span_args):
-            if jobs is not None and jobs > 1:
-                if fault_plan is not None:
-                    engine.note(
-                        "DSE008",
-                        "speculative evaluation is disabled under fault "
-                        "injection (faults key on sequential candidate "
-                        "ordinals); evaluating sequentially",
-                    )
-                else:
-                    from repro.dse.parallel import SpeculativeEvaluator
-
-                    try:
-                        speculator = SpeculativeEvaluator(
-                            function, jobs, **evaluator_options
-                        )
-                    except Exception as exc:
-                        engine.note(
-                            "DSE008",
-                            f"speculative evaluation unavailable ({exc}); "
-                            "evaluating sequentially",
-                        )
-            if speculator is not None:
-                stats.speculation_jobs = speculator.jobs
-            # Built after the workers forked: the search preamble
-            # mutates the function they must capture pristine.
             evaluator = Evaluator(
-                function, cache=cache, sweep_deadline=sweep_deadline,
-                stats=stats, diagnostics=engine, **evaluator_options,
+                function, device=device, clock_ns=clock_ns,
+                keep_existing_schedule=options.keep_existing_schedule,
+                candidate_timeout_s=options.candidate_timeout_s,
+                cache=cache, sweep_deadline=sweep_deadline,
+                stats=stats, diagnostics=engine,
             )
             result = _search(
                 _Sweep(
                     evaluator, budget, objective, options.surrogate,
                     options.max_parallelism, engine, quarantine,
                     journal=journal, fault_plan=fault_plan,
-                    speculator=speculator,
                 )
             )
     finally:
         _isl_memo.set_enabled(isl_was_enabled)
         if fault_plan is not None:
             _faults.install(previous_plan)
-        if speculator is not None:
-            speculator.close()
         if journal is not None:
             journal.close()
 
@@ -384,41 +338,6 @@ def _open_journal(
     )
 
 
-def _coerce_options(options, legacy_kwargs: dict) -> DseOptions:
-    """Resolve the ``options``-vs-legacy-kwargs call forms.
-
-    The supported form passes a single :class:`DseOptions`.  Two legacy
-    forms are shimmed with a single :class:`DeprecationWarning` per
-    call: loose keyword arguments (``auto_dse(f, cache=False)``) and a
-    positional :class:`~repro.hls.device.FPGADevice` second argument
-    (the pre-consolidation signature).  Mixing both forms is an error
-    rather than a guess about precedence.
-    """
-    if options is not None and not isinstance(options, DseOptions):
-        # Legacy positional `device` second argument.
-        warn_deprecated(
-            "auto_dse: passing a device positionally is deprecated; "
-            "pass options=DseOptions(device=...) instead",
-            stacklevel=3,
-        )
-        legacy_kwargs = dict(legacy_kwargs, device=options)
-        return DseOptions.from_kwargs(**legacy_kwargs)
-    if legacy_kwargs:
-        if options is not None:
-            raise TypeError(
-                "auto_dse() accepts either options=DseOptions(...) or the "
-                "legacy keyword arguments, not both"
-            )
-        # Build first: a typo'd kwarg raises TypeError (as the old
-        # signature did) without also emitting a deprecation warning.
-        coerced = DseOptions.from_kwargs(**legacy_kwargs)
-        warn_deprecated_kwargs(
-            "auto_dse", "options=DseOptions(...)", legacy_kwargs, stacklevel=3
-        )
-        return coerced
-    return options if options is not None else DseOptions()
-
-
 # DseStats counters published as trace metrics at the end of a traced
 # sweep, with their metric names.  Bulk-loading from the authoritative
 # stats (instead of counting twice in the hot loops) keeps the metrics
@@ -433,8 +352,6 @@ _STATS_METRICS = (
     ("estimator_retries", "dse.estimator_retries"),
     ("replayed", "dse.replayed"),
     ("timeouts", "dse.timeouts"),
-    ("speculative_submitted", "dse.speculative_submitted"),
-    ("speculative_used", "dse.speculative_used"),
     ("design_cache_hits", "dse.cache.design.hits"),
     ("design_cache_misses", "dse.cache.design.misses"),
     ("lowering_cache_hits", "dse.cache.nest_lowering.hits"),
@@ -496,8 +413,6 @@ class _Sweep:
     quarantine: List[QuarantinedCandidate]
     journal: Optional[CheckpointJournal] = None
     fault_plan: Optional[_faults.FaultPlan] = None
-    #: A :class:`repro.dse.parallel.SpeculativeEvaluator` under ``jobs > 1``.
-    speculator: Optional[object] = None
     best: Optional[_Best] = None
     # Multi-objective bookkeeping.  The ladder runs identically for every
     # objective (single-objective results stay bit-identical); frontier
@@ -604,15 +519,13 @@ def _evaluate(
     par: Dict[str, int],
     bank_cap: int = 128,
     force: bool = False,
-    remote=None,
     exact: bool = False,
 ) -> Tuple[SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp]]:
     """Score one candidate at its sequential position in the sweep.
 
     Journal replay, candidate ordinals, fault-plan hooks and the
     checkpoint append live here; the scoring itself is
-    :meth:`Evaluator.realize` (or a worker's already-computed ``remote``
-    outcome).
+    :meth:`Evaluator.realize`.
     """
     evaluator, stats, journal = sweep.evaluator, sweep.stats, sweep.journal
     stats.evaluations += 1
@@ -640,49 +553,24 @@ def _evaluate(
             "ordinal": ordinal,
             "bank_cap": bank_cap,
             "parallelism": dict(par),
-            "speculative": remote is not None,
         }
     if sweep.fault_plan is not None:
         sweep.fault_plan.enter_candidate(ordinal)
     t0 = time.perf_counter()
     try:
         with _trace.span("dse.candidate", "dse", span_args):
-            if remote is None:
-                with evaluator.watchdog():
-                    report, func_op = evaluator.realize(configs, bank_cap, exact=exact)
-            else:
-                report, func_op = _commit_remote(stats, remote), None
+            with evaluator.watchdog():
+                report, func_op = evaluator.realize(configs, bank_cap, exact=exact)
     finally:
         if sweep.fault_plan is not None:
             sweep.fault_plan.exit_candidate()
     if journal is not None:
-        elapsed = time.perf_counter() - t0 if remote is None else remote.elapsed_s
         journal.append_eval(
-            ordinal, jkey, par, bank_cap, report=report, elapsed_s=elapsed
+            ordinal, jkey, par, bank_cap, report=report,
+            elapsed_s=time.perf_counter() - t0,
         )
     _note_scored(sweep, par, bank_cap, report)
     return report, configs, func_op
-
-
-def _commit_remote(stats: DseStats, remote) -> SynthesisReport:
-    """Commit a worker-computed outcome at its sequential position.
-
-    Same counters, journal record, and failure semantics as the local
-    path, with the lowering and estimation already paid for in a worker
-    process.  No func_op exists; only rejected scores are committed this
-    way, so the search never needs one (accepted candidates are
-    re-evaluated locally before commit).
-    """
-    stats.speculative_used += 1
-    tracer = _trace.active()
-    if tracer is not None and getattr(remote, "trace", None) is not None:
-        tracer.graft(remote.trace)
-    if not remote.ok:
-        error = DiagnosticError(remote.diagnostic)
-        if remote.diagnostic.code == "DSE003" and remote.elapsed_s is not None:
-            error.elapsed_s = remote.elapsed_s
-        raise error
-    return remote.report
 
 
 def _latencies_for_best(sweep: _Sweep) -> Dict[str, int]:
@@ -745,90 +633,6 @@ def _is_noop_step(
     )
 
 
-# -- speculative evaluation (auto_dse(jobs=N)) --------------------------------
-# The ladder's control flow under "every trial gets rejected" is a pure
-# function of the current latencies, so the next few trials the
-# sequential search would really evaluate can be predicted and
-# dispatched to worker processes ahead of time.  The search itself stays
-# sequential: it *commits* results -- via _evaluate(remote=...) -- in
-# exactly the order it would have visited them, so cached, uncached, and
-# speculative sweeps are bit-identical.  A mispredicted or lost
-# speculation only costs worker time, never correctness.
-
-
-def _speculation_frontier(
-    sweep: _Sweep,
-    latencies: Dict[str, int],
-    active: set,
-    parallelism: Dict[str, int],
-    group_of: Dict[str, List[str]],
-) -> List[Dict[str, int]]:
-    """The next trials the search would evaluate, assuming rejections."""
-    graph, nodes = sweep.evaluator.graph, sweep.evaluator.nodes
-    sim_active = set(active)
-    sim_par = dict(parallelism)
-    trials: List[Dict[str, int]] = []
-    steps = 0
-    while (
-        sim_active
-        and len(trials) < sweep.speculator.depth
-        and steps < 8 * len(nodes) + 8
-    ):
-        steps += 1
-        pick = _pick_bottleneck(graph, latencies, sim_active)
-        if pick is None:
-            break
-        sim_members = group_of[pick]
-        sim_trial = _group_trial(sweep, sim_par, sim_members)
-        if sim_trial is None:
-            sim_active.difference_update(sim_members)
-            continue
-        try:
-            noop = _is_noop_step(sweep, sim_trial, sim_members)
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            # The real search will re-derive and quarantine this one.
-            sim_active.difference_update(sim_members)
-            continue
-        if noop:
-            sim_par = sim_trial
-            continue
-        trials.append(sim_trial)
-        sim_active.difference_update(sim_members)
-    return trials
-
-
-def _prefetch(sweep: _Sweep, trial: Dict[str, int]) -> None:
-    """Dispatch one trial's full bank-cap ladder to the workers."""
-    for cap in BANK_CAPS:
-        jkey = candidate_key(trial, cap)
-        if sweep.journal is not None and sweep.journal.replay(jkey) is not None:
-            continue
-        if sweep.speculator.prefetch(trial, cap):
-            sweep.stats.speculative_submitted += 1
-
-
-def _evaluate_trial(
-    sweep: _Sweep, par: Dict[str, int], bank_cap: int
-) -> Tuple[SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp]]:
-    """One ladder evaluation, served speculatively when possible.
-
-    A speculative score destined for *rejection* is committed as-is
-    (the search never needs its lowered function).  A score that
-    will be *accepted* is re-evaluated locally so the search owns a
-    real func_op for bottleneck attribution -- the same work the
-    sequential search performs for an accepted candidate, with the
-    rejected siblings' work offloaded to the pool.
-    """
-    if sweep.speculator is None:
-        return _evaluate(sweep, par, bank_cap)
-    outcome = sweep.speculator.take(par, bank_cap)
-    if outcome is None or (outcome.ok and _improves(sweep, outcome.report)):
-        return _evaluate(sweep, par, bank_cap)
-    return _evaluate(sweep, par, bank_cap, remote=outcome)
-
-
 def _improves(sweep: _Sweep, report: SynthesisReport) -> bool:
     """Whether the ladder would accept ``report`` over its best design."""
     return (
@@ -874,11 +678,6 @@ def _climb(sweep: _Sweep, parallelism: Dict[str, int]) -> None:
                     "best design found so far",
                 )
                 break
-            if sweep.speculator is not None:
-                for speculative_trial in _speculation_frontier(
-                    sweep, latencies, active, parallelism, group_of
-                ):
-                    _prefetch(sweep, speculative_trial)
             bottleneck = _pick_bottleneck(graph, latencies, active)
             if bottleneck is None:
                 break
@@ -904,7 +703,7 @@ def _climb(sweep: _Sweep, parallelism: Dict[str, int]) -> None:
             # units -- the paper's BICG [1,32] / II=2 design point).
             for bank_cap in BANK_CAPS:
                 try:
-                    trial_report, trial_configs, trial_func = _evaluate_trial(
+                    trial_report, trial_configs, trial_func = _evaluate(
                         sweep, trial, bank_cap
                     )
                 except KeyboardInterrupt:

@@ -3,9 +3,8 @@
 Every design point is scored the same way -- node configs -> install
 schedule -> derive/apply partitions -> polyir/isl lowering -> virtual-HLS
 estimate -- and :class:`Evaluator` is the only place that pipeline is
-spelled out.  The sequential search (:mod:`repro.dse.engine`), the
-speculation workers (:mod:`repro.dse.parallel`) and dataflow
-realization (:mod:`repro.dataflow.dse`) are all clients of it, so they
+spelled out.  The search (:mod:`repro.dse.engine`) and dataflow
+realization (:mod:`repro.dataflow.dse`) are both clients of it, so they
 cannot drift apart: the same report, the same ``DSE003`` timeout and the
 same ``DSE001`` wrapper come out of every route.
 

@@ -1,17 +1,10 @@
 """The consolidated DSE configuration surface.
 
-Four PRs of growth left :func:`~repro.dse.engine.auto_dse` with a dozen
-loose keyword arguments.  :class:`DseOptions` consolidates them into one
-validated dataclass::
+Everything configurable about a sweep travels in one validated
+dataclass, the only form :func:`~repro.dse.engine.auto_dse` accepts::
 
     from repro import DseOptions
-    result = function.auto_DSE(options=DseOptions(cache=False, jobs=4))
-
-The legacy kwarg form (``auto_dse(f, cache=False)``) still works through
-a shim that builds a :class:`DseOptions` and emits exactly one
-:class:`DeprecationWarning` per call (see
-:mod:`repro.util.deprecation`); behavior is identical either way, which
-``tests/dse/test_options.py`` asserts result-for-result.
+    result = function.auto_DSE(options=DseOptions(cache=False))
 
 Validation that does not need the function under search lives in
 :meth:`DseOptions.validate` so every entry point (engine, shard workers,
@@ -21,7 +14,7 @@ effect such as creating a checkpoint journal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.hls.device import FPGADevice
@@ -44,7 +37,6 @@ class DseOptions:
       ``cache``;
     * **resilience**: ``checkpoint``, ``resume``,
       ``candidate_timeout_s``, ``time_budget_s``, ``fault_plan``;
-    * **parallelism**: ``jobs`` (speculative candidate evaluation);
     * **objective**: ``objective`` (a spec string parsed by
       :func:`repro.dse.pareto.parse_objective` -- ``"single"``,
       ``"pareto[:axes]"``, or ``"weighted:axis=w,..."``) and
@@ -68,7 +60,6 @@ class DseOptions:
     candidate_timeout_s: Optional[float] = None
     time_budget_s: Optional[float] = None
     fault_plan: Optional[object] = None
-    jobs: Optional[int] = None
     objective: str = "single"
     surrogate: bool = True
 
@@ -98,8 +89,6 @@ class DseOptions:
             raise ValueError(
                 f"deadline budget must be >= 0, got {self.time_budget_s}"
             )
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         # Late import: pareto depends on hls.report only, but keeping
         # the import local means `repro.dse.options` stays importable
         # from the pareto module itself without a cycle.
@@ -129,25 +118,3 @@ class DseOptions:
     def replace(self, **changes) -> "DseOptions":
         """A copy with ``changes`` applied (dataclasses.replace sugar)."""
         return replace(self, **changes)
-
-    @classmethod
-    def field_names(cls) -> tuple:
-        return tuple(f.name for f in fields(cls))
-
-    @classmethod
-    def from_kwargs(cls, base: Optional["DseOptions"] = None, **kwargs) -> "DseOptions":
-        """Build options from legacy ``auto_dse`` keyword arguments.
-
-        Unknown names raise :class:`TypeError` with the same shape the
-        old signature produced, so migrated and unmigrated callers see
-        equivalent errors.  ``base`` seeds defaults (used by
-        ``Function.auto_DSE`` forwarding).
-        """
-        known = set(cls.field_names())
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise TypeError(
-                f"auto_dse() got an unexpected keyword argument {unknown[0]!r}"
-            )
-        options = base if base is not None else cls()
-        return replace(options, **kwargs)

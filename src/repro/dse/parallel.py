@@ -1,34 +1,19 @@
-"""The parallel DSE execution layer: sharded sweeps + speculation.
+"""Sharded DSE sweeps: one full ``auto_dse`` sweep per worker process.
 
-Two independent mechanisms, both preserving the engine's determinism
-guarantee (parallel runs are bit-identical to sequential runs):
+:func:`run_sharded_sweep` preserves the engine's determinism guarantee
+(a parallel run is bit-identical to a sequential one).  Shards share
+nothing at runtime -- each gets its own checkpoint journal, its own
+estimator/isl memo tables (process-local), and its own quarantine --
+and the driver merges :class:`~repro.dse.stats.DseStats`, diagnostics,
+and quarantine records *in shard declaration order*, so the merged
+artifacts do not depend on which worker finished first.  A worker that
+dies mid-shard (a real crash or an injected one) loses only that shard;
+the driver retries it in-process, resuming from the shard's journal
+when one was being written.
 
-* **Sharded sweeps** (:func:`run_sharded_sweep`) run one full
-  ``auto_dse`` sweep per workload in its own worker process.  Shards
-  share nothing at runtime -- each gets its own checkpoint journal,
-  its own estimator/isl memo tables (process-local), and its own
-  quarantine -- and the driver merges :class:`~repro.dse.stats.DseStats`,
-  diagnostics, and quarantine records *in shard declaration order*, so
-  the merged artifacts do not depend on which worker finished first.
-  A worker that dies mid-shard (a real crash or an injected one) loses
-  only that shard; the driver retries it in-process, resuming from the
-  shard's journal when one was being written.
-
-* **Speculative candidate evaluation** (:class:`SpeculativeEvaluator`)
-  accelerates a *single* sweep (``auto_dse(jobs=N)``).  The ladder
-  search's trajectory is a pure function of per-candidate scores, so
-  the engine predicts the next candidates it would evaluate (the
-  bank-cap fallback ladder ``(128, 16, 8)`` of the next independent
-  bottleneck-group trials), dispatches them to persistent worker
-  processes ahead of time, and *commits* the scores strictly in
-  sequential visit order.  Each worker builds the search's own
-  :class:`~repro.dse.evaluator.Evaluator` on its copy of the function
-  and scores candidates through it -- the one pipeline, not a replica --
-  shipping back a picklable :class:`SpeculativeOutcome` (a score or a
-  structured diagnostic).
-  A lost or mispredicted speculation costs only worker time: the
-  engine falls back to evaluating locally whenever the pool cannot
-  deliver (see :meth:`~repro.util.pool.WorkerPool.result`).
+A single sweep is never split across processes: the ladder is
+sequential by construction and a sweep is shorter than a pool start-up
+(``docs/performance.md`` records the measurement).
 
 Memo isolation: every memo layer involved is process-local -- the
 estimator's report memo is per-:class:`~repro.hls.estimator.HlsEstimator`
@@ -41,18 +26,15 @@ and unmemoized runs are bit-identical by construction).
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.diagnostics import Diagnostic
-from repro.dse.checkpoint import candidate_key
 from repro.dse.engine import DseResult, QuarantinedCandidate, auto_dse
-from repro.dse.evaluator import Evaluator
 from repro.dse.options import DseOptions
 from repro.dse.stats import DseStats
 from repro import trace as _trace
-from repro.util.pool import WorkerPool, available_jobs, run_ordered
+from repro.util.pool import available_jobs, run_ordered
 
 # The default sweep `repro dse --all` and the parallel benchmark run:
 # the paper's Table III polybench workloads.
@@ -73,139 +55,6 @@ def build_workload(name: str, size: Optional[int] = None):
     return workloads.get(name, size)
 
 
-# -- speculative candidate evaluation ----------------------------------------
-
-
-@dataclass
-class SpeculativeOutcome:
-    """One worker-evaluated candidate: a score or a structured failure.
-
-    Mirrors the two terminal states of the engine's local evaluation --
-    ``ok`` carries the :class:`SynthesisReport` the sequential search
-    would have computed; a failure carries the :class:`Diagnostic` the
-    sequential search would have quarantined (``elapsed_s`` preserves
-    DSE003 watchdog accounting).  Everything here is picklable.
-    """
-
-    ok: bool
-    report: Optional[object] = None
-    diagnostic: Optional[Diagnostic] = None
-    elapsed_s: Optional[float] = None
-    #: Worker-side spans/metrics (when the driver traces); grafted under
-    #: the committing candidate's span in sequential commit order.
-    trace: Optional[_trace.TraceData] = None
-
-
-def _spec_init(function, evaluator_options: dict, trace: bool) -> Tuple[Evaluator, bool]:
-    """Worker initializer: build the search's evaluator once.
-
-    Runs in the worker process on its own copy of the function (forked
-    or unpickled before the parent's search mutates it).  The evaluator
-    is the one the sequential search uses, minus the sweep-level
-    plumbing (no journal, no sweep deadline, private stats).
-    """
-    # A forked worker inherits the driver's active tracer object; it
-    # must never record into that orphaned copy.  Per-candidate tracing
-    # (when requested) uses a fresh local tracer in _spec_eval.
-    _trace.install(None)
-    return Evaluator(function, **evaluator_options), trace
-
-
-def _spec_eval(state: Tuple[Evaluator, bool], payload) -> SpeculativeOutcome:
-    """Evaluate one ``(parallelism, bank_cap)`` candidate in a worker.
-
-    Produces the report -- or the diagnostic -- the sequential search
-    would have, by construction: both call :meth:`Evaluator.realize`
-    under :meth:`Evaluator.watchdog`.  When the driver traces, the
-    candidate's spans are captured into a local tracer and shipped back
-    on the outcome.
-    """
-    evaluator, traced = state
-    par, bank_cap = payload
-    tracer = _trace.Tracer() if traced else None
-    previous = _trace.install(tracer)
-    t0 = time.perf_counter()
-    try:
-        configs = evaluator.configs(par)
-        with evaluator.watchdog():
-            report, _ = evaluator.realize(configs, bank_cap)
-        outcome = SpeculativeOutcome(
-            ok=True, report=report, elapsed_s=time.perf_counter() - t0
-        )
-    except Exception as exc:
-        outcome = SpeculativeOutcome(
-            ok=False,
-            diagnostic=evaluator.diagnostic_of(exc),
-            elapsed_s=getattr(exc, "elapsed_s", None),
-        )
-    finally:
-        _trace.install(previous)
-    if tracer is not None:
-        outcome.trace = tracer.export_data()
-    return outcome
-
-
-class SpeculativeEvaluator:
-    """Persistent worker pool pre-evaluating predicted candidates.
-
-    Constructed by ``auto_dse(jobs=N)`` before the search mutates the
-    function: workers capture the pristine pre-search function and
-    build their own evaluator on it (:func:`_spec_init`).  The
-    engine then :meth:`prefetch`-es candidates its frontier simulation
-    predicts, and :meth:`take`-s them at their sequential visit
-    position.  ``take`` returns ``None`` for anything the pool cannot
-    deliver -- never prefetched, worker died, pool broken -- and the
-    engine evaluates locally; speculation can only lose speedup, never
-    answers or determinism.
-    """
-
-    def __init__(self, function, jobs: int = 2, **evaluator_options):
-        """``evaluator_options`` are the workers' :class:`Evaluator`
-        keywords (device, clock_ns, keep_existing_schedule,
-        candidate_timeout_s), passed through untouched."""
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        # How many independent bottleneck-group trials the engine's
-        # frontier simulation looks ahead; each trial fans out into the
-        # full bank-cap ladder, so `jobs` trials keep the pool busy.
-        self.depth = max(2, jobs)
-        self._tickets: Dict[str, int] = {}
-        self._pool = WorkerPool(
-            _spec_init, (function, evaluator_options, _trace.enabled()),
-            _spec_eval, jobs,
-        )
-
-    def prefetch(self, parallelism: Dict[str, int], bank_cap: int) -> bool:
-        """Queue one candidate for a worker; False if already queued/broken."""
-        if self._pool.broken:
-            return False
-        key = candidate_key(parallelism, bank_cap)
-        if key in self._tickets:
-            return False
-        self._tickets[key] = self._pool.submit((dict(parallelism), bank_cap))
-        return True
-
-    def take(self, parallelism: Dict[str, int], bank_cap: int):
-        """The outcome for a prefetched candidate, or None to go local.
-
-        Blocks until the worker finishes when the candidate is in
-        flight -- the work is already paid for; waiting for it is never
-        slower than redoing it locally.
-        """
-        key = candidate_key(parallelism, bank_cap)
-        ticket = self._tickets.pop(key, None)
-        if ticket is None:
-            return None
-        return self._pool.result(ticket)
-
-    def close(self) -> None:
-        self._pool.close()
-
-
-# -- sharded sweeps ----------------------------------------------------------
-
-
 @dataclass
 class ShardSpec:
     """One workload's sweep in a sharded run (picklable task payload)."""
@@ -221,7 +70,6 @@ class ShardSpec:
     candidate_timeout_s: Optional[float] = None
     time_budget_s: Optional[float] = None
     fault_plan: Optional[object] = None
-    jobs: int = 1  # speculation inside this shard (auto_dse(jobs=...))
     trace: bool = False  # record a worker-side trace, shipped on the result
     objective: str = "single"  # objective spec (repro.dse.pareto)
     surrogate: bool = True  # frontier modes: allow provable-skip copies
@@ -245,7 +93,6 @@ class ShardSpec:
             candidate_timeout_s=self.candidate_timeout_s,
             time_budget_s=self.time_budget_s,
             fault_plan=self.fault_plan,
-            jobs=self.jobs if self.jobs > 1 else None,
             objective=self.objective,
             surrogate=self.surrogate,
         )

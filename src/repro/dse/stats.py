@@ -40,11 +40,6 @@ class DseStats:
     interrupted: bool = False     # SIGINT stopped the sweep gracefully
     time_budget_hit: bool = False  # --time-budget exhausted mid-sweep
 
-    # -- speculative evaluation (auto_dse(jobs=N)) --------------------------
-    speculation_jobs: int = 0     # worker processes backing this sweep
-    speculative_submitted: int = 0  # candidate evaluations sent to workers
-    speculative_used: int = 0     # worker results committed by the search
-
     # -- multi-objective (objective="pareto"/"weighted") --------------------
     pareto_candidates: int = 0    # frontier-enrichment grid members considered
     pareto_evaluated: int = 0     # enrichment candidates exactly estimated
@@ -81,7 +76,6 @@ class DseStats:
     # everything else merges by summation in :meth:`merge`.
     _MERGE_ALL = ("cache_enabled",)
     _MERGE_ANY = ("interrupted", "time_budget_hit")
-    _MERGE_MAX = ("speculation_jobs",)
 
     @classmethod
     def merge(cls, shards: "Sequence[DseStats]") -> "DseStats":
@@ -91,8 +85,7 @@ class DseStats:
         of shard totals, in shard order -- float addition is performed
         left to right so the result is reproducible); ``cache_enabled``
         holds only if every shard cached; the degradation flags hold if
-        any shard degraded; ``speculation_jobs`` takes the widest shard.
-        ``isl_counters`` merges key-wise by summation.
+        any shard degraded.  ``isl_counters`` merges key-wise by summation.
         """
         merged = cls()
         numeric = [
@@ -101,7 +94,6 @@ class DseStats:
             if f.name != "isl_counters"
             and f.name not in cls._MERGE_ALL
             and f.name not in cls._MERGE_ANY
-            and f.name not in cls._MERGE_MAX
         ]
         shards = list(shards)
         for name in numeric:
@@ -111,8 +103,6 @@ class DseStats:
             setattr(merged, name, all(getattr(s, name) for s in shards))
         for name in cls._MERGE_ANY:
             setattr(merged, name, any(getattr(s, name) for s in shards))
-        for name in cls._MERGE_MAX:
-            setattr(merged, name, max((getattr(s, name) for s in shards), default=0))
         counters: Dict[str, Tuple[int, int]] = {}
         for shard in shards:
             for key, (hits, misses) in shard.isl_counters.items():
@@ -151,8 +141,6 @@ class DseStats:
             f" timeouts: {self.timeouts})",
             f"  replayed           {self.replayed}"
             f" (from checkpoint journal)",
-            f"  speculation        {self.speculative_used}/{self.speculative_submitted}"
-            f" used (workers: {self.speculation_jobs})",
         ]
         if self.pareto_candidates:
             lines.append(

@@ -174,39 +174,15 @@ class Function:
         verify_func(func, engine)
         return engine
 
-    def auto_DSE(self, options=None, **legacy):
+    def auto_DSE(self, options=None):
         """Two-stage automatic design space exploration (paper Section VI).
 
         Pass one :class:`~repro.dse.options.DseOptions`::
 
-            result = function.auto_DSE(options=DseOptions(jobs=4))
-
-        The legacy keyword form (``auto_DSE(cache=False)``) and legacy
-        positional device still work, shimmed here -- not forwarded as
-        loose kwargs -- so one deprecated call emits exactly one
-        :class:`DeprecationWarning`.
+            result = function.auto_DSE(options=DseOptions(cache=False))
         """
         from repro.dse.engine import auto_dse
-        from repro.dse.options import DseOptions
-        from repro.util.deprecation import warn_deprecated, warn_deprecated_kwargs
 
-        if options is not None and not isinstance(options, DseOptions):
-            warn_deprecated(
-                "Function.auto_DSE: passing a device positionally is "
-                "deprecated; pass options=DseOptions(device=...) instead"
-            )
-            legacy = dict(legacy, device=options)
-            options = None
-        if legacy:
-            if options is not None:
-                raise TypeError(
-                    "auto_DSE() accepts either options=DseOptions(...) or "
-                    "the legacy keyword arguments, not both"
-                )
-            options = DseOptions.from_kwargs(**legacy)
-            warn_deprecated_kwargs(
-                "Function.auto_DSE", "options=DseOptions(...)", legacy
-            )
         return auto_dse(self, options=options)
 
     # Pythonic alias

@@ -33,13 +33,3 @@ __all__ = [
     "estimate_power",
     "simulate",
 ]
-
-
-def __getattr__(attribute):
-    if attribute == "XC7Z020":
-        # The pre-zoo constant-import pattern; kept working through the
-        # docs/api.md deprecation-shim policy (one warning per import).
-        from repro.hls import device as _device
-
-        return _device.XC7Z020
-    raise AttributeError(f"module 'repro.hls' has no attribute {attribute!r}")

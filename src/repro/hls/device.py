@@ -14,9 +14,7 @@ well as "which schedule" (ROADMAP item 4).  Look parts up with
     get_device("xczu9eg@50%")        # half of every budget
     get_device("xcku060@300mhz")     # retimed clock target
 
-Importing the bare ``XC7Z020`` constant still works but is deprecated
-(one :class:`DeprecationWarning` per import, per ``docs/api.md``); use
-``get_device("xc7z020")`` or :data:`DEFAULT_DEVICE`.
+:data:`DEFAULT_DEVICE` is the paper's part.
 """
 
 from __future__ import annotations
@@ -179,17 +177,3 @@ def get_device(name: str) -> FPGADevice:
         else:
             device = device.at_clock(float(match.group("mhz")))
     return device
-
-
-def __getattr__(attribute):
-    if attribute == "XC7Z020":
-        from repro.util.deprecation import warn_deprecated
-
-        warn_deprecated(
-            "repro.hls.device.XC7Z020 is deprecated; use "
-            "get_device('xc7z020') or DEFAULT_DEVICE instead"
-        )
-        return DEFAULT_DEVICE
-    raise AttributeError(
-        f"module 'repro.hls.device' has no attribute {attribute!r}"
-    )

@@ -17,14 +17,12 @@ ScaleHLS QoR model [35]): a hierarchical roll-up of loop latencies where
   library), loop control, bank multiplexing, and pipeline registers.
 
 The whole-report memo (``memoize_reports=True``) is *per-instance*
-state, never shared between estimators: each DSE sweep -- and each
-speculative evaluation worker process (:mod:`repro.dse.parallel`) --
-constructs its own :class:`HlsEstimator`, so parallel workers cannot
-observe or corrupt one another's memo tables.  Memoized and unmemoized
-estimates are bit-identical by construction (the memo key is the
-function fingerprint, which covers everything the model reads), which
-is what lets a worker's warm memo serve results committed into a
-different process's search.
+state, never shared between estimators: each DSE sweep constructs its
+own :class:`HlsEstimator`, so the shard workers of
+:mod:`repro.dse.parallel` cannot observe or corrupt one another's memo
+tables.  Memoized and unmemoized estimates are bit-identical by
+construction (the memo key is the function fingerprint, which covers
+everything the model reads).
 """
 
 from __future__ import annotations

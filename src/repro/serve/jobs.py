@@ -46,7 +46,6 @@ _OPTION_KEYS = {
         "keep_existing_schedule",
         "candidate_timeout_s",
         "time_budget_s",
-        "jobs",
         "objective",
         "surrogate",
     ),

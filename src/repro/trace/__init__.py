@@ -26,9 +26,9 @@ Design contract (see ``docs/observability.md``):
   suite in ``benchmarks/test_trace_overhead.py``).
 * **Observational only.**  Tracing never changes results: DSE output is
   bit-identical with tracing on or off, including under seeded fault
-  plans and across sequential/cached/sharded/speculative sweeps.
+  plans and across sequential/cached/sharded sweeps.
 * **Deterministic merges.**  Worker processes ship picklable
-  :class:`TraceData` back to the driver, which grafts them in
+  :class:`TraceData` back to the driver, which adopts them in
   declaration order -- a sharded sweep produces one coherent trace with
   one named track per shard, independent of worker finish order.
 """

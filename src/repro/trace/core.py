@@ -25,11 +25,10 @@ Tracing is observational only: no instrumented code path reads a span
 or metric back, so results are bit-identical with tracing on or off
 (asserted by ``tests/trace/test_bit_identity.py``).
 
-Worker processes (sharded sweeps, speculative evaluation, parallel
-``report_all``) cannot share the driver's tracer; they record into a
-local tracer and ship a picklable :class:`TraceData` back, which the
-driver grafts via :meth:`Tracer.graft` (nested under its current span)
-or :meth:`Tracer.adopt_thread` (as a named parallel track), always in
+Worker processes (sharded sweeps, parallel ``report_all``) cannot share
+the driver's tracer; they record into a local tracer and ship a
+picklable :class:`TraceData` back, which the driver adopts via
+:meth:`Tracer.adopt_thread` (as a named parallel track), always in
 deterministic declaration order.
 """
 
@@ -96,7 +95,7 @@ class TraceData:
     """A picklable snapshot of a tracer: spans + metrics.
 
     The unit of cross-process forwarding: workers export one of these,
-    drivers graft it.  Attached to
+    drivers adopt it.  Attached to
     :class:`~repro.dse.engine.DseResult` by traced shard runs.
     """
 
@@ -201,28 +200,33 @@ class Tracer:
         counters, histograms = self.metrics.as_plain()
         return TraceData([s.as_tuple() for s in self.spans], counters, histograms)
 
-    def graft(self, data: TraceData) -> None:
-        """Splice worker spans under the currently open span.
-
-        Spans keep their relative order and nesting; timestamps are
-        rebased so the worker's first span starts "now" in this tracer's
-        timeline (wall alignment across processes is not recoverable,
-        and nothing downstream depends on it).  Metrics merge by
-        summation.  Deterministic given a deterministic call order --
-        which the DSE engine guarantees by committing speculative
-        outcomes in sequential visit order.
-        """
-        self._graft(data, tid=None)
-
     def adopt_thread(self, data: TraceData, tid: int, label: str) -> None:
         """Adopt worker spans as their own named parallel track.
 
         Used by sharded sweeps and parallel ``report_all``: each worker
         becomes Chrome track ``tid`` named ``label``; the worker's root
         spans stay roots (they are not children of any driver span).
+        Spans keep their relative order and nesting; timestamps are
+        rebased so the worker's first span starts "now" in this tracer's
+        timeline (wall alignment across processes is not recoverable,
+        and nothing downstream depends on it).  Metrics merge by
+        summation.  Deterministic given a deterministic call order --
+        which the drivers guarantee by adopting in declaration order.
         """
         self.thread_names[tid] = label
-        self._graft(data, tid=tid)
+        if not data.spans and not data.counters and not data.histograms:
+            return
+        base_index = len(self.spans)
+        if data.spans:
+            rebase = (time.perf_counter() - self.epoch) - data.spans[0][2]
+            for record in data.spans:
+                span = Span.from_tuple(record)
+                span.ts += rebase
+                if span.parent >= 0:
+                    span.parent += base_index
+                span.tid = tid
+                self.spans.append(span)
+        self.metrics.merge_plain(data.counters, data.histograms)
 
     #: Chrome track names assigned by :meth:`adopt_thread`.
     @property
@@ -231,25 +235,6 @@ class Tracer:
         if names is None:
             names = self._thread_names = {}
         return names
-
-    def _graft(self, data: TraceData, tid: Optional[int]) -> None:
-        if not data.spans and not data.counters and not data.histograms:
-            return
-        base_index = len(self.spans)
-        parent = self._stack[-1] if self._stack else -1
-        if data.spans:
-            rebase = (time.perf_counter() - self.epoch) - data.spans[0][2]
-            for record in data.spans:
-                span = Span.from_tuple(record)
-                span.ts += rebase
-                if span.parent >= 0:
-                    span.parent += base_index
-                elif tid is None:
-                    span.parent = parent
-                if tid is not None:
-                    span.tid = tid
-                self.spans.append(span)
-        self.metrics.merge_plain(data.counters, data.histograms)
 
 
 # -- the process-global default tracer ---------------------------------------

@@ -1,26 +1,17 @@
-"""Process pools for the DSE parallel execution layer.
+"""Process-per-task execution for the DSE parallel layer.
 
-Two shapes of parallelism, both deterministic at the merge point:
+One shape of parallelism: :func:`run_ordered` runs one process per task
+with bounded concurrency.  Results come back *in task order* regardless
+of completion order, and a worker that dies without reporting (a real
+``SIGKILL``, an injected :class:`~repro.faults.InjectedCrash`) is
+detected and surfaced as a ``crashed`` outcome instead of hanging the
+driver.  Each task is one full DSE sweep, one evaluation experiment or
+one fuzz wave, isolated in its own process so a crash loses exactly one
+task (whose checkpoint journal makes the retry cheap).  Nothing finer
+grained is parallelised: a single sweep is tens of milliseconds, less
+than a process start-up (``docs/performance.md``).
 
-* :func:`run_ordered` -- one process per task with bounded concurrency.
-  Results come back *in task order* regardless of completion order, and
-  a worker that dies without reporting (a real ``SIGKILL``, an injected
-  :class:`~repro.faults.InjectedCrash`) is detected and surfaced as a
-  ``crashed`` outcome instead of hanging the driver.  This is the shard
-  runner: each task is one full DSE sweep or one evaluation experiment,
-  isolated in its own process so a crash loses exactly one shard (whose
-  checkpoint journal makes the retry cheap).
-
-* :class:`WorkerPool` -- a small fleet of persistent workers, each
-  initialized once (e.g. with a replica of the function under search)
-  and then fed many small tasks.  This backs speculative candidate
-  evaluation inside a single sweep, where per-task process startup would
-  dwarf the work.  Losing a worker never loses an answer a caller is
-  entitled to: :meth:`WorkerPool.result` returns ``None`` for a task the
-  pool can no longer deliver, and callers fall back to computing
-  locally.
-
-Both prefer the ``fork`` start method (cheap, inherits the parent's
+The ``fork`` start method is preferred (cheap, inherits the parent's
 loaded workload registry); ``spawn`` is the fallback where ``fork`` is
 unavailable.  Like every utility in :mod:`repro.util`, this module
 imports nothing from the rest of :mod:`repro`.
@@ -34,6 +25,11 @@ import queue as _queue
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
+
+
+# How long the driver blocks on the result queue before checking for
+# workers that died without reporting.
+_POLL_S = 0.02
 
 
 def available_jobs() -> int:
@@ -91,7 +87,6 @@ def run_ordered(
     fn: Callable[[Any], Any],
     payloads: Sequence[Any],
     jobs: int,
-    poll_s: float = 0.02,
 ) -> List[TaskOutcome]:
     """Run ``fn`` over ``payloads`` in worker processes, ``jobs`` at a time.
 
@@ -133,7 +128,7 @@ def run_ordered(
                 )
                 proc.start()
                 running[index] = proc
-            if drain(poll_s):
+            if drain(_POLL_S):
                 continue
             for index, proc in list(running.items()):
                 if proc.is_alive() or outcomes[index] is not None:
@@ -156,138 +151,3 @@ def run_ordered(
         for proc in running.values():
             proc.join()
     return [outcome for outcome in outcomes if outcome is not None]
-
-
-# -- persistent workers ------------------------------------------------------
-
-_INIT_FAILED = "__init_failed__"
-
-
-def _worker_loop(init_fn, init_args, task_fn, task_queue, result_queue) -> None:
-    try:
-        state = init_fn(*init_args)
-    except BaseException as exc:
-        result_queue.put((_INIT_FAILED, False, _describe(exc)))
-        return
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        task_id, payload = item
-        try:
-            result_queue.put((task_id, True, task_fn(state, payload)))
-        except BaseException as exc:
-            result_queue.put((task_id, False, _describe(exc)))
-
-
-class WorkerPool:
-    """Persistent worker processes fed from a shared task queue.
-
-    ``init_fn(*init_args)`` runs once in each worker and its return
-    value is threaded into every ``task_fn(state, payload)`` call.
-    :meth:`submit` returns a ticket; :meth:`result` blocks until that
-    ticket resolves, buffering out-of-order completions.  A broken pool
-    (all workers dead, or a failed initializer) resolves every
-    outstanding and future ticket to ``None`` -- callers treat ``None``
-    as "compute it locally", so the pool can only ever lose speedup,
-    never answers.
-    """
-
-    def __init__(
-        self,
-        init_fn: Callable[..., Any],
-        init_args: tuple,
-        task_fn: Callable[[Any, Any], Any],
-        jobs: int,
-    ):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        ctx = _context()
-        self._task_queue = ctx.Queue()
-        self._result_queue = ctx.Queue()
-        self._results: Dict[int, Any] = {}
-        self._errors: Dict[int, str] = {}
-        self._next_ticket = 0
-        self._broken = False
-        self.init_failure: Optional[str] = None
-        self._workers = [
-            ctx.Process(
-                target=_worker_loop,
-                args=(init_fn, init_args, task_fn, self._task_queue, self._result_queue),
-                daemon=True,
-            )
-            for _ in range(jobs)
-        ]
-        for worker in self._workers:
-            worker.start()
-
-    @property
-    def broken(self) -> bool:
-        if not self._broken and not any(w.is_alive() for w in self._workers):
-            self._broken = True
-        return self._broken
-
-    def submit(self, payload: Any) -> int:
-        """Queue one task; returns the ticket :meth:`result` resolves."""
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        if not self.broken:
-            self._task_queue.put((ticket, payload))
-        return ticket
-
-    def _pump(self, timeout: float) -> bool:
-        try:
-            task_id, ok, payload = self._result_queue.get(timeout=timeout)
-        except _queue.Empty:
-            return False
-        if task_id == _INIT_FAILED:
-            self.init_failure = payload
-            self._broken = True
-            return True
-        if ok:
-            self._results[task_id] = payload
-        else:
-            self._errors[task_id] = payload
-        return True
-
-    def result(self, ticket: int, poll_s: float = 0.02) -> Optional[Any]:
-        """Block until ``ticket`` resolves; ``None`` when the pool lost it.
-
-        A lost ticket (worker death, failed initializer) is not an
-        error: the caller computes the answer locally instead.
-        """
-        while True:
-            if ticket in self._results:
-                return self._results.pop(ticket)
-            if ticket in self._errors:
-                self._errors.pop(ticket)
-                return None
-            if self._pump(poll_s):
-                continue
-            if self.broken:
-                # One final non-blocking sweep for results posted right
-                # before the last worker exited.
-                while self._pump(0.0):
-                    pass
-                if ticket in self._results:
-                    return self._results.pop(ticket)
-                return None
-
-    def close(self) -> None:
-        for _ in self._workers:
-            try:
-                self._task_queue.put(None)
-            except (OSError, ValueError):  # pragma: no cover - queue torn down
-                break
-        for worker in self._workers:
-            worker.join(timeout=2.0)
-        for worker in self._workers:
-            if worker.is_alive():
-                worker.terminate()
-                worker.join(timeout=1.0)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -19,9 +19,6 @@ check :func:`kind_of`).  Unknown names raise a stable ``WLD001``
 :class:`~repro.diagnostics.DiagnosticError` listing every registered
 workload, identically from the CLI, shard workers, the fuzz harness,
 and serve-job validation.
-
-The pre-registry ``ALL_SUITES`` dict still imports but is deprecated
-(one :class:`DeprecationWarning` per access, per ``docs/api.md``).
 """
 
 from __future__ import annotations
@@ -120,24 +117,6 @@ def get(name: str, size: Optional[int] = None):
             f"workload {name!r} cannot be built at size {size}: {exc}",
             code="WLD002",
         ) from exc
-
-
-def __getattr__(attribute):
-    if attribute == "ALL_SUITES":
-        from repro.util.deprecation import warn_deprecated
-
-        warn_deprecated(
-            "repro.workloads.ALL_SUITES is deprecated; use "
-            "repro.workloads.get(name, size) / names() / suites() instead"
-        )
-        return {
-            suite_name: dict(suite)
-            for suite_name, (kind, suite) in _SUITES.items()
-            if kind == "function"
-        }
-    raise AttributeError(
-        f"module 'repro.workloads' has no attribute {attribute!r}"
-    )
 
 
 __all__ = [

@@ -1,13 +1,12 @@
-"""DseOptions consolidation: parity with the legacy kwarg surface.
+"""DseOptions: the one configuration form ``auto_dse`` accepts.
 
-The deprecation contract (``docs/api.md``): every legacy call form --
-loose keyword arguments on ``auto_dse``/``Function.auto_DSE``, the
-positional device argument, the pre-unification CLI spellings -- keeps
-working, behaves *identically* to the ``DseOptions`` form, and warns
-exactly once per call.
+The loose-keyword and positional-device call forms had their
+deprecation cycle and are gone (CHANGES.md, PR 18); what is pinned here
+is the dataclass surface, its validation, and that each old form now
+fails as a plain ``TypeError`` / ``AttributeError``.
 """
 
-import warnings
+import dataclasses
 
 import pytest
 
@@ -25,83 +24,36 @@ def _outcome(result):
     )
 
 
-def _legacy(call):
-    """Run a deprecated call form, asserting exactly one warning."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = call()
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1, [str(w.message) for w in caught]
-    return result, str(deprecations[0].message)
-
-
 class TestParity:
-    def test_kwargs_and_options_identical(self):
-        legacy, _ = _legacy(
-            lambda: auto_dse(polybench.gemm(16), resource_fraction=0.5, cache=False)
-        )
-        modern = auto_dse(
-            polybench.gemm(16),
-            options=DseOptions(resource_fraction=0.5, cache=False),
-        )
-        assert _outcome(legacy) == _outcome(modern)
-
     def test_default_options_match_no_options(self):
         bare = auto_dse(polybench.gemm(16))
         explicit = auto_dse(polybench.gemm(16), options=DseOptions())
         assert _outcome(bare) == _outcome(explicit)
 
-    def test_method_kwargs_and_options_identical(self):
-        legacy, _ = _legacy(
-            lambda: polybench.gemm(16).auto_DSE(resource_fraction=0.5)
-        )
-        modern = polybench.gemm(16).auto_DSE(
-            options=DseOptions(resource_fraction=0.5)
-        )
-        assert _outcome(legacy) == _outcome(modern)
 
-    def test_positional_device_matches_options_device(self):
-        legacy, message = _legacy(lambda: auto_dse(polybench.gemm(16), DEFAULT_DEVICE))
-        modern = auto_dse(polybench.gemm(16), options=DseOptions(device=DEFAULT_DEVICE))
-        assert _outcome(legacy) == _outcome(modern)
-        assert "DseOptions" in message
+class TestRemovedForms:
+    def test_loose_kwargs_are_a_type_error(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'cache'"):
+            auto_dse(polybench.gemm(16), cache=False)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'cache'"):
+            polybench.gemm(16).auto_DSE(cache=False)
 
+    def test_positional_device_is_a_type_error(self):
+        with pytest.raises(TypeError, match="must be a DseOptions, got FPGADevice"):
+            auto_dse(polybench.gemm(16), DEFAULT_DEVICE)
+        with pytest.raises(TypeError, match="must be a DseOptions, got FPGADevice"):
+            polybench.gemm(16).auto_DSE(DEFAULT_DEVICE)
 
-class TestWarningDiscipline:
-    def test_function_kwargs_warn_once_naming_all_kwargs(self):
-        _, message = _legacy(
-            lambda: auto_dse(polybench.gemm(16), cache=False, resource_fraction=0.5)
-        )
-        assert "cache" in message and "resource_fraction" in message
-        assert "DseOptions" in message
+    def test_jobs_is_not_an_option(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'jobs'"):
+            DseOptions(jobs=2)
 
-    def test_method_kwargs_warn_once(self):
-        _, message = _legacy(lambda: polybench.gemm(16).auto_DSE(cache=False))
-        assert "auto_DSE" in message
-
-    def test_options_form_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            auto_dse(polybench.gemm(16), options=DseOptions())
-            polybench.gemm(16).auto_DSE(options=DseOptions(cache=False))
+    def test_from_kwargs_is_gone(self):
+        with pytest.raises(AttributeError):
+            DseOptions.from_kwargs(cache=False)
 
 
 class TestErrors:
-    def test_mixing_options_and_kwargs_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            auto_dse(polybench.gemm(16), options=DseOptions(), cache=False)
-        with pytest.raises(TypeError, match="not both"):
-            polybench.gemm(16).auto_DSE(options=DseOptions(), cache=False)
-
-    def test_unknown_kwarg_raises_like_the_old_signature(self):
-        # A typo'd kwarg is an error, not a deprecation: no warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(
-                TypeError, match="unexpected keyword argument 'bogus'"
-            ):
-                auto_dse(polybench.gemm(16), bogus=1)
-
     @pytest.mark.parametrize(
         "changes, match",
         [
@@ -110,7 +62,6 @@ class TestErrors:
             ({"max_parallelism": 0}, "max_parallelism must be >= 1"),
             ({"candidate_timeout_s": -1.0}, "candidate_timeout_s must be >= 0"),
             ({"time_budget_s": -1.0}, "deadline budget must be >= 0"),
-            ({"jobs": 0}, "jobs must be >= 1"),
         ],
     )
     def test_validate_messages(self, changes, match):
@@ -130,34 +81,20 @@ class TestDataclassSurface:
         assert options.resource_fraction == 1.0
         assert options.max_parallelism == MAX_PARALLELISM
         assert options.cache is True
-        assert options.jobs is None
 
     def test_replace_returns_modified_copy(self):
         base = DseOptions()
-        tweaked = base.replace(cache=False, jobs=4)
-        assert tweaked.cache is False and tweaked.jobs == 4
-        assert base.cache is True and base.jobs is None
+        tweaked = base.replace(cache=False, max_parallelism=4)
+        assert tweaked.cache is False and tweaked.max_parallelism == 4
+        assert base.cache is True and base.max_parallelism == MAX_PARALLELISM
 
-    def test_from_kwargs_seeds_from_base(self):
-        base = DseOptions(resource_fraction=0.5)
-        options = DseOptions.from_kwargs(base, cache=False)
-        assert options.resource_fraction == 0.5
-        assert options.cache is False
-
-    def test_from_kwargs_rejects_unknown(self):
-        with pytest.raises(
-            TypeError, match="unexpected keyword argument 'nope'"
-        ):
-            DseOptions.from_kwargs(nope=1)
-
-    def test_field_names_cover_legacy_surface(self):
-        names = set(DseOptions.field_names())
-        assert {
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(DseOptions)] == [
             "device", "resource_fraction", "clock_ns", "max_parallelism",
             "keep_existing_schedule", "cache", "checkpoint", "resume",
-            "candidate_timeout_s", "time_budget_s", "fault_plan", "jobs",
+            "candidate_timeout_s", "time_budget_s", "fault_plan",
             "objective", "surrogate",
-        } == names
+        ]
 
     def test_exported_from_package_roots(self):
         import repro

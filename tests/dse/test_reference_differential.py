@@ -5,12 +5,11 @@ compiled bound evaluators, vectorized point/bank enumeration) promise
 *bit identity* with the pure-Python reference path -- same reports,
 same schedules, same tile vectors, same evaluation counts -- across
 every sweep mode the DSE engine supports: cached, uncached, sharded,
-speculative, and fault-injected.  This suite runs each mode both ways
-and compares.
+and fault-injected.  This suite runs each mode both ways and compares.
 
 The fixture sets the ``REPRO_ISL_REFERENCE`` environment variable in
 addition to flipping the in-process flag so spawned worker processes
-(sharded and speculative modes) inherit the reference mode.
+(the sharded mode) inherit the reference mode.
 """
 
 import pytest
@@ -85,16 +84,6 @@ class TestParallelModes:
                 shard.spec.workload: _fingerprint(shard.result)
                 for shard in sweep.shards
             }
-
-        fast, reference = _both_modes(run, monkeypatch)
-        assert fast == reference
-
-    @pytest.mark.parallel
-    def test_speculative_evaluation(self, monkeypatch):
-        def run():
-            result = auto_dse(polybench.bicg(SIZE), options=DseOptions(jobs=2))
-            assert result.stats.speculation_jobs == 2
-            return _fingerprint(result)
 
         fast, reference = _both_modes(run, monkeypatch)
         assert fast == reference

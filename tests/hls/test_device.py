@@ -188,16 +188,10 @@ class TestScaling:
             XC7Z020.dsp = 1
 
 
-class TestDeprecatedImport:
-    def test_bare_constant_warns_and_aliases_default(self):
-        import repro.hls.device as device_module
+def test_bare_constant_is_gone():
+    import repro.hls
+    import repro.hls.device as device_module
 
-        with pytest.warns(DeprecationWarning, match="XC7Z020"):
-            legacy = device_module.XC7Z020
-        assert legacy is DEFAULT_DEVICE
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.hls.device as device_module
-
-        with pytest.raises(AttributeError, match="no attribute 'NOPE'"):
-            device_module.NOPE
+    for module in (repro.hls, device_module):
+        with pytest.raises(AttributeError, match="XC7Z020"):
+            module.XC7Z020

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import functools
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -64,6 +66,39 @@ class TestExperiment:
             main(["experiment", "table99"])
         assert "unknown experiment" in str(excinfo.value)
 
+    def test_size_that_does_not_apply_is_reported_not_forced_in(
+        self, capsys, monkeypatch
+    ):
+        # fig12.main takes `sizes` (a sequence): --size used to be passed
+        # positionally, raise TypeError inside, and silently rerun the
+        # full 32..8192 sweep.
+        from repro.evaluation import fig12
+
+        calls = []
+
+        @functools.wraps(fig12.main)
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+
+        monkeypatch.setattr(fig12, "main", recording)
+        assert main(["experiment", "fig12", "--size", "32"]) == 0
+        assert calls == [((), {})]
+        assert "--size does not apply to fig12" in capsys.readouterr().err
+
+    def test_type_error_inside_an_experiment_propagates(self, monkeypatch):
+        from repro.evaluation import fig2
+
+        calls = []
+
+        def broken(size=8):
+            calls.append(size)
+            raise TypeError("bug inside the experiment")
+
+        monkeypatch.setattr(fig2, "main", broken)
+        with pytest.raises(TypeError, match="bug inside the experiment"):
+            main(["experiment", "fig2", "--size", "32"])
+        assert calls == [32]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -105,7 +140,7 @@ class TestDseStatsSingleCpuWarning:
         from repro.util import pool
 
         monkeypatch.setattr(pool, "available_jobs", lambda: 1)
-        assert main(["dse", "gemm", "--size", "16", "--jobs", "2", "--stats"]) == 0
+        assert main(["dse", "--all", "--size", "16", "--jobs", "2", "--stats"]) == 0
         err = capsys.readouterr().err
         assert "single-CPU run" in err
 
@@ -113,7 +148,7 @@ class TestDseStatsSingleCpuWarning:
         from repro.util import pool
 
         monkeypatch.setattr(pool, "available_jobs", lambda: 8)
-        assert main(["dse", "gemm", "--size", "16", "--jobs", "2", "--stats"]) == 0
+        assert main(["dse", "--all", "--size", "16", "--jobs", "2", "--stats"]) == 0
         assert "single-CPU run" not in capsys.readouterr().err
 
     def test_silent_for_sequential_run(self, capsys, monkeypatch):

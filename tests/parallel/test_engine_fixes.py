@@ -9,6 +9,7 @@
 * ``QuarantinedCandidate`` elapsed-time accounting.
 """
 
+import re
 import time
 
 import pytest
@@ -124,10 +125,10 @@ class TestNoStrayJournalOnEarlyRaise:
             auto_dse(polybench.gemm(16), options=DseOptions(checkpoint=str(journal), candidate_timeout_s=-0.5))
         self._assert_no_journal(journal)
 
-    def test_bad_jobs(self, tmp_path):
+    def test_bad_max_parallelism(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         with pytest.raises(ValueError):
-            auto_dse(polybench.gemm(16), options=DseOptions(checkpoint=str(journal), jobs=-2))
+            auto_dse(polybench.gemm(16), options=DseOptions(checkpoint=str(journal), max_parallelism=0))
         self._assert_no_journal(journal)
 
     def test_hang_plan_without_watchdog(self, tmp_path):
@@ -160,6 +161,9 @@ class TestQuarantineElapsedAccounting:
         assert len(timeouts) == 1
         assert timeouts[0].elapsed_s is not None
         assert timeouts[0].elapsed_s >= 0.0
+        assert re.sub(r"\d+\.\d+s", "<t>s", timeouts[0].diagnostic.message) == (
+            "candidate evaluation timed out after <t>s (budget <t>s)"
+        )
         assert result.stats.timeouts == 1
         assert result.stats.timeout_s == pytest.approx(timeouts[0].elapsed_s)
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.util.pool import TaskOutcome, WorkerPool, available_jobs, run_ordered
+from repro.util.pool import TaskOutcome, available_jobs, run_ordered
 
 pytestmark = pytest.mark.parallel
 
@@ -79,64 +79,3 @@ def test_task_outcome_ok_semantics():
     assert TaskOutcome(0, value=1).ok
     assert not TaskOutcome(0, error="boom").ok
     assert not TaskOutcome(0, error="died", crashed=True).ok
-
-
-# -- persistent workers ------------------------------------------------------
-
-
-def _init_base(base):
-    return {"base": base}
-
-
-def _add_task(state, payload):
-    return state["base"] + payload
-
-
-def _init_boom():
-    raise RuntimeError("bad init")
-
-
-def _task_maybe_fail(state, payload):
-    if payload == "fail":
-        raise ValueError("task failed")
-    return payload
-
-
-def test_worker_pool_threads_init_state_into_tasks():
-    with WorkerPool(_init_base, (100,), _add_task, jobs=2) as pool:
-        tickets = [pool.submit(i) for i in range(5)]
-        # Resolve out of submission order: results buffer until taken.
-        assert pool.result(tickets[3]) == 103
-        assert pool.result(tickets[0]) == 100
-        assert [pool.result(t) for t in tickets[1:3]] == [101, 102]
-        assert pool.result(tickets[4]) == 104
-
-
-def test_worker_pool_failed_init_resolves_tickets_to_none():
-    pool = WorkerPool(_init_boom, (), _add_task, jobs=2)
-    try:
-        ticket = pool.submit(1)
-        assert pool.result(ticket) is None
-        assert pool.broken
-        assert "bad init" in (pool.init_failure or "")
-    finally:
-        pool.close()
-
-
-def test_worker_pool_task_exception_resolves_to_none():
-    with WorkerPool(_init_base, (0,), _task_maybe_fail, jobs=1) as pool:
-        bad = pool.submit("fail")
-        good = pool.submit("ok")
-        assert pool.result(bad) is None
-        assert pool.result(good) == "ok"
-
-
-def test_worker_pool_close_is_idempotent():
-    pool = WorkerPool(_init_base, (0,), _add_task, jobs=1)
-    pool.close()
-    pool.close()
-
-
-def test_worker_pool_rejects_bad_jobs():
-    with pytest.raises(ValueError):
-        WorkerPool(_init_base, (0,), _add_task, jobs=0)

@@ -1,9 +1,11 @@
 """Sharded sweeps: worker-process isolation with a deterministic merge."""
 
 import os
+import re
 
 import pytest
 
+from repro.cli import main
 from repro.dse import auto_dse
 from repro.dse.parallel import (
     DEFAULT_SWEEP,
@@ -55,6 +57,17 @@ def test_sharded_sweep_matches_sequential_sweeps():
         baseline = baselines[shard.spec.label]
         assert fingerprint(shard.result) == fingerprint(baseline), shard.spec.label
         assert shard.result.evaluations == baseline.evaluations, shard.spec.label
+
+
+def test_cli_all_jobs_2_prints_what_jobs_1_prints(capsys):
+    def run(jobs):
+        argv = ["dse", "--all", "--size", str(SIZE), "--pareto", "--jobs", jobs]
+        assert main(argv) == 0
+        return re.sub(r"in \d+\.\d+s", "in <t>s", capsys.readouterr().out)
+
+    sequential = run("1")
+    assert sequential.count("evaluations in <t>s") == len(DEFAULT_SWEEP)
+    assert run("2") == sequential
 
 
 def test_merged_stats_equal_the_sum_of_shard_stats():
@@ -171,11 +184,11 @@ def test_quarantine_and_diagnostics_merge_in_shard_order():
 
 def test_stats_merge_unit_semantics():
     a = DseStats(cache_enabled=True)
-    a.evaluations, a.total_s, a.speculation_jobs = 3, 1.5, 4
+    a.evaluations, a.total_s = 3, 1.5
     a.interrupted = True
     a.isl_counters = {"bounds": (10, 2), "emptiness": (1, 1)}
     b = DseStats(cache_enabled=False)
-    b.evaluations, b.total_s, b.speculation_jobs = 5, 0.25, 2
+    b.evaluations, b.total_s = 5, 0.25
     b.time_budget_hit = True
     b.isl_counters = {"bounds": (5, 5)}
     merged = DseStats.merge([a, b])
@@ -184,13 +197,11 @@ def test_stats_merge_unit_semantics():
     assert merged.cache_enabled is False      # all()
     assert merged.interrupted is True         # any()
     assert merged.time_budget_hit is True     # any()
-    assert merged.speculation_jobs == 4       # max()
     assert merged.isl_counters == {"bounds": (15, 7), "emptiness": (1, 1)}
 
 
 def test_stats_merge_of_nothing_is_the_default():
     merged = DseStats.merge([])
     assert merged.evaluations == 0
-    assert merged.speculation_jobs == 0
     assert merged.cache_enabled is True  # all() over nothing
     assert merged.isl_counters == {}

@@ -36,11 +36,19 @@ class TestValidation:
             {"kind": "dse", "workload": "gemm", "fault": {"surprise": 1}},
             {"kind": "dse", "workload": "gemm", "fault": {"rate": 0.5}},
             {"kind": "dse", "workload": "gemm", "session": 7},
+            # A sweep is sequential: `jobs` is no dse option.
+            {"kind": "dse", "workload": "gemm", "options": {"jobs": 2}},
         ],
     )
     def test_rejects_bad_requests(self, body):
         with pytest.raises(ValueError):
             JobSpec.from_request(body)
+
+    def test_fuzz_jobs_keep_their_jobs_option(self):
+        spec = JobSpec.from_request(
+            {"kind": "fuzz", "options": {"trials": 2, "jobs": 2}}
+        )
+        assert spec.options["jobs"] == 2
 
     def test_fuzz_needs_no_workload(self):
         spec = JobSpec.from_request({"kind": "fuzz", "options": {"trials": 2}})

@@ -33,6 +33,7 @@ class TestEndpoints:
             {"kind": "compile", "workload": "gemm"},
             {"kind": "dse", "workload": "never-heard-of-it"},
             {"kind": "verify", "workload": "gemm", "options": {"jobs": 2}},
+            {"kind": "dse", "workload": "gemm", "options": {"jobs": 2}},
         ):
             status, payload = client.request("POST", "/v1/jobs", body)
             assert status == 400

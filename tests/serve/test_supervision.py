@@ -198,6 +198,54 @@ def test_concurrent_jobs_keep_their_own_events(make_executor):
     assert executor.snapshot()["running"] == 0
 
 
+def _children_of(pid):
+    """Live child pids of ``pid``, from ``/proc/<pid>/stat`` field 4."""
+    children = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                ppid = handle.read().rsplit(")", 1)[1].split()[1]
+        except OSError:
+            continue  # exited between listdir and open
+        if int(ppid) == pid:
+            children.append(int(entry))
+    return children
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs Linux /proc")
+@pytest.mark.parametrize(
+    "workload, size", [("2mm", 24), ("image-pipeline", 16)]
+)
+def test_dse_worker_has_no_child_processes_while_it_runs(
+    make_executor, monkeypatch, workload, size
+):
+    """A sweep is one process.  A worker's death is seen through its pipe
+    and sentinel, which any child it forked would inherit and hold open;
+    with none, a worker SIGKILLed from outside is noticed at once."""
+    real = executor_module.execute_job
+
+    def spying(spec, journal_path, arm_faults, job_timeout_s, emit):
+        import repro.dse.engine as engine
+
+        pick, seen = engine._pick_bottleneck, []
+
+        def sampling(graph, latencies, active):
+            seen.append(_children_of(os.getpid()))
+            return pick(graph, latencies, active)
+
+        engine._pick_bottleneck = sampling  # in this worker only; it exits after the job
+        payload = real(spec, journal_path, arm_faults, job_timeout_s, emit)
+        emit({"stage": "children", "seen": seen})
+        return payload
+
+    monkeypatch.setattr(executor_module, "execute_job", spying)
+    job = _run(make_executor(workers=1), kind="dse", workload=workload, size=size)
+    assert job.status == "done", job.as_dict()
+    (event,) = [e for e in job.events if e["stage"] == "children"]
+    assert len(event["seen"]) >= 4, "sampled once per ladder step"
+    assert not any(event["seen"]), event["seen"]
+
+
 _WARM_TEMPLATE_SCRIPT = """
 import json, sys, tempfile
 import repro.serve

@@ -1,7 +1,7 @@
 """Tracing is observational only: results are bit-identical on or off.
 
-Every sweep mode (sequential, uncached, fault-injected, speculative,
-sharded) is run twice -- once under an active tracer, once without --
+Every sweep mode (sequential, uncached, fault-injected, sharded) is
+run twice -- once under an active tracer, once without --
 and the search outcomes are compared field for field.  This is the
 contract that lets the instrumentation live in the hot loops
 permanently.
@@ -65,11 +65,6 @@ class TestSingleSweepIdentity:
         untraced, traced = _run_pair(options)
         assert _outcome(untraced) == _outcome(traced)
         assert untraced.stats.quarantined == traced.stats.quarantined
-
-    @pytest.mark.parallel
-    def test_speculative(self):
-        untraced, traced = _run_pair(lambda: DseOptions(jobs=2))
-        assert _outcome(untraced) == _outcome(traced)
 
 
 class TestDependenceAnalysisIdentity:

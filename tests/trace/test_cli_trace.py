@@ -2,9 +2,8 @@
 
 Asserts the flag-unification invariants promised in ``docs/api.md``:
 ``--jobs/--checkpoint/--stats/--trace`` spell and document identically
-across ``repro dse``, ``repro verify``, ``repro trace``, and
-``report_all``; the pre-unification spellings still parse but warn and
-are hidden from ``--help``.
+across ``repro dse``, ``repro verify``, ``repro trace``, ``repro fuzz``
+and ``report_all``; the pre-unification spellings are usage errors.
 """
 
 import argparse
@@ -35,7 +34,7 @@ def _subparser(name):
 
 class TestFlagUnification:
     def test_canonical_flags_document_identically(self):
-        for command in ("dse", "trace"):
+        for command in ("dse", "fuzz"):
             help_text = _subparser(command).format_help()
             assert "--jobs" in help_text, command
             assert JOBS_HELP.split(";")[0] in " ".join(help_text.split()), command
@@ -47,34 +46,28 @@ class TestFlagUnification:
             _subparser("dse").format_help().split()
         )
 
-    def test_deprecated_aliases_hidden_from_help(self):
-        for command in ("dse", "verify", "trace"):
-            help_text = _subparser(command).format_help()
-            for alias in ("--parallel", "--journal", "--profile", "--trace-out"):
-                assert alias not in help_text, (command, alias)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dse", "gemm", "--parallel", "2"],
+            ["dse", "gemm", "--journal", "j.jsonl"],
+            ["dse", "gemm", "--profile"],
+            ["verify", "gemm", "--trace-out", "t.json"],
+            ["trace", "gemm", "--jobs", "2"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_aliases_parse_to_canonical_dests_and_warn(self):
-        parser = build_parser()
-        with pytest.warns(DeprecationWarning, match="--parallel.*--jobs"):
-            args = parser.parse_args(["dse", "gemm", "--parallel", "2"])
-        assert args.jobs == 2
-        with pytest.warns(DeprecationWarning, match="--journal.*--checkpoint"):
-            args = parser.parse_args(["dse", "gemm", "--journal", "j.jsonl"])
-        assert args.checkpoint == "j.jsonl"
-        with pytest.warns(DeprecationWarning, match="--profile.*--stats"):
-            args = parser.parse_args(["dse", "gemm", "--profile"])
-        assert args.stats is True
-        with pytest.warns(DeprecationWarning, match="--trace-out.*--trace"):
-            args = parser.parse_args(["verify", "gemm", "--trace-out", "t.json"])
-        assert args.trace == "t.json"
 
-    def test_canonical_flags_do_not_warn(self, recwarn):
-        args = build_parser().parse_args(
-            ["dse", "gemm", "--jobs", "2", "--checkpoint", "j", "--stats",
-             "--trace", "t.json"]
-        )
-        assert args.jobs == 2 and args.stats and args.trace == "t.json"
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
+    def test_jobs_without_all_exits_2_naming_all(self, capsys):
+        assert main(["dse", "gemm", "--size", "16", "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "--all" in captured.err and len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
 
 class TestDseTraceFlag:

@@ -129,17 +129,6 @@ class TestCrossProcess:
         assert clone.counters == data.counters
         assert clone.histograms == data.histograms
 
-    def test_graft_nests_under_current_span(self):
-        driver = Tracer()
-        with driver.span("driver", "d"):
-            driver.graft(self._worker_data())
-        names = {s.name: s for s in driver.spans}
-        assert names["root"].parent == 0          # under "driver"
-        assert names["leaf"].parent == driver.spans.index(names["root"])
-        assert driver.metrics.value("work") == 3
-        # grafted spans are rebased into the driver's timeline
-        assert names["root"].ts >= 0.0
-
     def test_adopt_thread_assigns_track(self):
         driver = Tracer()
         driver.adopt_thread(self._worker_data(), 1, "shard gemm")
@@ -147,6 +136,10 @@ class TestCrossProcess:
         assert all(s.tid == 1 for s in driver.spans)
         # adopted roots stay roots: not children of any driver span
         assert driver.spans[0].parent == -1
+        assert driver.spans[1].parent == 0
+        assert driver.metrics.value("work") == 3
+        # adopted spans are rebased into the driver's timeline
+        assert driver.spans[0].ts >= 0.0
 
     def test_graft_order_is_deterministic(self):
         def merged():
@@ -158,11 +151,12 @@ class TestCrossProcess:
         assert merged() == merged()
         assert merged() == [("root", 1), ("leaf", 1), ("root", 2), ("leaf", 2)]
 
-    def test_graft_empty_data_is_noop(self):
+    def test_adopting_empty_data_only_names_the_track(self):
         driver = Tracer()
-        driver.graft(TraceData([], {}, []))
+        driver.adopt_thread(TraceData([], {}, []), 1, "idle shard")
         assert driver.spans == []
         assert driver.metrics.counters == {}
+        assert driver.thread_names == {1: "idle shard"}
 
 
 class TestMetricsRegistry:

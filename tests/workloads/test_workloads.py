@@ -245,9 +245,6 @@ class TestWorkloadRegistry:
             workloads.get("image-pipeline", 4)
         assert excinfo.value.diagnostic.code == "WLD002"
 
-    def test_all_suites_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="ALL_SUITES"):
-            legacy = workloads.ALL_SUITES
-        assert "polybench" in legacy
-        assert "dataflow" not in legacy  # function-kind suites only
-        assert "gemm" in legacy["polybench"]
+    def test_all_suites_is_gone(self):
+        with pytest.raises(AttributeError, match="ALL_SUITES"):
+            workloads.ALL_SUITES
