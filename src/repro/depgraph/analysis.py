@@ -206,43 +206,66 @@ def access_pairs(
     return pairs
 
 
+def _carried_levels(
+    dims: Tuple[str, ...], domain: BasicSet, src_idx: Sequence[AffineExpr],
+    snk_idx: Sequence[AffineExpr], extents: Dict[str, int],
+) -> List[Tuple[int, DistanceVector, DirectionVector, Optional[int]]]:
+    """``(level, distance, direction, min distance)`` of every level that
+    carries ``src(v) == snk(v')``.
+
+    A non-empty level is sampled once; each distance entry is constant
+    exactly when the relation is empty on both sides of the sampled value.
+    """
+    rows = []
+    pair_relation = _pair_relation(dims, domain, src_idx, snk_idx)
+    for level, carried in enumerate(dims):
+        relation = _carried_at(pair_relation, dims, level)
+        if relation.is_empty():
+            continue
+        _trace.count("depgraph.samples")
+        sample = relation.sample()
+        if sample is None:  # rational points only: nothing is known
+            steps = [None] * len(dims)
+        else:
+            steps = [sample[_sink_name(d)] - sample[d] for d in dims]
+        distance = DistanceVector(
+            dims, tuple(_constant_entry(relation, d, s) for d, s in zip(dims, steps))
+        )
+        # A sampled pair one step apart is the minimum: every
+        # probe of the search would contain that (real) point.
+        min_distance = 1 if steps[level] == 1 else _min_distance(
+            relation, carried, extents.get(carried, 1)
+        )
+        rows.append((level, distance, distance.direction(), min_distance))
+    return rows
+
+
 def _carried(
     dims: Sequence[str], domain: BasicSet, pairs: Sequence[_Pair], extents: Dict[str, int]
 ) -> List[CarriedDependence]:
     """The one engine: split each pair's relation by carrying level.
 
-    A non-empty level is sampled once; each distance entry is constant
-    exactly when the relation is empty on both sides of the sampled value.
-    Private so that ``analyze_compute`` shares it without counting as a
-    call of the public entry point, which the benchmark times.
+    The relation depends on the two index lists only, so each distinct
+    ``(src, snk)`` is solved once per call and its rows are fanned out
+    per kind and array: an accumulating statement's RAW, WAR and WAW
+    pairs are one relation.  Private so that ``analyze_compute`` shares
+    it without counting as a call of the public entry point, which the
+    benchmark times.
     """
     dims = tuple(dims)
     results: List[CarriedDependence] = []
+    solved: Dict[tuple, list] = {}
     args = {"dims": len(dims), "pairs": len(pairs)} if _trace.enabled() else None
     with _trace.span("depgraph.carried", "depgraph", args):
         for kind, array, src_idx, snk_idx in pairs:
-            pair_relation = _pair_relation(dims, domain, src_idx, snk_idx)
-            for level, carried in enumerate(dims):
-                relation = _carried_at(pair_relation, dims, level)
-                if relation.is_empty():
-                    continue
-                _trace.count("depgraph.samples")
-                sample = relation.sample()
-                if sample is None:  # rational points only: nothing is known
-                    steps = [None] * len(dims)
-                else:
-                    steps = [sample[_sink_name(d)] - sample[d] for d in dims]
-                distance = DistanceVector(
-                    dims, tuple(_constant_entry(relation, d, s) for d, s in zip(dims, steps))
-                )
-                # A sampled pair one step apart is the minimum: every
-                # probe of the search would contain that (real) point.
-                min_distance = 1 if steps[level] == 1 else _min_distance(
-                    relation, carried, extents.get(carried, 1)
-                )
-                results.append(CarriedDependence(
-                    array, kind, level, dims, distance, distance.direction(), min_distance
-                ))
+            key = (tuple(src_idx), tuple(snk_idx))
+            rows = solved.get(key)
+            if rows is None:
+                rows = solved[key] = _carried_levels(dims, domain, src_idx, snk_idx, extents)
+            results.extend(
+                CarriedDependence(array, kind, level, dims, distance, direction, min_distance)
+                for level, distance, direction, min_distance in rows
+            )
         _trace.count("depgraph.relations", len(results))
         if args is not None:
             args["relations"] = len(results)

@@ -362,6 +362,8 @@ _STATS_METRICS = (
     ("config_cache_misses", "dse.cache.config.misses"),
     ("partition_cache_hits", "dse.cache.partitions.hits"),
     ("partition_cache_misses", "dse.cache.partitions.misses"),
+    ("statement_cache_hits", "dse.cache.statement.hits"),
+    ("statement_cache_misses", "dse.cache.statement.misses"),
     ("pareto_candidates", "dse.pareto.candidates"),
     ("pareto_evaluated", "dse.pareto.evaluated"),
     ("surrogate_skips", "dse.pareto.surrogate_skips"),

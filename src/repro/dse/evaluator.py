@@ -8,10 +8,18 @@ realization (:mod:`repro.dataflow.dse`) are both clients of it, so they
 cannot drift apart: the same report, the same ``DSE003`` timeout and the
 same ``DSE001`` wrapper come out of every route.
 
+A candidate's polyhedral program is assembled once, incrementally, in
+both cache modes (:meth:`Evaluator.scheduled`); the directive list
+``install`` writes on the function is the artifact, and replaying it
+from scratch gives the same statements.
+
 Evaluation is memoized at several layers (all local to one
 :class:`Evaluator` unless noted):
 
 - *node config*: ``(node, parallelism)`` -> :class:`NodeConfig`;
+- *statement*: node-config fingerprint -> that node's stage-2 delta and
+  transformed statement, before fusion (a ladder step changes one fusion
+  group, so every other node's statement is reused);
 - *partitions*: ``(config fingerprints, bank_cap)`` -> derived factors;
 - *design*: ``(config fingerprints, partition fingerprints)`` -> lowered
   function + report, catching bank caps that derive identical banking;
@@ -47,16 +55,19 @@ from repro.dsl.function import Function
 from repro.dse.stage1 import plan_stage1
 from repro.dse.stage2 import (
     NodeConfig,
+    NodeDelta,
     config_directives,
     derive_partitions,
+    fusion_directives,
+    node_delta,
     plan_node_config,
-    stage1_program,
 )
 from repro.dse.stats import DseStats
 from repro.hls.device import DEFAULT_DEVICE, FPGADevice
 from repro.hls.estimator import HlsEstimator, TransientEstimatorError
 from repro.hls.report import SynthesisReport
 from repro.polyir.program import PolyProgram
+from repro.polyir.statement import PolyStatement
 from repro.util.deadline import (
     Deadline,
     DeadlineExceeded,
@@ -203,11 +214,18 @@ class Evaluator:
         t0 = time.perf_counter()
         with _trace.span("dse.stage1", "dse"):
             self.plan = plan_stage1(function, self.graph)
-            self.program = stage1_program(function, self.plan)
+            # What every candidate shares: structural + stage-1
+            # directives, replayed once.  Never transformed in place.
+            self.base = PolyProgram(function).apply_schedule(
+                self.structural + self.plan.directives
+            )
         self.stats.stage1_s += time.perf_counter() - t0
         self.nodes: List[str] = [c.name for c in function.computes]
 
         self._config_memo: Dict[Tuple[str, int], NodeConfig] = {}
+        self._statement_memo: Dict[tuple, Tuple[NodeDelta, PolyStatement]] = {}
+        # (config fingerprints, program) of the most recent candidate.
+        self._scheduled: Optional[Tuple[tuple, PolyProgram]] = None
         self._partition_memo: Dict[tuple, Dict[str, Tuple[int, ...]]] = {}
         self._design_memo: Dict[tuple, Tuple[SynthesisReport, FuncOp]] = {}
         self._nest_memo: Optional[Dict[tuple, list]] = {} if cache else None
@@ -219,7 +237,7 @@ class Evaluator:
         config = self._config_memo.get((name, degree))
         if config is None:
             config = plan_node_config(
-                self.function, self.plan, name, degree, program=self.program
+                self.function, self.plan, name, degree, program=self.base
             )
             if self.cache:
                 self.stats.config_cache_misses += 1
@@ -250,24 +268,62 @@ class Evaluator:
         for directive in self.structural:
             function.schedule.add(directive)
         for directive in config_directives(
-            function, self.plan, configs, program=self.program
+            function, self.plan, configs, program=self.base
         ):
             function.schedule.add(directive)
 
-    def partitions(
-        self, configs: Dict[str, NodeConfig], bank_cap: int, installed: bool = False
-    ) -> Dict[str, Tuple[int, ...]]:
-        """Partition factors derived for ``configs`` at a banking budget.
+    def scheduled(self, configs: Dict[str, NodeConfig]) -> PolyProgram:
+        """The polyhedral program of ``configs``, assembled incrementally.
 
-        Derivation reads the installed schedule, so a miss installs
-        ``configs`` first unless the caller already has (``installed``).
+        Loop transforms and hardware opts touch only the statement they
+        name, so a candidate is the base program with each node's
+        stage-2 directives applied to that node's statement alone
+        (memoized by config fingerprint); only the fusion ``after``
+        surgery reads other statements, and it runs last, on the whole.
+        The most recent program is kept -- partitions, lowering and the
+        bank-cap retries of one candidate share it -- so callers must
+        not transform it.
         """
+        key = self.fingerprint(configs)
+        if self._scheduled is not None and self._scheduled[0] == key:
+            return self._scheduled[1]
+        stats = self.stats
+        t0 = time.perf_counter()
+        program = self.base.copy()
+        deltas = {}
+        for index, (name, memo_key) in enumerate(zip(self.nodes, key)):
+            memoized = self._statement_memo.get(memo_key)
+            if memoized is None:
+                delta = node_delta(self.base, self.plan, configs[name])
+                program.apply_schedule(delta.directives)
+                if self.cache:
+                    stats.statement_cache_misses += 1
+                    # Copied on store and on load: fusion surgery and
+                    # annotations mutate statics / hw_opts in place.
+                    self._statement_memo[memo_key] = (
+                        delta, program.statements[index].copy()
+                    )
+            else:
+                stats.statement_cache_hits += 1
+                delta, statement = memoized
+                program.statements[index] = statement.copy()
+            deltas[name] = delta
+        program.apply_schedule(fusion_directives(self.plan, deltas))
+        stats.lowering_s += time.perf_counter() - t0
+        # Only a fully assembled program becomes current.
+        self._scheduled = (key, program)
+        return program
+
+    def partitions(
+        self, configs: Dict[str, NodeConfig], bank_cap: int
+    ) -> Dict[str, Tuple[int, ...]]:
+        """Partition factors derived for ``configs`` at a banking budget."""
         key = (self.fingerprint(configs), bank_cap)
         derived = self._partition_memo.get(key)
         if derived is None:
-            if not installed:
-                self.install(configs)
-            derived = derive_partitions(self.function, max_banks=bank_cap)
+            derived = derive_partitions(
+                self.function, max_banks=bank_cap, program=self.scheduled(configs)
+            )
             if self.cache:
                 self.stats.partition_cache_misses += 1
                 self._partition_memo[key] = derived
@@ -299,7 +355,7 @@ class Evaluator:
         """
         stats = self.stats
         self.install(configs)
-        self._apply_partitions(self.partitions(configs, bank_cap, installed=True))
+        self._apply_partitions(self.partitions(configs, bank_cap))
         key = (
             self.fingerprint(configs),
             tuple(p.fingerprint() for p in self.function.placeholders()),
@@ -311,8 +367,8 @@ class Evaluator:
                 return hit
             stats.design_cache_misses += 1
         stats.lowerings += 1
+        scheduled = self.scheduled(configs)
         t0 = time.perf_counter()
-        scheduled = PolyProgram(self.function).apply_schedule()
         func_op = lower_program_incremental(scheduled, cache=self._nest_memo, stats=stats)
         stats.lowering_s += time.perf_counter() - t0
         report = self.estimate(func_op)

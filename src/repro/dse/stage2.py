@@ -164,6 +164,57 @@ def _node_extents(program: PolyProgram, node: str, order: List[str]) -> Dict[str
     return extents
 
 
+@dataclass
+class NodeDelta:
+    """What one node's stage-2 config adds on top of the stage-1 program."""
+
+    directives: List[Directive]
+    pipeline_level: str
+    order: List[str]          # final loop order, outermost first
+    extents: Dict[str, int]   # trip count of every final loop dim
+
+
+def node_delta(program: PolyProgram, plan: Stage1Plan, config: NodeConfig) -> NodeDelta:
+    """Stage-2 directives of one node, over the stage-1 ``program``.
+
+    The directives name only ``config.name``'s statement, so applying
+    them to that statement alone gives the same statement as replaying
+    them inside the whole installed schedule.
+    """
+    node = config.name
+    directives: List[Directive] = []
+    order = list(plan.orders[node])
+    unrolled_parts: List[str] = []
+    extents = _node_extents(program, node, order)
+    pipeline_level = config.pipeline_dim
+
+    for dim, factor in config.unrolls:
+        if dim != config.pipeline_dim and factor >= extents.get(dim, 1):
+            # whole dim unrolled: no split needed
+            unrolled_parts.append(dim)
+        else:
+            outer, inner = f"{dim}_t", f"{dim}_u"
+            directives.append(Split(node, dim, factor, outer, inner))
+            order[order.index(dim)] = outer
+            extent = extents.pop(dim)
+            extents[outer] = -(-extent // factor)
+            extents[inner] = factor
+            unrolled_parts.append(inner)
+            if dim == config.pipeline_dim:
+                # the tile loop carries the pipeline; the chunk unrolls
+                pipeline_level = outer
+
+    sequential = [d for d in order if d not in unrolled_parts and d != pipeline_level]
+    target = sequential + [pipeline_level] + unrolled_parts
+    current = _simulate_order(order, unrolled_parts, pipeline_level)
+    directives.extend(_reorder(node, current, target))
+
+    directives.append(Pipeline(node, pipeline_level, 1))
+    for part in unrolled_parts:
+        directives.append(Unroll(node, part, 0))
+    return NodeDelta(directives, pipeline_level, target, extents)
+
+
 def config_directives(
     function: Function,
     plan: Stage1Plan,
@@ -177,49 +228,15 @@ def config_directives(
     replaying stage 1 on every call, which the DSE engine does hundreds
     of times per search with an unchanged plan.
     """
+    if program is None:
+        program = stage1_program(function, plan)
+    deltas = {
+        node: node_delta(program, plan, config) for node, config in configs.items()
+    }
     directives: List[Directive] = list(plan.directives)
-    pipeline_levels: Dict[str, str] = {}
-    final_orders: Dict[str, List[str]] = {}
-    final_extents: Dict[str, Dict[str, int]] = {}
-    base_program = program if program is not None else stage1_program(function, plan)
-
-    for node, config in configs.items():
-        order = list(plan.orders[node])
-        unrolled_parts: List[str] = []
-        extents = _node_extents(base_program, node, order)
-        pipeline_level = config.pipeline_dim
-
-        for dim, factor in config.unrolls:
-            if dim != config.pipeline_dim and factor >= extents.get(dim, 1):
-                # whole dim unrolled: no split needed
-                unrolled_parts.append(dim)
-            else:
-                outer, inner = f"{dim}_t", f"{dim}_u"
-                directives.append(Split(node, dim, factor, outer, inner))
-                order[order.index(dim)] = outer
-                extent = extents.pop(dim)
-                extents[outer] = -(-extent // factor)
-                extents[inner] = factor
-                unrolled_parts.append(inner)
-                if dim == config.pipeline_dim:
-                    # the tile loop carries the pipeline; the chunk unrolls
-                    pipeline_level = outer
-
-        sequential = [d for d in order if d not in unrolled_parts and d != pipeline_level]
-        target = sequential + [pipeline_level] + unrolled_parts
-        current = _simulate_order(order, unrolled_parts, pipeline_level)
-        directives.extend(_reorder(node, current, target))
-
-        directives.append(Pipeline(node, pipeline_level, 1))
-        for part in unrolled_parts:
-            directives.append(Unroll(node, part, 0))
-        pipeline_levels[node] = pipeline_level
-        final_orders[node] = target
-        final_extents[node] = extents
-
-    directives.extend(
-        _fusion_directives(plan, configs, pipeline_levels, final_orders, final_extents)
-    )
+    for delta in deltas.values():
+        directives.extend(delta.directives)
+    directives.extend(fusion_directives(plan, deltas))
     return directives
 
 
@@ -248,13 +265,7 @@ def _reorder(node: str, current: List[str], target: List[str]) -> List[Directive
     return moves
 
 
-def _fusion_directives(
-    plan: Stage1Plan,
-    configs: Dict[str, NodeConfig],
-    pipeline_levels: Dict[str, str],
-    final_orders: Dict[str, List[str]],
-    final_extents: Dict[str, Dict[str, int]],
-) -> List[Directive]:
+def fusion_directives(plan: Stage1Plan, deltas: Dict[str, NodeDelta]) -> List[Directive]:
     """Fuse group members at the pipeline level when their shapes match.
 
     Fusion requires the pipeline dim at the same nesting level in both
@@ -263,30 +274,35 @@ def _fusion_directives(
     """
     directives: List[Directive] = []
     for group in plan.fused_groups:
-        members = [m for m in group if m in configs]
-        for previous, current in zip(members, members[1:]):
-            prev_order = final_orders[previous]
-            cur_order = final_orders[current]
-            prev_level = prev_order.index(pipeline_levels[previous])
-            cur_level = cur_order.index(pipeline_levels[current])
+        members = [m for m in group if m in deltas]
+        for name, current_name in zip(members, members[1:]):
+            previous, current = deltas[name], deltas[current_name]
+            prev_level = previous.order.index(previous.pipeline_level)
+            cur_level = current.order.index(current.pipeline_level)
             if prev_level != cur_level:
                 continue  # incompatible nesting; leave sequential
-            prev_trips = [final_extents[previous].get(d) for d in prev_order[: prev_level + 1]]
-            cur_trips = [final_extents[current].get(d) for d in cur_order[: cur_level + 1]]
+            prev_trips = [previous.extents.get(d) for d in previous.order[: prev_level + 1]]
+            cur_trips = [current.extents.get(d) for d in current.order[: cur_level + 1]]
             if prev_trips != cur_trips:
                 continue
-            directives.append(After(current, previous, pipeline_levels[previous], structural=False))
+            directives.append(
+                After(current_name, name, previous.pipeline_level, structural=False)
+            )
     return directives
 
 
-def derive_partitions(function: Function, max_banks: int = 128) -> Dict[str, Tuple[int, ...]]:
+def derive_partitions(
+    function: Function, max_banks: int = 128, program: Optional[PolyProgram] = None
+) -> Dict[str, Tuple[int, ...]]:
     """Cyclic partition factors making unrolled copies hit distinct banks.
 
-    Replays the function's current schedule, finds every completely
-    unrolled loop dim, and for each array dimension takes the product of
-    the extents of unrolled dims appearing in its index expression.
+    Finds every completely unrolled loop dim of the scheduled
+    ``program`` (by default: the function's current schedule, replayed
+    here) and for each array dimension takes the product of the extents
+    of unrolled dims appearing in its index expression.
     """
-    program = PolyProgram(function).apply_schedule()
+    if program is None:
+        program = PolyProgram(function).apply_schedule()
     factors: Dict[str, List[int]] = {}
     for stmt in program.statements:
         unrolled = {

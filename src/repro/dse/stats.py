@@ -3,7 +3,7 @@
 :class:`DseStats` records how much work one :func:`~repro.dse.engine.auto_dse`
 call performed and how much each caching layer saved: design-point
 evaluations, cache hits/misses per layer (design, lowering, report,
-config, partition), the globally memoized isl kernel counters
+config, partition, statement), the globally memoized isl kernel counters
 (delta over the run), and wall-time per phase (stage 1, lowering, AST
 building, estimation).  Attached to :class:`~repro.dse.engine.DseResult`
 and printed by ``repro dse --stats``.
@@ -61,6 +61,8 @@ class DseStats:
     config_cache_misses: int = 0
     partition_cache_hits: int = 0  # (configs, bank_cap) -> partitions reuse
     partition_cache_misses: int = 0
+    statement_cache_hits: int = 0  # node config -> transformed statement reuse
+    statement_cache_misses: int = 0
 
     # -- globally memoized isl kernels (delta over this run) ----------------
     isl_counters: Dict[str, Tuple[int, int]] = field(default_factory=dict)
@@ -161,6 +163,8 @@ class DseStats:
             f"   {rate(self.config_cache_hits, self.config_cache_misses):>8}",
             f"    partitions         {self.partition_cache_hits:6d} {self.partition_cache_misses:8d}"
             f"   {rate(self.partition_cache_hits, self.partition_cache_misses):>8}",
+            f"    statement          {self.statement_cache_hits:6d} {self.statement_cache_misses:8d}"
+            f"   {rate(self.statement_cache_hits, self.statement_cache_misses):>8}",
         ]
         for name, (hits, misses) in sorted(self.isl_counters.items()):
             lines.append(

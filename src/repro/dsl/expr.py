@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.isl.affine import AffineExpr
 from repro.isl.maps import MultiAffineMap
 
@@ -128,8 +130,8 @@ class BinaryOp(Expr):
         "+": lambda a, b: a + b,
         "-": lambda a, b: a - b,
         "*": lambda a, b: a * b,
-        "/": lambda a, b: a / b if isinstance(a, float) or isinstance(b, float) else _int_div(a, b),
-        "%": lambda a, b: math.fmod(a, b) if isinstance(a, float) or isinstance(b, float) else _int_mod(a, b),
+        "/": lambda a, b: _int_div(a, b) if _is_integer(a) and _is_integer(b) else a / b,
+        "%": lambda a, b: _int_mod(a, b) if _is_integer(a) and _is_integer(b) else np.fmod(a, b),
     }
 
     def __init__(self, op: str, lhs: Expr, rhs: Expr):
@@ -150,6 +152,13 @@ class BinaryOp(Expr):
 
     def __repr__(self):
         return f"({self.lhs} {self.op} {self.rhs})"
+
+
+def _is_integer(value: Scalar) -> bool:
+    """Whether a scalar takes C *integer* arithmetic.  Everything else,
+    ``np.float32`` included, divides truly and takes ``fmod`` at its own
+    width -- the rule the interpreter's ``c_div`` / ``c_mod`` apply."""
+    return isinstance(value, (int, np.integer))
 
 
 def _int_div(a: int, b: int) -> int:

@@ -619,7 +619,7 @@ def _bank_pressure_vectorized(array, index_lists, unrolled_dims, ranges, scheme)
             )
             columns.append(grid @ coeffs + expr.constant)
         blocks.append(np.stack(columns, axis=1))
-    elements = np.unique(np.concatenate(blocks, axis=0), axis=0)
+    elements, _ = _unique_rows(np.concatenate(blocks, axis=0))
     if scheme is None:
         return int(elements.shape[0])
     banks = np.zeros_like(elements)
@@ -635,8 +635,24 @@ def _bank_pressure_vectorized(array, index_lists, unrolled_dims, ranges, scheme)
             )
         else:  # complete
             banks[:, col] = values
-    _, counts = np.unique(banks, axis=0, return_counts=True)
+    _, counts = _unique_rows(banks)
     return int(counts.max()) if counts.size else 0
+
+
+def _unique_rows(rows: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+    """Distinct rows of a 2-D integer array, sorted, and their counts.
+
+    What ``np.unique(rows, axis=0, return_counts=True)`` returns, from
+    one lexsort and a comparison of adjacent rows; ``np.unique`` gets
+    there through a structured-dtype view (and imports ``numpy.ma``).
+    """
+    if rows.shape[0] == 0:
+        return rows, np.zeros(0, dtype=np.intp)
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    )
+    return ordered[starts], np.diff(np.append(starts, rows.shape[0]))
 
 
 def _bank_id(array, element: tuple, scheme) -> tuple:

@@ -36,12 +36,22 @@ from repro.polyir.transforms import TransformError
 class PolyProgram:
     """Polyhedral representation of a function under a schedule."""
 
-    def __init__(self, function: Function):
+    def __init__(
+        self, function: Function, statements: Optional[List[PolyStatement]] = None
+    ):
         self.function = function
-        self.statements: List[PolyStatement] = [
-            PolyStatement.from_compute(compute, position)
-            for position, compute in enumerate(function.computes)
-        ]
+        if statements is None:
+            statements = [
+                PolyStatement.from_compute(compute, position)
+                for position, compute in enumerate(function.computes)
+            ]
+        self.statements: List[PolyStatement] = statements
+
+    def copy(self) -> "PolyProgram":
+        """The same program over copied statements: transforming the copy
+        (in-place ``after`` surgery and annotations included) leaves this
+        one untouched."""
+        return PolyProgram(self.function, [stmt.copy() for stmt in self.statements])
 
     # -- lookup ------------------------------------------------------------
 

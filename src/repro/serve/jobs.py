@@ -292,7 +292,6 @@ def preload() -> None:
     of :func:`execute_job`'s helpers (and of the engine beneath them);
     ``tests/serve/test_supervision.py`` fails when it falls behind.
     """
-    import numpy.ma  # noqa: F401  (np.unique in the bank-pressure model)
     import numpy.random  # noqa: F401  (fuzz schedule generator)
 
     import repro.dataflow  # noqa: F401

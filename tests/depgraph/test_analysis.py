@@ -201,9 +201,11 @@ class TestCrossOffsets:
 @pytest.mark.perfsmoke
 def test_perfsmoke_one_sample_per_carried_level(monkeypatch):
     """Count-based guard (no timing): the engine samples a relation once
-    per non-empty (pair, level), and sampling shares one elimination
-    chain instead of re-projecting per dim -- a vgg16 conv statement
-    cost 54 samples and 323 projection-table misses before that."""
+    per non-empty (distinct relation, level) -- an accumulating conv's
+    RAW, WAR and WAW pairs are one relation, solved once -- and sampling
+    shares one elimination chain instead of re-projecting per dim: a
+    vgg16 conv statement cost 54 samples and 323 projection-table misses
+    before that."""
     from repro import workloads
     from repro.dse.analysis import carried_for_statement
     from repro.dse.stage1 import plan_stage1
@@ -227,5 +229,6 @@ def test_perfsmoke_one_sample_per_carried_level(monkeypatch):
     finally:
         memo.activate(previous)
     assert len(deps) == 9
-    assert len(samples) == len(deps)
+    assert {d.kind for d in deps} == {"RAW", "WAR", "WAW"}
+    assert len(samples) == 3
     assert context.stats_snapshot()["projection"][1] <= 80

@@ -22,8 +22,8 @@ def _stage(design_name, stage_name):
 
 
 # name -> fresh-function factory: single nests, multi-nest programs,
-# fused groups (bicg, 3mm, gesummv), a skewed stencil, and one dataflow
-# stage function.
+# fused groups (bicg, 3mm, gesummv), a skewed stencil, one dataflow
+# stage function, and the two DNNs (13 and 20 statements).
 SEAM_WORKLOADS = {
     "gemm": lambda: workloads.get("gemm", 16),
     "bicg": lambda: workloads.get("bicg", 16),
@@ -32,6 +32,8 @@ SEAM_WORKLOADS = {
     "seidel": lambda: workloads.get("seidel", 16),
     "blur": lambda: workloads.get("blur", 16),
     "image-pipeline.grad": _stage("image-pipeline", "grad"),
+    "vgg16": lambda: workloads.get("vgg16", 4),
+    "resnet18": lambda: workloads.get("resnet18", 4),
 }
 # (degree for every node, bank cap)
 POINTS = [(1, 128), (4, 128), (4, 8), (8, 16)]

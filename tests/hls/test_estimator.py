@@ -1,9 +1,14 @@
 """Unit tests for the virtual HLS estimator (latency, II, resources)."""
 
+import numpy as np
 import pytest
 
 from repro.dsl import Function, compute, placeholder, var
+from repro.dsl.placeholder import PartitionScheme
 from repro.hls import DEFAULT_DEVICE, HlsEstimator
+from repro.hls.estimator import _unique_rows
+from repro.isl.affine import AffineExpr
+from repro.isl.intern import set_reference_mode
 from repro.pipeline import estimate, lower_to_affine
 
 
@@ -252,3 +257,44 @@ class TestEstimatorConfig:
         a = HlsEstimator(clock_ns=10.0).estimate(lower_to_affine(f))
         b = HlsEstimator().estimate(lower_to_affine(f))
         assert a.total_cycles == b.total_cycles
+
+
+class TestBankPressureDedupe:
+    """The sort-based row dedupe behind the vectorized bank-pressure count."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[3, -1], [-2, 5], [3, -1], [-2, -7], [0, 0], [-2, 5], [3, -1]],
+            [[-4], [2], [-4], [0], [2], [-9]],  # one column
+            [[7, -7, 7]],  # one row
+            np.zeros((0, 3), dtype=np.int64),  # zero rows
+            np.random.default_rng(7).integers(-3, 4, size=(300, 3)),
+        ],
+        ids=["negatives-and-duplicates", "one-column", "one-row", "zero-rows", "random"],
+    )
+    def test_unique_rows_is_numpy_unique(self, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        got_rows, got_counts = _unique_rows(rows)
+        want_rows, want_counts = np.unique(rows, axis=0, return_counts=True)
+        assert np.array_equal(got_rows, want_rows)
+        assert np.array_equal(got_counts, want_counts)
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [None, PartitionScheme((4, 3), "cyclic"), PartitionScheme((4, 1), "block"),
+         PartitionScheme((16, 12), "complete")],
+        ids=["unpartitioned", "cyclic", "block", "complete"],
+    )
+    def test_vectorized_count_is_the_scalar_loop(self, scheme):
+        A = placeholder("A", (16, 12))
+        i, j = AffineExpr.var("i"), AffineExpr.var("j")
+        # Negative and repeated elements: copies that fold onto one port.
+        index_lists = [[i + j * 2 - 3, j], [i, j - 1], [i + 1, j * 0 + 2], [i, j - 1]]
+        args = (A, index_lists, ["i", "j"], {"i": 8, "j": 6}, scheme)
+        fast = HlsEstimator()._bank_pressure_uncached(*args)
+        previous = set_reference_mode(True)  # forces the scalar loop
+        try:
+            assert HlsEstimator()._bank_pressure_uncached(*args) == fast
+        finally:
+            set_reference_mode(previous)

@@ -1,11 +1,14 @@
 """Integration tests: the full DSL -> HLS C pipeline on real workloads."""
 
+import shutil
+
 import numpy as np
 import pytest
 
-from repro.affine import interpret
-from repro.dsl import Function, compute, placeholder, var
+from repro.affine import interpret, simulate
+from repro.dsl import Function, compute, float32, int32, placeholder, var
 from repro.hlsgen import generate_hls_c
+from repro.hlsgen.testbench import cosimulate, deterministic_arrays
 from repro.pipeline import (
     analyze,
     compile_to_hls_c,
@@ -117,3 +120,60 @@ class TestMultiFunctionIsolation:
         f2 = polybench.gemm(8)
         assert len(f2.schedule) == 0
         assert all(p.partition_scheme is None for p in f2.placeholders())
+
+
+class TestDivModAcrossExecutors:
+    """``/`` and ``%`` mean C's operators in every executor: the DSL
+    reference, the interpreter, the compiled simulator and the emitted C.
+    The reference used to test ``isinstance(x, float)``, which is false
+    for ``np.float32``, and floor-divided f32 operands."""
+
+    @staticmethod
+    def _kernel(dtype, divisor_shift):
+        # Shifts make dividends and divisors of both signs (and no zero
+        # divisor) out of the testbench's own inputs: floats in [-2, 2),
+        # integers in [0, 8).
+        with Function("divmod") as f:
+            i = var("i", 0, 64)
+            A = placeholder("A", (64,), dtype)
+            B = placeholder("B", (64,), dtype)
+            Q = placeholder("Q", (64,), dtype)
+            R = placeholder("R", (64,), dtype)
+            dividend = A(i) if dtype.is_float else A(i) - 4
+            compute("Sq", [i], dividend / (B(i) - divisor_shift), Q(i))
+            compute("Sr", [i], dividend % (B(i) + divisor_shift), R(i))
+        return f
+
+    CASES = [("f32", float32, 2.5), ("i32", int32, 9)]
+
+    @pytest.mark.parametrize("name,dtype,shift", CASES, ids=[c[0] for c in CASES])
+    def test_reference_interpreter_and_simulator_agree(self, name, dtype, shift):
+        function = self._kernel(dtype, shift)
+        inputs = deterministic_arrays(function)
+        assert (inputs["A"] - (0 if dtype.is_float else 4) < 0).any()
+        expected = {k: v.copy() for k, v in inputs.items()}
+        function.reference_execute(expected)
+        assert (expected["Q"] != 0).any() and (expected["R"] < 0).any()
+        for run in (interpret, simulate):
+            actual = {k: v.copy() for k, v in inputs.items()}
+            run(lower_to_affine(function), actual)
+            for array in ("Q", "R"):
+                assert np.array_equal(actual[array], expected[array]), (run, array)
+
+    def test_float32_division_is_true_division(self):
+        function = self._kernel(float32, 2.5)
+        arrays = deterministic_arrays(function)
+        function.reference_execute(arrays)
+        assert np.array_equal(arrays["Q"], arrays["A"] / (arrays["B"] - np.float32(2.5)))
+        assert np.array_equal(
+            arrays["R"], np.fmod(arrays["A"], arrays["B"] + np.float32(2.5))
+        )
+
+    @pytest.mark.skipif(
+        shutil.which("gcc") is None and shutil.which("cc") is None,
+        reason="no C compiler available",
+    )
+    @pytest.mark.parametrize("name,dtype,shift", CASES, ids=[c[0] for c in CASES])
+    def test_emitted_c_agrees(self, name, dtype, shift):
+        result = cosimulate(self._kernel(dtype, shift))
+        assert result.matched, result.mismatches()
