@@ -291,7 +291,6 @@ def _cmd_dse_all(args) -> int:
         candidate_timeout_s=args.candidate_timeout,
         time_budget_s=args.time_budget,
         objective=_resolve_objective(args),
-        surrogate=not args.no_surrogate,
     )
     tracer = trace_mod.Tracer() if args.trace else None
     with trace_mod.tracing(tracer) if tracer else _null_context():
@@ -393,13 +392,26 @@ def _report_dataflow_dse(args, result) -> int:
                 f"  parallelism {candidate.parallelism}: "
                 f"{candidate.diagnostic.oneline()}"
             )
-        if not args.allow_degraded:
-            print(
-                "sweep degraded (quarantined candidates); pass "
-                "--allow-degraded to accept the best design found",
-                file=sys.stderr,
-            )
-            return 3
+    if args.stats:
+        from repro.dse.stats import DseStats
+
+        # Same shape as `--all --stats`: one block per sweep, then the sum.
+        for name, stage in result.stage_results.items():
+            print()
+            print(f"stage {name}:")
+            print(_indent(stage.stats.summary()))
+        print()
+        print("merged (totals are the sum of the stages above):")
+        print(_indent(DseStats.merge(
+            [stage.stats for stage in result.stage_results.values()]
+        ).summary()))
+    if result.quarantine and not args.allow_degraded:
+        print(
+            "sweep degraded (quarantined candidates); pass "
+            "--allow-degraded to accept the best design found",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 
@@ -432,7 +444,6 @@ def cmd_dse(args) -> int:
         candidate_timeout_s=args.candidate_timeout,
         time_budget_s=args.time_budget,
         objective=objective,
-        surrogate=not args.no_surrogate,
     )
     tracer = trace_mod.Tracer() if args.trace else None
     try:
@@ -783,12 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse_p.add_argument(
         "--pareto", action="store_true",
         help="shorthand for --objective pareto (latency,dsp frontier)",
-    )
-    dse_p.add_argument(
-        "--no-surrogate", action="store_true",
-        help="frontier modes: disable the surrogate ranker and the "
-             "provable-skip report copies; every grid candidate is "
-             "exactly estimated (the differential escape hatch)",
     )
     dse_p.set_defaults(func=cmd_dse)
 

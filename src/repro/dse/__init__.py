@@ -24,7 +24,6 @@ from repro.dse.pareto import (
     frontier_summary,
     parse_objective,
 )
-from repro.dse.surrogate import SurrogateModel
 from repro.dse.stage1 import Stage1Plan, plan_stage1
 from repro.dse.stats import DseStats
 from repro.dse.parallel import (
@@ -73,7 +72,6 @@ __all__ = [
     "Objective",
     "ParetoFrontier",
     "ParetoPoint",
-    "SurrogateModel",
     "dominates",
     "frontier_summary",
     "parse_objective",

@@ -59,11 +59,6 @@ from repro.dse.pareto import (
     ParetoFrontier,
     ParetoPoint,
 )
-from repro.dse.surrogate import (
-    SurrogateModel,
-    candidate_features,
-    memo_hit_rate,
-)
 from repro.dse.stage1 import Stage1Plan
 from repro.dse.stage2 import NodeConfig
 from repro.dse.stats import DseStats
@@ -276,8 +271,8 @@ def auto_dse(
             )
             result = _search(
                 _Sweep(
-                    evaluator, budget, objective, options.surrogate,
-                    options.max_parallelism, engine, quarantine,
+                    evaluator, budget, objective, options.max_parallelism,
+                    engine, quarantine,
                     journal=journal, fault_plan=fault_plan,
                 )
             )
@@ -360,8 +355,6 @@ _STATS_METRICS = (
     ("report_misses", "dse.cache.report.misses"),
     ("config_cache_hits", "dse.cache.config.hits"),
     ("config_cache_misses", "dse.cache.config.misses"),
-    ("partition_cache_hits", "dse.cache.partitions.hits"),
-    ("partition_cache_misses", "dse.cache.partitions.misses"),
     ("statement_cache_hits", "dse.cache.statement.hits"),
     ("statement_cache_misses", "dse.cache.statement.misses"),
     ("pareto_candidates", "dse.pareto.candidates"),
@@ -409,7 +402,6 @@ class _Sweep:
     evaluator: Evaluator
     budget: FPGADevice
     objective: Objective
-    surrogate: bool
     max_parallelism: int
     engine: DiagnosticEngine
     quarantine: List[QuarantinedCandidate]
@@ -521,7 +513,6 @@ def _evaluate(
     par: Dict[str, int],
     bank_cap: int = 128,
     force: bool = False,
-    exact: bool = False,
 ) -> Tuple[SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp]]:
     """Score one candidate at its sequential position in the sweep.
 
@@ -533,7 +524,7 @@ def _evaluate(
     stats.evaluations += 1
     configs = evaluator.configs(par)
     jkey = candidate_key(par, bank_cap)
-    if journal is not None and not force and not exact:
+    if journal is not None and not force:
         record = journal.replay(jkey)
         if record is not None:
             # Resumed sweep: this candidate was already scored before
@@ -562,7 +553,7 @@ def _evaluate(
     try:
         with _trace.span("dse.candidate", "dse", span_args):
             with evaluator.watchdog():
-                report, func_op = evaluator.realize(configs, bank_cap, exact=exact)
+                report, func_op = evaluator.realize(configs, bank_cap)
     finally:
         if sweep.fault_plan is not None:
             sweep.fault_plan.exit_candidate()
@@ -741,55 +732,19 @@ def _climb(sweep: _Sweep, parallelism: Dict[str, int]) -> None:
 # -- frontier enrichment (objective="pareto"/"weighted") ----------------------
 
 
-def _design_signature(sweep: _Sweep, par: Dict[str, int], cap: int) -> tuple:
-    """Node-config fingerprints plus the partition factors at ``cap``.
-
-    Two candidates with equal signatures lower to the bit-identical
-    design.  The partitions come from (and land in) the evaluator's one
-    partitions memo, so an enrichment candidate that is then really
-    evaluated does not derive them a second time.
-    """
-    evaluator = sweep.evaluator
-    configs = evaluator.configs(par)
-    derived = evaluator.partitions(configs, cap)
-    return (
-        evaluator.fingerprint(configs),
-        tuple(sorted((name, tuple(factors)) for name, factors in derived.items())),
-    )
-
-
-def _rank_pending(sweep: _Sweep, pending: list) -> list:
-    """Order the exact evaluations by the surrogate's predicted value."""
-    objective = sweep.objective
-    iteration_volume = sum(
-        _iteration_volume(compute) for compute in sweep.evaluator.function.computes
-    )
-    hit_rate = memo_hit_rate(_isl_memo.stats_snapshot())
-
-    def features(par: Dict[str, int], bank_cap: int):
-        return candidate_features(
-            math.prod(par.values()), bank_cap, iteration_volume, hit_rate
-        )
-
-    model = SurrogateModel(axes=objective.axes, weights=objective.weights)
-    for spar, scap, sreport in sweep.scored.values():
-        model.observe(features(spar, scap), objective.vector(sreport))
-    return model.rank([(entry, features(entry[0], entry[1])) for entry in pending])
-
-
 def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
     """Complete the (visited parallelism) x (bank cap) grid; the frontier.
 
-    Provable skips (surrogate mode only): a pending candidate whose
-    *design signature* matches an already-scored design lowers to the
-    bit-identical design, so its report is copied instead of estimated.
-    Signature equality is the only skip condition; the surrogate model
-    merely orders the exact evaluations, which is why the frontier is
-    provably identical with the surrogate on or off (the differential
-    suite pins this).
+    Every grid member the ladder did not score is evaluated like any
+    other candidate, in grid order (the caps of one parallelism vector
+    are consecutive, so they share one assembled program).  A member
+    that lowers to an already-scored design -- a bank cap that derives
+    the same banking -- is answered by the evaluator's design memo and
+    counted as ``surrogate_skips``; one that reaches the estimator is
+    ``pareto_evaluated``.
     """
     stats, journal, engine = sweep.stats, sweep.journal, sweep.engine
-    objective, surrogate, scored = sweep.objective, sweep.surrogate, sweep.scored
+    objective, scored = sweep.objective, sweep.scored
     deadline = sweep.evaluator.sweep_deadline
     # Distinct parallelism vectors, in the order the sweep first scored them.
     visited: Dict[tuple, Dict[str, int]] = {}
@@ -801,16 +756,11 @@ def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
         for cap in BANK_CAPS
     ]
     stats.pareto_candidates += len(grid)
-    pending = [entry for entry in grid if entry[2] not in scored]
-
-    if surrogate:
-        pending = _rank_pending(sweep, pending)
-        sig_to_report: Dict[tuple, SynthesisReport] = {}
-        for spar, scap, sreport in scored.values():
-            sig_to_report.setdefault(_design_signature(sweep, spar, scap), sreport)
 
     try:
-        for par, cap, jkey in pending:
+        for par, cap, jkey in grid:
+            if jkey in scored:
+                continue
             if deadline is not None and deadline.exceeded():
                 if not stats.time_budget_hit:
                     stats.time_budget_hit = True
@@ -820,34 +770,18 @@ def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
                         "exhausted; publishing the partial frontier",
                     )
                 break
-            if surrogate:
-                signature = _design_signature(sweep, par, cap)
-                donor = sig_to_report.get(signature)
-                if donor is not None:
-                    # Bit-identical design already scored: copy
-                    # its report.  Journaled (ordinal unchanged:
-                    # no real evaluation started) so a resumed
-                    # sweep replays the copy too.
-                    stats.surrogate_skips += 1
-                    _note_scored(sweep, par, cap, donor)
-                    if journal is not None:
-                        journal.append_eval(
-                            stats.candidates, jkey, par, cap,
-                            report=donor, elapsed_s=0.0,
-                        )
-                    continue
+            memo_hits = stats.design_cache_hits
             try:
-                enriched_report, _, _ = _evaluate(
-                    sweep, par, cap, exact=not surrogate
-                )
+                _evaluate(sweep, par, cap)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
                 _quarantine(sweep, exc, par, cap)
                 continue
-            stats.pareto_evaluated += 1
-            if surrogate:
-                sig_to_report.setdefault(signature, enriched_report)
+            if stats.design_cache_hits > memo_hits:
+                stats.surrogate_skips += 1
+            else:
+                stats.pareto_evaluated += 1
     except KeyboardInterrupt:
         stats.interrupted = True
         engine.note(
@@ -898,9 +832,6 @@ def _pick_bottleneck(graph, latencies: Dict[str, int], active) -> Optional[str]:
     return None
 
 
-def _iteration_volume(compute) -> int:
-    return math.prod(it.extent for it in compute.iters)
-
-
 def _max_parallelism(function: Function, node: str, cap: int) -> int:
-    return min(cap, _iteration_volume(function.get_compute(node)))
+    iters = function.get_compute(node).iters
+    return min(cap, math.prod(it.extent for it in iters))

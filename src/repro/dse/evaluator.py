@@ -20,7 +20,6 @@ Evaluation is memoized at several layers (all local to one
 - *statement*: node-config fingerprint -> that node's stage-2 delta and
   transformed statement, before fusion (a ladder step changes one fusion
   group, so every other node's statement is reused);
-- *partitions*: ``(config fingerprints, bank_cap)`` -> derived factors;
 - *design*: ``(config fingerprints, partition fingerprints)`` -> lowered
   function + report, catching bank caps that derive identical banking;
 - *nest lowering*: per top-level loop nest, keyed on statement
@@ -56,7 +55,6 @@ from repro.dse.stage1 import plan_stage1
 from repro.dse.stage2 import (
     NodeConfig,
     NodeDelta,
-    config_directives,
     derive_partitions,
     fusion_directives,
     node_delta,
@@ -224,9 +222,11 @@ class Evaluator:
 
         self._config_memo: Dict[Tuple[str, int], NodeConfig] = {}
         self._statement_memo: Dict[tuple, Tuple[NodeDelta, PolyStatement]] = {}
-        # (config fingerprints, program) of the most recent candidate.
-        self._scheduled: Optional[Tuple[tuple, PolyProgram]] = None
-        self._partition_memo: Dict[tuple, Dict[str, Tuple[int, ...]]] = {}
+        # (config fingerprints, program, node deltas) of the most recent
+        # candidate.
+        self._scheduled: Optional[
+            Tuple[tuple, PolyProgram, Dict[str, NodeDelta]]
+        ] = None
         self._design_memo: Dict[tuple, Tuple[SynthesisReport, FuncOp]] = {}
         self._nest_memo: Optional[Dict[tuple, list]] = {} if cache else None
 
@@ -261,15 +261,18 @@ class Evaluator:
 
         Structural after/fuse directives (algorithm-level loop sharing)
         are re-added first so they keep their meaning under the new
-        schedule.
+        schedule; the rest is the list :func:`config_directives` spells
+        out, read off the deltas the assembled candidate keeps.
         """
+        self.scheduled(configs)
+        deltas = self._scheduled[2]
+        directives = self.structural + self.plan.directives
+        for delta in deltas.values():
+            directives += delta.directives
+        directives += fusion_directives(self.plan, deltas)
         function = self.function
         function.reset_schedule()
-        for directive in self.structural:
-            function.schedule.add(directive)
-        for directive in config_directives(
-            function, self.plan, configs, program=self.base
-        ):
+        for directive in directives:
             function.schedule.add(directive)
 
     def scheduled(self, configs: Dict[str, NodeConfig]) -> PolyProgram:
@@ -280,9 +283,10 @@ class Evaluator:
         stage-2 directives applied to that node's statement alone
         (memoized by config fingerprint); only the fusion ``after``
         surgery reads other statements, and it runs last, on the whole.
-        The most recent program is kept -- partitions, lowering and the
-        bank-cap retries of one candidate share it -- so callers must
-        not transform it.
+        The most recent program is kept with its node deltas -- the
+        installed directive list, partitions, lowering and the bank-cap
+        retries of one candidate share them -- so callers must not
+        transform it.
         """
         key = self.fingerprint(configs)
         if self._scheduled is not None and self._scheduled[0] == key:
@@ -311,25 +315,8 @@ class Evaluator:
         program.apply_schedule(fusion_directives(self.plan, deltas))
         stats.lowering_s += time.perf_counter() - t0
         # Only a fully assembled program becomes current.
-        self._scheduled = (key, program)
+        self._scheduled = (key, program, deltas)
         return program
-
-    def partitions(
-        self, configs: Dict[str, NodeConfig], bank_cap: int
-    ) -> Dict[str, Tuple[int, ...]]:
-        """Partition factors derived for ``configs`` at a banking budget."""
-        key = (self.fingerprint(configs), bank_cap)
-        derived = self._partition_memo.get(key)
-        if derived is None:
-            derived = derive_partitions(
-                self.function, max_banks=bank_cap, program=self.scheduled(configs)
-            )
-            if self.cache:
-                self.stats.partition_cache_misses += 1
-                self._partition_memo[key] = derived
-        else:
-            self.stats.partition_cache_hits += 1
-        return derived
 
     def _apply_partitions(self, derived: Dict[str, Tuple[int, ...]]) -> None:
         """Reset partition schemes to the saved baseline, then apply derived."""
@@ -343,31 +330,33 @@ class Evaluator:
     # -- scoring ------------------------------------------------------------
 
     def realize(
-        self, configs: Dict[str, NodeConfig], bank_cap: int, exact: bool = False
+        self, configs: Dict[str, NodeConfig], bank_cap: int
     ) -> Tuple[SynthesisReport, FuncOp]:
         """Install, partition, lower and estimate one design point.
 
-        The design stays installed on the function.  ``exact=True``
-        bypasses the design-memo *read* (never the write) so the
-        estimator genuinely runs: the exhaustive (``surrogate=False``)
-        frontier pass uses it to make ``stats.estimations`` an honest
-        count of exact estimator calls.
+        The design stays installed on the function.  A candidate whose
+        configs and derived banking equal an already-scored one's (a
+        bank cap that does not bind, a frontier grid member the ladder
+        reached another way) is answered by the design memo: installed
+        and partitioned, neither lowered nor estimated.
         """
         stats = self.stats
         self.install(configs)
-        self._apply_partitions(self.partitions(configs, bank_cap))
+        scheduled = self.scheduled(configs)
+        self._apply_partitions(
+            derive_partitions(self.function, max_banks=bank_cap, program=scheduled)
+        )
         key = (
             self.fingerprint(configs),
             tuple(p.fingerprint() for p in self.function.placeholders()),
         )
-        if self.cache and not exact:
+        if self.cache:
             hit = self._design_memo.get(key)
             if hit is not None:
                 stats.design_cache_hits += 1
                 return hit
             stats.design_cache_misses += 1
         stats.lowerings += 1
-        scheduled = self.scheduled(configs)
         t0 = time.perf_counter()
         func_op = lower_program_incremental(scheduled, cache=self._nest_memo, stats=stats)
         stats.lowering_s += time.perf_counter() - t0

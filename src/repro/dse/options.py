@@ -39,11 +39,7 @@ class DseOptions:
       ``candidate_timeout_s``, ``time_budget_s``, ``fault_plan``;
     * **objective**: ``objective`` (a spec string parsed by
       :func:`repro.dse.pareto.parse_objective` -- ``"single"``,
-      ``"pareto[:axes]"``, or ``"weighted:axis=w,..."``) and
-      ``surrogate`` (whether Pareto enrichment may copy reports for
-      provably-identical designs and rank the rest with the analytic
-      surrogate; ``False`` forces exhaustive exact estimation -- the
-      escape hatch the differential suite diffs against).
+      ``"pareto[:axes]"``, or ``"weighted:axis=w,..."``).
 
     Instances are plain data: picklable (given a picklable
     ``fault_plan``) and reusable across calls.
@@ -61,7 +57,6 @@ class DseOptions:
     time_budget_s: Optional[float] = None
     fault_plan: Optional[object] = None
     objective: str = "single"
-    surrogate: bool = True
 
     def validate(self) -> "DseOptions":
         """Raise on any function-independent misconfiguration.

@@ -72,7 +72,6 @@ class ShardSpec:
     fault_plan: Optional[object] = None
     trace: bool = False  # record a worker-side trace, shipped on the result
     objective: str = "single"  # objective spec (repro.dse.pareto)
-    surrogate: bool = True  # frontier modes: allow provable-skip copies
 
     def to_options(self) -> DseOptions:
         """This shard's engine configuration as one :class:`DseOptions`.
@@ -94,7 +93,6 @@ class ShardSpec:
             time_budget_s=self.time_budget_s,
             fault_plan=self.fault_plan,
             objective=self.objective,
-            surrogate=self.surrogate,
         )
 
     @property

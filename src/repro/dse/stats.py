@@ -3,7 +3,7 @@
 :class:`DseStats` records how much work one :func:`~repro.dse.engine.auto_dse`
 call performed and how much each caching layer saved: design-point
 evaluations, cache hits/misses per layer (design, lowering, report,
-config, partition, statement), the globally memoized isl kernel counters
+config, statement), the globally memoized isl kernel counters
 (delta over the run), and wall-time per phase (stage 1, lowering, AST
 building, estimation).  Attached to :class:`~repro.dse.engine.DseResult`
 and printed by ``repro dse --stats``.
@@ -42,15 +42,21 @@ class DseStats:
 
     # -- multi-objective (objective="pareto"/"weighted") --------------------
     pareto_candidates: int = 0    # frontier-enrichment grid members considered
-    pareto_evaluated: int = 0     # enrichment candidates exactly estimated
-    surrogate_skips: int = 0      # enrichment reports copied (design-identical)
+    # Enrichment candidates by who answered them.  (The second counter
+    # predates the design memo answering them; it keeps its name because
+    # the frozen bench/ops.py reads it -- the rename is ROADMAP 1(c)'s.)
+    pareto_evaluated: int = 0     # ... reached the estimator
+    surrogate_skips: int = 0      # ... design-identical: the design memo
     frontier_size: int = 0        # frontier members returned
 
     # -- cache layers -------------------------------------------------------
-    # The evaluation layer is gone (0 hits in 1350 lookups); both stay,
-    # reading 0, because the frozen bench/ops.py sums them by name.
+    # The evaluation layer (0 hits in 1350 lookups) and the partitions
+    # layer (1 hit per sweep) are gone; their counters stay, reading 0,
+    # because the frozen bench/ops.py sums them by name.
     eval_cache_hits: int = 0
     eval_cache_misses: int = 0
+    partition_cache_hits: int = 0
+    partition_cache_misses: int = 0
     design_cache_hits: int = 0    # (configs, partitions) lower+estimate reuse
     design_cache_misses: int = 0
     lowering_cache_hits: int = 0  # per-nest incremental lowering reuse
@@ -59,8 +65,6 @@ class DseStats:
     report_misses: int = 0
     config_cache_hits: int = 0    # (node, parallelism) -> NodeConfig reuse
     config_cache_misses: int = 0
-    partition_cache_hits: int = 0  # (configs, bank_cap) -> partitions reuse
-    partition_cache_misses: int = 0
     statement_cache_hits: int = 0  # node config -> transformed statement reuse
     statement_cache_misses: int = 0
 
@@ -148,7 +152,7 @@ class DseStats:
             lines.append(
                 f"  pareto             {self.frontier_size} frontier designs"
                 f" ({self.pareto_evaluated} estimated,"
-                f" {self.surrogate_skips} copied"
+                f" {self.surrogate_skips} memo-answered"
                 f" of {self.pareto_candidates} grid candidates)"
             )
         lines += [
@@ -161,8 +165,6 @@ class DseStats:
             f"   {rate(self.report_hits, self.report_misses):>8}",
             f"    node config        {self.config_cache_hits:6d} {self.config_cache_misses:8d}"
             f"   {rate(self.config_cache_hits, self.config_cache_misses):>8}",
-            f"    partitions         {self.partition_cache_hits:6d} {self.partition_cache_misses:8d}"
-            f"   {rate(self.partition_cache_hits, self.partition_cache_misses):>8}",
             f"    statement          {self.statement_cache_hits:6d} {self.statement_cache_misses:8d}"
             f"   {rate(self.statement_cache_hits, self.statement_cache_misses):>8}",
         ]

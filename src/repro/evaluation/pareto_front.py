@@ -3,8 +3,9 @@
 Not a table from the paper: the source work returns a single best
 design per workload.  This experiment runs ``auto_dse`` in ``pareto``
 mode (latency vs. DSP) over representative workloads and renders each
-discovered frontier, alongside the surrogate's evaluation savings --
-the ScaleHLS-style view of the same design space (see docs/pareto.md).
+discovered frontier, alongside how many enrichment candidates reached
+the estimator and how many the design memo answered -- the
+ScaleHLS-style view of the same design space (see docs/pareto.md).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def render(results: Dict[str, DseResult]) -> str:
                 name,
                 "(cost)",
                 f"{stats.pareto_evaluated} estimated",
-                f"{stats.surrogate_skips} copied",
+                f"{stats.surrogate_skips} memo-answered",
                 f"of {stats.pareto_candidates}",
                 "", "", "",
             ])

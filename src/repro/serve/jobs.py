@@ -47,7 +47,6 @@ _OPTION_KEYS = {
         "candidate_timeout_s",
         "time_budget_s",
         "objective",
-        "surrogate",
     ),
     "verify": (),
     "trace": ("dse",),

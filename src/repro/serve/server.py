@@ -315,7 +315,10 @@ class ReproServer:
         )
         thread.start()
         try:
-            thread.join()
+            # Timed: a signal the kernel delivers to another thread does
+            # not wake an untimed join, so the drain handler never ran.
+            while thread.is_alive():
+                thread.join(0.5)
         except KeyboardInterrupt:
             self.shutdown()
 

@@ -128,7 +128,6 @@ class TestDseStats:
         assert stats.lowering_cache_hits == 0
         assert stats.report_hits == 0
         assert stats.config_cache_hits == 0
-        assert stats.partition_cache_hits == 0
         assert all(hits == 0 for hits, _ in stats.isl_counters.values())
 
     def test_lowering_is_accounted_with_the_cache_on_or_off(self):
@@ -156,7 +155,6 @@ def test_perfsmoke_cached_dse():
         + stats.lowering_cache_hits
         + stats.report_hits
         + stats.config_cache_hits
-        + stats.partition_cache_hits
     )
     assert layer_hits > 0
     assert cached.evaluations <= uncached.evaluations

@@ -14,7 +14,7 @@ import pytest
 
 import repro.dse.evaluator as evaluator_mod
 from repro import workloads
-from repro.dse import DseOptions, auto_dse
+from repro.dse import DseOptions, auto_dse, stage2
 from repro.dse.evaluator import Evaluator
 from repro.polyir import transforms
 from repro.polyir.program import PolyProgram
@@ -62,8 +62,8 @@ def test_every_candidate_of_a_real_sweep_matches_the_replay(name, cache, monkeyp
     realize = Evaluator.realize
     visited = []
 
-    def checked(self, configs, bank_cap, exact=False):
-        outcome = realize(self, configs, bank_cap, exact=exact)
+    def checked(self, configs, bank_cap):
+        outcome = realize(self, configs, bank_cap)
         _assert_matches_replay(self, configs)
         visited.append(bank_cap)
         return outcome
@@ -214,3 +214,27 @@ def test_perfsmoke_a_dnn_sweep_builds_its_program_once(monkeypatch):
     assert counts["from_compute"] <= 60
     assert counts["directives"] <= 600
     assert counts["own_programs"] == 0
+
+
+@pytest.mark.perfsmoke
+def test_perfsmoke_a_nodes_delta_is_computed_once(monkeypatch):
+    """Count-based guard: ``install`` reads the deltas ``scheduled`` keeps,
+    so over a cached sweep ``node_delta`` runs once per statement-memo
+    miss (it used to run again for every node of every candidate: 2 075
+    calls against 563 misses on one ``kernel_dse`` pass)."""
+    calls = []
+    node_delta = stage2.node_delta
+
+    def counting(program, plan, config):
+        calls.append(config.name)
+        return node_delta(program, plan, config)
+
+    # Every binding of the name: the evaluator's and config_directives'.
+    monkeypatch.setattr(evaluator_mod, "node_delta", counting)
+    monkeypatch.setattr(stage2, "node_delta", counting)
+    result = auto_dse(
+        workloads.get("3mm", KERNEL_SIZE),
+        options=DseOptions(resource_fraction=0.25, objective="pareto"),
+    )
+    assert result.stats.evaluations >= 10 and result.stats.surrogate_skips
+    assert len(calls) == result.stats.statement_cache_misses

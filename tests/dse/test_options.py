@@ -48,6 +48,11 @@ class TestRemovedForms:
         with pytest.raises(TypeError, match="unexpected keyword argument 'jobs'"):
             DseOptions(jobs=2)
 
+    def test_surrogate_is_not_an_option(self):
+        # PR 20: the exhaustive frontier run is `cache=False`.
+        with pytest.raises(TypeError, match="unexpected keyword argument 'surrogate'"):
+            DseOptions(surrogate=False)
+
     def test_from_kwargs_is_gone(self):
         with pytest.raises(AttributeError):
             DseOptions.from_kwargs(cache=False)
@@ -93,7 +98,7 @@ class TestDataclassSurface:
             "device", "resource_fraction", "clock_ns", "max_parallelism",
             "keep_existing_schedule", "cache", "checkpoint", "resume",
             "candidate_timeout_s", "time_budget_s", "fault_plan",
-            "objective", "surrogate",
+            "objective",
         ]
 
     def test_exported_from_package_roots(self):

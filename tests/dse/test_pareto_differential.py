@@ -2,8 +2,9 @@
 
 The determinism contract of :mod:`repro.dse.pareto`: the frontier is a
 pure function of the scored candidate set, so every sweep mode that
-scores the same candidates -- surrogate-guided or exhaustive, cached or
-uncached, sequential or sharded, fresh or resumed from a checkpoint
+scores the same candidates -- cached (design-identical grid members
+answered by the design memo) or uncached (every grid member really
+estimated), sequential or sharded, fresh or resumed from a checkpoint
 journal, fault-injected or clean -- reconstructs a bit-identical
 frontier.  This suite runs each mode pair and compares, in the style of
 ``tests/dse/test_reference_differential.py``.
@@ -40,23 +41,25 @@ def _run(name, **changes):
     return auto_dse(getattr(polybench, name)(SIZE), options=options)
 
 
-class TestSurrogateParity:
-    """The tentpole guarantee: surrogate on == exhaustive, bit for bit."""
+class TestCacheParity:
+    """Memo-answered grid members == the exhaustive run, bit for bit."""
 
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_frontier_identical_surrogate_on_off(self, name):
-        guided = _run(name, surrogate=True)
-        exhaustive = _run(name, surrogate=False)
-        assert _frontier(guided) == _frontier(exhaustive)
-        assert guided.report == exhaustive.report
-        assert guided.tile_vectors() == exhaustive.tile_vectors()
+    def test_cached_matches_uncached(self, name):
+        cached = _run(name, cache=True)
+        uncached = _run(name, cache=False)
+        assert _frontier(cached) == _frontier(uncached)
+        assert cached.report == uncached.report
+        assert cached.tile_vectors() == uncached.tile_vectors()
+        # Same candidates visited; the design memo spares the cached
+        # run the estimates of the design-identical ones.
+        assert cached.evaluations == uncached.evaluations
+        assert cached.stats.estimations < uncached.stats.estimations
+        assert cached.stats.surrogate_skips > 0
+        assert uncached.stats.surrogate_skips == 0
 
-    def test_surrogate_actually_skips_work(self):
-        guided = _run("gemm", surrogate=True)
-        exhaustive = _run("gemm", surrogate=False)
-        assert guided.stats.surrogate_skips > 0
-        assert guided.stats.estimations < exhaustive.stats.estimations
 
+class TestWeightedSelection:
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_weighted_selects_a_frontier_member(self, name):
         result = _run(name, objective="weighted:latency=1,dsp=0.25")
@@ -68,12 +71,19 @@ class TestSurrogateParity:
         assert selected in [(r["cycles"], r["dsp"]) for r in records]
 
 
-class TestCacheParity:
-    @pytest.mark.parametrize("name", WORKLOADS)
-    def test_cached_matches_uncached(self, name):
-        uncached = _run(name, cache=False)
-        cached = _run(name, cache=True)
-        assert _frontier(cached) == _frontier(uncached)
+class TestBudgetedSweep:
+    @pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
+    def test_an_exhausted_budget_publishes_the_grid_prefix(self, cache):
+        """A budget of zero stops the ladder and the enrichment before
+        either scores anything past the degree-1 baseline: the frontier
+        is that one design, reported as degraded, with one DSE004."""
+        result = _run("gemm", cache=cache, time_budget_s=0)
+        assert [p.parallelism for p in result.frontier] == [(("s", 1),)]
+        assert result.degraded and result.stats.time_budget_hit
+        assert [d.code for d in result.diagnostics].count("DSE004") == 1
+        assert result.stats.pareto_candidates == 3
+        assert result.stats.pareto_evaluated == 0
+        assert result.stats.surrogate_skips == 0
 
 
 class TestResumedParity:

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import functools
+import re
 
 import pytest
 
@@ -131,6 +132,21 @@ class TestCosimCli:
 
         assert main(["compile", "gemm", "--size", "8", "--cosim", "--emit", "report"]) == 0
         assert "MATCH" in capsys.readouterr().err
+
+
+class TestDataflowDseStats:
+    def test_stats_prints_one_profile_per_stage_and_their_sum(self, capsys):
+        """`repro dse <dataflow design> --stats` used to drop the flag."""
+        assert main(["dse", "conv-block", "--size", "16", "--stats"]) == 0
+        out = capsys.readouterr().out
+        for stage in ("conv", "relu", "pool"):
+            assert f"stage {stage}:\n  dse profile (cache on):" in out
+        assert "merged (totals are the sum of the stages above):" in out
+        *stages, merged = (
+            int(n) for n in re.findall(r"^    evaluations +(\d+)$", out, re.M)
+        )
+        assert len(stages) == 3 and merged == sum(stages)
+        assert f"{merged} evaluations in" in out.splitlines()[0]
 
 
 class TestDseStatsSingleCpuWarning:

@@ -38,6 +38,8 @@ class TestValidation:
             {"kind": "dse", "workload": "gemm", "session": 7},
             # A sweep is sequential: `jobs` is no dse option.
             {"kind": "dse", "workload": "gemm", "options": {"jobs": 2}},
+            # Neither is `surrogate` (PR 20): the exhaustive run is `cache: false`.
+            {"kind": "dse", "workload": "gemm", "options": {"surrogate": False}},
         ],
     )
     def test_rejects_bad_requests(self, body):

@@ -34,6 +34,7 @@ class TestEndpoints:
             {"kind": "dse", "workload": "never-heard-of-it"},
             {"kind": "verify", "workload": "gemm", "options": {"jobs": 2}},
             {"kind": "dse", "workload": "gemm", "options": {"jobs": 2}},
+            {"kind": "dse", "workload": "gemm", "options": {"surrogate": False}},
         ):
             status, payload = client.request("POST", "/v1/jobs", body)
             assert status == 400

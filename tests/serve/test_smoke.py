@@ -127,3 +127,29 @@ def test_daemon_smoke_concurrent_sigterm_restart_resume(tmp_path):
         assert "drained and stopped" in out
     finally:
         restarted.kill()
+
+
+_SIGNAL_ON_ANOTHER_THREAD = """
+import signal, sys, threading, time
+from repro.serve.server import ServeConfig, run_server
+
+def later():
+    time.sleep(0.5)
+    signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+
+threading.Thread(target=later, daemon=True).start()
+sys.exit(run_server(ServeConfig(port=0, workers=1, state_dir=sys.argv[1])))
+"""
+
+
+def test_sigterm_delivered_to_another_thread_still_drains(tmp_path):
+    """The kernel may hand a process signal to any thread; Python runs
+    the handler on the main thread only once that wakes.  Parked in an
+    untimed ``join`` it never did, and the daemon outlived its SIGTERM
+    (1-3 of 60 drains under the scenario above)."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SIGNAL_ON_ANOTHER_THREAD, str(tmp_path / "state")],
+        capture_output=True, text=True, timeout=30, env=os.environ.copy(),
+    )
+    assert done.returncode == 0, done.stderr
+    assert "drained and stopped" in done.stdout

@@ -54,6 +54,7 @@ class TestFlagUnification:
             ["dse", "gemm", "--profile"],
             ["verify", "gemm", "--trace-out", "t.json"],
             ["trace", "gemm", "--jobs", "2"],
+            ["dse", "gemm", "--no-surrogate"],
         ],
     )
     def test_removed_flags_are_usage_errors(self, argv, capsys):
