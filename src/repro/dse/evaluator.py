@@ -303,7 +303,9 @@ class Evaluator:
                 if self.cache:
                     stats.statement_cache_misses += 1
                     # Copied on store and on load: fusion surgery and
-                    # annotations mutate statics / hw_opts in place.
+                    # annotations mutate statics / hw_opts in place.  The
+                    # index dims are read first so every copy carries them.
+                    program.statements[index].index_dims()
                     self._statement_memo[memo_key] = (
                         delta, program.statements[index].copy()
                     )

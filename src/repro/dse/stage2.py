@@ -310,12 +310,11 @@ def derive_partitions(
             for opt in stmt.hw_opts
             if opt.kind == "unroll"
         }
-        for access in stmt.accesses():
-            array = access.placeholder
+        for array, indices in stmt.index_dims():
             slots = factors.setdefault(array.name, [1] * len(array.shape))
-            for dim, index in enumerate(access.affine_indices()):
+            for dim, names in enumerate(indices):
                 spread = 1
-                for name in index.dims():
+                for name in names:
                     if name in unrolled:
                         spread *= max(1, unrolled[name])
                 spread = min(spread, array.shape[dim], max_banks)

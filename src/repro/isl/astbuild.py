@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import trace as _trace
-from repro.isl import memo as _memo
+from repro.isl import intern as _intern
 from repro.isl.affine import AffineExpr
 from repro.isl.constraint import GE, Constraint
 from repro.isl.maps import ScheduleMap
@@ -138,6 +138,116 @@ class _StmtState:
         self.payload = payload
         self.binding: Dict[str, str] = {}  # domain dim -> loop iterator
 
+    def renames(self) -> bool:
+        """Whether some dim is bound to an iterator of another name."""
+        return any(dim != it for dim, it in self.binding.items())
+
+
+class _Nest:
+    """The enclosing loops -- the build's context -- as plain data.
+
+    ``levels`` holds ``(iterator, lowers, uppers)`` outermost first;
+    :meth:`context` is the same thing as a set, built only when
+    Fourier-Motzkin is asked.  ``box`` is one constant interval per
+    iterator enclosing the *rational* relaxation of that set, which is
+    what Fourier-Motzkin reasons over: a constant bound is in the set
+    integer-tightened (``Constraint._normalize``) and is taken exactly,
+    any other bound ``d*it >= e(outer)`` only as written, so its end
+    rounds *outward* (``floor(min e / d)``).  The inward ``ceil`` holds
+    at integer points only; Fourier-Motzkin need not prove what follows
+    from it, and a guard it keeps must stay.
+    """
+
+    __slots__ = ("levels", "box")
+
+    def __init__(self, levels: Tuple = (), box: Optional[Dict[str, Tuple[int, int]]] = None):
+        self.levels = levels
+        self.box = box or {}
+
+    def extended(self, iterator: str, lowers: List[LoopBound], uppers: List[LoopBound]) -> "_Nest":
+        ends = max(map(self._box_end, lowers)), min(map(self._box_end, uppers))
+        return _Nest(self.levels + ((iterator, lowers, uppers),), {**self.box, iterator: ends})
+
+    def context(self) -> BasicSet:
+        """The loops as a set over the iterators, level by level."""
+        context = BasicSet.universe(())
+        for iterator, lowers, uppers in self.levels:
+            context = BasicSet(
+                context.dims + (iterator,),
+                list(context.constraints)
+                + [_bound_constraint(iterator, b) for b in lowers + uppers],
+            )
+        return context
+
+    def known(self) -> List[Constraint]:
+        """The non-constant bounds as written: all the box is loose on."""
+        return [
+            _bound_constraint(iterator, bound)
+            for iterator, lowers, uppers in self.levels
+            for bound in lowers + uppers if not bound.expr.is_constant()
+        ]
+
+    def _box_end(self, bound: LoopBound) -> int:
+        value = self.extreme(bound.expr, low=bound.is_lower)
+        if bound.is_lower == bound.expr.is_constant():
+            return -(-value // bound.divisor)
+        return value // bound.divisor
+
+    def extreme(self, expr: AffineExpr, low: bool) -> int:
+        """The minimum (``low``) or maximum of ``expr`` over the box."""
+        total = expr._const
+        for name, coeff in expr._coeffs.items():
+            total += coeff * self.box[name][(coeff > 0) != low]
+        return total
+
+    def witness(self, toward: Mapping[str, int]) -> Optional[Dict[str, int]]:
+        """One integer iteration of the nest, or None.
+
+        Walks outermost-in, evaluating each level's real bounds at the
+        values already chosen and taking the end that lowers a form with
+        coefficients ``toward``; gives up where a level is empty there.
+        """
+        point: Dict[str, int] = {}
+        for iterator, lowers, uppers in self.levels:
+            lo = max(b.evaluate(point) for b in lowers)
+            hi = min(b.evaluate(point) for b in uppers)
+            if lo > hi:
+                return None
+            point[iterator] = hi if toward.get(iterator, 0) < 0 else lo
+        return point
+
+    def decide(self, constraint: Constraint, toward: Mapping[str, int]) -> Optional[bool]:
+        """Whether every iteration satisfies ``constraint``; None = ask FM.
+
+        Both answers are the one Fourier-Motzkin is forced to give.
+        True: the constraint holds on the whole box or is one of the
+        :meth:`known` bounds, so its negation is rationally infeasible
+        with the context, and the elimination is complete for rational
+        infeasibility.  False: an integer iteration violates it; every
+        elimination step, gcd tightening included, is valid for integer
+        points, so it can never call a set holding one empty.
+        """
+        if constraint.kind != GE:
+            return None
+        expr = constraint.expr
+        if self.extreme(expr, low=True) >= 0:
+            return True
+        point = self.witness(toward)
+        if point is not None and expr.evaluate(point) < 0:
+            return False
+        return True if constraint in self.known() else None
+
+
+def _implies(nest: _Nest, constraint: Constraint, toward, eliminate) -> bool:
+    """One implication test: the nest's answer when it has one, else
+    ``eliminate()``'s -- always that under ``REPRO_ISL_REFERENCE=1``."""
+    decided = None if _intern._REFERENCE else nest.decide(constraint, toward)
+    if decided is None:
+        _trace.count("isl.ast.eliminated")
+        return eliminate()
+    _trace.count("isl.ast.decided")
+    return decided
+
 
 class AstBuilder:
     """Builds a polyhedral AST from statements with domains and schedules."""
@@ -161,8 +271,7 @@ class AstBuilder:
                 _StmtState(name, domain, schedule.pad_to_depth(depth), payload)
                 for name, domain, schedule, payload in statements
             ]
-            context = BasicSet.universe(())
-            return self._build_level(states, 0, depth, [], context)
+            return self._build_level(states, 0, depth, _Nest())
 
     # -- internals -------------------------------------------------------
 
@@ -171,11 +280,10 @@ class AstBuilder:
         states: List[_StmtState],
         level: int,
         depth: int,
-        outer_iters: List[str],
-        context: BasicSet,
+        nest: _Nest,
     ) -> AstNode:
         if level == depth:
-            return self._build_leaves(states, outer_iters, context)
+            return self._build_leaves(states, nest)
 
         groups: Dict[int, List[_StmtState]] = {}
         for state in states:
@@ -184,7 +292,7 @@ class AstBuilder:
         children = []
         for key in sorted(groups):
             children.append(
-                self._build_loop(groups[key], level, depth, outer_iters, context)
+                self._build_loop(groups[key], level, depth, nest)
             )
         if len(children) == 1:
             return children[0]
@@ -195,8 +303,7 @@ class AstBuilder:
         states: List[_StmtState],
         level: int,
         depth: int,
-        outer_iters: List[str],
-        context: BasicSet,
+        nest: _Nest,
     ) -> AstNode:
         # Watchdog checkpoint: AST building recurses per loop level and
         # projects bounds through the integer-set library; poll the
@@ -206,30 +313,29 @@ class AstBuilder:
         _trace.count("isl.ast_nodes")
         dyn_exprs = [s.schedule.dynamic_dim(level) for s in states]
         if all(e.is_zero() for e in dyn_exprs):
-            return self._build_level(states, level + 1, depth, outer_iters, context)
+            return self._build_level(states, level + 1, depth, nest)
         if not all(e.is_single_dim() for e in dyn_exprs):
             raise ValueError(
                 f"dynamic schedule dims at level {level} must be single dims: {dyn_exprs}"
             )
 
         dim_names = [e.single_dim() for e in dyn_exprs]
+        outer_iters = [outer for outer, _, _ in nest.levels]
         iterator = self._pick_iterator(dim_names, outer_iters, states)
         for state, dim in zip(states, dim_names):
             state.binding[dim] = iterator
 
         lowers, uppers = self._loop_bounds(states, dim_names, iterator, outer_iters)
-        lowers, uppers = _prune_redundant(context, iterator, lowers, uppers)
-        new_context = self._extend_context(context, iterator, lowers, uppers)
-        body = self._build_level(states, level + 1, depth, outer_iters + [iterator], new_context)
-        # Undo bindings so sibling groups sharing these states stay clean.
-        node = ForNode(iterator, lowers, uppers, body)
-        return node
+        lowers, uppers = _prune_redundant(nest, iterator, lowers, uppers)
+        body = self._build_level(
+            states, level + 1, depth, nest.extended(iterator, lowers, uppers)
+        )
+        return ForNode(iterator, lowers, uppers, body)
 
     def _build_leaves(
         self,
         states: List[_StmtState],
-        outer_iters: List[str],
-        context: BasicSet,
+        nest: _Nest,
     ) -> AstNode:
         leaves = []
         final_keys = [(s.schedule.entries[-1].constant, i) for i, s in enumerate(states)]
@@ -244,7 +350,7 @@ class AstBuilder:
                 dim: AffineExpr.var(it) for dim, it in state.binding.items()
             }
             user: AstNode = UserNode(state.name, state.payload, binding_exprs)
-            guards = self._guards(state, context)
+            guards = self._guards(state, nest)
             if guards:
                 user = IfNode(guards, user)
             leaves.append(user)
@@ -252,41 +358,24 @@ class AstBuilder:
             return leaves[0]
         return BlockNode(leaves)
 
-    def _guards(self, state: _StmtState, context: BasicSet) -> List[Constraint]:
+    def _guards(self, state: _StmtState, nest: _Nest) -> List[Constraint]:
         """Domain constraints not already implied by the loop bounds."""
         guards = []
+        renames = state.renames()
         for constraint in state.domain.constraints:
-            rewritten = constraint.rename(state.binding)
+            rewritten = constraint.rename(state.binding) if renames else constraint
             if rewritten.is_tautology():
                 continue
-            if self._implied(context, rewritten):
-                continue
-            guards.append(rewritten)
+            if not _implies(
+                nest, rewritten, rewritten.expr._coeffs,
+                lambda: self._implied(nest.context(), rewritten),
+            ):
+                guards.append(rewritten)
         return guards
 
     @staticmethod
     def _implied(context: BasicSet, constraint: Constraint) -> bool:
-        """Whether ``context`` entails ``constraint`` over the integers.
-
-        The inner kernel every lowering repeats: leaf guards re-test the
-        same (context, constraint) pairs across DSE trials, so results
-        are memoized globally (both inputs are immutable and the result
-        is a bool, which cannot diverge under constraint reordering).
-        """
-        memo = _memo.active()
-        key = None
-        if memo.enabled:
-            key = (context, constraint)
-            cached = memo.implied.get(key)
-            if cached is not None:
-                return cached
-        result = AstBuilder._implied_uncached(context, constraint)
-        if key is not None:
-            memo.implied.put(key, result)
-        return result
-
-    @staticmethod
-    def _implied_uncached(context: BasicSet, constraint: Constraint) -> bool:
+        """Whether ``context`` entails ``constraint``, by Fourier-Motzkin."""
         dims = set(context.dims) | set(constraint.dims())
         base = BasicSet(tuple(sorted(dims)), []).with_constraints(
             c for c in context.constraints
@@ -341,10 +430,10 @@ class AstBuilder:
     ) -> Tuple[List[LoopBound], List[LoopBound]]:
         per_stmt: List[Tuple[List[LoopBound], List[LoopBound]]] = []
         for state, dim in zip(states, dim_names):
-            rename = dict(state.binding)
-            domain = state.domain.rename_dims(rename)
-            renamed_dim = rename.get(dim, dim)
-            lowers, uppers = domain.dim_bounds(renamed_dim, context=outer_iters)
+            domain = state.domain
+            if state.renames():
+                domain = domain.rename_dims(state.binding)
+            lowers, uppers = domain.dim_bounds(iterator, context=outer_iters)
             if not lowers or not uppers:
                 raise ValueError(
                     f"statement {state.name!r}: loop dim {dim!r} is unbounded"
@@ -362,34 +451,18 @@ class AstBuilder:
         uppers = common_up or [_const_envelope(per_stmt, lower=False)]
         return lowers, uppers
 
-    @staticmethod
-    def _extend_context(
-        context: BasicSet,
-        iterator: str,
-        lowers: List[LoopBound],
-        uppers: List[LoopBound],
-    ) -> BasicSet:
-        extended = context.add_dims([iterator])
-        constraints = []
-        it = AffineExpr.var(iterator)
-        for bound in lowers:
-            # iterator >= ceil(e/d)  <=>  d*iterator >= e
-            constraints.append(Constraint(it * bound.divisor - bound.expr, GE))
-        for bound in uppers:
-            # iterator <= floor(e/d)  <=>  d*iterator <= e
-            constraints.append(Constraint(bound.expr - it * bound.divisor, GE))
-        return extended.with_constraints(constraints)
-
 
 def _bound_constraint(iterator: str, bound: LoopBound) -> Constraint:
     it = AffineExpr.var(iterator)
     if bound.is_lower:
+        # iterator >= ceil(e/d)  <=>  d*iterator >= e
         return Constraint(it * bound.divisor - bound.expr, GE)
+    # iterator <= floor(e/d)  <=>  d*iterator <= e
     return Constraint(bound.expr - it * bound.divisor, GE)
 
 
 def _prune_redundant(
-    context: BasicSet,
+    nest: _Nest,
     iterator: str,
     lowers: List[LoopBound],
     uppers: List[LoopBound],
@@ -403,18 +476,29 @@ def _prune_redundant(
     all_bounds = lowers + uppers
     if len(lowers) <= 1 and len(uppers) <= 1:
         return lowers, uppers
-    base_dims = tuple(dict.fromkeys(context.dims + (iterator,)))
     kept = list(all_bounds)
     for candidate in all_bounds:
         if len([b for b in kept if b.is_lower == candidate.is_lower]) <= 1:
             continue
         others = [b for b in kept if b is not candidate]
-        test = BasicSet(base_dims, list(context.constraints)
-                        + [_bound_constraint(iterator, b) for b in others])
+        sides = [b for b in others if b.is_lower], [b for b in others if not b.is_lower]
         negated = _bound_constraint(iterator, candidate)
-        # candidate is implied iff test ∧ ¬candidate is empty
-        violated = Constraint(-negated.expr - 1, GE)
-        if test.with_constraints([violated]).is_empty():
+        # A witness lowers the candidate's slack over the other same-side
+        # bound: that one stands in for the iterator in the outer loops.
+        rival = sides[not candidate.is_lower][0]
+        slack = rival.expr * candidate.divisor - candidate.expr * rival.divisor
+        sign = 1 if candidate.is_lower else -1
+        toward = {name: sign * coeff for name, coeff in slack._coeffs.items()}
+        toward[iterator] = sign
+
+        trial = nest.extended(iterator, *sides)
+
+        def eliminate() -> bool:
+            # candidate is implied iff context ∧ others ∧ ¬candidate is empty
+            violated = Constraint(-negated.expr - 1, GE)
+            return trial.context().with_constraints([violated]).is_empty()
+
+        if _implies(trial, negated, toward, eliminate):
             kept = others
     return (
         [b for b in kept if b.is_lower],

@@ -35,8 +35,11 @@ This module also owns the ``REPRO_ISL_REFERENCE`` escape hatch: with
 the environment variable set (or :func:`set_reference_mode`), the isl
 substrate routes every optimized kernel -- vectorized Fourier-Motzkin,
 compiled bound evaluators, vectorized point counting and bank
-enumeration -- through the original pure-Python implementations, which
-the differential test suite holds bit-identical to the fast path.
+enumeration -- through the original pure-Python implementations, and
+asks Fourier-Motzkin everything the AST build otherwise decides from
+its loop nest or projects from a subset (``astbuild._implies``,
+``BasicSet._reaching``); the differential test suite holds all of it
+bit-identical to the fast path.
 """
 
 from __future__ import annotations

@@ -11,9 +11,8 @@ results can be memoized and shared across lowerings.
 Keys are *order-sensitive* structural tuples (dims + constraint tuples,
 not frozensets) for value-producing kernels: a given input always maps
 to exactly the result a fresh computation would produce, so memoized
-and unmemoized runs stay bit-identical.  Boolean kernels (emptiness,
-implication) may key on order-insensitive forms since a bool cannot
-diverge.
+and unmemoized runs stay bit-identical.  The boolean kernel (emptiness)
+may key on an order-insensitive form since a bool cannot diverge.
 
 The tables live on an explicit :class:`MemoContext` -- the same
 discipline as :class:`repro.isl.intern.InternContext` -- so the compile
@@ -31,9 +30,9 @@ DSE engine's ``cache=False`` escape hatch measures genuinely uncached
 runs.
 
 For backward compatibility the historical module-level names
-(``PROJECTION``, ``EMPTINESS``, ``BOUNDS``, ``IMPLIED``,
-``ALL_TABLES``) resolve against the *active* context via PEP 562;
-hot call sites fetch :func:`active` once instead.
+(``PROJECTION``, ``EMPTINESS``, ``BOUNDS``, ``ALL_TABLES``) resolve
+against the *active* context via PEP 562; hot call sites fetch
+:func:`active` once instead.
 """
 
 from __future__ import annotations
@@ -90,26 +89,23 @@ class MemoContext:
       ``(dims, constraints, name)`` -> ``BasicSet``;
     * ``emptiness`` -- rational emptiness results: ``BasicSet`` -> bool;
     * ``bounds`` -- loop-bound extraction:
-      ``(dims, constraints, name, context)`` -> bounds;
-    * ``implied`` -- AST-build implication tests:
-      ``(context, constraint)`` -> bool.
+      ``(dims, constraints, name, context)`` -> bounds.
 
-    ``enabled`` gates all four at once (the DSE ``cache=False`` hatch).
+    ``enabled`` gates all three at once (the DSE ``cache=False`` hatch).
     A context is cheap to construct, so a compile-server session can own
     a private one and :func:`activate` it around each request.
     """
 
-    __slots__ = ("projection", "emptiness", "bounds", "implied", "enabled")
+    __slots__ = ("projection", "emptiness", "bounds", "enabled")
 
     def __init__(self, cap: int = 65536):
         self.projection = MemoTable("projection", cap)
         self.emptiness = MemoTable("emptiness", cap)
         self.bounds = MemoTable("bounds", cap)
-        self.implied = MemoTable("implied", cap)
         self.enabled = True
 
     def tables(self) -> Tuple[MemoTable, ...]:
-        return (self.projection, self.emptiness, self.bounds, self.implied)
+        return (self.projection, self.emptiness, self.bounds)
 
     def stats_snapshot(self) -> Dict[str, Tuple[int, int]]:
         """Current (hits, misses) per table, keyed by table name."""
@@ -127,7 +123,6 @@ _TABLE_ALIASES = {
     "PROJECTION": "projection",
     "EMPTINESS": "emptiness",
     "BOUNDS": "bounds",
-    "IMPLIED": "implied",
 }
 
 

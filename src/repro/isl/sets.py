@@ -212,7 +212,39 @@ class BasicSet:
         result = self
         for name in [d for d in self.dims if d not in keep]:
             result = result.drop_dim(name)
-        return result.reorder_dims([d for d in keep if d in result.dims])
+        order = tuple(d for d in keep if d in result.dims)
+        return result if order == result.dims else result.reorder_dims(order)
+
+    def _reaching(self, name: str, keep: Sequence[str]) -> "BasicSet":
+        """The constraints that can reach ``name`` when projecting onto ``keep``.
+
+        Fourier-Motzkin only ever combines two constraints over the dim
+        it eliminates, so a constraint can contribute to a projected
+        constraint involving ``name`` only through a chain of shared
+        *eliminated* dims: start from the constraints involving ``name``
+        and close under "shares a dim outside ``keep``".  The rest never
+        meets this component in a pairing or a substitution (at most it
+        equals one of its ``keep``-only by-products, which involve no
+        ``name``), and ``others + combos``, the dedupe and
+        ``prune_parallel`` keep the relative order of what survives: the
+        ``name``-involving constraints of ``project_onto(keep)`` are the
+        same, in the same order, from this subset as from the whole.
+        """
+        kept = set(keep)
+        live = {name}
+        picked = [False] * len(self.constraints)
+        grew = True
+        while grew:
+            grew = False
+            for at, constraint in enumerate(self.constraints):
+                coeffs = constraint.expr._coeffs
+                if not picked[at] and not live.isdisjoint(coeffs):
+                    picked[at] = grew = True
+                    live.update(d for d in coeffs if d not in kept)
+        return BasicSet(
+            [d for d in self.dims if d in kept or d in live],
+            [c for c, hit in zip(self.constraints, picked) if hit],
+        )
 
     def add_dims(self, names: Sequence[str]) -> "BasicSet":
         """Append unconstrained dimensions."""
@@ -269,7 +301,8 @@ class BasicSet:
             if cached is not None:
                 return list(cached[0]), list(cached[1])
         keep = list(context) + [name]
-        projected = self.project_onto(keep)
+        source = self if _intern._REFERENCE else self._reaching(name, keep)
+        projected = source.project_onto(keep)
         lowers: List[LoopBound] = []
         uppers: List[LoopBound] = []
         for constraint in projected.constraints:

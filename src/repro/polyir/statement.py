@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dsl.compute import Compute
 from repro.dsl.expr import Access, Expr
+from repro.dsl.placeholder import Placeholder
 from repro.isl.affine import AffineExpr
 from repro.isl.maps import ScheduleMap
 from repro.isl.sets import BasicSet
@@ -45,6 +46,9 @@ class PolyStatement:
     dest: Access                   # destination access over current loop dims
     hw_opts: List[HardwareOpt] = field(default_factory=list)
     source: Optional[Compute] = None
+    #: ``(body, dest, index_dims())`` of the pair it was read from:
+    #: carried by ``copy()``, void once a transform rebinds either.
+    _index_dims: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.statics) != len(self.loop_order) + 1:
@@ -156,6 +160,21 @@ class PolyStatement:
     def accesses(self) -> List[Access]:
         """All loads plus the store, over current loop dims."""
         return self.body.loads() + [self.dest]
+
+    def index_dims(self) -> List[Tuple[Placeholder, List[Tuple[str, ...]]]]:
+        """Per access, its array and the loop dims each index reads.
+
+        A function of ``(body, dest)`` alone, so it is derived once per
+        rewritten statement, not once per candidate that reuses it.
+        """
+        memo = self._index_dims
+        if memo is None or memo[0] is not self.body or memo[1] is not self.dest:
+            table = [
+                (access.placeholder, [index.dims() for index in access.affine_indices()])
+                for access in self.accesses()
+            ]
+            memo = self._index_dims = (self.body, self.dest, table)
+        return memo[2]
 
     def __repr__(self):
         return (

@@ -114,9 +114,7 @@ class TestDseStats:
         assert stats.total_s > 0
         assert stats.lowerings >= 1
         assert stats.estimations >= stats.lowerings
-        assert set(stats.isl_counters) == {
-            "projection", "emptiness", "bounds", "implied",
-        }
+        assert set(stats.isl_counters) == {"projection", "emptiness", "bounds"}
         assert "dse profile" in stats.summary()
 
     def test_uncached_run_reports_cache_off(self):

@@ -238,3 +238,54 @@ def test_perfsmoke_a_nodes_delta_is_computed_once(monkeypatch):
     )
     assert result.stats.evaluations >= 10 and result.stats.surrogate_skips
     assert len(calls) == result.stats.statement_cache_misses
+
+
+@pytest.mark.perfsmoke
+def test_perfsmoke_index_expressions_are_read_once_per_rewritten_statement(monkeypatch):
+    """Count-based guard: ``derive_partitions`` reads the statement's
+    ``index_dims()``, which every copy of a memoized statement carries,
+    so ``affine_indices`` runs once per access of a statement-memo miss
+    (it used to run for every access of every candidate: 6 837 calls
+    against the 2 522 accesses of 563 misses on one ``kernel_dse`` pass)."""
+    from repro.dsl.expr import Access
+
+    calls = []
+    depth = []
+    evaluators = []
+
+    def scoped(function):
+        def inner(*args, **kwargs):
+            depth.append(None)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                depth.pop()
+        return inner
+
+    affine_indices = Access.affine_indices
+
+    def counting(self):
+        if depth:
+            calls.append(self)
+        return affine_indices(self)
+
+    realize = Evaluator.realize
+
+    def remembering(self, configs, bank_cap):
+        if self not in evaluators:
+            evaluators.append(self)
+        return realize(self, configs, bank_cap)
+
+    monkeypatch.setattr(Access, "affine_indices", counting)
+    monkeypatch.setattr(PolyStatement, "index_dims", scoped(PolyStatement.index_dims))
+    monkeypatch.setattr(evaluator_mod, "derive_partitions", scoped(evaluator_mod.derive_partitions))
+    monkeypatch.setattr(Evaluator, "realize", remembering)
+    result = auto_dse(
+        workloads.get("3mm", KERNEL_SIZE),
+        options=DseOptions(resource_fraction=0.25, objective="pareto"),
+    )
+    assert result.stats.statement_cache_hits > result.stats.statement_cache_misses > 0
+    (evaluator,) = evaluators
+    memoized = [statement for _, statement in evaluator._statement_memo.values()]
+    assert len(memoized) == result.stats.statement_cache_misses
+    assert 0 < len(calls) <= sum(len(s.accesses()) for s in memoized)

@@ -66,6 +66,7 @@ class TestMemoTable:
     def test_stats_snapshot_keys(self):
         snapshot = memo.stats_snapshot()
         assert set(snapshot) == {t.name for t in memo.ALL_TABLES}
+        assert set(snapshot) == {"projection", "emptiness", "bounds"}
         assert all(v == (0, 0) for v in snapshot.values())
 
 
