@@ -14,7 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.diagnostics import DiagnosticError, caller_location
-from repro.dsl.expr import Access, Expr, wrap
+from repro.dsl.expr import Access, BinaryOp, Call, Cast, Const, Expr, IterRef, wrap
 from repro.dsl.placeholder import Placeholder
 from repro.dsl.schedule import (
     After,
@@ -195,8 +195,17 @@ class Compute:
         transformation is checked: destination elements are assigned in
         the sequential order of the original nest, which yields the usual
         accumulate behaviour when the destination is also read.
+
+        It runs as one generated plain loop nest (:func:`_nest_source`),
+        built afresh on every call; the recursive walk over
+        ``Expr.evaluate`` (:meth:`_execute_level`) is kept as its oracle.
         """
-        self._execute_level(0, {}, arrays)
+        # ``__name__`` attributes a numpy warning raised by the store to
+        # this module, as it is in the walk (CI errors on repro.* warnings).
+        namespace = {"__builtins__": {}, "__name__": __name__, "range": range, "int": int}
+        source = _nest_source(self, namespace)
+        exec(compile(source, f"<reference nest {self.name}>", "exec"), namespace)
+        namespace["_nest"](arrays)
 
     def _execute_level(self, depth: int, env: Dict[str, int], arrays) -> None:
         if depth == len(self.iters):
@@ -215,6 +224,62 @@ class Compute:
             f"compute({self.name!r}, [{', '.join(self.iter_names)}], "
             f"{self.expr!r}, {self.dest!r})"
         )
+
+
+def _nest_source(compute: Compute, namespace: Dict[str, object]) -> str:
+    """Python source of ``def _nest(arrays)``, ``compute``'s loop nest.
+
+    Identical to :meth:`Compute._execute_level` by construction, not by
+    test: each operator, intrinsic and cast calls the very
+    ``BinaryOp.OPS`` / ``Call.FUNCS`` entry or ``Cast.convert`` the walk
+    calls, and constants and loop bounds are the walk's own objects, all
+    bound into ``namespace``; the one statement evaluates the value, then
+    the destination indices (``int()`` unless a bare iterator, as in
+    ``Access.evaluate``), then stores.  Only the loop structure differs.
+    Locals are mangled (``_i0``, ``_a0``, ``_b0``): ``in`` is a legal
+    DSL iterator name.
+    """
+    iters = {it.name: f"_i{n}" for n, it in enumerate(compute.iters)}
+    arrays: Dict[str, str] = {}
+
+    def bind(obj) -> str:
+        name = f"_b{len(namespace)}"
+        namespace[name] = obj
+        return name
+
+    def access(node: Access) -> str:
+        local = arrays.setdefault(node.array_name, f"_a{len(arrays)}")
+        point = "".join(
+            (iters[i.name] if isinstance(i, IterRef) else f"int({value(i)})") + ", "
+            for i in node.indices
+        )
+        return f"{local}[({point})]"
+
+    def value(node: Expr) -> str:
+        if isinstance(node, IterRef):
+            return iters[node.name]
+        if isinstance(node, Const):
+            return bind(node.value)
+        if isinstance(node, Access):
+            return access(node)
+        if isinstance(node, Cast):
+            return f"{bind(node.convert)}({value(node.value)})"
+        if isinstance(node, BinaryOp):
+            fn = node.OPS[node.op]
+        elif isinstance(node, Call):
+            fn = node.FUNCS[node.func]
+        else:
+            raise TypeError(f"no reference nest for {node!r}")
+        return f"{bind(fn)}({', '.join(value(child) for child in node.children())})"
+
+    store = f"{access(compute.dest)} = {value(compute.expr)}"
+    lines = [f"    {local} = arrays[{name!r}]" for name, local in arrays.items()]
+    for depth, it in enumerate(compute.iters, 1):
+        lines.append(
+            "    " * depth + f"for {iters[it.name]} in range({bind(it.lo)}, {bind(it.hi)}):"
+        )
+    lines.append("    " * (len(compute.iters) + 1) + store)
+    return "def _nest(arrays):\n" + "\n".join(lines) + "\n"
 
 
 def compute(name: str, iters: Sequence[Var], expr, dest: Access) -> Compute:

@@ -172,6 +172,13 @@ def _int_mod(a: int, b: int) -> int:
     return a - _int_div(a, b) * b
 
 
+def _at_width(np_func, math_func):
+    """A math intrinsic at its operand's own width, like C's ``expf``:
+    a numpy scalar goes through the numpy ufunc (``math.exp`` would turn
+    an ``np.float32`` into a double), a Python scalar through ``math``."""
+    return lambda x: np_func(x) if isinstance(x, np.generic) else math_func(x)
+
+
 class Call(Expr):
     """An intrinsic call: min/max/abs/sqrt/exp and friends."""
 
@@ -179,9 +186,9 @@ class Call(Expr):
         "min": min,
         "max": max,
         "abs": abs,
-        "sqrt": math.sqrt,
-        "exp": math.exp,
-        "log": math.log,
+        "sqrt": _at_width(np.sqrt, math.sqrt),
+        "exp": _at_width(np.exp, math.exp),
+        "log": _at_width(np.log, math.log),
         "relu": lambda x: x if x > 0 else type(x)(0),
     }
 
@@ -214,9 +221,15 @@ class Cast(Expr):
     def children(self):
         return (self.value,)
 
+    def convert(self, raw: Scalar) -> Scalar:
+        """C's conversion to the target type, at the target's own width:
+        ``(float)`` rounds to single precision and ``(int8_t)`` wraps,
+        where Python's ``float`` / ``int`` would keep a double or an
+        unbounded integer.  A fixed-point target takes its float64 model."""
+        return self.dtype.np_dtype.type(raw)
+
     def evaluate(self, env, arrays):
-        raw = self.value.evaluate(env, arrays)
-        return float(raw) if self.dtype.is_float else int(raw)
+        return self.convert(self.value.evaluate(env, arrays))
 
     def substitute_iters(self, bindings):
         return Cast(self.dtype, self.value.substitute_iters(bindings))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.affine import interpret, simulate
-from repro.dsl import Function, compute, float32, int32, placeholder, var
+from repro.dsl import Function, compute, float32, float64, int64, placeholder, uint64, var
+from repro.dsl.dtypes import ALL_TYPES
+from repro.dsl.expr import BinaryOp, Call, Cast
 from repro.hlsgen import generate_hls_c
 from repro.hlsgen.testbench import cosimulate, deterministic_arrays
 from repro.pipeline import (
@@ -122,58 +124,121 @@ class TestMultiFunctionIsolation:
         assert all(p.partition_scheme is None for p in f2.placeholders())
 
 
-class TestDivModAcrossExecutors:
-    """``/`` and ``%`` mean C's operators in every executor: the DSL
-    reference, the interpreter, the compiled simulator and the emitted C.
-    The reference used to test ``isinstance(x, float)``, which is false
-    for ``np.float32``, and floor-divided f32 operands."""
+def _walked_reference(function, arrays):
+    for stmt in function.computes:
+        stmt._execute_level(0, {}, arrays)
+
+
+_SCALAR_CASES = [
+    pytest.param(op, dtype, id=f"{op}-{dtype}")
+    for op in sorted(BinaryOp.OPS) + sorted(Call.FUNCS) + ["cast"]
+    for dtype in ALL_TYPES
+]
+#: Combinations the emitted C is not compared on, with the reason.
+_NO_COSIM = {
+    ("cast", uint64): "the testbench hashes (long)(value * 256.0), undefined "
+    "past 2**63, where a wrapped uint64 lands",
+    ("%", float64): "the emitter spells float % as fmodf whatever the width, "
+    "so a double divisor is rounded to float first and near-integer "
+    "quotients take the other multiple (sqrtf / expf / logf share the "
+    "spelling but stay inside the testbench's 1/256 quantization)",
+}
+
+
+class TestScalarSemanticsAcrossExecutors:
+    """Every operator, intrinsic and cast means one thing, over every
+    dtype, in every executor: the walked DSL reference, the generated
+    one, the interpreter, the compiled simulator and the emitted C.  It
+    caught ``/`` and ``%`` floor-dividing ``np.float32`` in the reference,
+    ``Cast`` ignoring the target width, and ``exp`` / ``log`` taking
+    ``math``'s double-precision route on numpy scalars."""
+
+    EXECUTORS = {
+        "walked": _walked_reference,
+        "generated": lambda function, arrays: function.reference_execute(arrays),
+        "interpret": lambda function, arrays: interpret(lower_to_affine(function), arrays),
+        "simulate": lambda function, arrays: simulate(lower_to_affine(function), arrays),
+    }
 
     @staticmethod
-    def _kernel(dtype, divisor_shift):
-        # Shifts make dividends and divisors of both signs (and no zero
-        # divisor) out of the testbench's own inputs: floats in [-2, 2),
-        # integers in [0, 8).
-        with Function("divmod") as f:
+    def _kernel(op, dtype):
+        """``C[i] = op(...)`` over the testbench's own inputs (floats in
+        [-2, 2) on a 1/250 grid, integers in [0, 8)), shifted so that
+        dividends and divisors take both signs where the type has them
+        (odd integer divisors, float divisors ``k/125 - 3.5``: never
+        zero), ``sqrt`` / ``log`` see positive operands and no result
+        overflows ``dtype``.
+        A cast reads the widest type of the target's kind, scaled so that
+        the target's own width shows: f32 rounding, integer wrap-around."""
+        with Function("scalar") as f:
             i = var("i", 0, 64)
+            if op == "cast":
+                wide = float64 if dtype.is_float else int64 if dtype.signed else uint64
+                A = placeholder("A", (64,), float64 if dtype.is_float else int64)
+                C = placeholder("C", (64,), wide)
+                source = A(i) if dtype.is_float else (A(i) - 4) * 1234567891
+                compute("S", [i], Cast(dtype, source), C(i))
+                return f
             A = placeholder("A", (64,), dtype)
             B = placeholder("B", (64,), dtype)
-            Q = placeholder("Q", (64,), dtype)
-            R = placeholder("R", (64,), dtype)
-            dividend = A(i) if dtype.is_float else A(i) - 4
-            compute("Sq", [i], dividend / (B(i) - divisor_shift), Q(i))
-            compute("Sr", [i], dividend % (B(i) + divisor_shift), R(i))
+            C = placeholder("C", (64,), dtype)
+            if dtype.is_float:
+                lhs, rhs, positive = A(i), B(i) * 2 + 0.5, A(i) + 2.5
+            elif dtype.signed:
+                lhs, rhs, positive = A(i) - 4, (B(i) - 4) * 2 + 1, A(i) + 1
+            else:
+                lhs, rhs, positive = A(i) + 8, B(i) + 1, A(i) + 1
+            if op in BinaryOp.OPS:
+                value = BinaryOp(op, lhs, rhs)
+            elif op in ("min", "max"):
+                value = Call(op, [lhs, rhs])
+            elif op in ("sqrt", "log"):
+                value = Call(op, [positive])
+            elif op == "exp":
+                value = Call(op, [lhs if dtype.signed else A(i) % 5])
+            else:
+                value = Call(op, [lhs])
+            compute("S", [i], value, C(i))
         return f
 
-    CASES = [("f32", float32, 2.5), ("i32", int32, 9)]
-
-    @pytest.mark.parametrize("name,dtype,shift", CASES, ids=[c[0] for c in CASES])
-    def test_reference_interpreter_and_simulator_agree(self, name, dtype, shift):
-        function = self._kernel(dtype, shift)
+    @pytest.mark.parametrize("op,dtype", _SCALAR_CASES)
+    def test_reference_interpreter_and_simulator_agree(self, op, dtype):
+        function = self._kernel(op, dtype)
         inputs = deterministic_arrays(function)
-        assert (inputs["A"] - (0 if dtype.is_float else 4) < 0).any()
-        expected = {k: v.copy() for k, v in inputs.items()}
-        function.reference_execute(expected)
-        assert (expected["Q"] != 0).any() and (expected["R"] < 0).any()
-        for run in (interpret, simulate):
-            actual = {k: v.copy() for k, v in inputs.items()}
-            run(lower_to_affine(function), actual)
-            for array in ("Q", "R"):
-                assert np.array_equal(actual[array], expected[array]), (run, array)
+        outputs = {}
+        for name, run in self.EXECUTORS.items():
+            outputs[name] = {k: v.copy() for k, v in inputs.items()}
+            run(function, outputs[name])
+        want = outputs.pop("walked")["C"]
+        assert not np.array_equal(want, inputs["C"])
+        if op in ("/", "%") and dtype.signed:
+            # The kernel must reach the signed cases C defines.
+            expr = function.computes[0].expr
+            lhs, rhs = (
+                np.array([e.evaluate({"i": k}, inputs) for k in range(64)])
+                for e in (expr.lhs, expr.rhs)
+            )
+            assert (lhs < 0).any() and (rhs < 0).any() and (rhs > 0).any()
+            assert (want != 0).any() if op == "/" else (want < 0).any()
+        for name, arrays in outputs.items():
+            assert arrays["C"].dtype == want.dtype, name
+            assert arrays["C"].tobytes() == want.tobytes(), name
 
-    def test_float32_division_is_true_division(self):
-        function = self._kernel(float32, 2.5)
+    @pytest.mark.parametrize("op,numpy_op", [("/", np.divide), ("%", np.fmod)])
+    def test_float32_division_is_true_division(self, op, numpy_op):
+        function = self._kernel(op, float32)
         arrays = deterministic_arrays(function)
         function.reference_execute(arrays)
-        assert np.array_equal(arrays["Q"], arrays["A"] / (arrays["B"] - np.float32(2.5)))
-        assert np.array_equal(
-            arrays["R"], np.fmod(arrays["A"], arrays["B"] + np.float32(2.5))
-        )
+        divisor = arrays["B"] * np.float32(2) + np.float32(0.5)
+        assert np.array_equal(arrays["C"], numpy_op(arrays["A"], divisor))
 
     @pytest.mark.skipif(
         shutil.which("gcc") is None and shutil.which("cc") is None,
         reason="no C compiler available",
     )
-    @pytest.mark.parametrize("name,dtype,shift", CASES, ids=[c[0] for c in CASES])
-    def test_emitted_c_agrees(self, name, dtype, shift):
-        result = cosimulate(self._kernel(dtype, shift))
+    @pytest.mark.parametrize("op,dtype", _SCALAR_CASES)
+    def test_emitted_c_agrees(self, op, dtype):
+        if (op, dtype) in _NO_COSIM:
+            pytest.skip(_NO_COSIM[op, dtype])
+        result = cosimulate(self._kernel(op, dtype))
         assert result.matched, result.mismatches()
