@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import trace as _trace
 from repro.dsl.compute import Compute
 from repro.dsl.expr import Access
+from repro.isl import intern as _intern
 from repro.isl.affine import AffineExpr
 from repro.isl.constraint import Constraint
 from repro.isl.sets import BasicSet
@@ -145,19 +146,40 @@ def dependence_relation(compute: Compute, src: Access, snk: Access, level: int) 
     return _carried_at(relation, dims, level)
 
 
-def _constant_entry(relation: BasicSet, dim: str, candidate: Optional[int]) -> Optional[int]:
-    """``candidate`` when ``dim' - dim`` takes no other value over the relation."""
+def _pinned(relation: BasicSet) -> set:
+    """Dims whose step ``dim' - dim`` an equality of ``relation`` fixes
+    (the level's own ``dim' = dim``, or a uniform access pair).  Such an
+    entry is the constant it takes at any pair of the relation; the
+    equality leaves both cuts of ``_constant_entry`` rationally empty,
+    which Fourier-Motzkin always proves."""
+    pinned = set()
+    for constraint in relation.constraints:
+        coeffs = constraint.expr._coeffs
+        if constraint.is_equality() and len(coeffs) == 2:
+            for name, coeff in coeffs.items():
+                dim = name[: -len(_SINK_SUFFIX)]
+                if name.endswith(_SINK_SUFFIX) and abs(coeff) == 1 and coeffs.get(dim) == -coeff:
+                    pinned.add(dim)
+    return pinned
+
+
+def _constant_entry(
+    relation: BasicSet, dim: str, candidate: Optional[int], point: Dict[str, int]
+) -> Optional[int]:
+    """``candidate`` when ``dim' - dim`` takes no other value over the relation.
+
+    ``point`` is a pair of the relation at which the step is ``candidate``.
+    """
     if candidate is None:
         return None
     step = _step(dim)
-    # An explicit equality (the level's own, or a uniform access pair)
-    # leaves both cuts below rationally empty, which Fourier-Motzkin
-    # always proves: same answer without running it.
-    if (
-        Constraint.eq(step, candidate) in relation.constraints
-        or Constraint.eq(-step, -candidate) in relation.constraints
-    ):
-        return candidate
+    # A neighbour of ``point`` one step off on either side is an integer
+    # point in one of the cuts, which Fourier-Motzkin could not refute.
+    if not _intern._REFERENCE:
+        for name in (_sink_name(dim), dim):
+            for delta in (1, -1):
+                if relation.contains({**point, name: point[name] + delta}):
+                    return None
     above = relation.with_constraints([Constraint.ge(step, candidate + 1)])
     below = relation.with_constraints([Constraint.le(step, candidate - 1)])
     if above.is_empty() and below.is_empty():
@@ -209,30 +231,42 @@ def access_pairs(
 def _carried_levels(
     dims: Tuple[str, ...], domain: BasicSet, src_idx: Sequence[AffineExpr],
     snk_idx: Sequence[AffineExpr], extents: Dict[str, int],
+    origin: Optional[Dict[str, int]],
 ) -> List[Tuple[int, DistanceVector, DirectionVector, Optional[int]]]:
     """``(level, distance, direction, min distance)`` of every level that
     carries ``src(v) == snk(v')``.
 
-    A non-empty level is sampled once; each distance entry is constant
-    exactly when the relation is empty on both sides of the sampled value.
+    A level is first tried on the witness pair ``(origin, origin + e)``,
+    one step apart at the level: a pair in the relation shows it
+    non-empty without Fourier-Motzkin.  Any other level is tested for
+    emptiness and, when non-empty, sampled once.  Each distance entry is
+    constant exactly when the relation is empty on both sides of the
+    value at that point.
     """
     rows = []
     pair_relation = _pair_relation(dims, domain, src_idx, snk_idx)
+    same = None if origin is None else {**origin, **{_sink_name(d): origin[d] for d in dims}}
     for level, carried in enumerate(dims):
         relation = _carried_at(pair_relation, dims, level)
-        if relation.is_empty():
+        point = None if same is None else {**same, _sink_name(carried): same[carried] + 1}
+        if point is not None and relation.contains(point):
+            _trace.count("depgraph.witnesses")
+        elif relation.is_empty():
             continue
-        _trace.count("depgraph.samples")
-        sample = relation.sample()
-        if sample is None:  # rational points only: nothing is known
+        else:
+            _trace.count("depgraph.samples")
+            point = relation.sample()
+        if point is None:  # rational points only: nothing is known
             steps = [None] * len(dims)
         else:
-            steps = [sample[_sink_name(d)] - sample[d] for d in dims]
-        distance = DistanceVector(
-            dims, tuple(_constant_entry(relation, d, s) for d, s in zip(dims, steps))
-        )
-        # A sampled pair one step apart is the minimum: every
-        # probe of the search would contain that (real) point.
+            steps = [point[_sink_name(d)] - point[d] for d in dims]
+        pinned = _pinned(relation)
+        distance = DistanceVector(dims, tuple(
+            s if d in pinned else _constant_entry(relation, d, s, point)
+            for d, s in zip(dims, steps)
+        ))
+        # A pair one step apart is the minimum: every probe of the
+        # search would contain that (integer) point.
         min_distance = 1 if steps[level] == 1 else _min_distance(
             relation, carried, extents.get(carried, 1)
         )
@@ -248,7 +282,9 @@ def _carried(
     The relation depends on the two index lists only, so each distinct
     ``(src, snk)`` is solved once per call and its rows are fanned out
     per kind and array: an accumulating statement's RAW, WAR and WAW
-    pairs are one relation.  Private so that ``analyze_compute`` shares
+    pairs are one relation.  One point of the domain, sampled per call,
+    anchors every level's witness pair (none under
+    ``REPRO_ISL_REFERENCE=1``).  Private so that ``analyze_compute`` shares
     it without counting as a call of the public entry point, which the
     benchmark times.
     """
@@ -257,11 +293,14 @@ def _carried(
     solved: Dict[tuple, list] = {}
     args = {"dims": len(dims), "pairs": len(pairs)} if _trace.enabled() else None
     with _trace.span("depgraph.carried", "depgraph", args):
+        origin = None if _intern._REFERENCE or not pairs else domain.sample()
         for kind, array, src_idx, snk_idx in pairs:
             key = (tuple(src_idx), tuple(snk_idx))
             rows = solved.get(key)
             if rows is None:
-                rows = solved[key] = _carried_levels(dims, domain, src_idx, snk_idx, extents)
+                rows = solved[key] = _carried_levels(
+                    dims, domain, src_idx, snk_idx, extents, origin
+                )
             results.extend(
                 CarriedDependence(array, kind, level, dims, distance, direction, min_distance)
                 for level, distance, direction, min_distance in rows

@@ -38,8 +38,9 @@ compiled bound evaluators, vectorized point counting and bank
 enumeration -- through the original pure-Python implementations, and
 asks Fourier-Motzkin everything the AST build otherwise decides from
 its loop nest or projects from a subset (``astbuild._implies``,
-``BasicSet._reaching``); the differential test suite holds all of it
-bit-identical to the fast path.
+``BasicSet._reaching``) and everything dependence analysis otherwise
+shows non-empty by a witness pair (``depgraph.analysis``); the
+differential test suite holds all of it bit-identical to the fast path.
 """
 
 from __future__ import annotations

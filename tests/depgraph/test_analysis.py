@@ -199,13 +199,14 @@ class TestCrossOffsets:
 
 
 @pytest.mark.perfsmoke
-def test_perfsmoke_one_sample_per_carried_level(monkeypatch):
-    """Count-based guard (no timing): the engine samples a relation once
-    per non-empty (distinct relation, level) -- an accumulating conv's
-    RAW, WAR and WAW pairs are one relation, solved once -- and sampling
-    shares one elimination chain instead of re-projecting per dim: a
-    vgg16 conv statement cost 54 samples and 323 projection-table misses
-    before that."""
+def test_perfsmoke_witnesses_leave_fm_only_emptiness_proofs(monkeypatch):
+    """Count-based guard (no timing) on a vgg16 conv statement: an
+    accumulating conv's RAW, WAR and WAW pairs are one relation, solved
+    once; its three carried levels are shown non-empty by witness pairs
+    around one domain sample, and its non-constant distance entries by
+    neighbouring points.  Fourier-Motzkin then runs only to prove the
+    three other levels empty: no relation is sampled and no entry is
+    cut (3 relation samples and 12 emptiness tests without witnesses)."""
     from repro import workloads
     from repro.dse.analysis import carried_for_statement
     from repro.dse.stage1 import plan_stage1
@@ -217,10 +218,13 @@ def test_perfsmoke_one_sample_per_carried_level(monkeypatch):
     program = stage1_program(function, plan_stage1(function))
     stmt = program.statement("conv2")
 
-    samples = []
-    original = BasicSet.sample
+    samples, empties = [], []
+    sample, is_empty = BasicSet.sample, BasicSet.is_empty
     monkeypatch.setattr(
-        BasicSet, "sample", lambda self: samples.append(self) or original(self)
+        BasicSet, "sample", lambda self: samples.append(self.dims) or sample(self)
+    )
+    monkeypatch.setattr(
+        BasicSet, "is_empty", lambda self: empties.append(is_empty(self)) or empties[-1]
     )
     context = memo.MemoContext()
     previous = memo.activate(context)
@@ -230,5 +234,64 @@ def test_perfsmoke_one_sample_per_carried_level(monkeypatch):
         memo.activate(previous)
     assert len(deps) == 9
     assert {d.kind for d in deps} == {"RAW", "WAR", "WAW"}
-    assert len(samples) == 3
-    assert context.stats_snapshot()["projection"][1] <= 80
+    assert samples == [tuple(stmt.loop_order)]  # the domain's, no relation's
+    assert empties == [True] * 3
+    assert context.stats_snapshot()["projection"][1] == 0
+
+
+class TestEliminationLimit:
+    """A cut a witness decides never reaches Fourier-Motzkin, so the
+    ISL001 pairing limit bounds emptiness proofs only.  With the limit at
+    one pair, a box domain still eliminates (one lower, one upper bound
+    per dim) but no relation over two instances does."""
+
+    @pytest.fixture
+    def tight(self, monkeypatch):
+        from repro.isl import constraint, memo
+
+        monkeypatch.setattr(constraint, "MAX_FM_PAIRS", 1)
+        previous = memo.activate(memo.MemoContext())
+        yield
+        memo.activate(previous)
+
+    @staticmethod
+    def _reduction():
+        """``s[0] += A[k]`` over ``0 <= k < 8``."""
+        from repro.depgraph.analysis import carried_dependences_generic
+        from repro.isl.affine import AffineExpr
+        from repro.isl.sets import BasicSet
+
+        cell = [AffineExpr.const(0)]
+        return carried_dependences_generic(
+            ["k"], BasicSet.box({"k": (0, 7)}), [("RAW", "s", cell, cell)], {"k": 8}
+        )
+
+    def test_witnessed_relation_answers(self, tight):
+        (dep,) = self._reduction()
+        assert (dep.level, dep.distance.entries, dep.min_distance) == (0, (None,), 1)
+
+    def test_reference_mode_still_raises(self, tight):
+        from repro.isl import intern
+        from repro.isl.constraint import EliminationBlowup
+
+        previous = intern.set_reference_mode(True)
+        try:
+            with pytest.raises(EliminationBlowup) as raised:
+                self._reduction()
+        finally:
+            intern.set_reference_mode(previous)
+        assert raised.value.code == "ISL001"
+
+    def test_emptiness_proof_still_raises(self, tight):
+        """``A[i]`` written for i in [0, 3], ``A[j]`` read for j in
+        [4, 7]: no pair exists, and proving so pairs 2 x 2 bounds."""
+        from repro.depgraph.analysis import carried_dependences_generic
+        from repro.isl.affine import AffineExpr
+        from repro.isl.constraint import EliminationBlowup
+        from repro.isl.sets import BasicSet
+
+        domain = BasicSet.box({"i": (0, 3), "j": (4, 7)})
+        pairs = [("RAW", "A", [AffineExpr.var("i")], [AffineExpr.var("j")])]
+        with pytest.raises(EliminationBlowup) as raised:
+            carried_dependences_generic(["i", "j"], domain, pairs, {"i": 4, "j": 4})
+        assert raised.value.code == "ISL001"

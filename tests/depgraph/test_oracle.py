@@ -19,8 +19,13 @@ from repro import workloads
 from repro.depgraph import analyze_compute, dependence_relation, domain_of
 from repro.depgraph.analysis import carried_dependences_generic
 from repro.dse.analysis import carried_for_statement
+from repro.dse.stage1 import plan_stage1
+from repro.dse.stage2 import stage1_program
+from repro.dsl import Function, compute, placeholder, var
 from repro.dsl.schedule import Split, Tile
 from repro.fuzz.generator import random_schedule
+from repro.isl import intern as _intern
+from repro.isl import memo as _memo
 from repro.polyir.program import PolyProgram
 
 from tests.depgraph.test_analysis import make_fig1_stencil, make_reduction
@@ -133,8 +138,33 @@ def check_statement(stmt, exact):
     return all_exact
 
 
+def make_conv():
+    """A DNN conv layer in miniature (the shape of ``workloads.dnn``'s):
+    2 input and 2 output channels, 3x3 taps, 5x5 output, 900 instances.
+    Its accumulation is carried at the three reduction dims, where the
+    engine's witness pairs decide the levels and the non-constant
+    entries."""
+    with Function("conv") as f:
+        co = var("co", 0, 2)
+        h = var("h", 0, 5)
+        w = var("w", 0, 5)
+        ci = var("ci", 0, 2)
+        r = var("r", 0, 3)
+        c = var("c", 0, 3)
+        src = placeholder("src", (2, 7, 7))
+        wgt = placeholder("wgt", (2, 2, 3, 3))
+        out = placeholder("out", (2, 5, 5))
+        s = compute(
+            "conv",
+            [co, h, w, ci, r, c],
+            out(co, h, w) + src(ci, h + r, w + c) * wgt(co, ci, r, c),
+            out(co, h, w),
+        )
+    return f, s
+
+
 class TestPaperExamples:
-    @pytest.mark.parametrize("make", [make_fig1_stencil, make_reduction])
+    @pytest.mark.parametrize("make", [make_fig1_stencil, make_reduction, make_conv])
     def test_analysis_matches_enumeration(self, make, isl_mode):
         _, compute = make()
         check_compute(compute)
@@ -169,6 +199,35 @@ class TestRegistryKernels:
         assert in_reach if name == "resnet18" else in_reach == function.computes
         for compute in in_reach:
             check_compute(compute)
+
+
+class TestDnnStatements:
+    """The vgg16 and resnet18 conv statements are out of enumeration's
+    reach, yet they are where witness pairs answer most cuts: hold every
+    statement stage 1 starts from and every one it ends with to the
+    Fourier-Motzkin-only answers of ``REPRO_ISL_REFERENCE`` mode."""
+
+    @pytest.mark.parametrize("name", ["vgg16", "resnet18"])
+    def test_default_matches_reference_mode(self, name):
+        function = workloads.get(name, 4)
+        statements = (
+            PolyProgram(function).statements
+            + stage1_program(function, plan_stage1(function)).statements
+        )
+        answers = {}
+        for reference in (False, True):
+            _memo.clear_all()
+            previous = _intern.set_reference_mode(reference)
+            try:
+                answers[reference] = [
+                    carried_for_statement(stmt, kinds=("RAW", "WAR", "WAW"))
+                    for stmt in statements
+                ]
+            finally:
+                _intern.set_reference_mode(previous)
+                _memo.clear_all()
+        assert any(answers[False])
+        assert answers[False] == answers[True]
 
 
 #: (workload, size) drawn round-robin by the fuzz cases below.

@@ -25,15 +25,27 @@ from repro.isl import memo as _memo
 from repro.pipeline import compile_to_hls_c
 from repro.workloads import polybench
 
-#: The last three split by factors that do not divide their extents or
-#: skew: where the AST build's shortcuts hand over to Fourier-Motzkin.
-WORKLOADS = ("gemm", "bicg", "mm2", "mm3", "gesummv", "jacobi-2d", "blur", "seidel")
+#: ``jacobi-2d``, ``blur`` and ``seidel`` split by factors that do not
+#: divide their extents or skew: where the AST build's shortcuts hand
+#: over to Fourier-Motzkin.  ``resnet18`` spends its sweep in dependence
+#: analysis, where witness pairs stand in for Fourier-Motzkin.
+WORKLOADS = (
+    "gemm", "bicg", "mm2", "mm3", "gesummv", "jacobi-2d", "blur", "seidel", "resnet18",
+)
 SIZE = 16
+#: DNN layers keep their channel counts at every size: the smallest one.
+SIZES = {"resnet18": 4}
+#: An uncached DNN sweep in reference mode takes ~25 s: the perfsmoke job's.
+UNCACHED = [
+    pytest.param(name, marks=pytest.mark.perfsmoke) if name in SIZES else name
+    for name in WORKLOADS
+]
 
 
 def _build(name):
+    size = SIZES.get(name, SIZE)
     factory = getattr(polybench, name, None)
-    return factory(SIZE) if factory else workloads.get(name, SIZE)
+    return factory(size) if factory else workloads.get(name, size)
 
 
 def _fingerprint(result):
@@ -70,7 +82,7 @@ def _both_modes(run, monkeypatch):
 
 
 class TestSingleRunModes:
-    @pytest.mark.parametrize("name", WORKLOADS)
+    @pytest.mark.parametrize("name", UNCACHED)
     def test_uncached(self, name, monkeypatch):
         fast, reference = _both_modes(
             lambda: _fingerprint(auto_dse(_build(name), options=DseOptions(cache=False))),

@@ -137,9 +137,12 @@ class TestMetricParity:
         )
         assert relations > 0
         assert tracer.metrics.value("depgraph.relations") == relations
-        # One sample per distinct carried (relation, level) -- the RAW,
-        # WAR and WAW rows of one relation share theirs -- never one per dim.
-        assert 0 < tracer.metrics.value("depgraph.samples") <= relations
+        # One witness or one sample per distinct carried (relation,
+        # level) -- the RAW, WAR and WAW rows of one relation share
+        # theirs -- never one per dim.
+        shown = tracer.metrics.value("depgraph.witnesses")
+        assert 0 < shown + tracer.metrics.value("depgraph.samples") <= relations
+        assert shown > 0
 
     def test_compile_only_trace_has_no_dse_spans(self):
         function = polybench.gemm(16)
