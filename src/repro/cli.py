@@ -127,105 +127,86 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _cmd_compile_dataflow(args, design) -> int:
-    """``repro compile`` for dataflow designs (multi-kernel pipelines)."""
-    from repro.dataflow import estimate_design, generate_dataflow_hls_c
+def _single_kernel_only(args, workload, options: Dict[str, object]) -> None:
+    """Refuse every option given (truthy) in ``options`` on a dataflow design."""
+    from repro.dataflow import DataflowDesign
 
-    for flag in ("load_schedule", "save_schedule", "cosim"):
-        if getattr(args, flag):
-            option = "--" + flag.replace("_", "-")
+    # Schedule files, testbenches and cosim exist per kernel, not per design.
+    if not isinstance(workload, DataflowDesign):
+        return
+    for option, given in options.items():
+        if given:
             raise SystemExit(
                 f"{option} applies to single-kernel workloads, not the "
                 f"dataflow design {args.workload!r}"
             )
-    if args.emit == "testbench":
-        raise SystemExit(
-            "--emit testbench is not supported for dataflow designs yet"
-        )
-    device = _resolve_device(args.device)
 
-    if args.dse:
-        from repro.dse.options import DseOptions
 
-        result = design.auto_DSE(options=DseOptions(
-            resource_fraction=args.resource_fraction, device=device,
-        ))
-        print(
-            f"// auto-DSE: {result.evaluations} evaluations in "
-            f"{result.dse_time_s:.2f}s, balanced speedup "
-            f"{result.balanced_speedup:.2f}x over naive even-split",
-            file=sys.stderr,
-        )
+def _print_ir(workload) -> None:
+    """``--emit mlir``: the lowered affine IR, one function per stage."""
+    from repro.affine import print_func
+    from repro.dataflow import DataflowDesign
 
-    if args.emit in ("c", "all"):
-        print(generate_dataflow_hls_c(design))
-    if args.emit in ("mlir", "all"):
-        from repro.affine import print_func
-
-        for stage in design.topo_order():
-            print(f"// stage {stage.name}")
-            print(print_func(stage.function.lower()))
-    if args.emit in ("report", "all"):
-        report = estimate_design(design, device=device)
-        print(report.summary())
-    return 0
+    # Only a design has stages, each lowered on its own.
+    if not isinstance(workload, DataflowDesign):
+        print(print_func(workload.lower()))
+        return
+    for stage in workload.topo_order():
+        print(f"// stage {stage.name}")
+        print(print_func(stage.function.lower()))
 
 
 def cmd_compile(args) -> int:
-    from repro.dataflow import DataflowDesign
-
     workload = _build_workload(args.workload, args.size)
-    if isinstance(workload, DataflowDesign):
-        return _cmd_compile_dataflow(args, workload)
-    function = workload
+    _single_kernel_only(args, workload, {
+        "--load-schedule": args.load_schedule,
+        "--save-schedule": args.save_schedule,
+        "--cosim": args.cosim,
+        "--emit testbench": args.emit == "testbench",
+    })
 
     if args.load_schedule:
         from repro.dsl.serialize import load_schedule
 
-        load_schedule(function, args.load_schedule)
+        load_schedule(workload, args.load_schedule)
         print(f"// schedule loaded from {args.load_schedule}", file=sys.stderr)
 
     device = _resolve_device(args.device)
     if args.dse:
         from repro.dse.options import DseOptions
 
-        result = function.auto_DSE(
+        result = workload.auto_DSE(
             options=DseOptions(
                 resource_fraction=args.resource_fraction, device=device,
             )
         )
-        print(
-            f"// auto-DSE: {result.evaluations} evaluations in "
-            f"{result.dse_time_s:.2f}s, tiles {result.tile_vectors()}",
-            file=sys.stderr,
-        )
+        for line in result.summary(args.workload).splitlines():
+            print(f"// {line}", file=sys.stderr)
 
     if args.save_schedule:
         from repro.dsl.serialize import save_schedule
 
-        save_schedule(function, args.save_schedule)
+        save_schedule(workload, args.save_schedule)
         print(f"// schedule saved to {args.save_schedule}", file=sys.stderr)
 
     emit = args.emit
     if emit in ("c", "all"):
-        print(function.codegen())
+        print(workload.codegen())
     if emit in ("mlir", "all"):
-        from repro.affine import print_func
-
-        print(print_func(function.lower()))
+        _print_ir(workload)
     if emit in ("report", "all"):
-        report = function.estimate(device)
+        report = workload.estimate(device=device)
         print(report.summary())
         for loop in report.loops:
             print("  ", loop)
     if emit == "testbench":
         from repro.hlsgen.testbench import generate_testbench
 
-        print(generate_testbench(function))
+        print(generate_testbench(workload))
     if args.cosim:
         from repro.hlsgen.testbench import cosimulate
 
-        result = cosimulate(function)
+        result = cosimulate(workload)
         status = "MATCH" if result.matched else f"MISMATCH {result.mismatches()}"
         print(f"// co-simulation: {status}", file=sys.stderr)
         return 0 if result.matched else 1
@@ -357,67 +338,8 @@ class _null_context:
         return None
 
 
-def _report_dataflow_dse(args, result) -> int:
-    """Print a :class:`DataflowDseResult` (the dataflow `repro dse` tail)."""
-    from repro.dse.pareto import frontier_summary, parse_objective
-
-    report = result.report
-    print(
-        f"dataflow auto-DSE of {args.workload}: {result.evaluations} "
-        f"evaluations in {result.dse_time_s:.3f}s"
-    )
-    bottleneck = report.bottleneck()
-    print(
-        f"interval {report.interval_cycles} cycles "
-        f"(bottleneck stage: {bottleneck}, "
-        f"{report.stage_reports[bottleneck].total_cycles} cycles); "
-        f"naive even-split interval {result.naive_report.interval_cycles} "
-        f"cycles; balanced speedup {result.balanced_speedup:.2f}x"
-    )
-    for stage in result.design.topo_order():
-        point = result.selection[stage.name]
-        print(
-            f"  stage {stage.name}: {point.cycles} cycles, "
-            f"dsp={point.dsp} lut={point.lut}"
-        )
-    print(report.summary())
-    if result.frontier:
-        print(frontier_summary(
-            result.frontier, parse_objective(result.objective)
-        ))
-    if result.quarantine:
-        print(f"quarantined {len(result.quarantine)} candidate(s):")
-        for candidate in result.quarantine:
-            print(
-                f"  parallelism {candidate.parallelism}: "
-                f"{candidate.diagnostic.oneline()}"
-            )
-    if args.stats:
-        from repro.dse.stats import DseStats
-
-        # Same shape as `--all --stats`: one block per sweep, then the sum.
-        for name, stage in result.stage_results.items():
-            print()
-            print(f"stage {name}:")
-            print(_indent(stage.stats.summary()))
-        print()
-        print("merged (totals are the sum of the stages above):")
-        print(_indent(DseStats.merge(
-            [stage.stats for stage in result.stage_results.values()]
-        ).summary()))
-    if result.quarantine and not args.allow_degraded:
-        print(
-            "sweep degraded (quarantined candidates); pass "
-            "--allow-degraded to accept the best design found",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
 def cmd_dse(args) -> int:
     from repro import trace as trace_mod
-    from repro.dataflow import DataflowDesign
     from repro.diagnostics import DiagnosticError
     from repro.dse.options import DseOptions
 
@@ -433,7 +355,7 @@ def cmd_dse(args) -> int:
             file=sys.stderr,
         )
         return 2
-    function = _build_workload(args.workload, args.size)
+    workload = _build_workload(args.workload, args.size)
     checkpoint = args.resume or args.checkpoint
     options = DseOptions(
         device=_resolve_device(args.device),
@@ -448,7 +370,7 @@ def cmd_dse(args) -> int:
     tracer = trace_mod.Tracer() if args.trace else None
     try:
         with trace_mod.tracing(tracer) if tracer else _null_context():
-            result = function.auto_DSE(options=options)
+            result = workload.auto_DSE(options=options)
     except DiagnosticError as exc:
         print(exc.diagnostic.render(), file=sys.stderr)
         return 2
@@ -462,23 +384,14 @@ def cmd_dse(args) -> int:
         return 130
     if tracer is not None:
         _export_trace(tracer, args.trace)
-    if isinstance(function, DataflowDesign):
-        return _report_dataflow_dse(args, result)
-    print(
-        f"auto-DSE of {args.workload}: {result.evaluations} evaluations in "
-        f"{result.dse_time_s:.3f}s"
-    )
-    if result.stats.replayed:
-        print(
-            f"replayed {result.stats.replayed} candidate(s) from "
-            f"checkpoint journal {checkpoint}"
-        )
-    print(f"tiles: {result.tile_vectors()}")
+    print(result.summary(args.workload))
     print(result.report.summary())
     if result.frontier is not None:
         from repro.dse.pareto import frontier_summary, parse_objective
 
-        print(frontier_summary(result.frontier, parse_objective(objective)))
+        print(frontier_summary(
+            result.frontier, parse_objective(result.objective)
+        ))
     if result.quarantine:
         print(f"quarantined {len(result.quarantine)} candidate(s):")
         for candidate in result.quarantine:
@@ -488,7 +401,7 @@ def cmd_dse(args) -> int:
             )
     if args.stats:
         print()
-        print(result.stats.summary())
+        print(result.stats_summary())
     if result.stats.interrupted:
         print("sweep interrupted; stopped at best design found", file=sys.stderr)
         if checkpoint:
@@ -510,15 +423,10 @@ def cmd_verify(args) -> int:
     from repro.trace import render_metrics, render_text_profile
 
     function = _build_workload(args.workload, args.size)
+    _single_kernel_only(args, function, {"--load-schedule": args.load_schedule})
     if args.load_schedule:
-        from repro.dataflow import DataflowDesign
         from repro.dsl.serialize import load_schedule
 
-        if isinstance(function, DataflowDesign):
-            raise SystemExit(
-                "--load-schedule applies to single-kernel workloads, not "
-                f"the dataflow design {args.workload!r}"
-            )
         load_schedule(function, args.load_schedule)
     tracer = trace_mod.Tracer() if (args.trace or args.stats) else None
     with trace_mod.tracing(tracer) if tracer else _null_context():
@@ -539,8 +447,6 @@ def cmd_trace(args) -> int:
     from repro import trace as trace_mod
     from repro.trace import render_metrics, render_text_profile
 
-    from repro.dataflow import DataflowDesign
-
     function = _build_workload(args.workload, args.size)
     device = _resolve_device(args.device)
     with trace_mod.tracing() as tracer:
@@ -548,11 +454,8 @@ def cmd_trace(args) -> int:
             from repro.dse.options import DseOptions
 
             function.auto_DSE(options=DseOptions(device=device))
-        elif isinstance(function, DataflowDesign):
-            function.estimate(device=device)
         else:
-            function.lower()
-            function.estimate(device)
+            function.estimate(device=device)
     print(render_text_profile(tracer, min_fraction=0.001))
     print()
     print(render_metrics(tracer))

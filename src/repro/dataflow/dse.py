@@ -31,6 +31,7 @@ optimize alone overspends on fast stages and starves the bottleneck.
 from __future__ import annotations
 
 import os
+import textwrap
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -42,10 +43,12 @@ from repro.dataflow.estimate import (
     compose_report,
     resolve_depths,
 )
+from repro.diagnostics import Diagnostic
 from repro.dse.engine import DseResult, auto_dse
 from repro.dse.evaluator import Evaluator
 from repro.dse.options import DseOptions
 from repro.dse.pareto import Objective, ParetoFrontier, ParetoPoint
+from repro.dse.stats import DseStats
 from repro.hls.device import FPGADevice
 from repro.hls.report import Resources, SynthesisReport
 
@@ -72,12 +75,53 @@ class DataflowDseResult:
     objective: str
     dse_time_s: float
     evaluations: int
+    #: The stage sweeps' stats merged (totals are their sum; the
+    #: interrupted / time-budget flags hold if any stage's did).
+    stats: DseStats
     quarantine: list = field(default_factory=list)
+    #: Every stage sweep's diagnostics, in stage order.
+    diagnostics: List[Diagnostic] = field(default_factory=list)
+
+    # Same conditions as a single kernel's, over the merged stats and
+    # the stages' pooled quarantine.
+    degraded = DseResult.degraded
 
     @property
     def balanced_speedup(self) -> float:
         """Throughput gain of balancing over the naive composition."""
         return self.naive_report.total_cycles / max(1, self.report.total_cycles)
+
+    def summary(self, workload: str) -> str:
+        """The head of a ``repro dse`` report: the balanced design."""
+        bottleneck = self.report.bottleneck()
+        lines = [
+            f"dataflow auto-DSE of {workload}: {self.evaluations} "
+            f"evaluations in {self.dse_time_s:.3f}s",
+            f"interval {self.report.interval_cycles} cycles "
+            f"(bottleneck stage: {bottleneck}, "
+            f"{self.report.stage_reports[bottleneck].total_cycles} cycles); "
+            f"naive even-split interval {self.naive_report.interval_cycles} "
+            f"cycles; balanced speedup {self.balanced_speedup:.2f}x",
+        ]
+        for stage in self.design.topo_order():
+            point = self.selection[stage.name]
+            lines.append(
+                f"  stage {stage.name}: {point.cycles} cycles, "
+                f"dsp={point.dsp} lut={point.lut}"
+            )
+        return "\n".join(lines)
+
+    def stats_summary(self) -> str:
+        """One ``--stats`` profile per stage sweep, then their sum."""
+        blocks = [
+            f"stage {name}:\n" + textwrap.indent(stage.stats.summary(), "  ")
+            for name, stage in self.stage_results.items()
+        ]
+        blocks.append(
+            "merged (totals are the sum of the stages above):\n"
+            + textwrap.indent(self.stats.summary(), "  ")
+        )
+        return "\n\n".join(blocks)
 
     def payload(self) -> dict:
         """A JSON-safe summary (serve result-store / CLI --json form)."""
@@ -127,8 +171,9 @@ def auto_dse_dataflow(
     The same :class:`~repro.dse.options.DseOptions` surface as the
     single-kernel engine; ``objective`` shapes the composed frontier
     ("single" keeps the balanced-best behavior with a latency,dsp
-    frontier attached for reporting).  On return the balanced schedule
-    is installed on every stage function.
+    frontier attached for reporting), and ``time_budget_s`` bounds the
+    whole design: each stage sweep gets what is left of it.  On return
+    the balanced schedule is installed on every stage function.
     """
     options = (options or DseOptions()).validate()
     start = time.perf_counter()
@@ -155,9 +200,14 @@ def auto_dse_dataflow(
             if options.checkpoint is not None
             else None
         )
+        # One design-wide budget: a stage gets what the ones before it left.
+        time_budget_s = options.time_budget_s
+        if time_budget_s is not None:
+            time_budget_s = max(0.0, time_budget_s - (time.perf_counter() - start))
         stage_options = options.replace(
             objective=STAGE_OBJECTIVE,
             checkpoint=stage_checkpoint,
+            time_budget_s=time_budget_s,
             # A design checkpoint fans out per stage; resuming only
             # replays stages whose journal actually exists (a crash
             # mid-pipeline leaves later stages journal-less).
@@ -244,8 +294,10 @@ def auto_dse_dataflow(
     )
 
     quarantine: list = []
+    diagnostics: List[Diagnostic] = []
     for result in stage_results.values():
         quarantine.extend(result.quarantine)
+        diagnostics.extend(result.diagnostics)
     return DataflowDseResult(
         design=design,
         report=report,
@@ -257,7 +309,9 @@ def auto_dse_dataflow(
         objective=objective.canonical,
         dse_time_s=time.perf_counter() - start,
         evaluations=sum(r.evaluations for r in stage_results.values()),
+        stats=DseStats.merge([r.stats for r in stage_results.values()]),
         quarantine=quarantine,
+        diagnostics=diagnostics,
     )
 
 

@@ -160,6 +160,11 @@ class DataflowReport:
         return self.total_cycles
 
     @property
+    def loops(self) -> list:
+        """None at the design level: each stage's are in ``stage_reports``."""
+        return []
+
+    @property
     def latency_us(self) -> float:
         return self.total_cycles * self.clock_ns / 1000.0
 

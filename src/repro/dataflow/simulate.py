@@ -112,8 +112,6 @@ def simulate_design(design: DataflowDesign, arrays: Mapping[str, np.ndarray]) ->
     stage kernel *is* the interpreter, so the FIFO plumbing itself is
     differential-testable.
     """
-    from repro.affine.compile import simulate as simulate_stage
-
     _require_buffers(design, arrays)
     streams: Dict[str, StreamBuffer] = {
         name: StreamBuffer(name) for name in design.stream_arrays()
@@ -139,7 +137,7 @@ def simulate_design(design: DataflowDesign, arrays: Mapping[str, np.ndarray]) ->
                     )
             else:
                 local[name] = arrays[name]
-        simulate_stage(stage.function.lower(), local)
+        stage.function.simulate(local)
         for name in outbound.get(stage.name, ()):
             streams[name].push(local[name])
             # Expose the stream payload to the caller too, so the

@@ -158,6 +158,55 @@ class DseResult:
         """Wall-clock speedup of this design over a baseline report."""
         return speedup(baseline, self.report)
 
+    def payload(self) -> dict:
+        """The deterministic slice of the result (serve store / differential).
+
+        Exactly the fields the resume-equivalence contract guarantees
+        bit-identical across cached / resumed / fault-injected runs (the
+        ``tests/resilience`` fingerprint plus the installed schedule);
+        work counters like the evaluation count legitimately differ on a
+        crash-resumed run and are left out.
+        """
+        return {
+            "total_cycles": self.report.total_cycles,
+            "resources": {
+                "dsp": self.report.resources.dsp,
+                "lut": self.report.resources.lut,
+                "ff": self.report.resources.ff,
+                "bram_bits": self.report.resources.bram_bits,
+            },
+            "power_w": self.report.power_w,
+            "tile_vectors": self.tile_vectors(),
+            "schedule": [list(d.fingerprint()) for d in self.schedule],
+            "objective": self.objective,
+            # Frontier modes: the dominance-pruned Pareto set, already in
+            # canonical order, lands in the content-addressed store with
+            # the design (the serve-vs-batch differential compares it too).
+            "frontier": (
+                [point.to_record() for point in self.frontier]
+                if self.frontier is not None
+                else None
+            ),
+        }
+
+    def summary(self, workload: str) -> str:
+        """The head of a ``repro dse`` report: the sweep and its design."""
+        lines = [
+            f"auto-DSE of {workload}: {self.evaluations} evaluations in "
+            f"{self.dse_time_s:.3f}s"
+        ]
+        if self.stats is not None and self.stats.replayed:
+            lines.append(
+                f"replayed {self.stats.replayed} candidate(s) from "
+                f"checkpoint journal {self.journal_path}"
+            )
+        lines.append(f"tiles: {self.tile_vectors()}")
+        return "\n".join(lines)
+
+    def stats_summary(self) -> str:
+        """The ``--stats`` profile of the sweep."""
+        return self.stats.summary()
+
 
 def auto_dse(
     function: Function,

@@ -137,6 +137,12 @@ class Function:
 
         return lower_to_affine(self)
 
+    def simulate(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Lower, then run the compiled simulator in place on ``arrays``."""
+        from repro.affine.compile import simulate
+
+        simulate(self.lower(), arrays)
+
     def estimate(self, device=None):
         """Virtual HLS synthesis: latency/II/resource/power report."""
         from repro.pipeline import estimate

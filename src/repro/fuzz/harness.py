@@ -4,21 +4,22 @@ One *trial* is: build a workload, draw a random legal schedule
 (:mod:`repro.fuzz.generator`), then run the transformed program two
 ways on identical inputs --
 
-* **reference**: :meth:`Function.reference_execute`, which interprets
-  only the structural (``after``/``fuse``) directives -- the DSL-level
-  meaning of the algorithm;
-* **simulated**: the full pipeline (``lower()``) followed by the
-  compiled numpy simulator (:func:`repro.affine.compile.simulate`).
+* **reference**: ``reference_execute``, which interprets only the
+  structural (``after``/``fuse``) directives -- the DSL-level meaning
+  of the algorithm;
+* **simulated**: ``simulate``, the full pipeline (``lower()``) followed
+  by the compiled numpy simulator (:func:`repro.affine.compile.simulate`).
 
-The comparison is *exact* (``np.array_equal``): a legal schedule
-reorders statement instances without changing any cell's operation
-sequence, and the compiled simulator is bit-identical to the
-interpreter by contract, so the first differing bit is a bug.  On a
-mismatch the trial re-runs through the tree-walking interpreter to
-attribute the failure: if the interpreter agrees with the reference,
-the compiled simulator is wrong (``oracle="sim"``); if it agrees with
-the simulation, the transformation/lowering pipeline is wrong
-(``oracle="transform"``).
+A ``Function`` and a ``DataflowDesign`` answer both calls, so one code
+path serves both kinds.  The comparison is *exact* (``np.array_equal``):
+a legal schedule reorders statement instances without changing any
+cell's operation sequence, and the compiled simulator is bit-identical
+to the interpreter by contract, so the first differing bit is a bug.  On
+a mismatch the trial re-runs the simulation in reference mode (through
+the tree-walking interpreter) to attribute the failure: if the
+interpreter agrees with the reference, the compiled simulator is wrong
+(``oracle="sim"``); if it agrees with the simulation, the
+transformation/lowering pipeline is wrong (``oracle="transform"``).
 
 Failures are shrunk by greedy one-at-a-time removal of schedule
 directives and partitions -- keeping only removals that leave the
@@ -36,7 +37,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dsl.function import Function
 from repro.dsl.serialize import schedule_from_dict, schedule_to_dict
 from repro.preflight import preflight_schedule
 from repro.util.atomic import atomic_write
@@ -62,23 +62,22 @@ def build_workload(name: str, size: int):
     return workload_factory(name)(size)
 
 
+def _schedule_target(workload, stage_name: Optional[str]):
+    """The Function a schedule applies to: a kernel, or one design stage."""
+    if stage_name is None:
+        return workload
+    return workload.stages[stage_name].function
+
+
 def _scheduled_stage(workload, schedule: Dict[str, Any]):
     """The Function a trial's schedule applies to, with it applied.
 
-    Single-kernel workloads: the function itself.  Dataflow designs:
-    the stage named by the schedule dict's ``"stage"`` key (dataflow
-    trials mutate exactly one stage per trial; the differential still
-    runs the whole pipeline).
+    The schedule dict's ``"stage"`` key names the dataflow stage it
+    targets (dataflow trials mutate exactly one stage per trial; the
+    differential still runs the whole pipeline); without one it is the
+    workload's own.
     """
-    from repro.dataflow import DataflowDesign
-
-    if isinstance(workload, DataflowDesign):
-        stage_name = schedule.get("stage")
-        if stage_name is None:
-            return None
-        target = workload.stages[stage_name].function
-    else:
-        target = workload
+    target = _schedule_target(workload, schedule.get("stage"))
     serialized = {
         key: schedule[key]
         for key in ("directives", "partitions")
@@ -127,87 +126,24 @@ def _differential(
 ) -> Tuple[str, List[str], Optional[str], Optional[str], Optional[str]]:
     """Run one serialized schedule differentially.
 
+    The comparison runs the whole workload both ways -- for a dataflow
+    design, every stage in topological order, with the schedule applied
+    to the stage its ``"stage"`` key names -- over every array.
+
     Returns ``(kind, mismatch_arrays, oracle, stage, error)``.
-    """
-    from repro.affine.compile import simulate
-    from repro.affine.interp import interpret
-    from repro.dataflow import DataflowDesign
-
-    stage = "build"
-    try:
-        built = build_workload(workload, size)
-    except Exception as exc:
-        detail = traceback.format_exc(limit=6)
-        return "crash", [], None, stage, f"{type(exc).__name__}: {exc}\n{detail}"
-    if isinstance(built, DataflowDesign):
-        return _differential_design(built, workload, size, seed, schedule)
-    try:
-        function = built
-        schedule_from_dict(function, schedule)
-        stage = "reference"
-        reference = function.allocate_arrays(seed=seed)
-        function.reference_execute(reference)
-        stage = "lower"
-        func = function.lower()
-        stage = "simulate"
-        simulated = build_workload(workload, size).allocate_arrays(seed=seed)
-        simulate(func, simulated)
-    except Exception as exc:
-        detail = traceback.format_exc(limit=6)
-        return "crash", [], None, stage, f"{type(exc).__name__}: {exc}\n{detail}"
-
-    mismatched = sorted(
-        name
-        for name in reference
-        if not np.array_equal(reference[name], simulated[name])
-    )
-    if not mismatched:
-        return "pass", [], None, None, None
-
-    # Attribute the failure: does the tree-walking interpreter side with
-    # the reference (compiled-sim bug) or the simulation (transform bug)?
-    oracle = "both"
-    try:
-        interpreted = build_workload(workload, size).allocate_arrays(seed=seed)
-        interpret(func, interpreted)
-        sim_bug = any(
-            not np.array_equal(interpreted[name], simulated[name]) for name in mismatched
-        )
-        transform_bug = any(
-            not np.array_equal(interpreted[name], reference[name]) for name in mismatched
-        )
-        if sim_bug and not transform_bug:
-            oracle = "sim"
-        elif transform_bug and not sim_bug:
-            oracle = "transform"
-    except Exception:  # attribution is best-effort
-        oracle = "both"
-    return "mismatch", mismatched, oracle, None, None
-
-
-def _differential_design(
-    design, workload: str, size: int, seed: int, schedule: Dict[str, Any]
-) -> Tuple[str, List[str], Optional[str], Optional[str], Optional[str]]:
-    """The dataflow variant of :func:`_differential`.
-
-    The schedule applies to one stage (its ``"stage"`` key); the
-    comparison runs the *whole pipeline* both ways -- DSL reference in
-    topological order vs compiled per-stage kernels chained through
-    stream buffers -- over every external and stream array.
     """
     from repro.affine import compile as _compile
 
     stage = "build"
     try:
-        _scheduled_stage(design, schedule)
+        built = build_workload(workload, size)
+        _scheduled_stage(built, schedule)
         stage = "reference"
-        reference = design.allocate_arrays(seed=seed)
-        design.reference_execute(reference)
+        reference = built.allocate_arrays(seed=seed)
+        built.reference_execute(reference)
         stage = "simulate"
-        fresh = build_workload(workload, size)
-        _scheduled_stage(fresh, schedule)
-        simulated = fresh.allocate_arrays(seed=seed)
-        fresh.simulate(simulated)
+        simulated = built.allocate_arrays(seed=seed)
+        built.simulate(simulated)
     except Exception as exc:
         detail = traceback.format_exc(limit=6)
         return "crash", [], None, stage, f"{type(exc).__name__}: {exc}\n{detail}"
@@ -220,17 +156,15 @@ def _differential_design(
     if not mismatched:
         return "pass", [], None, None, None
 
-    # Attribution: replay the pipeline with interpreter-backed stage
-    # kernels (reference mode).  Agreement with the DSL reference means
-    # the compiled simulator broke; agreement with the compiled run
-    # means the transformation/lowering pipeline broke.
+    # Attribution: replay the simulation with interpreter-backed kernels
+    # (reference mode).  Agreement with the DSL reference means the
+    # compiled simulator broke; agreement with the compiled run means
+    # the transformation/lowering pipeline broke.
     oracle = "both"
     was_reference = _compile.set_reference_mode(True)
     try:
-        third = build_workload(workload, size)
-        _scheduled_stage(third, schedule)
-        interpreted = third.allocate_arrays(seed=seed)
-        third.simulate(interpreted)
+        interpreted = built.allocate_arrays(seed=seed)
+        built.simulate(interpreted)
         sim_bug = any(
             not np.array_equal(interpreted[name], simulated[name])
             for name in mismatched
@@ -273,16 +207,15 @@ def run_trial(
         rng = random.Random(seed)
         try:
             built = build_workload(workload, size)
+            stage_name = None
+            # Only a dataflow design has stages for a schedule to target.
             if isinstance(built, DataflowDesign):
                 stage_name = rng.choice(sorted(built.stages))
-                function = built.stages[stage_name].function
-                random_schedule(function, rng, max_directives=max_directives)
-                schedule = schedule_to_dict(function)
+            function = _schedule_target(built, stage_name)
+            random_schedule(function, rng, max_directives=max_directives)
+            schedule = schedule_to_dict(function)
+            if stage_name is not None:
                 schedule["stage"] = stage_name
-            else:
-                function = built
-                random_schedule(function, rng, max_directives=max_directives)
-                schedule = schedule_to_dict(function)
         except Exception as exc:
             detail = traceback.format_exc(limit=6)
             return TrialResult(
@@ -306,9 +239,7 @@ def _still_fails(workload: str, size: int, seed: int, schedule: Dict[str, Any]) 
     """The shrink predicate: preflight-clean AND still failing."""
     try:
         target = _scheduled_stage(build_workload(workload, size), schedule)
-    except Exception:
-        return False
-    if target is None:  # dataflow schedule lost its "stage" key
+    except Exception:  # e.g. a dataflow schedule that lost its "stage" key
         return False
     if preflight_schedule(target).errors():
         return False

@@ -241,41 +241,16 @@ def build_fault_plan(fault: Optional[dict]):
 
 
 def dse_design_payload(result, workload: str, size: Optional[int]) -> dict:
-    """The deterministic slice of a :class:`DseResult`.
+    """The deterministic slice of a DSE result, tagged with its request.
 
-    Shared by the serve worker and the batch side of the differential
-    tests, so both compare through the identical projection.  Contains
-    exactly the fields the batch layer's resume-equivalence contract
-    guarantees bit-identical across cached / resumed / fault-injected
-    runs (the ``tests/resilience`` fingerprint plus the installed
-    schedule); work counters like the evaluation count legitimately
-    differ on a crash-resumed run and live in the ``search`` section of
-    the payload instead.
+    ``result`` is a :class:`~repro.dse.DseResult` or a
+    :class:`~repro.dataflow.dse.DataflowDseResult`; its ``payload()`` is
+    the slice.  Shared by the serve worker and the batch side of the
+    differential tests, so both compare through the identical
+    projection; work counters live in the ``search`` section of a job
+    result instead.
     """
-    schedule = [list(d.fingerprint()) for d in result.schedule]
-    return {
-        "workload": workload,
-        "size": size,
-        "total_cycles": result.report.total_cycles,
-        "resources": {
-            "dsp": result.report.resources.dsp,
-            "lut": result.report.resources.lut,
-            "ff": result.report.resources.ff,
-            "bram_bits": result.report.resources.bram_bits,
-        },
-        "power_w": result.report.power_w,
-        "tile_vectors": result.tile_vectors(),
-        "schedule": schedule,
-        "objective": result.objective,
-        # Frontier modes: the dominance-pruned Pareto set, already in
-        # canonical order, lands in the content-addressed store with
-        # the design (the serve-vs-batch differential compares it too).
-        "frontier": (
-            [point.to_record() for point in result.frontier]
-            if result.frontier is not None
-            else None
-        ),
-    }
+    return {"workload": workload, "size": size, **result.payload()}
 
 
 def _noop_emit(event: dict) -> None:
@@ -332,24 +307,9 @@ def execute_job(
     raise ValueError(f"unknown job kind {spec.kind!r}")
 
 
-def dataflow_design_payload(result, workload: str, size: Optional[int]) -> dict:
-    """The deterministic slice of a :class:`DataflowDseResult`.
-
-    Same role as :func:`dse_design_payload`, for dataflow workloads:
-    stage selections, FIFO depths, the composed frontier, and the
-    balanced-vs-naive intervals -- everything that is a pure function
-    of the request -- with wall-clock measures left to ``timing``.
-    """
-    payload = result.payload()
-    payload["workload"] = workload
-    payload["size"] = size
-    return payload
-
-
 def _execute_dse(spec, journal_path, arm_faults, job_timeout_s, emit) -> dict:
     import time
 
-    from repro.dataflow import DataflowDesign
     from repro.dse.options import DseOptions
     from repro.dse.parallel import build_workload
 
@@ -381,26 +341,15 @@ def _execute_dse(spec, journal_path, arm_faults, job_timeout_s, emit) -> dict:
     result = workload.auto_DSE(options=options)
     wall_s = time.perf_counter() - started
     emit({"stage": "done", "evaluations": result.evaluations})
-    if isinstance(workload, DataflowDesign):
-        design = dataflow_design_payload(result, spec.workload, spec.size)
-        search = {
-            "evaluations": result.evaluations,
-            "degraded": bool(result.quarantine),
-            "quarantine": [q.diagnostic.code for q in result.quarantine],
-            "diagnostics": [],
-        }
-    else:
-        design = dse_design_payload(result, spec.workload, spec.size)
-        search = {
+    return {
+        "kind": "dse",
+        "design": dse_design_payload(result, spec.workload, spec.size),
+        "search": {
             "evaluations": result.evaluations,
             "degraded": result.degraded,
             "quarantine": [q.diagnostic.code for q in result.quarantine],
             "diagnostics": [d.code for d in result.diagnostics],
-        }
-    return {
-        "kind": "dse",
-        "design": design,
-        "search": search,
+        },
         "timing": {
             "wall_s": round(wall_s, 6),
             "dse_time_s": round(result.dse_time_s, 6),
@@ -453,11 +402,7 @@ def _execute_trace(spec, job_timeout_s, emit) -> dict:
     with _trace.tracing(tracer), _job_deadline(job_timeout_s):
         if spec.options.get("dse"):
             function.auto_DSE()
-        elif hasattr(function, "lower"):
-            function.lower()
-            function.estimate()
         else:
-            # Dataflow designs: estimation lowers every stage itself.
             function.estimate()
     wall_s = time.perf_counter() - started
     counters, _histograms = tracer.metrics.as_plain()

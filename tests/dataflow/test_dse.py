@@ -101,6 +101,55 @@ class TestRealization:
         )
 
 
+class _Clock:
+    """A ``time`` stand-in whose clock moves only when told to."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def perf_counter(self):
+        return self.now
+
+
+class TestDesignWideBudget:
+    @pytest.mark.parametrize(
+        "budget, expected", [(5.0, [5.0, 3.5, 2.0]), (2.0, [2.0, 0.5, 0.0])]
+    )
+    def test_each_stage_gets_what_is_left(self, monkeypatch, budget, expected):
+        from repro.dataflow import dse as dataflow_dse
+
+        clock = _Clock()
+        real_auto_dse = dataflow_dse.auto_dse
+        given = []
+
+        def stage_sweep(function, options):
+            given.append(options.time_budget_s)
+            clock.now += 1.5  # every stage sweep takes 1.5 s
+            return real_auto_dse(function, options=options)
+
+        monkeypatch.setattr(dataflow_dse, "time", clock)
+        monkeypatch.setattr(dataflow_dse, "auto_dse", stage_sweep)
+        workloads.get("image-pipeline", 8).auto_DSE(
+            options=DseOptions(time_budget_s=budget)
+        )
+        # Never increasing, and never more than what is left of the budget.
+        assert given == expected
+
+    def test_no_budget_stays_unbounded(self, monkeypatch):
+        from repro.dataflow import dse as dataflow_dse
+
+        real_auto_dse = dataflow_dse.auto_dse
+        given = []
+
+        def stage_sweep(function, options):
+            given.append(options.time_budget_s)
+            return real_auto_dse(function, options=options)
+
+        monkeypatch.setattr(dataflow_dse, "auto_dse", stage_sweep)
+        workloads.get("conv-block", 8).auto_DSE()
+        assert given == [None, None, None]
+
+
 class TestCheckpointResume:
     def test_journals_fan_out_per_stage(self, tmp_path):
         journal = str(tmp_path / "design.journal")

@@ -187,6 +187,25 @@ class TestDataflowTrials:
         )
 
 
+@pytest.mark.perfsmoke
+@pytest.mark.parametrize("name", ["gemm", "image-pipeline"])
+def test_perfsmoke_a_trial_builds_its_workload_twice(monkeypatch, name):
+    from repro import workloads
+
+    real_get = workloads.get
+    builds = []
+
+    def counting_get(*args, **kwargs):
+        builds.append(args)
+        return real_get(*args, **kwargs)
+
+    monkeypatch.setattr(workloads, "get", counting_get)
+    assert run_trial(name, 8, 1).kind == "pass"
+    # One build draws the schedule; one replays it from its dict for
+    # both the reference and the simulation.
+    assert len(builds) == 2
+
+
 class TestReplayVerdicts:
     def test_passing_payload_exits_zero(self, capsys):
         payload = {"workload": "gemm", "size": 8, "seed": 0, "schedule": _EMPTY}

@@ -16,11 +16,7 @@ import pytest
 from repro.dse import auto_dse
 from repro.dse.options import DseOptions
 from repro.dse.parallel import build_workload
-from repro.serve.jobs import (
-    dataflow_design_payload,
-    design_fingerprint,
-    dse_design_payload,
-)
+from repro.serve.jobs import design_fingerprint, dse_design_payload
 
 pytestmark = pytest.mark.serve
 
@@ -183,7 +179,7 @@ def batch_dataflow_designs():
             options=DseOptions(**DATAFLOW_OPTIONS)
         )
         designs[(name, size)] = design_fingerprint(
-            dataflow_design_payload(result, name, size)
+            dse_design_payload(result, name, size)
         )
     return designs
 

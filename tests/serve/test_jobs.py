@@ -172,3 +172,12 @@ class TestExecution:
         assert payload["search"]["evaluations"] > 0
         assert "evaluations" not in payload["design"]
         assert [e["stage"] for e in events] == ["build", "search", "done"]
+
+    def test_dataflow_dse_job_reports_its_stages_degradation(self):
+        spec = JobSpec.from_request({
+            "kind": "dse", "workload": "image-pipeline", "size": 16,
+            "options": {"time_budget_s": 0},
+        })
+        search = execute_job(spec)["search"]
+        assert search["degraded"] is True
+        assert "DSE004" in search["diagnostics"]

@@ -129,6 +129,18 @@ class TestTraceSubcommand:
         assert "trace metrics" in out
         assert "affine.lower_program" in out
 
+    @pytest.mark.parametrize(
+        "workload, lowerings", [("gemm", 1), ("image-pipeline", 3)]
+    )
+    def test_lowers_each_function_once(self, capsys, workload, lowerings):
+        # Estimation lowers; the trace must not lower a second time first.
+        assert main(["trace", workload, "--size", "32"]) == 0
+        row = re.search(
+            r"^affine\.lower_program \[affine\] +(\d+) ",
+            capsys.readouterr().out, re.M,
+        )
+        assert int(row.group(1)) == lowerings
+
     def test_dse_mode_with_export(self, tmp_path, capsys):
         out_path = tmp_path / "t.json"
         rc = main([
