@@ -1,9 +1,11 @@
 """Seeded random generation of *legal* schedules.
 
-Every directive the generator proposes is validated by replaying the
-whole candidate prefix through :func:`repro.preflight.preflight_schedule`
-before it is accepted, so a generated schedule never contains a
-directive the legality checker would reject -- the fuzzer explores the
+Every directive the generator proposes is checked once, against the
+live program under the accepted prefix, by a
+:class:`repro.preflight.Preflight` state -- the same state
+:func:`repro.preflight.preflight_schedule` loops over -- and accepted
+only when clean.  A generated schedule therefore never contains a
+directive the legality checker would reject: the fuzzer explores the
 space the framework claims is safe, and any differential mismatch
 downstream is a real bug (in the transformation pipeline, the compiled
 simulator, or the legality checker itself).
@@ -48,9 +50,8 @@ from repro.dsl.schedule import (
     Unroll,
 )
 from repro.isl.constraint import EliminationBlowup
-from repro.polyir.program import PolyProgram
 from repro.polyir.transforms import TransformError
-from repro.preflight import preflight_schedule
+from repro.preflight import Preflight
 
 #: Proposal kinds with their relative weights.  Loop transformations
 #: dominate; hardware annotations and fusions ride along.
@@ -78,12 +79,13 @@ _PARTITION_KINDS = ("cyclic", "block", "complete")
 
 
 class _State:
-    """Tracks the live program under the accepted prefix."""
+    """Tracks the accepted prefix: its legality state and which
+    statements it fused or loop-transformed."""
 
     def __init__(self, function: Function, rng: random.Random):
         self.function = function
         self.rng = rng
-        self.program = PolyProgram(function)
+        self.preflight = Preflight(function)
         self.fresh = 0
         #: statements that received a loop transformation
         self.transformed: Set[str] = set()
@@ -91,7 +93,8 @@ class _State:
         self.fused: Set[str] = set()
         #: original loop order per statement, for fusion levels
         self.original = {
-            stmt.name: list(stmt.loop_order) for stmt in self.program.statements
+            stmt.name: list(stmt.loop_order)
+            for stmt in self.preflight.program.statements
         }
 
     def name(self, base: str) -> str:
@@ -101,7 +104,7 @@ class _State:
     def pick_statement(self, exclude: Optional[Set[str]] = None):
         candidates = [
             stmt
-            for stmt in self.program.statements
+            for stmt in self.preflight.program.statements
             if not exclude or stmt.name not in exclude
         ]
         if not candidates:
@@ -198,8 +201,9 @@ def random_schedule(
 
     Mutates ``function`` in place (``function.schedule`` is replaced,
     placeholders may gain partition schemes) and returns it.  Every
-    accepted directive passed a full-prefix preflight with zero errors;
-    proposals the legality checker rejects are simply dropped.
+    accepted directive was checked clean against the accepted prefix,
+    so the whole schedule preflights with zero errors; proposals the
+    legality checker rejects are simply dropped.
     """
     state = _State(function, rng)
     accepted: List[Directive] = []
@@ -213,17 +217,11 @@ def random_schedule(
             continue  # a proposal with out-of-range parameters; redraw
         if directive is None:
             continue
-        candidate = Schedule(accepted + [directive])
         try:
-            engine = preflight_schedule(function, candidate)
+            if not state.preflight.extend(directive):
+                continue
         except EliminationBlowup:
             continue  # dependence analysis of this prefix is out of bounds
-        if engine.errors():
-            continue
-        try:
-            state.program.apply_directive(directive)
-        except (TransformError, KeyError):  # pragma: no cover - preflight applied it
-            continue
         accepted.append(directive)
         if isinstance(directive, (After, Fuse)):
             state.fused.add(directive.compute_name)

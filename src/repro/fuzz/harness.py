@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.dsl.serialize import schedule_from_dict, schedule_to_dict
+from repro.isl.constraint import EliminationBlowup
 from repro.preflight import preflight_schedule
 from repro.util.atomic import atomic_write
 
@@ -241,7 +242,10 @@ def _still_fails(workload: str, size: int, seed: int, schedule: Dict[str, Any]) 
         target = _scheduled_stage(build_workload(workload, size), schedule)
     except Exception:  # e.g. a dataflow schedule that lost its "stage" key
         return False
-    if preflight_schedule(target).errors():
+    try:
+        if preflight_schedule(target).errors():
+            return False
+    except EliminationBlowup:  # unanalyzable reduction: reject, as the generator does
         return False
     kind, _, _, _, _ = _differential(workload, size, seed, schedule)
     return kind != "pass"

@@ -1,9 +1,9 @@
 """Schedule-legality preflight: reject illegal directives before lowering.
 
 The paper's framework "ensures correctness with automatic validation";
-this module is the validation front line.  It replays a function's
-schedule on a fresh :class:`~repro.polyir.program.PolyProgram`, and
-before applying each directive checks it against the statement's
+this module is the validation front line.  A :class:`Preflight` state
+holds a live :class:`~repro.polyir.program.PolyProgram` and, before
+applying each directive, checks it against the statement's
 loop-carried dependences (recomputed on the *transformed* statement, so
 legality composes across a directive sequence).  Violations become
 ``LEG0xx`` diagnostics naming the violated dependence instead of wrong
@@ -65,23 +65,49 @@ def preflight_schedule(
     """
     if schedule is None:
         schedule = function.schedule
-    if engine is None:
-        engine = DiagnosticEngine()
-    program = PolyProgram(function)
+    state = Preflight(function, engine)
     for directive in schedule:
-        before = len(engine.errors())
-        _check_directive(program, directive, function, engine)
-        if len(engine.errors()) > before:
-            continue  # rejected: skip application
+        state.extend(directive)
+    return state.engine
+
+
+class Preflight:
+    """The legality state of an accepted schedule prefix.
+
+    Holds the live :class:`PolyProgram` under the directives accepted so
+    far and the engine their diagnostics went to.  :meth:`extend` checks
+    one more directive against the current statements and applies it
+    only when clean, so a caller growing a schedule one directive at a
+    time pays one check per directive, never a replay of the prefix.
+    """
+
+    def __init__(self, function: Function, engine: Optional[DiagnosticEngine] = None):
+        self.function = function
+        self.engine = DiagnosticEngine() if engine is None else engine
+        self.program = PolyProgram(function)
+
+    def extend(self, directive: Directive) -> bool:
+        """Check and apply ``directive``; whether it was accepted.
+
+        A rejected directive leaves the program untouched: the checks
+        only read statements, and a transform swaps its new statement
+        in only once it has been built.  An ``EliminationBlowup`` from
+        the dependence analysis propagates with the state unchanged.
+        """
+        before = len(self.engine.errors())
+        _check_directive(self.program, directive, self.function, self.engine)
+        if len(self.engine.errors()) > before:
+            return False
         try:
-            program.apply_directive(directive)
+            self.program.apply_directive(directive)
         except (TransformError, KeyError) as exc:
-            engine.error(
+            self.engine.error(
                 "SCH005",
                 f"could not apply {_describe(directive)}: {_message_of(exc)}",
-                location=_loc(directive, function),
+                location=_loc(directive, self.function),
             )
-    return engine
+            return False
+        return True
 
 
 # -- helpers -------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.dsl.schedule import (
     Interchange,
     Pipeline,
     Reverse,
+    Schedule,
     Shift,
     Skew,
     Split,
@@ -19,7 +20,8 @@ from repro.dsl.schedule import (
 from repro.dsl.serialize import schedule_to_dict
 from repro.fuzz import random_schedule
 from repro.fuzz.harness import build_workload
-from repro.preflight import preflight_schedule
+from repro.isl.constraint import EliminationBlowup
+from repro.preflight import Preflight, preflight_schedule
 
 pytestmark = pytest.mark.fuzz
 
@@ -74,6 +76,86 @@ class TestLegality:
     def test_respects_max_directives(self, seed):
         function = _generate("gemm", 8, seed, max_directives=3)
         assert len(function.schedule) <= 3
+
+
+class TestVerdictOracle:
+    """The generator checks each proposal once against the live program;
+    the full-prefix rule it replaced -- a fresh ``preflight_schedule`` of
+    the accepted prefix plus the proposal -- stays here as its oracle."""
+
+    #: ``bench/oplist.py``'s fuzz_verify targets plus the two slow
+    #: fuzz defaults it leaves out.
+    CORPUS = (
+        "gemm", "bicg", "gesummv", "atax", "mvt", "jacobi-1d", "jacobi-2d",
+        "edgedetect", "blur", "image-pipeline", "conv-block", "seidel", "conv2d",
+    )
+
+    @pytest.mark.parametrize("workload", CORPUS)
+    def test_every_verdict_matches_full_prefix_preflight(self, workload, monkeypatch):
+        from repro.fuzz import generator
+
+        verdicts = []
+
+        class CheckedPreflight(Preflight):
+            def __init__(self, function):
+                super().__init__(function)
+                self.accepted = []
+
+            def extend(self, directive):
+                where = (workload, self.accepted, directive)
+                candidate = Schedule(self.accepted + [directive])
+                try:
+                    expected = not preflight_schedule(self.function, candidate).errors()
+                except EliminationBlowup:
+                    expected = EliminationBlowup
+                try:
+                    verdict = super().extend(directive)
+                except EliminationBlowup:
+                    assert expected is EliminationBlowup, where
+                    raise
+                assert verdict == expected, where
+                verdicts.append(verdict)
+                if verdict:
+                    self.accepted.append(directive)
+                return verdict
+
+        monkeypatch.setattr(generator, "Preflight", CheckedPreflight)
+        for seed in range(9):
+            # The target run_trial would draw: a dataflow trial picks one
+            # stage with the trial's first draw.
+            rng = random.Random(seed)
+            built = build_workload(workload, 12)
+            if hasattr(built, "stages"):
+                built = built.stages[rng.choice(sorted(built.stages))].function
+            random_schedule(built, rng)
+        assert True in verdicts and False in verdicts
+
+    def test_blowup_leaves_the_state_unchanged(self, monkeypatch):
+        """With the pairing limit at one, the dependence analysis of
+        seidel's stencil raises ISL001 during the check of a reversal."""
+        from repro.isl import constraint, memo
+
+        state = Preflight(build_workload("seidel", 12))
+        assert state.extend(Pipeline("S", "j", 1))
+        (stmt,) = state.program.statements
+        before = (
+            list(state.program.statements),
+            stmt.fingerprint(),
+            list(state.engine.diagnostics),
+        )
+        monkeypatch.setattr(constraint, "MAX_FM_PAIRS", 1)
+        previous = memo.activate(memo.MemoContext())
+        try:
+            with pytest.raises(EliminationBlowup):
+                state.extend(Reverse("S", stmt.loop_order[0], "t_r"))
+        finally:
+            memo.activate(previous)
+        after = (
+            list(state.program.statements),
+            stmt.fingerprint(),
+            list(state.engine.diagnostics),
+        )
+        assert after == before
 
 
 class TestStructuralSoundness:

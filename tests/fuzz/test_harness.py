@@ -151,6 +151,54 @@ class TestInjectedBug:
             assert "bogus" not in handle.read()
 
 
+class TestShrinkUnderBlowup:
+    """A reduced schedule whose preflight raises ``EliminationBlowup``
+    (ISL001) is a rejected reduction, not a crash of the campaign."""
+
+    @pytest.fixture
+    def blowup(self, monkeypatch):
+        from repro.fuzz import harness
+        from repro.isl.constraint import EliminationBlowup
+
+        def raising(*args, **kwargs):
+            raise EliminationBlowup("injected elimination blowup", code="ISL001")
+
+        monkeypatch.setattr(harness, "preflight_schedule", raising)
+
+    @staticmethod
+    def _failure():
+        result = next(
+            r for s in range(10)
+            if len((r := run_trial("gemm", 8, s)).schedule["directives"]) >= 2
+        )
+        return TrialResult(
+            "gemm", 8, result.seed, "mismatch",
+            schedule=result.schedule, mismatch_arrays=["A"], oracle="sim",
+        )
+
+    @staticmethod
+    def _unreduced(result):
+        return {key: result.schedule[key] for key in ("directives", "partitions")}
+
+    def test_shrink_keeps_the_unreduced_schedule(self, blowup):
+        result = self._failure()
+        assert shrink_failure(result) == self._unreduced(result)
+
+    def test_campaign_still_writes_summary_and_repro(self, blowup, tmp_path):
+        from repro.diagnostics import DiagnosticEngine
+        from repro.fuzz import CampaignResult, FuzzOptions
+        from repro.fuzz.runner import _report_failures
+
+        result = self._failure()
+        campaign = CampaignResult(
+            FuzzOptions(seed=0, trials=1, out_dir=str(tmp_path)), results=[result]
+        )
+        _report_failures(campaign, DiagnosticEngine())
+        assert result.minimized == self._unreduced(result)
+        assert (tmp_path / "summary.json").exists()
+        assert campaign.repro_paths and os.path.exists(campaign.repro_paths[0])
+
+
 class TestDataflowTrials:
     @pytest.mark.parametrize("name", ["image-pipeline", "conv-block"])
     @pytest.mark.parametrize("seed", [0, 5])
