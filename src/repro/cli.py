@@ -14,7 +14,8 @@ Usage examples::
 
 Flag conventions (shared verbatim across subcommands and
 ``repro.evaluation.report_all``; see ``docs/api.md``): ``--jobs N``
-for worker processes, ``--checkpoint PATH`` for crash-safe journaling,
+for worker processes (``report_all`` only), ``--checkpoint PATH`` for
+crash-safe journaling,
 ``--stats`` for work/cache profiles, ``--trace PATH`` for a Chrome
 ``trace_event`` JSON of the run.
 """
@@ -33,12 +34,12 @@ from typing import Dict, Optional
 #: One help string per shared flag, so every subcommand documents it
 #: identically (asserted by tests/trace/test_cli_trace.py).
 JOBS_HELP = (
-    "worker processes, one whole sweep / experiment / fuzz wave each "
+    "worker processes, one experiment each "
     "(results merge deterministically)"
 )
 CHECKPOINT_HELP = (
     "journal every evaluated candidate to PATH (crash-safe sweep); "
-    "for sharded runs, a directory holding one journal per shard"
+    "with --all, a directory holding one journal per workload"
 )
 STATS_HELP = "print per-phase wall time and work/cache counters"
 TRACE_HELP = "write a Chrome trace_event JSON of this run to PATH"
@@ -213,27 +214,8 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _warn_single_cpu(jobs) -> None:
-    """Warn when parallel speedup numbers came from a single-CPU run.
-
-    Shards can't overlap on one core, so any measured "speedup" from a
-    multi-job run is noise; BENCH_parallel.json records the same
-    condition as ``"asserted": false``.
-    """
-    from repro.util.pool import available_jobs
-
-    cpus = available_jobs()
-    if jobs is not None and jobs > 1 and cpus < 2:
-        print(
-            f"warning: parallel speedup data came from a single-CPU run "
-            f"({jobs} jobs sharing {cpus} CPU); wall-clock comparisons "
-            "against the sequential sweep are not meaningful",
-            file=sys.stderr,
-        )
-
-
 def _resume_hint(args, checkpoint: str) -> str:
-    hint = f"python -m repro dse {args.workload}"
+    hint = "python -m repro dse " + ("--all" if args.all else args.workload)
     if args.size is not None:
         hint += f" --size {args.size}"
     if args.device is not None:
@@ -241,6 +223,16 @@ def _resume_hint(args, checkpoint: str) -> str:
     if args.resource_fraction != 1.0:
         hint += f" --resource-fraction {args.resource_fraction}"
     return hint + f" --resume {checkpoint}"
+
+
+def _interrupted(args, message: str, checkpoint) -> int:
+    """Exit 130 for an interrupted `repro dse`, naming how to resume."""
+    print(message, file=sys.stderr)
+    if checkpoint:
+        kind = "directory" if args.all else "journal"
+        print(f"checkpoint {kind}: {checkpoint}", file=sys.stderr)
+        print(f"resume with: {_resume_hint(args, checkpoint)}", file=sys.stderr)
+    return 130
 
 
 def _resolve_objective(args) -> str:
@@ -255,66 +247,85 @@ def _resolve_objective(args) -> str:
     return args.objective
 
 
-def _cmd_dse_all(args) -> int:
-    """`repro dse --all`: the sharded multi-workload sweep."""
-    from repro import trace as trace_mod
-    from repro.dse.parallel import default_sweep_specs, run_sharded_sweep
+#: What `repro dse --all` sweeps, in order: the paper's Table III
+#: polybench workloads.
+ALL_WORKLOADS = ("gemm", "bicg", "gesummv", "2mm")
 
-    if args.resume is not None:
-        raise SystemExit("--resume applies to a single workload, not --all "
-                         "(crashed shards auto-resume from their journals)")
-    _resolve_device(args.device)  # fail fast on a bad name (shards get the string)
-    specs = default_sweep_specs(
-        size=args.size,
-        device=args.device,
-        resource_fraction=args.resource_fraction,
-        cache=not args.no_cache,
-        candidate_timeout_s=args.candidate_timeout,
-        time_budget_s=args.time_budget,
-        objective=_resolve_objective(args),
-    )
-    tracer = trace_mod.Tracer() if args.trace else None
-    with trace_mod.tracing(tracer) if tracer else _null_context():
-        sweep = run_sharded_sweep(
-            specs, jobs=args.jobs, checkpoint_dir=args.checkpoint
-        )
-    if tracer is not None:
-        _export_trace(tracer, args.trace)
-    for shard in sweep.shards:
-        if shard.ok:
-            result = shard.result
-            note = " (worker crashed; resumed from journal)" if shard.retried else ""
-            print(
-                f"{shard.spec.label}: {result.evaluations} evaluations in "
-                f"{result.dse_time_s:.3f}s, tiles {result.tile_vectors()}{note}"
+
+def _print_frontier(result, prefix: str = "") -> None:
+    if result.frontier is not None:
+        from repro.dse.pareto import frontier_summary, parse_objective
+
+        text = frontier_summary(result.frontier, parse_objective(result.objective))
+        print(_indent(text, prefix) if prefix else text)
+
+
+def _cmd_dse_all(args, options) -> int:
+    """`repro dse --all`: one sweep per workload, in process and in order.
+
+    A workload that raises prints ``FAILED`` and the others still run.
+    ``--checkpoint DIR`` journals each sweep to
+    ``DIR/<workload>[-<size>].journal``; ``--resume DIR`` resumes every
+    workload whose journal exists there and journals the rest.
+    """
+    import os
+
+    from repro import workloads
+    from repro.dse.stats import DseStats
+
+    directory = args.resume or args.checkpoint
+    if directory is not None:
+        os.makedirs(directory, exist_ok=True)
+    results = []
+    failed = False
+    for name in ALL_WORKLOADS:
+        label, stem = name, name
+        if args.size is not None:
+            label, stem = f"{name}({args.size})", f"{name}-{args.size}"
+        run_options = options
+        if directory is not None:
+            journal = os.path.join(directory, f"{stem}.journal")
+            run_options = options.replace(
+                checkpoint=journal,
+                resume=args.resume is not None and os.path.exists(journal),
             )
-            if result.frontier is not None:
-                from repro.dse.pareto import frontier_summary, parse_objective
-
-                print(_indent(frontier_summary(
-                    result.frontier, parse_objective(result.objective)
-                )))
-        else:
-            print(f"{shard.spec.label}: FAILED: {shard.error}", file=sys.stderr)
-    for label, candidate in sweep.quarantine:
-        print(f"  {label} quarantined: {candidate.diagnostic.oneline()}")
+        try:
+            result = workloads.get(name, args.size).auto_DSE(options=run_options)
+        except KeyboardInterrupt:
+            # Interrupted outside a search loop (the loop itself catches
+            # SIGINT, flushes the checkpoint, and degrades gracefully).
+            return _interrupted(
+                args, "\ninterrupted before a best design was found", directory
+            )
+        except Exception as exc:
+            print(f"{label}: FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed = True
+            continue
+        results.append((label, result))
+        print(
+            f"{label}: {result.evaluations} evaluations in "
+            f"{result.dse_time_s:.3f}s, tiles {result.tile_vectors()}"
+        )
+        _print_frontier(result, "  ")
+        for candidate in result.quarantine:
+            print(f"  {label} quarantined: {candidate.diagnostic.oneline()}")
+        if result.stats.interrupted:
+            return _interrupted(
+                args, "sweep interrupted; stopped at best design found", directory
+            )
     if args.stats:
-        # Per-shard breakdowns first, then the merge: the merged totals
-        # are the sum of the shard totals (in shard declaration order),
-        # and this output makes that invariant visible to users.
-        for shard in sweep.shards:
-            if shard.ok and shard.result.stats is not None:
-                print()
-                print(f"shard {shard.spec.label}:")
-                print(_indent(shard.result.stats.summary()))
+        # Per-workload breakdowns first, then the merge, whose totals
+        # are the sum of the blocks above.
+        for label, result in results:
+            print()
+            print(f"workload {label}:")
+            print(_indent(result.stats.summary()))
         print()
-        print("merged (totals are the sum of the shards above):")
-        print(_indent(sweep.stats.summary()))
-        _warn_single_cpu(args.jobs)
-    if not sweep.ok:
+        print("merged (totals are the sum of the workloads above):")
+        print(_indent(DseStats.merge([r.stats for _, r in results]).summary()))
+    if failed:
         return 2
-    degraded = any(shard.result.degraded for shard in sweep.shards)
-    if degraded and not args.allow_degraded:
+    if any(result.degraded for _, result in results) and not args.allow_degraded:
         print(
             "sweep degraded (quarantined candidates or budget exhausted); "
             "pass --allow-degraded to accept the best designs found",
@@ -344,30 +355,26 @@ def cmd_dse(args) -> int:
     from repro.dse.options import DseOptions
 
     objective = _resolve_objective(args)
-    if args.all:
-        return _cmd_dse_all(args)
-    if args.workload is None:
+    if args.workload is None and not args.all:
         raise SystemExit("a workload name is required unless --all is given")
-    if args.jobs is not None:
-        print(
-            "--jobs shards whole sweeps across processes and needs --all; "
-            "a single workload's sweep is sequential",
-            file=sys.stderr,
-        )
-        return 2
-    workload = _build_workload(args.workload, args.size)
-    checkpoint = args.resume or args.checkpoint
     options = DseOptions(
         device=_resolve_device(args.device),
         resource_fraction=args.resource_fraction,
         cache=not args.no_cache,
-        checkpoint=checkpoint,
-        resume=args.resume is not None,
         candidate_timeout_s=args.candidate_timeout,
         time_budget_s=args.time_budget,
         objective=objective,
     )
     tracer = trace_mod.Tracer() if args.trace else None
+    if args.all:
+        with trace_mod.tracing(tracer) if tracer else _null_context():
+            code = _cmd_dse_all(args, options)
+        if tracer is not None:
+            _export_trace(tracer, args.trace)
+        return code
+    workload = _build_workload(args.workload, args.size)
+    checkpoint = args.resume or args.checkpoint
+    options = options.replace(checkpoint=checkpoint, resume=args.resume is not None)
     try:
         with trace_mod.tracing(tracer) if tracer else _null_context():
             result = workload.auto_DSE(options=options)
@@ -377,21 +384,14 @@ def cmd_dse(args) -> int:
     except KeyboardInterrupt:
         # Interrupted outside the search loop (the loop itself catches
         # SIGINT, flushes the checkpoint, and degrades gracefully).
-        print("\ninterrupted before a best design was found", file=sys.stderr)
-        if checkpoint:
-            print(f"checkpoint journal: {checkpoint}", file=sys.stderr)
-            print(f"resume with: {_resume_hint(args, checkpoint)}", file=sys.stderr)
-        return 130
+        return _interrupted(
+            args, "\ninterrupted before a best design was found", checkpoint
+        )
     if tracer is not None:
         _export_trace(tracer, args.trace)
     print(result.summary(args.workload))
     print(result.report.summary())
-    if result.frontier is not None:
-        from repro.dse.pareto import frontier_summary, parse_objective
-
-        print(frontier_summary(
-            result.frontier, parse_objective(result.objective)
-        ))
+    _print_frontier(result)
     if result.quarantine:
         print(f"quarantined {len(result.quarantine)} candidate(s):")
         for candidate in result.quarantine:
@@ -403,11 +403,9 @@ def cmd_dse(args) -> int:
         print()
         print(result.stats_summary())
     if result.stats.interrupted:
-        print("sweep interrupted; stopped at best design found", file=sys.stderr)
-        if checkpoint:
-            print(f"checkpoint journal: {checkpoint}", file=sys.stderr)
-            print(f"resume with: {_resume_hint(args, checkpoint)}", file=sys.stderr)
-        return 130
+        return _interrupted(
+            args, "sweep interrupted; stopped at best design found", checkpoint
+        )
     if result.degraded and not args.allow_degraded:
         print(
             "sweep degraded (quarantined candidates or budget exhausted); "
@@ -485,8 +483,6 @@ def _cmd_fuzz_server(args, workloads, sizes) -> int:
         options["workloads"] = list(workloads)
     if sizes is not None:
         options["sizes"] = list(sizes)
-    if args.jobs is not None:
-        options["jobs"] = args.jobs
     try:
         record = client.run(kind="fuzz", options=options)
     except (ServerError, TimeoutError) as exc:
@@ -531,7 +527,6 @@ def cmd_fuzz(args) -> int:
         seed=args.seed,
         trials=args.trials,
         max_directives=args.max_directives,
-        jobs=args.jobs if args.jobs is not None else 1,
         time_budget_s=args.time_budget,
         out_dir=args.out,
     )
@@ -660,9 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
     dse_p.add_argument("--size", type=int, default=None, help="problem size")
     dse_p.add_argument(
         "--all", action="store_true",
-        help="sweep the standard 4-workload set, one shard per workload",
+        help="sweep the standard 4-workload set, one workload after another",
     )
-    _add_run_flags(dse_p, jobs=True, checkpoint=True, stats=True, trace=True)
+    _add_run_flags(dse_p, checkpoint=True, stats=True, trace=True)
     _add_device_flag(dse_p)
     dse_p.add_argument(
         "--resource-fraction", type=float, default=1.0,
@@ -674,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse_p.add_argument(
         "--resume", metavar="PATH", default=None,
-        help="resume a sweep from a checkpoint journal written by --checkpoint",
+        help="resume a sweep from a checkpoint journal written by --checkpoint "
+             "(with --all, a directory of them)",
     )
     dse_p.add_argument(
         "--candidate-timeout", type=float, metavar="SECONDS", default=None,
@@ -766,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the campaign on a `repro serve` daemon instead of "
              "in-process (e.g. http://127.0.0.1:8573)",
     )
-    _add_run_flags(fuzz_p, jobs=True, stats=True, trace=True)
+    _add_run_flags(fuzz_p, stats=True, trace=True)
     fuzz_p.set_defaults(func=cmd_fuzz)
 
     serve_p = sub.add_parser(

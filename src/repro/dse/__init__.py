@@ -26,16 +26,6 @@ from repro.dse.pareto import (
 )
 from repro.dse.stage1 import Stage1Plan, plan_stage1
 from repro.dse.stats import DseStats
-from repro.dse.parallel import (
-    DEFAULT_SWEEP,
-    ShardResult,
-    ShardSpec,
-    SweepResult,
-    build_workload,
-    default_sweep_specs,
-    run_sharded_sweep,
-    shard_journal_path,
-)
 from repro.dse.stage2 import (
     NodeConfig,
     config_directives,
@@ -60,14 +50,6 @@ __all__ = [
     "plan_node_config",
     "config_directives",
     "derive_partitions",
-    "DEFAULT_SWEEP",
-    "ShardResult",
-    "ShardSpec",
-    "SweepResult",
-    "build_workload",
-    "default_sweep_specs",
-    "run_sharded_sweep",
-    "shard_journal_path",
     "AXES",
     "Objective",
     "ParetoFrontier",

@@ -25,7 +25,6 @@ best design an uninterrupted run would have found.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from typing import Dict, Optional, Tuple
@@ -34,6 +33,7 @@ from repro import __version__ as _REPRO_VERSION
 from repro.diagnostics import DiagnosticEngine, DiagnosticError, SourceLocation
 from repro.hls.device import FPGADevice
 from repro.hls.report import Resources, SynthesisReport
+from repro.util.atomic import append_line
 
 # Bump whenever the search trajectory semantics change (step policy,
 # bank-cap ladder, scoring): journals written by a different engine
@@ -146,7 +146,7 @@ class CheckpointJournal:
     def create(
         cls, path: str, header: Dict[str, object], fault_plan=None
     ) -> "CheckpointJournal":
-        handle = open(path, "w", encoding="utf-8")
+        handle = open(path, "w+b")
         journal = cls(path, header, handle, fault_plan)
         try:
             journal._write_line(json.dumps(header, sort_keys=True))
@@ -205,7 +205,7 @@ class CheckpointJournal:
                 notes=notes,
             )
 
-        handle = open(path, "a", encoding="utf-8")
+        handle = open(path, "a+b")
         journal = cls(path, header, handle, fault_plan)
         for number, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -256,9 +256,7 @@ class CheckpointJournal:
     # -- appends ------------------------------------------------------------
 
     def _write_line(self, payload: str) -> None:
-        self._handle.write(payload + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        append_line(self._handle, payload + "\n")
 
     def append_eval(
         self,
@@ -296,17 +294,13 @@ class CheckpointJournal:
             record["code"] = code or "DSE001"
             record["message"] = message or ""
         self._absorb_eval(key, dict(record))
-        payload = json.dumps(record, sort_keys=True)
+        line = json.dumps(record, sort_keys=True) + "\n"
         if self._fault_plan is not None:
-            payload = self._fault_plan.on_journal_line(ordinal, payload + "\n")
-            # The hook returns the raw bytes-on-disk payload (a corrupt
-            # fault truncates it, newline included).
-            buffered = payload
-        else:
-            buffered = payload + "\n"
-        self._handle.write(buffered)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+            # The hook returns the raw on-disk payload (a corrupt fault
+            # truncates it, newline included); the next append
+            # terminates the torn line.
+            line = self._fault_plan.on_journal_line(ordinal, line)
+        append_line(self._handle, line)
         if self._fault_plan is not None:
             # A "crash" fault kills the process right after this append
             # reaches the disk -- the resume path must reconstruct the

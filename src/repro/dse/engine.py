@@ -104,10 +104,6 @@ class DseResult:
     quarantine: List[QuarantinedCandidate] = field(default_factory=list)
     diagnostics: List[Diagnostic] = field(default_factory=list)
     journal_path: Optional[str] = None
-    #: Spans/metrics captured by a worker-side tracer (sharded sweeps
-    #: ship these back for deterministic merging); None when the sweep
-    #: ran under the caller's own tracer or with tracing off.
-    trace: Optional[_trace.TraceData] = None
     #: The canonical objective spec the sweep ran under ("single" keeps
     #: the classic best-latency behavior and leaves `frontier` None).
     objective: str = "single"

@@ -7,7 +7,7 @@ dataclass, the only form :func:`~repro.dse.engine.auto_dse` accepts::
     result = function.auto_DSE(options=DseOptions(cache=False))
 
 Validation that does not need the function under search lives in
-:meth:`DseOptions.validate` so every entry point (engine, shard workers,
+:meth:`DseOptions.validate` so every entry point (engine, serve jobs,
 CLI) rejects a bad configuration identically -- and *before* any side
 effect such as creating a checkpoint journal.
 """
@@ -63,7 +63,7 @@ class DseOptions:
 
         Returns self so call sites can chain.  The engine performs the
         same checks (plus the function-dependent ones) before creating
-        any journal; this front door lets the CLI and shard drivers
+        any journal; this front door lets the CLI and serve jobs
         fail fast with identical messages.
         """
         if self.resource_fraction <= 0:

@@ -19,7 +19,7 @@ Determinism contract: frontier membership is a pure function of the
 *set* of scored candidates -- insertion happens in canonical candidate
 order, ties between equal objective vectors keep the smallest candidate
 key, and :meth:`ParetoFrontier.points` sorts by ``(values, key)`` -- so
-cached/uncached/sharded/resumed sweeps that score the same
+cached/uncached/resumed sweeps that score the same
 candidates reconstruct bit-identical frontiers.
 """
 

@@ -84,14 +84,14 @@ class DseStats:
     _MERGE_ANY = ("interrupted", "time_budget_hit")
 
     @classmethod
-    def merge(cls, shards: "Sequence[DseStats]") -> "DseStats":
-        """Fold per-shard stats into one deterministic aggregate.
+    def merge(cls, parts: "Sequence[DseStats]") -> "DseStats":
+        """Fold per-sweep stats into one deterministic aggregate.
 
         Numeric counters and wall times sum (merged totals equal the sum
-        of shard totals, in shard order -- float addition is performed
-        left to right so the result is reproducible); ``cache_enabled``
-        holds only if every shard cached; the degradation flags hold if
-        any shard degraded.  ``isl_counters`` merges key-wise by summation.
+        of the parts, in order -- float addition is performed left to
+        right so the result is reproducible); ``cache_enabled`` holds
+        only if every sweep cached; the degradation flags hold if any
+        sweep degraded.  ``isl_counters`` merges key-wise by summation.
         """
         merged = cls()
         numeric = [
@@ -101,17 +101,17 @@ class DseStats:
             and f.name not in cls._MERGE_ALL
             and f.name not in cls._MERGE_ANY
         ]
-        shards = list(shards)
+        parts = list(parts)
         for name in numeric:
-            value = sum(getattr(shard, name) for shard in shards)
+            value = sum(getattr(part, name) for part in parts)
             setattr(merged, name, value)
         for name in cls._MERGE_ALL:
-            setattr(merged, name, all(getattr(s, name) for s in shards))
+            setattr(merged, name, all(getattr(p, name) for p in parts))
         for name in cls._MERGE_ANY:
-            setattr(merged, name, any(getattr(s, name) for s in shards))
+            setattr(merged, name, any(getattr(p, name) for p in parts))
         counters: Dict[str, Tuple[int, int]] = {}
-        for shard in shards:
-            for key, (hits, misses) in shard.isl_counters.items():
+        for part in parts:
+            for key, (hits, misses) in part.isl_counters.items():
                 have = counters.get(key, (0, 0))
                 counters[key] = (have[0] + hits, have[1] + misses)
         merged.isl_counters = counters

@@ -1,14 +1,12 @@
-"""Fuzz campaign driver: seeding, scheduling, parallelism, budgets.
+"""Fuzz campaign driver: seeding, scheduling, budgets.
 
 A campaign runs ``trials`` differential trials round-robin over the
-``workloads x sizes`` grid.  Per-trial seeds are drawn once, up front,
-from a master :class:`random.Random`, so a campaign is deterministic in
-``--seed`` regardless of ``--jobs`` (trials are independent and results
-merge in trial order -- the PR-4 ``run_ordered`` contract).  A wall
-clock ``--time-budget`` is enforced cooperatively between trials (and
-between waves when running in worker processes) via the PR-3
-:class:`~repro.util.deadline.Deadline`; exhausting it is a normal stop
-(``FUZ004``), not a failure.
+``workloads x sizes`` grid, in process and in trial order.  Per-trial
+seeds are drawn once, up front, from a master :class:`random.Random`,
+so a campaign is deterministic in ``--seed`` and any one trial replays
+alone.  A wall clock ``--time-budget`` is enforced cooperatively
+between trials via :class:`~repro.util.deadline.Deadline`; exhausting
+it is a normal stop (``FUZ004``), not a failure.
 
 Failing trials are shrunk to minimal reproducers in the driver process
 and written as runnable scripts (``FUZ003``) under ``--out``.
@@ -33,7 +31,6 @@ from repro.fuzz.harness import (
 )
 from repro.util.atomic import atomic_write
 from repro.util.deadline import Deadline
-from repro.util.pool import run_ordered
 
 #: Cheap-to-interpret workloads covering every non-DNN family.
 DEFAULT_WORKLOADS = (
@@ -63,15 +60,12 @@ class FuzzOptions:
     workloads: Sequence[str] = DEFAULT_WORKLOADS
     sizes: Sequence[int] = DEFAULT_SIZES
     max_directives: int = 6
-    jobs: int = 1
     time_budget_s: Optional[float] = None
     out_dir: Optional[str] = None
 
     def validate(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.max_directives < 1:
             raise ValueError(
                 f"max-directives must be >= 1, got {self.max_directives}"
@@ -153,15 +147,10 @@ def plan_trials(options: FuzzOptions) -> List[Tuple[str, int, int, int]]:
     ]
 
 
-def _run_payload(payload: Tuple[str, int, int, int]) -> TrialResult:
-    workload, size, seed, max_directives = payload
-    return run_trial(workload, size, seed, max_directives=max_directives)
-
-
 def run_campaign(
     options: FuzzOptions, engine: Optional[DiagnosticEngine] = None
 ) -> CampaignResult:
-    """Run a fuzz campaign; returns merged results in trial order."""
+    """Run a fuzz campaign; returns its results in trial order."""
     options.validate()
     if engine is None:
         engine = DiagnosticEngine()
@@ -173,36 +162,16 @@ def run_campaign(
     with _trace.span(
         "fuzz.campaign",
         category="fuzz",
-        args={"seed": options.seed, "trials": options.trials, "jobs": options.jobs},
+        args={"seed": options.seed, "trials": options.trials},
     ):
-        cursor = 0
-        while cursor < len(plan):
+        for workload, size, seed, max_directives in plan:
             if deadline is not None and deadline.remaining() <= 0:
                 campaign.budget_exhausted = True
                 break
-            if options.jobs == 1:
-                payload = plan[cursor]
-                campaign.results.append(_run_payload(payload))
-                cursor += 1
-            else:
-                # Waves keep the budget check responsive without paying
-                # a pool spin-up per trial.
-                wave = plan[cursor : cursor + options.jobs * 4]
-                outcomes = run_ordered(_run_payload, wave, jobs=options.jobs)
-                for payload, outcome in zip(wave, outcomes):
-                    if outcome.ok:
-                        campaign.results.append(outcome.value)
-                    else:
-                        workload, size, seed, _ = payload
-                        detail = outcome.error or "worker died"
-                        campaign.results.append(
-                            TrialResult(
-                                workload, size, seed, "crash",
-                                stage="worker", error=detail,
-                            )
-                        )
-                cursor += len(wave)
-            _trace.count("fuzz.trials", len(campaign.results))
+            campaign.results.append(
+                run_trial(workload, size, seed, max_directives=max_directives)
+            )
+            _trace.count("fuzz.trials")
 
         campaign.elapsed_s = time.monotonic() - started
         if campaign.budget_exhausted:

@@ -155,7 +155,7 @@ def get_device(name: str) -> FPGADevice:
 
     Raises :class:`ValueError` naming the known parts on an unknown
     name -- the same stable diagnostic everywhere (CLI, serve-job
-    validation, shard specs).
+    validation).
     """
     if not isinstance(name, str) or not name.strip():
         raise ValueError(f"device name must be a non-empty string, got {name!r}")

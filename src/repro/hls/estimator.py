@@ -18,9 +18,9 @@ ScaleHLS QoR model [35]): a hierarchical roll-up of loop latencies where
 
 The whole-report memo (``memoize_reports=True``) is *per-instance*
 state, never shared between estimators: each DSE sweep constructs its
-own :class:`HlsEstimator`, so the shard workers of
-:mod:`repro.dse.parallel` cannot observe or corrupt one another's memo
-tables.  Memoized and unmemoized estimates are bit-identical by
+own :class:`HlsEstimator`, so two sweeps (one after another in
+``repro dse --all``, or side by side in serve workers) cannot observe or
+corrupt one another's memo tables.  Memoized and unmemoized estimates are bit-identical by
 construction (the memo key is the function fingerprint, which covers
 everything the model reads).
 """

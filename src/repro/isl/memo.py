@@ -18,12 +18,12 @@ The tables live on an explicit :class:`MemoContext` -- the same
 discipline as :class:`repro.isl.intern.InternContext` -- so the compile
 server (:mod:`repro.serve`) can give each session its own tables via
 :func:`activate`; concurrent clients then never share mutable memo
-state.  The default process-wide context preserves the historical
-behaviour: every worker process of the parallel DSE layer gets its own
-independent copy, either empty (``spawn``) or a snapshot of the
-parent's at fork time (``fork``).  Since memoized and unmemoized runs
-are bit-identical, a fresh or inherited table can only change speed,
-never results.
+state.  The default process-wide context is shared by everything that
+runs in one process (``repro dse --all`` runs its four sweeps over
+it), and a worker process (a serve job, a ``report_all --jobs``
+experiment) gets a snapshot of the parent's at fork time.  Since
+memoized and unmemoized runs are bit-identical, a warm, fresh or
+inherited table can only change speed, never results.
 
 The tables can be disabled per context (``set_enabled(False)``) so the
 DSE engine's ``cache=False`` escape hatch measures genuinely uncached

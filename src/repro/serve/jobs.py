@@ -57,7 +57,6 @@ _OPTION_KEYS = {
         "time_budget_s",
         "workloads",
         "sizes",
-        "jobs",
     ),
 }
 
@@ -270,7 +269,6 @@ def preload() -> None:
 
     import repro.dataflow  # noqa: F401
     import repro.depgraph.footprint  # noqa: F401  (dataflow stream windows)
-    import repro.dse.parallel  # noqa: F401
     import repro.fuzz  # noqa: F401
     import repro.pipeline  # noqa: F401
     import repro.preflight  # noqa: F401
@@ -310,11 +308,11 @@ def execute_job(
 def _execute_dse(spec, journal_path, arm_faults, job_timeout_s, emit) -> dict:
     import time
 
+    from repro import workloads
     from repro.dse.options import DseOptions
-    from repro.dse.parallel import build_workload
 
     emit({"stage": "build", "workload": spec.workload})
-    workload = build_workload(spec.workload, spec.size)
+    workload = workloads.get(spec.workload, spec.size)
     resume = bool(journal_path) and os.path.exists(journal_path)
     plan = build_fault_plan(spec.fault) if arm_faults else None
     overrides = dict(spec.options)
@@ -361,10 +359,10 @@ def _execute_dse(spec, journal_path, arm_faults, job_timeout_s, emit) -> dict:
 def _execute_verify(spec, job_timeout_s, emit) -> dict:
     import time
 
-    from repro.dse.parallel import build_workload
+    from repro import workloads
 
     emit({"stage": "build", "workload": spec.workload})
-    function = build_workload(spec.workload, spec.size)
+    function = workloads.get(spec.workload, spec.size)
     started = time.perf_counter()
     with _job_deadline(job_timeout_s):
         engine = function.verify()
@@ -393,10 +391,10 @@ def _execute_trace(spec, job_timeout_s, emit) -> dict:
     import time
 
     from repro import trace as _trace
-    from repro.dse.parallel import build_workload
+    from repro import workloads
 
     emit({"stage": "build", "workload": spec.workload})
-    function = build_workload(spec.workload, spec.size)
+    function = workloads.get(spec.workload, spec.size)
     tracer = _trace.Tracer()
     started = time.perf_counter()
     with _trace.tracing(tracer), _job_deadline(job_timeout_s):

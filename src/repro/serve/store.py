@@ -34,7 +34,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.serve.jobs import JobSpec, design_fingerprint
-from repro.util.atomic import atomic_write
+from repro.util.atomic import append_line, atomic_write
 
 STORE_FORMAT = 1
 
@@ -42,10 +42,8 @@ STORE_FORMAT = 1
 def _append_line(path: str, record: dict) -> None:
     """Append one fsynced JSON line (the checkpoint-journal discipline)."""
     line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line)
-        handle.flush()
-        os.fsync(handle.fileno())
+    with open(path, "a+b") as handle:
+        append_line(handle, line)
 
 
 def _read_lines(path: str) -> Tuple[List[dict], int]:

@@ -26,11 +26,12 @@ Design contract (see ``docs/observability.md``):
   suite in ``benchmarks/test_trace_overhead.py``).
 * **Observational only.**  Tracing never changes results: DSE output is
   bit-identical with tracing on or off, including under seeded fault
-  plans and across sequential/cached/sharded sweeps.
+  plans and across cached/uncached sweeps.
 * **Deterministic merges.**  Worker processes ship picklable
   :class:`TraceData` back to the driver, which adopts them in
-  declaration order -- a sharded sweep produces one coherent trace with
-  one named track per shard, independent of worker finish order.
+  declaration order -- a parallel ``report_all`` produces one coherent
+  trace with one named track per experiment, independent of worker
+  finish order.
 """
 
 from repro.trace.core import (

@@ -25,7 +25,7 @@ Tracing is observational only: no instrumented code path reads a span
 or metric back, so results are bit-identical with tracing on or off
 (asserted by ``tests/trace/test_bit_identity.py``).
 
-Worker processes (sharded sweeps, parallel ``report_all``) cannot share
+Worker processes (parallel ``report_all``) cannot share
 the driver's tracer; they record into a local tracer and ship a
 picklable :class:`TraceData` back, which the driver adopts via
 :meth:`Tracer.adopt_thread` (as a named parallel track), always in
@@ -95,8 +95,7 @@ class TraceData:
     """A picklable snapshot of a tracer: spans + metrics.
 
     The unit of cross-process forwarding: workers export one of these,
-    drivers adopt it.  Attached to
-    :class:`~repro.dse.engine.DseResult` by traced shard runs.
+    drivers adopt it.
     """
 
     __slots__ = ("spans", "counters", "histograms")
@@ -203,7 +202,7 @@ class Tracer:
     def adopt_thread(self, data: TraceData, tid: int, label: str) -> None:
         """Adopt worker spans as their own named parallel track.
 
-        Used by sharded sweeps and parallel ``report_all``: each worker
+        Used by parallel ``report_all``: each worker
         becomes Chrome track ``tid`` named ``label``; the worker's root
         spans stay roots (they are not children of any driver span).
         Spans keep their relative order and nesting; timestamps are

@@ -12,7 +12,7 @@ from repro.util.deadline import (
     checkpoint,
     deadline_scope,
 )
-from repro.util.pool import TaskOutcome, available_jobs, run_ordered
+from repro.util.pool import TaskOutcome, run_ordered
 
 __all__ = [
     "atomic_write",
@@ -21,6 +21,5 @@ __all__ = [
     "checkpoint",
     "deadline_scope",
     "TaskOutcome",
-    "available_jobs",
     "run_ordered",
 ]

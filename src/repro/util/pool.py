@@ -1,15 +1,16 @@
-"""Process-per-task execution for the DSE parallel layer.
+"""Process-per-task execution for ``report_all --jobs``.
 
 One shape of parallelism: :func:`run_ordered` runs one process per task
 with bounded concurrency.  Results come back *in task order* regardless
 of completion order, and a worker that dies without reporting (a real
 ``SIGKILL``, an injected :class:`~repro.faults.InjectedCrash`) is
 detected and surfaced as a ``crashed`` outcome instead of hanging the
-driver.  Each task is one full DSE sweep, one evaluation experiment or
-one fuzz wave, isolated in its own process so a crash loses exactly one
-task (whose checkpoint journal makes the retry cheap).  Nothing finer
-grained is parallelised: a single sweep is tens of milliseconds, less
-than a process start-up (``docs/performance.md``).
+driver.  Each task is one evaluation experiment, isolated in its own
+process so a crash loses exactly one task.  DSE sweeps and fuzz trials
+run in process: a sweep is ~50 ms and a fuzz trial ~15 ms, too short
+for a worker to pay for itself (``repro dse --all`` / ``repro fuzz``
+measured no faster with two workers than with none;
+``docs/performance.md``).
 
 The ``fork`` start method is preferred (cheap, inherits the parent's
 loaded workload registry); ``spawn`` is the fallback where ``fork`` is
@@ -20,7 +21,6 @@ imports nothing from the rest of :mod:`repro`.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import queue as _queue
 from collections import deque
 from dataclasses import dataclass
@@ -30,14 +30,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 # How long the driver blocks on the result queue before checking for
 # workers that died without reporting.
 _POLL_S = 0.02
-
-
-def available_jobs() -> int:
-    """The number of CPUs this process may actually run on."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
 
 
 def _context():

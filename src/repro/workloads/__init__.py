@@ -17,7 +17,7 @@ a dataflow name builds a :class:`~repro.dataflow.DataflowDesign`
 (callers that only handle one kind filter with ``names(kind=...)`` or
 check :func:`kind_of`).  Unknown names raise a stable ``WLD001``
 :class:`~repro.diagnostics.DiagnosticError` listing every registered
-workload, identically from the CLI, shard workers, the fuzz harness,
+workload, identically from the CLI, serve jobs, the fuzz harness,
 and serve-job validation.
 """
 

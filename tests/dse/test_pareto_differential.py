@@ -4,9 +4,9 @@ The determinism contract of :mod:`repro.dse.pareto`: the frontier is a
 pure function of the scored candidate set, so every sweep mode that
 scores the same candidates -- cached (design-identical grid members
 answered by the design memo) or uncached (every grid member really
-estimated), sequential or sharded, fresh or resumed from a checkpoint
-journal, fault-injected or clean -- reconstructs a bit-identical
-frontier.  This suite runs each mode pair and compares, in the style of
+estimated), fresh or resumed from a checkpoint
+journal (one sweep or all of ``repro dse --all``), fault-injected or
+clean -- reconstructs a bit-identical frontier.  This suite runs each mode pair and compares, in the style of
 ``tests/dse/test_reference_differential.py``.
 
 It also pins the other half of the contract: turning the frontier
@@ -17,13 +17,9 @@ after it).
 
 import pytest
 
-from repro.dse import auto_dse
+from repro.cli import ALL_WORKLOADS, main
+from repro.dse import auto_dse, engine
 from repro.dse.options import DseOptions
-from repro.dse.parallel import (
-    build_workload,
-    default_sweep_specs,
-    run_sharded_sweep,
-)
 from repro.faults import Fault, FaultPlan
 from repro.workloads import polybench
 
@@ -108,21 +104,29 @@ class TestResumedParity:
         assert resumed.tile_vectors() == first.tile_vectors()
 
 
-class TestShardedParity:
-    @pytest.mark.parallel
-    def test_sharded_matches_sequential(self):
-        sweep = run_sharded_sweep(
-            default_sweep_specs(size=SIZE, objective="pareto"), jobs=2
-        )
-        assert sweep.ok, sweep.failures
-        for shard in sweep.shards:
-            sequential = auto_dse(
-                build_workload(shard.spec.workload, SIZE),
-                options=DseOptions(objective="pareto", cache=True),
-            )
-            assert _frontier(shard.result) == _frontier(sequential), (
-                shard.spec.workload
-            )
+class TestAllWorkloadsResumedParity:
+    def test_resumed_all_reconstructs_every_frontier(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real = engine.auto_dse
+        results = []
+
+        def recording(function, options=None):
+            result = real(function, options=options)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(engine, "auto_dse", recording)
+        argv = ["dse", "--all", "--size", str(SIZE), "--pareto"]
+        assert main(argv + ["--checkpoint", str(tmp_path)]) == 0
+        assert main(argv + ["--resume", str(tmp_path)]) == 0
+        capsys.readouterr()
+        fresh, resumed = results[: len(ALL_WORKLOADS)], results[len(ALL_WORKLOADS):]
+        assert len(resumed) == len(ALL_WORKLOADS)
+        for name, a, b in zip(ALL_WORKLOADS, fresh, resumed):
+            assert _frontier(b) == _frontier(a), name
+            assert b.report == a.report, name
+            assert b.stats.replayed > 0, name
 
 
 class TestFaultInjectedParity:

@@ -4,21 +4,20 @@ The optimized kernels (vectorized Fourier-Motzkin, hash-consed atoms,
 compiled bound evaluators, vectorized point/bank enumeration) promise
 *bit identity* with the pure-Python reference path -- same reports,
 same schedules, same tile vectors, same evaluation counts -- across
-every sweep mode the DSE engine supports: cached, uncached, sharded,
-and fault-injected.  This suite runs each mode both ways and compares.
-
-The fixture sets the ``REPRO_ISL_REFERENCE`` environment variable in
-addition to flipping the in-process flag so spawned worker processes
-(the sharded mode) inherit the reference mode.
+every sweep mode the DSE engine supports: cached, uncached,
+``repro dse --all`` and fault-injected.  This suite runs each mode both
+ways and compares.
 """
+
+import re
 
 import pytest
 
 from repro import workloads
 from repro.affine.printer import print_func
-from repro.dse import auto_dse
+from repro.cli import ALL_WORKLOADS, main
+from repro.dse import auto_dse, engine
 from repro.dse.options import DseOptions
-from repro.dse.parallel import default_sweep_specs, run_sharded_sweep
 from repro.faults import Fault, FaultPlan
 from repro.isl import intern as _intern
 from repro.isl import memo as _memo
@@ -99,18 +98,27 @@ class TestSingleRunModes:
         assert fast == reference
 
 
-class TestParallelModes:
-    @pytest.mark.parallel
-    def test_sharded_sweep(self, monkeypatch):
+class TestAllWorkloadsMode:
+    def test_dse_all(self, monkeypatch, capsys):
+        real = engine.auto_dse
+
         def run():
-            sweep = run_sharded_sweep(default_sweep_specs(size=SIZE), jobs=2)
-            assert sweep.ok, sweep.failures
-            return {
-                shard.spec.workload: _fingerprint(shard.result)
-                for shard in sweep.shards
-            }
+            fingerprints = []
+
+            def recording(function, options=None):
+                result = real(function, options=options)
+                fingerprints.append(_fingerprint(result))
+                return result
+
+            monkeypatch.setattr(engine, "auto_dse", recording)
+            assert main(["dse", "--all", "--size", str(SIZE)]) == 0
+            monkeypatch.setattr(engine, "auto_dse", real)
+            # One line per workload, timing masked, and each design whole.
+            out = re.sub(r"in \d+\.\d+s", "in <t>s", capsys.readouterr().out)
+            return out, fingerprints
 
         fast, reference = _both_modes(run, monkeypatch)
+        assert len(fast[1]) == len(ALL_WORKLOADS)
         assert fast == reference
 
 

@@ -84,3 +84,23 @@ class TestTracing:
         with trace.tracing() as ambient:
             report_all.run_all()
         assert ambient.spans == []
+
+
+@pytest.mark.parallel
+class TestWorkerProcesses:
+    def test_jobs_2_reports_what_one_process_reports(self, monkeypatch):
+        monkeypatch.setattr(
+            report_all,
+            "ALL_EXPERIMENTS",
+            {"first": _FakeExperiment, "bad": _FailingExperiment,
+             "last": _FakeExperiment},
+        )
+        in_process = report_all.run_all()
+        tracer = trace.Tracer()
+        failures = []
+        pooled = report_all.run_all(jobs=2, trace=tracer, failures=failures)
+        assert _stable(pooled) == _stable(in_process)
+        assert [d.code for d in failures] == ["RPT001"]
+        # Worker traces are adopted in declaration order, one track each.
+        assert tracer.thread_names[1] == "experiment first"
+        assert tracer.thread_names[3] == "experiment last"

@@ -1,7 +1,7 @@
 """Campaign runner + ``repro fuzz`` CLI contract.
 
-The load-bearing promises: campaigns are deterministic in ``--seed``
-regardless of ``--jobs``, time budgets stop cleanly with ``FUZ004``
+The load-bearing promises: campaigns are deterministic in ``--seed``,
+time budgets stop cleanly with ``FUZ004``
 (exit 0 -- running out of time is not a failure), and failing campaigns
 exit 1 with repro scripts plus ``summary.json`` under ``--out``.
 """
@@ -38,7 +38,6 @@ class TestPlanning:
         "bad",
         [
             dict(trials=0),
-            dict(jobs=0),
             dict(max_directives=0),
             dict(time_budget_s=-1.0),
             dict(workloads=()),
@@ -48,6 +47,10 @@ class TestPlanning:
     def test_validate_rejects(self, bad):
         with pytest.raises(ValueError):
             FuzzOptions(**bad).validate()
+
+    def test_jobs_is_no_option(self):
+        with pytest.raises(TypeError):
+            FuzzOptions(jobs=2)
 
     def test_validate_rejects_unknown_workload(self):
         with pytest.raises(ValueError, match="unknown workload") as excinfo:
@@ -64,11 +67,11 @@ class TestCampaign:
         assert not campaign.budget_exhausted
         assert campaign.elapsed_s > 0
 
-    def test_jobs_do_not_change_results(self):
-        serial = run_campaign(FuzzOptions(seed=5, trials=8, jobs=1, **_FAST))
-        parallel = run_campaign(FuzzOptions(seed=5, trials=8, jobs=2, **_FAST))
-        assert [r.as_dict() for r in serial.results] == [
-            r.as_dict() for r in parallel.results
+    def test_same_seed_same_results(self):
+        first = run_campaign(FuzzOptions(seed=5, trials=8, **_FAST))
+        second = run_campaign(FuzzOptions(seed=5, trials=8, **_FAST))
+        assert [r.as_dict() for r in first.results] == [
+            r.as_dict() for r in second.results
         ]
 
     def test_time_budget_stops_with_fuz004(self):
@@ -162,5 +165,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fuzz", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--seed", "--trials", "--time-budget", "--jobs", "--stats"):
+        for flag in ("--seed", "--trials", "--time-budget", "--stats"):
             assert flag in out
+        assert "--jobs" not in out

@@ -147,29 +147,3 @@ class TestDataflowDseStats:
         )
         assert len(stages) == 3 and merged == sum(stages)
         assert f"{merged} evaluations in" in out.splitlines()[0]
-
-
-class TestDseStatsSingleCpuWarning:
-    """`repro dse --stats` warns when speedup data is from one CPU."""
-
-    def test_warns_when_parallel_run_on_one_cpu(self, capsys, monkeypatch):
-        from repro.util import pool
-
-        monkeypatch.setattr(pool, "available_jobs", lambda: 1)
-        assert main(["dse", "--all", "--size", "16", "--jobs", "2", "--stats"]) == 0
-        err = capsys.readouterr().err
-        assert "single-CPU run" in err
-
-    def test_silent_with_enough_cpus(self, capsys, monkeypatch):
-        from repro.util import pool
-
-        monkeypatch.setattr(pool, "available_jobs", lambda: 8)
-        assert main(["dse", "--all", "--size", "16", "--jobs", "2", "--stats"]) == 0
-        assert "single-CPU run" not in capsys.readouterr().err
-
-    def test_silent_for_sequential_run(self, capsys, monkeypatch):
-        from repro.util import pool
-
-        monkeypatch.setattr(pool, "available_jobs", lambda: 1)
-        assert main(["dse", "gemm", "--size", "16", "--stats"]) == 0
-        assert "single-CPU run" not in capsys.readouterr().err

@@ -93,6 +93,24 @@ def test_truncated_trailing_line_is_tolerated(tmp_path):
     assert any(d.code == "DSE006" for d in resumed.diagnostics)
 
 
+def test_torn_tail_does_not_swallow_the_next_record(tmp_path):
+    """A crash mid-write leaves the last line without its newline; the
+    record the first resume appends must start a line of its own, so a
+    second resume replays it instead of re-evaluating it."""
+    journal = tmp_path / "gemm.jsonl"
+    baseline = polybench.gemm(16).auto_DSE(options=DseOptions(checkpoint=str(journal)))
+    text = journal.read_text()
+    journal.write_text(text[: text.rstrip("\n").rfind("\n") + 40])
+    options = DseOptions(checkpoint=str(journal), resume=True)
+    first = polybench.gemm(16).auto_DSE(options=options)
+    second = polybench.gemm(16).auto_DSE(options=options)
+    assert fingerprint(first) == fingerprint(second) == fingerprint(baseline)
+    assert first.stats.replayed == baseline.evaluations - 1
+    assert second.stats.replayed == baseline.evaluations
+    # Only the torn line itself is skipped.
+    assert [d.code for d in second.diagnostics] == ["DSE006"]
+
+
 def test_corrupt_middle_record_is_retried_not_fatal(tmp_path):
     journal = tmp_path / "gemm.jsonl"
     baseline = polybench.gemm(16).auto_DSE(options=DseOptions(checkpoint=str(journal)))

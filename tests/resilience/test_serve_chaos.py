@@ -19,8 +19,8 @@ import threading
 
 import pytest
 
+from repro import workloads
 from repro.dse import auto_dse
-from repro.dse.parallel import build_workload
 from repro.faults import FaultPlan
 from repro.serve import ReproServer, ServeClient, ServeConfig
 from repro.serve.jobs import (
@@ -53,7 +53,7 @@ def server(tmp_path):
 
 @pytest.fixture(scope="module")
 def clean_fingerprint():
-    result = auto_dse(build_workload(WORKLOAD, SIZE))
+    result = auto_dse(workloads.get(WORKLOAD, SIZE))
     return design_fingerprint(dse_design_payload(result, WORKLOAD, SIZE))
 
 

@@ -13,9 +13,9 @@ tile vectors, and the installed schedule's fingerprints.
 
 import pytest
 
+from repro import workloads
 from repro.dse import auto_dse
 from repro.dse.options import DseOptions
-from repro.dse.parallel import build_workload
 from repro.serve.jobs import design_fingerprint, dse_design_payload
 
 pytestmark = pytest.mark.serve
@@ -31,7 +31,7 @@ def batch_designs():
     """Sequential CLI-equivalent results, computed once per module."""
     designs = {}
     for name, size in WORKLOADS:
-        result = auto_dse(build_workload(name, size))
+        result = auto_dse(workloads.get(name, size))
         designs[(name, size)] = design_fingerprint(
             dse_design_payload(result, name, size)
         )
@@ -105,7 +105,7 @@ def test_drain_restart_resume_matches_batch(serve_factory):
     """SIGTERM-equivalent drain mid-job, restart, recovered job bit-matches."""
     name, size = LONG_JOB
     batch = design_fingerprint(
-        dse_design_payload(auto_dse(build_workload(name, size)), name, size)
+        dse_design_payload(auto_dse(workloads.get(name, size)), name, size)
     )
     first, client = serve_factory(subdir="restart", drain_grace_s=0.05)
     status, payload = client.submit("dse", name, size)
@@ -138,7 +138,7 @@ def test_pareto_dse_jobs_match_batch_frontier(serve_factory):
     from repro.dse.options import DseOptions
 
     batch = auto_dse(
-        build_workload(name, size), options=DseOptions(objective="pareto")
+        workloads.get(name, size), options=DseOptions(objective="pareto")
     )
     batch_payload = dse_design_payload(batch, name, size)
     assert batch_payload["frontier"], "batch frontier must be non-empty"
@@ -175,7 +175,7 @@ def batch_dataflow_designs():
     """Sequential CLI-equivalent dataflow results, once per module."""
     designs = {}
     for name, size in DATAFLOW_WORKLOADS:
-        result = build_workload(name, size).auto_DSE(
+        result = workloads.get(name, size).auto_DSE(
             options=DseOptions(**DATAFLOW_OPTIONS)
         )
         designs[(name, size)] = design_fingerprint(
@@ -245,7 +245,7 @@ def test_device_option_is_part_of_the_cache_key(serve_factory):
 
 def test_verify_jobs_match_in_process_verification(serve_factory):
     name, size = "gemm", 48
-    engine = build_workload(name, size).verify()
+    engine = workloads.get(name, size).verify()
     batch = {
         "ok": not engine.has_errors,
         "codes": sorted(d.code for d in engine.diagnostics),

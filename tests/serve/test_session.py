@@ -3,8 +3,8 @@
 import pytest
 
 from repro import trace as _trace
+from repro import workloads
 from repro.dse import auto_dse
-from repro.dse.parallel import build_workload
 from repro.isl import intern as _intern
 from repro.isl import memo as _memo
 from repro.serve import SessionContext
@@ -68,7 +68,7 @@ class TestIsolation:
         before = base.stats_snapshot()
         session = SessionContext()
         with session.activate():
-            function = build_workload("gemm", 32)
+            function = workloads.get("gemm", 32)
             function.lower()
             function.estimate()
         # Everything the compile memoized landed in the session's tables.
@@ -83,7 +83,7 @@ class TestIsolation:
     def test_two_sessions_do_not_share_tables(self):
         a, b = SessionContext(), SessionContext()
         with a.activate():
-            build_workload("gemm", 32).lower()
+            workloads.get("gemm", 32).lower()
         with b.activate():
             assert sum(
                 h + m for h, m in _memo.active().stats_snapshot().values()
@@ -94,9 +94,9 @@ class TestBitIdentity:
     def test_fresh_session_dse_matches_global_context(self):
         """Fresh tables change speed, never results (the serve promise)."""
         name, size = "gemm", 48
-        batch = auto_dse(build_workload(name, size))
+        batch = auto_dse(workloads.get(name, size))
         with SessionContext().activate():
-            served = auto_dse(build_workload(name, size))
+            served = auto_dse(workloads.get(name, size))
         assert design_fingerprint(
             dse_design_payload(batch, name, size)
         ) == design_fingerprint(dse_design_payload(served, name, size))

@@ -14,8 +14,8 @@ import sys
 
 import pytest
 
+from repro import workloads
 from repro.dse import auto_dse
-from repro.dse.parallel import build_workload
 from repro.serve import ServeClient
 from repro.serve.jobs import design_fingerprint, dse_design_payload
 
@@ -27,7 +27,7 @@ _LISTENING = re.compile(
 
 
 def _batch_fingerprint(name, size):
-    result = auto_dse(build_workload(name, size))
+    result = auto_dse(workloads.get(name, size))
     return design_fingerprint(dse_design_payload(result, name, size))
 
 

@@ -128,6 +128,21 @@ class TestLedger:
         assert [job_id for job_id, _s, _k in reopened.recover()] == ["job-1"]
         assert reopened.stats()["corrupt_skipped"] == 1
 
+    def test_torn_tail_does_not_swallow_the_next_job(self, tmp_path):
+        """A crash mid-append leaves a torn ``accepted`` line; the job a
+        restarted server admits next must survive the following restart."""
+        store = ResultStore(str(tmp_path))
+        for job_id in ("j1", "j2"):
+            store.job_accepted(job_id, _spec(), cache_key(_spec()))
+        with open(store.jobs_path, "r+b") as handle:
+            handle.truncate(os.path.getsize(store.jobs_path) - 20)
+        restarted = ResultStore(str(tmp_path))
+        assert [j for j, _s, _k in restarted.recover()] == ["j1"]
+        restarted.job_accepted("j3", _spec(size=8), cache_key(_spec(size=8)))
+        again = ResultStore(str(tmp_path))
+        assert [j for j, _s, _k in again.recover()] == ["j1", "j3"]
+        assert again.stats()["corrupt_skipped"] == 1
+
     def test_interrupted_jobs_stay_recoverable(self, tmp_path):
         """A drain writes no done-line, so a restart sees the job again."""
         store = ResultStore(str(tmp_path))

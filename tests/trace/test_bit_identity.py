@@ -1,16 +1,15 @@
 """Tracing is observational only: results are bit-identical on or off.
 
-Every sweep mode (sequential, uncached, fault-injected, sharded) is
-run twice -- once under an active tracer, once without --
+Every sweep mode (sequential, uncached, fault-injected,
+``repro dse --all``) is run twice -- once under an active tracer, once without --
 and the search outcomes are compared field for field.  This is the
 contract that lets the instrumentation live in the hot loops
 permanently.
 """
 
-import pytest
-
 from repro import trace
-from repro.dse import DseOptions, auto_dse, default_sweep_specs, run_sharded_sweep
+from repro.cli import ALL_WORKLOADS, main
+from repro.dse import DseOptions, auto_dse, engine
 from repro.faults import Fault, FaultPlan
 from repro.workloads import polybench
 
@@ -67,6 +66,46 @@ class TestSingleSweepIdentity:
         assert untraced.stats.quarantined == traced.stats.quarantined
 
 
+class TestDseAllIdentity:
+    def _all(self, monkeypatch, capsys, *flags):
+        real = engine.auto_dse
+        results = []
+
+        def recording(function, options=None):
+            result = real(function, options=options)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(engine, "auto_dse", recording)
+        assert main(["dse", "--all", "--size", "16", *flags]) == 0
+        monkeypatch.setattr(engine, "auto_dse", real)
+        capsys.readouterr()
+        assert len(results) == len(ALL_WORKLOADS)
+        return results
+
+    def test_traced_results_identical(self, tmp_path, monkeypatch, capsys):
+        untraced = self._all(monkeypatch, capsys)
+        traced = self._all(monkeypatch, capsys, "--trace", str(tmp_path / "t.json"))
+        for name, a, b in zip(ALL_WORKLOADS, untraced, traced):
+            assert _outcome(a) == _outcome(b), name
+            assert a.stats.evaluations == b.stats.evaluations, name
+
+    def test_spans_are_deterministic(self, tmp_path, monkeypatch, capsys):
+        def spans(path):
+            self._all(monkeypatch, capsys, "--trace", str(path))
+            return [
+                (event["name"], event["cat"], event["tid"])
+                for event in trace.load_chrome_trace(str(path))["traceEvents"]
+                if event["ph"] == "X"
+            ]
+
+        first = spans(tmp_path / "a.json")
+        assert first
+        # Same workloads, same order: the same span sequence on the same
+        # tracks, run after run.
+        assert spans(tmp_path / "b.json") == first
+
+
 class TestDependenceAnalysisIdentity:
     def test_analysis_is_identical_traced_and_untraced(self):
         from repro.depgraph import analyze_compute
@@ -82,44 +121,3 @@ class TestDependenceAnalysisIdentity:
         assert untraced == traced
         assert any(s.name == "depgraph.carried" for s in tracer.spans)
         assert tracer.metrics.value("depgraph.samples") > 0
-
-
-@pytest.mark.parallel
-class TestShardedSweepIdentity:
-    def _sweep(self):
-        return run_sharded_sweep(default_sweep_specs(size=16), jobs=2)
-
-    def test_sharded_results_identical(self):
-        untraced = self._sweep()
-        with trace.tracing() as tracer:
-            traced = self._sweep()
-        assert untraced.ok and traced.ok
-        for a, b in zip(untraced.shards, traced.shards):
-            assert a.spec.label == b.spec.label
-            assert _outcome(a.result) == _outcome(b.result)
-        assert untraced.stats.evaluations == traced.stats.evaluations
-
-    def test_worker_tracks_merge_deterministically(self):
-        with trace.tracing() as first:
-            self._sweep()
-        with trace.tracing() as second:
-            self._sweep()
-        labels = [first.thread_names[tid] for tid in sorted(first.thread_names)]
-        assert labels == [
-            f"shard {spec.label}" for spec in default_sweep_specs(size=16)
-        ]
-        assert first.thread_names == second.thread_names
-        # Same sweep, same declaration order: the merged span sequence
-        # has identical names/categories/tracks across runs.
-        key = lambda t: [(s.name, s.category, s.tid) for s in t.spans]
-        assert key(first) == key(second)
-
-    def test_merged_stats_are_sum_of_shards(self):
-        with trace.tracing():
-            sweep = self._sweep()
-        assert sweep.stats.evaluations == sum(
-            shard.result.stats.evaluations for shard in sweep.shards
-        )
-        assert sweep.stats.estimations == sum(
-            shard.result.stats.estimations for shard in sweep.shards
-        )

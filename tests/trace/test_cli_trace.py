@@ -3,7 +3,8 @@
 Asserts the flag-unification invariants promised in ``docs/api.md``:
 ``--jobs/--checkpoint/--stats/--trace`` spell and document identically
 across ``repro dse``, ``repro verify``, ``repro trace``, ``repro fuzz``
-and ``report_all``; the pre-unification spellings are usage errors.
+and ``report_all``; the pre-unification spellings and the removed
+``--jobs`` of ``repro dse`` / ``repro fuzz`` are usage errors.
 """
 
 import argparse
@@ -19,9 +20,8 @@ from repro.cli import (
     build_parser,
     main,
 )
+from repro.evaluation import report_all
 from repro.trace import load_chrome_trace, span_categories
-
-pytestmark = pytest.mark.parallel
 
 
 def _subparser(name):
@@ -33,11 +33,10 @@ def _subparser(name):
 
 
 class TestFlagUnification:
-    def test_canonical_flags_document_identically(self):
-        for command in ("dse", "fuzz"):
-            help_text = _subparser(command).format_help()
-            assert "--jobs" in help_text, command
-            assert JOBS_HELP.split(";")[0] in " ".join(help_text.split()), command
+    def test_canonical_flags_document_identically(self, capsys):
+        with pytest.raises(SystemExit):
+            report_all.main(["--help"])
+        assert JOBS_HELP in " ".join(capsys.readouterr().out.split())
         for command in ("dse", "verify"):
             help_text = " ".join(_subparser(command).format_help().split())
             assert STATS_HELP in help_text, command
@@ -54,6 +53,9 @@ class TestFlagUnification:
             ["dse", "gemm", "--profile"],
             ["verify", "gemm", "--trace-out", "t.json"],
             ["trace", "gemm", "--jobs", "2"],
+            ["dse", "gemm", "--jobs", "2"],
+            ["dse", "--all", "--jobs", "2"],
+            ["fuzz", "--jobs", "2"],
             ["dse", "gemm", "--no-surrogate"],
         ],
     )
@@ -62,13 +64,6 @@ class TestFlagUnification:
             build_parser().parse_args(argv)
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-
-    def test_jobs_without_all_exits_2_naming_all(self, capsys):
-        assert main(["dse", "gemm", "--size", "16", "--jobs", "2"]) == 2
-        captured = capsys.readouterr()
-        assert "--all" in captured.err and len(captured.err.splitlines()) == 1
-        assert captured.out == ""
 
 
 class TestDseTraceFlag:
@@ -89,35 +84,6 @@ class TestDseTraceFlag:
         rc = main(["dse", "gemm", "--size", "16", "--trace", str(out)])
         assert rc == 0                      # the run itself still succeeds
         assert "TRC001" in capsys.readouterr().err
-
-    def test_sharded_stats_show_per_shard_breakdown(self, capsys):
-        rc = main(["dse", "--all", "--size", "16", "--jobs", "2", "--stats"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        shard_evals = [
-            int(m) for m in re.findall(r"evaluations\s+(\d+)", out)
-        ]
-        # one block per shard plus the merged block, merged == sum
-        assert len(shard_evals) == 5
-        assert "merged (totals are the sum of the shards above):" in out
-        assert shard_evals[-1] == sum(shard_evals[:-1])
-        for label in ("gemm(16)", "bicg(16)"):
-            assert f"shard {label}:" in out
-
-    def test_sharded_trace_merges_worker_tracks(self, tmp_path, capsys):
-        out = tmp_path / "all.json"
-        rc = main([
-            "dse", "--all", "--size", "16", "--jobs", "2", "--trace", str(out),
-        ])
-        assert rc == 0
-        payload = load_chrome_trace(str(out))
-        names = sorted(
-            e["args"]["name"]
-            for e in payload["traceEvents"]
-            if e["ph"] == "M"
-        )
-        assert "main" in names
-        assert sum(1 for n in names if n.startswith("shard ")) == 4
 
 
 class TestTraceSubcommand:
