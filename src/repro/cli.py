@@ -23,7 +23,6 @@ crash-safe journaling,
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from typing import Dict, Optional
@@ -598,14 +597,14 @@ def cmd_experiment(args) -> int:
         raise SystemExit(f"unknown experiment {args.name!r}; available: {known}, all")
 
     for name in names:
-        module = ALL_EXPERIMENTS[name]
+        experiment = ALL_EXPERIMENTS[name]
         if args.size is None:
-            module.main()
-        elif "size" in inspect.signature(module.main).parameters:
-            module.main(size=args.size)
+            experiment.main()
+        elif experiment.quick_size is not None:
+            experiment.main(size=args.size)
         else:
             print(f"note: --size does not apply to {name}; ignored", file=sys.stderr)
-            module.main()
+            experiment.main()
         print()
     return 0
 

@@ -28,7 +28,6 @@ from repro.dse.stage1 import Stage1Plan, plan_stage1
 from repro.dse.stats import DseStats
 from repro.dse.stage2 import (
     NodeConfig,
-    config_directives,
     derive_partitions,
     plan_node_config,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Stage1Plan",
     "NodeConfig",
     "plan_node_config",
-    "config_directives",
     "derive_partitions",
     "AXES",
     "Objective",

@@ -236,9 +236,7 @@ class Evaluator:
         # With the cache off the memo tables simply stay empty.
         config = self._config_memo.get((name, degree))
         if config is None:
-            config = plan_node_config(
-                self.function, self.plan, name, degree, program=self.base
-            )
+            config = plan_node_config(self.base, self.plan, name, degree)
             if self.cache:
                 self.stats.config_cache_misses += 1
                 self._config_memo[(name, degree)] = config
@@ -261,8 +259,9 @@ class Evaluator:
 
         Structural after/fuse directives (algorithm-level loop sharing)
         are re-added first so they keep their meaning under the new
-        schedule; the rest is the list :func:`config_directives` spells
-        out, read off the deltas the assembled candidate keeps.
+        schedule; then come the stage-1 directives, each node's stage-2
+        directives and the fusion directives, read off the deltas the
+        assembled candidate keeps.
         """
         self.scheduled(configs)
         deltas = self._scheduled[2]

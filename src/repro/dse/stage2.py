@@ -64,30 +64,20 @@ class NodeConfig:
         return self.fingerprint() == other.fingerprint()
 
 
-def stage1_program(function: Function, plan: Stage1Plan) -> PolyProgram:
-    """The polyhedral program with stage-1 restructuring replayed."""
-    program = PolyProgram(function)
-    for directive in plan.directives:
-        program.apply_directive(directive)
-    return program
-
-
 def plan_node_config(
-    function: Function,
-    plan: Stage1Plan,
-    node: str,
-    parallelism: int,
-    program: Optional[PolyProgram] = None,
+    program: PolyProgram, plan: Stage1Plan, node: str, parallelism: int
 ) -> NodeConfig:
     """Distribute a parallelism degree over a node's loops.
+
+    ``program`` is the stage-1 program ``plan`` was made for (the
+    :class:`~repro.dse.evaluator.Evaluator`'s ``base``); the node's loop
+    extents are read off it.
 
     The pipeline dim is the free dim with the largest extent (pipelining
     the longest dependence-free loop amortizes fill/drain best); the
     remaining dims absorb unroll factors innermost-first, each capped by
     its extent and :data:`MAX_FACTOR_PER_DIM`.
     """
-    if program is None:
-        program = stage1_program(function, plan)
     order = list(plan.orders[node])
     extents = _node_extents(program, node, order)
     deps = plan.deps_cache[node]
@@ -213,31 +203,6 @@ def node_delta(program: PolyProgram, plan: Stage1Plan, config: NodeConfig) -> No
     for part in unrolled_parts:
         directives.append(Unroll(node, part, 0))
     return NodeDelta(directives, pipeline_level, target, extents)
-
-
-def config_directives(
-    function: Function,
-    plan: Stage1Plan,
-    configs: Dict[str, NodeConfig],
-    program: Optional[PolyProgram] = None,
-) -> List[Directive]:
-    """Full directive list: stage-1 restructuring + stage-2 parallelism.
-
-    ``program``, when given, must be the stage-1 program of
-    ``(function, plan)`` (see :func:`stage1_program`); passing it avoids
-    replaying stage 1 on every call, which the DSE engine does hundreds
-    of times per search with an unchanged plan.
-    """
-    if program is None:
-        program = stage1_program(function, plan)
-    deltas = {
-        node: node_delta(program, plan, config) for node, config in configs.items()
-    }
-    directives: List[Directive] = list(plan.directives)
-    for delta in deltas.values():
-        directives.extend(delta.directives)
-    directives.extend(fusion_directives(plan, deltas))
-    return directives
 
 
 def _simulate_order(order_after_splits: List[str], unrolled: List[str], pipeline_dim: str) -> List[str]:

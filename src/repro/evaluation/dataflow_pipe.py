@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro import workloads as registry
 from repro.dataflow import DataflowDseResult
 from repro.dse import DseOptions
-from repro.evaluation.frameworks import format_table
+from repro.evaluation.frameworks import Experiment, format_table
+from repro.hls.device import get_device
 
 WORKLOADS = ("image-pipeline", "conv-block")
 DEFAULT_SIZE = 32
@@ -27,21 +29,17 @@ RESOURCE_FRACTION = 0.25
 def run(
     size: int = DEFAULT_SIZE,
     workloads: Sequence[str] = WORKLOADS,
-    device: Optional[object] = None,
+    device: Optional[str] = None,
 ) -> Dict[str, DataflowDseResult]:
-    from repro import workloads as registry
-
-    if isinstance(device, str):  # zoo name (e.g. from report_all --device)
-        from repro.hls.device import get_device
-
-        device = get_device(device)
-    results: Dict[str, DataflowDseResult] = {}
-    for name in workloads:
-        design = registry.get(name, size)
-        results[name] = design.auto_DSE(options=DseOptions(
-            resource_fraction=RESOURCE_FRACTION, device=device,
-        ))
-    return results
+    """``device`` is a device-zoo name (e.g. ``report_all --device``)."""
+    options = DseOptions(
+        resource_fraction=RESOURCE_FRACTION,
+        device=None if device is None else get_device(device),
+    )
+    return {
+        name: registry.get(name, size).auto_DSE(options=options)
+        for name in workloads
+    }
 
 
 def render(results: Dict[str, DataflowDseResult]) -> str:
@@ -72,11 +70,7 @@ def render(results: Dict[str, DataflowDseResult]) -> str:
     )
 
 
-def main(size: int = DEFAULT_SIZE, device: Optional[object] = None) -> str:
-    text = render(run(size, device=device))
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render, quick_size=16, device_aware=True)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

@@ -7,9 +7,11 @@ paper's claim is that POM reaches higher performance at every budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.evaluation.frameworks import RunResult, format_table, run_framework
+from repro.evaluation.frameworks import (
+    Experiment, RunResult, format_table, grid, leaves, speedup,
+)
 from repro.workloads import polybench
 
 FRACTIONS = (0.25, 0.5, 0.75, 1.0)
@@ -17,38 +19,25 @@ DEFAULT_SIZE = 4096
 
 
 def run(size: int = DEFAULT_SIZE, fractions=FRACTIONS) -> Dict[float, Dict[str, RunResult]]:
-    results: Dict[float, Dict[str, RunResult]] = {}
-    for fraction in fractions:
-        results[fraction] = {
-            framework: run_framework(
-                framework, polybench.mm2, size, resource_fraction=fraction
-            )
-            for framework in ("scalehls", "pom")
-        }
-    return results
+    return grid(
+        ((fraction, fw), fw, polybench.mm2, size, {"resource_fraction": fraction})
+        for fraction in fractions for fw in ("scalehls", "pom")
+    )
 
 
 def render(results: Dict[float, Dict[str, RunResult]]) -> str:
     headers = ["Budget", "Framework", "Speedup", "DSP util", "LUT util", "FF util"]
-    rows: List[List[str]] = []
-    for fraction, by_framework in results.items():
-        for framework, r in by_framework.items():
-            rows.append([
-                f"{fraction:.0%}",
-                framework,
-                f"{r.speedup:.1f}x",
-                f"{r.report.dsp_util:.0%}",
-                f"{r.report.lut_util:.0%}",
-                f"{r.report.ff_util:.0%}",
-            ])
+    rows = [
+        [
+            f"{fraction:.0%}", framework, speedup(r),
+            f"{r.report.dsp_util:.0%}", f"{r.report.lut_util:.0%}", f"{r.report.ff_util:.0%}",
+        ]
+        for (fraction, framework), r in leaves(results)
+    ]
     return format_table(headers, rows, title="Fig. 11: 2MM under resource constraints")
 
 
-def main(size: int = DEFAULT_SIZE) -> str:
-    text = render(run(size))
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render, quick_size=256)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

@@ -9,9 +9,9 @@ slightly behind (it deprioritizes cheap loops).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.evaluation.frameworks import RunResult, format_table, run_framework
+from repro.evaluation.frameworks import Experiment, RunResult, format_table, grid, speedup
 from repro.workloads import polybench
 
 SIZES = (32, 128, 512, 2048, 4096, 8192)
@@ -21,36 +21,25 @@ BENCHMARKS = ("gemm", "bicg", "gesummv", "2mm", "3mm")
 def run(
     sizes: Sequence[int] = SIZES, benchmarks: Sequence[str] = BENCHMARKS
 ) -> Dict[str, Dict[int, Dict[str, RunResult]]]:
-    results: Dict[str, Dict[int, Dict[str, RunResult]]] = {}
-    for benchmark in benchmarks:
-        factory = polybench.SUITE[benchmark]
-        results[benchmark] = {}
-        for size in sizes:
-            results[benchmark][size] = {
-                framework: run_framework(framework, factory, size)
-                for framework in ("scalehls", "pom")
-            }
-    return results
+    return grid(
+        ((benchmark, size, fw), fw, polybench.SUITE[benchmark], size, {})
+        for benchmark in benchmarks for size in sizes for fw in ("scalehls", "pom")
+    )
 
 
 def render(results) -> str:
     headers = ["Benchmark", "Size", "ScaleHLS", "POM", "POM/ScaleHLS"]
-    rows: List[List[str]] = []
-    for benchmark, by_size in results.items():
-        for size, by_framework in by_size.items():
-            sh = by_framework["scalehls"].speedup
-            pom = by_framework["pom"].speedup
-            rows.append([
-                benchmark, str(size), f"{sh:.1f}x", f"{pom:.1f}x", f"{pom / sh:.2f}",
-            ])
+    rows = [
+        [
+            benchmark, str(size), speedup(pair["scalehls"]), speedup(pair["pom"]),
+            f"{pair['pom'].speedup / pair['scalehls'].speedup:.2f}",
+        ]
+        for benchmark, by_size in results.items() for size, pair in by_size.items()
+    ]
     return format_table(headers, rows, title="Fig. 12: scalability across problem sizes")
 
 
-def main(sizes: Sequence[int] = SIZES) -> str:
-    text = render(run(sizes))
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

@@ -8,6 +8,8 @@ private per-layer hardware, so the curve climbs past the device budget).
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -18,7 +20,7 @@ from repro.affine.lowering import lower_program
 from repro.hls.device import DEFAULT_DEVICE
 from repro.hls.estimator import HlsEstimator
 from repro.polyir.program import PolyProgram
-from repro.evaluation.frameworks import format_table
+from repro.evaluation.frameworks import Experiment, format_table
 from repro.workloads import dnn
 
 DEFAULT_SIZE = 32
@@ -54,68 +56,42 @@ def _per_loop_resources(func_op: FuncOp, estimator: HlsEstimator) -> Dict[str, t
 
 
 def run_network(name: str, size: int = DEFAULT_SIZE, scale: float = DEFAULT_SCALE) -> List[AccumulatedSeries]:
-    factory = dnn.SUITE[name]
-    series = []
-
-    # POM: sequential layers, shared operators -> accumulated = running max.
-    f_pom = factory(size=size, channel_scale=scale)
-    result = auto_dse(f_pom)
-    estimator = HlsEstimator()
-    func_op = lower_program(PolyProgram(f_pom).apply_schedule())
-    per_loop = _per_loop_resources(func_op, estimator)
-    loops = [c for c in dnn.critical_loops(f_pom) if c in per_loop]
-    dsp_acc, lut_acc = [], []
-    running_dsp = running_lut = 0
-    for loop in loops:
-        running_dsp = max(running_dsp, per_loop[loop][0])
-        running_lut = max(running_lut, per_loop[loop][1])
-        dsp_acc.append(running_dsp)
-        lut_acc.append(running_lut)
-    series.append(AccumulatedSeries("pom", name, loops, dsp_acc, lut_acc, result.report.feasible()))
-
-    # ScaleHLS: dataflow, private hardware -> accumulated = running sum.
-    f_sh = factory(size=size, channel_scale=scale)
-    sh = scalehls.optimize(f_sh, dataflow=True)
-    func_op = lower_program(PolyProgram(f_sh).apply_schedule())
-    per_loop = _per_loop_resources(
-        func_op, HlsEstimator(dataflow=True, share_sequential=False)
+    # POM runs layers in sequence on shared operators (accumulated usage
+    # is a running max); ScaleHLS gives each layer private hardware in a
+    # dataflow pipeline (a running sum).
+    frameworks = (
+        ("pom", lambda f: auto_dse(f).report, HlsEstimator(), max),
+        ("scalehls", lambda f: scalehls.optimize(f, dataflow=True).report,
+         HlsEstimator(dataflow=True, share_sequential=False), operator.add),
     )
-    loops = [c for c in dnn.critical_loops(f_sh) if c in per_loop]
-    dsp_acc, lut_acc = [], []
-    running_dsp = running_lut = 0
-    for loop in loops:
-        running_dsp += per_loop[loop][0]
-        running_lut += per_loop[loop][1]
-        dsp_acc.append(running_dsp)
-        lut_acc.append(running_lut)
-    series.append(AccumulatedSeries("scalehls", name, loops, dsp_acc, lut_acc, sh.report.feasible()))
+    series = []
+    for framework, optimize, estimator, accumulate in frameworks:
+        function = dnn.SUITE[name](size=size, channel_scale=scale)
+        report = optimize(function)
+        func_op = lower_program(PolyProgram(function).apply_schedule())
+        per_loop = _per_loop_resources(func_op, estimator)
+        loops = [c for c in dnn.critical_loops(function) if c in per_loop]
+        dsp = list(itertools.accumulate((per_loop[l][0] for l in loops), accumulate))
+        lut = list(itertools.accumulate((per_loop[l][1] for l in loops), accumulate))
+        series.append(AccumulatedSeries(framework, name, loops, dsp, lut, report.feasible()))
     return series
 
 
 def run(size: int = DEFAULT_SIZE, scale: float = DEFAULT_SCALE) -> List[AccumulatedSeries]:
-    results = []
-    for name in ("vgg16", "resnet18"):
-        results.extend(run_network(name, size, scale))
-    return results
+    return [s for name in ("vgg16", "resnet18") for s in run_network(name, size, scale)]
 
 
 def render(results: List[AccumulatedSeries]) -> str:
     headers = ["Network", "Framework", "Loop", "Accum. DSP", "Accum. LUT", "Device DSP"]
-    rows = []
-    for series in results:
-        for loop, dsp, lut in zip(series.loops, series.dsp, series.lut):
-            rows.append([
-                series.network, series.framework, loop,
-                str(dsp), str(lut), str(DEFAULT_DEVICE.dsp),
-            ])
+    rows = [
+        [series.network, series.framework, loop, str(dsp), str(lut), str(DEFAULT_DEVICE.dsp)]
+        for series in results
+        for loop, dsp, lut in zip(series.loops, series.dsp, series.lut)
+    ]
     return format_table(headers, rows, title="Fig. 13: accumulated DNN resource usage")
 
 
-def main() -> str:
-    text = render(run())
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

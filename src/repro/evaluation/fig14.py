@@ -17,7 +17,7 @@ from typing import Callable, Dict, List
 from repro.dsl.function import Function
 from repro.dse import auto_dse
 from repro.dse.stage2 import derive_partitions
-from repro.evaluation.frameworks import format_table
+from repro.evaluation.frameworks import Experiment, format_table
 from repro.pipeline import estimate
 from repro.workloads import image, polybench, stencils
 
@@ -72,7 +72,7 @@ VARIANTS: List = [
     ("LP", _pipeline_only),
     ("LP+LU", _pipeline_unroll),
     ("LP+LU+AP", _pipeline_unroll_partition),
-    ("full (LI/LS/LT/LSK + HW)", None),  # full auto-DSE
+    ("full (LI/LS/LT/LSK + HW)", auto_dse),
 ]
 
 
@@ -83,12 +83,8 @@ def run(sizes: Dict[str, int] = SIZES) -> List[AblationPoint]:
         baseline = estimate(factory(size))
         for variant, apply_fn in VARIANTS:
             function = factory(size)
-            if apply_fn is None:
-                auto_dse(function)
-                report = function.estimate()
-            else:
-                apply_fn(function)
-                report = estimate(function)
+            apply_fn(function)
+            report = estimate(function)
             points.append(
                 AblationPoint(
                     benchmark=benchmark,
@@ -110,11 +106,7 @@ def render(points: List[AblationPoint]) -> str:
     return format_table(headers, rows, title="Fig. 14: scheduling-primitive ablation")
 
 
-def main() -> str:
-    text = render(run())
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.dse import auto_dse
-from repro.evaluation.frameworks import format_table
+from repro.evaluation.frameworks import Experiment, format_table
 from repro.hlsgen import generate_hls_c
 from repro.pipeline import lower_to_affine
 from repro.workloads import image, polybench, stencils
@@ -42,12 +42,8 @@ def _source_loc(factory: Callable) -> int:
         source = inspect.getsource(factory)
     except (OSError, TypeError):
         return 10  # lambdas wrapping another factory
-    count = 0
-    for line in source.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#") and not stripped.startswith('"""'):
-            count += 1
-    return count
+    lines = (line.strip() for line in source.splitlines())
+    return sum(1 for line in lines if line and not line.startswith(("#", '"""')))
 
 
 def run(benchmarks: Dict[str, Callable] = BENCHMARKS) -> List[LocPoint]:
@@ -84,11 +80,7 @@ def render(points: List[LocPoint]) -> str:
     return format_table(headers, rows, title="Fig. 15: lines-of-code comparison")
 
 
-def main() -> str:
-    text = render(run())
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

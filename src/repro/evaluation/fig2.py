@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.evaluation.frameworks import RunResult, format_table, run_framework
+from repro.evaluation.frameworks import (
+    Experiment, RunResult, achieved_ii, cycles, format_table, grid, speedup, table_rows,
+)
 from repro.workloads import polybench
 
 FRAMEWORKS = ("baseline", "pluto", "polsca", "scalehls", "pom")
@@ -18,30 +20,16 @@ DEFAULT_SIZE = 4096
 
 
 def run(size: int = DEFAULT_SIZE) -> Dict[str, RunResult]:
-    return {
-        framework: run_framework(framework, polybench.bicg, size)
-        for framework in FRAMEWORKS
-    }
+    return grid(((fw,), fw, polybench.bicg, size, {}) for fw in FRAMEWORKS)
 
 
 def render(results: Dict[str, RunResult]) -> str:
     headers = ["Framework", "Latency (cycles)", "Speedup", "Achieved II"]
-    rows = []
-    for framework, r in results.items():
-        rows.append([
-            framework,
-            str(r.report.total_cycles),
-            f"{r.speedup:.1f}x",
-            str(r.achieved_ii or "-"),
-        ])
+    rows = table_rows(results, (cycles, speedup, achieved_ii))
     return format_table(headers, rows, title=f"Fig. 2: BICG motivating example (size {next(iter(results.values())).size})")
 
 
-def main(size: int = DEFAULT_SIZE) -> str:
-    text = render(run(size))
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render, quick_size=256)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

@@ -1,28 +1,57 @@
-"""Uniform framework runner for the evaluation harness.
+"""Uniform framework runner and experiment record for the evaluation.
 
 Every experiment compares strategies through one interface: build the
 workload, apply a framework's optimization, synthesize with the virtual
 HLS model, and report the paper's metrics (speedup over the unoptimized
 baseline, resource utilization, power, achieved II, tile sizes,
-parallelism degree, and DSE time).
+parallelism degree, and DSE time).  Each table and figure declares
+itself once as an :class:`Experiment`; :func:`grid` runs its framework
+x workload x size points and :func:`leaves` walks them back for
+rendering.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dsl.function import Function
 from repro.baselines import manual, pluto, polsca, scalehls
 from repro.dse import auto_dse
 from repro.hls.device import DEFAULT_DEVICE, FPGADevice
-from repro.hls.estimator import HlsEstimator
 from repro.hls.report import SynthesisReport
-from repro.pipeline import estimate, lower_to_affine
+from repro.pipeline import estimate
 from repro.dse.options import DseOptions
 
 FRAMEWORKS = ("baseline", "pluto", "polsca", "scalehls", "pom", "manual")
+
+#: Frameworks that rewrite the baseline design's schedule without a search.
+REWRITES = {
+    "pluto": pluto.optimize,
+    "polsca": polsca.optimize,
+    "manual": manual.optimize_bicg,
+}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One table or figure: ``render(run(**kwargs))``, printed by ``main``.
+
+    A set ``quick_size`` means ``run`` takes ``size``: ``report_all
+    --quick`` passes ``quick_size`` and ``repro experiment --size`` its
+    own.  ``device_aware`` means ``run`` takes a device-zoo name as
+    ``device``; the paper tables are pinned to the paper's part.
+    """
+
+    run: Callable[..., Any]
+    render: Callable[[Any], str]
+    quick_size: Optional[int] = None
+    device_aware: bool = False
+
+    def main(self, **kwargs) -> None:
+        print(self.render(self.run(**kwargs)))
 
 
 @dataclass
@@ -47,12 +76,7 @@ class RunResult:
 
     @property
     def parallelism(self) -> float:
-        copies = 1
-        for vector in self.tiles.values():
-            node_copies = 1
-            for factor in vector:
-                node_copies *= factor
-            copies = max(copies, node_copies)
+        copies = max([1, *(math.prod(vector) for vector in self.tiles.values())])
         return copies / (self.achieved_ii or 1)
 
 
@@ -71,32 +95,17 @@ def run_framework(
     device = device or DEFAULT_DEVICE
 
     baseline_fn = _build(factory, size, baseline=True, **factory_kwargs)
-    baseline_cycles = estimate(baseline_fn, device=device).total_cycles
-
+    baseline = estimate(baseline_fn, device=device)
     name = baseline_fn.name
     if framework == "baseline":
-        return RunResult(framework, name, size, estimate(baseline_fn, device=device), baseline_cycles)
+        return RunResult(framework, name, size, baseline, baseline.total_cycles)
 
-    function = _build(
-        factory, size,
-        baseline=framework in ("pluto", "polsca", "scalehls", "manual"),
-        **factory_kwargs,
-    )
+    function = _build(factory, size, baseline=framework != "pom", **factory_kwargs)
     start = time.perf_counter()
-    if framework == "pluto":
-        pluto.optimize(function)
+    tiles: Dict[str, List[int]] = {}
+    if framework in REWRITES:
+        REWRITES[framework](function)
         report = estimate(function, device=device)
-        tiles: Dict[str, List[int]] = {}
-        dse_time = time.perf_counter() - start
-    elif framework == "polsca":
-        polsca.optimize(function)
-        report = estimate(function, device=device)
-        tiles = {}
-        dse_time = time.perf_counter() - start
-    elif framework == "manual":
-        manual.optimize_bicg(function)
-        report = estimate(function, device=device)
-        tiles = {}
         dse_time = time.perf_counter() - start
     elif framework == "scalehls":
         result = scalehls.optimize(
@@ -112,7 +121,7 @@ def run_framework(
         tiles = result.tile_vectors()
         dse_time = result.dse_time_s
 
-    return RunResult(framework, name, size, report, baseline_cycles, dse_time, tiles)
+    return RunResult(framework, name, size, report, baseline.total_cycles, dse_time, tiles)
 
 
 def _build(factory, size, baseline: bool = False, **kwargs) -> Function:
@@ -139,6 +148,54 @@ def format_table(headers: List[str], rows: List[List[str]], title: str = "") -> 
 
 
 def fmt_tiles(tiles: Dict[str, List[int]]) -> str:
-    if not tiles:
-        return "-"
-    return ", ".join(str(v) for v in tiles.values())
+    return ", ".join(str(v) for v in tiles.values()) or "-"
+
+
+def grid(points: Iterable[Tuple[tuple, str, Callable[..., Function], int, dict]]) -> dict:
+    """Run ``(keys, framework, factory, size, kwargs)`` points.
+
+    Each point's :class:`RunResult` lands at ``results[keys[0]]...[keys[-1]]``
+    (``kwargs`` go to :func:`run_framework`); dicts keep point order,
+    which is the order the tables render in.
+    """
+    results: dict = {}
+    for keys, framework, factory, size, kwargs in points:
+        node = results
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        node[keys[-1]] = run_framework(framework, factory, size, **kwargs)
+    return results
+
+
+def leaves(results: dict, keys: tuple = ()) -> Iterator[Tuple[tuple, RunResult]]:
+    """``(keys, result)`` for every :class:`RunResult` of a :func:`grid`, in order."""
+    for key, value in results.items():
+        if isinstance(value, RunResult):
+            yield keys + (key,), value
+        else:
+            yield from leaves(value, keys + (key,))
+
+
+def table_rows(results: dict, columns: Sequence[Callable[[RunResult], str]]) -> List[List[str]]:
+    """One table row per :func:`leaves` entry: its keys, then its columns."""
+    return [[*map(str, keys), *(column(r) for column in columns)] for keys, r in leaves(results)]
+
+
+def cycles(r: RunResult) -> str:
+    return str(r.report.total_cycles)
+
+
+def speedup(r: RunResult) -> str:
+    return f"{r.speedup:.1f}x"
+
+
+def achieved_ii(r: RunResult) -> str:
+    return str(r.achieved_ii or "-")
+
+
+def utilization(resource: str) -> Callable[[RunResult], str]:
+    """The ``count (share of the device)`` column of one resource."""
+    def column(r: RunResult) -> str:
+        share = getattr(r.report, f"{resource}_util")
+        return f"{getattr(r.report.resources, resource)} ({share:.0%})"
+    return column

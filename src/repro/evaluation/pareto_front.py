@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.dse import DseOptions, DseResult, auto_dse
-from repro.evaluation.frameworks import format_table
+from repro.evaluation.frameworks import Experiment, format_table
 from repro.workloads import polybench
 
 WORKLOADS = ("gemm", "mm2")
@@ -24,13 +24,10 @@ OBJECTIVE = "pareto:latency,dsp"
 def run(
     size: int = DEFAULT_SIZE, workloads: Sequence[str] = WORKLOADS
 ) -> Dict[str, DseResult]:
-    results: Dict[str, DseResult] = {}
-    for name in workloads:
-        function = getattr(polybench, name)(size)
-        results[name] = auto_dse(
-            function, options=DseOptions(objective=OBJECTIVE)
-        )
-    return results
+    return {
+        name: auto_dse(getattr(polybench, name)(size), options=DseOptions(objective=OBJECTIVE))
+        for name in workloads
+    }
 
 
 def render(results: Dict[str, DseResult]) -> str:
@@ -41,16 +38,10 @@ def render(results: Dict[str, DseResult]) -> str:
     rows: List[List[str]] = []
     for name, result in results.items():
         for index, point in enumerate(result.frontier or (), start=1):
-            rows.append([
-                name,
-                f"#{index}",
-                str(point.cycles),
-                str(point.dsp),
-                str(point.lut),
-                str(point.ff),
-                str(point.bram_bits),
-                str(point.bank_cap),
-            ])
+            rows.append([name, f"#{index}", *map(str, (
+                point.cycles, point.dsp, point.lut, point.ff,
+                point.bram_bits, point.bank_cap,
+            ))])
         stats = result.stats
         if stats is not None and stats.pareto_candidates:
             rows.append([
@@ -66,11 +57,7 @@ def render(results: Dict[str, DseResult]) -> str:
     )
 
 
-def main(size: int = DEFAULT_SIZE) -> str:
-    text = render(run(size))
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render, quick_size=256)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

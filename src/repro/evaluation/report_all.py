@@ -21,38 +21,22 @@ import io
 import sys
 import time
 from contextlib import redirect_stdout
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro import trace as _trace
 from repro.diagnostics import Diagnostic, Severity, SourceLocation
 from repro.evaluation import ALL_EXPERIMENTS
+from repro.evaluation.frameworks import Experiment
 from repro.util import atomic_write
 
-QUICK_ARGS: Dict[str, dict] = {
-    "fig2": {"size": 256},
-    "table3": {"size": 256},
-    "table4": {"size": 256},
-    "fig11": {"size": 256},
-    "table6": {"size": 256},
-    "pareto_front": {"size": 256},
-    "dataflow": {"size": 16},
-}
 
-
-def _experiment_kwargs(name: str, quick: bool, device: Optional[str]) -> dict:
-    """The kwargs one experiment's ``main`` receives for this run.
-
-    ``device`` (a zoo name, picklable across worker processes) is only
-    passed to experiments whose ``main`` declares a ``device``
-    parameter; the paper tables are pinned to the paper's part.
-    """
-    import inspect
-
-    kwargs = dict(QUICK_ARGS.get(name, {})) if quick else {}
-    if device is not None:
-        main = ALL_EXPERIMENTS[name].main
-        if "device" in inspect.signature(main).parameters:
-            kwargs["device"] = device
+def _experiment_kwargs(experiment: Experiment, quick: bool, device: Optional[str]) -> dict:
+    """The kwargs ``experiment.main`` gets (``device``: a picklable zoo name)."""
+    kwargs = {}
+    if quick and experiment.quick_size is not None:
+        kwargs["size"] = experiment.quick_size
+    if device is not None and experiment.device_aware:
+        kwargs["device"] = device
     return kwargs
 
 
@@ -74,11 +58,7 @@ def _run_experiment(payload: tuple) -> dict:
     previous = _trace.install(tracer)
     try:
         with redirect_stdout(capture):
-            module = ALL_EXPERIMENTS[name]
-            if kwargs:
-                module.main(**kwargs)
-            else:
-                module.main()
+            ALL_EXPERIMENTS[name].main(**kwargs)
     except Exception as exc:  # keep the report going; record the failure
         error = f"{type(exc).__name__}: {exc}"
     finally:
@@ -135,8 +115,8 @@ def run_all(
         emit(f"device: {device} (device-aware experiments only)")
     emit()
     payloads = [
-        (name, _experiment_kwargs(name, quick, device), tracer is not None)
-        for name in ALL_EXPERIMENTS
+        (name, _experiment_kwargs(experiment, quick, device), tracer is not None)
+        for name, experiment in ALL_EXPERIMENTS.items()
     ]
     if jobs is not None and jobs > 1:
         from repro.util import run_ordered

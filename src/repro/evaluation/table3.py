@@ -7,9 +7,12 @@ for GEMM, BICG, GESUMMV, 2MM, and 3MM.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from repro.evaluation.frameworks import RunResult, fmt_tiles, format_table, run_framework
+from repro.evaluation.frameworks import (
+    Experiment, RunResult, achieved_ii, fmt_tiles, format_table, grid, speedup,
+    table_rows, utilization,
+)
 from repro.workloads import polybench
 
 BENCHMARKS = ("gemm", "bicg", "gesummv", "2mm", "3mm")
@@ -19,14 +22,10 @@ DEFAULT_SIZE = 4096
 
 def run(size: int = DEFAULT_SIZE, benchmarks=BENCHMARKS) -> Dict[str, Dict[str, RunResult]]:
     """All framework x benchmark points of Table III."""
-    results: Dict[str, Dict[str, RunResult]] = {}
-    for benchmark in benchmarks:
-        factory = polybench.SUITE[benchmark]
-        results[benchmark] = {
-            framework: run_framework(framework, factory, size)
-            for framework in FRAMEWORKS
-        }
-    return results
+    return grid(
+        ((benchmark, fw), fw, polybench.SUITE[benchmark], size, {})
+        for benchmark in benchmarks for fw in FRAMEWORKS
+    )
 
 
 def render(results: Dict[str, Dict[str, RunResult]]) -> str:
@@ -34,30 +33,18 @@ def render(results: Dict[str, Dict[str, RunResult]]) -> str:
         "Benchmark", "Framework", "Speedup", "DSP(%)", "FF(%)", "LUT(%)",
         "Power(W)", "II", "Tiles", "Parallel", "DSE(s)",
     ]
-    rows: List[List[str]] = []
-    for benchmark, by_framework in results.items():
-        for framework, r in by_framework.items():
-            rows.append([
-                benchmark,
-                framework,
-                f"{r.speedup:.1f}x",
-                f"{r.report.resources.dsp} ({r.report.dsp_util:.0%})",
-                f"{r.report.resources.ff} ({r.report.ff_util:.0%})",
-                f"{r.report.resources.lut} ({r.report.lut_util:.0%})",
-                f"{r.report.power_w:.3f}",
-                str(r.achieved_ii or "-"),
-                fmt_tiles(r.tiles),
-                f"{r.parallelism:.1f}" if r.tiles else "-",
-                f"{r.dse_time_s:.1f}",
-            ])
+    rows = table_rows(results, (
+        speedup, *map(utilization, ("dsp", "ff", "lut")),
+        lambda r: f"{r.report.power_w:.3f}",
+        achieved_ii,
+        lambda r: fmt_tiles(r.tiles),
+        lambda r: f"{r.parallelism:.1f}" if r.tiles else "-",
+        lambda r: f"{r.dse_time_s:.1f}",
+    ))
     return format_table(headers, rows, title="Table III: typical HLS benchmarks")
 
 
-def main(size: int = DEFAULT_SIZE) -> str:
-    text = render(run(size))
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render, quick_size=256)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

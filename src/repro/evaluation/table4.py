@@ -9,43 +9,32 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.evaluation.frameworks import RunResult, format_table, run_framework
+from repro.evaluation.frameworks import (
+    Experiment, RunResult, cycles, format_table, grid, speedup, table_rows, utilization,
+)
 from repro.workloads import polybench
 
 DEFAULT_SIZE = 4096
 
 
 def run(size: int = DEFAULT_SIZE) -> Dict[str, RunResult]:
-    return {
-        label: run_framework(framework, polybench.bicg, size)
+    return grid(
+        ((label,), framework, polybench.bicg, size, {})
         for label, framework in (
             ("Unoptimized", "baseline"),
             ("Manual opt.", "manual"),
             ("DSE opt.", "pom"),
         )
-    }
+    )
 
 
 def render(results: Dict[str, RunResult]) -> str:
     headers = ["Design", "Cycles", "Speedup", "DSP(%)", "FF(%)", "LUT(%)"]
-    rows = []
-    for label, r in results.items():
-        rows.append([
-            label,
-            str(r.report.total_cycles),
-            f"{r.speedup:.1f}x",
-            f"{r.report.resources.dsp} ({r.report.dsp_util:.0%})",
-            f"{r.report.resources.ff} ({r.report.ff_util:.0%})",
-            f"{r.report.resources.lut} ({r.report.lut_util:.0%})",
-        ])
+    rows = table_rows(results, (cycles, speedup, *map(utilization, ("dsp", "ff", "lut"))))
     return format_table(headers, rows, title="Table IV: manual vs DSE optimization (BICG)")
 
 
-def main(size: int = DEFAULT_SIZE) -> str:
-    text = render(run(size))
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render, quick_size=256)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

@@ -9,9 +9,9 @@ operators across sequentially executed layers.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict
 
-from repro.evaluation.frameworks import RunResult, format_table, run_framework
+from repro.evaluation.frameworks import Experiment, RunResult, format_table, grid, speedup
 from repro.workloads import dnn, image
 
 IMAGE_SIZE = 4096
@@ -25,61 +25,38 @@ def run(
     dnn_scale: float = DNN_SCALE,
     include_dnn: bool = True,
 ) -> Dict[str, Dict[str, RunResult]]:
-    results: Dict[str, Dict[str, RunResult]] = {}
-    for name, factory in image.SUITE.items():
-        results[name] = {
-            "scalehls": run_framework("scalehls", factory, image_size),
-            "pom": run_framework("pom", factory, image_size),
-        }
+    points = [
+        ((name, fw), fw, factory, image_size, {})
+        for name, factory in image.SUITE.items() for fw in ("scalehls", "pom")
+    ]
     if include_dnn:
-        for name, factory in dnn.SUITE.items():
-            def build(size, channel_scale=dnn_scale, _factory=factory):
-                return _factory(size=size, channel_scale=channel_scale)
-
-            results[name] = {
-                "scalehls": run_framework(
-                    "scalehls", build, dnn_size, dataflow_scalehls=True
-                ),
-                "pom": run_framework("pom", build, dnn_size),
-            }
-    return results
+        points += [
+            ((name, fw), fw, factory, dnn_size,
+             {"channel_scale": dnn_scale, "dataflow_scalehls": fw == "scalehls"})
+            for name, factory in dnn.SUITE.items() for fw in ("scalehls", "pom")
+        ]
+    return grid(points)
 
 
 def render(results: Dict[str, Dict[str, RunResult]]) -> str:
-    headers = [
-        "Application", "Metric", "ScaleHLS", "POM", "P/S",
-    ]
+    headers = ["Application", "Metric", "ScaleHLS", "POM", "P/S"]
     rows = []
     for name, pair in results.items():
         sh, pom = pair["scalehls"], pair["pom"]
-        metrics: Sequence[Tuple[str, float, float, str]] = (
-            ("Speedup", sh.speedup, pom.speedup, "x"),
-            ("DSP", sh.report.resources.dsp, pom.report.resources.dsp, ""),
-            ("FF", sh.report.resources.ff, pom.report.resources.ff, ""),
-            ("LUT", sh.report.resources.lut, pom.report.resources.lut, ""),
-        )
-        for label, s_value, p_value, unit in metrics:
-            ratio = p_value / s_value if s_value else float("inf")
-            rows.append([
-                name, label,
-                f"{s_value:.1f}{unit}" if unit else str(int(s_value)),
-                f"{p_value:.1f}{unit}" if unit else str(int(p_value)),
-                f"{ratio:.1f}",
-            ])
+        rows.append([name, "Speedup", speedup(sh), speedup(pom), f"{pom.speedup / sh.speedup:.1f}"])
+        for resource in ("dsp", "ff", "lut"):
+            s, p = (getattr(r.report.resources, resource) for r in (sh, pom))
+            ratio = p / s if s else float("inf")
+            rows.append([name, resource.upper(), str(s), str(p), f"{ratio:.1f}"])
         rows.append([
             name, "Feasible",
-            "yes" if sh.report.feasible() else "NO (exceeds device)",
-            "yes" if pom.report.feasible() else "NO (exceeds device)",
+            *("yes" if r.report.feasible() else "NO (exceeds device)" for r in (sh, pom)),
             "-",
         ])
     return format_table(headers, rows, title="Table V: image processing and DNN applications")
 
 
-def main() -> str:
-    text = render(run())
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

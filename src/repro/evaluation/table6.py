@@ -8,20 +8,19 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.evaluation.frameworks import RunResult, fmt_tiles, format_table, run_framework
+from repro.evaluation.frameworks import (
+    Experiment, RunResult, achieved_ii, fmt_tiles, format_table, grid,
+)
 from repro.workloads import image
 
 DEFAULT_SIZE = 4096
 
 
 def run(size: int = DEFAULT_SIZE) -> Dict[str, Dict[str, RunResult]]:
-    return {
-        name: {
-            "scalehls": run_framework("scalehls", factory, size),
-            "pom": run_framework("pom", factory, size),
-        }
-        for name, factory in image.SUITE.items()
-    }
+    return grid(
+        ((name, fw), fw, factory, size, {})
+        for name, factory in image.SUITE.items() for fw in ("scalehls", "pom")
+    )
 
 
 def render(results: Dict[str, Dict[str, RunResult]]) -> str:
@@ -31,23 +30,19 @@ def render(results: Dict[str, Dict[str, RunResult]]) -> str:
         "II (ScaleHLS)", "II (POM)",
         "Parallelism (ScaleHLS)", "Parallelism (POM)",
     ]
-    rows = []
-    for name, pair in results.items():
-        sh, pom = pair["scalehls"], pair["pom"]
-        rows.append([
+    rows = [
+        [
             name,
-            fmt_tiles(sh.tiles), fmt_tiles(pom.tiles),
-            str(sh.achieved_ii or "-"), str(pom.achieved_ii or "-"),
-            f"{sh.parallelism:.2f}", f"{pom.parallelism:.2f}",
-        ])
+            *(fmt_tiles(r.tiles) for r in pair.values()),
+            *(achieved_ii(r) for r in pair.values()),
+            *(f"{r.parallelism:.2f}" for r in pair.values()),
+        ]
+        for name, pair in results.items()
+    ]
     return format_table(headers, rows, title="Table VI: critical-loop optimization (image apps)")
 
 
-def main(size: int = DEFAULT_SIZE) -> str:
-    text = render(run(size))
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render, quick_size=256)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

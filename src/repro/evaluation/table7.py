@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.evaluation.frameworks import RunResult, format_table, run_framework
+from repro.evaluation.frameworks import (
+    Experiment, RunResult, format_table, grid, speedup, table_rows, utilization,
+)
 from repro.workloads import stencils
 
 SIZES = {"jacobi-1d": 4096, "jacobi-2d": 512, "heat-1d": 4096, "seidel": 512}
@@ -19,42 +21,19 @@ STEPS = {"jacobi-1d": 64, "jacobi-2d": 32, "heat-1d": 64, "seidel": 16}
 
 
 def run(sizes: Dict[str, int] = SIZES) -> Dict[str, Dict[str, RunResult]]:
-    results: Dict[str, Dict[str, RunResult]] = {}
-    for name, factory in stencils.SUITE.items():
-        size = sizes.get(name, 512)
-
-        def build(n, steps=STEPS.get(name, 16), _factory=factory):
-            return _factory(n, steps=steps)
-
-        results[name] = {
-            "scalehls": run_framework("scalehls", build, size),
-            "pom": run_framework("pom", build, size),
-        }
-    return results
+    return grid(
+        ((name, fw), fw, factory, sizes.get(name, 512), {"steps": STEPS.get(name, 16)})
+        for name, factory in stencils.SUITE.items() for fw in ("scalehls", "pom")
+    )
 
 
 def render(results: Dict[str, Dict[str, RunResult]]) -> str:
     headers = ["Benchmark", "Framework", "Speedup", "DSP(%)", "FF(%)", "LUT(%)"]
-    rows = []
-    for name, pair in results.items():
-        for framework in ("scalehls", "pom"):
-            r = pair[framework]
-            rows.append([
-                name,
-                framework,
-                f"{r.speedup:.1f}x",
-                f"{r.report.resources.dsp} ({r.report.dsp_util:.0%})",
-                f"{r.report.resources.ff} ({r.report.ff_util:.0%})",
-                f"{r.report.resources.lut} ({r.report.lut_util:.0%})",
-            ])
+    rows = table_rows(results, (speedup, *map(utilization, ("dsp", "ff", "lut"))))
     return format_table(headers, rows, title="Table VII: complicated code patterns (stencils)")
 
 
-def main() -> str:
-    text = render(run())
-    print(text)
-    return text
-
+EXPERIMENT = Experiment(run, render)
 
 if __name__ == "__main__":
-    main()
+    EXPERIMENT.main()

@@ -28,11 +28,6 @@ inherited table can only change speed, never results.
 The tables can be disabled per context (``set_enabled(False)``) so the
 DSE engine's ``cache=False`` escape hatch measures genuinely uncached
 runs.
-
-For backward compatibility the historical module-level names
-(``PROJECTION``, ``EMPTINESS``, ``BOUNDS``, ``ALL_TABLES``) resolve
-against the *active* context via PEP 562; hot call sites fetch
-:func:`active` once instead.
 """
 
 from __future__ import annotations
@@ -117,22 +112,6 @@ class MemoContext:
 
 
 _ACTIVE = MemoContext()
-
-#: Module-level aliases resolved against the active context (PEP 562).
-_TABLE_ALIASES = {
-    "PROJECTION": "projection",
-    "EMPTINESS": "emptiness",
-    "BOUNDS": "bounds",
-}
-
-
-def __getattr__(name: str):
-    attr = _TABLE_ALIASES.get(name)
-    if attr is not None:
-        return getattr(_ACTIVE, attr)
-    if name == "ALL_TABLES":
-        return _ACTIVE.tables()
-    raise AttributeError(f"module 'repro.isl.memo' has no attribute {name!r}")
 
 
 def active() -> MemoContext:

@@ -210,12 +210,14 @@ def test_perfsmoke_witnesses_leave_fm_only_emptiness_proofs(monkeypatch):
     from repro import workloads
     from repro.dse.analysis import carried_for_statement
     from repro.dse.stage1 import plan_stage1
-    from repro.dse.stage2 import stage1_program
+    from repro.polyir.program import PolyProgram
     from repro.isl import memo
     from repro.isl.sets import BasicSet
 
     function = workloads.get("vgg16", 4)
-    program = stage1_program(function, plan_stage1(function))
+    program = PolyProgram(function).apply_schedule(
+        plan_stage1(function).directives
+    )
     stmt = program.statement("conv2")
 
     samples, empties = [], []

@@ -20,7 +20,6 @@ from repro.depgraph import analyze_compute, dependence_relation, domain_of
 from repro.depgraph.analysis import carried_dependences_generic
 from repro.dse.analysis import carried_for_statement
 from repro.dse.stage1 import plan_stage1
-from repro.dse.stage2 import stage1_program
 from repro.dsl import Function, compute, placeholder, var
 from repro.dsl.schedule import Split, Tile
 from repro.fuzz.generator import random_schedule
@@ -212,7 +211,9 @@ class TestDnnStatements:
         function = workloads.get(name, 4)
         statements = (
             PolyProgram(function).statements
-            + stage1_program(function, plan_stage1(function)).statements
+            + PolyProgram(function)
+            .apply_schedule(plan_stage1(function).directives)
+            .statements
         )
         answers = {}
         for reference in (False, True):

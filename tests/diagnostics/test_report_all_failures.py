@@ -1,24 +1,20 @@
 """Structured failure records in the evaluation report harness."""
 
-from types import SimpleNamespace
-
 import pytest
 
 import repro.evaluation.report_all as report_all
+from repro.evaluation.frameworks import Experiment
 
 pytestmark = pytest.mark.diagnostics
 
 
 def _fake_experiments():
-    def ok_main():
-        print("table data")
-
-    def broken_main():
+    def broken_run():
         raise RuntimeError("model exploded")
 
     return {
-        "ok": SimpleNamespace(main=ok_main),
-        "broken": SimpleNamespace(main=broken_main),
+        "ok": Experiment(lambda: None, lambda _: "table data"),
+        "broken": Experiment(broken_run, str),
     }
 
 

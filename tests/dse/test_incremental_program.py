@@ -229,9 +229,7 @@ def test_perfsmoke_a_nodes_delta_is_computed_once(monkeypatch):
         calls.append(config.name)
         return node_delta(program, plan, config)
 
-    # Every binding of the name: the evaluator's and config_directives'.
     monkeypatch.setattr(evaluator_mod, "node_delta", counting)
-    monkeypatch.setattr(stage2, "node_delta", counting)
     result = auto_dse(
         workloads.get("3mm", KERNEL_SIZE),
         options=DseOptions(resource_fraction=0.25, objective="pareto"),

@@ -11,13 +11,9 @@ import itertools
 
 import pytest
 
-from repro.dse import auto_dse, plan_stage1
-from repro.dse.stage2 import (
-    config_directives,
-    derive_partitions,
-    plan_node_config,
-    stage1_program,
-)
+from repro.dse import auto_dse
+from repro.dse.evaluator import Evaluator
+from repro.dse.stage2 import derive_partitions
 from repro.hls.estimator import HlsEstimator
 from repro.hls.device import DEFAULT_DEVICE
 from repro.affine.lowering import lower_program
@@ -36,17 +32,8 @@ def exhaustive_best(factory, size):
     evaluated = 0
     for combo in itertools.product(DEGREES, repeat=len(nodes)):
         function = factory(size)
-        plan = plan_stage1(function)
-        program = stage1_program(function, plan)
-        configs = {
-            name: plan_node_config(function, plan, name, degree, program=program)
-            for name, degree in zip(nodes, combo)
-        }
-        function.reset_schedule()
-        for directive in function.structural_directives():
-            function.schedule.add(directive)
-        for directive in config_directives(function, plan, configs):
-            function.schedule.add(directive)
+        evaluator = Evaluator(function)
+        evaluator.install(evaluator.configs(dict(zip(nodes, combo))))
         for name, factors in derive_partitions(function).items():
             if any(f > 1 for f in factors):
                 target = next(p for p in function.placeholders() if p.name == name)

@@ -82,14 +82,11 @@ class TestStage1Stencils:
 
         from repro.pipeline import lower_to_affine
         from repro.affine import interpret
-        from repro.dse.stage2 import config_directives, plan_node_config
+        from repro.dse.evaluator import Evaluator
 
         f = stencils.seidel(8, steps=2)
-        plan = plan_stage1(f)
-        configs = {"S": plan_node_config(f, plan, "S", 1)}
-        f.reset_schedule()
-        for d in config_directives(f, plan, configs):
-            f.schedule.add(d)
+        evaluator = Evaluator(f)
+        evaluator.install(evaluator.configs({"S": 1}))
         arrays = f.allocate_arrays(seed=11)
         ref = {n: a.copy() for n, a in arrays.items()}
         f.reference_execute(ref)

@@ -9,51 +9,48 @@ from repro.hls import DEFAULT_DEVICE
 from repro.hls.report import speedup
 from repro.pipeline import estimate, lower_to_affine
 from repro.workloads import polybench, stencils
-from repro.dse import auto_dse, plan_stage1
+from repro.dse import auto_dse
+from repro.dse.evaluator import Evaluator
 from repro.dse.options import DseOptions
-from repro.dse.stage2 import (
-    config_directives,
-    derive_partitions,
-    plan_node_config,
-)
+from repro.dse.stage2 import derive_partitions
 
 
 class TestNodeConfig:
     def test_parallelism_one_is_pipeline_only(self):
         f = polybench.gemm(16)
-        plan = plan_stage1(f)
-        config = plan_node_config(f, plan, "s", 1)
+        evaluator = Evaluator(f)
+        config = evaluator.node_config("s", 1)
         assert config.unrolls == []
         assert config.total_parallelism == 1
         assert config.pipeline_dim in ("i", "j")
 
     def test_parallelism_distributes_innermost_first(self):
         f = polybench.gemm(16)
-        plan = plan_stage1(f)
-        config = plan_node_config(f, plan, "s", 8)
+        evaluator = Evaluator(f)
+        config = evaluator.node_config("s", 8)
         assert config.total_parallelism == 8
         # pipeline dim never gets an unroll factor
         assert all(d != config.pipeline_dim for d, _ in config.unrolls)
 
     def test_large_parallelism_spills_over_dims(self):
         f = polybench.gemm(16)
-        plan = plan_stage1(f)
-        config = plan_node_config(f, plan, "s", 64)
+        evaluator = Evaluator(f)
+        config = evaluator.node_config("s", 64)
         assert config.total_parallelism == 64
         assert len(config.unrolls) >= 2
 
     def test_tile_vector_matches_order(self):
         f = polybench.bicg(32)
-        plan = plan_stage1(f)
-        config = plan_node_config(f, plan, "Sq", 16)
-        vec = config.tile_vector(plan.orders["Sq"])
+        evaluator = Evaluator(f)
+        config = evaluator.node_config("Sq", 16)
+        vec = config.tile_vector(evaluator.plan.orders["Sq"])
         assert len(vec) == 2
         assert np.prod(vec) == 16
 
     def test_pipeline_dim_is_largest_free(self):
         f = polybench.bicg(32)
-        plan = plan_stage1(f)
-        config = plan_node_config(f, plan, "Sq", 4)
+        evaluator = Evaluator(f)
+        config = evaluator.node_config("Sq", 4)
         assert config.pipeline_dim == "i"  # Sq's only free dim
 
 
@@ -62,10 +59,8 @@ class TestConfigDirectives:
         from repro.affine.ir import AffineForOp
 
         f = polybench.gemm(16)
-        plan = plan_stage1(f)
-        configs = {"s": plan_node_config(f, plan, "s", 4)}
-        for d in config_directives(f, plan, configs):
-            f.schedule.add(d)
+        evaluator = Evaluator(f)
+        evaluator.install(evaluator.configs({"s": 4}))
         func = lower_to_affine(f)
         loops = [op for op in func.walk() if isinstance(op, AffineForOp)]
         pipelined = [l for l in loops if "pipeline" in l.attributes]
@@ -75,10 +70,8 @@ class TestConfigDirectives:
 
     def test_semantics_preserved_through_config(self):
         f = polybench.gemm(8)
-        plan = plan_stage1(f)
-        configs = {"s": plan_node_config(f, plan, "s", 4)}
-        for d in config_directives(f, plan, configs):
-            f.schedule.add(d)
+        evaluator = Evaluator(f)
+        evaluator.install(evaluator.configs({"s": 4}))
         arrays = f.allocate_arrays(seed=9)
         ref = {n: a.copy() for n, a in arrays.items()}
         f.reference_execute(ref)
@@ -90,11 +83,8 @@ class TestConfigDirectives:
 class TestDerivePartitions:
     def test_unrolled_dims_get_banks(self):
         f = polybench.gemm(16)
-        plan = plan_stage1(f)
-        configs = {"s": plan_node_config(f, plan, "s", 8)}
-        f.reset_schedule()
-        for d in config_directives(f, plan, configs):
-            f.schedule.add(d)
+        evaluator = Evaluator(f)
+        evaluator.install(evaluator.configs({"s": 8}))
         partitions = derive_partitions(f)
         assert any(max(v) > 1 for v in partitions.values())
 

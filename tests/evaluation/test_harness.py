@@ -1,7 +1,13 @@
 """Unit tests for the experiment harness plumbing."""
 
+import inspect
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.evaluation import ALL_EXPERIMENTS, fig2, pareto_front, table3
 from repro.evaluation.frameworks import (
     FRAMEWORKS,
@@ -66,11 +72,44 @@ class TestExperimentRegistry:
         }
         assert set(ALL_EXPERIMENTS) == expected
 
-    def test_modules_expose_run_render_main(self):
-        for name, module in ALL_EXPERIMENTS.items():
-            assert hasattr(module, "run"), name
-            assert hasattr(module, "render"), name
-            assert hasattr(module, "main"), name
+    def test_each_entry_is_its_modules_experiment(self):
+        for name, experiment in ALL_EXPERIMENTS.items():
+            module = sys.modules[experiment.run.__module__]
+            assert module.EXPERIMENT is experiment, name
+            assert experiment.render is module.render, name
+            assert not hasattr(module, "main"), name
+
+    def test_declared_arguments_match_run_signatures(self):
+        # Callers pass `size` when quick_size is set and `device` when
+        # device_aware is, without looking at run's signature.
+        sized, device_aware = set(), set()
+        for name, experiment in ALL_EXPERIMENTS.items():
+            parameters = inspect.signature(experiment.run).parameters
+            if experiment.quick_size is not None:
+                assert "size" in parameters, name
+            assert ("device" in parameters) == experiment.device_aware, name
+            if experiment.quick_size is not None:
+                sized.add(name)
+            if experiment.device_aware:
+                device_aware.add(name)
+        assert sized == {
+            "fig2", "table3", "table4", "fig11", "table6", "pareto_front", "dataflow",
+        }
+        assert device_aware == {"dataflow"}
+
+
+class TestEntryPoints:
+    def test_module_entry_point_runs_without_runtime_warning(self):
+        # Importing the package must not import the experiment modules:
+        # runpy warns when `-m` runs a module already in sys.modules.
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.evaluation.table4"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src_dir),
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Table IV: manual vs DSE optimization (BICG)" in done.stdout
 
 
 class TestSmallScaleExperiments:

@@ -6,21 +6,21 @@ import pytest
 
 from repro import trace
 from repro.evaluation import report_all
+from repro.evaluation.frameworks import Experiment
 from repro.trace import load_chrome_trace
 from repro.workloads import polybench
 
 
-class _FakeExperiment:
-    @staticmethod
-    def main(**kwargs):
-        polybench.gemm(8).estimate()
-        print("fake experiment output")
+def _fake_run():
+    polybench.gemm(8).estimate()
 
 
-class _FailingExperiment:
-    @staticmethod
-    def main(**kwargs):
-        raise RuntimeError("synthetic experiment failure")
+def _failing_run():
+    raise RuntimeError("synthetic experiment failure")
+
+
+_FakeExperiment = Experiment(_fake_run, lambda _: "fake experiment output")
+_FailingExperiment = Experiment(_failing_run, str)
 
 
 @pytest.fixture
@@ -52,6 +52,34 @@ class TestRunAll:
         assert len(failures) == 1
         assert failures[0].code == "RPT001"
         assert "synthetic experiment failure" in failures[0].message
+
+
+class TestRunSizes:
+    """What --quick and --device pass to each experiment's run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {}
+
+        def recorder(name, **declared):
+            def run(**kwargs):
+                calls[name] = kwargs
+            return Experiment(run, lambda _: name, **declared)
+
+        monkeypatch.setattr(report_all, "ALL_EXPERIMENTS", {
+            "sized": recorder("sized", quick_size=16, device_aware=True),
+            "plain": recorder("plain"),
+        })
+        return calls
+
+    def test_quick_and_device_reach_only_experiments_that_declare_them(self, calls):
+        report = report_all.run_all(quick=True, device="xczu9eg")
+        assert calls == {"sized": {"size": 16, "device": "xczu9eg"}, "plain": {}}
+        assert "2/2 experiments succeeded" in report
+
+    def test_paper_scale_passes_nothing(self, calls):
+        report_all.run_all()
+        assert calls == {"sized": {}, "plain": {}}
 
 
 class TestTracing:

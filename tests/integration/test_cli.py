@@ -1,6 +1,5 @@
 """Unit tests for the command-line interface."""
 
-import functools
 import re
 
 import pytest
@@ -70,24 +69,27 @@ class TestExperiment:
     def test_size_that_does_not_apply_is_reported_not_forced_in(
         self, capsys, monkeypatch
     ):
-        # fig12.main takes `sizes` (a sequence): --size used to be passed
+        # fig12 takes `sizes` (a sequence): --size used to be passed
         # positionally, raise TypeError inside, and silently rerun the
         # full 32..8192 sweep.
-        from repro.evaluation import fig12
+        from repro import evaluation
+        from repro.evaluation.frameworks import Experiment
 
         calls = []
 
-        @functools.wraps(fig12.main)
-        def recording(*args, **kwargs):
-            calls.append((args, kwargs))
+        def recording(**kwargs):
+            calls.append(kwargs)
 
-        monkeypatch.setattr(fig12, "main", recording)
+        monkeypatch.setattr(evaluation, "ALL_EXPERIMENTS", {
+            "fig12": Experiment(recording, lambda _: "fig12"),
+        })
         assert main(["experiment", "fig12", "--size", "32"]) == 0
-        assert calls == [((), {})]
+        assert calls == [{}]
         assert "--size does not apply to fig12" in capsys.readouterr().err
 
     def test_type_error_inside_an_experiment_propagates(self, monkeypatch):
-        from repro.evaluation import fig2
+        from repro import evaluation
+        from repro.evaluation.frameworks import Experiment
 
         calls = []
 
@@ -95,7 +97,9 @@ class TestExperiment:
             calls.append(size)
             raise TypeError("bug inside the experiment")
 
-        monkeypatch.setattr(fig2, "main", broken)
+        monkeypatch.setattr(evaluation, "ALL_EXPERIMENTS", {
+            "fig2": Experiment(broken, str, quick_size=256),
+        })
         with pytest.raises(TypeError, match="bug inside the experiment"):
             main(["experiment", "fig2", "--size", "32"])
         assert calls == [32]

@@ -14,7 +14,7 @@ def fresh_tables():
     """Each test sees empty, enabled tables; global state is restored."""
     previous = memo.set_enabled(True)
     memo.clear_all()
-    for table in memo.ALL_TABLES:
+    for table in memo.active().tables():
         table.reset_counters()
     yield
     memo.clear_all()
@@ -65,7 +65,7 @@ class TestMemoTable:
 
     def test_stats_snapshot_keys(self):
         snapshot = memo.stats_snapshot()
-        assert set(snapshot) == {t.name for t in memo.ALL_TABLES}
+        assert set(snapshot) == {t.name for t in memo.active().tables()}
         assert set(snapshot) == {"projection", "emptiness", "bounds"}
         assert all(v == (0, 0) for v in snapshot.values())
 
@@ -76,7 +76,7 @@ class TestProjectionMemo:
         first = bset.drop_dim("j")
         second = bset.drop_dim("j")
         assert second is first  # memo returns the cached object
-        assert memo.PROJECTION.hits >= 1
+        assert memo.active().projection.hits >= 1
 
     def test_memoized_matches_uncached_exactly(self):
         bset = _triangle()
@@ -90,8 +90,8 @@ class TestProjectionMemo:
     def test_disabled_tables_stay_cold(self):
         memo.set_enabled(False)
         _triangle().drop_dim("j")
-        assert memo.PROJECTION.hits == 0
-        assert memo.PROJECTION.misses == 0
+        assert memo.active().projection.hits == 0
+        assert memo.active().projection.misses == 0
 
 
 class TestEmptinessMemo:
@@ -99,14 +99,14 @@ class TestEmptinessMemo:
         bset = _triangle()
         assert bset.is_empty() is False
         assert bset.is_empty() is False
-        assert memo.EMPTINESS.hits >= 1
+        assert memo.active().emptiness.hits >= 1
 
     def test_empty_set_memoized(self):
         i = AffineExpr.var("i")
         empty = BasicSet(("i",), [Constraint.ge(i, 1), Constraint.le(i, 0)])
         assert empty.is_empty() is True
         assert BasicSet(("i",), [Constraint.ge(i, 1), Constraint.le(i, 0)]).is_empty() is True
-        assert memo.EMPTINESS.hits >= 1
+        assert memo.active().emptiness.hits >= 1
 
 
 class TestBoundsMemo:

@@ -14,10 +14,10 @@ pytestmark = pytest.mark.resilience
 def _sabotage_degree_4(monkeypatch):
     original = evaluator_mod.plan_node_config
 
-    def sabotaged(function, plan, name, degree, program=None):
+    def sabotaged(program, plan, name, degree):
         if degree >= 4:
             raise RuntimeError("synthetic failure at degree 4")
-        return original(function, plan, name, degree, program=program)
+        return original(program, plan, name, degree)
 
     monkeypatch.setattr(evaluator_mod, "plan_node_config", sabotaged)
 
