@@ -71,7 +71,7 @@ def _freeze(value):
     return value
 
 
-def _array_fingerprint(array: Placeholder) -> tuple:
+def array_fingerprint(array: Placeholder) -> tuple:
     """Identify an array by its interface, not its (mutable) partition state."""
     return (array.name, array.shape, str(array.dtype))
 
@@ -136,7 +136,7 @@ class AffineLoadOp(ValueOp):
         self.indices = indices
 
     def _fingerprint(self):
-        return ("load", _array_fingerprint(self.array), tuple(self.indices))
+        return ("load", array_fingerprint(self.array), tuple(self.indices))
 
 
 class ArithOp(ValueOp):
@@ -203,7 +203,7 @@ class AffineStoreOp(Op):
     def _fingerprint(self):
         return (
             "store",
-            _array_fingerprint(self.array),
+            array_fingerprint(self.array),
             tuple(self.indices),
             self.value.fingerprint(),
             self._attrs_fingerprint(),
@@ -365,10 +365,9 @@ class FuncOp(Op):
         fingerprint must track them.  Partition schemes are restricted to
         arrays the body actually references so that two functions with
         identical code and identical relevant partitions compare equal even
-        if they carry stale schemes for unused arrays (the per-nest shell
-        functions in the latency analysis rely on this).
+        if they carry stale schemes for unused arrays.
         """
-        used = _used_arrays(self.body)
+        used = used_arrays(self.body)
         attrs = dict(self.attributes)
         partitions = attrs.pop("partitions", None)
         items = []
@@ -382,14 +381,14 @@ class FuncOp(Op):
         return (
             "func",
             self.name,
-            tuple(_array_fingerprint(a) for a in self.arrays if a.name in used),
+            tuple(array_fingerprint(a) for a in self.arrays if a.name in used),
             tuple(items),
             other,
             tuple(op.fingerprint() for op in self.body),
         )
 
 
-def _used_arrays(block: Block) -> set:
+def used_arrays(block: Block) -> set:
     """Names of arrays referenced by loads/stores anywhere under ``block``."""
     used: set = set()
 

@@ -146,20 +146,19 @@ def dependence_relation(compute: Compute, src: Access, snk: Access, level: int) 
     return _carried_at(relation, dims, level)
 
 
-def _pinned(relation: BasicSet) -> set:
-    """Dims whose step ``dim' - dim`` an equality of ``relation`` fixes
-    (the level's own ``dim' = dim``, or a uniform access pair).  Such an
-    entry is the constant it takes at any pair of the relation; the
-    equality leaves both cuts of ``_constant_entry`` rationally empty,
-    which Fourier-Motzkin always proves."""
-    pinned = set()
+def _pinned(relation: BasicSet) -> Dict[str, int]:
+    """``{dim: c}`` for each equality ``dim' - dim = c`` of ``relation``
+    (a uniform access pair).  Such an entry is ``c`` at any pair of the
+    relation; the equality leaves both cuts of ``_constant_entry``
+    rationally empty, which Fourier-Motzkin always proves."""
+    pinned = {}
     for constraint in relation.constraints:
         coeffs = constraint.expr._coeffs
         if constraint.is_equality() and len(coeffs) == 2:
             for name, coeff in coeffs.items():
                 dim = name[: -len(_SINK_SUFFIX)]
                 if name.endswith(_SINK_SUFFIX) and abs(coeff) == 1 and coeffs.get(dim) == -coeff:
-                    pinned.add(dim)
+                    pinned[dim] = -coeff * constraint.expr.constant
     return pinned
 
 
@@ -236,17 +235,23 @@ def _carried_levels(
     """``(level, distance, direction, min distance)`` of every level that
     carries ``src(v) == snk(v')``.
 
-    A level is first tried on the witness pair ``(origin, origin + e)``,
-    one step apart at the level: a pair in the relation shows it
-    non-empty without Fourier-Motzkin.  Any other level is tested for
-    emptiness and, when non-empty, sampled once.  Each distance entry is
-    constant exactly when the relation is empty on both sides of the
-    value at that point.
+    A level whose step an access equality pins below 1 is empty: that
+    contradicts the level's ``step >= 1``, so its relation is never built
+    (not under ``REPRO_ISL_REFERENCE=1``).  A level is next tried on the
+    witness pair ``(origin, origin + e)``, one step apart at the level: a
+    pair in the relation shows it non-empty without Fourier-Motzkin.  Any
+    other level is tested for emptiness and, when non-empty, sampled
+    once.  Each distance entry is constant exactly when the relation is
+    empty on both sides of the value at that point.
     """
     rows = []
     pair_relation = _pair_relation(dims, domain, src_idx, snk_idx)
+    pinned = _pinned(pair_relation)
     same = None if origin is None else {**origin, **{_sink_name(d): origin[d] for d in dims}}
     for level, carried in enumerate(dims):
+        if pinned.get(carried, 1) < 1 and not _intern._REFERENCE:
+            _trace.count("depgraph.equalities")
+            continue
         relation = _carried_at(pair_relation, dims, level)
         point = None if same is None else {**same, _sink_name(carried): same[carried] + 1}
         if point is not None and relation.contains(point):
@@ -260,9 +265,9 @@ def _carried_levels(
             steps = [None] * len(dims)
         else:
             steps = [point[_sink_name(d)] - point[d] for d in dims]
-        pinned = _pinned(relation)
+        fixed = set(pinned).union(dims[:level])  # + the level's own equalities
         distance = DistanceVector(dims, tuple(
-            s if d in pinned else _constant_entry(relation, d, s, point)
+            s if d in fixed else _constant_entry(relation, d, s, point)
             for d, s in zip(dims, steps)
         ))
         # A pair one step apart is the minimum: every probe of the

@@ -51,7 +51,6 @@ from repro.dse.checkpoint import (
 from repro.dse.evaluator import (  # noqa: F401  (re-exported helpers)
     Evaluator,
     _backoff_sleep,
-    _node_latencies,
 )
 from repro.dse.options import DseOptions
 from repro.dse.pareto import (
@@ -329,8 +328,8 @@ def auto_dse(
             journal.close()
 
     stats.finish_isl(isl_before, _isl_memo.stats_snapshot())
-    stats.report_hits = evaluator.estimator.report_hits
-    stats.report_misses = evaluator.estimator.report_misses
+    stats.report_hits = evaluator.estimator.nest_hits
+    stats.report_misses = evaluator.estimator.nest_misses
     stats.total_s = time.perf_counter() - start
 
     tracer = _trace.active()

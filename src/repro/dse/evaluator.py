@@ -24,7 +24,8 @@ Evaluation is memoized at several layers (all local to one
   function + report, catching bank caps that derive identical banking;
 - *nest lowering*: per top-level loop nest, keyed on statement
   fingerprints (incremental lowering splices unchanged nests);
-- *reports*: per estimator instance, keyed on function fingerprints;
+- *nest estimates*: per estimator instance, keyed on each top-level
+  nest's fingerprint and the partition schemes of the arrays it touches;
 - *isl kernels*: global process-wide memo tables
   (:mod:`repro.isl.memo`; switched by ``auto_dse``, not here).
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import trace as _trace
 from repro.affine.ir import AffineStoreOp, FuncOp
@@ -386,7 +387,17 @@ class Evaluator:
             )
 
     def node_latencies(self, func_op: FuncOp) -> Dict[str, int]:
-        return _node_latencies(func_op, self.estimate)
+        """Latency attributed to each compute via its top-level loop nest:
+        one estimate of ``func_op``, read per nest (all memo hits when the
+        design was just scored)."""
+        self.estimate(func_op)
+        latencies: Dict[str, int] = {}
+        for op, cycles in zip(func_op.body, self.estimator.nest_cycles):
+            for name in {inner.statement_name() for inner in op.walk()
+                         if isinstance(inner, AffineStoreOp)}:
+                if name:
+                    latencies[name] = latencies.get(name, 0) + cycles
+        return latencies
 
     # -- failure semantics --------------------------------------------------
 
@@ -426,36 +437,3 @@ class Evaluator:
             location=self.location,
         )
 
-
-def _node_latencies(
-    func_op: FuncOp, estimate: Callable[[FuncOp], SynthesisReport]
-) -> Dict[str, int]:
-    """Latency attributed to each compute via its top-level loop nest.
-
-    Per-nest estimates are reused across ladder steps for free: each
-    shell function's fingerprint covers only the one nest (and the
-    partition schemes of arrays it touches), so a memoizing ``estimate``
-    recognizes nests unchanged since the previous evaluation.
-    """
-    latencies: Dict[str, int] = {}
-    for op in func_op.body:
-        shell = FuncOp(func_op.name, func_op.arrays)
-        # Deep-copy dict-valued attributes: the shells must never alias
-        # the parent's mutable attribute payloads (e.g. partitions).
-        shell.attributes.update(
-            {
-                key: dict(value) if isinstance(value, dict) else value
-                for key, value in func_op.attributes.items()
-            }
-        )
-        shell.body.append(op)
-        cycles = estimate(shell).total_cycles
-        names = {
-            inner.attributes.get("statement")
-            for inner in op.walk()
-            if isinstance(inner, AffineStoreOp)
-        }
-        for name in names:
-            if name:
-                latencies[name] = latencies.get(name, 0) + cycles
-    return latencies

@@ -61,7 +61,7 @@ class DseStats:
     design_cache_misses: int = 0
     lowering_cache_hits: int = 0  # per-nest incremental lowering reuse
     lowering_cache_misses: int = 0
-    report_hits: int = 0          # estimator whole-report memo
+    report_hits: int = 0          # estimator per-nest memo
     report_misses: int = 0
     config_cache_hits: int = 0    # (node, parallelism) -> NodeConfig reuse
     config_cache_misses: int = 0

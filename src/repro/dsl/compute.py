@@ -83,6 +83,11 @@ class Compute:
                 code="DSL004", location=caller_location(compute=name),
                 notes=(f"declared iterators: {names}",),
             )
+        # Computes are immutable, so the arrays they touch are read once.
+        seen: Dict[str, Placeholder] = {dest.placeholder.name: dest.placeholder}
+        for access in self.loads():
+            seen.setdefault(access.placeholder.name, access.placeholder)
+        self._arrays = list(seen.values())
         self.function = function if function is not None else current_function()
         if self.function is not None:
             self.function.register_compute(self)
@@ -102,10 +107,7 @@ class Compute:
 
     def arrays(self) -> List[Placeholder]:
         """All placeholders touched, stores first, in first-seen order."""
-        seen: Dict[str, Placeholder] = {self.dest.placeholder.name: self.dest.placeholder}
-        for access in self.loads():
-            seen.setdefault(access.placeholder.name, access.placeholder)
-        return list(seen.values())
+        return list(self._arrays)
 
     def domain_bounds(self) -> Dict[str, tuple]:
         """Inclusive iterator bounds ``{name: (lo, hi)}``."""

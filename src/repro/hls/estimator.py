@@ -16,13 +16,16 @@ ScaleHLS QoR model [35]): a hierarchical roll-up of loop latencies where
 * resources count operator instances (DSP/LUT/FF from the operator
   library), loop control, bank multiplexing, and pipeline registers.
 
-The whole-report memo (``memoize_reports=True``) is *per-instance*
-state, never shared between estimators: each DSE sweep constructs its
-own :class:`HlsEstimator`, so two sweeps (one after another in
-``repro dse --all``, or side by side in serve workers) cannot observe or
-corrupt one another's memo tables.  Memoized and unmemoized estimates are bit-identical by
-construction (the memo key is the function fingerprint, which covers
-everything the model reads).
+A function's estimate is composed from one estimate per top-level loop
+nest, and with ``memoize_reports=True`` those are memoized on the nest's
+fingerprint and the partition schemes of the arrays it touches, which
+is everything the model reads of a nest: a DSE candidate pays only for
+the nests it changed.  The memo is *per-instance* state, never shared
+between estimators: each DSE sweep constructs its own
+:class:`HlsEstimator`, so two sweeps (one after another in ``repro dse
+--all``, or side by side in serve workers) cannot observe or corrupt
+one another's memo tables.  Memoized and unmemoized estimates are
+bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ from repro.affine.ir import (
     IndexOp,
     Op,
     ValueOp,
+    array_fingerprint,
+    used_arrays,
 )
 from repro.hls import oplib
 from repro.hls.device import DEFAULT_CLOCK_NS, DEFAULT_DEVICE, FPGADevice
@@ -115,13 +120,15 @@ class HlsEstimator:
         # programs hundreds of times.
         self._recurrence_memo: Dict[tuple, Tuple[int, int]] = {}
         self._bank_memo: Dict[tuple, int] = {}
-        # Whole-report memo keyed on the function's structural
-        # fingerprint.  Reports are immutable dataclasses, so a cached
-        # instance can be shared freely between callers.
+        # Per-nest memo: nest fingerprint -> (arrays it touches, {their
+        # partition schemes: estimate}).  A ladder step changes one
+        # layer, so every other nest of the candidate is a hit.
         self.memoize_reports = memoize_reports
-        self._report_memo: Dict[tuple, SynthesisReport] = {}
-        self.report_hits = 0
-        self.report_misses = 0
+        self._nest_memo: Dict[tuple, Tuple[List[str], Dict[tuple, _Estimate]]] = {}
+        self.nest_hits = 0
+        self.nest_misses = 0
+        # Cycles of each top-level nest of the last estimated function.
+        self.nest_cycles: List[int] = []
 
     # -- public API ---------------------------------------------------------
 
@@ -135,29 +142,15 @@ class HlsEstimator:
         if fault_plan is not None:
             fault_plan.on_estimate()
         _trace.count("hls.estimate_calls")
-        if self.memoize_reports:
-            key = func.fingerprint()
-            cached = self._report_memo.get(key)
-            if cached is not None:
-                self.report_hits += 1
-                with _trace.span("hls.estimate", "hls",
-                                 {"memo": "hit"} if _trace.enabled() else None):
-                    return cached
-            self.report_misses += 1
-            with _trace.span("hls.estimate", "hls",
-                             {"memo": "miss"} if _trace.enabled() else None):
-                report = self._estimate_uncached(func)
-            self._report_memo[key] = report
-            return report
-        with _trace.span("hls.estimate", "hls"):
-            return self._estimate_uncached(func)
-
-    def _estimate_uncached(self, func: FuncOp) -> SynthesisReport:
-        partitions = func.attributes.get("partitions", {})
-        if self.dataflow:
-            result = self._dataflow_block(func.body, {}, partitions)
-        else:
-            result = self._block(func.body, {}, partitions)
+        args = {"nests": len(func.body)} if _trace.enabled() else None
+        hits = self.nest_hits
+        with _trace.span("hls.estimate", "hls", args):
+            partitions = func.attributes.get("partitions", {})
+            nests = [self._nest(op, partitions) for op in func.body]
+            result = (self._dataflow_block if self.dataflow else self._block)(nests)
+            if args is not None:
+                args["nest_hits"] = self.nest_hits - hits
+        self.nest_cycles = [nest.cycles for nest in nests]
         power = estimate_power(result.resources)
         return SynthesisReport(
             function_name=func.name,
@@ -171,7 +164,26 @@ class HlsEstimator:
 
     # -- recursive walk -----------------------------------------------------------
 
-    def _block(self, block: Block, extents: Dict[str, int], partitions) -> _Estimate:
+    def _nest(self, op: Op, partitions) -> _Estimate:
+        """One top-level nest: a pure function of its fingerprint and the
+        partition schemes of the arrays it touches, memoized on both."""
+        if not self.memoize_reports:
+            return self._op(op, {}, partitions)
+        fingerprint = op.fingerprint()
+        entry = self._nest_memo.get(fingerprint)
+        if entry is None:
+            entry = self._nest_memo[fingerprint] = (sorted(used_arrays([op])), {})
+        names, estimates = entry
+        schemes = tuple(partitions.get(name) for name in names)
+        estimate = estimates.get(schemes)
+        if estimate is None:
+            self.nest_misses += 1
+            estimate = estimates[schemes] = self._op(op, {}, partitions)
+        else:
+            self.nest_hits += 1
+        return estimate
+
+    def _block(self, parts: List[_Estimate]) -> _Estimate:
         """Sequential region: latencies add; operator resources share.
 
         Ops in one sequential region never execute concurrently, so
@@ -182,8 +194,7 @@ class HlsEstimator:
         """
         total = _Estimate(0, Resources())
         shared = Resources()
-        for op in block:
-            part = self._op(op, extents, partitions)
+        for part in parts:
             total.cycles += part.cycles
             if self.share_sequential:
                 shared = shared.max_with(part.resources)
@@ -193,7 +204,7 @@ class HlsEstimator:
         total.resources = shared
         return total
 
-    def _dataflow_block(self, block: Block, extents: Dict[str, int], partitions) -> _Estimate:
+    def _dataflow_block(self, parts: List[_Estimate]) -> _Estimate:
         """Top-level dataflow: concurrent stages, private resources.
 
         Latency is the slowest stage inflated by a stall factor for
@@ -203,12 +214,11 @@ class HlsEstimator:
         """
         total = _Estimate(0, Resources())
         slowest = 0
-        for op in block:
-            part = self._op(op, extents, partitions)
+        for part in parts:
             slowest = max(slowest, part.cycles)
             total.resources = total.resources + part.resources
             total.loops.extend(part.loops)
-        stall_factor = 1.25 if len(block) > 1 else 1.0
+        stall_factor = 1.25 if len(parts) > 1 else 1.0
         total.cycles = int(slowest * stall_factor)
         return total
 
@@ -218,7 +228,7 @@ class HlsEstimator:
                 return self._pipelined_loop(op, extents, partitions)
             return self._sequential_loop(op, extents, partitions)
         if isinstance(op, AffineIfOp):
-            return self._block(op.body, extents, partitions)
+            return self._block([self._op(inner, extents, partitions) for inner in op.body])
         if isinstance(op, AffineStoreOp):
             latency = self._statement_latency(op)
             return _Estimate(latency, self._statement_resources(op))
@@ -228,7 +238,7 @@ class HlsEstimator:
         trip = loop.max_trip_count(extents)
         inner_extents = dict(extents)
         inner_extents[loop.iterator] = trip
-        body = self._block(loop.body, inner_extents, partitions)
+        body = self._block([self._op(op, inner_extents, partitions) for op in loop.body])
 
         factor = loop.attributes.get("unroll")
         copies = 1
@@ -290,15 +300,14 @@ class HlsEstimator:
             chain_dims = [loop.iterator] + [l.iterator for l in enclosing]
             chain_trips = {d: region_trips.get(d, 1) for d in chain_dims}
             chain_trips[loop.iterator] = trip
+            # Everything the analysis reads of the store, including the
+            # value's arithmetic and dtype, but not its statement name.
             memo_key = (
                 tuple(chain_dims),
                 tuple(sorted(chain_trips.items())),
-                store.array.name,
-                tuple(str(i) for i in store.indices),
-                tuple(
-                    (l.array.name, tuple(str(i) for i in l.indices))
-                    for l in _loads_of(store.value)
-                ),
+                array_fingerprint(store.array),
+                tuple(store.indices),
+                store.value.fingerprint(),
             )
             cached = self._recurrence_memo.get(memo_key)
             if cached is None:
@@ -439,7 +448,7 @@ class HlsEstimator:
         elements per bank, not raw access instances.
         """
         memo_key = (
-            array.name,
+            array_fingerprint(array),
             tuple(tuple(str(i) for i in indices) for indices in index_lists),
             tuple(unrolled_dims),
             tuple(sorted((d, trips.get(d, 1)) for d in unrolled_dims)),

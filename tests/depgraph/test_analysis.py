@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dsl import Function, compute, placeholder, var
-from repro.depgraph import RAW, WAR, analyze_compute, cross_offsets, domain_of
+from repro.depgraph import RAW, WAR, WAW, analyze_compute, cross_offsets, domain_of
 
 
 def make_fig1_stencil():
@@ -151,6 +151,37 @@ class TestNoDependence:
         assert analyze_compute(s).carried_raw() == []
 
 
+class TestPinnedSteps:
+    """An access equality ``dim' - dim = c`` decides a level only when
+    ``c < 1`` contradicts it; both isl modes must agree."""
+
+    def test_step_pinned_to_one_stays_carried(self, isl_mode):
+        """``A[i] = A[i-1]`` pins ``i' - i`` to 1: carried at ``i``
+        (never skipped), and not at ``j``, where ``i' == i`` is required."""
+        with Function("shift") as f:
+            i = var("i", 1, 8)
+            j = var("j", 0, 4)
+            A = placeholder("A", (8,))
+            s = compute("S", [i, j], A(i - 1) * 2.0, A(i))
+        raws = analyze_compute(s).carried_raw()
+        assert [(d.level, d.distance.entries, d.min_distance) for d in raws] == [
+            (0, (1, None), 1)
+        ]
+
+    def test_step_pinned_to_zero_decides_the_level(self, isl_mode):
+        """``out[i] += w[i, k]`` pins ``i' - i`` to 0: only ``k`` carries."""
+        with Function("acc") as f:
+            i = var("i", 0, 4)
+            k = var("k", 0, 4)
+            w = placeholder("w", (4, 4))
+            out = placeholder("out", (4,))
+            s = compute("S", [i, k], out(i) + w(i, k), out(i))
+        deps = analyze_compute(s).carried
+        assert {(d.kind, d.carried_dim, d.distance.entries) for d in deps} == {
+            (kind, "k", (0, None)) for kind in (RAW, WAR, WAW)
+        }
+
+
 class TestDomainOf:
     def test_box_matches_iters(self):
         _, s = make_reduction()
@@ -198,15 +229,29 @@ class TestCrossOffsets:
         assert cross_offsets(p, c) == {"B": None}
 
 
+@pytest.fixture
+def fast_mode():
+    """The isl shortcuts on, whatever ``REPRO_ISL_REFERENCE`` says: the
+    tests using it count what the shortcuts leave to Fourier-Motzkin."""
+    from repro.isl import intern
+
+    previous = intern.set_reference_mode(False)
+    yield
+    intern.set_reference_mode(previous)
+
+
 @pytest.mark.perfsmoke
-def test_perfsmoke_witnesses_leave_fm_only_emptiness_proofs(monkeypatch):
+def test_perfsmoke_witnesses_leave_fm_only_emptiness_proofs(monkeypatch, fast_mode):
     """Count-based guard (no timing) on a vgg16 conv statement: an
     accumulating conv's RAW, WAR and WAW pairs are one relation, solved
     once; its three carried levels are shown non-empty by witness pairs
     around one domain sample, and its non-constant distance entries by
-    neighbouring points.  Fourier-Motzkin then runs only to prove the
-    three other levels empty: no relation is sampled and no entry is
-    cut (3 relation samples and 12 emptiness tests without witnesses)."""
+    neighbouring points.  The three other levels are the output dims,
+    whose step the access ``out[co, h, w]`` pins to 0, so they are
+    decided without building a relation: Fourier-Motzkin never runs, no
+    relation is sampled and no entry is cut (3 relation samples and 12
+    emptiness tests with neither shortcut, 3 emptiness tests with
+    witnesses alone)."""
     from repro import workloads
     from repro.dse.analysis import carried_for_statement
     from repro.dse.stage1 import plan_stage1
@@ -237,7 +282,7 @@ def test_perfsmoke_witnesses_leave_fm_only_emptiness_proofs(monkeypatch):
     assert len(deps) == 9
     assert {d.kind for d in deps} == {"RAW", "WAR", "WAW"}
     assert samples == [tuple(stmt.loop_order)]  # the domain's, no relation's
-    assert empties == [True] * 3
+    assert empties == []
     assert context.stats_snapshot()["projection"][1] == 0
 
 
@@ -268,7 +313,7 @@ class TestEliminationLimit:
             ["k"], BasicSet.box({"k": (0, 7)}), [("RAW", "s", cell, cell)], {"k": 8}
         )
 
-    def test_witnessed_relation_answers(self, tight):
+    def test_witnessed_relation_answers(self, tight, fast_mode):
         (dep,) = self._reduction()
         assert (dep.level, dep.distance.entries, dep.min_distance) == (0, (None,), 1)
 

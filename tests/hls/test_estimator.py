@@ -228,6 +228,39 @@ class TestSkewedLoops:
         assert outer.trip_count == 8
 
 
+class TestRecurrenceMemo:
+    """The recurrence II depends on a statement's arithmetic: two stores
+    with equal accesses but different operators must not share it."""
+
+    @staticmethod
+    def _fused(first, second):
+        """``A[i] = A[i-1] op B[i]`` twice, after one another in ``t``."""
+        ops = {"+": lambda a, b: a + b, "*": lambda a, b: a * b}
+        with Function("rec") as f:
+            t = var("t", 0, 4)
+            i = var("i", 1, 16)
+            A = placeholder("A", (16,))
+            B = placeholder("B", (16,))
+            s1 = compute("S1", [t, i], ops[first](A(i - 1), B(i)), A(i))
+            s2 = compute("S2", [t, i], ops[second](A(i - 1), B(i)), A(i))
+            s2.after(s1, t)
+            s1.pipeline(i, 1)
+            s2.pipeline(i, 1)
+        return lower_to_affine(f)
+
+    @staticmethod
+    def _iis(report):
+        return [l.achieved_ii for l in report.loops if l.pipelined]
+
+    def test_operators_keep_their_own_ii(self):
+        estimator = HlsEstimator()
+        assert self._iis(estimator.estimate(self._fused("+", "*"))) == [7, 6]
+        # A reused estimator carries no II into the next function.
+        assert self._iis(estimator.estimate(self._fused("*", "+"))) == [6, 7]
+        fresh = HlsEstimator(memoize_reports=False)
+        assert self._iis(fresh.estimate(self._fused("*", "+"))) == [6, 7]
+
+
 class TestEstimatorConfig:
     def test_custom_device(self):
         f, _, _ = gemm(8)

@@ -92,10 +92,20 @@ class TestSpanCoverage:
             )
 
     def test_hls_spans_label_memoization(self, traced_dse):
-        tracer, _ = traced_dse
+        """Each estimate span counts its top-level nests and how many the
+        per-nest memo answered; together they are the --stats row."""
+        tracer, result = traced_dse
         estimates = [s for s in tracer.spans if s.name == "hls.estimate"]
         assert estimates
-        assert {s.args["memo"] for s in estimates} <= {"hit", "miss"}
+        for span in estimates:
+            assert 0 <= span.args["nest_hits"] <= span.args["nests"]
+        stats = result.stats
+        assert sum(s.args["nest_hits"] for s in estimates) == stats.report_hits
+        assert sum(s.args["nests"] for s in estimates) == (
+            stats.report_hits + stats.report_misses
+        )
+        # Node latencies of an already scored design hit every nest.
+        assert any(s.args["nest_hits"] == s.args["nests"] > 0 for s in estimates)
 
     def test_spans_nest_under_the_sweep_root(self, traced_dse):
         tracer, _ = traced_dse
