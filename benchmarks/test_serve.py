@@ -73,4 +73,5 @@ def test_warm_store_repeat_request_latency(tmp_path, polybench_size, benchmark):
             f"({warm_s:.4f}s vs {cold_s:.4f}s)"
         )
     finally:
+        client.close()
         server.shutdown()

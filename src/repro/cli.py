@@ -468,9 +468,15 @@ def _cmd_fuzz_server(args, workloads, sizes) -> int:
     worker and this side prints the identical summary line, so the two
     paths are interchangeable in scripts.
     """
-    from repro.serve import ServeClient, ServerError
+    from repro.serve import ServeClient
 
-    client = ServeClient(args.server)
+    with ServeClient(args.server) as client:
+        return _run_fuzz_job(client, args, workloads, sizes)
+
+
+def _run_fuzz_job(client, args, workloads, sizes) -> int:
+    from repro.serve import ServerError
+
     if not client.health():
         raise SystemExit(f"no repro serve daemon at {args.server}")
     options = {"seed": args.seed, "trials": args.trials}

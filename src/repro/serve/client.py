@@ -5,21 +5,33 @@ Speaks the JSON API of :mod:`repro.serve.server`; :meth:`ServeClient.run`
 is the convenience most callers want -- submit, honour 429 backpressure
 by sleeping out the advertised ``Retry-After``, then long-poll to a
 terminal state.
+
+Each thread that uses a client holds one kept-alive HTTP/1.1 connection
+to the daemon, so a warm store hit costs one round trip on an open
+socket rather than a TCP connect and a fresh server thread.  Close the
+client (or use it as a context manager) to release the sockets.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import threading
 import time
+from http.client import HTTPConnection, HTTPException, RemoteDisconnected
 from typing import Optional
-from urllib.error import HTTPError, URLError
-from urllib.request import Request, urlopen
+from urllib.error import URLError
+from urllib.parse import urlsplit
 
 #: Backpressure sleeps are stretched by up to this fraction, uniformly
 #: at random, so a herd of clients rejected together does not re-submit
 #: in lockstep and re-stampede the queue.
 BACKOFF_JITTER_FRACTION = 0.25
+
+#: How a *reused* connection fails when the daemon closed it while idle
+#: (or restarted): before any response byte, so the request was never
+#: read and is sent once more on a fresh connection.
+_STALE_CONNECTION = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
 class ServerError(RuntimeError):
@@ -48,27 +60,84 @@ class ServeClient:
         # Injectable so tests pin the backpressure jitter; per-instance
         # (not the module RNG) so concurrent clients stay independent.
         self._rng = rng if rng is not None else random.Random()
+        url = urlsplit(self.base_url)
+        self._netloc = url.netloc
+        self._prefix = url.path
+        # One connection per thread: an HTTP/1.1 connection carries one
+        # request at a time.  All of them are listed so close() reaches
+        # every thread's.
+        self._local = threading.local()
+        self._connections: list = []
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request reconnects."""
+        with self._connections_lock:
+            for connection in self._connections:
+                connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -----------------------------------------------------
 
+    def _connection(self) -> HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            # http.client opens the socket on first use (with TCP_NODELAY
+            # set, so a small request is not held back for a delayed
+            # ACK) and again after a close.
+            connection = HTTPConnection(self._netloc, timeout=self.timeout_s)
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.append(connection)
+        return connection
+
     def request(self, method: str, path: str, body: Optional[dict] = None):
-        """One round trip; returns ``(status, payload)``."""
+        """One round trip; returns ``(status, payload)``.
+
+        A connection failure raises :class:`~urllib.error.URLError`.
+        """
         data = None
         headers = {"Accept": "application/json"}
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        req = Request(self.base_url + path, data=data, headers=headers, method=method)
-        try:
-            with urlopen(req, timeout=self.timeout_s) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
-        except HTTPError as exc:
-            raw = exc.read().decode("utf-8", "replace")
+        connection = self._connection()
+        while True:
+            reused = connection.sock is not None
             try:
-                payload = json.loads(raw)
-            except ValueError:
-                payload = {"error": raw}
-            return exc.code, payload
+                connection.request(method, self._prefix + path, body=data, headers=headers)
+                response = connection.getresponse()
+                break
+            except _STALE_CONNECTION as exc:
+                connection.close()
+                if not reused:
+                    raise URLError(exc) from exc
+            except (OSError, HTTPException) as exc:
+                connection.close()
+                raise URLError(exc) from exc
+            except BaseException:
+                connection.close()  # mid-exchange: unusable
+                raise
+        # On ``Connection: close`` http.client has already handed the
+        # socket to the response, which closes it once read to the end;
+        # the next request then reconnects.
+        try:
+            raw = response.read()
+        except BaseException:
+            response.close()
+            connection.close()
+            raise
+        try:
+            return response.status, json.loads(raw.decode("utf-8"))
+        except ValueError:
+            if response.status < 400:
+                raise
+            return response.status, {"error": raw.decode("utf-8", "replace")}
 
     def _expect(self, statuses, method, path, body=None):
         status, payload = self.request(method, path, body)

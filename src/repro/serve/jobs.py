@@ -103,8 +103,13 @@ class JobSpec:
             if workload not in known_workloads():
                 raise ValueError(f"unknown workload {workload!r}")
         size = payload.get("size")
-        if size is not None and (not isinstance(size, int) or size < 1):
+        if size is not None and (
+            not isinstance(size, int) or isinstance(size, bool) or size < 1
+        ):
             raise ValueError(f"size must be a positive integer, got {size!r}")
+        force = payload.get("force", False)
+        if not isinstance(force, bool):
+            raise ValueError(f"force must be a JSON boolean, got {force!r}")
         options = payload.get("options") or {}
         if not isinstance(options, dict):
             raise ValueError("options must be an object")

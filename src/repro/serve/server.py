@@ -1,7 +1,10 @@
 """The HTTP+JSON surface and signal lifecycle of ``repro serve``.
 
 Stdlib-only (:mod:`http.server` ``ThreadingHTTPServer``): the daemon is
-a local, single-host service, so no framework is warranted.  Endpoints:
+a local, single-host service, so no framework is warranted.  It speaks
+HTTP/1.1 with keep-alive: a client holds one connection (and so one
+server thread) for its lifetime instead of connecting per request.
+Endpoints:
 
 =======  ==============================  =====================================
 Method   Path                            Meaning
@@ -36,7 +39,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import signal
+import socket
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -48,6 +53,57 @@ from repro.serve.jobs import JobSpec, cache_key
 from repro.serve.store import ResultStore
 
 _SESSION_IDS = itertools.count(1)
+
+#: A kept-alive connection with no request for this long is closed, so
+#: an abandoned client does not pin a server thread.  A client whose
+#: connection was idled out reconnects on its next request.
+IDLE_TIMEOUT_S = 30.0
+
+
+class _BadRequest(Exception):
+    """A malformed request field; answered 400 ``SRV001``."""
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """Tracks the connections it accepted, so shutdown can end kept-alive
+    ones: each holds a thread blocked waiting for its next request."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        self._connections = set()
+        self._connections_changed = threading.Condition()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        with self._connections_changed:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self._connections_changed:
+            self._connections.discard(request)
+            self._connections_changed.notify_all()
+
+    def close_connections(self, timeout_s: float) -> None:
+        """End every open connection once its in-flight reply is out,
+        and wait (up to ``timeout_s``) until each thread has closed its
+        socket, so nothing answers on one afterwards.
+
+        Shutting down the read side wakes a thread waiting for the next
+        request with end-of-file; a thread mid-request still writes its
+        reply (``Connection: close``, the server is draining) first.
+        """
+        with self._connections_changed:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:  # its thread is closing it already
+                    pass
+            self._connections_changed.wait_for(
+                lambda: not self._connections, timeout=timeout_s
+            )
 
 
 @dataclass
@@ -100,7 +156,7 @@ class ReproServer:
         self.recovered = 0
         self._lock = threading.Lock()
         self._sessions: Dict[str, _Session] = {}
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_HTTPServer] = None
         self._recover()
 
     def _recover(self) -> None:
@@ -136,8 +192,7 @@ class ReproServer:
                     "code": "SRV001",
                     "error": f"unknown session {spec.session!r}",
                 }
-        force = bool(body.get("force"))
-        if spec.cacheable and not force:
+        if spec.cacheable and not body.get("force", False):
             record = self.store.lookup(cache_key(spec))
             if record is not None:
                 return 200, {
@@ -220,6 +275,13 @@ class ReproServer:
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # A kept-alive reply is small and written in two pieces
+            # (headers, body); with Nagle on, the second waits ~40 ms
+            # for the client's delayed ACK.
+            disable_nagle_algorithm = True
+            timeout = IDLE_TIMEOUT_S
+
             # Silence per-request stderr logging; diagnostics go through
             # the structured job records instead.
             def log_message(self, format, *args):
@@ -232,70 +294,82 @@ class ReproServer:
                 self.send_header("Content-Length", str(len(blob)))
                 for name, value in headers:
                     self.send_header(name, value)
+                if server.draining or self.close_connection:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(blob)
 
-            def _body(self):
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length else b"{}"
+            def _dispatch(self, route):
+                """Read the body in full, then answer: on a kept-alive
+                connection an unread body would be parsed as the next
+                request."""
                 try:
-                    return json.loads(raw.decode("utf-8"))
-                except ValueError:
-                    return None
+                    body = self._read_body()
+                    reply = route(urlparse(self.path), body)
+                except _BadRequest as exc:
+                    reply = (400, {"code": "SRV001", "error": str(exc)})
+                self._reply(*reply)
 
-            def do_GET(self):
-                url = urlparse(self.path)
-                query = parse_qs(url.query)
+            def _read_body(self) -> bytes:
+                length = self.headers.get("Content-Length", "0")
+                if not (length.isascii() and length.isdigit()):
+                    # Where the body ends, and so where the next request
+                    # starts, is unknown: this connection is done.
+                    self.close_connection = True
+                    raise _BadRequest(f"invalid Content-Length {length!r}")
+                return self.rfile.read(int(length))
+
+            def _get(self, url, _body):
                 path = url.path.rstrip("/")
                 if path == "/healthz":
-                    return self._reply(200, {"ok": True})
+                    return 200, {"ok": True}
                 if path == "/readyz":
                     if server.draining:
-                        return self._reply(
-                            503, {"ready": False, "code": "SRV006"}
-                        )
-                    return self._reply(200, {"ready": True})
+                        return 503, {"ready": False, "code": "SRV006"}
+                    return 200, {"ready": True}
                 if path == "/v1/status":
-                    return self._reply(*server.status())
+                    return server.status()
                 if path.startswith("/v1/jobs/"):
+                    query = parse_qs(url.query)
                     rest = path[len("/v1/jobs/"):]
                     if rest.endswith("/events"):
-                        job_id = rest[: -len("/events")]
-                        since = int(query.get("since", ["0"])[0])
-                        return self._reply(*server.handle_events(job_id, since))
-                    wait_raw = query.get("wait", [None])[0]
-                    wait_s = float(wait_raw) if wait_raw else None
-                    return self._reply(*server.handle_job(rest, wait_s))
-                return self._reply(404, {"error": f"no route {path!r}"})
+                        since = _query_int(query, "since", 0)
+                        return server.handle_events(rest[: -len("/events")], since)
+                    return server.handle_job(rest, _query_wait(query))
+                return 404, {"error": f"no route {path!r}"}
+
+            def _post(self, url, body):
+                path = url.path.rstrip("/")
+                if path == "/v1/sessions":
+                    return server.open_session()
+                if path == "/v1/jobs":
+                    try:
+                        request = json.loads(body.decode("utf-8") if body else "{}")
+                    except ValueError:
+                        raise _BadRequest("invalid JSON body") from None
+                    status, payload = server.handle_submit(request)
+                    if status == 429:
+                        retry = ("Retry-After", f"{payload['retry_after_s']:.0f}")
+                        return status, payload, (retry,)
+                    return status, payload
+                return 404, {"error": f"no route {path!r}"}
+
+            def _delete(self, url, _body):
+                path = url.path.rstrip("/")
+                if path.startswith("/v1/sessions/"):
+                    return server.close_session(path[len("/v1/sessions/"):])
+                return 404, {"error": f"no route {path!r}"}
+
+            def do_GET(self):
+                self._dispatch(self._get)
 
             def do_POST(self):
-                path = urlparse(self.path).path.rstrip("/")
-                if path == "/v1/sessions":
-                    return self._reply(*server.open_session())
-                if path == "/v1/jobs":
-                    body = self._body()
-                    if body is None:
-                        return self._reply(
-                            400, {"code": "SRV001", "error": "invalid JSON body"}
-                        )
-                    status, payload = server.handle_submit(body)
-                    headers = ()
-                    if status == 429:
-                        headers = (
-                            ("Retry-After", f"{payload['retry_after_s']:.0f}"),
-                        )
-                    return self._reply(status, payload, headers)
-                return self._reply(404, {"error": f"no route {path!r}"})
+                self._dispatch(self._post)
 
             def do_DELETE(self):
-                path = urlparse(self.path).path.rstrip("/")
-                if path.startswith("/v1/sessions/"):
-                    session_id = path[len("/v1/sessions/"):]
-                    return self._reply(*server.close_session(session_id))
-                return self._reply(404, {"error": f"no route {path!r}"})
+                self._dispatch(self._delete)
 
-        self._httpd = ThreadingHTTPServer((config.host, config.port), Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((config.host, config.port), Handler)
         return self._httpd.server_address[1]
 
     @property
@@ -334,14 +408,41 @@ class ReproServer:
         signal.signal(signal.SIGINT, _on_signal)
 
     def shutdown(self) -> dict:
-        """Drain the executor, checkpoint stragglers, stop the listener."""
+        """Drain the executor, checkpoint stragglers, stop the listener
+        and end every kept-alive connection."""
         self.draining = True
         outcome = self.executor.drain(grace_s=self.config.drain_grace_s)
         self.executor.close()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
+            # A thread blocked on its socket gives up within the idle
+            # timeout anyway, so that bounds the wait.
+            self._httpd.close_connections(IDLE_TIMEOUT_S)
         return outcome
+
+
+def _query_int(query: dict, name: str, default: int) -> int:
+    raw = query.get(name, [None])[0]
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise _BadRequest(f"{name} must be an integer, got {raw!r}") from None
+
+
+def _query_wait(query: dict) -> Optional[float]:
+    raw = query.get("wait", [None])[0]
+    if raw is None:
+        return None
+    try:
+        wait_s = float(raw)
+    except ValueError:
+        wait_s = math.nan
+    if not (math.isfinite(wait_s) and wait_s >= 0):
+        raise _BadRequest(f"wait must be a finite number of seconds >= 0, got {raw!r}")
+    return wait_s
 
 
 def run_server(config: ServeConfig) -> int:

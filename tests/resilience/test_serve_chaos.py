@@ -47,7 +47,8 @@ def server(tmp_path):
     server = ReproServer(config)
     port = server.start()
     threading.Thread(target=server._httpd.serve_forever, daemon=True).start()
-    yield server, ServeClient(f"http://127.0.0.1:{port}", timeout_s=60.0)
+    with ServeClient(f"http://127.0.0.1:{port}", timeout_s=60.0) as client:
+        yield server, client
     server.shutdown()
 
 

@@ -2,9 +2,11 @@
 
 ``serve_factory`` boots an in-process :class:`~repro.serve.ReproServer`
 on an ephemeral port with a per-test state directory and hands back the
-server plus a :class:`~repro.serve.ServeClient` bound to it.  Tests that
-exercise crash/restart semantics call the factory twice with the same
-``subdir`` to simulate a daemon restart over a surviving store.
+server plus a :class:`~repro.serve.ServeClient` bound to it (closed at
+teardown, so no kept-alive socket is left for a ``ResourceWarning``).
+Tests that exercise crash/restart semantics call the factory twice with
+the same ``subdir`` (and, to reach it with the same client, ``port``)
+to simulate a daemon restart over a surviving store.
 """
 
 import threading
@@ -20,21 +22,21 @@ def serve_factory(tmp_path):
 
     def boot(subdir="state", **overrides):
         overrides.setdefault("drain_grace_s", 2.0)
-        config = ServeConfig(
-            port=0, state_dir=str(tmp_path / subdir), **overrides
-        )
+        overrides.setdefault("port", 0)
+        config = ServeConfig(state_dir=str(tmp_path / subdir), **overrides)
         server = ReproServer(config)
         port = server.start()
         thread = threading.Thread(
             target=server._httpd.serve_forever, daemon=True
         )
         thread.start()
-        booted.append(server)
         client = ServeClient(f"http://127.0.0.1:{port}", timeout_s=60.0)
+        booted.append((server, client))
         return server, client
 
     yield boot
-    for server in booted:
+    for server, client in booted:
+        client.close()
         try:
             server.shutdown()
         except Exception:

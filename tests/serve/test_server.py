@@ -1,5 +1,7 @@
 """HTTP surface of the daemon: endpoints, admission control, lifecycle."""
 
+import http.client
+import json
 import urllib.request
 
 import pytest
@@ -132,3 +134,51 @@ class TestLifecycle:
         assert outcome["finished"] == 1
         assert outcome["interrupted"] == 0
         assert not client.health(), "listener is down after shutdown"
+
+
+def _raw_post(port, content_length):
+    """POST /v1/jobs with a hand-written Content-Length and no body."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        connection.putrequest("POST", "/v1/jobs")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read()), response.will_close
+    finally:
+        connection.close()
+
+
+class TestMalformedRequests:
+    """Bad request fields answer 400 SRV001 instead of dropping the
+    connection with a traceback."""
+
+    @pytest.mark.parametrize("content_length", ["abc", "-5"])
+    def test_bad_content_length(self, serve_factory, content_length):
+        server, client = serve_factory()
+        status, payload, will_close = _raw_post(server.port, content_length)
+        assert (status, payload["code"]) == (400, "SRV001")
+        assert will_close, "the next request's start is unknown"
+        assert client.health()
+
+    @pytest.mark.parametrize("query", [
+        "/events?since=abc", "?wait=abc", "?wait=nan", "?wait=inf",
+    ])
+    def test_bad_query_field(self, serve_factory, query):
+        _server, client = serve_factory()
+        _status, payload = client.submit("verify", "gemm", 32)
+        status, payload = client.request("GET", f"/v1/jobs/{payload['job']}{query}")
+        assert (status, payload["code"]) == (400, "SRV001")
+        assert client.health()
+
+    @pytest.mark.parametrize("field", [
+        {"force": "false"}, {"force": 1}, {"size": True},
+    ])
+    def test_mistyped_submission_field(self, serve_factory, field):
+        _server, client = serve_factory()
+        _status, payload = client.submit("verify", "gemm", 32)
+        client.wait_done(payload["job"], timeout_s=60)
+        body = {"kind": "verify", "workload": "gemm", "size": 32, **field}
+        status, payload = client.request("POST", "/v1/jobs", body)
+        assert (status, payload["code"]) == (400, "SRV001"), payload

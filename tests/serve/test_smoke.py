@@ -53,11 +53,13 @@ class _Daemon:
         self.client = ServeClient(f"http://127.0.0.1:{self.port}", timeout_s=60.0)
 
     def terminate(self, timeout_s=30.0):
+        self.client.close()
         self.process.send_signal(signal.SIGTERM)
         out, _ = self.process.communicate(timeout=timeout_s)
         return out
 
     def kill(self):
+        self.client.close()
         if self.process.poll() is None:
             self.process.kill()
             self.process.communicate(timeout=10)
