@@ -232,8 +232,9 @@ class AffineForOp(Op):
         self.lowers = lowers
         self.uppers = uppers
         self.body = body if body is not None else Block()
-        # (lowers, uppers, compiled trip fn); revalidated by list
-        # identity since passes replace the bound lists wholesale.
+        # (lowers, uppers, compiled trip fn or None, constant trip
+        # count or None); revalidated by list identity since passes
+        # replace the bound lists wholesale.
         self._trip_state = None
 
     def regions(self):
@@ -265,21 +266,23 @@ class AffineForOp(Op):
         # Direct module-flag read: reference_mode() as a call costs as
         # much as the cache hit itself on this hot path.
         if not _intern._REFERENCE:
-            # Compiled envelope evaluator, cached on the instance (and
-            # per (lowers, uppers) signature on the intern context).
-            # For constant bounds the envelope formula equals
-            # constant_trip_count exactly, so one compiled formula
-            # covers both cases below.
+            # Constant bounds give constant_trip_count; anything else a
+            # compiled envelope evaluator (cached per (lowers, uppers)
+            # signature on the intern context).  Either is cached on the
+            # instance.
             state = self._trip_state
             if (
-                state is not None
-                and state[0] is self.lowers
-                and state[1] is self.uppers
+                state is None
+                or state[0] is not self.lowers
+                or state[1] is not self.uppers
             ):
-                return state[2](outer_extents)
-            fn = _evalc.compile_trip(tuple(self.lowers), tuple(self.uppers))
-            self._trip_state = (self.lowers, self.uppers, fn)
-            return fn(outer_extents)
+                constant = self.constant_trip_count()
+                fn = None if constant is not None else _evalc.compile_trip(
+                    tuple(self.lowers), tuple(self.uppers)
+                )
+                state = self._trip_state = (self.lowers, self.uppers, fn, constant)
+            fn = state[2]
+            return state[3] if fn is None else fn(outer_extents)
         constant = self.constant_trip_count()
         if constant is not None:
             return constant

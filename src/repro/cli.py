@@ -109,6 +109,14 @@ def _resolve_device(name: Optional[str]):
         raise SystemExit(str(exc))
 
 
+def _validated(options):
+    """``options.validate()``, a bad value exiting with its one-line message."""
+    try:
+        return options.validate()
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def _add_device_flag(parser) -> None:
     parser.add_argument(
         "--device", metavar="NAME", default=None,
@@ -175,11 +183,10 @@ def cmd_compile(args) -> int:
     if args.dse:
         from repro.dse.options import DseOptions
 
-        result = workload.auto_DSE(
-            options=DseOptions(
-                resource_fraction=args.resource_fraction, device=device,
-            )
+        options = _validated(
+            DseOptions(resource_fraction=args.resource_fraction, device=device)
         )
+        result = workload.auto_DSE(options=options)
         for line in result.summary(args.workload).splitlines():
             print(f"// {line}", file=sys.stderr)
 
@@ -356,14 +363,14 @@ def cmd_dse(args) -> int:
     objective = _resolve_objective(args)
     if args.workload is None and not args.all:
         raise SystemExit("a workload name is required unless --all is given")
-    options = DseOptions(
+    options = _validated(DseOptions(
         device=_resolve_device(args.device),
         resource_fraction=args.resource_fraction,
         cache=not args.no_cache,
         candidate_timeout_s=args.candidate_timeout,
         time_budget_s=args.time_budget,
         objective=objective,
-    )
+    ))
     tracer = trace_mod.Tracer() if args.trace else None
     if args.all:
         with trace_mod.tracing(tracer) if tracer else _null_context():

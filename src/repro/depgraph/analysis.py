@@ -11,15 +11,16 @@ Fig. 8-3) are identified as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import trace as _trace
 from repro.dsl.compute import Compute
 from repro.dsl.expr import Access
 from repro.isl import intern as _intern
 from repro.isl.affine import AffineExpr
-from repro.isl.constraint import Constraint
+from repro.isl.constraint import EQ, Constraint
 from repro.isl.sets import BasicSet
 from repro.depgraph.vectors import DirectionVector, DistanceVector
 
@@ -109,21 +110,24 @@ def _step(dim: str) -> AffineExpr:
     return AffineExpr.var(_sink_name(dim)) - AffineExpr.var(dim)
 
 
+def _access_equalities(
+    dims: Sequence[str], src_idx: Sequence[AffineExpr], snk_idx: Sequence[AffineExpr]
+) -> List[Constraint]:
+    """``src(v) == snk(v')``, one equality per index."""
+    sink = {d: _sink_name(d) for d in dims}
+    return [Constraint.eq(s, k.rename(sink)) for s, k in zip(src_idx, snk_idx)]
+
+
 def _pair_relation(
-    dims: Sequence[str],
-    domain: BasicSet,
-    src_idx: Sequence[AffineExpr],
-    snk_idx: Sequence[AffineExpr],
+    dims: Sequence[str], domain: BasicSet, equalities: Sequence[Constraint]
 ) -> BasicSet:
-    """Instances ``(v, v')`` of ``domain`` with ``src(v) == snk(v')``."""
+    """Instances ``(v, v')`` of ``domain`` satisfying the access ``equalities``."""
     sink = {d: _sink_name(d) for d in dims}
     relation = BasicSet(
         tuple(dims) + tuple(sink.values()),
         domain.constraints + domain.rename_dims(sink).constraints,
     )
-    return relation.with_constraints(
-        Constraint.eq(s, k.rename(sink)) for s, k in zip(src_idx, snk_idx)
-    )
+    return relation.with_constraints(equalities)
 
 
 def _carried_at(relation: BasicSet, dims: Sequence[str], level: int) -> BasicSet:
@@ -140,19 +144,20 @@ def dependence_relation(compute: Compute, src: Access, snk: Access, level: int) 
     on all dims above ``level`` and strict inequality at ``level``.
     """
     dims = compute.iter_names
-    relation = _pair_relation(
-        dims, domain_of(compute), src.affine_indices(), snk.affine_indices()
-    )
+    equalities = _access_equalities(dims, src.affine_indices(), snk.affine_indices())
+    relation = _pair_relation(dims, domain_of(compute), equalities)
     return _carried_at(relation, dims, level)
 
 
-def _pinned(relation: BasicSet) -> Dict[str, int]:
-    """``{dim: c}`` for each equality ``dim' - dim = c`` of ``relation``
-    (a uniform access pair).  Such an entry is ``c`` at any pair of the
-    relation; the equality leaves both cuts of ``_constant_entry``
-    rationally empty, which Fourier-Motzkin always proves."""
+def _pinned(equalities: Sequence[Constraint]) -> Dict[str, int]:
+    """``{dim: c}`` for each access equality ``dim' - dim = c`` (a uniform
+    access pair).  Such an entry is ``c`` at any pair of the relation;
+    the equality leaves both cuts of ``_constant_entry`` rationally
+    empty, which Fourier-Motzkin always proves.  Only the access
+    equalities can have this form: a domain constraint names source or
+    sink dims, never both."""
     pinned = {}
-    for constraint in relation.constraints:
+    for constraint in equalities:
         coeffs = constraint.expr._coeffs
         if constraint.is_equality() and len(coeffs) == 2:
             for name, coeff in coeffs.items():
@@ -227,31 +232,106 @@ def access_pairs(
     return pairs
 
 
+def _box_spans(domain: BasicSet) -> Dict[str, int]:
+    """``hi - lo`` of each dim that single-dim unit constraints of
+    ``domain`` bound on both sides: every point of the domain, rational
+    or integer, has ``lo <= d <= hi``."""
+    lows: Dict[str, int] = {}
+    highs: Dict[str, int] = {}
+    for constraint in domain.constraints:
+        items = constraint.expr._items
+        if len(items) != 1 or items[0][1] not in (1, -1):
+            continue
+        ((name, a),) = items
+        value = -constraint.expr._const * a  # a*d + const >= 0 (or == 0)
+        if a > 0 or constraint.kind == EQ:
+            lows[name] = max(lows.get(name, value), value)
+        if a < 0 or constraint.kind == EQ:
+            highs[name] = min(highs.get(name, value), value)
+    return {name: highs[name] - lows[name] for name in lows.keys() & highs.keys()}
+
+
+def _open_levels(
+    dims: Tuple[str, ...], src_idx: Sequence[AffineExpr],
+    snk_idx: Sequence[AffineExpr], spans: Dict[str, int],
+) -> List[int]:
+    """The levels the access equalities alone do not show empty.
+
+    An index whose source and sink have the same linear part ``f``
+    states ``f(s) = r`` for the steps ``s = v' - v``, ``r`` the
+    difference of the two constants.  At level ``L`` the steps above
+    are 0, ``s_L >= 1``, and each step below is at most its dim's span
+    (``_box_spans``) in size.  With ``c`` the coefficient of the level's
+    dim and ``B`` the sum of ``|c_e| * span_e`` over the dims below it,
+    the level is empty when ``c == 0`` and ``|r| > B``, or ``c != 0``
+    and ``sign(c) * r + B < |c|``.  These are rational contradictions,
+    which Fourier-Motzkin always proves, so a level skipped here is one
+    the relation would have shown empty.  Two cases: a uniform pair
+    ``d + a`` / ``d + b`` (the step pinned to ``a - b``) needs no span;
+    a store re-read at its own tiled index ``4*i_t + i_u`` is settled by
+    the span 3 of ``i_u``.
+    """
+    at = {dim: level for level, dim in enumerate(dims)}
+    rows = []
+    for src, snk in zip(src_idx, snk_idx):
+        coeffs = src._coeffs
+        if coeffs == snk._coeffs and all(name in at for name in coeffs):
+            rows.append((
+                [(at[name], coeff) for name, coeff in coeffs.items()],
+                src._const - snk._const,
+            ))
+    levels = []
+    for level in range(len(dims)):
+        for terms, r in rows:
+            c, bound = 0, 0
+            for term_level, coeff in terms:
+                if term_level == level:
+                    c = coeff
+                elif term_level > level:
+                    bound += abs(coeff) * spans.get(dims[term_level], math.inf)
+            if (abs(r) > bound) if c == 0 else ((r if c > 0 else -r) + bound < abs(c)):
+                break
+        else:
+            levels.append(level)
+    return levels
+
+
 def _carried_levels(
     dims: Tuple[str, ...], domain: BasicSet, src_idx: Sequence[AffineExpr],
     snk_idx: Sequence[AffineExpr], extents: Dict[str, int],
-    origin: Optional[Dict[str, int]],
+    spans: Optional[Dict[str, int]],
+    origin: Callable[[], Optional[Dict[str, int]]],
 ) -> List[Tuple[int, DistanceVector, DirectionVector, Optional[int]]]:
     """``(level, distance, direction, min distance)`` of every level that
     carries ``src(v) == snk(v')``.
 
-    A level whose step an access equality pins below 1 is empty: that
-    contradicts the level's ``step >= 1``, so its relation is never built
-    (not under ``REPRO_ISL_REFERENCE=1``).  A level is next tried on the
-    witness pair ``(origin, origin + e)``, one step apart at the level: a
-    pair in the relation shows it non-empty without Fourier-Motzkin.  Any
-    other level is tested for emptiness and, when non-empty, sampled
-    once.  Each distance entry is constant exactly when the relation is
-    empty on both sides of the value at that point.
+    Levels the access equalities show empty (``_open_levels``, with the
+    domain's box ``spans``) are skipped before any relation is built;
+    when no level is left, neither the equalities nor the pair relation
+    nor the witness origin is (``spans`` is None, and nothing is skipped,
+    under ``REPRO_ISL_REFERENCE=1``).  A level is next tried on the
+    witness pair ``(origin, origin + e)``, one step apart at the level,
+    with ``origin()`` a point of ``domain`` (or None): a pair in the
+    relation shows it non-empty without Fourier-Motzkin.  Any other
+    level is tested for emptiness and, when non-empty, sampled once.
+    Each distance entry is constant exactly when the relation is empty
+    on both sides of the value at that point.
     """
+    levels = range(len(dims))
+    if spans is not None:
+        levels = _open_levels(dims, src_idx, snk_idx, spans)
+        if len(levels) < len(dims):
+            _trace.count("depgraph.equalities", len(dims) - len(levels))
+        if not levels:
+            return []
+    equalities = _access_equalities(dims, src_idx, snk_idx)
+    pinned = _pinned(equalities)
     rows = []
-    pair_relation = _pair_relation(dims, domain, src_idx, snk_idx)
-    pinned = _pinned(pair_relation)
-    same = None if origin is None else {**origin, **{_sink_name(d): origin[d] for d in dims}}
-    for level, carried in enumerate(dims):
-        if pinned.get(carried, 1) < 1 and not _intern._REFERENCE:
-            _trace.count("depgraph.equalities")
-            continue
+    pair_relation = _pair_relation(dims, domain, equalities)
+    anchor = origin()
+    same = None if anchor is None else {**anchor, **{_sink_name(d): anchor[d] for d in dims}}
+    for level in levels:
+        carried = dims[level]
         relation = _carried_at(pair_relation, dims, level)
         point = None if same is None else {**same, _sink_name(carried): same[carried] + 1}
         if point is not None and relation.contains(point):
@@ -287,8 +367,8 @@ def _carried(
     The relation depends on the two index lists only, so each distinct
     ``(src, snk)`` is solved once per call and its rows are fanned out
     per kind and array: an accumulating statement's RAW, WAR and WAW
-    pairs are one relation.  One point of the domain, sampled per call,
-    anchors every level's witness pair (none under
+    pairs are one relation.  One point of the domain, sampled on first
+    use, anchors every level's witness pair (none under
     ``REPRO_ISL_REFERENCE=1``).  Private so that ``analyze_compute`` shares
     it without counting as a call of the public entry point, which the
     benchmark times.
@@ -296,15 +376,22 @@ def _carried(
     dims = tuple(dims)
     results: List[CarriedDependence] = []
     solved: Dict[tuple, list] = {}
+    spans = None if _intern._REFERENCE else _box_spans(domain)
+    sampled: List[Optional[Dict[str, int]]] = []
+
+    def origin() -> Optional[Dict[str, int]]:
+        if not sampled:
+            sampled.append(None if _intern._REFERENCE else domain.sample())
+        return sampled[0]
+
     args = {"dims": len(dims), "pairs": len(pairs)} if _trace.enabled() else None
     with _trace.span("depgraph.carried", "depgraph", args):
-        origin = None if _intern._REFERENCE or not pairs else domain.sample()
         for kind, array, src_idx, snk_idx in pairs:
             key = (tuple(src_idx), tuple(snk_idx))
             rows = solved.get(key)
             if rows is None:
                 rows = solved[key] = _carried_levels(
-                    dims, domain, src_idx, snk_idx, extents, origin
+                    dims, domain, src_idx, snk_idx, extents, spans, origin
                 )
             results.extend(
                 CarriedDependence(array, kind, level, dims, distance, direction, min_distance)

@@ -70,9 +70,3 @@ def free_dims(stmt: PolyStatement) -> List[str]:
     """Loop dims of the statement carrying no RAW dependence."""
     carried = {d.carried_dim for d in carried_for_statement(stmt)}
     return [d for d in stmt.loop_order if d not in carried]
-
-
-def carried_dims(stmt: PolyStatement) -> List[str]:
-    """Loop dims carrying at least one RAW dependence, in loop order."""
-    carried = {d.carried_dim for d in carried_for_statement(stmt)}
-    return [d for d in stmt.loop_order if d in carried]

@@ -60,6 +60,7 @@ from repro.dse.stage2 import (
     fusion_directives,
     node_delta,
     plan_node_config,
+    unroll_spreads,
 )
 from repro.dse.stats import DseStats
 from repro.hls.device import DEFAULT_DEVICE, FPGADevice
@@ -223,10 +224,10 @@ class Evaluator:
 
         self._config_memo: Dict[Tuple[str, int], NodeConfig] = {}
         self._statement_memo: Dict[tuple, Tuple[NodeDelta, PolyStatement]] = {}
-        # (config fingerprints, program, node deltas) of the most recent
-        # candidate.
+        # (config fingerprints, program, node deltas, unroll spreads) of
+        # the most recent candidate.
         self._scheduled: Optional[
-            Tuple[tuple, PolyProgram, Dict[str, NodeDelta]]
+            Tuple[tuple, PolyProgram, Dict[str, NodeDelta], dict]
         ] = None
         self._design_memo: Dict[tuple, Tuple[SynthesisReport, FuncOp]] = {}
         self._nest_memo: Optional[Dict[tuple, list]] = {} if cache else None
@@ -283,10 +284,10 @@ class Evaluator:
         stage-2 directives applied to that node's statement alone
         (memoized by config fingerprint); only the fusion ``after``
         surgery reads other statements, and it runs last, on the whole.
-        The most recent program is kept with its node deltas -- the
-        installed directive list, partitions, lowering and the bank-cap
-        retries of one candidate share them -- so callers must not
-        transform it.
+        The most recent program is kept with its node deltas and unroll
+        spreads -- the installed directive list, partitions, lowering and
+        the bank-cap retries of one candidate share them -- so callers
+        must not transform it.
         """
         key = self.fingerprint(configs)
         if self._scheduled is not None and self._scheduled[0] == key:
@@ -315,9 +316,10 @@ class Evaluator:
                 program.statements[index] = statement.copy()
             deltas[name] = delta
         program.apply_schedule(fusion_directives(self.plan, deltas))
+        spreads = unroll_spreads(program)
         stats.lowering_s += time.perf_counter() - t0
         # Only a fully assembled program becomes current.
-        self._scheduled = (key, program, deltas)
+        self._scheduled = (key, program, deltas, spreads)
         return program
 
     def _apply_partitions(self, derived: Dict[str, Tuple[int, ...]]) -> None:
@@ -346,7 +348,7 @@ class Evaluator:
         self.install(configs)
         scheduled = self.scheduled(configs)
         self._apply_partitions(
-            derive_partitions(self.function, max_banks=bank_cap, program=scheduled)
+            derive_partitions(self.function, max_banks=bank_cap, spreads=self._scheduled[3])
         )
         key = (
             self.fingerprint(configs),

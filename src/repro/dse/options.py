@@ -14,6 +14,7 @@ effect such as creating a checkpoint journal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -61,28 +62,29 @@ class DseOptions:
     def validate(self) -> "DseOptions":
         """Raise on any function-independent misconfiguration.
 
-        Returns self so call sites can chain.  The engine performs the
-        same checks (plus the function-dependent ones) before creating
-        any journal; this front door lets the CLI and serve jobs
-        fail fast with identical messages.
+        Every number must be finite and in range (``resource_fraction``
+        in (0, 1]).  Returns self so call sites can chain.  The engine
+        performs the same checks (plus the function-dependent ones)
+        before creating any journal; this front door lets the CLI and
+        serve jobs fail fast with identical messages.
         """
-        if self.resource_fraction <= 0:
+        if not 0 < self.resource_fraction <= 1:  # also rejects nan
             raise ValueError(
-                f"resource_fraction must be > 0, got {self.resource_fraction}"
+                f"resource_fraction must be > 0 and <= 1, got {self.resource_fraction}"
             )
-        if self.clock_ns is not None and self.clock_ns <= 0:
-            raise ValueError(f"clock_ns must be > 0, got {self.clock_ns}")
+        if self.clock_ns is not None and not 0 < self.clock_ns < math.inf:
+            raise ValueError(f"clock_ns must be > 0 and finite, got {self.clock_ns}")
         if self.max_parallelism < 1:
             raise ValueError(
                 f"max_parallelism must be >= 1, got {self.max_parallelism}"
             )
-        if self.candidate_timeout_s is not None and self.candidate_timeout_s < 0:
+        if self.candidate_timeout_s is not None and not 0 <= self.candidate_timeout_s < math.inf:
             raise ValueError(
-                f"candidate_timeout_s must be >= 0, got {self.candidate_timeout_s}"
+                f"candidate_timeout_s must be >= 0 and finite, got {self.candidate_timeout_s}"
             )
-        if self.time_budget_s is not None and self.time_budget_s < 0:
+        if self.time_budget_s is not None and not 0 <= self.time_budget_s < math.inf:
             raise ValueError(
-                f"deadline budget must be >= 0, got {self.time_budget_s}"
+                f"deadline budget must be >= 0 and finite, got {self.time_budget_s}"
             )
         # Late import: pareto depends on hls.report only, but keeping
         # the import local means `repro.dse.options` stays importable

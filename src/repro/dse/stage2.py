@@ -256,19 +256,16 @@ def fusion_directives(plan: Stage1Plan, deltas: Dict[str, NodeDelta]) -> List[Di
     return directives
 
 
-def derive_partitions(
-    function: Function, max_banks: int = 128, program: Optional[PolyProgram] = None
-) -> Dict[str, Tuple[int, ...]]:
-    """Cyclic partition factors making unrolled copies hit distinct banks.
+def unroll_spreads(program: PolyProgram) -> Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """``{array: (shape, spreads)}``: per array dimension, the largest
+    product of the extents of completely unrolled loop dims appearing in
+    one index expression of a statement of the scheduled ``program``.
 
-    Finds every completely unrolled loop dim of the scheduled
-    ``program`` (by default: the function's current schedule, replayed
-    here) and for each array dimension takes the product of the extents
-    of unrolled dims appearing in its index expression.
+    This is everything :func:`derive_partitions` reads of a program; no
+    bank cap applies yet, so one scheduled candidate computes it once
+    for all of its caps.
     """
-    if program is None:
-        program = PolyProgram(function).apply_schedule()
-    factors: Dict[str, List[int]] = {}
+    spreads: Dict[str, Tuple[Tuple[int, ...], List[int]]] = {}
     for stmt in program.statements:
         unrolled = {
             opt.level: stmt.loop_extent(opt.level) or 1
@@ -276,12 +273,34 @@ def derive_partitions(
             if opt.kind == "unroll"
         }
         for array, indices in stmt.index_dims():
-            slots = factors.setdefault(array.name, [1] * len(array.shape))
+            _, slots = spreads.setdefault(array.name, (array.shape, [1] * len(array.shape)))
             for dim, names in enumerate(indices):
                 spread = 1
                 for name in names:
                     if name in unrolled:
                         spread *= max(1, unrolled[name])
-                spread = min(spread, array.shape[dim], max_banks)
                 slots[dim] = max(slots[dim], spread)
-    return {name: tuple(values) for name, values in factors.items()}
+    return {name: (shape, tuple(slots)) for name, (shape, slots) in spreads.items()}
+
+
+def derive_partitions(
+    function: Function,
+    max_banks: int = 128,
+    spreads: Optional[Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None,
+) -> Dict[str, Tuple[int, ...]]:
+    """Cyclic partition factors making unrolled copies hit distinct banks.
+
+    For each array dimension: the product of the extents of completely
+    unrolled loop dims appearing in its index expression, capped by the
+    dimension's extent and ``max_banks``.  ``spreads`` are the
+    :func:`unroll_spreads` of the scheduled program (by default: the
+    function's current schedule, replayed here).
+    """
+    if spreads is None:
+        spreads = unroll_spreads(PolyProgram(function).apply_schedule())
+    return {
+        name: tuple(
+            max(1, min(spread, extent, max_banks)) for spread, extent in zip(values, shape)
+        )
+        for name, (shape, values) in spreads.items()
+    }

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,6 +69,12 @@ from repro.hls.power import estimate_power
 from repro.hls.report import LoopReport, Resources, SynthesisReport
 
 _ENUM_CAP = 4096  # max unrolled copies enumerated exactly for bank analysis
+
+#: Up to this many enumerated rows (unrolled copies x distinct accesses)
+#: the bank-pressure count runs over plain integer columns: below it,
+#: numpy's fixed per-call cost outweighs the work.  Both paths count the
+#: same sets, so the threshold only affects speed.
+SCALAR_MAX_ROWS = 512
 
 
 class TransientEstimatorError(RuntimeError):
@@ -449,7 +456,7 @@ class HlsEstimator:
         """
         memo_key = (
             array_fingerprint(array),
-            tuple(tuple(str(i) for i in indices) for indices in index_lists),
+            tuple(tuple(indices) for indices in index_lists),
             tuple(unrolled_dims),
             tuple(sorted((d, trips.get(d, 1)) for d in unrolled_dims)),
             None if scheme is None else (scheme.factors, scheme.kind),
@@ -472,25 +479,20 @@ class HlsEstimator:
             banks = scheme.total_banks if scheme else 1
             return math.ceil(total / banks)
 
+        # Identical accesses enumerate identical elements.
+        accesses = list(dict.fromkeys(tuple(indices) for indices in index_lists))
         ranges = [range(max(1, trips.get(d, 1))) for d in unrolled_dims]
-        if unrolled_dims and index_lists and not _intern.reference_mode():
+        if (
+            unrolled_dims
+            and total_copies * len(accesses) > SCALAR_MAX_ROWS
+            and not _intern.reference_mode()
+        ):
             fast = _bank_pressure_vectorized(
-                array, index_lists, unrolled_dims, ranges, scheme
+                array, accesses, unrolled_dims, ranges, scheme
             )
             if fast is not None:
                 return fast
-        elements = set()
-        for combo in itertools.product(*ranges):
-            env = dict(zip(unrolled_dims, combo))
-            for indices in index_lists:
-                elements.add(tuple(_concrete_index(i, env) for i in indices))
-        if scheme is None:
-            return len(elements)
-        counts: Dict[tuple, int] = {}
-        for element in elements:
-            bank = _bank_id(array, element, scheme)
-            counts[bank] = counts.get(bank, 0) + 1
-        return max(counts.values()) if counts else 0
+        return _bank_pressure_scalar(array, accesses, unrolled_dims, ranges, scheme)
 
     def _recurrence_ii(
         self,
@@ -506,8 +508,7 @@ class HlsEstimator:
         carried only by unrolled dims serialize copies within one
         iteration and so extend the depth instead.
         """
-        bounds = {d: (0, max(0, trips.get(d, 1) - 1)) for d in region_dims}
-        domain = BasicSet.box(bounds, order=region_dims)
+        domain = None  # built for the first store with a self-pair
         ii_rec = 1
         depth_extra = 0
         for store, _ in stores:
@@ -520,6 +521,9 @@ class HlsEstimator:
                 pairs.append(("RAW", store.array.name, store_idx, load_idx))
             if not pairs:
                 continue
+            if domain is None:
+                bounds = {d: (0, max(0, trips.get(d, 1) - 1)) for d in region_dims}
+                domain = BasicSet.box(bounds, order=region_dims)
             extents = {d: max(1, trips.get(d, 1)) for d in region_dims}
             deps = carried_dependences_generic(region_dims, domain, pairs, extents)
             for dep in deps:
@@ -588,19 +592,59 @@ def _accesses_by_array(stores) -> Dict[str, Tuple[object, List[List[AffineExpr]]
     return result
 
 
-def _concrete_index(index: AffineExpr, env: Dict[str, int]) -> int:
-    """Evaluate an index with unbound (outer) iterators pinned to 0."""
-    value = index.constant
-    for name, coeff in index.coeffs.items():
-        value += coeff * env.get(name, 0)
-    return value
+def _bank_pressure_scalar(array, accesses, unrolled_dims, ranges, scheme) -> int:
+    """Bank pressure by plain integer columns (the reference enumeration).
+
+    One column of values per index of each access over the grid of
+    unrolled copies (iterators outside ``unrolled_dims`` are pinned to
+    0); the distinct element rows are then mapped to bank ids, column by
+    column, and the fullest bank is the pressure.
+    """
+    grid = list(itertools.product(*ranges))
+    position = {name: at for at, name in enumerate(unrolled_dims)}
+    elements = set()
+    for indices in accesses:
+        columns = []
+        for expr in indices:
+            const = expr._const
+            terms = [(position[n], c) for n, c in expr._coeffs.items() if n in position]
+            if not terms:
+                columns.append([const] * len(grid))
+            elif len(terms) == 1:
+                ((at, coeff),) = terms
+                columns.append([const + coeff * combo[at] for combo in grid])
+            else:
+                columns.append([
+                    const + sum(coeff * combo[at] for at, coeff in terms)
+                    for combo in grid
+                ])
+        if columns:
+            elements.update(zip(*columns))
+        else:  # a scalar: one element whatever the copy
+            elements.add(())
+    if scheme is None or not elements:
+        return len(elements)
+    banks = []
+    for values, factor, extent in zip(zip(*elements), scheme.factors, array.shape):
+        if factor <= 1:
+            continue
+        if scheme.kind == "cyclic":
+            banks.append([value % factor for value in values])
+        elif scheme.kind == "block":
+            size = math.ceil(extent / factor)
+            banks.append([min(factor - 1, value // size) for value in values])
+        else:  # complete
+            banks.append(values)
+    if not banks:
+        return len(elements)
+    return max(Counter(zip(*banks)).values())
 
 
 def _bank_pressure_vectorized(array, index_lists, unrolled_dims, ranges, scheme):
     """Numpy bank-pressure enumeration, or None to fall back.
 
-    Counts the same distinct (element, bank) sets as the scalar loop in
-    ``_bank_pressure_uncached`` -- numpy's ``%`` and ``//`` agree with
+    Counts the same distinct (element, bank) sets as
+    :func:`_bank_pressure_scalar` -- numpy's ``%`` and ``//`` agree with
     Python's for negative operands, so bank ids match exactly.
     """
     grid = _matrix.candidate_grid(ranges)
@@ -662,20 +706,6 @@ def _unique_rows(rows: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
         np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
     )
     return ordered[starts], np.diff(np.append(starts, rows.shape[0]))
-
-
-def _bank_id(array, element: tuple, scheme) -> tuple:
-    bank = []
-    for value, factor, extent in zip(element, scheme.factors, array.shape):
-        if factor <= 1:
-            bank.append(0)
-        elif scheme.kind == "cyclic":
-            bank.append(value % factor)
-        elif scheme.kind == "block":
-            bank.append(min(factor - 1, value // math.ceil(extent / factor)))
-        else:  # complete
-            bank.append(value)
-    return tuple(bank)
 
 
 def _freeze_outer(expr: AffineExpr, region_dims: Sequence[str]) -> AffineExpr:

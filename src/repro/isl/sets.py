@@ -26,6 +26,7 @@ from repro.isl.constraint import (
     EQ,
     GE,
     Constraint,
+    _intern_normalized,
     check_fm_pairs,
     prune_parallel,
 )
@@ -75,6 +76,9 @@ class LoopBound:
             return value // self.divisor
         fn = self._fn
         if fn is None:
+            if not self.expr._coeffs:  # a constant folds; nothing to compile
+                value = self.expr._const
+                return -((-value) // self.divisor) if self.is_lower else value // self.divisor
             fn = self._fn = _evalc.compile_bound(self.expr, self.divisor, self.is_lower)
         return fn(values)
 
@@ -132,12 +136,21 @@ class BasicSet:
         ranges after ``hi = extent - 1`` conversion done by callers.
         """
         dims = tuple(order) if order is not None else tuple(bounds)
+        if len(set(dims)) != len(dims):
+            raise ValueError(f"duplicate dimension names in {dims!r}")
+        # ``d - lo >= 0`` and ``hi - d >= 0`` are already normalized and
+        # pairwise non-parallel: intern them as they are and skip the
+        # constructor's checks (the same objects Constraint.ge/le build).
         constraints = []
         for name in dims:
             lo, hi = bounds[name]
-            constraints.append(Constraint.ge(AffineExpr.var(name), lo))
-            constraints.append(Constraint.le(AffineExpr.var(name), hi))
-        return BasicSet(dims, constraints)
+            constraints.append(_intern_normalized(AffineExpr({name: 1}, -lo), GE))
+            constraints.append(_intern_normalized(AffineExpr({name: -1}, hi), GE))
+        box = object.__new__(BasicSet)
+        box._hash = None
+        box.dims = dims
+        box.constraints = tuple(constraints)
+        return box
 
     @staticmethod
     def universe(dims: Sequence[str]) -> "BasicSet":

@@ -70,6 +70,18 @@ def known_workloads() -> Tuple[str, ...]:
     return workloads.names()
 
 
+def _validate_dse_options(options: dict) -> None:
+    """``DseOptions.validate`` on a request's options (device aside: it
+    is a name here), so a bad number is refused before queueing."""
+    from repro.dse.options import DseOptions
+
+    values = {key: value for key, value in options.items() if key != "device"}
+    try:
+        DseOptions(**values).validate()
+    except TypeError as exc:
+        raise ValueError(f"invalid dse options: {exc}") from None
+
+
 @dataclass
 class JobSpec:
     """One validated job request."""
@@ -130,6 +142,8 @@ class JobSpec:
             from repro.hls.device import get_device
 
             get_device(device)  # raises on unknown names / bad modifiers
+        if kind == "dse":
+            _validate_dse_options(options)
         fault = payload.get("fault")
         if fault is not None:
             if kind != "dse":

@@ -199,9 +199,9 @@ def test_perfsmoke_a_dnn_sweep_builds_its_program_once(monkeypatch):
 
     derive = evaluator_mod.derive_partitions
 
-    def counting_derive(function, max_banks=128, program=None):
-        counts["own_programs"] += program is None
-        return derive(function, max_banks=max_banks, program=program)
+    def counting_derive(function, max_banks=128, spreads=None):
+        counts["own_programs"] += spreads is None
+        return derive(function, max_banks=max_banks, spreads=spreads)
 
     monkeypatch.setattr(PolyStatement, "from_compute", staticmethod(counting_from_compute))
     monkeypatch.setattr(PolyProgram, "_apply_directive", counting_apply)

@@ -73,6 +73,30 @@ class TestErrors:
         with pytest.raises(ValueError, match=match):
             DseOptions(**changes).validate()
 
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"resource_fraction": float("nan")}, "resource_fraction must be > 0 and <= 1"),
+            ({"resource_fraction": float("inf")}, "resource_fraction must be > 0 and <= 1"),
+            ({"resource_fraction": 2.0}, "resource_fraction must be > 0 and <= 1"),
+            ({"clock_ns": float("nan")}, "clock_ns must be > 0 and finite"),
+            ({"clock_ns": float("inf")}, "clock_ns must be > 0 and finite"),
+            ({"candidate_timeout_s": float("nan")}, "candidate_timeout_s must be >= 0 and finite"),
+            ({"time_budget_s": float("nan")}, "deadline budget must be >= 0 and finite"),
+            ({"time_budget_s": float("inf")}, "deadline budget must be >= 0 and finite"),
+        ],
+        ids=["fraction-nan", "fraction-inf", "fraction-2", "clock-nan", "clock-inf",
+             "timeout-nan", "budget-nan", "budget-inf"],
+    )
+    def test_non_finite_and_out_of_range_numbers_are_refused(self, changes, match):
+        """nan compares false against every bound, and a fraction above 1
+        used to run on the full device."""
+        with pytest.raises(ValueError, match=match):
+            DseOptions(**changes).validate()
+
+    def test_the_full_device_is_a_valid_fraction(self):
+        assert DseOptions(resource_fraction=1.0).validate().resource_fraction == 1.0
+
     def test_engine_rejects_invalid_options_identically(self):
         with pytest.raises(ValueError, match="resource_fraction must be > 0"):
             auto_dse(

@@ -56,6 +56,35 @@ class TestCompile:
         assert "void jacobi_1d" in capsys.readouterr().out
 
 
+class TestDseOptionErrors:
+    """A bad DSE number exits with its one-line message, not a run on the
+    full device or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dse", "gemm", "--resource-fraction", "nan"], "resource_fraction must be > 0 and <= 1, got nan"),
+            (["dse", "gemm", "--resource-fraction", "inf"], "resource_fraction must be > 0 and <= 1, got inf"),
+            (["dse", "gemm", "--resource-fraction", "2"], "resource_fraction must be > 0 and <= 1, got 2.0"),
+            (["dse", "gemm", "--resource-fraction", "0"], "resource_fraction must be > 0 and <= 1, got 0.0"),
+            (["dse", "gemm", "--resource-fraction", "-1"], "resource_fraction must be > 0 and <= 1, got -1.0"),
+            (["dse", "gemm", "--time-budget", "nan"], "deadline budget must be >= 0 and finite, got nan"),
+            (["dse", "gemm", "--time-budget", "-1"], "deadline budget must be >= 0 and finite, got -1.0"),
+            (["dse", "gemm", "--candidate-timeout", "nan"], "candidate_timeout_s must be >= 0 and finite, got nan"),
+            (["dse", "--all", "--resource-fraction", "2"], "resource_fraction must be > 0 and <= 1, got 2.0"),
+            (["compile", "gemm", "--dse", "--resource-fraction", "nan"], "resource_fraction must be > 0 and <= 1, got nan"),
+            (["compile", "gemm", "--dse", "--resource-fraction", "0"], "resource_fraction must be > 0 and <= 1, got 0.0"),
+        ],
+        ids=["fraction-nan", "fraction-inf", "fraction-2", "fraction-0", "fraction-negative",
+             "budget-nan", "budget-negative", "timeout-nan", "all-fraction-2",
+             "compile-fraction-nan", "compile-fraction-0"],
+    )
+    def test_exits_with_one_line(self, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--size", "8"])
+        assert excinfo.value.code == message
+
+
 class TestExperiment:
     def test_single_experiment(self, capsys):
         assert main(["experiment", "fig2", "--size", "32"]) == 0

@@ -154,6 +154,26 @@ class TestMalformedRequests:
     """Bad request fields answer 400 SRV001 instead of dropping the
     connection with a traceback."""
 
+    @pytest.mark.parametrize("options", [
+        {"resource_fraction": float("nan")},
+        {"resource_fraction": float("inf")},
+        {"resource_fraction": 2},
+        {"resource_fraction": 0},
+        {"resource_fraction": -1},
+        {"time_budget_s": float("nan")},
+        {"candidate_timeout_s": float("nan")},
+        {"resource_fraction": "half"},
+    ], ids=["fraction-nan", "fraction-inf", "fraction-2", "fraction-0",
+            "fraction-negative", "budget-nan", "timeout-nan", "fraction-string"])
+    def test_bad_dse_option_is_refused_before_queueing(self, serve_factory, options):
+        """These used to be accepted (202): out-of-range fractions ran on
+        the full device, 0 and -1 failed later in the worker."""
+        server, client = serve_factory()
+        body = {"kind": "dse", "workload": "gemm", "size": 16, "options": options}
+        status, payload = client.request("POST", "/v1/jobs", body)
+        assert (status, payload["code"]) == (400, "SRV001"), payload
+        assert client.status()["queue"]["jobs"] == 0
+
     @pytest.mark.parametrize("content_length", ["abc", "-5"])
     def test_bad_content_length(self, serve_factory, content_length):
         server, client = serve_factory()
