@@ -2,19 +2,17 @@
 
 Times the raw substrate kernels that PR "trace-driven raw-speed push"
 vectorized -- Fourier-Motzkin elimination (:func:`repro.isl.matrix.
-eliminate`), the compiled trip-count envelope used per candidate
-schedule by the latency model, the compiled scalar ``LoopBound.
-evaluate``, and vectorized ``count_points`` -- against the reference
+eliminate`) and ``count_points`` -- against the reference
 implementations that ``REPRO_ISL_REFERENCE=1`` pins, then records the
 before/after numbers to ``BENCH_isl.json`` at the repo root.
 
 Every section first asserts bit-identity between the two paths (the
 reference path is a differential oracle, never a behaviour switch) and
-only then asserts the speed bar: >= 5x on the FM elimination and
-trip-count (bound evaluation) microbenchmarks, and never-slower floors
-on the informational rows.  A final end-to-end section re-runs one
-``auto_dse`` workload in both modes to show the kernels compose into a
-wall-clock win outside microbenchmarks.
+only then asserts the speed bar: >= 5x on the FM elimination
+microbenchmark and a never-slower floor on point counting.  A final
+end-to-end section re-runs one ``auto_dse`` workload in both modes to
+show the kernels compose into a wall-clock win outside
+microbenchmarks.
 """
 
 import json
@@ -23,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.affine.ir import AffineForOp
 from repro.dse import auto_dse
 from repro.dse.options import DseOptions
 from repro.isl import intern as _intern
@@ -32,15 +29,13 @@ from repro.isl import memo as _isl_memo
 from repro.isl import sets as _sets
 from repro.isl.affine import AffineExpr
 from repro.isl.constraint import Constraint
-from repro.isl.sets import BasicSet, LoopBound
+from repro.isl.sets import BasicSet
 from repro.util import atomic_write
 from repro.workloads import polybench
 
 FM_BAR = 5.0
-TRIP_BAR = 5.0
-#: Informational rows must never regress below the reference path;
-#: floors are deliberately lower than the measured ratios for CI slack.
-SCALAR_FLOOR = 1.2
+#: Point counting must never regress below the reference path; the
+#: floor is deliberately lower than the measured ratio for CI slack.
 COUNT_FLOOR = 2.0
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_isl.json"
@@ -98,60 +93,6 @@ def _bench_fm():
             "speedup": round(ref_s / vec_s, 2),
         }
     return rows
-
-
-def _bench_trip():
-    lowers = [
-        LoopBound(AffineExpr({"io": 1, "jo": 2}, 3), 2, True),
-        LoopBound(AffineExpr({}, 0), 1, True),
-    ]
-    uppers = [
-        LoopBound(AffineExpr({"io": 4, "ko": -3}, 1021), 4, False),
-        LoopBound(AffineExpr({"jo": 1}, 255), 1, False),
-    ]
-    loop = AffineForOp("i", lowers, uppers)
-    extents = [{"io": n, "jo": n + 7, "ko": 2 * n + 1} for n in range(1, 65)]
-
-    def run():
-        return [loop.max_trip_count(e) for e in extents]
-
-    _intern.set_reference_mode(True)
-    try:
-        expected = run()
-        ref_s = _best_time(run, number=20)
-    finally:
-        _intern.set_reference_mode(False)
-    assert run() == expected  # compiled envelope is bit-identical
-    fast_s = _best_time(run, number=20)
-    return {
-        "calls": len(extents),
-        "reference_s": round(ref_s, 6),
-        "vectorized_s": round(fast_s, 6),
-        "speedup": round(ref_s / fast_s, 2),
-    }
-
-
-def _bench_scalar_bound():
-    bound = LoopBound(AffineExpr({"i": 3, "j": -2, "k": 5}, 17), 4, True)
-    points = [{"i": n, "j": 2 * n, "k": n - 9} for n in range(256)]
-
-    def run():
-        return [bound.evaluate(p) for p in points]
-
-    _intern.set_reference_mode(True)
-    try:
-        expected = run()
-        ref_s = _best_time(run, number=20)
-    finally:
-        _intern.set_reference_mode(False)
-    assert run() == expected
-    fast_s = _best_time(run, number=20)
-    return {
-        "calls": len(points),
-        "reference_s": round(ref_s, 6),
-        "vectorized_s": round(fast_s, 6),
-        "speedup": round(ref_s / fast_s, 2),
-    }
 
 
 def _bench_count_points():
@@ -227,8 +168,6 @@ def test_isl_kernel_speedups(polybench_size, benchmark):
 
     def run_all():
         state["fm"] = _bench_fm()
-        state["trip"] = _bench_trip()
-        state["scalar"] = _bench_scalar_bound()
         state["count"] = _bench_count_points()
         state["end_to_end"] = _bench_end_to_end(polybench_size)
 
@@ -242,8 +181,6 @@ def test_isl_kernel_speedups(polybench_size, benchmark):
                 "asserted_min": FM_BAR,
                 "rows": list(fm.values()),
             },
-            "trip_count": dict(state["trip"], asserted_min=TRIP_BAR),
-            "bound_eval_scalar": dict(state["scalar"], asserted_min=SCALAR_FLOOR),
             "count_points": dict(state["count"], asserted_min=COUNT_FLOOR),
         },
         "end_to_end": state["end_to_end"],
@@ -255,11 +192,6 @@ def test_isl_kernel_speedups(polybench_size, benchmark):
         f"vectorized FM elimination {fm_largest['speedup']}x below the "
         f"{FM_BAR}x bar at n={fm_largest['constraints']}"
     )
-    assert state["trip"]["speedup"] >= TRIP_BAR, (
-        f"compiled trip-count evaluation {state['trip']['speedup']}x "
-        f"below the {TRIP_BAR}x bar"
-    )
-    assert state["scalar"]["speedup"] >= SCALAR_FLOOR
     assert state["count"]["speedup"] >= COUNT_FLOOR
     assert state["end_to_end"]["speedup"] >= 1.0, (
         "optimized end-to-end DSE slower than the reference path: "

@@ -9,7 +9,7 @@ the XC7Z020 budget.
 Run:  python examples/image_pipeline.py
 """
 
-from repro.depgraph import build_dependence_graph
+from repro.depgraph import RAW, build_dependence_graph
 from repro.hls.report import speedup
 from repro.pipeline import estimate
 from repro.workloads.image import blur, edge_detect
@@ -23,7 +23,7 @@ def inspect_graph(function):
     print("  data paths:", [" -> ".join(p) for p in graph.data_paths()])
     for name in graph.nodes:
         analysis = graph.node_analysis(name)
-        carried = [str(d) for d in analysis.carried_raw()]
+        carried = [str(d) for d in analysis.carried if d.kind == RAW]
         print(f"  {name}: reduction dims={analysis.reduction_dims} carried={carried or 'none'}")
 
 

@@ -31,7 +31,6 @@ from repro.affine.ir import (
     ValueOp,
 )
 from repro.affine.lowering import lower_ast, lower_expr, lower_program
-from repro.affine.parser import ParseError, parse_func
 from repro.affine.passes import PassManager, canonicalize, default_pipeline
 from repro.affine.printer import print_func
 
@@ -44,5 +43,4 @@ __all__ = [
     "simulate", "compile_func", "CompiledKernel", "KernelStats",
     "reference_mode", "set_reference_mode",
     "PassManager", "canonicalize", "default_pipeline",
-    "parse_func", "ParseError",
 ]

@@ -4,9 +4,8 @@
 :class:`~repro.affine.ir.FuncOp` node-by-node through a Python tree
 walk, which makes it a trustworthy oracle but caps differential
 validation at toy sizes.  This module compiles the same IR to an
-exec-built Python kernel -- the :mod:`repro.isl.evalc` discipline, one
-layer up: affine coefficients are baked into the source as literals,
-the compiled function is cached on the active
+exec-built Python kernel: affine coefficients are baked into the source
+as literals, the compiled function is cached on the active
 :class:`~repro.isl.intern.InternContext` keyed by the function's
 structural fingerprint, and a ``REPRO_SIM_REFERENCE`` escape hatch
 (mirroring ``REPRO_ISL_REFERENCE``) forces every simulation back

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-from repro.dsl.dtypes import DType, float32
+from repro.dsl.dtypes import DType
 from repro.dsl.placeholder import Placeholder
-from repro.isl import evalc as _evalc
-from repro.isl import intern as _intern
 from repro.isl.affine import AffineExpr
 from repro.isl.constraint import Constraint
 from repro.isl.sets import LoopBound
@@ -232,10 +230,6 @@ class AffineForOp(Op):
         self.lowers = lowers
         self.uppers = uppers
         self.body = body if body is not None else Block()
-        # (lowers, uppers, compiled trip fn or None, constant trip
-        # count or None); revalidated by list identity since passes
-        # replace the bound lists wholesale.
-        self._trip_state = None
 
     def regions(self):
         return (self.body,)
@@ -263,26 +257,6 @@ class AffineForOp(Op):
         Used by the latency model for triangular (skewed) loops, where a
         conservative constant envelope bounds the variable trip count.
         """
-        # Direct module-flag read: reference_mode() as a call costs as
-        # much as the cache hit itself on this hot path.
-        if not _intern._REFERENCE:
-            # Constant bounds give constant_trip_count; anything else a
-            # compiled envelope evaluator (cached per (lowers, uppers)
-            # signature on the intern context).  Either is cached on the
-            # instance.
-            state = self._trip_state
-            if (
-                state is None
-                or state[0] is not self.lowers
-                or state[1] is not self.uppers
-            ):
-                constant = self.constant_trip_count()
-                fn = None if constant is not None else _evalc.compile_trip(
-                    tuple(self.lowers), tuple(self.uppers)
-                )
-                state = self._trip_state = (self.lowers, self.uppers, fn, constant)
-            fn = state[2]
-            return state[3] if fn is None else fn(outer_extents)
         constant = self.constant_trip_count()
         if constant is not None:
             return constant

@@ -608,6 +608,13 @@ def cmd_experiment(args) -> int:
     else:
         known = ", ".join(sorted(ALL_EXPERIMENTS))
         raise SystemExit(f"unknown experiment {args.name!r}; available: {known}, all")
+    if args.size is not None and args.size < 1:
+        from repro.diagnostics import DiagnosticError
+
+        raise SystemExit(str(DiagnosticError(
+            f"experiment {args.name!r}: size must be a positive integer, got {args.size!r}",
+            code="WLD002",
+        )))
 
     for name in names:
         experiment = ALL_EXPERIMENTS[name]

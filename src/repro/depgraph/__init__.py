@@ -15,7 +15,6 @@ from repro.depgraph.analysis import (
     NodeAnalysis,
     analyze_compute,
     cross_offsets,
-    dependence_relation,
     domain_of,
 )
 from repro.depgraph.graph import (
@@ -24,7 +23,6 @@ from repro.depgraph.graph import (
     DependenceNode,
     build_dependence_graph,
 )
-from repro.depgraph.dot import to_dot, write_dot
 from repro.depgraph.vectors import DirectionVector, DistanceVector, permute
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "NodeAnalysis",
     "analyze_compute",
     "cross_offsets",
-    "dependence_relation",
     "domain_of",
     "DependenceGraph",
     "DependenceEdge",
@@ -41,8 +38,6 @@ __all__ = [
     "DistanceVector",
     "DirectionVector",
     "permute",
-    "to_dot",
-    "write_dot",
     "RAW",
     "WAR",
     "WAW",

@@ -45,19 +45,6 @@ class CarriedDependence:
     def carried_dim(self) -> str:
         return self.dims[self.level]
 
-    def elementary_distance(self) -> DistanceVector:
-        """The paper-style distance vector of the *elementary* dependence.
-
-        The raw relation includes transitively-implied pairs, so the
-        carried entry may be non-constant; reporting the minimum carried
-        distance there recovers the vector the paper quotes (e.g.
-        ``(0, 0, 1)`` for a reduction along ``k``, Fig. 8-3).
-        """
-        entries = list(self.distance.entries)
-        if entries[self.level] is None and self.min_distance is not None:
-            entries[self.level] = self.min_distance
-        return DistanceVector(self.dims, tuple(entries))
-
     def __str__(self):
         return (
             f"{self.kind}[{self.array}] carried at {self.carried_dim} "
@@ -72,26 +59,6 @@ class NodeAnalysis:
     compute: Compute
     reduction_dims: List[str] = field(default_factory=list)
     carried: List[CarriedDependence] = field(default_factory=list)
-
-    @property
-    def dims(self) -> List[str]:
-        return self.compute.iter_names
-
-    def carried_raw(self) -> List[CarriedDependence]:
-        return [d for d in self.carried if d.kind == RAW]
-
-    def dims_with_carried_raw(self) -> List[str]:
-        return sorted({d.carried_dim for d in self.carried_raw()})
-
-    def free_dims(self) -> List[str]:
-        """Dims carrying no RAW dependence (safe to pipeline/unroll over)."""
-        carried = set(self.dims_with_carried_raw())
-        return [d for d in self.dims if d not in carried]
-
-    def has_tight_innermost_dependence(self) -> bool:
-        """Whether a RAW dependence is carried by the innermost loop."""
-        innermost = self.dims[-1]
-        return any(d.carried_dim == innermost for d in self.carried_raw())
 
 
 def domain_of(compute: Compute, dims: Optional[Sequence[str]] = None) -> BasicSet:
@@ -135,18 +102,6 @@ def _carried_at(relation: BasicSet, dims: Sequence[str], level: int) -> BasicSet
     all dims above it and strict lexicographic precedence at it."""
     above = [Constraint.eq(_step(d), 0) for d in dims[:level]]
     return relation.with_constraints(above + [Constraint.ge(_step(dims[level]), 1)])
-
-
-def dependence_relation(compute: Compute, src: Access, snk: Access, level: int) -> BasicSet:
-    """Instances ``(v, v')`` with ``src(v) == snk(v')`` carried at ``level``.
-
-    The source instance precedes the sink lexicographically with equality
-    on all dims above ``level`` and strict inequality at ``level``.
-    """
-    dims = compute.iter_names
-    equalities = _access_equalities(dims, src.affine_indices(), snk.affine_indices())
-    relation = _pair_relation(dims, domain_of(compute), equalities)
-    return _carried_at(relation, dims, level)
 
 
 def _pinned(equalities: Sequence[Constraint]) -> Dict[str, int]:

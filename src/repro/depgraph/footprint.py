@@ -12,7 +12,7 @@ workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.dsl.compute import Compute
 from repro.depgraph.analysis import domain_of
@@ -24,18 +24,15 @@ _OUT_PREFIX = "e"
 
 @dataclass(frozen=True)
 class ArrayFootprint:
-    """Touched region of one array: a box summary plus the exact relation.
+    """Touched region of one array: the element set and its box summary.
 
     ``footprint`` is the projected element set (bounds exact; stride
-    structure is lost to the rational shadow); ``relation`` keeps the
-    full iteration-to-element set so :meth:`exact_elements` can count
-    strided footprints precisely by enumeration.
+    structure is lost to the rational shadow).
     """
 
     array: str
     footprint: BasicSet                      # over element dims e0, e1, ...
     box: Tuple[Tuple[int, int], ...]         # inclusive per-dim bounds
-    relation: Optional[BasicSet] = None      # over iter dims + element dims
 
     @property
     def box_elements(self) -> int:
@@ -43,16 +40,6 @@ class ArrayFootprint:
         for lo, hi in self.box:
             total *= max(0, hi - lo + 1)
         return total
-
-    def exact_elements(self, limit: int = 1_000_000) -> int:
-        """Exact count of distinct touched elements (small sets only)."""
-        if self.relation is None:
-            return self.footprint.count_points(limit)
-        element_dims = [d for d in self.relation.dims if d.startswith(_OUT_PREFIX)]
-        seen = set()
-        for point in self.relation.points(limit):
-            seen.add(tuple(point[d] for d in element_dims))
-        return len(seen)
 
 
 def access_footprint(compute: Compute, access) -> ArrayFootprint:
@@ -71,7 +58,7 @@ def access_footprint(compute: Compute, access) -> ArrayFootprint:
                 f"unbounded footprint dimension {name}"
             )
         box.append((lo, hi))
-    return ArrayFootprint(access.array_name, image, tuple(box), restricted.wrapped)
+    return ArrayFootprint(access.array_name, image, tuple(box))
 
 
 def compute_footprints(compute: Compute) -> Dict[str, ArrayFootprint]:
@@ -88,7 +75,7 @@ def compute_footprints(compute: Compute) -> Dict[str, ArrayFootprint]:
                 for a, b in zip(previous.box, fp.box)
             )
             results[access.array_name] = ArrayFootprint(
-                access.array_name, previous.footprint, merged, previous.relation
+                access.array_name, previous.footprint, merged
             )
     return results
 

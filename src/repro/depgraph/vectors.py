@@ -32,18 +32,6 @@ class DistanceVector:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def carried_level(self) -> Optional[int]:
-        """Index of the outermost dimension with a non-zero distance.
-
-        ``None`` for loop-independent dependences (all-zero vector) --
-        and for vectors whose leading entries are unknown the first
-        unknown is treated as potentially carried.
-        """
-        for index, entry in enumerate(self.entries):
-            if entry is None or entry != 0:
-                return index
-        return None
-
     def direction(self) -> "DirectionVector":
         signs = []
         for entry in self.entries:
@@ -78,20 +66,6 @@ class DirectionVector:
 
     def __getitem__(self, dim: str) -> str:
         return self.entries[self.dims.index(dim)]
-
-    def is_lexicographically_positive(self) -> bool:
-        """Whether every realization of the vector is lex-positive.
-
-        A legal dependence (source before sink) must be lex-positive;
-        transformations that could flip the leading non-``=`` entry to
-        ``>`` are illegal.
-        """
-        for entry in self.entries:
-            if entry == LT:
-                return True
-            if entry in (GT, ANY):
-                return False
-        return False  # all '=' is loop-independent, not positive
 
     def __str__(self):
         return f"({', '.join(self.entries)})"

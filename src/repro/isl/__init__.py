@@ -13,7 +13,6 @@ from repro.isl.affine import AffineExpr
 from repro.isl.constraint import Constraint
 from repro.isl.sets import BasicSet
 from repro.isl.maps import MultiAffineMap, ScheduleMap
-from repro.isl.union import UnionSet, lexmax, lexmin
 from repro.isl.astbuild import (
     AstBuilder,
     BlockNode,
@@ -26,9 +25,6 @@ __all__ = [
     "AffineExpr",
     "Constraint",
     "BasicSet",
-    "UnionSet",
-    "lexmin",
-    "lexmax",
     "MultiAffineMap",
     "ScheduleMap",
     "AstBuilder",

@@ -34,34 +34,32 @@ Interning discipline (see ``docs/performance.md``):
 This module also owns the ``REPRO_ISL_REFERENCE`` escape hatch: with
 the environment variable set (or :func:`set_reference_mode`), the isl
 substrate routes every optimized kernel -- vectorized Fourier-Motzkin,
-compiled bound evaluators, vectorized point counting and bank
-enumeration -- through the original pure-Python implementations, and
-asks Fourier-Motzkin everything the AST build otherwise decides from
-its loop nest or projects from a subset (``astbuild._implies``,
-``BasicSet._reaching``) and everything dependence analysis otherwise
-shows non-empty by a witness pair (``depgraph.analysis``); the
-differential test suite holds all of it bit-identical to the fast path.
+vectorized point counting and bank enumeration -- through the original
+pure-Python implementations, and asks Fourier-Motzkin everything the
+AST build otherwise decides from its loop nest or projects from a
+subset (``astbuild._implies``, ``BasicSet._reaching``) and everything
+dependence analysis otherwise shows non-empty by a witness pair
+(``depgraph.analysis``); the differential test suite holds all of it
+bit-identical to the fast path.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
 #: Default capacity of each intern table before a wholesale clear.
 DEFAULT_CAP = 1 << 17
 
 
 class InternContext:
-    """One process/session worth of intern + compiled-evaluator tables.
+    """One process/session worth of intern + compiled-kernel tables.
 
     ``exprs`` and ``constraints`` map structural keys to the canonical
-    interned instance.  ``bound_fns`` and ``trip_fns`` cache compiled
-    evaluators (see :mod:`repro.isl.evalc`) keyed on interned atoms, so
-    a cleared or replaced context also drops its compiled code.
+    interned instance.
     """
 
-    __slots__ = ("cap", "exprs", "constraints", "bound_fns", "trip_fns", "kernel_fns")
+    __slots__ = ("cap", "exprs", "constraints", "kernel_fns")
 
     def __init__(self, cap: int = DEFAULT_CAP):
         if cap <= 0:
@@ -69,8 +67,6 @@ class InternContext:
         self.cap = cap
         self.exprs: Dict[Any, Any] = {}
         self.constraints: Dict[Any, Any] = {}
-        self.bound_fns: Dict[Any, Any] = {}
-        self.trip_fns: Dict[Any, Any] = {}
         # Compiled whole-function simulation kernels keyed by FuncOp
         # fingerprint (see repro.affine.compile); kept here so a cleared
         # or per-session context drops its compiled code with it.
@@ -81,8 +77,6 @@ class InternContext:
         return {
             "exprs": len(self.exprs),
             "constraints": len(self.constraints),
-            "bound_fns": len(self.bound_fns),
-            "trip_fns": len(self.trip_fns),
             "kernel_fns": len(self.kernel_fns),
         }
 
@@ -90,8 +84,6 @@ class InternContext:
         """Drop every table (live objects stay valid; see module docs)."""
         self.exprs.clear()
         self.constraints.clear()
-        self.bound_fns.clear()
-        self.trip_fns.clear()
         self.kernel_fns.clear()
 
 

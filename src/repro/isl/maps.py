@@ -10,7 +10,7 @@ dimensions that carry loop iterators.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.isl.affine import AffineExpr, ExprLike
 
@@ -29,10 +29,6 @@ class MultiAffineMap:
                     raise ValueError(f"output {expr} uses unknown input dim {name!r}")
         self.exprs: Tuple[AffineExpr, ...] = coerced
 
-    @staticmethod
-    def identity(dims: Sequence[str]) -> "MultiAffineMap":
-        return MultiAffineMap(dims, [AffineExpr.var(d) for d in dims])
-
     @property
     def n_out(self) -> int:
         return len(self.exprs)
@@ -43,27 +39,6 @@ class MultiAffineMap:
     def substitute(self, bindings: Mapping[str, ExprLike], new_in_dims: Sequence[str]) -> "MultiAffineMap":
         """Rewrite input dims (the access-update step of split/tile/skew)."""
         return MultiAffineMap(new_in_dims, [e.substitute(bindings) for e in self.exprs])
-
-    def rename_inputs(self, mapping: Mapping[str, str]) -> "MultiAffineMap":
-        return MultiAffineMap(
-            tuple(mapping.get(d, d) for d in self.in_dims),
-            [e.rename(mapping) for e in self.exprs],
-        )
-
-    def compose(self, inner: "MultiAffineMap") -> "MultiAffineMap":
-        """``self . inner``: apply ``inner`` first, then ``self``.
-
-        ``inner`` must have as many outputs as ``self`` has inputs; the
-        i-th input dim of ``self`` is bound to the i-th output of
-        ``inner``.
-        """
-        if inner.n_out != len(self.in_dims):
-            raise ValueError(
-                f"cannot compose: inner has {inner.n_out} outputs, "
-                f"self has {len(self.in_dims)} inputs"
-            )
-        bindings = dict(zip(self.in_dims, inner.exprs))
-        return MultiAffineMap(inner.in_dims, [e.substitute(bindings) for e in self.exprs])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiAffineMap):
@@ -154,12 +129,6 @@ class ScheduleMap:
     def substitute(self, bindings: Mapping[str, ExprLike], new_in_dims: Sequence[str]) -> "ScheduleMap":
         return ScheduleMap(new_in_dims, [e.substitute(bindings) for e in self.entries])
 
-    def rename_inputs(self, mapping: Mapping[str, str]) -> "ScheduleMap":
-        return ScheduleMap(
-            tuple(mapping.get(d, d) for d in self.in_dims),
-            [e.rename(mapping) for e in self.entries],
-        )
-
     def pad_to_depth(self, depth: int) -> "ScheduleMap":
         """Append ``(dyn 0, static 0)`` pairs until reaching ``depth``.
 
@@ -192,10 +161,3 @@ class ScheduleMap:
         outs = ", ".join(str(e) for e in self.entries)
         return f"{{ [{', '.join(self.in_dims)}] -> [{outs}] }}"
 
-
-def lex_less(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Strict lexicographic comparison of two timestamps."""
-    for left, right in zip(a, b):
-        if left != right:
-            return left < right
-    return len(a) < len(b)

@@ -2,16 +2,16 @@
 
 isl's ``basic_map`` counterpart: a relation ``{ in -> out : constraints }``
 over the disjoint union of input and output dims.  Supports the
-operations the analyses need -- building from a function
-(:class:`~repro.isl.maps.MultiAffineMap`), composition, reversal,
-domain/range restriction, and image/preimage computation via
-Fourier-Motzkin projection.  The image of an iteration domain under an
-access map is an array *footprint* -- the basis of the memory analysis.
+operations the footprint analysis needs -- building from a function
+(:class:`~repro.isl.maps.MultiAffineMap`), domain restriction, and
+domain/range projection by Fourier-Motzkin.  The range of an access map
+restricted to an iteration domain is an array *footprint* -- the basis
+of the memory analysis.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.isl.affine import AffineExpr
 from repro.isl.constraint import Constraint
@@ -54,14 +54,6 @@ class BasicMap:
         ]
         return BasicMap(func.in_dims, out_dims, constraints)
 
-    @staticmethod
-    def identity(in_dims: Sequence[str], out_dims: Sequence[str]) -> "BasicMap":
-        constraints = [
-            Constraint.eq(AffineExpr.var(o), AffineExpr.var(i))
-            for i, o in zip(in_dims, out_dims)
-        ]
-        return BasicMap(in_dims, out_dims, constraints)
-
     # -- algebra ----------------------------------------------------------------
 
     def intersect_domain(self, domain: BasicSet) -> "BasicMap":
@@ -70,44 +62,6 @@ class BasicMap:
             raise ValueError(f"domain dims {domain.dims} != {self.in_dims}")
         result = BasicMap(self.in_dims, self.out_dims)
         result.wrapped = self.wrapped.with_constraints(domain.constraints)
-        return result
-
-    def intersect_range(self, range_set: BasicSet) -> "BasicMap":
-        """Restrict the relation's outputs to ``range_set``."""
-        if range_set.dims != self.out_dims:
-            raise ValueError(f"range dims {range_set.dims} != {self.out_dims}")
-        result = BasicMap(self.in_dims, self.out_dims)
-        result.wrapped = self.wrapped.with_constraints(range_set.constraints)
-        return result
-
-    def reverse(self) -> "BasicMap":
-        """The inverse relation ``{ out -> in }``."""
-        result = BasicMap(self.out_dims, self.in_dims)
-        result.wrapped = self.wrapped.reorder_dims(self.out_dims + self.in_dims)
-        return result
-
-    def compose(self, inner: "BasicMap") -> "BasicMap":
-        """``self ∘ inner``: apply ``inner`` first.
-
-        ``inner.out_dims`` must match ``self.in_dims``; the shared middle
-        space is projected out of the joined relation.
-        """
-        if inner.out_dims != self.in_dims:
-            raise ValueError(
-                f"cannot compose: inner outputs {inner.out_dims} != "
-                f"self inputs {self.in_dims}"
-            )
-        middle = self.in_dims
-        all_dims = inner.in_dims + middle + self.out_dims
-        if len(set(all_dims)) != len(all_dims):
-            raise ValueError("composition requires disjoint end spaces")
-        joined = BasicSet(all_dims, [])
-        joined = joined.with_constraints(inner.wrapped.constraints)
-        joined = joined.with_constraints(self.wrapped.constraints)
-        for name in middle:
-            joined = joined.drop_dim(name)
-        result = BasicMap(inner.in_dims, self.out_dims)
-        result.wrapped = joined.reorder_dims(inner.in_dims + self.out_dims)
         return result
 
     # -- images ---------------------------------------------------------------------
@@ -119,21 +73,6 @@ class BasicMap:
     def range(self) -> BasicSet:
         """Outputs related to at least one input (the image)."""
         return self.wrapped.project_onto(self.out_dims)
-
-    def image(self, domain: BasicSet) -> BasicSet:
-        """The set of outputs reachable from ``domain``.
-
-        Computed by Fourier-Motzkin projection, i.e. the *rational
-        shadow*: bounds are exact, but stride structure (``e = 4i``)
-        needs existentially quantified divs that plain projection cannot
-        express -- enumerate ``intersect_domain(domain).wrapped`` when
-        exact integer images of strided maps are needed.
-        """
-        return self.intersect_domain(domain).range()
-
-    def preimage(self, range_set: BasicSet) -> BasicSet:
-        """The set of inputs mapping into ``range_set``."""
-        return self.intersect_range(range_set).domain()
 
     # -- queries -----------------------------------------------------------------------
 

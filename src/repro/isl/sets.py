@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro import trace as _trace
-from repro.isl import evalc as _evalc
 from repro.isl import intern as _intern
 from repro.isl import matrix as _matrix
 from repro.isl import memo as _memo
@@ -45,7 +43,7 @@ class LoopBound:
     ``divisor`` is 1 for plain affine bounds.
     """
 
-    __slots__ = ("expr", "divisor", "is_lower", "_fn")
+    __slots__ = ("expr", "divisor", "is_lower")
 
     def __init__(self, expr: AffineExpr, divisor: int, is_lower: bool):
         if divisor <= 0:
@@ -60,27 +58,12 @@ class LoopBound:
         self.expr = expr
         self.divisor = divisor
         self.is_lower = is_lower
-        self._fn = None
-
-    def __reduce__(self):
-        # The compiled evaluator in _fn is process-local (exec'd code);
-        # rebuild through the constructor, which is idempotent on the
-        # already-normalized (expr, divisor) pair.
-        return (LoopBound, (self.expr, self.divisor, self.is_lower))
 
     def evaluate(self, values: Mapping[str, int]) -> int:
-        if _intern._REFERENCE:  # direct flag read; this is a hot path
-            value = self.expr.evaluate(values)
-            if self.is_lower:
-                return -((-value) // self.divisor)  # ceil division
-            return value // self.divisor
-        fn = self._fn
-        if fn is None:
-            if not self.expr._coeffs:  # a constant folds; nothing to compile
-                value = self.expr._const
-                return -((-value) // self.divisor) if self.is_lower else value // self.divisor
-            fn = self._fn = _evalc.compile_bound(self.expr, self.divisor, self.is_lower)
-        return fn(values)
+        value = self.expr.evaluate(values)
+        if self.is_lower:
+            return -((-value) // self.divisor)  # ceil division
+        return value // self.divisor
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LoopBound):

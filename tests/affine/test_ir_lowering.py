@@ -1,5 +1,8 @@
 """Unit tests for the affine dialect IR and polyhedral-AST lowering."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,60 @@ class TestMaxTripCount:
             [LoopBound(e.const(31), 4, False)],  # floor(31/4) = 7
         )
         assert loop.max_trip_count({}) == 8
+
+    def test_constant_bounds_ignore_outer_extents(self):
+        loop = AffineForOp(
+            "i",
+            [LoopBound(e.const(2), 1, True), LoopBound(e.const(5), 2, True)],
+            [LoopBound(e.const(15), 1, False)],
+        )
+        assert loop.max_trip_count({"io": 9}) == loop.constant_trip_count() == 13
+
+    def test_follows_a_replaced_bound_list(self):
+        loop = AffineForOp(
+            "i",
+            [LoopBound(e.const(0), 1, True)],
+            [LoopBound(e.const(9), 1, False)],
+        )
+        assert loop.max_trip_count({}) == 10
+        loop.uppers = [LoopBound(e.const(4), 1, False)]
+        assert loop.max_trip_count({}) == 5
+        loop.lowers = [LoopBound(e.var("io"), 1, True)]
+        assert loop.max_trip_count({"io": 3}) == 5
+
+    def test_envelope_covers_every_trip_in_the_box(self):
+        """Over random skewed bounds and small outer boxes the envelope is
+        at least the largest true trip count, and exactly it when every
+        bound is constant.  A dim missing from the extents is pinned at 0."""
+        outer = ("io", "jo")
+        rng = random.Random(11)
+
+        def bounds(is_lower):
+            return [
+                LoopBound(
+                    AffineExpr(
+                        {d: rng.randint(-4, 4) for d in rng.sample(outer, rng.randint(0, 2))},
+                        rng.randint(-20, 0) if is_lower else rng.randint(0, 20),
+                    ),
+                    rng.randint(1, 4),
+                    is_lower,
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+
+        for _ in range(300):
+            loop = AffineForOp("i", bounds(True), bounds(False))
+            extents = {d: rng.randint(1, 6) for d in rng.sample(outer, rng.randint(0, 2))}
+            box = itertools.product(*(range(extents.get(d, 1)) for d in outer))
+            true_max = max(
+                max(0, min(b.evaluate(p) for b in loop.uppers)
+                    - max(b.evaluate(p) for b in loop.lowers) + 1)
+                for p in (dict(zip(outer, values)) for values in box)
+            )
+            envelope = loop.max_trip_count(extents)
+            assert envelope >= true_max, (loop.lowers, loop.uppers, extents)
+            if loop.constant_trip_count() is not None:
+                assert envelope == true_max
 
 
 class TestExprLowering:

@@ -14,7 +14,7 @@ none of them.
 import pytest
 
 from repro import trace, workloads
-from repro.depgraph import analysis, analyze_compute
+from repro.depgraph import RAW, analysis, analyze_compute
 from repro.dse import DseOptions, auto_dse
 from repro.dsl import Function, compute, placeholder, var
 from repro.isl import intern
@@ -89,7 +89,7 @@ class TestExits:
     def test_a_pinned_nonzero_step_drops_the_levels_below(self, isl_mode):
         """Level ``j`` needs ``i' == i``, which the pin ``i' - i = 1``
         contradicts: only ``i`` carries, in both isl modes."""
-        raws = analyze_compute(shift()).carried_raw()
+        raws = [d for d in analyze_compute(shift()).carried if d.kind == RAW]
         assert [(d.level, d.distance.entries, d.min_distance) for d in raws] == [
             (0, (1, 0), 1)
         ]

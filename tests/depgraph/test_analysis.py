@@ -29,28 +29,50 @@ def make_reduction():
     return f, s
 
 
+def carried_raw(compute):
+    """The compute's carried RAW dependences."""
+    return [d for d in analyze_compute(compute).carried if d.kind == RAW]
+
+
+def carried_raw_dims(compute):
+    return sorted({d.carried_dim for d in carried_raw(compute)})
+
+
+def elementary_distance(dependence):
+    """The paper-style distance vector of the *elementary* dependence.
+
+    The relation includes transitively-implied pairs, so the carried
+    entry may be non-constant; the minimum carried distance there is
+    the entry the paper quotes (``(0, 0, 1)`` for a reduction along
+    ``k``, Fig. 8-3).
+    """
+    entries = list(dependence.distance.entries)
+    if entries[dependence.level] is None:
+        entries[dependence.level] = dependence.min_distance
+    return tuple(entries)
+
+
 class TestFig1Stencil:
     def test_distance_vector(self):
         _, s = make_fig1_stencil()
-        analysis = analyze_compute(s)
-        raws = analysis.carried_raw()
+        raws = carried_raw(s)
         assert len(raws) == 1
         assert raws[0].distance.entries == (1, 1)
 
     def test_direction_vector(self):
         _, s = make_fig1_stencil()
-        raws = analyze_compute(s).carried_raw()
+        raws = carried_raw(s)
         assert str(raws[0].direction) == "(<, <)"
 
     def test_carried_at_outer_level(self):
         _, s = make_fig1_stencil()
-        raws = analyze_compute(s).carried_raw()
+        raws = carried_raw(s)
         assert raws[0].level == 0
         assert raws[0].carried_dim == "i"
 
     def test_min_distance(self):
         _, s = make_fig1_stencil()
-        raws = analyze_compute(s).carried_raw()
+        raws = carried_raw(s)
         assert raws[0].min_distance == 1
 
     def test_no_reduction_dims(self):
@@ -72,23 +94,14 @@ class TestReduction:
 
     def test_carried_at_k(self):
         _, s = make_reduction()
-        raws = analyze_compute(s).carried_raw()
+        raws = carried_raw(s)
         assert len(raws) == 1
         assert raws[0].carried_dim == "k"
 
     def test_elementary_distance_matches_paper(self):
         # Paper Fig. 8-3 reports distance vector (0, 0, 1).
         _, s = make_reduction()
-        raw = analyze_compute(s).carried_raw()[0]
-        assert raw.elementary_distance().entries == (0, 0, 1)
-
-    def test_free_dims(self):
-        _, s = make_reduction()
-        assert analyze_compute(s).free_dims() == ["i", "j"]
-
-    def test_tight_innermost(self):
-        _, s = make_reduction()
-        assert analyze_compute(s).has_tight_innermost_dependence()
+        assert elementary_distance(carried_raw(s)[0]) == (0, 0, 1)
 
 
 class TestBicg:
@@ -111,24 +124,16 @@ class TestBicg:
 
     def test_q_carried_at_inner_j(self, graph_nodes):
         Sq, _ = graph_nodes
-        analysis = analyze_compute(Sq)
-        assert analysis.dims_with_carried_raw() == ["j"]
-        assert analysis.has_tight_innermost_dependence()
+        assert carried_raw_dims(Sq) == ["j"]
 
     def test_s_carried_at_outer_i(self, graph_nodes):
         _, Ss = graph_nodes
-        analysis = analyze_compute(Ss)
-        assert analysis.dims_with_carried_raw() == ["i"]
-        assert not analysis.has_tight_innermost_dependence()
+        assert carried_raw_dims(Ss) == ["i"]
 
     def test_conflicting_preferences(self, graph_nodes):
         """No single loop order frees the innermost level for both."""
         Sq, Ss = graph_nodes
-        free_q = set(analyze_compute(Sq).free_dims())
-        free_s = set(analyze_compute(Ss).free_dims())
-        assert free_q == {"i"}
-        assert free_s == {"j"}
-        assert not (free_q & free_s)
+        assert set(carried_raw_dims(Sq) + carried_raw_dims(Ss)) == {"i", "j"}
 
 
 class TestNoDependence:
@@ -138,9 +143,7 @@ class TestNoDependence:
             A = placeholder("A", (8,))
             B = placeholder("B", (8,))
             s = compute("S", [i], A(i) * 2.0, B(i))
-        analysis = analyze_compute(s)
-        assert analysis.carried_raw() == []
-        assert analysis.free_dims() == ["i"]
+        assert carried_raw(s) == []
 
     def test_same_array_no_overlap(self):
         # reads A[i], writes A[i]: self RAW only loop-independent, not carried
@@ -148,7 +151,7 @@ class TestNoDependence:
             i = var("i", 0, 8)
             A = placeholder("A", (8,))
             s = compute("S", [i], A(i) + 1.0, A(i))
-        assert analyze_compute(s).carried_raw() == []
+        assert carried_raw(s) == []
 
 
 class TestPinnedSteps:
@@ -163,7 +166,7 @@ class TestPinnedSteps:
             j = var("j", 0, 4)
             A = placeholder("A", (8,))
             s = compute("S", [i, j], A(i - 1) * 2.0, A(i))
-        raws = analyze_compute(s).carried_raw()
+        raws = carried_raw(s)
         assert [(d.level, d.distance.entries, d.min_distance) for d in raws] == [
             (0, (1, None), 1)
         ]

@@ -16,8 +16,13 @@ from collections import defaultdict
 import pytest
 
 from repro import workloads
-from repro.depgraph import analyze_compute, dependence_relation, domain_of
-from repro.depgraph.analysis import carried_dependences_generic
+from repro.depgraph import analyze_compute, domain_of
+from repro.depgraph.analysis import (
+    _access_equalities,
+    _carried_at,
+    _pair_relation,
+    carried_dependences_generic,
+)
 from repro.dse.analysis import carried_for_statement
 from repro.dse.stage1 import plan_stage1
 from repro.dsl import Function, compute, placeholder, var
@@ -47,6 +52,14 @@ def brute_force(dims, points, src_idx, snk_idx):
             if level is not None and delta[level] > 0:
                 carried[level].append(delta)
     return carried
+
+
+def dependence_relation(compute, src, snk, level):
+    """Instances ``(v, v')`` with ``src(v) == snk(v')`` carried at ``level``,
+    built from the engine's own pieces."""
+    dims = compute.iter_names
+    equalities = _access_equalities(dims, src.affine_indices(), snk.affine_indices())
+    return _carried_at(_pair_relation(dims, domain_of(compute), equalities), dims, level)
 
 
 def expected(dims, points, src_idx, snk_idx):

@@ -20,14 +20,6 @@ class TestDistanceVector:
         assert not DistanceVector(("i",), (1,)).is_zero()
         assert not DistanceVector(("i",), (None,)).is_zero()
 
-    def test_carried_level(self):
-        assert DistanceVector(("i", "j"), (0, 1)).carried_level() == 1
-        assert DistanceVector(("i", "j"), (1, 0)).carried_level() == 0
-        assert DistanceVector(("i", "j"), (0, 0)).carried_level() is None
-
-    def test_carried_level_unknown_entry(self):
-        assert DistanceVector(("i", "j"), (None, 1)).carried_level() == 0
-
     def test_str_renders_star(self):
         assert str(DistanceVector(("i", "j"), (1, None))) == "(1, *)"
 
@@ -45,13 +37,6 @@ class TestDirectionVector:
         with pytest.raises(ValueError):
             DirectionVector(("i",), ("?",))
 
-    def test_lex_positive(self):
-        assert DirectionVector(("i", "j"), (LT, GT)).is_lexicographically_positive()
-        assert DirectionVector(("i", "j"), (EQ, LT)).is_lexicographically_positive()
-        assert not DirectionVector(("i", "j"), (GT, LT)).is_lexicographically_positive()
-        assert not DirectionVector(("i", "j"), (EQ, EQ)).is_lexicographically_positive()
-        assert not DirectionVector(("i", "j"), (ANY, LT)).is_lexicographically_positive()
-
     def test_paper_fig1_direction(self):
         # Fig. 1: distance (1, 1) -> direction (<, <)
         d = DistanceVector(("i", "j"), (1, 1)).direction()
@@ -65,7 +50,3 @@ class TestPermute:
         assert swapped.dims == ("j", "i")
         assert swapped.entries == (1, 0)
 
-    def test_interchange_changes_carried_level(self):
-        v = DistanceVector(("i", "j"), (0, 1))
-        assert v.carried_level() == 1
-        assert permute(v, ("j", "i")).carried_level() == 0

@@ -1,9 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -94,6 +98,20 @@ class TestExperiment:
         with pytest.raises(SystemExit) as excinfo:
             main(["experiment", "table99"])
         assert "unknown experiment" in str(excinfo.value)
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_non_positive_size_is_one_line_error(self, size):
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "experiment", "table3", "--size", size],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src_dir),
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [
+            f"error[WLD002]: experiment 'table3': size must be a positive integer, got {size}"
+        ]
 
     def test_size_that_does_not_apply_is_reported_not_forced_in(
         self, capsys, monkeypatch

@@ -311,6 +311,26 @@ class TestLoopBound:
         assert b.evaluate({"n": 5}) == 1
         assert b.evaluate({"n": -5}) == -2
 
+    def test_negative_numerators_with_several_dims(self):
+        # 3i - 2j + 7 over 3: -9 divides exactly, -11 rounds toward
+        # +inf for a lower bound and toward -inf for an upper one.
+        expr = e.var("i") * 3 - e.var("j") * 2 + 7
+        lower, upper = LoopBound(expr, 3, True), LoopBound(expr, 3, False)
+        assert lower.evaluate({"i": -4, "j": 2}) == upper.evaluate({"i": -4, "j": 2}) == -3
+        assert lower.evaluate({"i": -4, "j": 3}) == -3
+        assert upper.evaluate({"i": -4, "j": 3}) == -4
+
+    def test_unbound_dim_names_the_dim(self):
+        b = LoopBound(e.var("i") + e.var("x") * 2, 1, True)
+        with pytest.raises(KeyError) as err:
+            b.evaluate({"i": 1})
+        assert err.value.args == ("dimension 'x' is unbound",)
+
+    def test_constant_bound_needs_no_values(self):
+        assert LoopBound(e.const(-7), 1, True).evaluate({}) == -7
+        assert LoopBound(e.const(-7), 3, True).evaluate({}) == -2
+        assert LoopBound(e.const(-7), 3, False).evaluate({"i": 5}) == -3
+
     def test_common_factor_reduced(self):
         b = LoopBound(e.var("n") * 2 + 4, 2, is_lower=False)
         assert b.divisor == 1
