@@ -1,6 +1,8 @@
 """Unit tests for basic integer sets and Fourier-Motzkin projection."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -319,6 +321,27 @@ class TestLoopBound:
         assert lower.evaluate({"i": -4, "j": 2}) == upper.evaluate({"i": -4, "j": 2}) == -3
         assert lower.evaluate({"i": -4, "j": 3}) == -3
         assert upper.evaluate({"i": -4, "j": 3}) == -4
+
+    @pytest.mark.parametrize("divisor,is_lower", [(1, True), (1, False), (3, True), (3, False)])
+    def test_rounds_the_exact_quotient(self, divisor, is_lower):
+        bound = LoopBound(e.var("i") * 3 - e.var("j") * 2 + 7, divisor, is_lower)
+        round_ = math.ceil if is_lower else math.floor
+        for i in range(-6, 7):
+            for j in range(-6, 7):
+                exact = Fraction(3 * i - 2 * j + 7, divisor)
+                assert bound.evaluate({"i": i, "j": j}) == round_(exact)
+
+    def test_randomized_against_exact_quotient(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            coeffs = {d: rng.randint(-9, 9) for d in ("i", "j", "k")}
+            const = rng.randint(-50, 50)
+            divisor = rng.randint(1, 8)
+            is_lower = rng.random() < 0.5
+            bound = LoopBound(AffineExpr(coeffs, const), divisor, is_lower)
+            values = {d: rng.randint(-30, 30) for d in ("i", "j", "k")}
+            exact = Fraction(sum(c * values[d] for d, c in coeffs.items()) + const, divisor)
+            assert bound.evaluate(values) == (math.ceil if is_lower else math.floor)(exact)
 
     def test_unbound_dim_names_the_dim(self):
         b = LoopBound(e.var("i") + e.var("x") * 2, 1, True)
