@@ -63,8 +63,9 @@ class DseOptions:
         """Raise on any function-independent misconfiguration.
 
         Every number must be finite and in range (``resource_fraction``
-        in (0, 1]).  Returns self so call sites can chain.  The engine
-        performs the same checks (plus the function-dependent ones)
+        in (0, 1], and large enough that no budget of the device
+        truncates to zero).  Returns self so call sites can chain.  The
+        engine performs the same checks (plus the function-dependent ones)
         before creating any journal; this front door lets the CLI and
         serve jobs fail fast with identical messages.
         """
@@ -72,6 +73,8 @@ class DseOptions:
             raise ValueError(
                 f"resource_fraction must be > 0 and <= 1, got {self.resource_fraction}"
             )
+        if self.resource_fraction < 1:
+            self.resolved_device().scaled(self.resource_fraction)
         if self.clock_ns is not None and not 0 < self.clock_ns < math.inf:
             raise ValueError(f"clock_ns must be > 0 and finite, got {self.clock_ns}")
         if self.max_parallelism < 1:

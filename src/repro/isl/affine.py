@@ -59,7 +59,7 @@ class AffineExpr:
             self._const = const
             self._hash = hash(key)
             # The name-sorted (name, coeff) pairs, cached for key reuse
-            # (constraint pruning, matrix packing) without re-sorting.
+            # (constraint pruning, sampling) without re-sorting.
             self._items = items
             if len(table) >= context.cap:
                 table.clear()
@@ -249,31 +249,6 @@ class AffineExpr:
             else:
                 parts.append(str(self._const))
         return " ".join(parts)
-
-
-def _intern_sorted_items(items: Tuple[Tuple[str, int], ...], const: int) -> AffineExpr:
-    """Fast intern path for pre-cleaned coefficients.
-
-    ``items`` must be name-sorted with no zero coefficients -- exactly
-    the structural key ``__new__`` would build.  Used by the vectorized
-    kernels in :mod:`repro.isl.matrix`, where rows come out of the
-    matrix already sorted and materializing through the public
-    constructor would rebuild dict + sorted key per row.
-    """
-    context = _intern.active()
-    table = context.exprs
-    key = (items, const)
-    self = table.get(key)
-    if self is None:
-        self = object.__new__(AffineExpr)
-        self._coeffs = dict(items)
-        self._const = const
-        self._hash = hash(key)
-        self._items = items
-        if len(table) >= context.cap:
-            table.clear()
-        table[key] = self
-    return self
 
 
 def sum_exprs(exprs: Iterable[ExprLike]) -> AffineExpr:

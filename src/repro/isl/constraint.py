@@ -165,8 +165,8 @@ def _intern_normalized(expr: AffineExpr, kind: str) -> Constraint:
     """Fast intern path for an expression already in normalized form.
 
     The caller guarantees ``_normalize(expr, kind) is expr`` -- true for
-    rows out of :func:`repro.isl.matrix._normalize_ge_rows`, which
-    applies the same gcd division and integer tightening vectorized.
+    the unit-coefficient box bounds ``BasicSet.box`` builds, whose gcd
+    is already 1.
     """
     context = _intern.active()
     table = context.constraints

@@ -33,11 +33,11 @@ Interning discipline (see ``docs/performance.md``):
 
 This module also owns the ``REPRO_ISL_REFERENCE`` escape hatch: with
 the environment variable set (or :func:`set_reference_mode`), the isl
-substrate routes every optimized kernel -- vectorized Fourier-Motzkin,
-vectorized point counting and bank enumeration -- through the original
-pure-Python implementations, and asks Fourier-Motzkin everything the
-AST build otherwise decides from its loop nest or projects from a
-subset (``astbuild._implies``, ``BasicSet._reaching``) and everything
+substrate routes its vectorized kernels -- point enumeration and
+counting, and bank enumeration -- through the original pure-Python
+loops, and asks Fourier-Motzkin everything the AST build otherwise
+decides from its loop nest or projects from a subset
+(``astbuild._implies``, ``BasicSet._reaching``) and everything
 dependence analysis otherwise shows non-empty by a witness pair
 (``depgraph.analysis``); the differential test suite holds all of it
 bit-identical to the fast path.

@@ -30,12 +30,6 @@ from repro.isl.constraint import (
 )
 from repro.util import deadline as _deadline
 
-#: Below this many constraints the pure-Python Fourier-Motzkin step is
-#: faster than paying numpy's per-call overhead; both paths are
-#: bit-identical, so the dispatch threshold only affects speed.
-VECTORIZE_MIN_CONSTRAINTS = 18
-
-
 class LoopBound:
     """One loop bound for code generation: ``floor/ceil(expr / divisor)``.
 
@@ -447,13 +441,9 @@ def _dedupe(bounds: List[LoopBound]) -> List[LoopBound]:
 def _eliminate(constraints: List[Constraint], name: str) -> List[Constraint]:
     """One Fourier-Motzkin elimination step for dimension ``name``.
 
-    Dispatches between the numpy constraint-matrix kernel
-    (:func:`repro.isl.matrix.eliminate`) and the pure-Python reference
-    below.  Both are bit-identical -- same constraints, same order -- so
-    the dispatch is purely a speed decision: small systems stay in
-    Python (numpy's per-call overhead dominates), large ones vectorize,
-    and ``REPRO_ISL_REFERENCE=1`` forces the reference path for
-    differential testing.
+    Equalities involving ``name`` are used as substitutions when the
+    coefficient is a unit (keeping arithmetic exact); otherwise they are
+    decomposed into two inequalities.
     """
     # Watchdog checkpoint: Fourier-Motzkin is quadratic per step and the
     # constraint system can blow up on skewed nests; this is where a
@@ -462,35 +452,6 @@ def _eliminate(constraints: List[Constraint], name: str) -> List[Constraint]:
     # when off, cheap enough for this hot loop).
     _deadline.checkpoint()
     _trace.count("isl.fm_eliminations")
-    if (
-        len(constraints) >= VECTORIZE_MIN_CONSTRAINTS
-        and not _intern.reference_mode()
-        # A unit-coefficient equality triggers the substitution fast
-        # path, which is pure Gaussian elimination -- cheaper in plain
-        # Python than packing the system into a matrix.
-        and not _has_unit_pivot(constraints, name)
-    ):
-        result = _matrix.eliminate(constraints, name)
-        if result is not None:
-            _trace.count("isl.fm_vectorized")
-            return result
-    return _eliminate_reference(constraints, name)
-
-
-def _has_unit_pivot(constraints: List[Constraint], name: str) -> bool:
-    for constraint in constraints:
-        if constraint.kind == EQ and constraint.expr._coeffs.get(name, 0) in (1, -1):
-            return True
-    return False
-
-
-def _eliminate_reference(constraints: List[Constraint], name: str) -> List[Constraint]:
-    """The pure-Python Fourier-Motzkin step (the differential oracle).
-
-    Equalities involving ``name`` are used as substitutions when the
-    coefficient divides everything (keeping arithmetic exact); otherwise
-    they are decomposed into two inequalities.
-    """
     # Prefer substitution through an equality with unit coefficient.
     for constraint in constraints:
         if constraint.kind != EQ:
@@ -539,18 +500,36 @@ def _eliminate_reference(constraints: List[Constraint], name: str) -> List[Const
             negatives.append((a, rest))
 
     check_fm_pairs(len(positives), len(negatives), name)
+    # Pairs are combined in plain integers and normalized as the
+    # Constraint constructor would.  Per coefficient vector only the
+    # tightest row is kept, at its first position: the row the
+    # prune_parallel below would keep.  A step may pair up to
+    # MAX_FM_PAIRS rows of which few survive, and only the survivors
+    # become interned constraints.  Constant rows are keyed by their
+    # constant: tautologies are dropped, each contradiction is kept.
+    tightest: Dict[object, int] = {}
     for (ap, rp) in positives:
         for (an, rn) in negatives:
             # ap*name + rp >= 0 and an*name + rn >= 0 with ap>0, an<0
-            # combine: (-an)*rp + ap*rn >= 0 -- built directly from the
-            # coefficient dicts to avoid two intermediate exprs.
+            # combine: (-an)*rp + ap*rn >= 0.
             coeffs = {n: c * -an for n, c in rp._coeffs.items()}
             for n, c in rn._coeffs.items():
                 coeffs[n] = coeffs.get(n, 0) + c * ap
-            combined = AffineExpr(coeffs, rp._const * -an + rn._const * ap)
-            constraint = Constraint(combined, GE)
-            if not constraint.is_tautology():
-                others.append(constraint)
+            const = rp._const * -an + rn._const * ap
+            g = 0
+            for c in coeffs.values():
+                g = math.gcd(g, c)
+            if g == 0:
+                if const < 0:
+                    tightest.setdefault(const, const)
+                continue
+            key = tuple(sorted((n, c // g) for n, c in coeffs.items() if c))
+            const //= g
+            if const < tightest.get(key, const + 1):
+                tightest[key] = const
+    for key, const in tightest.items():
+        coeffs = dict(key) if isinstance(key, tuple) else {}
+        others.append(Constraint(AffineExpr(coeffs, const), GE))
     # Dedupe while preserving order, then collapse parallel constraints
     # (scalar multiples) so repeated intersect/project chains stay
     # bounded -- see :func:`repro.isl.constraint.prune_parallel`.

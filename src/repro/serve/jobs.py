@@ -70,14 +70,13 @@ def known_workloads() -> Tuple[str, ...]:
     return workloads.names()
 
 
-def _validate_dse_options(options: dict) -> None:
-    """``DseOptions.validate`` on a request's options (device aside: it
-    is a name here), so a bad number is refused before queueing."""
+def _validate_dse_options(options: dict, device) -> None:
+    """``DseOptions.validate`` on a request's options with its zoo
+    ``device`` name resolved, so a bad number is refused before queueing."""
     from repro.dse.options import DseOptions
 
-    values = {key: value for key, value in options.items() if key != "device"}
     try:
-        DseOptions(**values).validate()
+        DseOptions(**dict(options, device=device)).validate()
     except TypeError as exc:
         raise ValueError(f"invalid dse options: {exc}") from None
 
@@ -141,9 +140,9 @@ class JobSpec:
                 raise ValueError("options.device must be a device name string")
             from repro.hls.device import get_device
 
-            get_device(device)  # raises on unknown names / bad modifiers
+            device = get_device(device)  # raises on unknown names / bad modifiers
         if kind == "dse":
-            _validate_dse_options(options)
+            _validate_dse_options(options, device)
         fault = payload.get("fault")
         if fault is not None:
             if kind != "dse":

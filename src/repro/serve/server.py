@@ -391,8 +391,10 @@ class ReproServer:
         try:
             # Timed: a signal the kernel delivers to another thread does
             # not wake an untimed join, so the drain handler never ran.
+            # The timeout bounds how late it runs; it must stay well
+            # inside a drain grace (0.5 s let a 0.3 s job finish first).
             while thread.is_alive():
-                thread.join(0.5)
+                thread.join(0.05)
         except KeyboardInterrupt:
             self.shutdown()
 

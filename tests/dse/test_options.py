@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 from repro.dse import MAX_PARALLELISM, DseOptions, auto_dse
-from repro.hls import DEFAULT_DEVICE
+from repro.hls import DEFAULT_DEVICE, get_device
 from repro.workloads import polybench
 
 
@@ -67,6 +67,7 @@ class TestErrors:
             ({"max_parallelism": 0}, "max_parallelism must be >= 1"),
             ({"candidate_timeout_s": -1.0}, "candidate_timeout_s must be >= 0"),
             ({"time_budget_s": -1.0}, "deadline budget must be >= 0"),
+            ({"resource_fraction": 0.001}, r"truncates nonzero budget\(s\) to zero on xc7z020: dsp"),
         ],
     )
     def test_validate_messages(self, changes, match):
@@ -93,6 +94,11 @@ class TestErrors:
         used to run on the full device."""
         with pytest.raises(ValueError, match=match):
             DseOptions(**changes).validate()
+
+    def test_fraction_is_checked_against_the_requested_device(self):
+        # 0.1% of a ZU9EG still leaves 2 of its 2 520 DSPs.
+        big = DseOptions(device=get_device("xczu9eg"), resource_fraction=0.001)
+        assert big.validate() is big
 
     def test_the_full_device_is_a_valid_fraction(self):
         assert DseOptions(resource_fraction=1.0).validate().resource_fraction == 1.0

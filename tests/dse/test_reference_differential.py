@@ -1,7 +1,7 @@
 """Differential suite: optimized isl substrate vs ``REPRO_ISL_REFERENCE=1``.
 
-The optimized kernels (vectorized Fourier-Motzkin, hash-consed atoms,
-compiled bound evaluators, vectorized point/bank enumeration) promise
+The optimized kernels (hash-consed atoms, vectorized point/bank
+enumeration, the AST-build and dependence shortcuts) promise
 *bit identity* with the pure-Python reference path -- same reports,
 same schedules, same tile vectors, same evaluation counts -- across
 every sweep mode the DSE engine supports: cached, uncached,

@@ -78,10 +78,11 @@ class TestDseOptionErrors:
             (["dse", "--all", "--resource-fraction", "2"], "resource_fraction must be > 0 and <= 1, got 2.0"),
             (["compile", "gemm", "--dse", "--resource-fraction", "nan"], "resource_fraction must be > 0 and <= 1, got nan"),
             (["compile", "gemm", "--dse", "--resource-fraction", "0"], "resource_fraction must be > 0 and <= 1, got 0.0"),
+            (["dse", "gemm", "--resource-fraction", "0.001"], "fraction 0.001 truncates nonzero budget(s) to zero on xc7z020: dsp"),
         ],
         ids=["fraction-nan", "fraction-inf", "fraction-2", "fraction-0", "fraction-negative",
              "budget-nan", "budget-negative", "timeout-nan", "all-fraction-2",
-             "compile-fraction-nan", "compile-fraction-0"],
+             "compile-fraction-nan", "compile-fraction-0", "fraction-zeroes-a-budget"],
     )
     def test_exits_with_one_line(self, argv, message):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,13 +1,15 @@
 """Property-based tests (hypothesis) for the integer set library."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isl.affine import AffineExpr
 from repro.isl.astbuild import AstBuilder
-from repro.isl.constraint import GE, Constraint
+from repro.isl.constraint import EQ, GE, Constraint
 from repro.isl.maps import ScheduleMap
-from repro.isl.sets import BasicSet
+from repro.isl.sets import BasicSet, _eliminate
 
 from tests.isl.test_astbuild import execute
 
@@ -157,3 +159,75 @@ class TestAstExecution:
             assert trace.index("B") > len([t for t in trace if t == "A"]) - 1
             first_b = trace.index("B")
             assert all(t == "B" for t in trace[first_b:])
+
+
+#: The brute-force window for the elimination property, per dim.
+WINDOW = range(-5, 6)
+
+
+@st.composite
+def fm_systems(draw):
+    """18-40 rows over ``(i, j, k)``, up to two of them equalities.
+
+    Every row but one is built to hold at an anchor point near the
+    origin with a small slack; the last row may cut the anchor off.  So
+    most systems have integer points inside ``WINDOW`` and some are
+    empty.  ``unit`` restricts k's coefficients to -1, 0 and 1.
+    """
+    unit = draw(st.booleans())
+    anchor = {d: draw(st.integers(-2, 2)) for d in ("i", "j", "k")}
+    n_eq = draw(st.integers(0, 2))
+    n = draw(st.integers(18, 40))
+    cons = []
+    for row in range(n):
+        coeffs = {d: draw(st.integers(-4, 4)) for d in ("i", "j")}
+        coeffs["k"] = draw(st.integers(-1, 1) if unit else st.integers(-4, 4))
+        at_anchor = sum(c * anchor[d] for d, c in coeffs.items())
+        if row < n_eq:
+            cons.append(Constraint(AffineExpr(coeffs, -at_anchor), EQ))
+        else:
+            slack = draw(st.integers(-3 if row == n - 1 else 0, 10))
+            cons.append(Constraint(AffineExpr(coeffs, slack - at_anchor), GE))
+    return draw(st.permutations(cons)), unit
+
+
+def _extends(cons, point):
+    """Whether some integer k puts ``point`` + k inside ``cons``.
+
+    With unit coefficients on k every bound on k is an integer, so the
+    feasible k form an interval whose finite ends are bound values; an
+    interval unbounded on both sides contains 0.
+    """
+    candidates = {0}
+    for c in cons:
+        a = c.expr.coeff("k")
+        if a:
+            candidates.add(-a * c.expr.evaluate(dict(point, k=0)))
+    return any(
+        all(c.satisfied_by(dict(point, k=k)) for c in cons) for k in candidates
+    )
+
+
+class TestEliminationStep:
+    """One Fourier-Motzkin step, checked by brute force over ``WINDOW``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fm_systems())
+    def test_sound_and_exact_for_unit_coefficients(self, drawn):
+        cons, unit = drawn
+        result = _eliminate(list(cons), "k")
+        assert not any(c.involves("k") for c in result)
+        # Soundness: the shadow of every point of the system satisfies
+        # the result.
+        for i, j, k in itertools.product(WINDOW, repeat=3):
+            point = {"i": i, "j": j, "k": k}
+            if all(c.satisfied_by(point) for c in cons):
+                assert all(c.satisfied_by(point) for c in result), point
+        if not unit:
+            return
+        # Exactness: with unit coefficients on k, integer FM adds no
+        # point, so every point of the result lifts back.
+        for i, j in itertools.product(WINDOW, repeat=2):
+            point = {"i": i, "j": j}
+            if all(c.satisfied_by(point) for c in result):
+                assert _extends(cons, point), point

@@ -1,5 +1,6 @@
 """Unit tests for basic integer sets and Fourier-Motzkin projection."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from repro.isl.affine import AffineExpr
-from repro.isl.constraint import Constraint
-from repro.isl.sets import BasicSet, LoopBound
+from repro.isl.constraint import EQ, GE, Constraint, prune_parallel
+from repro.isl.sets import BasicSet, LoopBound, _eliminate
 
 e = AffineExpr
 
@@ -139,6 +140,123 @@ class TestProjection:
         )
         p = s.drop_dim("j")
         assert p.constant_bounds("i") == (0, 2)
+
+
+
+class TestEliminate:
+    """``sets._eliminate``: one Fourier-Motzkin step."""
+
+    def test_unit_equality_is_substituted(self):
+        # k == 2i - 1 turns 3k + j + 7 >= 0 into 6i + j + 4 >= 0.
+        cons = [
+            Constraint.eq(e({"k": 1, "i": -2}, 1)),
+            Constraint.ge(e({"k": 3, "j": 1}, 7)),
+            Constraint.ge("i", 0),
+        ]
+        assert _eliminate(cons, "k") == [
+            Constraint.ge(e({"i": 6, "j": 1}, 4)),
+            Constraint.ge("i", 0),
+        ]
+
+    def test_absent_dim_dedupes_and_prunes(self):
+        cons = [Constraint.ge("i", 0)] * 3 + [Constraint.le("i", 7), Constraint.le("i", 5)]
+        assert _eliminate(cons, "k") == [Constraint.ge("i", 0), Constraint.le("i", 5)]
+
+    def test_contradictions_all_survive(self):
+        # 0 <= k, 1 <= 2k, k <= -3, 2k <= -9: every pair proves emptiness.
+        cons = [
+            Constraint.ge(e({"k": 1}, 0)),
+            Constraint.ge(e({"k": -1}, -3)),
+            Constraint.ge(e({"k": 2}, -1)),
+            Constraint.ge(e({"k": -2}, -9)),
+        ]
+        result = _eliminate(cons, "k")
+        assert result and all(c.is_contradiction() for c in result)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_same_rows_in_the_same_order_as_pruning_every_pair(self, seed):
+        """The step keeps only the tightest of each parallel family before
+        building constraints; that must be invisible: the result equals
+        combining every pair into a constraint, deduping and pruning."""
+
+        def every_pair(cons, name):
+            lowers = [c for c in cons if c.expr.coeff(name) > 0 or c.kind == EQ and c.expr.coeff(name)]
+            uppers = [c for c in cons if c.expr.coeff(name) < 0 or c.kind == EQ and c.expr.coeff(name)]
+            rows = [c for c in cons if not c.expr.coeff(name)]
+            for lo in lowers:
+                lo_expr = lo.expr if lo.expr.coeff(name) > 0 else -lo.expr
+                for up in uppers:
+                    up_expr = up.expr if up.expr.coeff(name) < 0 else -up.expr
+                    a, b = lo_expr.coeff(name), -up_expr.coeff(name)
+                    row = Constraint(lo_expr * b + up_expr * a, GE)
+                    if not row.is_tautology():
+                        rows.append(row)
+            return prune_parallel(list(dict.fromkeys(rows)))
+
+        rng = random.Random(seed)
+        dims = ("i", "j", "k", "l")
+        for _ in range(60):
+            cons = []
+            for _ in range(rng.randint(1, 40)):
+                coeffs = {d: rng.randint(-6, 6) for d in rng.sample(dims, rng.randint(1, 4))}
+                kind = EQ if rng.random() < 0.1 else GE
+                cons.append(Constraint(e(coeffs, rng.randint(-40, 40)), kind))
+            cons += [Constraint.ge(-rng.randint(1, 3), 0)] * rng.randint(0, 2)
+            name = rng.choice(dims)
+            if any(c.kind == EQ and abs(c.expr.coeff(name)) == 1 for c in cons):
+                continue  # substituted, not paired
+            assert _eliminate(cons, name) == every_pair(cons, name), (cons, name)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_unit_steps_give_the_exact_shadow(self, seed):
+        """With unit coefficients on the eliminated dim, the integer
+        points of the result are exactly the shadow of the system's."""
+        rng = random.Random(seed)
+        dims = ("i", "j", "k", "l")
+        window = range(-3, 4)
+        for _ in range(25):
+            name = rng.choice(dims)
+            rest = [d for d in dims if d != name]
+            cons = [Constraint.ge(d, -3) for d in dims] + [Constraint.le(d, 3) for d in dims]
+            for _ in range(rng.randint(1, 60)):
+                coeffs = {d: rng.randint(-3, 3) for d in rest}
+                coeffs[name] = rng.choice((-1, 0, 1))
+                kind = EQ if rng.random() < 0.1 else GE
+                cons.append(Constraint(e(coeffs, rng.randint(-6, 6)), kind))
+            rng.shuffle(cons)
+            shadow = set()
+            for values in itertools.product(window, repeat=4):
+                point = dict(zip(dims, values))
+                if all(c.satisfied_by(point) for c in cons):
+                    shadow.add(tuple(point[d] for d in rest))
+            result = _eliminate(cons, name)
+            projected = {
+                values
+                for values in itertools.product(window, repeat=3)
+                if all(c.satisfied_by(dict(zip(rest, values))) for c in result)
+            }
+            assert projected == shadow, (cons, name)
+
+    def test_pairing_past_the_bound_raises_isl001(self, monkeypatch):
+        """A step whose lower x upper bound pairing exceeds MAX_FM_PAIRS
+        is refused before any pair is combined."""
+        from repro.isl import constraint as _constraint
+
+        cons = []
+        for d in ("i", "j", "k"):
+            cons += [Constraint.ge(d, 0), Constraint.le(d, 63)]
+        for t in range(12):
+            cons.append(Constraint.ge(e({"k": 1, "i": -1}, 8 * t)))
+            cons.append(Constraint.ge(e({"k": -1, "j": 1}, 8 * t + 7)))
+            cons.append(Constraint.ge(e({"k": 2, "i": 1, "j": -1}, 3 * t + 1)))
+        # k has 1 + 12 + 12 = 25 lower and 1 + 12 = 13 upper bounds.
+        monkeypatch.setattr(_constraint, "MAX_FM_PAIRS", 25 * 13 - 1)
+        with pytest.raises(_constraint.EliminationBlowup) as info:
+            _eliminate(list(cons), "k")
+        assert info.value.code == "ISL001"
+        monkeypatch.setattr(_constraint, "MAX_FM_PAIRS", 25 * 13)
+        projected = _eliminate(list(cons), "k")
+        assert projected and not any(c.involves("k") for c in projected)
 
 
 class TestEmptiness:

@@ -163,11 +163,16 @@ class TestMalformedRequests:
         {"time_budget_s": float("nan")},
         {"candidate_timeout_s": float("nan")},
         {"resource_fraction": "half"},
+        {"resource_fraction": 0.001},
+        # 1% of xc7z020 keeps 2 DSPs, but of the requested 10% part none.
+        {"device": "xc7z020@10%", "resource_fraction": 0.01},
     ], ids=["fraction-nan", "fraction-inf", "fraction-2", "fraction-0",
-            "fraction-negative", "budget-nan", "timeout-nan", "fraction-string"])
+            "fraction-negative", "budget-nan", "timeout-nan", "fraction-string",
+            "fraction-zeroes-a-budget", "fraction-zeroes-a-requested-budget"])
     def test_bad_dse_option_is_refused_before_queueing(self, serve_factory, options):
         """These used to be accepted (202): out-of-range fractions ran on
-        the full device, 0 and -1 failed later in the worker."""
+        the full device; 0, -1 and fractions that truncate a budget to
+        zero failed later in the worker."""
         server, client = serve_factory()
         body = {"kind": "dse", "workload": "gemm", "size": 16, "options": options}
         status, payload = client.request("POST", "/v1/jobs", body)
