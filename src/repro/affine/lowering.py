@@ -12,10 +12,10 @@ on the function op.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro import trace as _trace
-from repro.dsl.expr import Access, BinaryOp, Call, Cast, Const, Expr, IterRef, to_affine
+from repro.dsl.expr import Access, BinaryOp, Call, Cast, Const, Expr, IterRef, affine_form
 from repro.dsl.function import Function
 from repro.isl.affine import AffineExpr
 from repro.isl.astbuild import AstNode, BlockNode, ForNode, IfNode, UserNode
@@ -155,50 +155,38 @@ def _lower_user(node: UserNode) -> AffineStoreOp:
     stmt: PolyStatement = node.payload
     if not isinstance(stmt, PolyStatement):
         raise TypeError(f"user node {node.name!r} carries no statement payload")
-    binding = {dim: _to_iter_expr(expr) for dim, expr in node.binding.items()}
-    body = stmt.body.substitute_iters(binding)
-    dest = stmt.dest.substitute_iters(binding)
-    value = lower_expr(body)
-    store = AffineStoreOp(dest.placeholder, dest.affine_indices(), value)
+    # The binding renames domain dims to loop iterators (astbuild binds
+    # each dim to one iterator), so substituting it into the statement's
+    # affine forms gives the lowered statement's.
+    binding = node.binding
+    value = lower_expr(stmt.body, binding)
+    indices = [index.substitute(binding) for index in stmt.dest.affine_indices()]
+    store = AffineStoreOp(stmt.dest.placeholder, indices, value)
     store.attributes["statement"] = stmt.name
     return store
 
 
-def _to_iter_expr(expr: AffineExpr) -> Expr:
-    """Convert an affine binding expression back into a DSL expression."""
-    result: Expr = Const(expr.constant)
-    if expr.is_constant():
-        return result
-    terms: List[Expr] = []
-    for name, coeff in sorted(expr.coeffs.items()):
-        term: Expr = IterRef(name)
-        if coeff != 1:
-            term = term * coeff
-        terms.append(term)
-    combined = terms[0]
-    for term in terms[1:]:
-        combined = combined + term
-    if expr.constant:
-        combined = combined + expr.constant
-    return combined
+def lower_expr(expr: Expr, binding: Optional[Mapping[str, AffineExpr]] = None) -> ValueOp:
+    """The recursive statement parser: DSL expression -> value op tree.
 
-
-def lower_expr(expr: Expr) -> ValueOp:
-    """The recursive statement parser: DSL expression -> value op tree."""
+    ``binding`` renames iterators (``{dim: AffineExpr.var(iterator)}``)
+    in every affine form the tree lowers to.
+    """
     if isinstance(expr, Const):
         return ConstantOp(expr.value)
     if isinstance(expr, Access):
-        return AffineLoadOp(expr.placeholder, expr.affine_indices())
-    if isinstance(expr, IterRef):
-        return IndexOp(AffineExpr.var(expr.name))
-    if isinstance(expr, BinaryOp):
-        try:
-            # Pure-iterator arithmetic folds into a single affine apply.
-            return IndexOp(to_affine(expr))
-        except ValueError:
-            return ArithOp(expr.op, lower_expr(expr.lhs), lower_expr(expr.rhs))
+        indices = expr.affine_indices()
+        if binding:
+            indices = [index.substitute(binding) for index in indices]
+        return AffineLoadOp(expr.placeholder, indices)
+    if isinstance(expr, (IterRef, BinaryOp)):
+        # Pure-iterator arithmetic folds into a single affine apply.
+        form = affine_form(expr)
+        if form is not None:
+            return IndexOp(form.substitute(binding) if binding else form)
+        return ArithOp(expr.op, lower_expr(expr.lhs, binding), lower_expr(expr.rhs, binding))
     if isinstance(expr, Call):
-        return CallOp(expr.func, [lower_expr(a) for a in expr.args])
+        return CallOp(expr.func, [lower_expr(a, binding) for a in expr.args])
     if isinstance(expr, Cast):
-        return CastOp(expr.dtype, lower_expr(expr.value))
+        return CastOp(expr.dtype, lower_expr(expr.value, binding))
     raise TypeError(f"cannot lower expression {expr!r}")

@@ -9,7 +9,7 @@ and accesses have already been rewritten.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.depgraph.analysis import (
     CarriedDependence,
@@ -19,23 +19,29 @@ from repro.depgraph.analysis import (
 from repro.polyir.statement import PolyStatement
 
 
+def loop_extents(stmt: PolyStatement) -> Dict[str, int]:
+    """Constant extent envelope per loop dim (1 where none is constant)."""
+    return {dim: stmt.loop_extent(dim) or 1 for dim in stmt.loop_order}
+
+
 def carried_for_statement(
-    stmt: PolyStatement, kinds: tuple = ("RAW",)
+    stmt: PolyStatement,
+    kinds: tuple = ("RAW",),
+    extents: Optional[Dict[str, int]] = None,
 ) -> List[CarriedDependence]:
     """Loop-carried dependences of a transformed statement.
 
     ``kinds`` selects which dependence classes to compute: RAW bounds
     pipelining; WAR/WAW additionally constrain loop reordering legality.
+    ``extents`` are the statement's :func:`loop_extents`, when known.
     """
     dims = list(stmt.loop_order)
     domain = stmt.domain.project_onto(dims) if set(stmt.domain.dims) != set(dims) else stmt.domain
     domain = domain.reorder_dims(dims)
 
     pairs = access_pairs(stmt.dest, stmt.body.loads(), kinds)
-
-    extents: Dict[str, int] = {}
-    for dim in dims:
-        extents[dim] = stmt.loop_extent(dim) or 1
+    if extents is None:
+        extents = loop_extents(stmt)
     return carried_dependences_generic(dims, domain, pairs, extents)
 
 

@@ -238,7 +238,7 @@ class Evaluator:
         # With the cache off the memo tables simply stay empty.
         config = self._config_memo.get((name, degree))
         if config is None:
-            config = plan_node_config(self.base, self.plan, name, degree)
+            config = plan_node_config(self.plan, name, degree)
             if self.cache:
                 self.stats.config_cache_misses += 1
                 self._config_memo[(name, degree)] = config
@@ -299,7 +299,7 @@ class Evaluator:
         for index, (name, memo_key) in enumerate(zip(self.nodes, key)):
             memoized = self._statement_memo.get(memo_key)
             if memoized is None:
-                delta = node_delta(self.base, self.plan, configs[name])
+                delta = node_delta(self.plan, configs[name])
                 program.apply_schedule(delta.directives)
                 if self.cache:
                     stats.statement_cache_misses += 1

@@ -27,7 +27,7 @@ from repro.depgraph.graph import DependenceGraph
 from repro.dsl.function import Function
 from repro.dsl.schedule import After, Directive, Interchange, Skew
 from repro.polyir.program import PolyProgram
-from repro.dse.analysis import carried_for_statement, free_dims
+from repro.dse.analysis import carried_for_statement, free_dims, loop_extents
 
 MAX_ITERATIONS = 4
 
@@ -49,6 +49,9 @@ class Stage1Plan:
     # Full (RAW/WAR/WAW) dependence sets per node, filled by stage 1;
     # stage 2 consults these on every parallelism trial.
     deps_cache: Dict[str, list] = field(default_factory=dict)
+    # Constant extent envelope per loop dim of each node's final
+    # statement (``loop_extent(dim) or 1``), read by fusion and stage 2.
+    extents: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
 def structural_frozen_prefixes(function: Function) -> Dict[str, int]:
@@ -82,13 +85,14 @@ def plan_stage1(function: Function, graph: Optional[DependenceGraph] = None) -> 
         # The final statement is the one stage 2 plans over (replaying
         # the directives rebuilds it exactly), so analyze it once, for
         # every kind, and read the RAW-free dims off that.
-        deps = carried_for_statement(final, kinds=("RAW", "WAR", "WAW"))
+        extents = plan.extents[stmt.name] = loop_extents(final)
+        deps = carried_for_statement(final, ("RAW", "WAR", "WAW"), extents)
         plan.deps_cache[stmt.name] = deps
         carried = {d.carried_dim for d in deps if d.kind == "RAW"}
         plan.free[stmt.name] = [d for d in final.loop_order if d not in carried]
         plan.skewed[stmt.name] = any(isinstance(d, Skew) for d in directives)
 
-    plan.fused_groups = _plan_fusion(function, program)
+    plan.fused_groups = _plan_fusion(function, plan)
     return plan
 
 
@@ -189,7 +193,7 @@ def _interchanges_for_order(
     return moves
 
 
-def _plan_fusion(function: Function, program: PolyProgram) -> List[List[str]]:
+def _plan_fusion(function: Function, plan: Stage1Plan) -> List[List[str]]:
     """Groups of nodes that may legally share one pipeline.
 
     Conservative rule: two consecutive nodes fuse when their (restructured)
@@ -201,20 +205,18 @@ def _plan_fusion(function: Function, program: PolyProgram) -> List[List[str]]:
     groups: List[List[str]] = []
     computes = function.computes
     for index, compute in enumerate(computes):
-        stmt = program.statement(compute.name)
-        extents = tuple(stmt.loop_extent(d) for d in stmt.loop_order)
         placed = False
         # Only the group ending in the *immediately preceding* compute is
         # a candidate: fusing across an intermediate statement would hoist
         # this compute ahead of producers it transitively depends on.
         if groups and index > 0 and groups[-1][-1] == computes[index - 1].name:
             group = groups[-1]
-            leader = program.statement(group[-1])
-            leader_extents = tuple(leader.loop_extent(d) for d in leader.loop_order)
-            if extents == leader_extents and all(
+            # The extents are in loop order: compare them level by level.
+            shape = list(plan.extents[compute.name].values())
+            if shape == list(plan.extents[group[-1]].values()) and all(
                 _fusable(
                     function.get_compute(member), compute,
-                    program.statement(member).loop_order, stmt.loop_order,
+                    plan.orders[member], plan.orders[compute.name],
                 )
                 for member in group
             ):

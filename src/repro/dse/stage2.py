@@ -64,14 +64,8 @@ class NodeConfig:
         return self.fingerprint() == other.fingerprint()
 
 
-def plan_node_config(
-    program: PolyProgram, plan: Stage1Plan, node: str, parallelism: int
-) -> NodeConfig:
+def plan_node_config(plan: Stage1Plan, node: str, parallelism: int) -> NodeConfig:
     """Distribute a parallelism degree over a node's loops.
-
-    ``program`` is the stage-1 program ``plan`` was made for (the
-    :class:`~repro.dse.evaluator.Evaluator`'s ``base``); the node's loop
-    extents are read off it.
 
     The pipeline dim is the free dim with the largest extent (pipelining
     the longest dependence-free loop amortizes fill/drain best); the
@@ -79,7 +73,7 @@ def plan_node_config(
     its extent and :data:`MAX_FACTOR_PER_DIM`.
     """
     order = list(plan.orders[node])
-    extents = _node_extents(program, node, order)
+    extents = plan.extents[node]
     deps = plan.deps_cache[node]
     prefix = plan.frozen.get(node, 0)
     movable = order[prefix:]
@@ -145,15 +139,6 @@ def _candidate_order(order: List[str], pipeline_dim: str, moved: List[str]) -> L
     return sequential + [pipeline_dim] + moved
 
 
-def _node_extents(program: PolyProgram, node: str, order: List[str]) -> Dict[str, int]:
-    """Constant extent envelope per (possibly transformed) loop dim."""
-    stmt = program.statement(node)
-    extents: Dict[str, int] = {}
-    for dim in order:
-        extents[dim] = stmt.loop_extent(dim) or 1
-    return extents
-
-
 @dataclass
 class NodeDelta:
     """What one node's stage-2 config adds on top of the stage-1 program."""
@@ -164,8 +149,8 @@ class NodeDelta:
     extents: Dict[str, int]   # trip count of every final loop dim
 
 
-def node_delta(program: PolyProgram, plan: Stage1Plan, config: NodeConfig) -> NodeDelta:
-    """Stage-2 directives of one node, over the stage-1 ``program``.
+def node_delta(plan: Stage1Plan, config: NodeConfig) -> NodeDelta:
+    """Stage-2 directives of one node, over the stage-1 program of ``plan``.
 
     The directives name only ``config.name``'s statement, so applying
     them to that statement alone gives the same statement as replaying
@@ -175,7 +160,7 @@ def node_delta(program: PolyProgram, plan: Stage1Plan, config: NodeConfig) -> No
     directives: List[Directive] = []
     order = list(plan.orders[node])
     unrolled_parts: List[str] = []
-    extents = _node_extents(program, node, order)
+    extents = dict(plan.extents[node])
     pipeline_level = config.pipeline_dim
 
     for dim, factor in config.unrolls:

@@ -20,9 +20,17 @@ from repro.isl.maps import MultiAffineMap
 
 Scalar = Union[int, float]
 
+_UNDERIVED = object()
+
 
 class Expr:
-    """Base class for DSL expressions (operator overloads build the AST)."""
+    """Base class for DSL expressions (operator overloads build the AST).
+
+    Nodes are never mutated after construction, so a node's affine form
+    (see :func:`affine_form`) is derived once and kept on it.
+    """
+
+    _affine = _UNDERIVED
 
     def __add__(self, other):
         return BinaryOp("+", self, wrap(other))
@@ -283,26 +291,50 @@ class Access(Expr):
         return f"{self.array_name}[{', '.join(map(repr, self.indices))}]"
 
 
+def _int_const(expr: Expr) -> bool:
+    return isinstance(expr, Const) and isinstance(expr.value, int)
+
+
+def affine_form(expr: Expr) -> Optional[AffineExpr]:
+    """``expr`` as an affine form over iterator names, or None when it is
+    not affine: integer constants and iterators combined by ``+``, ``-``
+    and ``*`` by an integer constant.  Derived once per node."""
+    form = expr._affine
+    if form is _UNDERIVED:
+        form = None
+        if isinstance(expr, IterRef):
+            form = AffineExpr.var(expr.name)
+        elif _int_const(expr):
+            form = AffineExpr.const(expr.value)
+        elif isinstance(expr, BinaryOp) and expr.op in "+-*":
+            lhs, rhs = affine_form(expr.lhs), affine_form(expr.rhs)
+            if expr.op == "*":
+                if _int_const(expr.lhs) and rhs is not None:
+                    form = rhs * expr.lhs.value
+                elif _int_const(expr.rhs) and lhs is not None:
+                    form = lhs * expr.rhs.value
+            elif lhs is not None and rhs is not None:
+                form = lhs + rhs if expr.op == "+" else lhs - rhs
+        expr._affine = form
+    return form
+
+
 def to_affine(expr: Expr) -> AffineExpr:
     """Convert an index expression to an affine form (or raise ValueError)."""
-    if isinstance(expr, Const):
-        if not isinstance(expr.value, int):
+    form = affine_form(expr)
+    if form is None:
+        # Name the innermost sub-expression that is not affine.
+        while isinstance(expr, BinaryOp) and expr.op in "+-*":
+            if expr.op != "*":
+                expr = expr.lhs if affine_form(expr.lhs) is None else expr.rhs
+            elif _int_const(expr.lhs) or _int_const(expr.rhs):
+                expr = expr.rhs if _int_const(expr.lhs) else expr.lhs
+            else:
+                break
+        if isinstance(expr, Const):
             raise ValueError(f"non-integer index constant {expr.value!r}")
-        return AffineExpr.const(expr.value)
-    if isinstance(expr, IterRef):
-        return AffineExpr.var(expr.name)
-    if isinstance(expr, BinaryOp):
-        if expr.op == "+":
-            return to_affine(expr.lhs) + to_affine(expr.rhs)
-        if expr.op == "-":
-            return to_affine(expr.lhs) - to_affine(expr.rhs)
-        if expr.op == "*":
-            lhs, rhs = expr.lhs, expr.rhs
-            if isinstance(lhs, Const) and isinstance(lhs.value, int):
-                return to_affine(rhs) * lhs.value
-            if isinstance(rhs, Const) and isinstance(rhs.value, int):
-                return to_affine(lhs) * rhs.value
-    raise ValueError(f"index expression {expr!r} is not affine")
+        raise ValueError(f"index expression {expr!r} is not affine")
+    return form
 
 
 def minimum(*args) -> Call:

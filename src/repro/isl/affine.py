@@ -11,6 +11,12 @@ expressions built in one context are one object and ``__eq__`` is an
 identity test on the hot path.  Identity is an optimization, never a
 semantic: structural equality remains the contract (objects from
 different contexts, a cleared table, or unpickling compare by value).
+
+The public constructor type-checks, drops zeros and sorts.  Results
+derived from clean expressions skip that: ``_from_items`` interns
+items that are already normalized (int, nonzero, sorted by name) and
+``_from_sums`` only drops zeros and sorts.  Both are internal to
+``repro.isl``.
 """
 
 from __future__ import annotations
@@ -35,36 +41,13 @@ class AffineExpr:
     __slots__ = ("_coeffs", "_const", "_hash", "_items")
 
     def __new__(cls, coeffs: Optional[Mapping[str, int]] = None, const: int = 0):
-        clean: Dict[str, int] = {}
         if coeffs:
             for name, coeff in coeffs.items():
                 if not isinstance(coeff, int):
                     raise TypeError(f"coefficient for {name!r} must be int, got {type(coeff).__name__}")
-                if coeff != 0:
-                    clean[name] = coeff
         if not isinstance(const, int):
             raise TypeError(f"constant must be int, got {type(const).__name__}")
-        context = _intern.active()
-        table = context.exprs
-        # Sorting is a no-op below two terms, and most exprs are tiny.
-        if len(clean) < 2:
-            items = tuple(clean.items())
-        else:
-            items = tuple(sorted(clean.items()))
-        key = (items, const)
-        self = table.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            self._coeffs = clean
-            self._const = const
-            self._hash = hash(key)
-            # The name-sorted (name, coeff) pairs, cached for key reuse
-            # (constraint pruning, sampling) without re-sorting.
-            self._items = items
-            if len(table) >= context.cap:
-                table.clear()
-            table[key] = self
-        return self
+        return _from_sums(coeffs or {}, const)
 
     def __reduce__(self):
         # Interned objects must re-intern on unpickle/copy: round-trip
@@ -76,7 +59,7 @@ class AffineExpr:
     @staticmethod
     def var(name: str) -> "AffineExpr":
         """The expression consisting of a single dimension with coefficient 1."""
-        return AffineExpr({name: 1})
+        return _from_items(((name, 1),), 0)
 
     @staticmethod
     def const(value: int) -> "AffineExpr":
@@ -147,9 +130,9 @@ class AffineExpr:
     def __add__(self, other: ExprLike) -> "AffineExpr":
         other = AffineExpr.coerce(other)
         coeffs = dict(self._coeffs)
-        for name, coeff in other._coeffs.items():
+        for name, coeff in other._items:
             coeffs[name] = coeffs.get(name, 0) + coeff
-        return AffineExpr(coeffs, self._const + other._const)
+        return _from_sums(coeffs, self._const + other._const)
 
     __radd__ = __add__
 
@@ -160,12 +143,14 @@ class AffineExpr:
         return AffineExpr.coerce(other) + (-self)
 
     def __neg__(self) -> "AffineExpr":
-        return AffineExpr({n: -c for n, c in self._coeffs.items()}, -self._const)
+        return _from_items(tuple((n, -c) for n, c in self._items), -self._const)
 
     def __mul__(self, factor: int) -> "AffineExpr":
         if not isinstance(factor, int):
             return NotImplemented
-        return AffineExpr({n: c * factor for n, c in self._coeffs.items()}, self._const * factor)
+        if not factor:
+            return _from_items((), 0)
+        return _from_items(tuple((n, c * factor) for n, c in self._items), self._const * factor)
 
     __rmul__ = __mul__
 
@@ -173,12 +158,9 @@ class AffineExpr:
         """Exact division only: every coefficient must be divisible."""
         if not isinstance(divisor, int) or divisor == 0:
             raise ValueError(f"invalid divisor {divisor!r}")
-        for name, coeff in list(self._coeffs.items()) + [("", self._const)]:
-            if coeff % divisor != 0:
-                raise ValueError(f"{self} is not exactly divisible by {divisor}")
-        return AffineExpr(
-            {n: c // divisor for n, c in self._coeffs.items()}, self._const // divisor
-        )
+        if self._const % divisor or any(c % divisor for _, c in self._items):
+            raise ValueError(f"{self} is not exactly divisible by {divisor}")
+        return _from_items(tuple((n, c // divisor) for n, c in self._items), self._const // divisor)
 
     # -- substitution and evaluation ----------------------------------
 
@@ -186,21 +168,26 @@ class AffineExpr:
         """Replace dimensions with expressions; unbound dims are kept."""
         coeffs: Dict[str, int] = {}
         const = self._const
-        for name, coeff in self._coeffs.items():
+        for name, coeff in self._items:
             if name in bindings:
                 repl = AffineExpr.coerce(bindings[name])
                 const += coeff * repl._const
-                for other, factor in repl._coeffs.items():
+                for other, factor in repl._items:
                     coeffs[other] = coeffs.get(other, 0) + coeff * factor
             else:
                 coeffs[name] = coeffs.get(name, 0) + coeff
-        return AffineExpr(coeffs, const)
+        return _from_sums(coeffs, const)
 
     def rename(self, mapping: Mapping[str, str]) -> "AffineExpr":
-        """Rename dimensions (missing names are kept)."""
-        return AffineExpr(
-            {mapping.get(n, n): c for n, c in self._coeffs.items()}, self._const
-        )
+        """Rename dimensions (missing names are kept); the coefficients
+        of names renamed onto one are summed, as :meth:`substitute` does."""
+        coeffs: Dict[str, int] = {}
+        moved = False
+        for name, coeff in self._items:
+            new = mapping.get(name, name)
+            moved = moved or new != name
+            coeffs[new] = coeffs.get(new, 0) + coeff
+        return _from_sums(coeffs, self._const) if moved else self
 
     def evaluate(self, values: Mapping[str, int]) -> int:
         """Evaluate at an integer point; every dim must be bound."""
@@ -249,6 +236,42 @@ class AffineExpr:
             else:
                 parts.append(str(self._const))
         return " ".join(parts)
+
+
+def _from_items(items: Tuple[Tuple[str, int], ...], const: int) -> AffineExpr:
+    """Intern an expression from items that are already normalized.
+
+    The trusted constructor: ``items`` are ``(name, coeff)`` pairs with
+    int, nonzero coefficients, sorted by name (an :attr:`_items` shape)
+    and ``const`` is an int.  Nothing is re-checked; callers derive the
+    items from another expression's, in its order (see
+    ``docs/performance.md``).
+    """
+    context = _intern.active()
+    table = context.exprs
+    key = (items, const)
+    self = table.get(key)
+    if self is None:
+        self = object.__new__(AffineExpr)
+        self._coeffs = dict(items)
+        self._const = const
+        self._hash = hash(key)
+        # The name-sorted (name, coeff) pairs, cached for key reuse
+        # (constraint pruning, sampling) without re-sorting.
+        self._items = items
+        if len(table) >= context.cap:
+            table.clear()
+        table[key] = self
+    return self
+
+
+def _from_sums(coeffs: Mapping[str, int], const: int) -> AffineExpr:
+    """Intern int coefficients in any order, zeros allowed (dropped here)."""
+    items = [item for item in coeffs.items() if item[1]]
+    # Sorting is a no-op below two terms, and most exprs are tiny.
+    if len(items) > 1:
+        items.sort()
+    return _from_items(tuple(items), const)
 
 
 def sum_exprs(exprs: Iterable[ExprLike]) -> AffineExpr:

@@ -13,7 +13,7 @@ from typing import Mapping
 
 from repro.diagnostics import DiagnosticError
 from repro.isl import intern as _intern
-from repro.isl.affine import AffineExpr, ExprLike
+from repro.isl.affine import AffineExpr, ExprLike, _from_items
 
 EQ = "=="
 GE = ">="
@@ -140,7 +140,8 @@ class Constraint:
         return Constraint(self.expr.substitute(bindings), self.kind)
 
     def rename(self, mapping) -> "Constraint":
-        return Constraint(self.expr.rename(mapping), self.kind)
+        expr = self.expr.rename(mapping)
+        return self if expr is self.expr else Constraint(expr, self.kind)
 
     # -- protocol -------------------------------------------------------
 
@@ -165,8 +166,8 @@ def _intern_normalized(expr: AffineExpr, kind: str) -> Constraint:
     """Fast intern path for an expression already in normalized form.
 
     The caller guarantees ``_normalize(expr, kind) is expr`` -- true for
-    the unit-coefficient box bounds ``BasicSet.box`` builds, whose gcd
-    is already 1.
+    the unit-coefficient box bounds ``BasicSet.box`` builds and for the
+    Fourier-Motzkin survivors ``sets._eliminate`` divides by their gcd.
     """
     context = _intern.active()
     table = context.constraints
@@ -250,5 +251,4 @@ def _normalize(expr: AffineExpr, kind: str) -> AffineExpr:
             # Keep as-is: the GCD test in is_contradiction will flag it.
             return expr
         new_const = const // g
-    coeffs = {n: c // g for n, c in expr.coeffs.items()}
-    return AffineExpr(coeffs, new_const)
+    return _from_items(tuple((n, c // g) for n, c in expr._items), new_const)

@@ -19,7 +19,7 @@ from repro import trace as _trace
 from repro.isl import intern as _intern
 from repro.isl import matrix as _matrix
 from repro.isl import memo as _memo
-from repro.isl.affine import AffineExpr, ExprLike
+from repro.isl.affine import AffineExpr, ExprLike, _from_items
 from repro.isl.constraint import (
     EQ,
     GE,
@@ -121,13 +121,9 @@ class BasicSet:
         constraints = []
         for name in dims:
             lo, hi = bounds[name]
-            constraints.append(_intern_normalized(AffineExpr({name: 1}, -lo), GE))
-            constraints.append(_intern_normalized(AffineExpr({name: -1}, hi), GE))
-        box = object.__new__(BasicSet)
-        box._hash = None
-        box.dims = dims
-        box.constraints = tuple(constraints)
-        return box
+            constraints.append(_intern_normalized(_from_items(((name, 1),), -lo), GE))
+            constraints.append(_intern_normalized(_from_items(((name, -1),), hi), GE))
+        return _pruned(dims, tuple(constraints))
 
     @staticmethod
     def universe(dims: Sequence[str]) -> "BasicSet":
@@ -151,7 +147,7 @@ class BasicSet:
         """Permute the dimension tuple (constraints are unaffected)."""
         if set(new_order) != set(self.dims) or len(new_order) != len(self.dims):
             raise ValueError(f"{new_order!r} is not a permutation of {self.dims!r}")
-        return BasicSet(tuple(new_order), self.constraints)
+        return _pruned(tuple(new_order), self.constraints)
 
     def substitute_dim(
         self,
@@ -218,7 +214,8 @@ class BasicSet:
         ``name``), and ``others + combos``, the dedupe and
         ``prune_parallel`` keep the relative order of what survives: the
         ``name``-involving constraints of ``project_onto(keep)`` are the
-        same, in the same order, from this subset as from the whole.
+        same, in the same order, from this subset as from the whole.  A
+        subset of a pruned system is pruned, so nothing is re-checked.
         """
         kept = set(keep)
         live = {name}
@@ -231,9 +228,9 @@ class BasicSet:
                 if not picked[at] and not live.isdisjoint(coeffs):
                     picked[at] = grew = True
                     live.update(d for d in coeffs if d not in kept)
-        return BasicSet(
-            [d for d in self.dims if d in kept or d in live],
-            [c for c, hit in zip(self.constraints, picked) if hit],
+        return _pruned(
+            tuple(d for d in self.dims if d in kept or d in live),
+            tuple(c for c, hit in zip(self.constraints, picked) if hit),
         )
 
     def add_dims(self, names: Sequence[str]) -> "BasicSet":
@@ -278,10 +275,13 @@ class BasicSet:
         """Lower/upper bounds of ``name`` as a function of ``context`` dims.
 
         All dimensions other than ``name`` and the context are projected
-        out first.  Each inequality ``a*name + e >= 0`` with ``a > 0``
-        contributes a lower bound ``ceil(-e / a)``; with ``a < 0`` an
-        upper bound ``floor(e / -a)`` -- exactly how isl's ast_build
-        derives loop bounds.
+        out first -- unless no constraint on ``name`` mentions another
+        dim: projecting would return exactly those constraints, in order,
+        so they are read directly (reference mode always projects).
+        Each inequality ``a*name + e >= 0`` with ``a > 0`` contributes a
+        lower bound ``ceil(-e / a)``; with ``a < 0`` an upper bound
+        ``floor(e / -a)`` -- exactly how isl's ast_build derives loop
+        bounds.
         """
         memo = _memo.active()
         key = None
@@ -291,17 +291,17 @@ class BasicSet:
             if cached is not None:
                 return list(cached[0]), list(cached[1])
         keep = list(context) + [name]
-        source = self if _intern._REFERENCE else self._reaching(name, keep)
-        projected = source.project_onto(keep)
+        rows = [c for c in self.constraints if name in c.expr._coeffs]
+        if _intern._REFERENCE or not all(d in keep for c in rows for d in c.expr._coeffs):
+            source = self if _intern._REFERENCE else self._reaching(name, keep)
+            rows = source.project_onto(keep).constraints
         lowers: List[LoopBound] = []
         uppers: List[LoopBound] = []
-        for constraint in projected.constraints:
+        for constraint in rows:
             a = constraint.expr._coeffs.get(name, 0)
             if a == 0:
                 continue
-            rest_coeffs = dict(constraint.expr._coeffs)
-            del rest_coeffs[name]
-            rest = AffineExpr(rest_coeffs, constraint.expr._const)
+            rest = _without(constraint.expr, name)
             kinds = [constraint.kind]
             if constraint.kind == EQ:
                 kinds = [GE, "le"]
@@ -428,6 +428,24 @@ class BasicSet:
         return f"{{ [{', '.join(self.dims)}] : {body} }}"
 
 
+def _pruned(dims: Tuple[str, ...], constraints: Tuple[Constraint, ...]) -> BasicSet:
+    """A set over a subset or permutation of an already-pruned system.
+
+    Skips the constructor's checks, deduplication and pruning, which
+    would keep ``constraints`` as they are.
+    """
+    bset = object.__new__(BasicSet)
+    bset._hash = None
+    bset.dims = dims
+    bset.constraints = constraints
+    return bset
+
+
+def _without(expr: AffineExpr, name: str) -> AffineExpr:
+    """``expr`` with the term in ``name`` dropped."""
+    return _from_items(tuple(item for item in expr._items if item[0] != name), expr._const)
+
+
 def _dedupe(bounds: List[LoopBound]) -> List[LoopBound]:
     seen = set()
     result = []
@@ -459,14 +477,8 @@ def _eliminate(constraints: List[Constraint], name: str) -> List[Constraint]:
         a = constraint.expr._coeffs.get(name, 0)
         if a == 1 or a == -1:
             # a*name + rest == 0  ->  name == -rest/a
-            coeffs = dict(constraint.expr._coeffs)
-            del coeffs[name]
-            if a == 1:
-                replacement = AffineExpr(
-                    {n: -c for n, c in coeffs.items()}, -constraint.expr._const
-                )
-            else:
-                replacement = AffineExpr(coeffs, constraint.expr._const)
+            rest = _without(constraint.expr, name)
+            replacement = -rest if a == 1 else rest
             out = []
             for other in constraints:
                 if other is constraint:
@@ -483,9 +495,7 @@ def _eliminate(constraints: List[Constraint], name: str) -> List[Constraint]:
         if a == 0:
             others.append(constraint)
             continue
-        coeffs = dict(expr._coeffs)
-        del coeffs[name]
-        rest = AffineExpr(coeffs, expr._const)
+        rest = _without(expr, name)
         if constraint.kind == EQ:
             # an equality is both a lower and an upper bound on `name`
             if a > 0:
@@ -527,9 +537,11 @@ def _eliminate(constraints: List[Constraint], name: str) -> List[Constraint]:
             const //= g
             if const < tightest.get(key, const + 1):
                 tightest[key] = const
+    # The survivors are normalized already (sorted, gcd 1): intern them
+    # as they are.
     for key, const in tightest.items():
-        coeffs = dict(key) if isinstance(key, tuple) else {}
-        others.append(Constraint(AffineExpr(coeffs, const), GE))
+        items = key if isinstance(key, tuple) else ()
+        others.append(_intern_normalized(_from_items(items, const), GE))
     # Dedupe while preserving order, then collapse parallel constraints
     # (scalar multiples) so repeated intersect/project chains stay
     # bounded -- see :func:`repro.isl.constraint.prune_parallel`.

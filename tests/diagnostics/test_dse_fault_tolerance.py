@@ -30,10 +30,10 @@ def test_failing_candidates_are_quarantined_not_fatal(monkeypatch):
     # without them -- identical to an honest search capped at degree 2.
     original = evaluator_mod.plan_node_config
 
-    def sabotaged(program, plan, name, degree):
+    def sabotaged(plan, name, degree):
         if degree >= 4:
             raise RuntimeError("synthetic failure at degree 4")
-        return original(program, plan, name, degree)
+        return original(plan, name, degree)
 
     monkeypatch.setattr(evaluator_mod, "plan_node_config", sabotaged)
     result = polybench.gemm(16).auto_DSE()
@@ -89,10 +89,10 @@ def test_persistent_estimator_failure_becomes_dse002(monkeypatch):
 def test_quarantine_counts_reported_in_stats_summary(monkeypatch):
     original = evaluator_mod.plan_node_config
 
-    def sabotaged(program, plan, name, degree):
+    def sabotaged(plan, name, degree):
         if degree >= 4:
             raise RuntimeError("synthetic failure")
-        return original(program, plan, name, degree)
+        return original(plan, name, degree)
 
     monkeypatch.setattr(evaluator_mod, "plan_node_config", sabotaged)
     result = polybench.gemm(16).auto_DSE()

@@ -225,9 +225,9 @@ def test_perfsmoke_a_nodes_delta_is_computed_once(monkeypatch):
     calls = []
     node_delta = stage2.node_delta
 
-    def counting(program, plan, config):
+    def counting(plan, config):
         calls.append(config.name)
-        return node_delta(program, plan, config)
+        return node_delta(plan, config)
 
     monkeypatch.setattr(evaluator_mod, "node_delta", counting)
     result = auto_dse(

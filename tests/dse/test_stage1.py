@@ -5,6 +5,7 @@ import pytest
 from repro.dsl import Function, compute, placeholder, var
 from repro.dsl.schedule import Interchange, Skew
 from repro.polyir import PolyProgram
+from repro import workloads
 from repro.workloads import polybench, stencils
 from repro.dse.analysis import carried_for_statement, free_dims
 from repro.dse.stage1 import plan_stage1
@@ -142,3 +143,21 @@ class TestInterchangePlanning:
             program.apply_directive(d)
         assert program.statement("Sq").loop_order == plan.orders["Sq"]
         assert program.statement("Ss").loop_order == plan.orders["Ss"]
+
+
+class TestStage1Extents:
+    """``Stage1Plan.extents`` is what stage 2 and fusion used to re-derive
+    from the stage-1 program for every candidate."""
+
+    @pytest.mark.parametrize("name", workloads.names(kind="function"))
+    def test_extents_are_the_stage1_programs(self, name):
+        from repro.dse.evaluator import Evaluator
+
+        evaluator = Evaluator(workloads.get(name, 4 if name in ("vgg16", "resnet18") else 19))
+        plan = evaluator.plan
+        assert set(plan.extents) == set(evaluator.nodes)
+        for node in evaluator.nodes:
+            stmt = evaluator.base.statement(node)
+            assert list(plan.extents[node]) == stmt.loop_order == plan.orders[node]
+            for dim, extent in plan.extents[node].items():
+                assert extent == (stmt.loop_extent(dim) or 1)

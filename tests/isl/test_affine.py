@@ -116,6 +116,17 @@ class TestSubstitution:
         assert r.coeff("x") == 1
         assert r.coeff("j") == 2
 
+    def test_rename_sums_merged_coefficients(self):
+        i, j = AffineExpr.var("i"), AffineExpr.var("j")
+        e = i + j * 2
+        assert e.rename({"i": "j"}) == j * 3 == e.substitute({"i": j})
+        assert (i - j).rename({"i": "j"}).is_zero()
+
+    def test_rename_swaps_and_identity(self):
+        e = AffineExpr.var("i") + AffineExpr.var("j") * 2 + 1
+        assert e.rename({"i": "j", "j": "i"}) == AffineExpr({"j": 1, "i": 2}, 1)
+        assert e.rename({"i": "i", "k": "x"}) is e
+
     def test_evaluate(self):
         e = AffineExpr.var("i") * 3 - AffineExpr.var("j") + 2
         assert e.evaluate({"i": 4, "j": 5}) == 9

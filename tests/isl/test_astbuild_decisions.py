@@ -15,6 +15,8 @@ from repro import workloads
 from repro.dse import DseOptions, auto_dse
 from repro.fuzz.runner import FuzzOptions, run_campaign
 from repro.isl import astbuild, sets
+from repro.isl import intern as _intern
+from repro.isl import memo as _memo
 from repro.isl.affine import AffineExpr as e
 from repro.isl.astbuild import AstBuilder, _Nest
 from repro.isl.constraint import MAX_FM_PAIRS, Constraint, EliminationBlowup
@@ -227,6 +229,42 @@ class TestReachingProjection:
                 bset.constant_bounds("i")
 
 
+class TestDirectBoundsRead:
+    """``dim_bounds`` reads a dim's bounds straight off its constraints
+    when none of them mentions a dim outside the context, where the
+    reference mode projects.  Every system an uncached sweep of each
+    registry kernel and dataflow stage asks (AST build and
+    ``loop_extent`` alike) gets both answers."""
+
+    def test_every_system_a_sweep_asks(self, monkeypatch):
+        asked = {}
+        dim_bounds = BasicSet.dim_bounds
+
+        def recording(bset, name, context=()):
+            key = (bset.dims, bset.constraints, name, tuple(context))
+            asked.setdefault(key, (bset, name, tuple(context)))
+            return dim_bounds(bset, name, context)
+
+        monkeypatch.setattr(_intern, "_REFERENCE", False)
+        monkeypatch.setattr(BasicSet, "dim_bounds", recording)
+        for target in sorted(TARGETS):
+            if not target.startswith(("vgg16", "resnet18")):
+                with SessionContext().activate():
+                    auto_dse(TARGETS[target](), options=DseOptions(cache=False))
+        monkeypatch.setattr(BasicSet, "dim_bounds", dim_bounds)
+        direct = 0
+        with SessionContext().activate():
+            _memo.set_enabled(False)
+            for bset, name, context in asked.values():
+                keep = set(context) | {name}
+                direct += all(keep.issuperset(c.dims()) for c in _involving(bset, name))
+                monkeypatch.setattr(_intern, "_REFERENCE", False)
+                fast = bset.dim_bounds(name, context)
+                monkeypatch.setattr(_intern, "_REFERENCE", True)
+                assert fast == bset.dim_bounds(name, context), (bset, name, context)
+        assert direct > len(asked) // 2
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     function = getattr(module, name)
@@ -244,6 +282,8 @@ class TestPerfsmokeCounts:
     """Count-based guards (no timing) on one uncached 256-point sweep."""
 
     def _sweep(self, name, monkeypatch):
+        # The counts are the fast path's: pin it under REPRO_ISL_REFERENCE=1.
+        monkeypatch.setattr(_intern, "_REFERENCE", False)
         fallbacks = []
 
         def counted(nest, constraint, toward, eliminate):

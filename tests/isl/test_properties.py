@@ -231,3 +231,74 @@ class TestEliminationStep:
             point = {"i": i, "j": j}
             if all(c.satisfied_by(point) for c in result):
                 assert _extends(cons, point), point
+
+
+DIMS3 = ("i", "j", "k")
+names3 = st.sampled_from(DIMS3 + ("x",))
+
+
+def _public(coeffs, const):
+    """The public constructor, over a dict summed by hand in reverse
+    name order (interning must not depend on the order it is given)."""
+    summed = {}
+    for name, c in sorted(coeffs, reverse=True):
+        summed[name] = summed.get(name, 0) + c
+    return AffineExpr(summed, const)
+
+
+class TestTrustedConstruction:
+    """The trusted paths intern the very object the public constructor
+    returns for the same value, and a trusted set equals the checked one."""
+
+    @given(affine_exprs(DIMS3), affine_exprs(DIMS3), small_int)
+    def test_arithmetic(self, a, b, k):
+        terms = a.coeffs.items()
+        assert -a is _public([(n, -c) for n, c in terms], -a.constant)
+        assert a * k is _public([(n, c * k) for n, c in terms], a.constant * k)
+        assert a + b is _public(list(terms) + list(b.coeffs.items()), a.constant + b.constant)
+        if k:
+            assert (a * k) // k is a
+
+    @given(affine_exprs(DIMS3), st.dictionaries(st.sampled_from(DIMS3), affine_exprs(("j", "x"))))
+    def test_substitute(self, a, bindings):
+        terms = []
+        const = a.constant
+        for name, c in a.coeffs.items():
+            repl = bindings.get(name, AffineExpr.var(name))
+            terms += [(n, c * r) for n, r in repl.coeffs.items()]
+            const += c * repl.constant
+        assert a.substitute(bindings) is _public(terms, const)
+
+    @given(affine_exprs(DIMS3), st.dictionaries(st.sampled_from(DIMS3), names3))
+    def test_rename(self, a, mapping):
+        terms = [(mapping.get(n, n), c) for n, c in a.coeffs.items()]
+        assert a.rename(mapping) is _public(terms, a.constant)
+        for kind in (EQ, GE):
+            c = Constraint(a, kind)
+            terms = [(mapping.get(n, n), k) for n, k in c.expr.coeffs.items()]
+            assert c.rename(mapping) is Constraint(_public(terms, c.expr.constant), kind)
+
+    @given(affine_exprs(DIMS3), st.integers(min_value=2, max_value=4))
+    def test_normalized_constraint(self, a, g):
+        scaled = a * g + g - 1
+        expr = Constraint(scaled, GE).expr
+        assert expr is AffineExpr(expr.coeffs, expr.constant)
+
+    @settings(max_examples=50, deadline=None)
+    @given(fm_systems())
+    def test_fm_survivors(self, drawn):
+        cons, _ = drawn
+        for c in _eliminate(list(cons), "k"):
+            expr = AffineExpr(c.expr.coeffs, c.expr.constant)
+            assert c.expr is expr
+            assert c is Constraint(expr, c.kind)
+
+    @given(random_sets(DIMS3), st.permutations(DIMS3), st.sampled_from(DIMS3),
+           st.lists(st.sampled_from(DIMS3), unique=True))
+    def test_subsets_and_permutations_of_pruned_sets(self, s, order, name, keep):
+        reordered = s.reorder_dims(order)
+        reaching = s._reaching(name, keep + [name])
+        for trusted in (reordered, reaching):
+            checked = BasicSet(trusted.dims, trusted.constraints)
+            assert trusted == checked
+            assert trusted.constraints == checked.constraints

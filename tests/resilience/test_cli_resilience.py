@@ -14,10 +14,10 @@ pytestmark = pytest.mark.resilience
 def _sabotage_degree_4(monkeypatch):
     original = evaluator_mod.plan_node_config
 
-    def sabotaged(program, plan, name, degree):
+    def sabotaged(plan, name, degree):
         if degree >= 4:
             raise RuntimeError("synthetic failure at degree 4")
-        return original(program, plan, name, degree)
+        return original(plan, name, degree)
 
     monkeypatch.setattr(evaluator_mod, "plan_node_config", sabotaged)
 
