@@ -391,8 +391,6 @@ _STATS_METRICS = (
     ("estimator_retries", "dse.estimator_retries"),
     ("replayed", "dse.replayed"),
     ("timeouts", "dse.timeouts"),
-    ("design_cache_hits", "dse.cache.design.hits"),
-    ("design_cache_misses", "dse.cache.design.misses"),
     ("lowering_cache_hits", "dse.cache.nest_lowering.hits"),
     ("lowering_cache_misses", "dse.cache.nest_lowering.misses"),
     ("report_hits", "dse.cache.report.hits"),
@@ -782,14 +780,16 @@ def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
     Every grid member the ladder did not score is evaluated like any
     other candidate, in grid order (the caps of one parallelism vector
     are consecutive, so they share one assembled program).  A member
-    that lowers to an already-scored design -- a bank cap that derives
-    the same banking -- is answered by the evaluator's design memo and
-    counted as ``surrogate_skips``; one that reaches the estimator is
-    ``pareto_evaluated``.
+    that caused no new nest lowering and no new per-nest estimate -- a
+    bank cap that derives an already-scored banking -- was answered by
+    the evaluator's memos and is counted as ``surrogate_skips``; one
+    that did either is ``pareto_evaluated``; one the resume journal
+    answered is neither (``replayed`` counts it).
     """
     stats, journal, engine = sweep.stats, sweep.journal, sweep.engine
     objective, scored = sweep.objective, sweep.scored
     deadline = sweep.evaluator.sweep_deadline
+    estimator = sweep.evaluator.estimator
     # Distinct parallelism vectors, in the order the sweep first scored them.
     visited: Dict[tuple, Dict[str, int]] = {}
     for par, _, _ in scored.values():
@@ -814,7 +814,8 @@ def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
                         "exhausted; publishing the partial frontier",
                     )
                 break
-            memo_hits = stats.design_cache_hits
+            replayed = stats.replayed
+            work = (stats.group_lowerings, estimator.nest_misses)
             try:
                 _evaluate(sweep, par, cap)
             except KeyboardInterrupt:
@@ -822,10 +823,12 @@ def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
             except Exception as exc:
                 _quarantine(sweep, exc, par, cap)
                 continue
-            if stats.design_cache_hits > memo_hits:
-                stats.surrogate_skips += 1
-            else:
+            if stats.replayed > replayed:
+                continue
+            if (stats.group_lowerings, estimator.nest_misses) != work:
                 stats.pareto_evaluated += 1
+            else:
+                stats.surrogate_skips += 1
     except KeyboardInterrupt:
         stats.interrupted = True
         engine.note(

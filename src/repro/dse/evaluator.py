@@ -20,14 +20,16 @@ Evaluation is memoized at several layers (all local to one
 - *statement*: node-config fingerprint -> that node's stage-2 delta and
   transformed statement, before fusion (a ladder step changes one fusion
   group, so every other node's statement is reused);
-- *design*: ``(config fingerprints, partition fingerprints)`` -> lowered
-  function + report, catching bank caps that derive identical banking;
 - *nest lowering*: per top-level loop nest, keyed on statement
   fingerprints (incremental lowering splices unchanged nests);
 - *nest estimates*: per estimator instance, keyed on each top-level
   nest's fingerprint and the partition schemes of the arrays it touches;
 - *isl kernels*: global process-wide memo tables
   (:mod:`repro.isl.memo`; switched by ``auto_dse``, not here).
+
+A revisited design -- same configs, same derived banking -- is answered
+in full by the nest-lowering and nest-estimate layers, so there is no
+whole-design memo above them.
 
 ``cache=False`` turns every local layer off in the constructor; cached
 and uncached evaluators return bit-identical reports and lowered
@@ -229,7 +231,6 @@ class Evaluator:
         self._scheduled: Optional[
             Tuple[tuple, PolyProgram, Dict[str, NodeDelta], dict]
         ] = None
-        self._design_memo: Dict[tuple, Tuple[SynthesisReport, FuncOp]] = {}
         self._nest_memo: Optional[Dict[tuple, list]] = {} if cache else None
 
     # -- planning -----------------------------------------------------------
@@ -341,8 +342,9 @@ class Evaluator:
         The design stays installed on the function.  A candidate whose
         configs and derived banking equal an already-scored one's (a
         bank cap that does not bind, a frontier grid member the ladder
-        reached another way) is answered by the design memo: installed
-        and partitioned, neither lowered nor estimated.
+        reached another way) needs no memo of its own: every top-level
+        nest hits the nest-lowering memo and every nest estimate the
+        estimator's per-nest memo.
         """
         stats = self.stats
         self.install(configs)
@@ -350,24 +352,11 @@ class Evaluator:
         self._apply_partitions(
             derive_partitions(self.function, max_banks=bank_cap, spreads=self._scheduled[3])
         )
-        key = (
-            self.fingerprint(configs),
-            tuple(p.fingerprint() for p in self.function.placeholders()),
-        )
-        if self.cache:
-            hit = self._design_memo.get(key)
-            if hit is not None:
-                stats.design_cache_hits += 1
-                return hit
-            stats.design_cache_misses += 1
         stats.lowerings += 1
         t0 = time.perf_counter()
         func_op = lower_program_incremental(scheduled, cache=self._nest_memo, stats=stats)
         stats.lowering_s += time.perf_counter() - t0
-        report = self.estimate(func_op)
-        if self.cache:
-            self._design_memo[key] = (report, func_op)
-        return report, func_op
+        return self.estimate(func_op), func_op
 
     def estimate(self, func_op: FuncOp) -> SynthesisReport:
         """One counted, timed estimator call with transient-fault retries."""

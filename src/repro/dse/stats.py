@@ -2,7 +2,7 @@
 
 :class:`DseStats` records how much work one :func:`~repro.dse.engine.auto_dse`
 call performed and how much each caching layer saved: design-point
-evaluations, cache hits/misses per layer (design, lowering, report,
+evaluations, cache hits/misses per layer (nest lowering, report,
 config, statement), the globally memoized isl kernel counters
 (delta over the run), and wall-time per phase (stage 1, lowering, AST
 building, estimation).  Attached to :class:`~repro.dse.engine.DseResult`
@@ -42,22 +42,25 @@ class DseStats:
 
     # -- multi-objective (objective="pareto"/"weighted") --------------------
     pareto_candidates: int = 0    # frontier-enrichment grid members considered
-    # Enrichment candidates by who answered them.  (The second counter
-    # predates the design memo answering them; it keeps its name because
-    # the frozen bench/ops.py reads it -- the rename is ROADMAP 1(c)'s.)
-    pareto_evaluated: int = 0     # ... reached the estimator
-    surrogate_skips: int = 0      # ... design-identical: the design memo
+    # Enrichment candidates by who answered them (journal replays are
+    # neither).  The second counter predates the memos answering them;
+    # it keeps its name because the frozen bench/ops.py reads it -- the
+    # rename is ROADMAP 1(c)'s.
+    pareto_evaluated: int = 0     # ... lowered a nest or missed an estimate
+    surrogate_skips: int = 0      # ... neither: the nest and report memos
     frontier_size: int = 0        # frontier members returned
 
     # -- cache layers -------------------------------------------------------
-    # The evaluation layer (0 hits in 1350 lookups) and the partitions
-    # layer (1 hit per sweep) are gone; their counters stay, reading 0,
-    # because the frozen bench/ops.py sums them by name.
+    # The evaluation layer (0 hits in 1350 lookups), the partitions
+    # layer (1 hit per sweep) and the design layer (answered in full by
+    # the nest and report memos below) are gone; their counters stay,
+    # reading 0, because the frozen bench/ops.py sums them by name
+    # (ROADMAP 1(c) drops them).
     eval_cache_hits: int = 0
     eval_cache_misses: int = 0
     partition_cache_hits: int = 0
     partition_cache_misses: int = 0
-    design_cache_hits: int = 0    # (configs, partitions) lower+estimate reuse
+    design_cache_hits: int = 0
     design_cache_misses: int = 0
     lowering_cache_hits: int = 0  # per-nest incremental lowering reuse
     lowering_cache_misses: int = 0
@@ -157,8 +160,6 @@ class DseStats:
             )
         lines += [
             "  cache layer            hits   misses   hit-rate",
-            f"    design             {self.design_cache_hits:6d} {self.design_cache_misses:8d}"
-            f"   {rate(self.design_cache_hits, self.design_cache_misses):>8}",
             f"    nest lowering      {self.lowering_cache_hits:6d} {self.lowering_cache_misses:8d}"
             f"   {rate(self.lowering_cache_hits, self.lowering_cache_misses):>8}",
             f"    report             {self.report_hits:6d} {self.report_misses:8d}"

@@ -90,16 +90,6 @@ class Placeholder:
         self.partition_scheme = PartitionScheme(factors, kind)
         return self
 
-    # -- identity -------------------------------------------------------------
-
-    def fingerprint(self) -> tuple:
-        """Structural fingerprint including the current partition state.
-
-        Not cached: ``partition_scheme`` mutates as the DSE ladder
-        explores bank counts, and the fingerprint must track it.
-        """
-        return (self.name, self.shape, str(self.dtype), self.partition_scheme)
-
     # -- sizing helpers ------------------------------------------------------
 
     @property

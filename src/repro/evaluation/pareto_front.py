@@ -3,8 +3,8 @@
 Not a table from the paper: the source work returns a single best
 design per workload.  This experiment runs ``auto_dse`` in ``pareto``
 mode (latency vs. DSP) over representative workloads and renders each
-discovered frontier, alongside how many enrichment candidates reached
-the estimator and how many the design memo answered -- the
+discovered frontier, alongside how many enrichment candidates lowered
+or estimated a nest and how many the per-nest memos answered -- the
 ScaleHLS-style view of the same design space (see docs/pareto.md).
 """
 

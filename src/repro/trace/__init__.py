@@ -22,8 +22,8 @@ Design contract (see ``docs/observability.md``):
 
 * **Off by default, cheap when off.**  Instrumented code calls
   :func:`span` / :func:`count`, which are one global load and a None
-  test when no tracer is active (benchmarked < 5% overhead on the DSE
-  suite in ``benchmarks/test_trace_overhead.py``).
+  test when no tracer is active (bounded at < 5% of the DSE suite by
+  ``tests/trace/test_overhead_perfsmoke.py``).
 * **Observational only.**  Tracing never changes results: DSE output is
   bit-identical with tracing on or off, including under seeded fault
   plans and across cached/uncached sweeps.

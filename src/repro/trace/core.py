@@ -19,7 +19,7 @@ is engineered to be allocation-free and branch-cheap: one module-global
 load and a ``None`` test, returning a shared no-op context manager --
 the same discipline as :func:`repro.util.deadline.checkpoint`, and the
 reason the instrumentation can stay in the hot loops permanently
-(overhead is benchmarked in ``benchmarks/test_trace_overhead.py``).
+(the overhead bound is ``tests/trace/test_overhead_perfsmoke.py``).
 
 Tracing is observational only: no instrumented code path reads a span
 or metric back, so results are bit-identical with tracing on or off

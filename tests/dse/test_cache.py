@@ -154,7 +154,6 @@ class TestDseStats:
         stats = result.stats
         assert not stats.cache_enabled
         # No layer may claim a hit when caching is disabled.
-        assert stats.design_cache_hits == 0
         assert stats.lowering_cache_hits == 0
         assert stats.report_hits == 0
         assert stats.config_cache_hits == 0
@@ -181,8 +180,7 @@ def test_perfsmoke_cached_dse():
     cached = auto_dse(polybench.mm2(64), options=DseOptions(cache=True))
     stats = cached.stats
     layer_hits = (
-        stats.design_cache_hits
-        + stats.lowering_cache_hits
+        stats.lowering_cache_hits
         + stats.report_hits
         + stats.config_cache_hits
     )

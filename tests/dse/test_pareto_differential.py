@@ -3,8 +3,8 @@
 The determinism contract of :mod:`repro.dse.pareto`: the frontier is a
 pure function of the scored candidate set, so every sweep mode that
 scores the same candidates -- cached (design-identical grid members
-answered by the design memo) or uncached (every grid member really
-estimated), fresh or resumed from a checkpoint
+answered by the nest-lowering and per-nest estimate memos) or uncached
+(every grid member really lowered and estimated), fresh or resumed from a checkpoint
 journal (one sweep or all of ``repro dse --all``), fault-injected or
 clean -- reconstructs a bit-identical frontier.  This suite runs each mode pair and compares, in the style of
 ``tests/dse/test_reference_differential.py``.
@@ -47,12 +47,64 @@ class TestCacheParity:
         assert _frontier(cached) == _frontier(uncached)
         assert cached.report == uncached.report
         assert cached.tile_vectors() == uncached.tile_vectors()
-        # Same candidates visited; the design memo spares the cached
-        # run the estimates of the design-identical ones.
+        # Same candidates visited and estimated; the nest and report
+        # memos spare the cached run most nest lowerings and nest
+        # estimates.  (An uncached estimator counts no misses: its nest
+        # estimates are the cached run's hits plus misses.)
         assert cached.evaluations == uncached.evaluations
-        assert cached.stats.estimations < uncached.stats.estimations
+        assert cached.stats.estimations == uncached.stats.estimations
+        assert cached.stats.group_lowerings < uncached.stats.group_lowerings
+        assert cached.stats.report_misses < (
+            cached.stats.report_hits + cached.stats.report_misses
+        )
         assert cached.stats.surrogate_skips > 0
         assert uncached.stats.surrogate_skips == 0
+
+
+class TestSkipDefinition:
+    """A memo-answered grid member is one that lowered no nest and
+    missed no nest estimate; an estimated one did either."""
+
+    @pytest.mark.parametrize("name", ["gemm", "mm3"])
+    def test_skips_are_the_candidates_that_did_no_work(self, name, monkeypatch):
+        real = engine._evaluate
+        calls = []  # (pareto counters on entry, lowered or estimated)
+
+        def recording(sweep, *args, **kwargs):
+            stats, estimator = sweep.stats, sweep.evaluator.estimator
+            counters = (stats.pareto_evaluated, stats.surrogate_skips)
+            work = (stats.group_lowerings, estimator.nest_misses)
+            try:
+                return real(sweep, *args, **kwargs)
+            finally:
+                did_work = (stats.group_lowerings, estimator.nest_misses) != work
+                calls.append((counters, did_work))
+
+        monkeypatch.setattr(engine, "_evaluate", recording)
+        result = _run(name, cache=True)
+        stats = result.stats
+        # A candidate is classified after _evaluate returns, before the
+        # next call: the counters at the next entry (or at the end) say
+        # how.
+        ends = [c for c, _ in calls[1:]] + [
+            (stats.pareto_evaluated, stats.surrogate_skips)
+        ]
+        classified = {"evaluated": 0, "skipped": 0}
+        for (start, did_work), end in zip(calls, ends):
+            delta = (end[0] - start[0], end[1] - start[1])
+            if delta == (1, 0):
+                assert did_work
+                classified["evaluated"] += 1
+            elif delta == (0, 1):
+                assert not did_work
+                classified["skipped"] += 1
+            else:
+                assert delta == (0, 0)
+        assert classified == {
+            "evaluated": stats.pareto_evaluated,
+            "skipped": stats.surrogate_skips,
+        }
+        assert stats.pareto_evaluated > 0 and stats.surrogate_skips > 0
 
 
 class TestWeightedSelection:

@@ -44,6 +44,21 @@ def test_resume_replays_all_candidates(tmp_path):
     assert resumed.stats.candidates == 0
 
 
+def test_replayed_enrichment_is_neither_estimated_nor_memo_answered(tmp_path):
+    journal = tmp_path / "gemm.jsonl"
+    options = DseOptions(objective="pareto", checkpoint=str(journal))
+    first = polybench.gemm(64).auto_DSE(options=options)
+    resumed = polybench.gemm(64).auto_DSE(
+        options=DseOptions(objective="pareto", checkpoint=str(journal), resume=True)
+    )
+    assert fingerprint(resumed) == fingerprint(first)
+    stats = resumed.stats
+    assert stats.pareto_candidates == first.stats.pareto_candidates > 0
+    assert stats.replayed == first.stats.candidates
+    # Every grid member came from the journal: `replayed` counts them.
+    assert stats.pareto_evaluated == stats.surrogate_skips == 0
+
+
 def test_resume_requires_a_checkpoint_path():
     with pytest.raises(DiagnosticError) as info:
         polybench.gemm(16).auto_DSE(options=DseOptions(resume=True))

@@ -127,11 +127,14 @@ class TestMetricParity:
         stats = result.stats
         assert metrics.value("dse.evaluations") == stats.evaluations
         assert metrics.value("dse.estimations") == stats.estimations
-        assert metrics.value("dse.cache.design.hits") == stats.design_cache_hits
+        assert metrics.value("dse.group_lowerings") == stats.group_lowerings
         assert (
-            metrics.value("dse.cache.design.misses")
-            == stats.design_cache_misses
+            metrics.value("dse.cache.nest_lowering.hits")
+            == stats.lowering_cache_hits
         )
+        assert metrics.value("dse.cache.report.misses") == stats.report_misses
+        # No metric is published for the deleted design layer.
+        assert not any(name.startswith("dse.cache.design") for name in metrics.counters)
 
     def test_hot_loop_counters_recorded(self, traced_dse):
         tracer, _ = traced_dse
