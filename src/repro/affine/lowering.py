@@ -17,7 +17,6 @@ from typing import Dict, List, Mapping, Optional
 from repro import trace as _trace
 from repro.dsl.expr import Access, BinaryOp, Call, Cast, Const, Expr, IterRef, affine_form
 from repro.dsl.function import Function
-from repro.isl.affine import AffineExpr
 from repro.isl.astbuild import AstNode, BlockNode, ForNode, IfNode, UserNode
 from repro.polyir.program import PolyProgram
 from repro.polyir.statement import PolyStatement
@@ -156,37 +155,37 @@ def _lower_user(node: UserNode) -> AffineStoreOp:
     if not isinstance(stmt, PolyStatement):
         raise TypeError(f"user node {node.name!r} carries no statement payload")
     # The binding renames domain dims to loop iterators (astbuild binds
-    # each dim to one iterator), so substituting it into the statement's
-    # affine forms gives the lowered statement's.
-    binding = node.binding
-    value = lower_expr(stmt.body, binding)
-    indices = [index.substitute(binding) for index in stmt.dest.affine_indices()]
+    # each dim to one iterator), so renaming the statement's affine forms
+    # gives the lowered statement's.
+    rename = node.binding
+    value = lower_expr(stmt.body, rename)
+    indices = [index.rename(rename) for index in stmt.dest.affine_indices()]
     store = AffineStoreOp(stmt.dest.placeholder, indices, value)
     store.attributes["statement"] = stmt.name
     return store
 
 
-def lower_expr(expr: Expr, binding: Optional[Mapping[str, AffineExpr]] = None) -> ValueOp:
+def lower_expr(expr: Expr, rename: Optional[Mapping[str, str]] = None) -> ValueOp:
     """The recursive statement parser: DSL expression -> value op tree.
 
-    ``binding`` renames iterators (``{dim: AffineExpr.var(iterator)}``)
+    ``rename`` maps iterators to the loop iterators (``{dim: iterator}``)
     in every affine form the tree lowers to.
     """
     if isinstance(expr, Const):
         return ConstantOp(expr.value)
     if isinstance(expr, Access):
         indices = expr.affine_indices()
-        if binding:
-            indices = [index.substitute(binding) for index in indices]
+        if rename:
+            indices = [index.rename(rename) for index in indices]
         return AffineLoadOp(expr.placeholder, indices)
     if isinstance(expr, (IterRef, BinaryOp)):
         # Pure-iterator arithmetic folds into a single affine apply.
         form = affine_form(expr)
         if form is not None:
-            return IndexOp(form.substitute(binding) if binding else form)
-        return ArithOp(expr.op, lower_expr(expr.lhs, binding), lower_expr(expr.rhs, binding))
+            return IndexOp(form.rename(rename) if rename else form)
+        return ArithOp(expr.op, lower_expr(expr.lhs, rename), lower_expr(expr.rhs, rename))
     if isinstance(expr, Call):
-        return CallOp(expr.func, [lower_expr(a, binding) for a in expr.args])
+        return CallOp(expr.func, [lower_expr(a, rename) for a in expr.args])
     if isinstance(expr, Cast):
-        return CastOp(expr.dtype, lower_expr(expr.value, binding))
+        return CastOp(expr.dtype, lower_expr(expr.value, rename))
     raise TypeError(f"cannot lower expression {expr!r}")

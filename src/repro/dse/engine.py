@@ -435,6 +435,8 @@ class _Best:
     #: None when the score was replayed from a journal: no lowering
     #: happened in this process yet.
     func_op: Optional[FuncOp] = None
+    #: Per-nest cycles of the estimate that scored ``func_op``.
+    nest_cycles: Optional[List[int]] = None
 
 
 @dataclass
@@ -474,12 +476,12 @@ def _search(sweep: _Sweep) -> Tuple[
     # design to degrade to, so a failure here is fatal (as a diagnostic,
     # not a traceback).
     try:
-        report, configs, func_op = _evaluate(sweep, parallelism)
+        report, configs, func_op, nest_cycles = _evaluate(sweep, parallelism)
     except KeyboardInterrupt:
         raise
     except Exception as exc:
         raise DiagnosticError(evaluator.diagnostic_of(exc)) from exc
-    sweep.best = _Best(report, configs, dict(parallelism), 128, func_op)
+    sweep.best = _Best(report, configs, dict(parallelism), 128, func_op, nest_cycles)
     # The degree-1 design is the latency normalizer for weighted
     # objectives (the worst latency the ladder ever accepts).
     baseline_report = report
@@ -512,9 +514,15 @@ def _search(sweep: _Sweep) -> Tuple[
             )
 
     # Reinstall the best schedule (the last trial may have been rejected).
+    # A design scored in this process keeps its report; one replayed from
+    # the journal or picked off the frontier is lowered for real.
     best = sweep.best
     with _trace.span("dse.finalize", "dse"):
-        report, _ = evaluator.realize(best.configs, best.bank_cap)
+        if best.func_op is None:
+            report, _ = evaluator.realize(best.configs, best.bank_cap)
+        else:
+            evaluator.reinstall(best.configs, best.bank_cap)
+            report = best.report
     return report, best.configs, evaluator.plan, frontier_points
 
 
@@ -555,12 +563,18 @@ def _evaluate(
     par: Dict[str, int],
     bank_cap: int = 128,
     force: bool = False,
-) -> Tuple[SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp]]:
+) -> Tuple[
+    SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp], Optional[List[int]]
+]:
     """Score one candidate at its sequential position in the sweep.
 
     Journal replay, candidate ordinals, fault-plan hooks and the
     checkpoint append live here; the scoring itself is
-    :meth:`Evaluator.realize`.
+    :meth:`Evaluator.realize`, unless the candidate is the design scored
+    just before it (a bank cap deriving the previous cap's banking),
+    whose report and lowered function it takes
+    (:meth:`Evaluator.rescored`).  Returns the report, the configs, and
+    the lowered function and per-nest cycles (None when replayed).
     """
     evaluator, stats, journal = sweep.evaluator, sweep.stats, sweep.journal
     stats.evaluations += 1
@@ -579,7 +593,7 @@ def _evaluate(
                 evaluator.estimator.device, evaluator.estimator.clock_ns,
             )
             _note_scored(sweep, par, bank_cap, report)
-            return report, configs, None
+            return report, configs, None, None
     ordinal = stats.candidates
     stats.candidates += 1
     span_args = None
@@ -594,8 +608,11 @@ def _evaluate(
     t0 = time.perf_counter()
     try:
         with _trace.span("dse.candidate", "dse", span_args):
-            with evaluator.watchdog():
-                report, func_op = evaluator.realize(configs, bank_cap)
+            scored = evaluator.rescored(configs, bank_cap)
+            if scored is None:
+                with evaluator.watchdog():
+                    scored = evaluator.realize(configs, bank_cap)
+            report, func_op = scored
     finally:
         if sweep.fault_plan is not None:
             sweep.fault_plan.exit_candidate()
@@ -605,7 +622,7 @@ def _evaluate(
             elapsed_s=time.perf_counter() - t0,
         )
     _note_scored(sweep, par, bank_cap, report)
-    return report, configs, func_op
+    return report, configs, func_op, evaluator.nest_cycles
 
 
 def _latencies_for_best(sweep: _Sweep) -> Dict[str, int]:
@@ -622,10 +639,10 @@ def _latencies_for_best(sweep: _Sweep) -> Dict[str, int]:
         cached = journal.latencies(jkey) if journal is not None else None
         if cached is not None:
             return cached
-        _, _, best.func_op = _evaluate(
+        _, _, best.func_op, best.nest_cycles = _evaluate(
             sweep, best.parallelism, best.bank_cap, force=True
         )
-    latencies = sweep.evaluator.node_latencies(best.func_op)
+    latencies = sweep.evaluator.node_latencies(best.func_op, best.nest_cycles)
     if journal is not None:
         journal.append_latencies(jkey, latencies)
     return latencies
@@ -738,7 +755,7 @@ def _climb(sweep: _Sweep, parallelism: Dict[str, int]) -> None:
             # units -- the paper's BICG [1,32] / II=2 design point).
             for bank_cap in BANK_CAPS:
                 try:
-                    trial_report, trial_configs, trial_func = _evaluate(
+                    trial_report, trial_configs, trial_func, trial_cycles = _evaluate(
                         sweep, trial, bank_cap
                     )
                 except KeyboardInterrupt:
@@ -754,7 +771,7 @@ def _climb(sweep: _Sweep, parallelism: Dict[str, int]) -> None:
                     parallelism = trial
                     sweep.best = _Best(
                         trial_report, trial_configs, dict(trial), bank_cap,
-                        trial_func,
+                        trial_func, trial_cycles,
                     )
                     accepted = True
                     break
@@ -782,7 +799,8 @@ def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
     are consecutive, so they share one assembled program).  A member
     that caused no new nest lowering and no new per-nest estimate -- a
     bank cap that derives an already-scored banking -- was answered by
-    the evaluator's memos and is counted as ``surrogate_skips``; one
+    the design scored just before it (in both cache modes) or by the
+    evaluator's memos, and is counted as ``surrogate_skips``; one
     that did either is ``pareto_evaluated``; one the resume journal
     answered is neither (``replayed`` counts it).
     """

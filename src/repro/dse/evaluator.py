@@ -29,7 +29,9 @@ Evaluation is memoized at several layers (all local to one
 
 A revisited design -- same configs, same derived banking -- is answered
 in full by the nest-lowering and nest-estimate layers, so there is no
-whole-design memo above them.
+whole-design memo above them.  The one exception, in both cache modes,
+is the design scored just before (:meth:`Evaluator.rescored`): a bank
+cap that derives the same banking as the cap before it is that design.
 
 ``cache=False`` turns every local layer off in the constructor; cached
 and uncached evaluators return bit-identical reports and lowered
@@ -58,11 +60,11 @@ from repro.dse.stage1 import plan_stage1
 from repro.dse.stage2 import (
     NodeConfig,
     NodeDelta,
+    count_spreads,
     derive_partitions,
     fusion_directives,
     node_delta,
     plan_node_config,
-    unroll_spreads,
 )
 from repro.dse.stats import DseStats
 from repro.hls.device import DEFAULT_DEVICE, FPGADevice
@@ -231,6 +233,9 @@ class Evaluator:
         self._scheduled: Optional[
             Tuple[tuple, PolyProgram, Dict[str, NodeDelta], dict]
         ] = None
+        # (config fingerprints, banking, report, lowered function,
+        # per-nest cycles) of the design ``realize`` scored last.
+        self._scored: Optional[tuple] = None
         self._nest_memo: Optional[Dict[tuple, list]] = {} if cache else None
 
     # -- planning -----------------------------------------------------------
@@ -288,7 +293,9 @@ class Evaluator:
         The most recent program is kept with its node deltas and unroll
         spreads -- the installed directive list, partitions, lowering and
         the bank-cap retries of one candidate share them -- so callers
-        must not transform it.
+        must not transform it.  The spreads are read off the stage-1
+        statements and each node's unroll copies
+        (:func:`~repro.dse.stage2.count_spreads`), not the rewritten ones.
         """
         key = self.fingerprint(configs)
         if self._scheduled is not None and self._scheduled[0] == key:
@@ -305,9 +312,7 @@ class Evaluator:
                 if self.cache:
                     stats.statement_cache_misses += 1
                     # Copied on store and on load: fusion surgery and
-                    # annotations mutate statics / hw_opts in place.  The
-                    # index dims are read first so every copy carries them.
-                    program.statements[index].index_dims()
+                    # annotations mutate statics / hw_opts in place.
                     self._statement_memo[memo_key] = (
                         delta, program.statements[index].copy()
                     )
@@ -317,7 +322,10 @@ class Evaluator:
                 program.statements[index] = statement.copy()
             deltas[name] = delta
         program.apply_schedule(fusion_directives(self.plan, deltas))
-        spreads = unroll_spreads(program)
+        spreads = count_spreads(
+            (stmt.index_dims(), deltas[name].copies)
+            for stmt, name in zip(self.base.statements, self.nodes)
+        )
         stats.lowering_s += time.perf_counter() - t0
         # Only a fully assembled program becomes current.
         self._scheduled = (key, program, deltas, spreads)
@@ -334,6 +342,11 @@ class Evaluator:
 
     # -- scoring ------------------------------------------------------------
 
+    def banking(self, configs: Dict[str, NodeConfig], bank_cap: int) -> Dict[str, Tuple[int, ...]]:
+        """The partition factors ``configs`` derive under ``bank_cap``."""
+        self.scheduled(configs)
+        return derive_partitions(self.function, max_banks=bank_cap, spreads=self._scheduled[3])
+
     def realize(
         self, configs: Dict[str, NodeConfig], bank_cap: int
     ) -> Tuple[SynthesisReport, FuncOp]:
@@ -341,22 +354,49 @@ class Evaluator:
 
         The design stays installed on the function.  A candidate whose
         configs and derived banking equal an already-scored one's (a
-        bank cap that does not bind, a frontier grid member the ladder
-        reached another way) needs no memo of its own: every top-level
-        nest hits the nest-lowering memo and every nest estimate the
-        estimator's per-nest memo.
+        frontier grid member the ladder reached another way) needs no
+        memo of its own: every top-level nest hits the nest-lowering
+        memo and every nest estimate the estimator's per-nest memo.
         """
         stats = self.stats
         self.install(configs)
-        scheduled = self.scheduled(configs)
-        self._apply_partitions(
-            derive_partitions(self.function, max_banks=bank_cap, spreads=self._scheduled[3])
-        )
+        key, scheduled, _, spreads = self._scheduled
+        banking = derive_partitions(self.function, max_banks=bank_cap, spreads=spreads)
+        self._apply_partitions(banking)
         stats.lowerings += 1
         t0 = time.perf_counter()
         func_op = lower_program_incremental(scheduled, cache=self._nest_memo, stats=stats)
         stats.lowering_s += time.perf_counter() - t0
-        return self.estimate(func_op), func_op
+        report = self.estimate(func_op)
+        self._scored = (key, banking, report, func_op, self.estimator.nest_cycles)
+        return report, func_op
+
+    def rescored(
+        self, configs: Dict[str, NodeConfig], bank_cap: int
+    ) -> Optional[Tuple[SynthesisReport, FuncOp]]:
+        """The score of the design :meth:`realize` scored last, when
+        ``configs`` under ``bank_cap`` are that design (same configs, same
+        derived banking), else None.  That design is still installed."""
+        scored = self._scored
+        if scored is None or scored[0] != self.fingerprint(configs):
+            return None
+        if self.banking(configs, bank_cap) != scored[1]:
+            return None
+        return scored[2], scored[3]
+
+    @property
+    def nest_cycles(self) -> List[int]:
+        """Per-nest cycles of the design :meth:`realize` scored last."""
+        return self._scored[4]
+
+    def reinstall(self, configs: Dict[str, NodeConfig], bank_cap: int) -> None:
+        """Install an already-scored design again -- its directives and
+        banking -- without lowering or estimating it.  The design
+        :meth:`realize` scored last is then no longer the installed one,
+        so :meth:`rescored` has nothing to answer."""
+        self.install(configs)
+        self._apply_partitions(self.banking(configs, bank_cap))
+        self._scored = None
 
     def estimate(self, func_op: FuncOp) -> SynthesisReport:
         """One counted, timed estimator call with transient-fault retries."""
@@ -377,13 +417,13 @@ class Evaluator:
                 - (stats.retry_backoff_s - backoff_before)
             )
 
-    def node_latencies(self, func_op: FuncOp) -> Dict[str, int]:
-        """Latency attributed to each compute via its top-level loop nest:
-        one estimate of ``func_op``, read per nest (all memo hits when the
-        design was just scored)."""
-        self.estimate(func_op)
+    @staticmethod
+    def node_latencies(func_op: FuncOp, nest_cycles: List[int]) -> Dict[str, int]:
+        """Latency attributed to each compute via its top-level loop nest,
+        read off ``nest_cycles``: the per-nest cycles of the estimate that
+        scored ``func_op``."""
         latencies: Dict[str, int] = {}
-        for op, cycles in zip(func_op.body, self.estimator.nest_cycles):
+        for op, cycles in zip(func_op.body, nest_cycles):
             for name in {inner.statement_name() for inner in op.walk()
                          if isinstance(inner, AffineStoreOp)}:
                 if name:

@@ -27,9 +27,10 @@ from repro.depgraph.graph import DependenceGraph
 from repro.dsl.function import Function
 from repro.dsl.schedule import After, Directive, Interchange, Skew
 from repro.polyir.program import PolyProgram
-from repro.dse.analysis import carried_for_statement, free_dims, loop_extents
+from repro.dse.analysis import carried_for_statement, loop_extents
 
 MAX_ITERATIONS = 4
+_KINDS = ("RAW", "WAR", "WAW")
 
 
 @dataclass
@@ -78,15 +79,18 @@ def plan_stage1(function: Function, graph: Optional[DependenceGraph] = None) -> 
 
     for stmt in program.statements:
         prefix = plan.frozen.get(stmt.name, 0)
-        directives = _restructure_node(program, stmt.name, prefix)
+        directives, analysis = _restructure_node(program, stmt.name, prefix)
         plan.directives.extend(directives)
         final = program.statement(stmt.name)
         plan.orders[stmt.name] = list(final.loop_order)
         # The final statement is the one stage 2 plans over (replaying
-        # the directives rebuilds it exactly), so analyze it once, for
-        # every kind, and read the RAW-free dims off that.
-        extents = plan.extents[stmt.name] = loop_extents(final)
-        deps = carried_for_statement(final, ("RAW", "WAR", "WAW"), extents)
+        # the directives rebuilds it exactly).  Its analysis, for every
+        # kind, is the restructuring's last one unless a move followed.
+        if analysis is None:
+            extents = loop_extents(final)
+            analysis = extents, carried_for_statement(final, _KINDS, extents)
+        extents, deps = analysis
+        plan.extents[stmt.name] = extents
         plan.deps_cache[stmt.name] = deps
         carried = {d.carried_dim for d in deps if d.kind == "RAW"}
         plan.free[stmt.name] = [d for d in final.loop_order if d not in carried]
@@ -96,33 +100,41 @@ def plan_stage1(function: Function, graph: Optional[DependenceGraph] = None) -> 
     return plan
 
 
-def _restructure_node(program: PolyProgram, name: str, prefix: int = 0) -> List[Directive]:
+def _restructure_node(
+    program: PolyProgram, name: str, prefix: int = 0
+) -> Tuple[List[Directive], Optional[Tuple[Dict[str, int], list]]]:
     """Iteratively recheck and transform one node (bounded iterations).
 
     Only loop levels below the structural ``prefix`` may be reordered or
     skewed; the shared outer loops stay where the algorithm put them.
+    Each iteration analyzes every dependence kind once and reads the
+    RAW-free dims off that.  Returns the directives and, when the last
+    analyzed statement is the final one, its ``(extents, deps)``.
     """
     directives: List[Directive] = []
     for _ in range(MAX_ITERATIONS):
         stmt = program.statement(name)
-        free = [d for d in free_dims(stmt) if d in stmt.loop_order[prefix:]]
+        extents = loop_extents(stmt)
+        deps = carried_for_statement(stmt, _KINDS, extents)
+        carried = {d.carried_dim for d in deps if d.kind == "RAW"}
+        free = [d for d in stmt.loop_order[prefix:] if d not in carried]
         if free:
             moves = _interchanges_for_order(stmt.loop_order, free, name, prefix)
             for move in moves:
                 program.apply_directive(move)
             directives.extend(moves)
-            return directives
+            return directives, None if moves else (extents, deps)
         # No free dim: skew the two innermost loops into a wavefront.
         if stmt.depth() - prefix < 2:
-            return directives  # too shallow below the frozen prefix
+            # too shallow below the frozen prefix
+            return directives, (extents, deps)
         outer, inner = stmt.loop_order[-2], stmt.loop_order[-1]
-        deps = carried_for_statement(stmt, kinds=("RAW", "WAR", "WAW"))
         if not _skew_legal(deps, outer, inner):
             # Non-uniform dependences (unbounded negative inner distance)
             # cannot be legalized by any finite skew -- e.g. a forward
             # substitution's x[i] <- x[j<i] feedback.  Leave the node
             # serial rather than emit a wrong wavefront.
-            return directives
+            return directives, (extents, deps)
         factor = _skew_factor(deps, outer, inner)
         skew = Skew(name, outer, inner, factor, f"{outer}_w", f"{inner}_w")
         program.apply_directive(skew)
@@ -131,7 +143,7 @@ def _restructure_node(program: PolyProgram, name: str, prefix: int = 0) -> List[
         program.apply_directive(swap)
         directives.append(swap)
         # Loop back: recheck dependences on the transformed statement.
-    return directives
+    return directives, None
 
 
 def _skew_legal(deps, outer: str, inner: str) -> bool:

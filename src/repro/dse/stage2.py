@@ -11,9 +11,10 @@ unrolled copies hit distinct memory banks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dsl.function import Function
+from repro.dsl.placeholder import Placeholder
 from repro.dsl.schedule import (
     After,
     Directive,
@@ -147,6 +148,9 @@ class NodeDelta:
     pipeline_level: str
     order: List[str]          # final loop order, outermost first
     extents: Dict[str, int]   # trip count of every final loop dim
+    # Copies each unrolled stage-1 loop dim makes: a split dim's factor,
+    # a wholly unrolled dim's stage-1 extent.
+    copies: Dict[str, int]
 
 
 def node_delta(plan: Stage1Plan, config: NodeConfig) -> NodeDelta:
@@ -161,13 +165,16 @@ def node_delta(plan: Stage1Plan, config: NodeConfig) -> NodeDelta:
     order = list(plan.orders[node])
     unrolled_parts: List[str] = []
     extents = dict(plan.extents[node])
+    copies: Dict[str, int] = {}
     pipeline_level = config.pipeline_dim
 
     for dim, factor in config.unrolls:
         if dim != config.pipeline_dim and factor >= extents.get(dim, 1):
             # whole dim unrolled: no split needed
             unrolled_parts.append(dim)
+            copies[dim] = extents.get(dim, 1)
         else:
+            copies[dim] = factor
             outer, inner = f"{dim}_t", f"{dim}_u"
             directives.append(Split(node, dim, factor, outer, inner))
             order[order.index(dim)] = outer
@@ -187,7 +194,7 @@ def node_delta(plan: Stage1Plan, config: NodeConfig) -> NodeDelta:
     directives.append(Pipeline(node, pipeline_level, 1))
     for part in unrolled_parts:
         directives.append(Unroll(node, part, 0))
-    return NodeDelta(directives, pipeline_level, target, extents)
+    return NodeDelta(directives, pipeline_level, target, extents, copies)
 
 
 def _simulate_order(order_after_splits: List[str], unrolled: List[str], pipeline_dim: str) -> List[str]:
@@ -241,7 +248,10 @@ def fusion_directives(plan: Stage1Plan, deltas: Dict[str, NodeDelta]) -> List[Di
     return directives
 
 
-def unroll_spreads(program: PolyProgram) -> Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+Spreads = Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]]
+
+
+def unroll_spreads(program: PolyProgram) -> Spreads:
     """``{array: (shape, spreads)}``: per array dimension, the largest
     product of the extents of completely unrolled loop dims appearing in
     one index expression of a statement of the scheduled ``program``.
@@ -250,20 +260,39 @@ def unroll_spreads(program: PolyProgram) -> Dict[str, Tuple[Tuple[int, ...], Tup
     bank cap applies yet, so one scheduled candidate computes it once
     for all of its caps.
     """
+    return count_spreads(
+        (
+            stmt.index_dims(),
+            {
+                opt.level: stmt.loop_extent(opt.level) or 1
+                for opt in stmt.hw_opts
+                if opt.kind == "unroll"
+            },
+        )
+        for stmt in program.statements
+    )
+
+
+def count_spreads(
+    statements: Iterable[Tuple[List[Tuple[Placeholder, List[Tuple[str, ...]]]], Dict[str, int]]]
+) -> Spreads:
+    """The counting loop of :func:`unroll_spreads`, over each statement's
+    ``index_dims()`` and the copies each unrolled loop dim makes.
+
+    A DSE candidate passes its stage-1 statements with each node's
+    :attr:`NodeDelta.copies`: where the stage-1 index reads a split dim,
+    the rewritten one reads its tile loop and its unrolled part, whose
+    extent is the factor.
+    """
     spreads: Dict[str, Tuple[Tuple[int, ...], List[int]]] = {}
-    for stmt in program.statements:
-        unrolled = {
-            opt.level: stmt.loop_extent(opt.level) or 1
-            for opt in stmt.hw_opts
-            if opt.kind == "unroll"
-        }
-        for array, indices in stmt.index_dims():
+    for index_dims, copies in statements:
+        for array, indices in index_dims:
             _, slots = spreads.setdefault(array.name, (array.shape, [1] * len(array.shape)))
             for dim, names in enumerate(indices):
                 spread = 1
                 for name in names:
-                    if name in unrolled:
-                        spread *= max(1, unrolled[name])
+                    if name in copies:
+                        spread *= max(1, copies[name])
                 slots[dim] = max(slots[dim], spread)
     return {name: (shape, tuple(slots)) for name, (shape, slots) in spreads.items()}
 
@@ -271,7 +300,7 @@ def unroll_spreads(program: PolyProgram) -> Dict[str, Tuple[Tuple[int, ...], Tup
 def derive_partitions(
     function: Function,
     max_banks: int = 128,
-    spreads: Optional[Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None,
+    spreads: Optional[Spreads] = None,
 ) -> Dict[str, Tuple[int, ...]]:
     """Cyclic partition factors making unrolled copies hit distinct banks.
 
@@ -279,7 +308,8 @@ def derive_partitions(
     unrolled loop dims appearing in its index expression, capped by the
     dimension's extent and ``max_banks``.  ``spreads`` are the
     :func:`unroll_spreads` of the scheduled program (by default: the
-    function's current schedule, replayed here).
+    function's current schedule, replayed here) or the
+    :func:`count_spreads` of a DSE candidate.
     """
     if spreads is None:
         spreads = unroll_spreads(PolyProgram(function).apply_schedule())

@@ -6,7 +6,10 @@ cache hits and journal replays excluded).  The plan is installed for the
 duration of one ``auto_dse`` call (``auto_dse(fault_plan=...)``) and is
 consulted from hooks *inside the production code paths* -- the estimator
 entry point, the checkpoint journal writer -- so the machinery under
-test is the real quarantine/retry/journal code, not a mock.
+test is the real quarantine/retry/journal code, not a mock.  A candidate
+that takes the score of the design scored just before it (a bank cap
+that derives the same banking) has an ordinal and a journal record but
+makes no estimator call, so the estimator faults do not fire there.
 
 Fault kinds:
 

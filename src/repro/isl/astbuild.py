@@ -112,11 +112,12 @@ class BlockNode(AstNode):
 
 
 class UserNode(AstNode):
-    """A statement instance; ``binding`` maps domain dims to iterator exprs."""
+    """A statement instance; ``binding`` renames each domain dim to the
+    loop iterator it is bound to."""
 
     __slots__ = ("name", "payload", "binding")
 
-    def __init__(self, name: str, payload: Any, binding: Mapping[str, AffineExpr]):
+    def __init__(self, name: str, payload: Any, binding: Mapping[str, str]):
         super().__init__()
         self.name = name
         self.payload = payload
@@ -158,11 +159,12 @@ class _Nest:
     from it, and a guard it keeps must stay.
     """
 
-    __slots__ = ("levels", "box")
+    __slots__ = ("levels", "box", "_known")
 
     def __init__(self, levels: Tuple = (), box: Optional[Dict[str, Tuple[int, int]]] = None):
         self.levels = levels
         self.box = box or {}
+        self._known: Optional[List[Constraint]] = None
 
     def extended(self, iterator: str, lowers: List[LoopBound], uppers: List[LoopBound]) -> "_Nest":
         ends = max(map(self._box_end, lowers)), min(map(self._box_end, uppers))
@@ -180,12 +182,15 @@ class _Nest:
         return context
 
     def known(self) -> List[Constraint]:
-        """The non-constant bounds as written: all the box is loose on."""
-        return [
-            _bound_constraint(iterator, bound)
-            for iterator, lowers, uppers in self.levels
-            for bound in lowers + uppers if not bound.expr.is_constant()
-        ]
+        """The non-constant bounds as written: all the box is loose on.
+        Built on first use; a nest's levels never change."""
+        if self._known is None:
+            self._known = [
+                _bound_constraint(iterator, bound)
+                for iterator, lowers, uppers in self.levels
+                for bound in lowers + uppers if not bound.expr.is_constant()
+            ]
+        return self._known
 
     def _box_end(self, bound: LoopBound) -> int:
         value = self.extreme(bound.expr, low=bound.is_lower)
@@ -346,10 +351,7 @@ class AstBuilder:
                 raise ValueError(
                     f"statement {state.name!r}: domain dims {unbound} never scheduled"
                 )
-            binding_exprs = {
-                dim: AffineExpr.var(it) for dim, it in state.binding.items()
-            }
-            user: AstNode = UserNode(state.name, state.payload, binding_exprs)
+            user: AstNode = UserNode(state.name, state.payload, state.binding)
             guards = self._guards(state, nest)
             if guards:
                 user = IfNode(guards, user)
@@ -482,6 +484,12 @@ def _prune_redundant(
             continue
         others = [b for b in kept if b is not candidate]
         sides = [b for b in others if b.is_lower], [b for b in others if not b.is_lower]
+        if not _intern._REFERENCE and _boxed(nest, candidate, sides):
+            # decide's box test, run before the constraint, the slack
+            # and the trial nest it would have been given are built.
+            _trace.count("isl.ast.decided")
+            kept = others
+            continue
         negated = _bound_constraint(iterator, candidate)
         # A witness lowers the candidate's slack over the other same-side
         # bound: that one stands in for the iterator in the outer loops.
@@ -504,6 +512,21 @@ def _prune_redundant(
         [b for b in kept if b.is_lower],
         [b for b in kept if not b.is_lower],
     )
+
+
+def _boxed(
+    nest: _Nest, candidate: LoopBound, sides: Tuple[List[LoopBound], List[LoopBound]]
+) -> bool:
+    """Whether ``candidate`` holds on the whole box of ``nest`` extended
+    by the loop ``sides`` bound: :meth:`_Nest.decide`'s first test on
+    ``_bound_constraint(iterator, candidate)`` in ``nest.extended(...)``.
+    Dividing that constraint by its coefficient gcd leaves the sign of
+    its integer minimum over the box alone, so the raw form is tested."""
+    if candidate.is_lower:
+        low = max(map(nest._box_end, sides[0]))
+        return candidate.divisor * low - nest.extreme(candidate.expr, low=False) >= 0
+    high = min(map(nest._box_end, sides[1]))
+    return nest.extreme(candidate.expr, low=True) - candidate.divisor * high >= 0
 
 
 def _common(per_stmt, lower: bool) -> List[LoopBound]:

@@ -224,10 +224,9 @@ class PolyProgram:
                 if stmt is None:
                     return
                 for opt in stmt.hw_opts:
-                    expr = node.binding.get(opt.level)
-                    if expr is None or not expr.is_single_dim():
+                    iterator = node.binding.get(opt.level)
+                    if iterator is None:
                         continue
-                    iterator = expr.single_dim()
                     for loop in reversed(enclosing):
                         if loop.iterator == iterator:
                             _merge_annotation(loop, opt)

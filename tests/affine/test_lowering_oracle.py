@@ -98,7 +98,7 @@ def _round_trip_expr(expr):
 
 def _round_trip_user(node):
     stmt = node.payload
-    binding = {dim: _to_iter_expr(expr) for dim, expr in node.binding.items()}
+    binding = {dim: _to_iter_expr(AffineExpr.var(it)) for dim, it in node.binding.items()}
     body = stmt.body.substitute_iters(binding)
     dest = stmt.dest.substitute_iters(binding)
     indices = [_to_affine(i) for i in dest.indices]
@@ -156,7 +156,7 @@ def test_a_renaming_binding_reaches_every_affine_form():
         A, B = placeholder("A", (8, 8)), placeholder("B", (9, 8))
         compute("S", [i, j], A(i, j) * (i * 2 + j - 1) + i * j, B(j + 1, i))
     stmt = PolyProgram(f).statement("S")
-    binding = {"i": AffineExpr.var("c1"), "j": AffineExpr.var("i")}
+    binding = {"i": "c1", "j": "i"}
     printed = []
     for lower in (lowering._lower_user, _round_trip_user):
         func = FuncOp("renamed", f.placeholders())

@@ -108,7 +108,7 @@ class TestNodeLatencies:
             configs = evaluator.configs(dict.fromkeys(evaluator.nodes, degree))
             _, func_op = evaluator.realize(configs, 16)
             estimator = evaluator.estimator
-            assert evaluator.node_latencies(func_op) == _shell_latencies(
+            assert evaluator.node_latencies(func_op, evaluator.nest_cycles) == _shell_latencies(
                 func_op, estimator.device, estimator.clock_ns
             )
 
@@ -121,7 +121,9 @@ class TestNestMemo:
     ])
     def test_memoized_estimates_equal_fresh_ones(self, name, size, monkeypatch):
         """One memoizing estimator driven across a sweep's lowered
-        candidates answers each exactly as a fresh, non-memoizing one."""
+        candidates answers each exactly as a fresh, non-memoizing one.
+        A sweep estimates each design once, so the candidates are driven
+        through twice: the second pass is the revisit every nest hits."""
         lowered = []
         estimate = HlsEstimator.estimate
         monkeypatch.setattr(
@@ -130,7 +132,7 @@ class TestNestMemo:
         auto_dse(workloads.get(name, size))
         monkeypatch.undo()
         memoized = HlsEstimator()
-        for func_op in lowered:
+        for func_op in lowered + lowered:
             fresh = HlsEstimator(memoize_reports=False).estimate(func_op)
             assert memoized.estimate(func_op) == fresh
         assert memoized.nest_hits > 0

@@ -41,7 +41,7 @@ def execute(node, env=None, trace=None):
         for child in node.stmts:
             execute(child, env, trace)
     elif isinstance(node, UserNode):
-        values = {d: expr.evaluate(env) for d, expr in node.binding.items()}
+        values = {d: env[it] for d, it in node.binding.items()}
         trace.append((node.name, values))
     return trace
 

@@ -19,7 +19,7 @@ from repro.isl import intern as _intern
 from repro.isl import memo as _memo
 from repro.isl.affine import AffineExpr as e
 from repro.isl.astbuild import AstBuilder, _Nest
-from repro.isl.constraint import MAX_FM_PAIRS, Constraint, EliminationBlowup
+from repro.isl.constraint import GE, MAX_FM_PAIRS, Constraint, EliminationBlowup
 from repro.isl.sets import BasicSet, LoopBound
 from repro.serve import SessionContext
 
@@ -52,8 +52,23 @@ TARGETS = _targets()
 @pytest.fixture
 def tally(monkeypatch):
     """Runs every implication test both ways; the elimination's answer is
-    the one used, so a wrong shortcut cannot hide behind a later one."""
-    counts = {"decided": 0, "eliminated": 0}
+    the one used, so a wrong shortcut cannot hide behind a later one.
+    The bound-pruning box test that runs before an implication test is
+    built (``_boxed``) must be ``decide``'s box test on the same trial
+    nest, and the elimination must agree wherever it answers."""
+    counts = {"decided": 0, "eliminated": 0, "boxed": 0}
+    boxed = astbuild._boxed
+
+    def checked_box(nest, candidate, sides):
+        answer = boxed(nest, candidate, sides)
+        trial = nest.extended("_trial", *sides)
+        negated = astbuild._bound_constraint("_trial", candidate)
+        assert answer == (trial.extreme(negated.expr, low=True) >= 0)
+        if answer:
+            counts["boxed"] += 1
+            violated = Constraint(-negated.expr - 1, GE)
+            assert trial.context().with_constraints([violated]).is_empty()
+        return answer
 
     def checked(nest, constraint, toward, eliminate):
         decided = nest.decide(constraint, toward)
@@ -66,6 +81,7 @@ def tally(monkeypatch):
         return answer
 
     monkeypatch.setattr(astbuild, "_implies", checked)
+    monkeypatch.setattr(astbuild, "_boxed", checked_box)
     return counts
 
 

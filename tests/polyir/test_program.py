@@ -190,3 +190,40 @@ class TestStatementLookup:
         ast = prog.build_ast()
         user = next(n for n in ast.walk() if isinstance(n, UserNode))
         assert user.payload is prog.statement("s")
+
+
+def _repr_fingerprint(stmt):
+    """The fingerprint as it was built before the statement kept its
+    body / destination reprs: formatted on every call."""
+    return (
+        stmt.name,
+        stmt.domain.dims,
+        stmt.domain.constraints,
+        tuple(stmt.loop_order),
+        tuple(stmt.statics),
+        repr(stmt.body),
+        repr(stmt.dest),
+        tuple(stmt.hw_opts),
+    )
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("name", ["gemm", "3mm", "seidel", "bicg", "jacobi-2d"])
+    def test_transformed_statements_match_the_repr_fingerprint(self, name):
+        """Swept designs (split, interchanged, skewed, fused, annotated):
+        every statement, its copy, and the copy once a transform rebinds
+        its body and destination."""
+        from repro import workloads
+        from repro.dse import DseOptions, auto_dse
+        from repro.polyir import transforms
+
+        result = auto_dse(workloads.get(name, 16), options=DseOptions(resource_fraction=0.25))
+        for stmt in PolyProgram(result.function).apply_schedule().statements:
+            assert stmt.fingerprint() == _repr_fingerprint(stmt)
+            copy = stmt.copy()
+            assert copy.fingerprint() == _repr_fingerprint(copy) == stmt.fingerprint()
+            dim = next(d for d in copy.loop_order if (copy.loop_extent(d) or 0) >= 2)
+            split = transforms.split(copy, dim, 2, "fp_t", "fp_u")
+            assert split.body is not copy.body
+            assert split.fingerprint() == _repr_fingerprint(split)
+            assert split.fingerprint() != copy.fingerprint()
