@@ -101,19 +101,21 @@ def _backoff_sleep(
     gives up early -- without raising -- once the whole-sweep deadline
     is exhausted, so the search loop's own budget check fires at the
     next iteration.  Returns the wall time actually slept so callers can
-    attribute it separately from estimation time.
+    attribute it separately from estimation time: read off the clock, not
+    summed from the naps asked for, since a nap that wakes late makes the
+    next one shorter.
     """
-    slept = 0.0
+    start = time.perf_counter()
     end = time.monotonic() + seconds
     while True:
         candidate_deadline = _active_deadline()
         if candidate_deadline is not None:
             candidate_deadline.poll()
         if sweep_deadline is not None and sweep_deadline.exceeded():
-            return slept
+            return time.perf_counter() - start
         left = end - time.monotonic()
         if left <= 0:
-            return slept
+            return time.perf_counter() - start
         nap = min(slice_s, left)
         if candidate_deadline is not None:
             # Never sleep meaningfully past the candidate budget; the
@@ -121,7 +123,6 @@ def _backoff_sleep(
             # lands inside this slice (the next poll then raises).
             nap = min(nap, max(candidate_deadline.remaining(), 0.0) + 0.001)
         time.sleep(nap)
-        slept += nap
 
 
 def _estimate_with_retries(
