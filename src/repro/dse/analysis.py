@@ -70,9 +70,3 @@ def legal_order(deps: List[CarriedDependence], order: List[str]) -> bool:
         if not legal:
             return False
     return True
-
-
-def free_dims(stmt: PolyStatement) -> List[str]:
-    """Loop dims of the statement carrying no RAW dependence."""
-    carried = {d.carried_dim for d in carried_for_statement(stmt)}
-    return [d for d in stmt.loop_order if d not in carried]

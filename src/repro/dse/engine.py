@@ -570,11 +570,8 @@ def _evaluate(
 
     Journal replay, candidate ordinals, fault-plan hooks and the
     checkpoint append live here; the scoring itself is
-    :meth:`Evaluator.realize`, unless the candidate is the design scored
-    just before it (a bank cap deriving the previous cap's banking),
-    whose report and lowered function it takes
-    (:meth:`Evaluator.rescored`).  Returns the report, the configs, and
-    the lowered function and per-nest cycles (None when replayed).
+    :meth:`Evaluator.realize`.  Returns the report, the configs, and the
+    lowered function and per-nest cycles (None when replayed).
     """
     evaluator, stats, journal = sweep.evaluator, sweep.stats, sweep.journal
     stats.evaluations += 1
@@ -608,11 +605,8 @@ def _evaluate(
     t0 = time.perf_counter()
     try:
         with _trace.span("dse.candidate", "dse", span_args):
-            scored = evaluator.rescored(configs, bank_cap)
-            if scored is None:
-                with evaluator.watchdog():
-                    scored = evaluator.realize(configs, bank_cap)
-            report, func_op = scored
+            with evaluator.watchdog():
+                report, func_op = evaluator.realize(configs, bank_cap)
     finally:
         if sweep.fault_plan is not None:
             sweep.fault_plan.exit_candidate()

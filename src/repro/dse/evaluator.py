@@ -30,8 +30,9 @@ Evaluation is memoized at several layers (all local to one
 A revisited design -- same configs, same derived banking -- is answered
 in full by the nest-lowering and nest-estimate layers, so there is no
 whole-design memo above them.  The one exception, in both cache modes,
-is the design scored just before (:meth:`Evaluator.rescored`): a bank
-cap that derives the same banking as the cap before it is that design.
+is the design scored just before: :meth:`Evaluator.realize` answers a
+bank cap that derives the same banking as the cap before it with that
+design's score.
 
 ``cache=False`` turns every local layer off in the constructor; cached
 and uncached evaluators return bit-identical reports and lowered
@@ -44,6 +45,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
+from repro import faults as _faults
 from repro import trace as _trace
 from repro.affine.ir import AffineStoreOp, FuncOp
 from repro.affine.lowering import lower_program_incremental
@@ -101,21 +103,19 @@ def _backoff_sleep(
     gives up early -- without raising -- once the whole-sweep deadline
     is exhausted, so the search loop's own budget check fires at the
     next iteration.  Returns the wall time actually slept so callers can
-    attribute it separately from estimation time: read off the clock, not
-    summed from the naps asked for, since a nap that wakes late makes the
-    next one shorter.
+    attribute it separately from estimation time.
     """
-    start = time.perf_counter()
+    slept = 0.0
     end = time.monotonic() + seconds
     while True:
         candidate_deadline = _active_deadline()
         if candidate_deadline is not None:
             candidate_deadline.poll()
         if sweep_deadline is not None and sweep_deadline.exceeded():
-            return time.perf_counter() - start
+            return slept
         left = end - time.monotonic()
         if left <= 0:
-            return time.perf_counter() - start
+            return slept
         nap = min(slice_s, left)
         if candidate_deadline is not None:
             # Never sleep meaningfully past the candidate budget; the
@@ -123,6 +123,7 @@ def _backoff_sleep(
             # lands inside this slice (the next poll then raises).
             nap = min(nap, max(candidate_deadline.remaining(), 0.0) + 0.001)
         time.sleep(nap)
+        slept += nap
 
 
 def _estimate_with_retries(
@@ -343,27 +344,32 @@ class Evaluator:
 
     # -- scoring ------------------------------------------------------------
 
-    def banking(self, configs: Dict[str, NodeConfig], bank_cap: int) -> Dict[str, Tuple[int, ...]]:
-        """The partition factors ``configs`` derive under ``bank_cap``."""
-        self.scheduled(configs)
-        return derive_partitions(self.function, max_banks=bank_cap, spreads=self._scheduled[3])
-
     def realize(
         self, configs: Dict[str, NodeConfig], bank_cap: int
     ) -> Tuple[SynthesisReport, FuncOp]:
         """Install, partition, lower and estimate one design point.
 
-        The design stays installed on the function.  A candidate whose
-        configs and derived banking equal an already-scored one's (a
-        frontier grid member the ladder reached another way) needs no
-        memo of its own: every top-level nest hits the nest-lowering
-        memo and every nest estimate the estimator's per-nest memo.
+        The design stays installed on the function.  A candidate with the
+        configs and derived banking of the design scored just before it
+        (a bank cap that does not bind) is that design and takes its
+        report and lowered function -- unless the fault plan schedules an
+        estimator fault for it, which must reach the estimator.  One whose
+        configs and derived banking equal an earlier design's (a frontier
+        grid member the ladder reached another way) needs no memo of its
+        own: every top-level nest hits the nest-lowering memo and every
+        nest estimate the estimator's per-nest memo.
         """
         stats = self.stats
+        previous, self._scored = self._scored, None
         self.install(configs)
         key, scheduled, _, spreads = self._scheduled
         banking = derive_partitions(self.function, max_banks=bank_cap, spreads=spreads)
         self._apply_partitions(banking)
+        if previous is not None and previous[:2] == (key, banking):
+            plan = _faults.active()
+            if plan is None or not plan.estimator_fault_due():
+                self._scored = previous
+                return previous[2], previous[3]
         stats.lowerings += 1
         t0 = time.perf_counter()
         func_op = lower_program_incremental(scheduled, cache=self._nest_memo, stats=stats)
@@ -372,31 +378,19 @@ class Evaluator:
         self._scored = (key, banking, report, func_op, self.estimator.nest_cycles)
         return report, func_op
 
-    def rescored(
-        self, configs: Dict[str, NodeConfig], bank_cap: int
-    ) -> Optional[Tuple[SynthesisReport, FuncOp]]:
-        """The score of the design :meth:`realize` scored last, when
-        ``configs`` under ``bank_cap`` are that design (same configs, same
-        derived banking), else None.  That design is still installed."""
-        scored = self._scored
-        if scored is None or scored[0] != self.fingerprint(configs):
-            return None
-        if self.banking(configs, bank_cap) != scored[1]:
-            return None
-        return scored[2], scored[3]
-
     @property
-    def nest_cycles(self) -> List[int]:
-        """Per-nest cycles of the design :meth:`realize` scored last."""
-        return self._scored[4]
+    def nest_cycles(self) -> Optional[List[int]]:
+        """Per-nest cycles of the installed design's estimate; None when
+        the installed design was not scored by :meth:`realize`."""
+        return None if self._scored is None else self._scored[4]
 
     def reinstall(self, configs: Dict[str, NodeConfig], bank_cap: int) -> None:
         """Install an already-scored design again -- its directives and
-        banking -- without lowering or estimating it.  The design
-        :meth:`realize` scored last is then no longer the installed one,
-        so :meth:`rescored` has nothing to answer."""
+        banking -- without lowering or estimating it."""
         self.install(configs)
-        self._apply_partitions(self.banking(configs, bank_cap))
+        self._apply_partitions(
+            derive_partitions(self.function, max_banks=bank_cap, spreads=self._scheduled[3])
+        )
         self._scored = None
 
     def estimate(self, func_op: FuncOp) -> SynthesisReport:

@@ -7,9 +7,9 @@ duration of one ``auto_dse`` call (``auto_dse(fault_plan=...)``) and is
 consulted from hooks *inside the production code paths* -- the estimator
 entry point, the checkpoint journal writer -- so the machinery under
 test is the real quarantine/retry/journal code, not a mock.  A candidate
-that takes the score of the design scored just before it (a bank cap
-that derives the same banking) has an ordinal and a journal record but
-makes no estimator call, so the estimator faults do not fire there.
+that would take the score of the design scored just before it (a bank
+cap that derives the same banking) is scored afresh when an estimator
+fault is scheduled at its ordinal, so every scheduled fault fires.
 
 Fault kinds:
 
@@ -147,6 +147,15 @@ class FaultPlan:
         """The evaluation ended; scheduled faults stop firing until the
         next :meth:`enter_candidate` (keeps failures attributable)."""
         self._current = None
+
+    def estimator_fault_due(self) -> bool:
+        """Whether an estimator fault (transient, permanent or hang) is
+        scheduled at the current candidate: its scoring must then reach
+        the estimator even when it repeats an already-scored design."""
+        ordinal = self._current
+        return ordinal is not None and any(
+            (kind, ordinal) in self._by_key for kind in ("transient", "permanent", "hang")
+        )
 
     def on_estimate(self) -> None:
         """Estimator entry hook: may raise a scheduled transient/permanent

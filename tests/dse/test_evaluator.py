@@ -13,6 +13,7 @@ from repro.affine import print_func
 from repro.affine.lowering import lower_program
 from repro.dataflow.dse import _realize_stage
 from repro.dse.evaluator import Evaluator
+from repro.dse.stage2 import derive_partitions
 from repro.hls.device import DEFAULT_DEVICE
 from repro.polyir.program import PolyProgram
 
@@ -48,6 +49,7 @@ def test_every_route_scores_a_candidate_identically(name):
     build = SEAM_WORKLOADS[name]
     cached = Evaluator(build())
     uncached = Evaluator(build(), cache=False)
+    designs = []
     for degree, bank_cap in POINTS:
         par = {node: degree for node in cached.nodes}
         report, func_op = cached.realize(cached.configs(par), bank_cap)
@@ -57,6 +59,10 @@ def test_every_route_scores_a_candidate_identically(name):
         report_u, func_op_u = uncached.realize(uncached.configs(par), bank_cap)
         assert report_u == report
         assert print_func(func_op_u) == ir
+        banking = derive_partitions(
+            uncached.function, max_banks=bank_cap, spreads=uncached._scheduled[3]
+        )
+        designs.append((degree, sorted(banking.items())))
 
         stage_function = build()
         realized = _realize_stage(
@@ -66,10 +72,14 @@ def test_every_route_scores_a_candidate_identically(name):
         assert realized == report
         assert _installed_ir(stage_function) == ir
     # The memoizing evaluator revisits a design without lowering a nest
-    # or estimating one; the other lowers every candidate.
+    # or estimating one; the other lowers every candidate but one that
+    # repeats the design scored just before it (a bank cap that derives
+    # the same banking).
     work = (cached.stats.group_lowerings, cached.estimator.nest_misses)
     par = {node: POINTS[-1][0] for node in cached.nodes}
     again, func_op = cached.realize(cached.configs(par), POINTS[-1][1])
     assert again == report and print_func(func_op) == ir
     assert (cached.stats.group_lowerings, cached.estimator.nest_misses) == work
-    assert uncached.stats.lowerings == len(POINTS)
+    assert uncached.stats.lowerings == uncached.stats.estimations == sum(
+        1 for before, design in zip([None] + designs, designs) if design != before
+    )

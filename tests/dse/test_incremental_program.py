@@ -57,10 +57,10 @@ def _assert_matches_replay(evaluator, configs):
 @pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_every_candidate_of_a_real_sweep_matches_the_replay(name, cache, monkeypatch):
-    """In situ: every ``(configs, bank_cap)`` a sweep realizes or takes
-    from the design scored just before it, in the sweep's own order and
-    with the memo state the sweep left behind."""
-    realize, rescored = Evaluator.realize, Evaluator.rescored
+    """In situ: every ``(configs, bank_cap)`` a sweep realizes, in the
+    sweep's own order and with the memo state the sweep left behind --
+    including a bank cap that takes the score of the design before it."""
+    realize = Evaluator.realize
     visited = []
 
     def checked(self, configs, bank_cap):
@@ -69,15 +69,7 @@ def test_every_candidate_of_a_real_sweep_matches_the_replay(name, cache, monkeyp
         visited.append(bank_cap)
         return outcome
 
-    def checked_rescore(self, configs, bank_cap):
-        outcome = rescored(self, configs, bank_cap)
-        if outcome is not None:
-            _assert_matches_replay(self, configs)
-            visited.append(bank_cap)
-        return outcome
-
     monkeypatch.setattr(Evaluator, "realize", checked)
-    monkeypatch.setattr(Evaluator, "rescored", checked_rescore)
     # The frontier pass revisits the ladder's candidates at every bank
     # cap, out of ladder order.  The DNNs get the plain ladder at a tight
     # budget instead: uncached they are 3-6 s sweeps otherwise.

@@ -7,7 +7,7 @@ from repro.dsl.schedule import Interchange, Skew
 from repro.polyir import PolyProgram
 from repro import workloads
 from repro.workloads import polybench, stencils
-from repro.dse.analysis import carried_for_statement, free_dims
+from repro.dse.analysis import carried_for_statement
 from repro.dse.stage1 import plan_stage1
 
 
@@ -15,6 +15,12 @@ def carried_dims(stmt):
     """Loop dims carrying at least one RAW dependence, in loop order."""
     carried = {d.carried_dim for d in carried_for_statement(stmt)}
     return [d for d in stmt.loop_order if d in carried]
+
+
+def free_dims(stmt):
+    """Loop dims carrying no RAW dependence, in loop order."""
+    carried = {d.carried_dim for d in carried_for_statement(stmt)}
+    return [d for d in stmt.loop_order if d not in carried]
 
 
 class TestStatementAnalysis:

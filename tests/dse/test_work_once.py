@@ -19,10 +19,11 @@ import pytest
 from repro import workloads
 from repro.affine import print_func
 from repro.dse import DseOptions, analysis, auto_dse, stage1
-from repro.dse.analysis import carried_for_statement, free_dims, loop_extents
+from repro.dse.analysis import carried_for_statement, loop_extents
 from repro.dse.evaluator import Evaluator
-from repro.dse.stage2 import unroll_spreads
+from repro.dse.stage2 import derive_partitions, unroll_spreads
 from repro.polyir.program import PolyProgram
+from tests.dse.test_stage1 import free_dims
 
 KERNELS = [
     name for name in workloads.names(kind="function") if name not in ("vgg16", "resnet18")
@@ -167,26 +168,28 @@ def test_stage1_plan_equals_the_two_analysis_plan(name, monkeypatch):
 def _recording(monkeypatch):
     """Record ``(config fingerprints, banking)`` of every scored candidate."""
     scored = []
-    realize, rescored = Evaluator.realize, Evaluator.rescored
-
-    def note(self, configs, bank_cap):
-        banking = sorted(self.banking(configs, bank_cap).items())
-        scored.append((self.fingerprint(configs), repr(banking)))
+    realize = Evaluator.realize
 
     def recording_realize(self, configs, bank_cap):
         outcome = realize(self, configs, bank_cap)
-        note(self, configs, bank_cap)
-        return outcome
-
-    def recording_rescored(self, configs, bank_cap):
-        outcome = rescored(self, configs, bank_cap)
-        if outcome is not None:
-            note(self, configs, bank_cap)
+        banking = derive_partitions(self.function, max_banks=bank_cap, spreads=self._scheduled[3])
+        scored.append((self.fingerprint(configs), repr(sorted(banking.items()))))
         return outcome
 
     monkeypatch.setattr(Evaluator, "realize", recording_realize)
-    monkeypatch.setattr(Evaluator, "rescored", recording_rescored)
     return scored
+
+
+def score_every_candidate(monkeypatch):
+    """Make every candidate lower and estimate, as the sweep did before a
+    bank cap could take the score of the design before it."""
+    realize = Evaluator.realize
+
+    def forgetting(self, configs, bank_cap):
+        self._scored = None
+        return realize(self, configs, bank_cap)
+
+    monkeypatch.setattr(Evaluator, "realize", forgetting)
 
 
 @pytest.mark.parametrize("name", sorted(f"{k}@16" for k in KERNELS))
@@ -235,7 +238,7 @@ def test_the_journal_is_the_one_of_every_candidate_lowered(name, objective, tmp_
     result = auto_dse(
         SWEPT[name](), options=DseOptions(checkpoint=str(tmp_path / "new.jsonl"), **options)
     )
-    monkeypatch.setattr(Evaluator, "rescored", lambda self, configs, bank_cap: None)
+    score_every_candidate(monkeypatch)
     reference = auto_dse(
         SWEPT[name](), options=DseOptions(checkpoint=str(tmp_path / "ref.jsonl"), **options)
     )

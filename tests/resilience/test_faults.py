@@ -12,7 +12,9 @@ from repro.faults import Fault, FaultPlan, FAULT_KINDS, InjectedCrash
 from repro.workloads import polybench
 from repro.workloads.stencils import seidel
 
+from tests.dse.test_work_once import score_every_candidate
 from tests.resilience.test_checkpoint_resume import fingerprint
+from repro.dse.evaluator import Evaluator
 from repro.dse.options import DseOptions
 
 pytestmark = pytest.mark.resilience
@@ -75,6 +77,48 @@ def test_hung_candidate_is_quarantined_as_timeout():
     assert len(timed_out) == 1
     assert timed_out[0].elapsed_s is not None
     assert result.report.total_cycles > 0  # the sweep still found a design
+
+
+def _repeated_ordinals(monkeypatch, options):
+    """Ordinals of a clean sweep whose candidate took the score of the
+    design before it (a bank cap that derives the same banking)."""
+    realize = Evaluator.realize
+    lowered = []
+
+    def recording(self, configs, bank_cap):
+        before = self.stats.lowerings
+        outcome = realize(self, configs, bank_cap)
+        lowered.append(self.stats.lowerings > before)
+        return outcome
+
+    monkeypatch.setattr(Evaluator, "realize", recording)
+    result = polybench.gemm(16).auto_DSE(options=options)
+    monkeypatch.undo()
+    return [o for o in range(result.stats.candidates) if not lowered[o]]
+
+
+@pytest.mark.parametrize("kind", ["transient", "permanent", "hang"])
+def test_estimator_faults_fire_where_a_candidate_repeats_the_design_before_it(kind, monkeypatch):
+    """Such a candidate is scored without an estimate, but a fault
+    scheduled at its ordinal still reaches the estimator: the sweep ends
+    exactly as one that lowers and estimates every candidate."""
+    options = dict(resource_fraction=0.25, objective="pareto", candidate_timeout_s=30.0)
+    repeated = _repeated_ordinals(monkeypatch, DseOptions(**options))
+    assert 5 in repeated
+
+    def sweep():
+        plan = FaultPlan([Fault(kind, 5)])
+        result = polybench.gemm(16).auto_DSE(options=DseOptions(fault_plan=plan, **options))
+        quarantined = [(q.diagnostic.code, q.bank_cap, q.parallelism) for q in result.quarantine]
+        return plan.fired, quarantined, fingerprint(result), result.stats.estimator_retries
+
+    outcome = sweep()
+    score_every_candidate(monkeypatch)
+    assert outcome == sweep()
+    fired, quarantined, _, retries = outcome
+    assert fired == [(kind, 5)]
+    assert bool(quarantined) == (kind != "transient")
+    assert retries == (kind == "transient")
 
 
 def test_hang_without_a_deadline_is_a_harness_error():

@@ -300,55 +300,25 @@ def test_forked_worker_imports_nothing():
         assert outcome == {"status": "done", "new": [[]]}, (label, outcome)
 
 
-_COLD_JOBS_SCRIPT = """
-import json, sys, tempfile
-from repro.serve.executor import JobExecutor
-from repro.serve.jobs import JobSpec
-from repro.serve.store import ResultStore
-
-jobs = []
-with tempfile.TemporaryDirectory() as state:
-    runner = JobExecutor(ResultStore(state), workers=1)
-    try:
-        for fraction in (0.3, 0.4, 0.5, 0.6, 0.7):
-            request = {"kind": "dse", "workload": "gemm", "size": 32,
-                       "options": {"resource_fraction": fraction}}
-            job = runner.submit(JobSpec.from_request(request))
-            job = runner.wait(job.id, timeout_s=60.0)
-            jobs.append({"record": job.as_dict(), "last_event": job.events[-1]})
-    finally:
-        runner.close()
-print(json.dumps(jobs))
-"""
-
-
 @pytest.mark.perfsmoke
-def test_perfsmoke_cold_job_overhead_and_phases():
+def test_perfsmoke_cold_job_overhead_and_phases(make_executor):
     """What a cold job costs beyond its sweep: fork, child start-up, the
     result's trip back and the store write.  The polling executor could
     not get under 60 ms (a tick to notice the result, then a blind 50 ms
-    drain); event-driven it is ~10 ms.
-
-    Measured from a fresh interpreter, the size of a server process: a
-    fork's cost grows with the forking process's heap, and deep into a
-    full test run this one holds ~180 MB of other tests' state, which
-    doubles the overhead and would time the test run, not the executor.
-    """
-    done = subprocess.run(
-        [sys.executable, "-c", _COLD_JOBS_SCRIPT],
-        capture_output=True, text=True, timeout=300, env=os.environ.copy(),
-    )
-    assert done.returncode == 0, done.stderr
-    jobs = json.loads(done.stdout.strip().splitlines()[-1])
-    assert len(jobs) == 5
+    drain); event-driven it is ~10 ms."""
+    executor = make_executor(workers=1)
     overheads = []
-    for job in jobs:
-        record = job["record"]
-        assert record["status"] == "done", record
+    for fraction in (0.3, 0.4, 0.5, 0.6, 0.7):
+        job = _run(
+            executor, kind="dse", workload="gemm", size=32,
+            options={"resource_fraction": fraction},
+        )
+        assert job.status == "done", job.as_dict()
+        record = job.as_dict()
         assert set(record["phases"]) == set(PHASES)
         assert sum(record["phases"].values()) == pytest.approx(
             record["wall_s"], abs=1e-5
         )
-        assert job["last_event"]["phases"] == record["phases"]
+        assert job.events[-1]["phases"] == record["phases"]
         overheads.append(record["wall_s"] - record["result"]["timing"]["wall_s"])
     assert statistics.median(overheads) < 0.030, overheads

@@ -105,17 +105,23 @@ class TestSpanCoverage:
             stats.report_hits + stats.report_misses
         )
         # A design scored again hits every nest.  (The sweep reads node
-        # latencies off the estimate that scored a design, so it is
-        # driven here by hand.)
+        # latencies off the estimate that scored a design, and takes the
+        # score of the design just before without estimating, so a
+        # revisit is driven here by hand.)
         from repro.dse.evaluator import Evaluator
 
         evaluator = Evaluator(polybench.gemm(20))
-        configs = evaluator.configs(dict.fromkeys(evaluator.nodes, 4))
+        configs, other = (
+            evaluator.configs(dict.fromkeys(evaluator.nodes, degree)) for degree in (4, 1)
+        )
         with trace.tracing() as again:
             evaluator.realize(configs, 16)
+            evaluator.realize(other, 16)
             evaluator.realize(configs, 16)
         spans = [s for s in again.spans if s.name == "hls.estimate"]
-        assert [s.args["nest_hits"] == s.args["nests"] > 0 for s in spans] == [False, True]
+        assert [s.args["nest_hits"] == s.args["nests"] > 0 for s in spans] == [
+            False, False, True
+        ]
 
     def test_spans_nest_under_the_sweep_root(self, traced_dse):
         tracer, _ = traced_dse
