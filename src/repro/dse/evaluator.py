@@ -102,20 +102,22 @@ def _backoff_sleep(
     candidate scope converts to a ``DSE003`` timeout quarantine) and
     gives up early -- without raising -- once the whole-sweep deadline
     is exhausted, so the search loop's own budget check fires at the
-    next iteration.  Returns the wall time actually slept so callers can
+    next iteration.  Returns the wall time actually slept, read off the
+    clock (a nap that wakes late counts in full), so callers can
     attribute it separately from estimation time.
     """
-    slept = 0.0
-    end = time.monotonic() + seconds
+    start = time.monotonic()
+    end = start + seconds
     while True:
         candidate_deadline = _active_deadline()
         if candidate_deadline is not None:
             candidate_deadline.poll()
+        now = time.monotonic()
         if sweep_deadline is not None and sweep_deadline.exceeded():
-            return slept
-        left = end - time.monotonic()
+            return now - start
+        left = end - now
         if left <= 0:
-            return slept
+            return now - start
         nap = min(slice_s, left)
         if candidate_deadline is not None:
             # Never sleep meaningfully past the candidate budget; the
@@ -123,7 +125,6 @@ def _backoff_sleep(
             # lands inside this slice (the next poll then raises).
             nap = min(nap, max(candidate_deadline.remaining(), 0.0) + 0.001)
         time.sleep(nap)
-        slept += nap
 
 
 def _estimate_with_retries(
