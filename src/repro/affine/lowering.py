@@ -78,8 +78,7 @@ def lower_program_incremental(
     """
     if cache is None:
         return lower_program(program, stats)
-    function = program.function
-    func = FuncOp(function.name, function.placeholders())
+    body: List = []
     for group in program.toplevel_groups():
         key = tuple(stmt.fingerprint() for stmt in group)
         ops = cache.get(key)
@@ -101,16 +100,26 @@ def lower_program_incremental(
                 cache[key] = ops
         elif stats is not None:
             stats.lowering_cache_hits += 1
-        for op in ops:
-            func.body.append(op)
-    _record_partitions(func, function)
-    return func
+        body += ops
+    return assemble(program.function, body)
 
 
 def lower_ast(ast: AstNode, function: Function) -> FuncOp:
     """Lower an annotated polyhedral AST into the affine dialect."""
     func = FuncOp(function.name, function.placeholders())
     _lower_node(ast, func.body)
+    _record_partitions(func, function)
+    return func
+
+
+def assemble(function: Function, body: List) -> FuncOp:
+    """A function over already-lowered top-level ops, by reference, with
+    ``function``'s current partition schemes: a program lowered once
+    serves every banking of its schedule (the lowered ops are read-only
+    to the DSE, as for the nest memo above)."""
+    func = FuncOp(function.name, function.placeholders())
+    for op in body:
+        func.body.append(op)
     _record_partitions(func, function)
     return func
 

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import faults as _faults
 from repro import trace as _trace
 from repro.affine.ir import AffineStoreOp, FuncOp
-from repro.affine.lowering import lower_program_incremental
+from repro.affine.lowering import assemble, lower_program_incremental
 from repro.depgraph.graph import build_dependence_graph
 from repro.diagnostics import (
     Diagnostic,
@@ -231,10 +231,10 @@ class Evaluator:
 
         self._config_memo: Dict[Tuple[str, int], NodeConfig] = {}
         self._statement_memo: Dict[tuple, Tuple[NodeDelta, PolyStatement]] = {}
-        # (config fingerprints, program, node deltas, unroll spreads) of
-        # the most recent candidate.
+        # (config fingerprints, program, node deltas, unroll spreads,
+        # lowered top-level ops or None) of the most recent candidate.
         self._scheduled: Optional[
-            Tuple[tuple, PolyProgram, Dict[str, NodeDelta], dict]
+            Tuple[tuple, PolyProgram, Dict[str, NodeDelta], dict, Optional[list]]
         ] = None
         # (config fingerprints, banking, report, lowered function,
         # per-nest cycles) of the design ``realize`` scored last.
@@ -293,10 +293,11 @@ class Evaluator:
         stage-2 directives applied to that node's statement alone
         (memoized by config fingerprint); only the fusion ``after``
         surgery reads other statements, and it runs last, on the whole.
-        The most recent program is kept with its node deltas and unroll
-        spreads -- the installed directive list, partitions, lowering and
-        the bank-cap retries of one candidate share them -- so callers
-        must not transform it.  The spreads are read off the stage-1
+        The most recent program is kept with its node deltas, unroll
+        spreads and, once :meth:`realize` has lowered it, its lowered
+        top-level ops -- the installed directive list, partitions,
+        lowering and the bank-cap retries of one candidate share them --
+        so callers must not transform it.  The spreads are read off the stage-1
         statements and each node's unroll copies
         (:func:`~repro.dse.stage2.count_spreads`), not the rewritten ones.
         """
@@ -331,7 +332,7 @@ class Evaluator:
         )
         stats.lowering_s += time.perf_counter() - t0
         # Only a fully assembled program becomes current.
-        self._scheduled = (key, program, deltas, spreads)
+        self._scheduled = (key, program, deltas, spreads, None)
         return program
 
     def _apply_partitions(self, derived: Dict[str, Tuple[int, ...]]) -> None:
@@ -358,12 +359,15 @@ class Evaluator:
         configs and derived banking equal an earlier design's (a frontier
         grid member the ladder reached another way) needs no memo of its
         own: every top-level nest hits the nest-lowering memo and every
-        nest estimate the estimator's per-nest memo.
+        nest estimate the estimator's per-nest memo.  The schedule is
+        lowered once: a candidate with the configs of the one before it
+        and another banking (a bank cap that binds) reuses its lowered
+        ops under its own ``partitions`` and is estimated afresh.
         """
         stats = self.stats
         previous, self._scored = self._scored, None
         self.install(configs)
-        key, scheduled, _, spreads = self._scheduled
+        key, scheduled, _, spreads, body = self._scheduled
         banking = derive_partitions(self.function, max_banks=bank_cap, spreads=spreads)
         self._apply_partitions(banking)
         if previous is not None and previous[:2] == (key, banking):
@@ -371,9 +375,13 @@ class Evaluator:
             if plan is None or not plan.estimator_fault_due():
                 self._scored = previous
                 return previous[2], previous[3]
-        stats.lowerings += 1
         t0 = time.perf_counter()
-        func_op = lower_program_incremental(scheduled, cache=self._nest_memo, stats=stats)
+        if body is None:
+            stats.lowerings += 1
+            func_op = lower_program_incremental(scheduled, cache=self._nest_memo, stats=stats)
+            self._scheduled = self._scheduled[:4] + (list(func_op.body.ops),)
+        else:
+            func_op = assemble(self.function, body)
         stats.lowering_s += time.perf_counter() - t0
         report = self.estimate(func_op)
         self._scored = (key, banking, report, func_op, self.estimator.nest_cycles)

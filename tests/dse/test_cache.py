@@ -161,18 +161,26 @@ class TestDseStats:
         assert stats.config_cache_hits == 0
         assert all(hits == 0 for hits, _ in stats.isl_counters.values())
 
-    def test_lowering_is_accounted_with_the_cache_on_or_off(self):
-        """`--no-cache --stats` used to print `ast build 0.0 ms`."""
-        uncached = auto_dse(polybench.gemm(64), options=DseOptions(cache=False)).stats
-        cached = auto_dse(polybench.gemm(64)).stats
+    @pytest.mark.parametrize("factory, nests", [(polybench.gemm, 1), (polybench.mm2, 2)])
+    def test_lowering_is_accounted_with_the_cache_on_or_off(self, factory, nests):
+        """`--no-cache --stats` used to print `ast build 0.0 ms`.
+
+        Each distinct schedule is lowered once with the cache on or off.
+        "Nests actually (re)lowered": without the nest memo that is every
+        nest of every lowering, with it only the misses -- the same on a
+        one-nest kernel (gemm), fewer on a multi-nest one (2mm)."""
+        uncached = auto_dse(factory(64), options=DseOptions(cache=False)).stats
+        cached = auto_dse(factory(64)).stats
         for stats in (uncached, cached):
             assert 0 < stats.astbuild_s <= stats.lowering_s
-        # "Nests actually (re)lowered": without reuse that is every nest
-        # of every lowering (gemm has one), with it only the misses.
-        assert uncached.group_lowerings == uncached.lowerings
+        assert cached.lowerings == uncached.lowerings < uncached.evaluations
+        assert uncached.group_lowerings == nests * uncached.lowerings
         assert uncached.lowering_cache_misses == 0
         assert cached.group_lowerings == cached.lowering_cache_misses
-        assert cached.group_lowerings < uncached.group_lowerings
+        if nests == 1:
+            assert cached.group_lowerings == uncached.group_lowerings
+        else:
+            assert cached.group_lowerings < uncached.group_lowerings
 
 
 @pytest.mark.perfsmoke

@@ -9,7 +9,9 @@ Three shortcuts, each against the longer way it replaced:
 * a bank cap that derives the banking of the design scored just before
   it takes that design's score, the finalize reinstalls the best design
   without lowering it again, and the ladder reads node latencies off the
-  estimate that scored the best design.
+  estimate that scored the best design;
+* a bank cap that changes only the banking reuses the lowered ops of the
+  schedule scored just before it.
 """
 
 import json
@@ -20,6 +22,8 @@ from repro import workloads
 from repro.affine import print_func
 from repro.dse import DseOptions, analysis, auto_dse, stage1
 from repro.dse.analysis import carried_for_statement, loop_extents
+from repro.affine.lowering import lower_program
+from repro.dse import evaluator
 from repro.dse.evaluator import Evaluator
 from repro.dse.stage2 import derive_partitions, unroll_spreads
 from repro.polyir.program import PolyProgram
@@ -57,7 +61,7 @@ def test_spreads_equal_the_rewritten_programs(name, cache, monkeypatch):
 
     def checking(self, configs, bank_cap):
         outcome = realize(self, configs, bank_cap)
-        key, program, _, spreads = self._scheduled
+        key, program, _, spreads, _ = self._scheduled
         checked.append((key == self.fingerprint(configs), spreads, unroll_spreads(program)))
         return outcome
 
@@ -182,11 +186,14 @@ def _recording(monkeypatch):
 
 def score_every_candidate(monkeypatch):
     """Make every candidate lower and estimate, as the sweep did before a
-    bank cap could take the score of the design before it."""
+    bank cap could take the score or the lowered ops of the candidate
+    before it."""
     realize = Evaluator.realize
 
     def forgetting(self, configs, bank_cap):
         self._scored = None
+        if self._scheduled is not None:
+            self._scheduled = self._scheduled[:4] + (None,)
         return realize(self, configs, bank_cap)
 
     monkeypatch.setattr(Evaluator, "realize", forgetting)
@@ -194,6 +201,8 @@ def score_every_candidate(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(f"{k}@16" for k in KERNELS))
 def test_an_uncached_ladder_lowers_each_design_once(name, monkeypatch):
+    """Each distinct design is estimated once and each distinct schedule
+    lowered once (a ladder step's bank caps share one schedule)."""
     scored = _recording(monkeypatch)
     reinstalled = []
     reinstall = Evaluator.reinstall
@@ -208,7 +217,8 @@ def test_an_uncached_ladder_lowers_each_design_once(name, monkeypatch):
     stats = result.stats
     assert not result.quarantine
     assert len(scored) == stats.candidates == stats.evaluations
-    assert stats.lowerings == stats.estimations == len(set(scored))
+    assert stats.estimations == len(set(scored))
+    assert stats.lowerings == len({schedule for schedule, _ in scored})
 
     # The finalize reinstalled the best design; a fresh evaluator scores
     # it the same and lowers it to the same IR.
@@ -247,3 +257,43 @@ def test_the_journal_is_the_one_of_every_candidate_lowered(name, objective, tmp_
     assert result.payload() == reference.payload()
     assert result.evaluations == reference.evaluations
     assert result.stats.lowerings < reference.stats.lowerings
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("objective", ["single", "pareto"])
+@pytest.mark.parametrize("name", ["gemm@16", "3mm@16", "bicg@19", "seidel@16", "2mm@16"])
+def test_a_sweep_lowers_each_distinct_schedule_once(name, objective, cache, monkeypatch):
+    lowered = []
+    lower = evaluator.lower_program_incremental
+
+    def recording(program, cache=None, stats=None):
+        lowered.append(tuple(stmt.fingerprint() for stmt in program.statements))
+        return lower(program, cache=cache, stats=stats)
+
+    monkeypatch.setattr(evaluator, "lower_program_incremental", recording)
+    result = auto_dse(SWEPT[name](), options=DseOptions(
+        resource_fraction=0.25, cache=cache, objective=objective))
+    assert not result.quarantine
+    assert len(lowered) == result.stats.lowerings <= result.stats.estimations
+    # A schedule is lowered again only after another one came between.
+    assert all(before != after for before, after in zip(lowered, lowered[1:]))
+
+
+@pytest.mark.parametrize("name", ["gemm@16", "3mm@16", "seidel@16", "image-pipeline.grad"])
+def test_a_bank_cap_retry_equals_a_fresh_lowering(name):
+    """A retry reuses the ops lowered for the cap before it; its function
+    prints as a fresh lowering of the same schedule and banking, and its
+    report equals a fresh evaluator's."""
+    ev = Evaluator(SWEPT[name](), cache=False)
+    configs = ev.configs({node: 8 for node in ev.nodes})
+    ev.realize(configs, 128)
+    lowerings = ev.stats.lowerings
+    report, func_op = ev.realize(configs, 2)
+    assert ev.stats.lowerings == lowerings
+    assert "partitions" in func_op.attributes
+    assert print_func(func_op) == print_func(lower_program(ev.scheduled(configs)))
+
+    fresh = Evaluator(SWEPT[name](), cache=False)
+    fresh_report, fresh_op = fresh.realize(fresh.configs({node: 8 for node in fresh.nodes}), 2)
+    assert report == fresh_report
+    assert print_func(func_op) == print_func(fresh_op)
