@@ -64,7 +64,9 @@ class AffineExpr:
     @staticmethod
     def const(value: int) -> "AffineExpr":
         """A constant expression."""
-        return AffineExpr({}, value)
+        if not isinstance(value, int):
+            raise TypeError(f"constant must be int, got {type(value).__name__}")
+        return _from_items((), value)
 
     @staticmethod
     def coerce(value: ExprLike) -> "AffineExpr":
@@ -137,10 +139,14 @@ class AffineExpr:
     __radd__ = __add__
 
     def __sub__(self, other: ExprLike) -> "AffineExpr":
-        return self + (-AffineExpr.coerce(other))
+        other = AffineExpr.coerce(other)
+        coeffs = dict(self._coeffs)
+        for name, coeff in other._items:
+            coeffs[name] = coeffs.get(name, 0) - coeff
+        return _from_sums(coeffs, self._const - other._const)
 
     def __rsub__(self, other: ExprLike) -> "AffineExpr":
-        return AffineExpr.coerce(other) + (-self)
+        return AffineExpr.coerce(other) - self
 
     def __neg__(self) -> "AffineExpr":
         return _from_items(tuple((n, -c) for n, c in self._items), -self._const)
@@ -247,7 +253,7 @@ def _from_items(items: Tuple[Tuple[str, int], ...], const: int) -> AffineExpr:
     items from another expression's, in its order (see
     ``docs/performance.md``).
     """
-    context = _intern.active()
+    context = _intern._ACTIVE
     table = context.exprs
     key = (items, const)
     self = table.get(key)

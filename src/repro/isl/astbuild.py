@@ -22,10 +22,10 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import trace as _trace
 from repro.isl import intern as _intern
-from repro.isl.affine import AffineExpr
+from repro.isl.affine import AffineExpr, _from_sums
 from repro.isl.constraint import GE, Constraint
 from repro.isl.maps import ScheduleMap
-from repro.isl.sets import BasicSet, LoopBound
+from repro.isl.sets import BasicSet, LoopBound, row_constraint
 from repro.util import deadline as _deadline
 
 
@@ -205,6 +205,15 @@ class _Nest:
             total += coeff * self.box[name][(coeff > 0) != low]
         return total
 
+    def row_low(self, dims: Sequence[str], row: Sequence[int]) -> int:
+        """:meth:`extreme` ``(low=True)`` of a set row over ``dims``."""
+        total = row[len(dims)]
+        box = self.box
+        for name, coeff in zip(dims, row):
+            if coeff:
+                total += coeff * box[name][coeff < 0]
+        return total
+
     def witness(self, toward: Mapping[str, int]) -> Optional[Dict[str, int]]:
         """One integer iteration of the nest, or None.
 
@@ -361,18 +370,25 @@ class AstBuilder:
         return BlockNode(leaves)
 
     def _guards(self, state: _StmtState, nest: _Nest) -> List[Constraint]:
-        """Domain constraints not already implied by the loop bounds."""
+        """Domain constraints not already implied by the loop bounds.
+
+        An inequality row that holds on the whole box of the nest passes
+        :meth:`_Nest.decide`'s first test; it is read off the row, and
+        only the other rows become constraints."""
+        domain = state.domain.rename_dims(state.binding) if state.renames() else state.domain
+        dims = domain.dims
+        order = domain.name_order()
         guards = []
-        renames = state.renames()
-        for constraint in state.domain.constraints:
-            rewritten = constraint.rename(state.binding) if renames else constraint
-            if rewritten.is_tautology():
+        for row in domain.rows:
+            if not _intern._REFERENCE and _row_boxed(nest, dims, row):
+                _trace.count("isl.ast.decided")
                 continue
+            constraint = row_constraint(dims, order, row)
             if not _implies(
-                nest, rewritten, rewritten.expr._coeffs,
-                lambda: self._implied(nest.context(), rewritten),
+                nest, constraint, constraint.expr._coeffs,
+                lambda: self._implied(nest.context(), constraint),
             ):
-                guards.append(rewritten)
+                guards.append(constraint)
         return guards
 
     @staticmethod
@@ -455,12 +471,12 @@ class AstBuilder:
 
 
 def _bound_constraint(iterator: str, bound: LoopBound) -> Constraint:
-    it = AffineExpr.var(iterator)
-    if bound.is_lower:
-        # iterator >= ceil(e/d)  <=>  d*iterator >= e
-        return Constraint(it * bound.divisor - bound.expr, GE)
-    # iterator <= floor(e/d)  <=>  d*iterator <= e
-    return Constraint(bound.expr - it * bound.divisor, GE)
+    # iterator >= ceil(e/d)  <=>  d*iterator - e >= 0;
+    # iterator <= floor(e/d)  <=>  e - d*iterator >= 0.
+    sign = 1 if bound.is_lower else -1
+    coeffs = {name: -sign * coeff for name, coeff in bound.expr._items}
+    coeffs[iterator] = coeffs.get(iterator, 0) + sign * bound.divisor
+    return Constraint(_from_sums(coeffs, -sign * bound.expr._const), GE)
 
 
 def _prune_redundant(
@@ -492,11 +508,14 @@ def _prune_redundant(
             continue
         negated = _bound_constraint(iterator, candidate)
         # A witness lowers the candidate's slack over the other same-side
-        # bound: that one stands in for the iterator in the outer loops.
+        # bound, ``rival * d - candidate * d'``: that one stands in for
+        # the iterator in the outer loops.
         rival = sides[not candidate.is_lower][0]
-        slack = rival.expr * candidate.divisor - candidate.expr * rival.divisor
+        slack = {name: coeff * candidate.divisor for name, coeff in rival.expr._items}
+        for name, coeff in candidate.expr._items:
+            slack[name] = slack.get(name, 0) - coeff * rival.divisor
         sign = 1 if candidate.is_lower else -1
-        toward = {name: sign * coeff for name, coeff in slack._coeffs.items()}
+        toward = {name: sign * coeff for name, coeff in slack.items() if coeff}
         toward[iterator] = sign
 
         trial = nest.extended(iterator, *sides)
@@ -512,6 +531,13 @@ def _prune_redundant(
         [b for b in kept if b.is_lower],
         [b for b in kept if not b.is_lower],
     )
+
+
+def _row_boxed(nest: _Nest, dims: Sequence[str], row: Sequence[int]) -> bool:
+    """Whether the inequality ``row`` of a set over ``dims`` holds on the
+    whole box of ``nest``: :meth:`_Nest.decide`'s first test, before the
+    row's constraint is built."""
+    return not row[-1] and nest.row_low(dims, row) >= 0
 
 
 def _boxed(

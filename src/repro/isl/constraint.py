@@ -56,7 +56,7 @@ class Constraint:
         if kind not in (EQ, GE):
             raise ValueError(f"kind must be '==' or '>=', got {kind!r}")
         expr = _normalize(expr, kind)
-        context = _intern.active()
+        context = _intern._ACTIVE
         table = context.constraints
         key = (kind, expr)
         self = table.get(key)
@@ -169,7 +169,7 @@ def _intern_normalized(expr: AffineExpr, kind: str) -> Constraint:
     the unit-coefficient box bounds ``BasicSet.box`` builds and for the
     Fourier-Motzkin survivors ``sets._eliminate`` divides by their gcd.
     """
-    context = _intern.active()
+    context = _intern._ACTIVE
     table = context.constraints
     key = (kind, expr)
     self = table.get(key)

@@ -75,9 +75,9 @@ class ScheduleMap:
             expr = AffineExpr.coerce(entry)
             if position % 2 == 0 and not expr.is_constant():
                 raise ValueError(f"static dim {position} must be constant, got {expr}")
-            for name in expr.dims():
-                if name not in self.in_dims:
-                    raise ValueError(f"schedule entry {expr} uses unknown dim {name!r}")
+            if not all(name in self.in_dims for name in expr._coeffs):
+                unknown = next(name for name in expr.dims() if name not in self.in_dims)
+                raise ValueError(f"schedule entry {expr} uses unknown dim {unknown!r}")
             coerced.append(expr)
         self.entries: Tuple[AffineExpr, ...] = tuple(coerced)
 
@@ -140,6 +140,8 @@ class ScheduleMap:
         """
         if depth < self.depth:
             raise ValueError("cannot shrink a schedule")
+        if depth == self.depth:
+            return self
         entries = list(self.entries)
         for _ in range(depth - self.depth):
             entries.extend([AffineExpr.const(0), AffineExpr.const(0)])

@@ -1,12 +1,26 @@
 """Basic integer sets: conjunctions of affine constraints over named dims.
 
 A :class:`BasicSet` plays the role of an isl ``basic_set``: it is an
-ordered tuple of dimension names plus a list of constraints.  It supports
-the operations the polyhedral IR needs -- intersection, dimension
-substitution (the mechanism behind split/tile/skew), Fourier-Motzkin
-projection, rational emptiness testing with integer tightening, loop
-bound extraction for code generation, and exhaustive point enumeration
-for small sets (used heavily by the test suite as ground truth).
+ordered tuple of dimension names plus a system of constraints.  It
+supports the operations the polyhedral IR needs -- intersection,
+dimension substitution (the mechanism behind split/tile/skew),
+Fourier-Motzkin projection, rational emptiness testing with integer
+tightening, loop bound extraction for code generation, and exhaustive
+point enumeration for small sets (used heavily by the test suite as
+ground truth).
+
+As in isl, the system is held as integer rows over the ordered dims: a
+row is a plain tuple ``(c_0, ..., c_{n-1}, const, eq)`` standing for
+``sum(c_k * dims[k]) + const == 0`` when ``eq`` is 1 and ``>= 0`` when
+it is 0, normalized as :class:`~repro.isl.constraint.Constraint`
+normalizes (coefficient gcd divided out, inequality constants
+floored).  :class:`~repro.isl.affine.AffineExpr` and
+:class:`Constraint` are the boundary types: the constructor and
+``with_constraints`` take constraints, :attr:`BasicSet.constraints`
+builds them from the rows once per set, and :meth:`BasicSet.dim_bounds`
+builds the expressions of the loop bounds it returns.  Renaming is a
+new dims tuple, reordering and substitution are column operations, and
+Fourier-Motzkin runs on the rows.
 """
 
 from __future__ import annotations
@@ -20,15 +34,14 @@ from repro.isl import intern as _intern
 from repro.isl import matrix as _matrix
 from repro.isl import memo as _memo
 from repro.isl.affine import AffineExpr, ExprLike, _from_items
-from repro.isl.constraint import (
-    EQ,
-    GE,
-    Constraint,
-    _intern_normalized,
-    check_fm_pairs,
-    prune_parallel,
-)
+from repro.isl.constraint import EQ, GE, Constraint, _intern_normalized, check_fm_pairs
 from repro.util import deadline as _deadline
+
+#: One constraint over a set's dims: coefficients, constant, 1 for ``==``.
+Row = Tuple[int, ...]
+
+_gcd = math.gcd
+
 
 class LoopBound:
     """One loop bound for code generation: ``floor/ceil(expr / divisor)``.
@@ -54,7 +67,8 @@ class LoopBound:
         self.is_lower = is_lower
 
     def evaluate(self, values: Mapping[str, int]) -> int:
-        value = self.expr.evaluate(values)
+        expr = self.expr
+        value = expr.evaluate(values) if expr._coeffs else expr._const
         if self.is_lower:
             return -((-value) // self.divisor)  # ceil division
         return value // self.divisor
@@ -78,30 +92,37 @@ class LoopBound:
         return f"{func}(({self.expr})/{self.divisor})"
 
 
+class _SystemKey:
+    """``(dims, rows)`` of one set with its hash taken once: the
+    order-exact memo key (a tuple would re-hash every row per lookup)."""
+
+    __slots__ = ("system", "_hash")
+
+    def __init__(self, dims: Tuple[str, ...], rows: Tuple[Row, ...]):
+        self.system = (dims, rows)
+        self._hash = hash(self.system)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, _SystemKey) and self.system == other.system
+        )
+
+
 class BasicSet:
     """A conjunction of affine constraints over an ordered dimension tuple."""
 
-    __slots__ = ("dims", "constraints", "_hash")
+    __slots__ = ("dims", "rows", "_constraints", "_key", "_hash")
 
     def __init__(self, dims: Sequence[str], constraints: Iterable[Constraint] = ()):
+        dims = tuple(dims)
         if len(set(dims)) != len(dims):
             raise ValueError(f"duplicate dimension names in {dims!r}")
-        self._hash: Optional[int] = None
-        self.dims: Tuple[str, ...] = tuple(dims)
-        dim_set = set(self.dims)
-        seen = set()
-        kept: List[Constraint] = []
-        for constraint in constraints:
-            for name in constraint.expr._coeffs:
-                if name not in dim_set:
-                    raise ValueError(
-                        f"constraint {constraint} uses unknown dimension {name!r}"
-                    )
-            if constraint.is_tautology() or constraint in seen:
-                continue
-            seen.add(constraint)
-            kept.append(constraint)
-        self.constraints: Tuple[Constraint, ...] = tuple(prune_parallel(kept))
+        index = {name: at for at, name in enumerate(dims)}
+        rows = [_row_of(constraint, index, len(dims)) for constraint in constraints]
+        _init(self, dims, _clean(rows, len(dims), True))
 
     # -- constructors ---------------------------------------------------
 
@@ -115,39 +136,75 @@ class BasicSet:
         dims = tuple(order) if order is not None else tuple(bounds)
         if len(set(dims)) != len(dims):
             raise ValueError(f"duplicate dimension names in {dims!r}")
-        # ``d - lo >= 0`` and ``hi - d >= 0`` are already normalized and
-        # pairwise non-parallel: intern them as they are and skip the
-        # constructor's checks (the same objects Constraint.ge/le build).
-        constraints = []
-        for name in dims:
+        # ``d - lo >= 0`` and ``hi - d >= 0`` are normalized and pairwise
+        # non-parallel already.
+        width = len(dims)
+        rows = []
+        for at, name in enumerate(dims):
             lo, hi = bounds[name]
-            constraints.append(_intern_normalized(_from_items(((name, 1),), -lo), GE))
-            constraints.append(_intern_normalized(_from_items(((name, -1),), hi), GE))
-        return _pruned(dims, tuple(constraints))
+            unit = [0] * width
+            unit[at] = 1
+            rows.append(tuple(unit) + (-lo, 0))
+            unit[at] = -1
+            rows.append(tuple(unit) + (hi, 0))
+        return _make(dims, tuple(rows))
 
     @staticmethod
     def universe(dims: Sequence[str]) -> "BasicSet":
         return BasicSet(dims, ())
 
+    # -- the constraints, materialized ------------------------------------
+
+    @property
+    def constraints(self) -> Tuple[Constraint, ...]:
+        """The rows as interned constraints, in row order (built once)."""
+        constraints = self._constraints
+        if constraints is None:
+            order = self.name_order()
+            constraints = self._constraints = tuple(
+                row_constraint(self.dims, order, row) for row in self.rows
+            )
+        return constraints
+
+    def name_order(self) -> List[int]:
+        """The column indices in dim-name order (an expression's item order)."""
+        return sorted(range(len(self.dims)), key=self.dims.__getitem__)
+
+    def _system(self) -> _SystemKey:
+        key = self._key
+        if key is None:
+            key = self._key = _SystemKey(self.dims, self.rows)
+        return key
+
     # -- structural operations -------------------------------------------
 
     def with_constraints(self, extra: Iterable[Constraint]) -> "BasicSet":
-        return BasicSet(self.dims, list(self.constraints) + list(extra))
+        index = {name: at for at, name in enumerate(self.dims)}
+        width = len(self.dims)
+        rows = [_row_of(constraint, index, width) for constraint in extra]
+        return _make(self.dims, _clean(self.rows + tuple(rows), width, True))
 
     def intersect(self, other: "BasicSet") -> "BasicSet":
         if self.dims != other.dims:
             raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
-        return self.with_constraints(other.constraints)
+        return _make(self.dims, _clean(self.rows + other.rows, len(self.dims), True))
 
     def rename_dims(self, mapping: Mapping[str, str]) -> "BasicSet":
         new_dims = tuple(mapping.get(d, d) for d in self.dims)
-        return BasicSet(new_dims, [c.rename(mapping) for c in self.constraints])
+        if len(set(new_dims)) != len(new_dims):
+            raise ValueError(f"duplicate dimension names in {new_dims!r}")
+        return _make(new_dims, self.rows)
 
     def reorder_dims(self, new_order: Sequence[str]) -> "BasicSet":
-        """Permute the dimension tuple (constraints are unaffected)."""
+        """Permute the dimension tuple (the constraints are unaffected)."""
         if set(new_order) != set(self.dims) or len(new_order) != len(self.dims):
             raise ValueError(f"{new_order!r} is not a permutation of {self.dims!r}")
-        return _pruned(tuple(new_order), self.constraints)
+        columns = [self.dims.index(name) for name in new_order]
+        width = len(columns)
+        return _make(
+            tuple(new_order),
+            tuple(tuple([row[k] for k in columns]) + row[width:] for row in self.rows),
+        )
 
     def substitute_dim(
         self,
@@ -166,9 +223,29 @@ class BasicSet:
         if old_dim not in self.dims:
             raise ValueError(f"unknown dimension {old_dim!r}")
         replacement = AffineExpr.coerce(replacement)
-        constraints = [c.substitute({old_dim: replacement}) for c in self.constraints]
-        result = BasicSet(tuple(new_dims), constraints)
-        return result.with_constraints(extra)
+        new_dims = tuple(new_dims)
+        if len(set(new_dims)) != len(new_dims):
+            raise ValueError(f"duplicate dimension names in {new_dims!r}")
+        index = {name: at for at, name in enumerate(new_dims)}
+        width, new_width = len(self.dims), len(new_dims)
+        at = self.dims.index(old_dim)
+        moved = [(k, index.get(name)) for k, name in enumerate(self.dims) if k != at]
+        terms = [(index.get(name), coeff) for name, coeff in replacement._items]
+        rows = []
+        for row in self.rows:
+            coeffs = [0] * new_width
+            for k, column in moved:
+                if row[k]:
+                    coeffs[_known(column, self.dims[k])] += row[k]
+            a = row[at]
+            if a:
+                for column, coeff in terms:
+                    coeffs[_known(column, replacement)] += a * coeff
+                rows.append(_normalized(coeffs, row[width] + a * replacement._const, row[-1]))
+            else:
+                rows.append(tuple(coeffs) + row[width:])
+        rows += [_row_of(constraint, index, new_width) for constraint in extra]
+        return _make(new_dims, _clean(rows, new_width, True))
 
     def drop_dim(self, name: str) -> "BasicSet":
         """Project out a dimension via Fourier-Motzkin elimination.
@@ -182,13 +259,13 @@ class BasicSet:
         memo = _memo.active()
         key = None
         if memo.enabled:
-            key = (self.dims, self.constraints, name)
+            key = (self._system(), name)
             cached = memo.projection.get(key)
             if cached is not None:
                 return cached
-        constraints = _eliminate(list(self.constraints), name)
-        remaining = tuple(d for d in self.dims if d != name)
-        result = BasicSet(remaining, constraints)
+        at = self.dims.index(name)
+        rows = _eliminate(self.rows, at, name)
+        result = _make(self.dims[:at] + self.dims[at + 1:], _clean(rows, len(self.dims) - 1, True))
         if key is not None:
             memo.projection.put(key, result)
         return result
@@ -211,31 +288,43 @@ class BasicSet:
         and close under "shares a dim outside ``keep``".  The rest never
         meets this component in a pairing or a substitution (at most it
         equals one of its ``keep``-only by-products, which involve no
-        ``name``), and ``others + combos``, the dedupe and
-        ``prune_parallel`` keep the relative order of what survives: the
+        ``name``), and ``others + combos``, the dedupe and the parallel
+        pruning keep the relative order of what survives: the
         ``name``-involving constraints of ``project_onto(keep)`` are the
         same, in the same order, from this subset as from the whole.  A
         subset of a pruned system is pruned, so nothing is re-checked.
         """
+        dims = self.dims
+        width = len(dims)
         kept = set(keep)
-        live = {name}
-        picked = [False] * len(self.constraints)
+        masks = [_mask(row, width) for row in self.rows]
+        live = 1 << dims.index(name)
+        outside = _mask([dims[k] not in kept for k in range(width)], width)
+        picked = [False] * len(masks)
         grew = True
         while grew:
             grew = False
-            for at, constraint in enumerate(self.constraints):
-                coeffs = constraint.expr._coeffs
-                if not picked[at] and not live.isdisjoint(coeffs):
+            for at, mask in enumerate(masks):
+                if not picked[at] and mask & live:
                     picked[at] = grew = True
-                    live.update(d for d in coeffs if d not in kept)
-        return _pruned(
-            tuple(d for d in self.dims if d in kept or d in live),
-            tuple(c for c, hit in zip(self.constraints, picked) if hit),
+                    live |= mask & outside
+        columns = [k for k in range(width) if live >> k & 1 or dims[k] in kept]
+        return _make(
+            tuple(dims[k] for k in columns),
+            tuple(
+                tuple([row[k] for k in columns]) + row[width:]
+                for row, hit in zip(self.rows, picked) if hit
+            ),
         )
 
     def add_dims(self, names: Sequence[str]) -> "BasicSet":
         """Append unconstrained dimensions."""
-        return BasicSet(self.dims + tuple(names), self.constraints)
+        dims = self.dims + tuple(names)
+        if len(set(dims)) != len(dims):
+            raise ValueError(f"duplicate dimension names in {dims!r}")
+        width = len(self.dims)
+        pad = (0,) * len(names)
+        return _make(dims, tuple(row[:width] + pad + row[width:] for row in self.rows))
 
     # -- queries ----------------------------------------------------------
 
@@ -259,17 +348,26 @@ class BasicSet:
         return result
 
     def _is_empty_uncached(self) -> bool:
-        constraints = list(self.constraints)
-        if any(c.is_contradiction() for c in constraints):
+        rows = self.rows
+        if any(map(_contradiction, rows)):
             return True
         for name in self.dims:
-            constraints = _eliminate(constraints, name)
-            if any(c.is_contradiction() for c in constraints):
+            rows = _eliminate(rows, 0, name)
+            if any(map(_contradiction, rows)):
                 return True
         return False
 
     def contains(self, point: Mapping[str, int]) -> bool:
-        return all(c.satisfied_by(point) for c in self.constraints)
+        dims = self.dims
+        width = len(dims)
+        for row in self.rows:
+            total = row[width]
+            for k in range(width):
+                if row[k]:
+                    total += row[k] * point[dims[k]]
+            if total != 0 if row[-1] else total < 0:
+                return False
+        return True
 
     def dim_bounds(self, name: str, context: Sequence[str] = ()) -> Tuple[List[LoopBound], List[LoopBound]]:
         """Lower/upper bounds of ``name`` as a function of ``context`` dims.
@@ -281,42 +379,32 @@ class BasicSet:
         Each inequality ``a*name + e >= 0`` with ``a > 0`` contributes a
         lower bound ``ceil(-e / a)``; with ``a < 0`` an upper bound
         ``floor(e / -a)`` -- exactly how isl's ast_build derives loop
-        bounds.
+        bounds.  An equality contributes both.  Bounds are deduplicated
+        as rows; only the survivors become :class:`LoopBound` objects.
         """
         memo = _memo.active()
         key = None
         if memo.enabled:
-            key = (self.dims, self.constraints, name, tuple(context))
+            key = (self._system(), name, tuple(context))
             cached = memo.bounds.get(key)
             if cached is not None:
                 return list(cached[0]), list(cached[1])
-        keep = list(context) + [name]
-        rows = [c for c in self.constraints if name in c.expr._coeffs]
-        if _intern._REFERENCE or not all(d in keep for c in rows for d in c.expr._coeffs):
-            source = self if _intern._REFERENCE else self._reaching(name, keep)
-            rows = source.project_onto(keep).constraints
         lowers: List[LoopBound] = []
         uppers: List[LoopBound] = []
-        for constraint in rows:
-            a = constraint.expr._coeffs.get(name, 0)
-            if a == 0:
-                continue
-            rest = _without(constraint.expr, name)
-            kinds = [constraint.kind]
-            if constraint.kind == EQ:
-                kinds = [GE, "le"]
-            for kind in kinds:
-                if kind == GE:
-                    if a > 0:
-                        lowers.append(LoopBound(-rest, a, is_lower=True))
-                    else:
-                        uppers.append(LoopBound(rest, -a, is_lower=False))
-                else:  # the <= half of an equality: -(a*name + e) >= 0
-                    if a > 0:
-                        uppers.append(LoopBound(-rest, a, is_lower=False))
-                    else:
-                        lowers.append(LoopBound(rest, -a, is_lower=True))
-        lowers, uppers = _dedupe(lowers), _dedupe(uppers)
+        if name in self.dims:
+            dims = self.dims
+            width = len(dims)
+            at = dims.index(name)
+            keep = list(context) + [name]
+            rows = [row for row in self.rows if row[at]]
+            outside = _mask([d not in keep for d in dims], width)
+            if _intern._REFERENCE or any(_mask(row, width) & outside for row in rows):
+                source = self if _intern._REFERENCE else self._reaching(name, keep)
+                projected = source.project_onto(keep)
+                dims, rows = projected.dims, projected.rows
+                width = len(dims)
+                at = dims.index(name)
+            _bounds_of(rows, dims, at, lowers, uppers)
         if key is not None:
             memo.bounds.put(key, (tuple(lowers), tuple(uppers)))
         return lowers, uppers
@@ -416,11 +504,11 @@ class BasicSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BasicSet):
             return NotImplemented
-        return self.dims == other.dims and set(self.constraints) == set(other.constraints)
+        return self.dims == other.dims and set(self.rows) == set(other.rows)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.dims, frozenset(self.constraints)))
+            self._hash = hash((self.dims, frozenset(self.rows)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -428,40 +516,126 @@ class BasicSet:
         return f"{{ [{', '.join(self.dims)}] : {body} }}"
 
 
-def _pruned(dims: Tuple[str, ...], constraints: Tuple[Constraint, ...]) -> BasicSet:
-    """A set over a subset or permutation of an already-pruned system.
-
-    Skips the constructor's checks, deduplication and pruning, which
-    would keep ``constraints`` as they are.
-    """
-    bset = object.__new__(BasicSet)
-    bset._hash = None
+def _init(bset: BasicSet, dims: Tuple[str, ...], rows: Tuple[Row, ...]) -> None:
     bset.dims = dims
-    bset.constraints = constraints
+    bset.rows = rows
+    bset._constraints = None
+    bset._key = None
+    bset._hash = None
+
+
+def _make(dims: Tuple[str, ...], rows: Tuple[Row, ...]) -> BasicSet:
+    """A set over rows that are normalized and pruned already."""
+    bset = object.__new__(BasicSet)
+    _init(bset, dims, rows)
     return bset
 
 
-def _without(expr: AffineExpr, name: str) -> AffineExpr:
-    """``expr`` with the term in ``name`` dropped."""
-    return _from_items(tuple(item for item in expr._items if item[0] != name), expr._const)
+def _row_of(constraint: Constraint, index: Mapping[str, int], width: int) -> Row:
+    """``constraint`` as a row over the dims ``index`` numbers."""
+    coeffs = [0] * width
+    for name, coeff in constraint.expr._items:
+        at = index.get(name)
+        if at is None:
+            raise ValueError(f"constraint {constraint} uses unknown dimension {name!r}")
+        coeffs[at] = coeff
+    return tuple(coeffs) + (constraint.expr._const, 1 if constraint.kind == EQ else 0)
 
 
-def _dedupe(bounds: List[LoopBound]) -> List[LoopBound]:
-    seen = set()
-    result = []
-    for bound in bounds:
-        if bound not in seen:
-            seen.add(bound)
-            result.append(bound)
-    return result
+def row_constraint(dims: Tuple[str, ...], order: Sequence[int], row: Row) -> Constraint:
+    """The interned constraint of ``row`` over ``dims`` (``order``: the
+    set's :meth:`BasicSet.name_order`)."""
+    items = tuple([(dims[k], row[k]) for k in order if row[k]])
+    return _intern_normalized(_from_items(items, row[-2]), EQ if row[-1] else GE)
 
 
-def _eliminate(constraints: List[Constraint], name: str) -> List[Constraint]:
-    """One Fourier-Motzkin elimination step for dimension ``name``.
+def _known(column: Optional[int], term: object) -> int:
+    if column is None:
+        raise ValueError(f"substitution result uses a dimension outside new_dims: {term}")
+    return column
 
-    Equalities involving ``name`` are used as substitutions when the
-    coefficient is a unit (keeping arithmetic exact); otherwise they are
-    decomposed into two inequalities.
+
+def _normalized(coeffs: List[int], const: int, eq: int) -> Row:
+    """A row normalized as :class:`Constraint` is: the coefficient gcd
+    divided out, with the constant floored on an inequality and an
+    equality left as it is when the gcd does not divide its constant."""
+    g = _gcd(*coeffs)
+    if g > 1 and (not eq or const % g == 0):
+        return tuple([c // g for c in coeffs]) + (const // g, eq)
+    return tuple(coeffs) + (const, eq)
+
+
+def _mask(row: Sequence[int], width: int) -> int:
+    """The bit set of the columns among the first ``width`` that are nonzero."""
+    mask = 0
+    for k in range(width):
+        if row[k]:
+            mask |= 1 << k
+    return mask
+
+
+def _contradiction(row: Row) -> bool:
+    """Whether no point satisfies ``row`` (the gcd test on an equality)."""
+    if row[-1]:
+        g = _gcd(*row[:-2])
+        return row[-2] != 0 if g == 0 else row[-2] % g != 0
+    return row[-2] < 0 and not any(row[:-2])
+
+
+def _clean(rows: Iterable[Row], width: int, drop_tautologies: bool) -> Tuple[Row, ...]:
+    """Dedupe ``rows`` in order and collapse parallel ones.
+
+    Normalization divides every row by its coefficient gcd, so the
+    scalar multiples that survive are (a) *parallel inequalities* --
+    identical coefficients with different constants, whose conjunction
+    is the tightest one alone -- and (b) *negated equalities*
+    (``e == 0`` vs ``-e == 0``), the same hyperplane.  Without this
+    pruning, repeated ``intersect`` + ``project_onto`` chains accumulate
+    parallel rows without bound (each Fourier-Motzkin step combines them
+    pairwise).  The first occurrence of a coefficient vector keeps its
+    position; a later, tighter parallel inequality replaces it in place.
+    Constant rows are kept untouched (contradictions must survive for
+    emptiness detection); tautologies are dropped when asked.
+    """
+    # A repeated row is a parallel inequality that is not tighter, or an
+    # equality whose key is taken: only constant rows need a seen set.
+    constants = set()
+    ge_slots: Dict[Row, int] = {}
+    eq_seen = set()
+    kept: List[Row] = []
+    for row in rows:
+        coeffs = row[:width]
+        if not any(coeffs):
+            const = row[width]
+            if row not in constants and (
+                not drop_tautologies or (const != 0 if row[-1] else const < 0)
+            ):
+                constants.add(row)
+                kept.append(row)
+        elif row[-1]:
+            # Sign-canonical key so e == 0 and -e == 0 collide.
+            key = row[:-1]
+            if next(c for c in coeffs if c) < 0:
+                key = tuple([-c for c in key])
+            if key not in eq_seen:
+                eq_seen.add(key)
+                kept.append(row)
+        else:
+            at = ge_slots.get(coeffs)
+            if at is None:
+                ge_slots[coeffs] = len(kept)
+                kept.append(row)
+            elif row[width] < kept[at][width]:
+                kept[at] = row
+    return tuple(kept)
+
+
+def _eliminate(rows: Sequence[Row], at: int, name: str) -> List[Row]:
+    """One Fourier-Motzkin elimination step for column ``at`` (dim ``name``).
+
+    Equalities with a unit coefficient on the dim are used as
+    substitutions (keeping arithmetic exact); otherwise an equality is
+    both a lower and an upper bound.  The result has the column removed.
     """
     # Watchdog checkpoint: Fourier-Motzkin is quadratic per step and the
     # constraint system can blow up on skewed nests; this is where a
@@ -470,114 +644,145 @@ def _eliminate(constraints: List[Constraint], name: str) -> List[Constraint]:
     # when off, cheap enough for this hot loop).
     _deadline.checkpoint()
     _trace.count("isl.fm_eliminations")
+    width = len(rows[0]) - 2 if rows else 0
     # Prefer substitution through an equality with unit coefficient.
-    for constraint in constraints:
-        if constraint.kind != EQ:
-            continue
-        a = constraint.expr._coeffs.get(name, 0)
-        if a == 1 or a == -1:
-            # a*name + rest == 0  ->  name == -rest/a
-            rest = _without(constraint.expr, name)
-            replacement = -rest if a == 1 else rest
+    for pivot in rows:
+        a = pivot[at]
+        if pivot[-1] and (a == 1 or a == -1):
+            # a*x + rest == 0: each other row b*x + r becomes r - b*a*rest.
             out = []
-            for other in constraints:
-                if other is constraint:
+            for other in rows:
+                if other == pivot:
                     continue
-                out.append(other.substitute({name: replacement}))
+                b = other[at]
+                if b:
+                    f = b * a
+                    coeffs = [c - f * p for c, p in zip(other[:width], pivot)]
+                    del coeffs[at]
+                    out.append(_normalized(coeffs, other[width] - f * pivot[width], other[-1]))
+                else:
+                    out.append(other[:at] + other[at + 1:])
             return out
 
-    positives: List[Tuple[int, AffineExpr]] = []  # a > 0: a*name >= -rest
-    negatives: List[Tuple[int, AffineExpr]] = []  # a < 0
-    others: List[Constraint] = []
-    for constraint in constraints:
-        expr = constraint.expr
-        a = expr._coeffs.get(name, 0)
-        if a == 0:
-            others.append(constraint)
+    positives: List[Tuple[int, Row]] = []  # a > 0: a*x >= -rest
+    negatives: List[Tuple[int, Row]] = []  # a < 0
+    others: List[Row] = []
+    for row in rows:
+        a = row[at]
+        if not a:
+            others.append(row[:at] + row[at + 1:])
             continue
-        rest = _without(expr, name)
-        if constraint.kind == EQ:
-            # an equality is both a lower and an upper bound on `name`
+        rest = row[:at] + row[at + 1:-1]  # other coefficients, then the constant
+        if row[-1]:
+            negated = tuple([-c for c in rest])
             if a > 0:
                 positives.append((a, rest))
-                negatives.append((-a, -rest))
+                negatives.append((-a, negated))
             else:
                 negatives.append((a, rest))
-                positives.append((-a, -rest))
+                positives.append((-a, negated))
         elif a > 0:
             positives.append((a, rest))
         else:
             negatives.append((a, rest))
 
     check_fm_pairs(len(positives), len(negatives), name)
-    # Pairs are combined in plain integers and normalized as the
-    # Constraint constructor would.  Per coefficient vector only the
-    # tightest row is kept, at its first position: the row the
-    # prune_parallel below would keep.  A step may pair up to
-    # MAX_FM_PAIRS rows of which few survive, and only the survivors
-    # become interned constraints.  Constant rows are keyed by their
-    # constant: tautologies are dropped, each contradiction is kept.
+    # ap*x + rp >= 0 and an*x + rn >= 0 with ap > 0 > an combine to
+    # (-an)*rp + ap*rn >= 0, normalized as a Constraint would be.  Per
+    # coefficient vector only the tightest row is kept, at its first
+    # position: the row the parallel pruning below would keep.  Constant
+    # rows are keyed by their constant: tautologies are dropped, each
+    # contradiction is kept.
     tightest: Dict[object, int] = {}
-    for (ap, rp) in positives:
-        for (an, rn) in negatives:
-            # ap*name + rp >= 0 and an*name + rn >= 0 with ap>0, an<0
-            # combine: (-an)*rp + ap*rn >= 0.
-            coeffs = {n: c * -an for n, c in rp._coeffs.items()}
-            for n, c in rn._coeffs.items():
-                coeffs[n] = coeffs.get(n, 0) + c * ap
-            const = rp._const * -an + rn._const * ap
-            g = 0
-            for c in coeffs.values():
-                g = math.gcd(g, c)
+    for ap, rp in positives:
+        for an, rn in negatives:
+            combined = [-an * p + ap * n for p, n in zip(rp, rn)]
+            const = combined.pop()
+            g = _gcd(*combined)
             if g == 0:
                 if const < 0:
                     tightest.setdefault(const, const)
                 continue
-            key = tuple(sorted((n, c // g) for n, c in coeffs.items() if c))
-            const //= g
+            if g > 1:
+                combined = [c // g for c in combined]
+                const //= g
+            key = tuple(combined)
             if const < tightest.get(key, const + 1):
                 tightest[key] = const
-    # The survivors are normalized already (sorted, gcd 1): intern them
-    # as they are.
+    zero = (0,) * (width - 1)
     for key, const in tightest.items():
-        items = key if isinstance(key, tuple) else ()
-        others.append(_intern_normalized(_from_items(items, const), GE))
-    # Dedupe while preserving order, then collapse parallel constraints
-    # (scalar multiples) so repeated intersect/project chains stay
-    # bounded -- see :func:`repro.isl.constraint.prune_parallel`.
-    seen = set()
-    result = []
-    for constraint in others:
-        if constraint not in seen:
-            seen.add(constraint)
-            result.append(constraint)
-    return prune_parallel(result)
+        others.append((key if isinstance(key, tuple) else zero) + (const, 0))
+    return list(_clean(others, width - 1, False))
+
+
+def _bounds_of(
+    rows: Iterable[Row], dims: Tuple[str, ...], at: int,
+    lowers: List[LoopBound], uppers: List[LoopBound],
+) -> None:
+    """Append the distinct loop bounds ``rows`` put on ``dims[at]``.
+
+    ``a*x + r >= 0`` is the lower bound ``ceil(-r / a)`` when ``a > 0``
+    and the upper bound ``floor(r / -a)`` when ``a < 0``; an equality is
+    both, over the same expression.  Each bound is reduced as
+    :class:`LoopBound` reduces it and deduplicated as a row first.
+    """
+    width = len(dims)
+    order = sorted((k for k in range(width) if k != at), key=dims.__getitem__)
+    seen = (set(), set())
+    for row in rows:
+        a = row[at]
+        if not a:
+            continue
+        if a > 0:
+            coeffs = [-row[k] for k in order]
+            value, divisor = -row[width], a
+        else:
+            coeffs = [row[k] for k in order]
+            value, divisor = row[width], -a
+        if divisor > 1:
+            g = _gcd(_gcd(*coeffs, value) or divisor, divisor)
+            if g > 1:
+                coeffs = [c // g for c in coeffs]
+                value //= g
+                divisor //= g
+        key = (tuple(coeffs), value, divisor)
+        expr = None
+        for is_lower in (True, False) if row[-1] else (a > 0,):
+            if key in seen[is_lower]:
+                continue
+            seen[is_lower].add(key)
+            if expr is None:
+                expr = _from_items(
+                    tuple((dims[k], c) for k, c in zip(order, coeffs) if c), value
+                )
+            bound = object.__new__(LoopBound)
+            bound.expr = expr
+            bound.divisor = divisor
+            bound.is_lower = is_lower
+            (lowers if is_lower else uppers).append(bound)
 
 
 def _sample(bset: BasicSet) -> Optional[Dict[str, int]]:
     """Back-substitution over one elimination chain (see ``sample``)."""
     dims = bset.dims
-    position = {name: k for k, name in enumerate(dims)}
     # levels[k]: the rows ``a*dims[k] + rest >= 0`` of the system over
     # dims[:k + 1], as (a, earlier-dim terms, constant); an equality
     # contributes the row and its negation.
     levels = []
-    constraints = list(bset.constraints)
-    for name in reversed(dims):
-        rows = []
-        for constraint in constraints:
-            a = constraint.expr._coeffs.get(name, 0)
+    rows = bset.rows
+    for k in range(len(dims) - 1, -1, -1):
+        level = []
+        for row in rows:
+            a = row[k]
             if a:
-                rest = tuple(
-                    (position[n], c) for n, c in constraint.expr._items if n != name
-                )
-                rows.append((a, rest, constraint.expr._const))
-                if constraint.kind == EQ:
+                rest = tuple((at, row[at]) for at in range(k) if row[at])
+                level.append((a, rest, row[k + 1]))
+                if row[-1]:
                     negated = tuple((at, -c) for at, c in rest)
-                    rows.append((-a, negated, -constraint.expr._const))
-        levels.append(rows)
-        constraints = _eliminate(constraints, name)
-        if any(c.is_contradiction() for c in constraints):
+                    level.append((-a, negated, -row[k + 1]))
+        levels.append(level)
+        rows = _eliminate(rows, k, dims[k])
+        if any(map(_contradiction, rows)):
             return None
     levels.reverse()
     values = [0] * len(dims)

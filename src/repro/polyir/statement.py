@@ -10,7 +10,7 @@ to user/for nodes").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dsl.compute import Compute
@@ -145,7 +145,7 @@ class PolyStatement:
         return (
             self.name,
             self.domain.dims,
-            self.domain.constraints,
+            self.domain.rows,
             tuple(self.loop_order),
             tuple(self.statics),
             reprs[2],
@@ -154,13 +154,14 @@ class PolyStatement:
         )
 
     def copy(self) -> "PolyStatement":
-        return replace(
-            self,
-            domain=self.domain,
-            loop_order=list(self.loop_order),
-            statics=list(self.statics),
-            hw_opts=list(self.hw_opts),
-        )
+        # Every field as it is (a copy of a valid statement is valid),
+        # the three lists the transforms edit in place copied.
+        new = object.__new__(PolyStatement)
+        new.__dict__.update(self.__dict__)
+        new.loop_order = list(self.loop_order)
+        new.statics = list(self.statics)
+        new.hw_opts = list(self.hw_opts)
+        return new
 
     def accesses(self) -> List[Access]:
         """All loads plus the store, over current loop dims."""

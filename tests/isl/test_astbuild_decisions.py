@@ -55,9 +55,24 @@ def tally(monkeypatch):
     the one used, so a wrong shortcut cannot hide behind a later one.
     The bound-pruning box test that runs before an implication test is
     built (``_boxed``) must be ``decide``'s box test on the same trial
-    nest, and the elimination must agree wherever it answers."""
+    nest, and the elimination must agree wherever it answers.  So must
+    the box test the guards run on a domain row before its constraint is
+    built (``_row_boxed``), counted as decided."""
     counts = {"decided": 0, "eliminated": 0, "boxed": 0}
     boxed = astbuild._boxed
+    row_boxed = astbuild._row_boxed
+
+    def checked_row_box(nest, dims, row):
+        answer = row_boxed(nest, dims, row)
+        order = sorted(range(len(dims)), key=dims.__getitem__)
+        constraint = sets.row_constraint(tuple(dims), order, row)
+        assert answer == (
+            constraint.kind == GE and nest.extreme(constraint.expr, low=True) >= 0
+        )
+        if answer:
+            counts["decided"] += 1
+            assert AstBuilder._implied(nest.context(), constraint)
+        return answer
 
     def checked_box(nest, candidate, sides):
         answer = boxed(nest, candidate, sides)
@@ -82,6 +97,7 @@ def tally(monkeypatch):
 
     monkeypatch.setattr(astbuild, "_implies", checked)
     monkeypatch.setattr(astbuild, "_boxed", checked_box)
+    monkeypatch.setattr(astbuild, "_row_boxed", checked_row_box)
     return counts
 
 

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from repro.isl.affine import AffineExpr
-from repro.isl.constraint import EQ, GE, Constraint, prune_parallel
-from repro.isl.sets import BasicSet, LoopBound, _eliminate
+from repro.isl.constraint import EQ, GE, Constraint
+from repro.isl.sets import BasicSet, LoopBound
+from tests.isl.oracle import prune_parallel, row_eliminate
 
 e = AffineExpr
 
@@ -144,7 +145,7 @@ class TestProjection:
 
 
 class TestEliminate:
-    """``sets._eliminate``: one Fourier-Motzkin step."""
+    """``sets._eliminate``: one Fourier-Motzkin step (on rows, read back)."""
 
     def test_unit_equality_is_substituted(self):
         # k == 2i - 1 turns 3k + j + 7 >= 0 into 6i + j + 4 >= 0.
@@ -153,14 +154,14 @@ class TestEliminate:
             Constraint.ge(e({"k": 3, "j": 1}, 7)),
             Constraint.ge("i", 0),
         ]
-        assert _eliminate(cons, "k") == [
+        assert row_eliminate(cons, "k") == [
             Constraint.ge(e({"i": 6, "j": 1}, 4)),
             Constraint.ge("i", 0),
         ]
 
     def test_absent_dim_dedupes_and_prunes(self):
         cons = [Constraint.ge("i", 0)] * 3 + [Constraint.le("i", 7), Constraint.le("i", 5)]
-        assert _eliminate(cons, "k") == [Constraint.ge("i", 0), Constraint.le("i", 5)]
+        assert row_eliminate(cons, "k") == [Constraint.ge("i", 0), Constraint.le("i", 5)]
 
     def test_contradictions_all_survive(self):
         # 0 <= k, 1 <= 2k, k <= -3, 2k <= -9: every pair proves emptiness.
@@ -170,7 +171,7 @@ class TestEliminate:
             Constraint.ge(e({"k": 2}, -1)),
             Constraint.ge(e({"k": -2}, -9)),
         ]
-        result = _eliminate(cons, "k")
+        result = row_eliminate(cons, "k")
         assert result and all(c.is_contradiction() for c in result)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -205,7 +206,7 @@ class TestEliminate:
             name = rng.choice(dims)
             if any(c.kind == EQ and abs(c.expr.coeff(name)) == 1 for c in cons):
                 continue  # substituted, not paired
-            assert _eliminate(cons, name) == every_pair(cons, name), (cons, name)
+            assert row_eliminate(cons, name) == every_pair(cons, name), (cons, name)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_unit_steps_give_the_exact_shadow(self, seed):
@@ -229,7 +230,7 @@ class TestEliminate:
                 point = dict(zip(dims, values))
                 if all(c.satisfied_by(point) for c in cons):
                     shadow.add(tuple(point[d] for d in rest))
-            result = _eliminate(cons, name)
+            result = row_eliminate(cons, name)
             projected = {
                 values
                 for values in itertools.product(window, repeat=3)
@@ -252,10 +253,10 @@ class TestEliminate:
         # k has 1 + 12 + 12 = 25 lower and 1 + 12 = 13 upper bounds.
         monkeypatch.setattr(_constraint, "MAX_FM_PAIRS", 25 * 13 - 1)
         with pytest.raises(_constraint.EliminationBlowup) as info:
-            _eliminate(list(cons), "k")
+            row_eliminate(list(cons), "k")
         assert info.value.code == "ISL001"
         monkeypatch.setattr(_constraint, "MAX_FM_PAIRS", 25 * 13)
-        projected = _eliminate(list(cons), "k")
+        projected = row_eliminate(list(cons), "k")
         assert projected and not any(c.involves("k") for c in projected)
 
 

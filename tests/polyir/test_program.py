@@ -198,7 +198,7 @@ def _repr_fingerprint(stmt):
     return (
         stmt.name,
         stmt.domain.dims,
-        stmt.domain.constraints,
+        stmt.domain.rows,
         tuple(stmt.loop_order),
         tuple(stmt.statics),
         repr(stmt.body),
