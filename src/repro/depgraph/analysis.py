@@ -90,11 +90,9 @@ def _pair_relation(
 ) -> BasicSet:
     """Instances ``(v, v')`` of ``domain`` satisfying the access ``equalities``."""
     sink = {d: _sink_name(d) for d in dims}
-    relation = BasicSet(
-        tuple(dims) + tuple(sink.values()),
-        domain.constraints + domain.rename_dims(sink).constraints,
-    )
-    return relation.with_constraints(equalities)
+    if domain.dims != tuple(dims):
+        domain = domain.reorder_dims(dims)
+    return domain.product(domain.rename_dims(sink)).with_constraints(equalities)
 
 
 def _carried_at(relation: BasicSet, dims: Sequence[str], level: int) -> BasicSet:

@@ -159,16 +159,24 @@ class _Nest:
     from it, and a guard it keeps must stay.
     """
 
-    __slots__ = ("levels", "box", "_known")
+    __slots__ = ("levels", "box", "_known", "_outer")
 
-    def __init__(self, levels: Tuple = (), box: Optional[Dict[str, Tuple[int, int]]] = None):
+    def __init__(
+        self,
+        levels: Tuple = (),
+        box: Optional[Dict[str, Tuple[int, int]]] = None,
+        outer: Optional["_Nest"] = None,
+    ):
         self.levels = levels
         self.box = box or {}
         self._known: Optional[List[Constraint]] = None
+        self._outer = outer  # the nest this one extends by its last level
 
     def extended(self, iterator: str, lowers: List[LoopBound], uppers: List[LoopBound]) -> "_Nest":
         ends = max(map(self._box_end, lowers)), min(map(self._box_end, uppers))
-        return _Nest(self.levels + ((iterator, lowers, uppers),), {**self.box, iterator: ends})
+        return _Nest(
+            self.levels + ((iterator, lowers, uppers),), {**self.box, iterator: ends}, self
+        )
 
     def context(self) -> BasicSet:
         """The loops as a set over the iterators, level by level."""
@@ -183,11 +191,16 @@ class _Nest:
 
     def known(self) -> List[Constraint]:
         """The non-constant bounds as written: all the box is loose on.
-        Built on first use; a nest's levels never change."""
+        Built on first use, on top of the outer nest's; a nest's levels
+        never change."""
         if self._known is None:
-            self._known = [
+            if self._outer is None:
+                levels, known = self.levels, []
+            else:
+                levels, known = self.levels[-1:], self._outer.known()
+            self._known = known + [
                 _bound_constraint(iterator, bound)
-                for iterator, lowers, uppers in self.levels
+                for iterator, lowers, uppers in levels
                 for bound in lowers + uppers if not bound.expr.is_constant()
             ]
         return self._known

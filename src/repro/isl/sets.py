@@ -317,6 +317,19 @@ class BasicSet:
             ),
         )
 
+    def product(self, other: "BasicSet") -> "BasicSet":
+        """The pairs ``(x, y)`` with ``x`` in ``self`` and ``y`` in ``other``,
+        over ``self.dims + other.dims`` (which must be disjoint)."""
+        dims = self.dims + other.dims
+        if len(set(dims)) != len(dims):
+            raise ValueError(f"duplicate dimension names in {dims!r}")
+        width, other_width = len(self.dims), len(other.dims)
+        right, left = (0,) * other_width, (0,) * width
+        return _make(dims, tuple(
+            [row[:width] + right + row[width:] for row in self.rows]
+            + [left + row for row in other.rows]
+        ))
+
     def add_dims(self, names: Sequence[str]) -> "BasicSet":
         """Append unconstrained dimensions."""
         dims = self.dims + tuple(names)
@@ -397,8 +410,8 @@ class BasicSet:
             at = dims.index(name)
             keep = list(context) + [name]
             rows = [row for row in self.rows if row[at]]
-            outside = _mask([d not in keep for d in dims], width)
-            if _intern._REFERENCE or any(_mask(row, width) & outside for row in rows):
+            outside = [k for k in range(width) if dims[k] not in keep]
+            if _intern._REFERENCE or outside and any(row[k] for row in rows for k in outside):
                 source = self if _intern._REFERENCE else self._reaching(name, keep)
                 projected = source.project_onto(keep)
                 dims, rows = projected.dims, projected.rows
