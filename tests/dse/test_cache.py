@@ -161,7 +161,9 @@ class TestDseStats:
         assert stats.config_cache_hits == 0
         assert all(hits == 0 for hits, _ in stats.isl_counters.values())
 
-    @pytest.mark.parametrize("factory, nests", [(polybench.gemm, 1), (polybench.mm2, 2)])
+    @pytest.mark.parametrize(
+        "factory, nests", [(polybench.gemm, 1), (polybench.mm2, 2)], ids=["gemm", "2mm"]
+    )
     def test_lowering_is_accounted_with_the_cache_on_or_off(self, factory, nests):
         """`--no-cache --stats` used to print `ast build 0.0 ms`.
 
