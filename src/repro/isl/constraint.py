@@ -166,8 +166,8 @@ def _intern_normalized(expr: AffineExpr, kind: str) -> Constraint:
     """Fast intern path for an expression already in normalized form.
 
     The caller guarantees ``_normalize(expr, kind) is expr`` -- true for
-    the unit-coefficient box bounds ``BasicSet.box`` builds and for the
-    Fourier-Motzkin survivors ``sets._eliminate`` divides by their gcd.
+    every row of a ``BasicSet``, which ``BasicSet.constraints`` reads
+    back as constraints.
     """
     context = _intern._ACTIVE
     table = context.constraints
@@ -182,52 +182,6 @@ def _intern_normalized(expr: AffineExpr, kind: str) -> Constraint:
             table.clear()
         table[key] = self
     return self
-
-
-def prune_parallel(constraints):
-    """Collapse constraints that are scalar multiples of each other.
-
-    Normalization already divides every constraint by its coefficient
-    gcd, so the scalar multiples that survive are (a) *parallel
-    inequalities* -- identical coefficient vectors with different
-    constants, where the conjunction equals the tightest one alone --
-    and (b) *negated equalities* (``e == 0`` vs ``-e == 0``), which are
-    the same hyperplane.  Without this pruning, repeated ``intersect`` +
-    ``project_onto`` chains accumulate parallel constraints without
-    bound (each Fourier-Motzkin step combines them pairwise).
-
-    Deterministic: the first occurrence of a coefficient vector keeps
-    its list position; a later, tighter parallel inequality replaces it
-    in place.  Constant constraints (tautologies were already dropped;
-    contradictions must survive for emptiness detection) and equalities
-    with distinct hyperplanes are kept untouched.
-    """
-    ge_slots = {}
-    eq_seen = set()
-    kept = []
-    for constraint in constraints:
-        expr = constraint.expr
-        items = expr._items  # interning pre-sorted these
-        if not items:
-            kept.append(constraint)
-            continue
-        if constraint.kind == GE:
-            at = ge_slots.get(items)
-            if at is None:
-                ge_slots[items] = len(kept)
-                kept.append(constraint)
-            elif expr._const < kept[at].expr._const:
-                kept[at] = constraint
-        else:
-            # Sign-canonical key so e == 0 and -e == 0 collide.
-            if items[0][1] < 0:
-                key = (tuple((n, -c) for n, c in items), -expr._const)
-            else:
-                key = (items, expr._const)
-            if key not in eq_seen:
-                eq_seen.add(key)
-                kept.append(constraint)
-    return kept
 
 
 def _normalize(expr: AffineExpr, kind: str) -> AffineExpr:
