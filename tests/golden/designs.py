@@ -11,7 +11,11 @@ The inputs are the sweep inputs the benchmark can draw: every kernel at
 every size and resource fraction, cached and uncached, the two DNNs,
 the pareto kernels and the dataflow designs.  They are listed here, not
 imported from the benchmark harness, so the record does not move when
-the harness does.
+the harness does.  The ScaleHLS baseline's design of every kernel, at
+every size and fraction and in its dataflow form (Fig. 13's: the
+whole device) at the smallest size, is recorded too: cycles and the
+digests of the installed function, with no payload or evaluation
+count.
 
 Run from the repo root::
 
@@ -54,7 +58,8 @@ FUZZ_KEY = "fuzz:seed=0"
 
 
 class Input(NamedTuple):
-    """One design request: ``kind`` is dse, dse_nocache, dnn, pareto or dataflow."""
+    """One design request: ``kind`` is dse, dse_nocache, dnn, pareto,
+    dataflow, scalehls or scalehls_dataflow."""
 
     kind: str
     name: str
@@ -76,6 +81,9 @@ def inputs(kinds: Optional[Iterable[str]] = None) -> List[Input]:
              for name in PARETO_KERNELS for size in SIZES for fraction in FRACTIONS]
     rows += [Input("dataflow", name, size, fraction)
              for name in DATAFLOW_DESIGNS for size in DATAFLOW_SIZES for fraction in FRACTIONS]
+    rows += [Input("scalehls", name, size, fraction)
+             for name in KERNELS for size in SIZES for fraction in FRACTIONS]
+    rows += [Input("scalehls_dataflow", name, SIZES[0], 1.0) for name in KERNELS]
     if kinds is None:
         return rows
     wanted = set(kinds)
@@ -97,6 +105,18 @@ def digest(item: Input) -> Dict[str, object]:
 
     with SessionContext().activate():
         built = workloads.get(item.name, item.size)
+        if item.kind.startswith("scalehls"):
+            from repro.baselines import scalehls
+
+            result = scalehls.optimize(
+                built, resource_fraction=item.fraction,
+                dataflow=item.kind == "scalehls_dataflow",
+            )
+            return {
+                "total_cycles": result.report.total_cycles,
+                "c": _sha(compile_to_hls_c(result.function)),
+                "print_func": _sha(print_func(result.function.lower())),
+            }
         if item.kind == "dataflow":
             from repro.dataflow import auto_dse_dataflow
 
