@@ -5,8 +5,9 @@ block-node -> op sequence, user-node -> the recursive statement parser
 that turns the DSL expression attached to the node into arith/math ops
 with ``affine.load``/``affine.store`` memory accesses.  Hardware
 optimization annotations carried on AST nodes transfer onto the
-corresponding op attributes, and array partition schemes are recorded
-on the function op.
+corresponding op attributes, and array partition schemes -- the
+placeholders' own, or a ``partitions`` map's (how the DSE scores a
+banking without writing it) -- are recorded on the function op.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.affine.ir import (
 )
 
 
-def lower_program(program: PolyProgram, stats=None) -> FuncOp:
+def lower_program(program: PolyProgram, stats=None, partitions: Optional[Mapping] = None) -> FuncOp:
     """Lower a polyhedral program (with built AST) to a FuncOp.
 
     ``stats`` is accounted as in :func:`lower_program_incremental`:
@@ -48,7 +49,7 @@ def lower_program(program: PolyProgram, stats=None) -> FuncOp:
         ast = program.build_ast()
         if stats is not None:
             stats.astbuild_s += perf_counter() - start
-        func = lower_ast(ast, program.function)
+        func = lower_ast(ast, program.function, partitions)
     if stats is not None:
         stats.group_lowerings += len(func.body)
     return func
@@ -58,6 +59,7 @@ def lower_program_incremental(
     program: PolyProgram,
     cache: Optional[Dict[tuple, List]] = None,
     stats=None,
+    partitions: Optional[Mapping] = None,
 ) -> FuncOp:
     """Lower a program, re-lowering only top-level nests not seen before.
 
@@ -77,7 +79,7 @@ def lower_program_incremental(
     a ``cache`` (no cache: one whole-program build, every nest lowered).
     """
     if cache is None:
-        return lower_program(program, stats)
+        return lower_program(program, stats, partitions)
     body: List = []
     for group in program.toplevel_groups():
         key = tuple(stmt.fingerprint() for stmt in group)
@@ -101,37 +103,30 @@ def lower_program_incremental(
         elif stats is not None:
             stats.lowering_cache_hits += 1
         body += ops
-    return assemble(program.function, body)
+    return assemble(program.function, body, partitions)
 
 
-def lower_ast(ast: AstNode, function: Function) -> FuncOp:
+def lower_ast(ast: AstNode, function: Function, partitions: Optional[Mapping] = None) -> FuncOp:
     """Lower an annotated polyhedral AST into the affine dialect."""
-    func = FuncOp(function.name, function.placeholders())
-    _lower_node(ast, func.body)
-    _record_partitions(func, function)
-    return func
+    block = Block()
+    _lower_node(ast, block)
+    return assemble(function, block.ops, partitions)
 
 
-def assemble(function: Function, body: List) -> FuncOp:
+def assemble(function: Function, body: List, partitions: Optional[Mapping] = None) -> FuncOp:
     """A function over already-lowered top-level ops, by reference, with
-    ``function``'s current partition schemes: a program lowered once
-    serves every banking of its schedule (the lowered ops are read-only
-    to the DSE, as for the nest memo above)."""
+    the schemes of ``partitions`` (by default ``function``'s own): a
+    program lowered once serves every banking of its schedule (the
+    lowered ops are read-only to the DSE, as for the nest memo above)."""
+    if partitions is None:
+        partitions = function.partitions()
     func = FuncOp(function.name, function.placeholders())
     for op in body:
         func.body.append(op)
-    _record_partitions(func, function)
+    recorded = {name: scheme for name, scheme in partitions.items() if scheme is not None}
+    if recorded:
+        func.attributes["partitions"] = recorded
     return func
-
-
-def _record_partitions(func: FuncOp, function: Function) -> None:
-    partitions = {
-        p.name: p.partition_scheme
-        for p in function.placeholders()
-        if p.partition_scheme is not None
-    }
-    if partitions:
-        func.attributes["partitions"] = partitions
 
 
 def _lower_node(node: AstNode, block: Block) -> None:

@@ -29,7 +29,9 @@ from repro.hls.estimator import HlsEstimator
 from repro.hls.report import SynthesisReport
 from repro.polyir.program import PolyProgram
 from repro.dse.analysis import carried_for_statement
-from repro.dse.stage2 import MAX_FACTOR_PER_DIM, derive_partitions
+from repro.dse.stage2 import (
+    MAX_FACTOR_PER_DIM, banked_partitions, derive_partitions, unroll_spreads,
+)
 
 MAX_PARALLELISM = 256
 # Extra design points ScaleHLS's sampler probes per accepted ladder step
@@ -69,7 +71,8 @@ def optimize(
     )
 
     groups = _nest_groups(function)
-    saved_partitions = {p.name: p.partition_scheme for p in function.placeholders()}
+    # Every trial's banking is laid over the arrays' own schemes.
+    baseline = function.partitions()
 
     orders = _common_orders(function, groups)
     nodes = [c.name for c in function.computes]
@@ -80,8 +83,10 @@ def optimize(
             name: _distribute(function, name, orders[name], par[name])
             for name in nodes
         }
-        _install(function, groups, orders, unrolls, saved_partitions)
-        func_op = lower_program(PolyProgram(function).apply_schedule())
+        _install(function, groups, orders, unrolls)
+        program = PolyProgram(function).apply_schedule()
+        banking = derive_partitions(function, spreads=unroll_spreads(program))
+        func_op = lower_program(program, partitions=banked_partitions(baseline, banking))
         return estimator.estimate(func_op), unrolls
 
     report, unrolls = evaluate(parallelism)
@@ -117,9 +122,8 @@ def optimize(
                 break
 
     report, unrolls, parallelism = best
-    _install(function, groups, orders, unrolls, saved_partitions)
-    func_op = lower_program(PolyProgram(function).apply_schedule())
-    report = estimator.estimate(func_op)
+    _install(function, groups, orders, unrolls)
+    function.set_partitions(banked_partitions(baseline, derive_partitions(function)))
     elapsed = time.perf_counter() - start
     return ScaleHlsResult(
         function=function,
@@ -226,7 +230,7 @@ def _distribute(function: Function, node: str, order: List[str], parallelism: in
     return unrolls
 
 
-def _install(function, groups, orders, unrolls, saved_partitions) -> None:
+def _install(function, groups, orders, unrolls) -> None:
     function.reset_schedule()
     pipeline_levels: Dict[str, Tuple[str, int]] = {}
     for compute in function.computes:
@@ -280,13 +284,6 @@ def _install(function, groups, orders, unrolls, saved_partitions) -> None:
                 function.schedule.add(
                     After(currentn, previous, prev_dim, structural=False)
                 )
-
-    for placeholder in function.placeholders():
-        placeholder.partition_scheme = saved_partitions.get(placeholder.name)
-    for name, factors in derive_partitions(function).items():
-        if any(f > 1 for f in factors):
-            target_ph = next(p for p in function.placeholders() if p.name == name)
-            target_ph.partition(list(factors), "cyclic")
 
 
 def _within(report: SynthesisReport, budget: FPGADevice, scale: int = 1) -> bool:

@@ -438,17 +438,19 @@ def _realize_stage(
     bank_cap: int,
     keep_existing_schedule: bool,
 ) -> SynthesisReport:
-    """Replay one frontier candidate exactly and leave it installed.
+    """Replay one frontier candidate exactly and install it.
 
     The candidate goes through the engine's own
     :class:`~repro.dse.evaluator.Evaluator`, so the returned report is
     real, the lowered function is structurally verified, and the stage
-    function's schedule now *is* the selected design (``codegen()``
-    emits it).
+    function's schedule and banking now *are* the selected design
+    (``codegen()`` emits it).
     """
     evaluator = Evaluator(
         function, device, clock_ns, keep_existing_schedule=keep_existing_schedule
     )
-    report, func_op = evaluator.realize(evaluator.configs(parallelism), bank_cap)
+    configs = evaluator.configs(parallelism)
+    report, func_op = evaluator.realize(configs, bank_cap)
     verify_func(func_op).raise_if_errors()
+    evaluator.install(configs, bank_cap)
     return report

@@ -513,16 +513,15 @@ def _search(sweep: _Sweep) -> Tuple[
                 sel_par, selected.bank_cap,
             )
 
-    # Reinstall the best schedule (the last trial may have been rejected).
-    # A design scored in this process keeps its report; one replayed from
-    # the journal or picked off the frontier is lowered for real.
+    # Install the best design, the sweep's one write.  A design scored
+    # in this process keeps its report; one replayed from the journal or
+    # picked off the frontier is lowered for real first.
     best = sweep.best
     with _trace.span("dse.finalize", "dse"):
+        report = best.report
         if best.func_op is None:
             report, _ = evaluator.realize(best.configs, best.bank_cap)
-        else:
-            evaluator.reinstall(best.configs, best.bank_cap)
-            report = best.report
+        evaluator.install(best.configs, best.bank_cap)
     return report, best.configs, evaluator.plan, frontier_points
 
 
@@ -755,10 +754,10 @@ def _climb(sweep: _Sweep, parallelism: Dict[str, int]) -> None:
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
-                    # The trial schedule is installed on the function; its
-                    # failure must not abort the sweep.  Quarantine it (the
-                    # failure is banking-independent, so other caps are not
-                    # retried) and keep searching from the best design.
+                    # A trial's failure must not abort the sweep.
+                    # Quarantine it (the failure is banking-independent,
+                    # so other caps are not retried) and keep searching
+                    # from the best design.
                     _quarantine(sweep, exc, trial, bank_cap)
                     break
                 if _improves(sweep, trial_report):

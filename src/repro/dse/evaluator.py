@@ -1,16 +1,17 @@
 """The one candidate-evaluation pipeline of stage 2 (paper Section VI-B).
 
-Every design point is scored the same way -- node configs -> install
-schedule -> derive/apply partitions -> polyir/isl lowering -> virtual-HLS
+Every design point is scored the same way -- node configs -> polyhedral
+program -> derived banking -> polyir/isl lowering -> virtual-HLS
 estimate -- and :class:`Evaluator` is the only place that pipeline is
 spelled out.  The search (:mod:`repro.dse.engine`) and dataflow
 realization (:mod:`repro.dataflow.dse`) are both clients of it, so they
 cannot drift apart: the same report, the same ``DSE003`` timeout and the
 same ``DSE001`` wrapper come out of every route.
 
-A candidate's polyhedral program is assembled once, incrementally, in
-both cache modes (:meth:`Evaluator.scheduled`); the directive list
-``install`` writes on the function is the artifact, and replaying it
+A candidate is a value: its program is assembled once, incrementally,
+in both cache modes (:meth:`Evaluator.scheduled`), and its banking
+reaches lowering as a partition map.  :meth:`Evaluator.install` is the
+one write on the function, and replaying the directive list it writes
 from scratch gives the same statements.
 
 Evaluation is memoized at several layers (all local to one
@@ -62,6 +63,7 @@ from repro.dse.stage1 import plan_stage1
 from repro.dse.stage2 import (
     NodeConfig,
     NodeDelta,
+    banked_partitions,
     count_spreads,
     derive_partitions,
     fusion_directives,
@@ -164,9 +166,10 @@ class Evaluator:
 
     Construction runs the search preamble on ``function`` (reset to the
     structural directives, optional legality preflight, stage-1 plan and
-    program); after that :meth:`configs` plans a parallelism vector and
-    :meth:`realize` installs, partitions, lowers and estimates it,
-    leaving the design installed on the function.  ``stats`` receives
+    program) and reads the arrays' partition schemes once; after that
+    :meth:`configs` plans a parallelism vector, :meth:`realize` banks,
+    lowers and estimates it without touching the function, and
+    :meth:`install` writes a chosen design onto it.  ``stats`` receives
     the work and per-layer hit/miss counters (a private
     :class:`DseStats` when the caller does not keep one).
     """
@@ -203,9 +206,8 @@ class Evaluator:
             function.reset_schedule()
             for directive in self.structural:
                 function.schedule.add(directive)
-        self._saved_partitions = {
-            p.name: p.partition_scheme for p in function.placeholders()
-        }
+        # Every candidate's banking is laid over these schemes.
+        self.partitions = function.partitions()
         if diagnostics is not None:
             # Legality preflight on those directives (structural
             # after/fuse, or the user's full schedule when kept): a
@@ -265,17 +267,18 @@ class Evaluator:
     def fingerprint(self, configs: Dict[str, NodeConfig]) -> tuple:
         return tuple(configs[name].fingerprint() for name in self.nodes)
 
-    def install(self, configs: Dict[str, NodeConfig]) -> None:
-        """Install a trial schedule on the function (partitions separate).
+    def install(self, configs: Dict[str, NodeConfig], bank_cap: int) -> None:
+        """Write one design onto the function: its schedule and banking.
 
         Structural after/fuse directives (algorithm-level loop sharing)
         are re-added first so they keep their meaning under the new
         schedule; then come the stage-1 directives, each node's stage-2
         directives and the fusion directives, read off the deltas the
-        assembled candidate keeps.
+        assembled candidate keeps.  The arrays get the partitions
+        :meth:`realize` lowers the design with.
         """
         self.scheduled(configs)
-        deltas = self._scheduled[2]
+        _, _, deltas, spreads, _ = self._scheduled
         directives = self.structural + self.plan.directives
         for delta in deltas.values():
             directives += delta.directives
@@ -284,6 +287,8 @@ class Evaluator:
         function.reset_schedule()
         for directive in directives:
             function.schedule.add(directive)
+        banking = derive_partitions(function, max_banks=bank_cap, spreads=spreads)
+        function.set_partitions(banked_partitions(self.partitions, banking))
 
     def scheduled(self, configs: Dict[str, NodeConfig]) -> PolyProgram:
         """The polyhedral program of ``configs``, assembled incrementally.
@@ -295,9 +300,9 @@ class Evaluator:
         surgery reads other statements, and it runs last, on the whole.
         The most recent program is kept with its node deltas, unroll
         spreads and, once :meth:`realize` has lowered it, its lowered
-        top-level ops -- the installed directive list, partitions,
-        lowering and the bank-cap retries of one candidate share them --
-        so callers must not transform it.  The spreads are read off the stage-1
+        top-level ops -- the banking, lowering, bank-cap retries and
+        installed directive list of one candidate share them -- so
+        callers must not transform it.  The spreads are read off the stage-1
         statements and each node's unroll copies
         (:func:`~repro.dse.stage2.count_spreads`), not the rewritten ones.
         """
@@ -335,29 +340,21 @@ class Evaluator:
         self._scheduled = (key, program, deltas, spreads, None)
         return program
 
-    def _apply_partitions(self, derived: Dict[str, Tuple[int, ...]]) -> None:
-        """Reset partition schemes to the saved baseline, then apply derived."""
-        placeholders = {p.name: p for p in self.function.placeholders()}
-        for name, placeholder in placeholders.items():
-            placeholder.partition_scheme = self._saved_partitions.get(name)
-        for name, factors in derived.items():
-            if any(f > 1 for f in factors):
-                placeholders[name].partition(list(factors), "cyclic")
-
     # -- scoring ------------------------------------------------------------
 
     def realize(
         self, configs: Dict[str, NodeConfig], bank_cap: int
     ) -> Tuple[SynthesisReport, FuncOp]:
-        """Install, partition, lower and estimate one design point.
+        """Bank, lower and estimate one design point.
 
-        The design stays installed on the function.  A candidate with the
-        configs and derived banking of the design scored just before it
-        (a bank cap that does not bind) is that design and takes its
-        report and lowered function -- unless the fault plan schedules an
-        estimator fault for it, which must reach the estimator.  One whose
-        configs and derived banking equal an earlier design's (a frontier
-        grid member the ladder reached another way) needs no memo of its
+        The function is left as it is: the banking reaches lowering as
+        a partition map.  A candidate with the configs and derived
+        banking of the design scored just before it (a bank cap that
+        does not bind) is that design and takes its report and lowered
+        function -- unless the fault plan schedules an estimator fault
+        for it, which must reach the estimator.  One whose configs and
+        derived banking equal an earlier design's (a frontier grid
+        member the ladder reached another way) needs no memo of its
         own: every top-level nest hits the nest-lowering memo and every
         nest estimate the estimator's per-nest memo.  The schedule is
         lowered once: a candidate with the configs of the one before it
@@ -366,22 +363,22 @@ class Evaluator:
         """
         stats = self.stats
         previous, self._scored = self._scored, None
-        self.install(configs)
+        self.scheduled(configs)
         key, scheduled, _, spreads, body = self._scheduled
         banking = derive_partitions(self.function, max_banks=bank_cap, spreads=spreads)
-        self._apply_partitions(banking)
         if previous is not None and previous[:2] == (key, banking):
             plan = _faults.active()
             if plan is None or not plan.estimator_fault_due():
                 self._scored = previous
                 return previous[2], previous[3]
+        partitions = banked_partitions(self.partitions, banking)
         t0 = time.perf_counter()
         if body is None:
             stats.lowerings += 1
-            func_op = lower_program_incremental(scheduled, cache=self._nest_memo, stats=stats)
+            func_op = lower_program_incremental(scheduled, self._nest_memo, stats, partitions)
             self._scheduled = self._scheduled[:4] + (list(func_op.body.ops),)
         else:
-            func_op = assemble(self.function, body)
+            func_op = assemble(self.function, body, partitions)
         stats.lowering_s += time.perf_counter() - t0
         report = self.estimate(func_op)
         self._scored = (key, banking, report, func_op, self.estimator.nest_cycles)
@@ -389,18 +386,9 @@ class Evaluator:
 
     @property
     def nest_cycles(self) -> Optional[List[int]]:
-        """Per-nest cycles of the installed design's estimate; None when
-        the installed design was not scored by :meth:`realize`."""
+        """Per-nest cycles of the estimate of the design :meth:`realize`
+        scored last; None before the first call or after a failed one."""
         return None if self._scored is None else self._scored[4]
-
-    def reinstall(self, configs: Dict[str, NodeConfig], bank_cap: int) -> None:
-        """Install an already-scored design again -- its directives and
-        banking -- without lowering or estimating it."""
-        self.install(configs)
-        self._apply_partitions(
-            derive_partitions(self.function, max_banks=bank_cap, spreads=self._scheduled[3])
-        )
-        self._scored = None
 
     def estimate(self, func_op: FuncOp) -> SynthesisReport:
         """One counted, timed estimator call with transient-fault retries."""

@@ -11,10 +11,10 @@ unrolled copies hit distinct memory banks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.dsl.function import Function
-from repro.dsl.placeholder import Placeholder
+from repro.dsl.placeholder import PartitionScheme, Placeholder
 from repro.dsl.schedule import (
     After,
     Directive,
@@ -319,3 +319,17 @@ def derive_partitions(
         )
         for name, (shape, values) in spreads.items()
     }
+
+
+def banked_partitions(
+    partitions: Mapping[str, Optional[PartitionScheme]],
+    banking: Dict[str, Tuple[int, ...]],
+) -> Dict[str, Optional[PartitionScheme]]:
+    """``partitions`` (a :meth:`Function.partitions` map) with a cyclic
+    scheme for every array ``banking`` (:func:`derive_partitions`)
+    spreads over more than one bank; the other arrays keep theirs."""
+    banked = dict(partitions)
+    for name, factors in banking.items():
+        if any(f > 1 for f in factors):
+            banked[name] = PartitionScheme(factors, "cyclic")
+    return banked

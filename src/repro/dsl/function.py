@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.dsl.compute import Compute
-from repro.dsl.placeholder import Placeholder
+from repro.dsl.placeholder import PartitionScheme, Placeholder
 from repro.dsl.schedule import Schedule
 
 _FUNCTION_STACK: List["Function"] = []
@@ -76,6 +76,15 @@ class Function:
             for array in compute.arrays():
                 seen.setdefault(array.name, array)
         return list(seen.values())
+
+    def partitions(self) -> Dict[str, Optional[PartitionScheme]]:
+        """Each array's partition scheme (None: unpartitioned), by name."""
+        return {p.name: p.partition_scheme for p in self.placeholders()}
+
+    def set_partitions(self, partitions: Mapping[str, Optional[PartitionScheme]]) -> None:
+        """Give every array its scheme in ``partitions`` (absent: none)."""
+        for placeholder in self.placeholders():
+            placeholder.partition_scheme = partitions.get(placeholder.name)
 
     # -- reference semantics ----------------------------------------------------
 

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List
 
 from repro.dsl.function import Function
 from repro.dse import auto_dse
-from repro.dse.stage2 import derive_partitions
+from repro.dse.stage2 import banked_partitions, derive_partitions
 from repro.evaluation.frameworks import Experiment, format_table
 from repro.pipeline import estimate
 from repro.workloads import image, polybench, stencils
@@ -61,10 +61,7 @@ def _pipeline_unroll(function: Function) -> None:
 
 def _pipeline_unroll_partition(function: Function) -> None:
     _pipeline_unroll(function)
-    for name, factors in derive_partitions(function).items():
-        if any(f > 1 for f in factors):
-            target = next(p for p in function.placeholders() if p.name == name)
-            target.partition(list(factors), "cyclic")
+    function.set_partitions(banked_partitions(function.partitions(), derive_partitions(function)))
 
 
 VARIANTS: List = [

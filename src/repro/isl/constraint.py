@@ -139,10 +139,6 @@ class Constraint:
     def substitute(self, bindings) -> "Constraint":
         return Constraint(self.expr.substitute(bindings), self.kind)
 
-    def rename(self, mapping) -> "Constraint":
-        expr = self.expr.rename(mapping)
-        return self if expr is self.expr else Constraint(expr, self.kind)
-
     # -- protocol -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -100,6 +100,23 @@ class TestRealization:
             for _, degree in point.parallelism
         )
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="realization builds a second evaluator on a stage the sweep "
+        "already installed and keeps that banking as its baseline (ROADMAP 12)",
+    )
+    @pytest.mark.parametrize(
+        "name,size,fraction", [("conv-block", 32, 0.25), ("image-pipeline", 64, 0.1)]
+    )
+    def test_each_installed_stage_is_the_point_the_balancer_selected(
+        self, name, size, fraction
+    ):
+        result = workloads.get(name, size).auto_DSE(
+            options=DseOptions(resource_fraction=fraction)
+        )
+        for stage, point in result.selection.items():
+            assert result.report.stage_reports[stage].total_cycles == point.cycles, stage
+
 
 class _Clock:
     """A ``time`` stand-in whose clock moves only when told to."""

@@ -65,6 +65,9 @@ def test_every_candidate_of_a_real_sweep_matches_the_replay(name, cache, monkeyp
 
     def checked(self, configs, bank_cap):
         outcome = realize(self, configs, bank_cap)
+        # The sweep reads nothing off the function, so installing each
+        # candidate here leaves its course as it was.
+        self.install(configs, bank_cap)
         _assert_matches_replay(self, configs)
         visited.append(bank_cap)
         return outcome
@@ -112,7 +115,7 @@ def test_memo_hits_after_another_candidates_surgery(name, cache):
     for par in (first, second, first, ones, second, fused, unfused, fused):
         configs = evaluator.configs(par)
         distinct.add(evaluator.fingerprint(configs))
-        evaluator.install(configs)
+        evaluator.install(configs, 128)
         _assert_matches_replay(evaluator, configs)
         # The kept program serves the bank-cap retries: same object.
         assert evaluator.scheduled(configs) is evaluator.scheduled(configs)
@@ -127,7 +130,7 @@ def test_a_failed_assembly_leaves_nothing_behind(monkeypatch):
     evaluator = Evaluator(workloads.get("3mm", 16))
     good = evaluator.configs({node: 2 for node in evaluator.nodes})
     bad = evaluator.configs({node: 4 for node in evaluator.nodes})
-    evaluator.install(good)
+    evaluator.install(good, 128)
     kept = evaluator.scheduled(good)
 
     split = transforms.split
@@ -147,7 +150,7 @@ def test_a_failed_assembly_leaves_nothing_behind(monkeypatch):
 
     monkeypatch.setattr(transforms, "split", split)
     for configs in (bad, good, bad):
-        evaluator.install(configs)
+        evaluator.install(configs, 128)
         _assert_matches_replay(evaluator, configs)
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from repro.dse import auto_dse
 from repro.dse.evaluator import Evaluator
-from repro.dse.stage2 import derive_partitions
 from repro.hls.estimator import HlsEstimator
 from repro.hls.device import DEFAULT_DEVICE
 from repro.affine.lowering import lower_program
@@ -33,11 +32,7 @@ def exhaustive_best(factory, size):
     for combo in itertools.product(DEGREES, repeat=len(nodes)):
         function = factory(size)
         evaluator = Evaluator(function)
-        evaluator.install(evaluator.configs(dict(zip(nodes, combo))))
-        for name, factors in derive_partitions(function).items():
-            if any(f > 1 for f in factors):
-                target = next(p for p in function.placeholders() if p.name == name)
-                target.partition(list(factors), "cyclic")
+        evaluator.install(evaluator.configs(dict(zip(nodes, combo))), 128)
         report = estimator.estimate(
             lower_program(PolyProgram(function).apply_schedule())
         )

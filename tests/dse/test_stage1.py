@@ -99,7 +99,7 @@ class TestStage1Stencils:
 
         f = stencils.seidel(8, steps=2)
         evaluator = Evaluator(f)
-        evaluator.install(evaluator.configs({"S": 1}))
+        evaluator.install(evaluator.configs({"S": 1}), 128)
         arrays = f.allocate_arrays(seed=11)
         ref = {n: a.copy() for n, a in arrays.items()}
         f.reference_execute(ref)

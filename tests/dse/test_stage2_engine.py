@@ -60,7 +60,7 @@ class TestConfigDirectives:
 
         f = polybench.gemm(16)
         evaluator = Evaluator(f)
-        evaluator.install(evaluator.configs({"s": 4}))
+        evaluator.install(evaluator.configs({"s": 4}), 128)
         func = lower_to_affine(f)
         loops = [op for op in func.walk() if isinstance(op, AffineForOp)]
         pipelined = [l for l in loops if "pipeline" in l.attributes]
@@ -71,7 +71,7 @@ class TestConfigDirectives:
     def test_semantics_preserved_through_config(self):
         f = polybench.gemm(8)
         evaluator = Evaluator(f)
-        evaluator.install(evaluator.configs({"s": 4}))
+        evaluator.install(evaluator.configs({"s": 4}), 128)
         arrays = f.allocate_arrays(seed=9)
         ref = {n: a.copy() for n, a in arrays.items()}
         f.reference_execute(ref)
@@ -84,7 +84,7 @@ class TestDerivePartitions:
     def test_unrolled_dims_get_banks(self):
         f = polybench.gemm(16)
         evaluator = Evaluator(f)
-        evaluator.install(evaluator.configs({"s": 8}))
+        evaluator.install(evaluator.configs({"s": 8}), 128)
         partitions = derive_partitions(f)
         assert any(max(v) > 1 for v in partitions.values())
 

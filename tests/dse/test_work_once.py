@@ -7,7 +7,7 @@ Three shortcuts, each against the longer way it replaced:
 * stage 1 analyzes each statement once per restructuring step and reuses
   the last analysis when no move followed it;
 * a bank cap that derives the banking of the design scored just before
-  it takes that design's score, the finalize reinstalls the best design
+  it takes that design's score, the finalize installs the best design
   without lowering it again, and the ladder reads node latencies off the
   estimate that scored the best design;
 * a bank cap that changes only the banking reuses the lowered ops of the
@@ -203,14 +203,14 @@ def test_an_uncached_ladder_lowers_each_design_once(name, monkeypatch):
     """Each distinct design is estimated once and each distinct schedule
     lowered once (a ladder step's bank caps share one schedule)."""
     scored = _recording(monkeypatch)
-    reinstalled = []
-    reinstall = Evaluator.reinstall
+    installed = []
+    install = Evaluator.install
 
-    def recording_reinstall(self, configs, bank_cap):
-        reinstalled.append((configs, bank_cap))
-        return reinstall(self, configs, bank_cap)
+    def recording_install(self, configs, bank_cap):
+        installed.append((configs, bank_cap))
+        return install(self, configs, bank_cap)
 
-    monkeypatch.setattr(Evaluator, "reinstall", recording_reinstall)
+    monkeypatch.setattr(Evaluator, "install", recording_install)
     result = auto_dse(SWEPT[name](), options=DseOptions(resource_fraction=0.25, cache=False))
     monkeypatch.undo()
     stats = result.stats
@@ -219,9 +219,9 @@ def test_an_uncached_ladder_lowers_each_design_once(name, monkeypatch):
     assert stats.estimations == len(set(scored))
     assert stats.lowerings == len({schedule for schedule, _ in scored})
 
-    # The finalize reinstalled the best design; a fresh evaluator scores
+    # The finalize installed the best design; a fresh evaluator scores
     # it the same and lowers it to the same IR.
-    ((configs, bank_cap),) = reinstalled
+    ((configs, bank_cap),) = installed
     fresh = Evaluator(SWEPT[name](), cache=False)
     report, func_op = fresh.realize(configs, bank_cap)
     assert result.report == report
@@ -267,9 +267,9 @@ def test_no_sweep_lowers_a_schedule_twice_in_a_row(name, objective, cache, monke
     lowered = []
     lower = evaluator.lower_program_incremental
 
-    def recording(program, cache=None, stats=None):
+    def recording(program, cache=None, stats=None, partitions=None):
         lowered.append(tuple(stmt.fingerprint() for stmt in program.statements))
-        return lower(program, cache=cache, stats=stats)
+        return lower(program, cache=cache, stats=stats, partitions=partitions)
 
     monkeypatch.setattr(evaluator, "lower_program_incremental", recording)
     result = auto_dse(SWEPT[name](), options=DseOptions(
@@ -292,6 +292,7 @@ def test_a_bank_cap_retry_equals_a_fresh_lowering(name):
     report, func_op = ev.realize(configs, 2)
     assert ev.stats.lowerings == lowerings and ev.stats.estimations == 2
     assert "partitions" in func_op.attributes
+    ev.install(configs, 2)
     assert print_func(func_op) == print_func(lower_program(ev.scheduled(configs)))
 
     fresh = Evaluator(SWEPT[name](), cache=False)

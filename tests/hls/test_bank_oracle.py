@@ -82,7 +82,7 @@ def _grid_designs(name, size, degrees=(1, 2, 4, 8, 16)):
     function = workloads.get(name, size)
     evaluator = Evaluator(function)
     for degree in degrees:
-        evaluator.install(evaluator.configs({node: degree for node in evaluator.nodes}))
+        evaluator.install(evaluator.configs({node: degree for node in evaluator.nodes}), 128)
         yield function
 
 

@@ -92,21 +92,6 @@ class TestTransforms:
         assert s.satisfied_by({"x": 1, "y": 1})
         assert not s.satisfied_by({"x": 0, "y": 1})
 
-    def test_rename(self):
-        c = Constraint.le("i", 7)
-        r = c.rename({"i": "z"})
-        assert r.involves("z")
-        assert not r.involves("i")
-
-    def test_rename_merging_names_sums_coefficients(self):
-        c = Constraint.ge(AffineExpr.var("i") - AffineExpr.var("j"), 0)
-        assert c.rename({"i": "j"}).is_tautology()
-        assert c.rename({"i": "k"}) == Constraint.ge("k", "j")
-
-    def test_identity_rename_is_self(self):
-        c = Constraint.le("i", 7)
-        assert c.rename({"j": "k", "i": "i"}) is c
-
     def test_equality_and_hash(self):
         a = Constraint.ge(AffineExpr.var("i"), 3)
         b = Constraint.ge(AffineExpr.var("i") - 3, 0)

@@ -274,10 +274,6 @@ class TestTrustedConstruction:
     def test_rename(self, a, mapping):
         terms = [(mapping.get(n, n), c) for n, c in a.coeffs.items()]
         assert a.rename(mapping) is _public(terms, a.constant)
-        for kind in (EQ, GE):
-            c = Constraint(a, kind)
-            terms = [(mapping.get(n, n), k) for n, k in c.expr.coeffs.items()]
-            assert c.rename(mapping) is Constraint(_public(terms, c.expr.constant), kind)
 
     @given(affine_exprs(DIMS3), st.integers(min_value=2, max_value=4))
     def test_normalized_constraint(self, a, g):

@@ -7,6 +7,7 @@ design as a fault-free run.
 
 import pytest
 
+from repro import workloads
 from repro.diagnostics import DiagnosticError
 from repro.faults import Fault, FaultPlan, FAULT_KINDS, InjectedCrash
 from repro.workloads import polybench
@@ -153,6 +154,26 @@ def test_crash_at_every_append_point_resumes_to_the_fault_free_best(tmp_path):
             result = polybench.gemm(16).auto_DSE(options=DseOptions(checkpoint=str(journal), resume=True))
         assert fingerprint(result) == fingerprint(baseline), ordinal
     assert crash_points >= total
+
+
+@pytest.mark.parametrize("name", ["gemm", "jacobi-2d"])
+def test_a_crashed_sweep_resumes_on_the_same_function(name, tmp_path):
+    # A crash leaves the function as the sweep found it (no candidate is
+    # ever written on it), so resuming on the very same object passes the
+    # journal's workload check and ends at the fault-free design.
+    baseline = workloads.get(name, 64)
+    clean = baseline.auto_DSE()
+    total = clean.stats.candidates
+    assert total >= 9
+    for ordinal in range(total):
+        journal = tmp_path / f"crash_at_{ordinal}.jsonl"
+        function = workloads.get(name, 64)
+        plan = FaultPlan([Fault("crash", ordinal)])
+        with pytest.raises(InjectedCrash):
+            function.auto_DSE(options=DseOptions(checkpoint=str(journal), fault_plan=plan))
+        result = function.auto_DSE(options=DseOptions(checkpoint=str(journal), resume=True))
+        assert result.payload() == clean.payload(), ordinal
+        assert function.codegen() == baseline.codegen(), ordinal
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
