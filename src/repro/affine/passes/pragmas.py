@@ -7,15 +7,17 @@ from repro.affine.passes.base import Pass
 
 
 class InsertDependencePragmas(Pass):
-    """Attach ``#pragma HLS dependence ... inter false`` hints.
+    """Attach ``#pragma HLS dependence ... inter RAW false`` hints.
 
     The paper (Section V-A) notes that identified loop-carried
     dependences "serve as a hint to users, directing them to set the HLS
     DEPENDENCE pragma".  This pass automates the hint: for every
     pipelined loop, any array that is both read and written in the
     region but provably carries *no* RAW dependence at the pipelined
-    level gets an ``inter false`` declaration -- exactly the annotation
-    a conservative HLS scheduler needs to reach the analyzed II.
+    level gets an ``inter RAW false`` declaration -- exactly the
+    annotation a conservative HLS scheduler needs to reach the analyzed
+    II.  The hint names its direction: only RAW is proven, so WAR and
+    WAW stay for the scheduler to honour.
     """
 
     name = "insert-dependence-pragmas"
@@ -59,7 +61,7 @@ class InsertDependencePragmas(Pass):
                 deps = carried_dependences_generic(dims, domain, pairs, extents)
                 if any(dep.level == 0 for dep in deps):
                     continue  # a real carried dependence: no false hint
-                hint = f"variable={store.array.name} inter false"
+                hint = f"variable={store.array.name} inter RAW false"
                 if hint not in hints:
                     hints.append(hint)
                     changed = True

@@ -620,7 +620,7 @@ def cmd_experiment(args) -> int:
         experiment = ALL_EXPERIMENTS[name]
         if args.size is None:
             experiment.main()
-        elif experiment.quick_size is not None:
+        elif "size" in experiment.quick:
             experiment.main(size=args.size)
         else:
             print(f"note: --size does not apply to {name}; ignored", file=sys.stderr)

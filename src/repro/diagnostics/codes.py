@@ -61,6 +61,7 @@ CODES: Dict[str, str] = {
     # DSE008 is retired; the number is not reused.
     # -- evaluation harness ---------------------------------------------
     "RPT001": "experiment failed during evaluation",
+    "RPT002": "a paper claim does not hold on the experiment's result",
     # -- tracing and metrics ---------------------------------------------
     "TRC001": "trace output could not be written; run completed without it",
     # -- schedule fuzzing -------------------------------------------------

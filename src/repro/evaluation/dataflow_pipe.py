@@ -70,7 +70,7 @@ def render(results: Dict[str, DataflowDseResult]) -> str:
     )
 
 
-EXPERIMENT = Experiment(run, render, quick_size=16, device_aware=True)
+EXPERIMENT = Experiment(run, render, quick={"size": 16}, device_aware=True)
 
 if __name__ == "__main__":
     EXPERIMENT.main()

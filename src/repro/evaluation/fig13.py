@@ -20,7 +20,7 @@ from repro.affine.lowering import lower_program
 from repro.hls.device import DEFAULT_DEVICE
 from repro.hls.estimator import HlsEstimator
 from repro.polyir.program import PolyProgram
-from repro.evaluation.frameworks import Experiment, format_table
+from repro.evaluation.frameworks import Claim, Experiment, Reading, format_table
 from repro.workloads import dnn
 
 DEFAULT_SIZE = 32
@@ -91,7 +91,41 @@ def render(results: List[AccumulatedSeries]) -> str:
     return format_table(headers, rows, title="Fig. 13: accumulated DNN resource usage")
 
 
-EXPERIMENT = Experiment(run, render)
+def _pairs(results: List[AccumulatedSeries]):
+    """``(network, POM series, ScaleHLS series)`` per network."""
+    by = {(s.network, s.framework): s for s in results}
+    return [(net, by[net, "pom"], by[net, "scalehls"]) for net in dnn.SUITE]
+
+
+def _flat(results):
+    for net, pom, _ in _pairs(results):
+        yield Reading(f"{net} POM final DSP", pom.dsp[-1], "==", max(pom.dsp))
+        yield Reading(f"{net} POM final DSP", pom.dsp[-1], "<=", DEFAULT_DEVICE.dsp)
+
+
+def _accumulates(results):
+    for net, _, sh in _pairs(results):
+        yield Reading(f"{net} ScaleHLS final DSP", sh.dsp[-1], ">=", sh.dsp[0])
+        drops = sum(later < earlier for earlier, later in zip(sh.dsp, sh.dsp[1:]))
+        yield Reading(f"{net} ScaleHLS decreasing steps", drops, "==", 0)
+
+
+CLAIMS = (
+    Claim("POM curve flat", "POM's accumulated resources stay flat (reuse) within the device",
+          _flat),
+    Claim("ScaleHLS curve accumulates", "ScaleHLS's dataflow hardware accumulates layer by layer",
+          _accumulates),
+    Claim("ScaleHLS exceeds POM", "ScaleHLS accumulates past POM's total", lambda r: [
+        Reading(f"{net} ScaleHLS final DSP", sh.dsp[-1], ">", pom.dsp[-1])
+        for net, pom, sh in _pairs(r)
+    ]),
+    Claim("critical loop counts", "13 critical loops for VGG-16, 20 for ResNet-18", lambda r: [
+        Reading(f"{net} critical loops", len(pom.loops), "==", {"vgg16": 13, "resnet18": 20}[net])
+        for net, pom, _ in _pairs(r)
+    ]),
+)
+
+EXPERIMENT = Experiment(run, render, claims=CLAIMS)
 
 if __name__ == "__main__":
     EXPERIMENT.main()

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List
 from repro.dsl.function import Function
 from repro.dse import auto_dse
 from repro.dse.stage2 import banked_partitions, derive_partitions
-from repro.evaluation.frameworks import Experiment, format_table
+from repro.evaluation.frameworks import Claim, Experiment, Reading, format_table
 from repro.pipeline import estimate
 from repro.workloads import image, polybench, stencils
 
@@ -103,7 +103,53 @@ def render(points: List[AblationPoint]) -> str:
     return format_table(headers, rows, title="Fig. 14: scheduling-primitive ablation")
 
 
-EXPERIMENT = Experiment(run, render)
+FULL = VARIANTS[-1][0]
+HW_ONLY = ("LP", "LP+LU", "LP+LU+AP")
+
+
+def _by(points: List[AblationPoint]) -> Dict[tuple, AblationPoint]:
+    return {(p.benchmark, p.variant): p for p in points}
+
+
+def _gain(points, benchmark: str, variants) -> float:
+    """The full design's speedup over the best of ``variants``."""
+    by = _by(points)
+    return by[benchmark, FULL].speedup / max(by[benchmark, v].speedup for v in variants)
+
+
+def _layers_add(points):
+    by = _by(points)
+    for benchmark in ("edgedetect", "2mm"):
+        lp, lu, ap = (by[benchmark, v].speedup for v in HW_ONLY)
+        yield Reading(f"{benchmark} LP/(LP+LU)", lp / lu, "<=", 1.01)
+        yield Reading(f"{benchmark} (LP+LU)/(LP+LU+AP)", lu / ap, "<=", 1.01)
+
+
+CLAIMS = (
+    Claim("EdgeDetect gains from pipelining", "EdgeDetect gains 9.6x from loop pipelining alone",
+          lambda p: [Reading("edgedetect LP speedup", _by(p)["edgedetect", "LP"].speedup, ">", 4)]),
+    Claim("Seidel immune to hardware opts",
+          "the improvement of Seidel with the same optimization is limited", lambda p: [
+              Reading(f"seidel {v} speedup", _by(p)["seidel", v].speedup, "<", 2 if v == "LP" else 10)
+              for v in HW_ONLY
+          ]),
+    Claim("Seidel needs skewing", "the big jump comes only once loop skewing is applied", lambda p: [
+        Reading("seidel full / best hardware-only speedup", _gain(p, "seidel", HW_ONLY), ">", 5),
+    ]),
+    Claim("2MM needs the combination",
+          "2MM benefits most from transforms + hardware opts together", lambda p: [
+              Reading("2mm full / LP+LU+AP speedup", _gain(p, "2mm", ("LP+LU+AP",)), ">", 2),
+          ]),
+    Claim("each hardware layer adds", "LP <= LP+LU <= LP+LU+AP on the dependence-light benchmarks",
+          _layers_add),
+    Claim("resources grow with parallelism",
+          "the full design spends more DSP than pipelining alone", lambda p: [
+              Reading(f"{b} full DSP", _by(p)[b, FULL].dsp, ">", _by(p)[b, "LP"].dsp)
+              for b in ("edgedetect", "2mm")
+          ]),
+)
+
+EXPERIMENT = Experiment(run, render, claims=CLAIMS)
 
 if __name__ == "__main__":
     EXPERIMENT.main()

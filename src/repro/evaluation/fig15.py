@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.dse import auto_dse
-from repro.evaluation.frameworks import Experiment, format_table
+from repro.evaluation.frameworks import Claim, Experiment, Reading, format_table
 from repro.hlsgen import generate_hls_c
 from repro.pipeline import lower_to_affine
 from repro.workloads import image, polybench, stencils
@@ -80,7 +80,32 @@ def render(points: List[LocPoint]) -> str:
     return format_table(headers, rows, title="Fig. 15: lines-of-code comparison")
 
 
-EXPERIMENT = Experiment(run, render)
+def _by(points: List[LocPoint]) -> Dict[str, LocPoint]:
+    return {p.benchmark: p for p in points}
+
+
+def _overhead(points: List[LocPoint], name: str) -> int:
+    """Lines the manual primitives add over ``f.auto_DSE()``."""
+    point = _by(points)[name]
+    return point.dsl_manual - point.dsl_auto
+
+
+CLAIMS = (
+    Claim("autoDSE shorter than manual", "manual primitives sit between autoDSE and HLS C",
+          lambda ps: [Reading(f"{p.benchmark} DSL+autoDSE lines", p.dsl_auto, "<=", p.dsl_manual)
+                      for p in ps]),
+    Claim("autoDSE shorter than HLS C", "the DSL with autoDSE needs far fewer lines than HLS C",
+          lambda ps: [Reading(f"{p.benchmark} DSL+autoDSE lines", p.dsl_auto, "<", p.hls_c)
+                      for p in ps]),
+    Claim("biggest savings on 3MM", "under one-third of the HLS C for 3MM-class benchmarks",
+          lambda ps: [Reading("3mm autoDSE/HLS C lines",
+                              _by(ps)["3mm"].dsl_auto / _by(ps)["3mm"].hls_c, "<", 0.6)]),
+    Claim("manual overhead grows with the schedule", "more loops need more manual primitives",
+          lambda ps: [Reading("3mm manual - autoDSE lines", _overhead(ps, "3mm"), ">=",
+                              _overhead(ps, "gemm"))]),
+)
+
+EXPERIMENT = Experiment(run, render, claims=CLAIMS)
 
 if __name__ == "__main__":
     EXPERIMENT.main()

@@ -5,17 +5,19 @@ workload, apply a framework's optimization, synthesize with the virtual
 HLS model, and report the paper's metrics (speedup over the unoptimized
 baseline, resource utilization, power, achieved II, tile sizes,
 parallelism degree, and DSE time).  Each table and figure declares
-itself once as an :class:`Experiment`; :func:`grid` runs its framework
-x workload x size points and :func:`leaves` walks them back for
+itself once as an :class:`Experiment`, with the paper's results it
+reproduces as :class:`Claim` s; :func:`grid` runs its framework x
+workload x size points and :func:`leaves` walks them back for
 rendering.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dsl.function import Function
 from repro.baselines import manual, pluto, polsca, scalehls
@@ -35,23 +37,99 @@ REWRITES = {
 }
 
 
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Reading:
+    """One number a claim checks, next to its bound: ``value op bound``."""
+
+    label: str
+    value: Any
+    op: str
+    bound: Any
+
+    @property
+    def holds(self) -> bool:
+        return OPS[self.op](self.value, self.bound)
+
+    def __str__(self) -> str:
+        if isinstance(self.bound, bool):
+            return f"{self.label}: {'yes' if self.value else 'no'}"
+        return f"{self.label} {_number(self.value)} {self.op} {_number(self.bound)}"
+
+
+def _number(value: float) -> str:
+    return str(int(value)) if float(value).is_integer() else f"{value:.4g}"
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One of the paper's results, checked on an experiment's ``run()`` result.
+
+    ``check(result)`` yields the :class:`Reading` s the claim rests on.
+    Readings labelled in ``partial`` are ones this reproduction is known
+    to miss: they are reported, never gated.
+    """
+
+    name: str
+    paper: str
+    check: Callable[[Any], Iterable[Reading]]
+    partial: Tuple[str, ...] = ()
+
+    def verdict(self, result: Any) -> "Verdict":
+        return Verdict(self.name, tuple(self.check(result)), self.partial)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A claim's readings on one result (plain data: it crosses processes)."""
+
+    claim: str
+    readings: Tuple[Reading, ...]
+    partial: Tuple[str, ...] = ()
+
+    @property
+    def missed(self) -> List[Reading]:
+        """The gated readings that do not hold."""
+        return [r for r in self.readings if not r.holds and r.label not in self.partial]
+
+    @property
+    def holds(self) -> bool:
+        return not self.missed
+
+    @property
+    def status(self) -> str:
+        if self.missed:
+            return "❌"
+        return "✅" if all(r.holds for r in self.readings) else "◑"
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One table or figure: ``render(run(**kwargs))``, printed by ``main``.
 
-    A set ``quick_size`` means ``run`` takes ``size``: ``report_all
-    --quick`` passes ``quick_size`` and ``repro experiment --size`` its
-    own.  ``device_aware`` means ``run`` takes a device-zoo name as
-    ``device``; the paper tables are pinned to the paper's part.
+    ``quick`` holds the reduced configuration: the kwargs ``report_all
+    --quick`` and the tier-1 claims test pass to ``run``.  When it names
+    ``size``, ``repro experiment --size`` passes its own.  ``device_aware``
+    means ``run`` takes a device-zoo name as ``device``; the paper tables
+    are pinned to the paper's part.  ``claims`` are the paper's results
+    the experiment reproduces, each checked on one ``run()`` result.
     """
 
     run: Callable[..., Any]
     render: Callable[[Any], str]
-    quick_size: Optional[int] = None
+    quick: Mapping[str, Any] = field(default_factory=dict)
     device_aware: bool = False
+    claims: Tuple[Claim, ...] = ()
 
-    def main(self, **kwargs) -> None:
-        print(self.render(self.run(**kwargs)))
+    def main(self, **kwargs) -> Any:
+        result = self.run(**kwargs)
+        print(self.render(result))
+        return result
+
+    def verdicts(self, result: Any) -> List[Verdict]:
+        return [claim.verdict(result) for claim in self.claims]
 
 
 @dataclass
@@ -179,6 +257,11 @@ def leaves(results: dict, keys: tuple = ()) -> Iterator[Tuple[tuple, RunResult]]
 def table_rows(results: dict, columns: Sequence[Callable[[RunResult], str]]) -> List[List[str]]:
     """One table row per :func:`leaves` entry: its keys, then its columns."""
     return [[*map(str, keys), *(column(r) for column in columns)] for keys, r in leaves(results)]
+
+
+def ratio(pair: Dict[str, RunResult], top: str = "pom", bottom: str = "scalehls") -> float:
+    """``top``'s speedup over ``bottom``'s on one workload."""
+    return pair[top].speedup / pair[bottom].speedup
 
 
 def cycles(r: RunResult) -> str:

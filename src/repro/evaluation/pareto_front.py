@@ -57,7 +57,7 @@ def render(results: Dict[str, DseResult]) -> str:
     )
 
 
-EXPERIMENT = Experiment(run, render, quick_size=256)
+EXPERIMENT = Experiment(run, render, quick={"size": 256})
 
 if __name__ == "__main__":
     EXPERIMENT.main()

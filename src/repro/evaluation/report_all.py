@@ -1,9 +1,12 @@
 """Regenerate the entire evaluation into one report file.
 
 ``python -m repro.evaluation.report_all [--quick] [--jobs N]
-[--output PATH]`` runs every experiment (paper-scale by default, reduced
-sizes with ``--quick``) and writes a timestamped markdown/text report --
-the mechanism used to refresh ``EXPERIMENTS.md`` after model changes.
+[--output PATH]`` runs every experiment (paper-scale by default, each
+experiment's reduced configuration with ``--quick``), checks each
+experiment's paper claims on its result, and writes a markdown/text
+report -- the mechanism used to refresh ``EXPERIMENTS.md`` after model
+changes.  A claim that does not hold is an ``RPT002`` failure and makes
+the exit status 1, as a failed experiment does.
 
 ``--jobs N`` shards the experiments across worker processes
 (:func:`repro.util.run_ordered`): each experiment runs isolated in its
@@ -26,22 +29,21 @@ from typing import List, Optional
 from repro import trace as _trace
 from repro.diagnostics import Diagnostic, Severity, SourceLocation
 from repro.evaluation import ALL_EXPERIMENTS
-from repro.evaluation.frameworks import Experiment
+from repro.evaluation.frameworks import Experiment, format_table
 from repro.util import atomic_write
 
 
 def _experiment_kwargs(experiment: Experiment, quick: bool, device: Optional[str]) -> dict:
     """The kwargs ``experiment.main`` gets (``device``: a picklable zoo name)."""
-    kwargs = {}
-    if quick and experiment.quick_size is not None:
-        kwargs["size"] = experiment.quick_size
+    kwargs = dict(experiment.quick) if quick else {}
     if device is not None and experiment.device_aware:
         kwargs["device"] = device
     return kwargs
 
 
 def _run_experiment(payload: tuple) -> dict:
-    """Worker entry: run one experiment, capture stdout and any failure.
+    """Worker entry: run one experiment, check its claims, capture stdout
+    and any failure.
 
     Module-level (picklable) so :func:`repro.util.run_ordered` can ship
     it to a worker process; also the shared implementation of the
@@ -54,11 +56,14 @@ def _run_experiment(payload: tuple) -> dict:
     capture = io.StringIO()
     start = time.perf_counter()
     error: Optional[str] = None
+    verdicts = []
     tracer = _trace.Tracer() if want_trace else None
     previous = _trace.install(tracer)
     try:
+        experiment = ALL_EXPERIMENTS[name]
         with redirect_stdout(capture):
-            ALL_EXPERIMENTS[name].main(**kwargs)
+            result = experiment.main(**kwargs)
+        verdicts = experiment.verdicts(result)
     except Exception as exc:  # keep the report going; record the failure
         error = f"{type(exc).__name__}: {exc}"
     finally:
@@ -66,6 +71,7 @@ def _run_experiment(payload: tuple) -> dict:
     return {
         "text": capture.getvalue(),
         "error": error,
+        "verdicts": verdicts,
         "elapsed_s": time.perf_counter() - start,
         "trace": tracer.export_data() if tracer is not None else None,
     }
@@ -83,7 +89,10 @@ def run_all(
 
     A failing experiment does not stop the run: it becomes a structured
     ``RPT001`` diagnostic (experiment name, exception class, message)
-    rendered in place and repeated in the closing summary section.
+    rendered in place and repeated in the closing summary section.  Each
+    experiment's claims are checked on its result in the process that
+    ran it; the claims table follows the experiments, and a claim that
+    does not hold becomes an ``RPT002`` diagnostic.
     Callers that need the records programmatically pass a ``failures``
     list to collect them.  ``jobs`` > 1 runs experiments in worker
     processes, merged deterministically in ``ALL_EXPERIMENTS`` order.
@@ -125,8 +134,8 @@ def run_all(
         runs = [
             outcome.value
             if outcome.ok
-            else {"text": "", "error": outcome.error, "elapsed_s": 0.0,
-                  "trace": None}
+            else {"text": "", "error": outcome.error, "verdicts": [],
+                  "elapsed_s": 0.0, "trace": None}
             for outcome in outcomes
         ]
     else:
@@ -135,23 +144,30 @@ def run_all(
         for tid, ((name, _, _), run) in enumerate(zip(payloads, runs), start=1):
             if run.get("trace") is not None:
                 tracer.adopt_thread(run["trace"], tid, f"experiment {name}")
+    errors = 0
     for (name, _, _), run in zip(payloads, runs):
         emit("## " + name)
         emit(run["text"].rstrip())
         if run["error"] is not None:
-            diagnostic = Diagnostic(
-                Severity.ERROR,
-                "RPT001",
-                f"experiment {name!r} failed: {run['error']}",
-                location=SourceLocation(function=name),
-            )
-            failures.append(diagnostic)
-            emit(diagnostic.render())
+            errors += 1
+            _fail(failures, emit, "RPT001", name, f"experiment {name!r} failed: {run['error']}")
         emit(f"[{name}: {run['elapsed_s']:.1f}s]")
         emit()
+    emit("## claims")
+    verdicts = [(name, v) for (name, _, _), run in zip(payloads, runs) for v in run["verdicts"]]
+    emit(format_table(["Experiment", "Claim", "Holds", "Measured"], [
+        [name, v.claim, v.status, "; ".join(map(str, v.readings))] for name, v in verdicts
+    ]))
+    for name, v in verdicts:
+        if v.missed:
+            missed = "; ".join(map(str, v.missed))
+            _fail(failures, emit, "RPT002", name, f"claim {name}: {v.claim!r} does not hold: {missed}")
+    emit()
     emit("## summary")
     total = len(ALL_EXPERIMENTS)
-    emit(f"{total - len(failures)}/{total} experiments succeeded")
+    emit(f"{total - errors}/{total} experiments succeeded")
+    declared = sum(len(experiment.claims) for experiment in ALL_EXPERIMENTS.values())
+    emit(f"{sum(v.holds for _, v in verdicts)}/{declared} claims hold")
     for diagnostic in failures:
         emit(diagnostic.oneline())
     if trace_path is not None:
@@ -161,6 +177,22 @@ def run_all(
     return out.getvalue()
 
 
+def _fail(failures: List[Diagnostic], emit, code: str, name: str, message: str) -> None:
+    diagnostic = Diagnostic(Severity.ERROR, code, message, location=SourceLocation(function=name))
+    failures.append(diagnostic)
+    emit(diagnostic.render())
+
+
+def summary_table() -> str:
+    """EXPERIMENTS.md's summary table: one row per declared claim."""
+    lines = ["| Experiment | Claim | Paper | Reproduced? |", "|---|---|---|---|"]
+    for name, experiment in ALL_EXPERIMENTS.items():
+        for claim in experiment.claims:
+            status = f"◑ (not {', '.join(claim.partial)})" if claim.partial else "✅"
+            lines.append(f"| {name} | {claim.name} | {claim.paper} | {status} |")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     # The run flags are spelled/documented identically to `repro dse`
     # and `repro verify` (docs/api.md).
@@ -168,7 +200,7 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="reduced sizes (minutes instead of ~10 min)")
+                        help="each experiment's reduced configuration")
     _add_run_flags(parser, jobs=True, stats=True, trace=True)
     parser.add_argument(
         "--device", metavar="NAME", default=None,

@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.evaluation.frameworks import (
-    Experiment, RunResult, cycles, format_table, grid, speedup, table_rows, utilization,
+    Claim, Experiment, Reading, RunResult, cycles, format_table, grid, speedup, table_rows,
+    utilization,
 )
 from repro.workloads import polybench
 
@@ -34,7 +35,17 @@ def render(results: Dict[str, RunResult]) -> str:
     return format_table(headers, rows, title="Table IV: manual vs DSE optimization (BICG)")
 
 
-EXPERIMENT = Experiment(run, render, quick_size=256)
+CLAIMS = (
+    Claim("manual far above baseline", "161x for the hand design",
+          lambda r: [Reading("manual speedup", r["Manual opt."].speedup, ">", 50)]),
+    Claim("DSE beats manual", "224x vs 161x (1.39x)", lambda r: [
+        Reading("DSE/manual speedup", r["DSE opt."].speedup / r["Manual opt."].speedup, ">", 1.2),
+    ]),
+    Claim("DSE design fits", "the DSE design fits the device",
+          lambda r: [Reading("DSE design fits", r["DSE opt."].report.feasible(), "==", True)]),
+)
+
+EXPERIMENT = Experiment(run, render, quick={"size": 512}, claims=CLAIMS)
 
 if __name__ == "__main__":
     EXPERIMENT.main()

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.evaluation.frameworks import Experiment, RunResult, format_table, grid, speedup
+from repro.evaluation.frameworks import (
+    Claim, Experiment, Reading, RunResult, format_table, grid, ratio, speedup,
+)
 from repro.workloads import dnn, image
 
 IMAGE_SIZE = 4096
@@ -56,7 +58,30 @@ def render(results: Dict[str, Dict[str, RunResult]]) -> str:
     return format_table(headers, rows, title="Table V: image processing and DNN applications")
 
 
-EXPERIMENT = Experiment(run, render)
+CLAIMS = (
+    Claim("POM beats ScaleHLS on image apps", "image P/S speedups 2.8x/2.8x/6.0x", lambda r: [
+        Reading(f"{app} POM/ScaleHLS speedup", ratio(r[app]), ">", 1) for app in image.SUITE
+    ]),
+    Claim("large image speedups", "312x-356x for the image apps", lambda r: [
+        Reading(f"{app} POM speedup", r[app]["pom"].speedup, ">", 30) for app in image.SUITE
+    ]),
+    Claim("POM DNNs fit", "POM's operator reuse fits the DNNs on the device", lambda r: [
+        Reading(f"{net} POM fits", r[net]["pom"].report.feasible(), "==", True) for net in dnn.SUITE
+    ]),
+    Claim("ScaleHLS ResNet-18 overflows", "ScaleHLS's ResNet-18 LUT usage reaches 164% of the device",
+          lambda r: [Reading("resnet18 ScaleHLS fits",
+                             r["resnet18"]["scalehls"].report.feasible(), "==", False)]),
+    Claim("POM ResNet-18 uses fewer DSPs", "ResNet-18: POM uses 0.1x ScaleHLS's DSP", lambda r: [
+        Reading("resnet18 POM DSP", r["resnet18"]["pom"].report.resources.dsp,
+                "<", r["resnet18"]["scalehls"].report.resources.dsp),
+    ]),
+    Claim("POM competitive on VGG-16", "POM 2.6x over ScaleHLS on VGG-16",
+          lambda r: [Reading("vgg16 POM/ScaleHLS speedup", ratio(r["vgg16"]), ">", 0.5)]),
+)
+
+EXPERIMENT = Experiment(
+    run, render, quick={"image_size": 512, "dnn_size": 8, "dnn_scale": 0.25}, claims=CLAIMS,
+)
 
 if __name__ == "__main__":
     EXPERIMENT.main()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.affine.passes import InsertDependencePragmas
+from repro.dsl import Function, compute, placeholder, var
 from repro.pipeline import compile_to_hls_c, lower_to_affine
 from repro.workloads import polybench
 
@@ -17,8 +18,8 @@ class TestInsertDependencePragmas:
         hints = []
         for loop in func.loops():
             hints.extend(loop.attributes.get("dependence", []))
-        assert "variable=q inter false" in hints
-        assert "variable=s inter false" in hints
+        assert "variable=q inter RAW false" in hints
+        assert "variable=s inter RAW false" in hints
 
     def test_true_dependence_gets_no_false_hint(self):
         """Pipelining the reduction itself must NOT claim independence."""
@@ -31,6 +32,23 @@ class TestInsertDependencePragmas:
         for loop in func.loops():
             for hint in loop.attributes.get("dependence", []):
                 assert "variable=A" not in hint
+
+    @pytest.mark.parametrize("kind", ("WAR", "WAW"))
+    def test_hints_deny_only_raw(self, kind):
+        """Only RAW is proven absent: a WAR or WAW kernel keeps its order."""
+        with Function(kind) as f:
+            i = var("i", 0, 64)
+            A = placeholder("A", (65,))
+            if kind == "WAR":  # reads A[i + 1] before the next iteration writes it
+                s = compute("s", [i], A(i) + A(i + 1), A(i))
+            else:  # every iteration writes A[0]
+                s = compute("s", [i], A(i + 1) * 2.0, A(0))
+        s.pipeline("i", 1)
+        func = lower_to_affine(f)
+        InsertDependencePragmas().run(func)
+        hints = [h for loop in func.loops() for h in loop.attributes.get("dependence", [])]
+        assert hints == ["variable=A inter RAW false"]
+        assert "variable=A inter RAW false" in compile_to_hls_c(f)
 
     def test_read_only_arrays_skipped(self):
         f = polybench.gemm(16)
@@ -53,7 +71,7 @@ class TestInsertDependencePragmas:
         f = polybench.bicg(64)
         f.auto_DSE()
         code = compile_to_hls_c(f)
-        assert "#pragma HLS dependence variable=q inter false" in code
+        assert "#pragma HLS dependence variable=q inter RAW false" in code
 
     def test_no_pipeline_no_hints(self):
         f = polybench.gemm(8)

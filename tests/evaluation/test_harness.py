@@ -80,15 +80,15 @@ class TestExperimentRegistry:
             assert not hasattr(module, "main"), name
 
     def test_declared_arguments_match_run_signatures(self):
-        # Callers pass `size` when quick_size is set and `device` when
-        # device_aware is, without looking at run's signature.
+        # Callers pass the reduced configuration, `size` from `repro
+        # experiment --size` when it names one, and `device` when
+        # device_aware is set, without looking at run's signature.
         sized, device_aware = set(), set()
         for name, experiment in ALL_EXPERIMENTS.items():
             parameters = inspect.signature(experiment.run).parameters
-            if experiment.quick_size is not None:
-                assert "size" in parameters, name
+            assert set(experiment.quick) <= set(parameters), name
             assert ("device" in parameters) == experiment.device_aware, name
-            if experiment.quick_size is not None:
+            if "size" in experiment.quick:
                 sized.add(name)
             if experiment.device_aware:
                 device_aware.add(name)

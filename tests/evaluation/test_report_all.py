@@ -67,7 +67,7 @@ class TestRunSizes:
             return Experiment(run, lambda _: name, **declared)
 
         monkeypatch.setattr(report_all, "ALL_EXPERIMENTS", {
-            "sized": recorder("sized", quick_size=16, device_aware=True),
+            "sized": recorder("sized", quick={"size": 16}, device_aware=True),
             "plain": recorder("plain"),
         })
         return calls

@@ -146,7 +146,7 @@ class TestExperiment:
             raise TypeError("bug inside the experiment")
 
         monkeypatch.setattr(evaluation, "ALL_EXPERIMENTS", {
-            "fig2": Experiment(broken, str, quick_size=256),
+            "fig2": Experiment(broken, str, quick={"size": 256}),
         })
         with pytest.raises(TypeError, match="bug inside the experiment"):
             main(["experiment", "fig2", "--size", "32"])
