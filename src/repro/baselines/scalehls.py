@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.dsl.function import Function
 from repro.dsl.schedule import After, Fuse, Pipeline, Split, Unroll
 from repro.affine.lowering import lower_program
-from repro.hls.device import DEFAULT_DEVICE, FPGADevice
+from repro.hls.device import BUDGET_AXES, DEFAULT_DEVICE, FPGADevice
 from repro.hls.estimator import HlsEstimator
 from repro.hls.report import SynthesisReport
 from repro.polyir.program import PolyProgram
@@ -65,7 +65,7 @@ def optimize(
     """Run the ScaleHLS-style flow and install the best schedule found."""
     start = time.perf_counter()
     device = device or DEFAULT_DEVICE
-    budget = device.scaled(resource_fraction) if resource_fraction < 1.0 else device
+    budget = device.scaled(resource_fraction)
     estimator = HlsEstimator(
         device=device, clock_ns=clock_ns, dataflow=dataflow, share_sequential=False
     )
@@ -95,10 +95,13 @@ def optimize(
     # Greedy in program order: each nest group maxes itself out before
     # the next one is considered (the paper's 3MM imbalance).
     group_list = _group_list(groups, nodes)
-    # Dataflow accounting blind spot: ScaleHLS sizes every stage as if it
-    # had the device to itself, so the summed design can exceed the
-    # board (the paper's 164%-LUT ResNet-18 result).
-    budget_scale = len(group_list) if dataflow else 1
+    if dataflow:
+        # Dataflow accounting blind spot: ScaleHLS sizes every stage as
+        # if it had the device to itself, so the summed design can
+        # exceed the board (the paper's 164%-LUT ResNet-18 result).
+        budget = replace(budget, **{
+            axis: getattr(budget, axis) * len(group_list) for axis in BUDGET_AXES
+        })
     for group in group_list:
         while True:
             trial = dict(parallelism)
@@ -115,7 +118,7 @@ def optimize(
             # which is where its longer DSE time comes from.
             for _ in range(PROBE_EVALUATIONS):
                 evaluate(trial)
-            if _within(trial_report, budget, budget_scale) and trial_report.total_cycles <= best[0].total_cycles:
+            if budget.admits(trial_report.resources) and trial_report.total_cycles <= best[0].total_cycles:
                 parallelism = trial
                 best = (trial_report, trial_unrolls, dict(parallelism))
             else:
@@ -284,14 +287,6 @@ def _install(function, groups, orders, unrolls) -> None:
                 function.schedule.add(
                     After(currentn, previous, prev_dim, structural=False)
                 )
-
-
-def _within(report: SynthesisReport, budget: FPGADevice, scale: int = 1) -> bool:
-    return (
-        report.resources.dsp <= budget.dsp * scale
-        and report.resources.lut <= budget.lut * scale
-        and report.resources.ff <= budget.ff * scale
-    )
 
 
 def _max_par(function: Function, node: str, cap: int) -> int:

@@ -179,11 +179,7 @@ def auto_dse_dataflow(
     start = time.perf_counter()
     device = options.resolved_device()
     clock_ns = options.resolved_clock_ns()
-    budget = (
-        device.scaled(options.resource_fraction)
-        if options.resource_fraction < 1.0
-        else device
-    )
+    budget = device.scaled(options.resource_fraction)
     objective = options.parsed_objective()
     composed_axes = (
         objective if objective.wants_frontier
@@ -326,27 +322,17 @@ def _fits(
     fifo_resources: Resources,
     budget: FPGADevice,
 ) -> bool:
-    total = Resources() + fifo_resources
-    for point in selection.values():
-        total = total + _point_resources(point)
-    return (
-        total.dsp <= budget.dsp
-        and total.lut <= budget.lut
-        and total.ff <= budget.ff
-        and total.bram_bits <= budget.bram_bits
-    )
+    total = sum(map(_point_resources, selection.values()), fifo_resources)
+    return budget.admits(total)
 
 
 def _naive_pick(
     points: List[ParetoPoint], budget: FPGADevice, num_stages: int
 ) -> ParetoPoint:
     """Min-cycles point within an even 1/num_stages budget split."""
+    # ``x * n <= b`` holds exactly when ``x <= b // n``.
     fitting = [
-        p for p in points
-        if p.dsp <= budget.dsp // num_stages
-        and p.lut <= budget.lut // num_stages
-        and p.ff <= budget.ff // num_stages
-        and p.bram_bits <= budget.bram_bits // num_stages
+        p for p in points if budget.admits(_point_resources(p).scaled(num_stages))
     ]
     pool = fitting if fitting else points
     return min(pool, key=lambda p: (p.cycles, p.key))

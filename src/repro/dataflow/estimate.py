@@ -179,12 +179,7 @@ class DataflowReport:
             key=lambda name: (self.stage_reports[name].total_cycles, name),
         )
 
-    def feasible(self, slack: float = 1.0) -> bool:
-        return (
-            self.resources.dsp <= self.device.dsp * slack
-            and self.resources.lut <= self.device.lut * slack
-            and self.resources.ff <= self.device.ff * slack
-        )
+    feasible = SynthesisReport.feasible
 
     def summary(self) -> str:
         stages = ", ".join(

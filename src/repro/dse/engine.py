@@ -256,7 +256,7 @@ def auto_dse(
     cache = options.cache
     checkpoint = options.checkpoint
     fault_plan = options.fault_plan
-    budget = device.scaled(resource_fraction) if resource_fraction < 1.0 else device
+    budget = device.scaled(resource_fraction)
 
     stats = DseStats(cache_enabled=cache)
     engine = DiagnosticEngine()
@@ -681,7 +681,7 @@ def _is_noop_step(
 def _improves(sweep: _Sweep, report: SynthesisReport) -> bool:
     """Whether the ladder would accept ``report`` over its best design."""
     return (
-        _within_budget(report, sweep.budget)
+        sweep.budget.admits(report.resources)
         and report.total_cycles < sweep.best.report.total_cycles
     )
 
@@ -852,7 +852,7 @@ def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
         entry = scored.get(jkey)
         if entry is None:
             continue
-        if not _within_budget(entry[2], sweep.budget):
+        if not sweep.budget.admits(entry[2].resources):
             continue
         frontier.insert(
             ParetoPoint.from_report(jkey, par, cap, objective, entry[2])
@@ -862,14 +862,6 @@ def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
     if journal is not None:
         journal.append_frontier(objective.canonical, frontier.to_records())
     return frontier_points
-
-
-def _within_budget(report: SynthesisReport, budget: FPGADevice) -> bool:
-    return (
-        report.resources.dsp <= budget.dsp
-        and report.resources.lut <= budget.lut
-        and report.resources.ff <= budget.ff
-    )
 
 
 def _pick_bottleneck(graph, latencies: Dict[str, int], active) -> Optional[str]:

@@ -73,8 +73,7 @@ class DseOptions:
             raise ValueError(
                 f"resource_fraction must be > 0 and <= 1, got {self.resource_fraction}"
             )
-        if self.resource_fraction < 1:
-            self.resolved_device().scaled(self.resource_fraction)
+        self.resolved_device().scaled(self.resource_fraction)
         if self.clock_ns is not None and not 0 < self.clock_ns < math.inf:
             raise ValueError(f"clock_ns must be > 0 and finite, got {self.clock_ns}")
         if self.max_parallelism < 1:

@@ -25,6 +25,9 @@ from typing import Dict, Optional, Tuple
 
 DEFAULT_CLOCK_NS = 10.0  # the paper's 100 MHz target
 
+#: The resource axes a budget bounds, in report order.
+BUDGET_AXES = ("dsp", "lut", "ff", "bram_bits")
+
 
 @dataclass(frozen=True)
 class FPGADevice:
@@ -63,12 +66,7 @@ class FPGADevice:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
         base = self.base if self.base is not None else self
         product = self.fraction * fraction
-        budgets = {
-            "dsp": int(base.dsp * product),
-            "lut": int(base.lut * product),
-            "ff": int(base.ff * product),
-            "bram_bits": int(base.bram_bits * product),
-        }
+        budgets = {axis: int(getattr(base, axis) * product) for axis in BUDGET_AXES}
         truncated = sorted(
             axis
             for axis, scaled_value in budgets.items()
@@ -85,6 +83,23 @@ class FPGADevice:
         return replace(
             self, name=name, fraction=product, base=base,
             clock_ns=self.clock_ns, **budgets,
+        )
+
+    def admits(self, usage) -> bool:
+        """Whether ``usage`` fits this budget: the framework's one fit rule.
+
+        ``usage`` is anything with ``dsp``, ``lut``, ``ff`` and
+        ``bram_bits`` (a :class:`~repro.hls.report.Resources` tally or a
+        :class:`~repro.dse.pareto.ParetoPoint`).  BRAM is an axis like
+        the others; only dataflow FIFOs carry any (the kernel estimator
+        counts no array storage, see ``docs/estimator.md``).
+        """
+        return not self.overruns(usage)
+
+    def overruns(self, usage) -> Tuple[str, ...]:
+        """The axes of ``usage`` over this budget (empty when it fits)."""
+        return tuple(
+            axis for axis in BUDGET_AXES if getattr(usage, axis) > getattr(self, axis)
         )
 
     def at_clock(self, mhz: float) -> "FPGADevice":

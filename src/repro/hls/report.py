@@ -119,13 +119,9 @@ class SynthesisReport:
     def bram_util(self) -> float:
         return self.resources.bram_bits / self.device.bram_bits
 
-    def feasible(self, slack: float = 1.0) -> bool:
-        """Whether the design fits the device (optionally with slack < 1)."""
-        return (
-            self.resources.dsp <= self.device.dsp * slack
-            and self.resources.lut <= self.device.lut * slack
-            and self.resources.ff <= self.device.ff * slack
-        )
+    def feasible(self) -> bool:
+        """Whether the design fits the device (:meth:`FPGADevice.admits`)."""
+        return self.device.admits(self.resources)
 
     def worst_ii(self) -> Optional[int]:
         """The largest achieved II among pipelined loops (None if none)."""

@@ -88,8 +88,6 @@ class TestSynthesisReport:
         assert _report(1, dsp=220).feasible()
         assert not _report(1, dsp=221).feasible()
         assert not _report(1, lut=53_201).feasible()
-        assert _report(1, dsp=200).feasible(slack=1.0)
-        assert not _report(1, dsp=200).feasible(slack=0.5)
 
     def test_worst_ii(self):
         loops = [
