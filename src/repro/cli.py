@@ -315,6 +315,7 @@ def _cmd_dse_all(args, options) -> int:
         _print_frontier(result, "  ")
         for candidate in result.quarantine:
             print(f"  {label} quarantined: {candidate.diagnostic.oneline()}")
+        _print_over_budget(result, f"{label}: ")
         if result.stats.interrupted:
             return _interrupted(
                 args, "sweep interrupted; stopped at best design found", directory
@@ -333,12 +334,20 @@ def _cmd_dse_all(args, options) -> int:
         return 2
     if any(result.degraded for _, result in results) and not args.allow_degraded:
         print(
-            "sweep degraded (quarantined candidates or budget exhausted); "
-            "pass --allow-degraded to accept the best designs found",
+            "sweep degraded (quarantined candidates, budget exhausted or a "
+            "design over the resource budget); pass --allow-degraded to "
+            "accept the best designs found",
             file=sys.stderr,
         )
         return 3
     return 0
+
+
+def _print_over_budget(result, prefix: str = "") -> None:
+    """The ``DSE009`` line of a returned design that does not fit."""
+    for diagnostic in result.diagnostics:
+        if diagnostic.code == "DSE009":
+            print(prefix + diagnostic.oneline(), file=sys.stderr)
 
 
 def _indent(text: str, prefix: str = "  ") -> str:
@@ -397,6 +406,7 @@ def cmd_dse(args) -> int:
         _export_trace(tracer, args.trace)
     print(result.summary(args.workload))
     print(result.report.summary())
+    _print_over_budget(result)
     _print_frontier(result)
     if result.quarantine:
         print(f"quarantined {len(result.quarantine)} candidate(s):")
@@ -414,8 +424,9 @@ def cmd_dse(args) -> int:
         )
     if result.degraded and not args.allow_degraded:
         print(
-            "sweep degraded (quarantined candidates or budget exhausted); "
-            "pass --allow-degraded to accept the best design found",
+            "sweep degraded (quarantined candidates, budget exhausted or a "
+            "design over the resource budget); pass --allow-degraded to "
+            "accept the best design found",
             file=sys.stderr,
         )
         return 3

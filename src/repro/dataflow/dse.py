@@ -44,7 +44,7 @@ from repro.dataflow.estimate import (
     resolve_depths,
 )
 from repro.diagnostics import Diagnostic
-from repro.dse.engine import DseResult, auto_dse
+from repro.dse.engine import DseResult, auto_dse, over_budget
 from repro.dse.evaluator import Evaluator
 from repro.dse.options import DseOptions
 from repro.dse.pareto import Objective, ParetoFrontier, ParetoPoint
@@ -79,11 +79,14 @@ class DataflowDseResult:
     #: interrupted / time-budget flags hold if any stage's did).
     stats: DseStats
     quarantine: list = field(default_factory=list)
-    #: Every stage sweep's diagnostics, in stage order.
+    #: Every stage sweep's diagnostics, in stage order, then the
+    #: design's own ``DSE009`` when it does not fit the budget.
     diagnostics: List[Diagnostic] = field(default_factory=list)
+    #: Whether the realized design (stages + FIFOs) fits the budget.
+    feasible: bool = True
 
-    # Same conditions as a single kernel's, over the merged stats and
-    # the stages' pooled quarantine.
+    # Same conditions as a single kernel's, over the merged stats, the
+    # stages' pooled quarantine and the design's own fit.
     degraded = DseResult.degraded
 
     @property
@@ -293,7 +296,12 @@ def auto_dse_dataflow(
     diagnostics: List[Diagnostic] = []
     for result in stage_results.values():
         quarantine.extend(result.quarantine)
-        diagnostics.extend(result.diagnostics)
+        # A stage over the budget puts the design over it: the design's
+        # own DSE009 below speaks for both.
+        diagnostics.extend(d for d in result.diagnostics if d.code != "DSE009")
+    feasible = budget.admits(report.resources)
+    if not feasible:
+        diagnostics.append(over_budget(report, budget))
     return DataflowDseResult(
         design=design,
         report=report,
@@ -308,6 +316,7 @@ def auto_dse_dataflow(
         stats=DseStats.merge([r.stats for r in stage_results.values()]),
         quarantine=quarantine,
         diagnostics=diagnostics,
+        feasible=feasible,
     )
 
 

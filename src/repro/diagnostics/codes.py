@@ -59,6 +59,7 @@ CODES: Dict[str, str] = {
     "DSE006": "corrupt or truncated checkpoint journal line skipped",
     "DSE007": "sweep interrupted; stopped at best design found (checkpoint flushed)",
     # DSE008 is retired; the number is not reused.
+    "DSE009": "returned design exceeds the resource budget",
     # -- evaluation harness ---------------------------------------------
     "RPT001": "experiment failed during evaluation",
     "RPT002": "a paper claim does not hold on the experiment's result",

@@ -33,6 +33,7 @@ from repro.diagnostics import (
     Diagnostic,
     DiagnosticEngine,
     DiagnosticError,
+    Severity,
     SourceLocation,
 )
 from repro.util.deadline import Deadline
@@ -110,17 +111,21 @@ class DseResult:
     #: (objective vector, then candidate key), for "pareto"/"weighted"
     #: objectives; see :mod:`repro.dse.pareto`.
     frontier: Optional[List["ParetoPoint"]] = None
+    #: Whether the returned design fits the resource budget (a ``DSE009``
+    #: in ``diagnostics`` names the axes over it when it does not).
+    feasible: bool = True
 
     @property
     def degraded(self) -> bool:
         """Whether the sweep completed in a weakened form.
 
         True when any candidate was quarantined (including watchdog
-        timeouts), the wall-clock budget ran out, or the sweep was
+        timeouts), the wall-clock budget ran out, the sweep was
         interrupted -- the conditions under which the returned design is
-        "best found" rather than "best reachable".
+        "best found" rather than "best reachable" -- or the returned
+        design does not fit the budget.
         """
-        if self.quarantine:
+        if self.quarantine or not self.feasible:
             return True
         return bool(
             self.stats is not None
@@ -337,6 +342,9 @@ def auto_dse(
         _publish_stats_metrics(tracer, stats)
 
     report, configs, plan, frontier = result
+    feasible = budget.admits(report.resources)
+    if not feasible:
+        engine.emit(over_budget(report, budget))
     return DseResult(
         function=function,
         report=report,
@@ -351,6 +359,21 @@ def auto_dse(
         journal_path=checkpoint,
         objective=objective.canonical,
         frontier=frontier,
+        feasible=feasible,
+    )
+
+
+def over_budget(report, budget: FPGADevice) -> Diagnostic:
+    """``DSE009`` for a returned design over ``budget``, axis by axis."""
+    used = report.resources
+    axes = ", ".join(
+        f"{axis} {getattr(used, axis)} > {getattr(budget, axis)}"
+        for axis in budget.overruns(used)
+    )
+    return Diagnostic(
+        Severity.WARNING, "DSE009",
+        f"returned design exceeds the {budget.name} budget: {axes}",
+        location=SourceLocation(function=report.function_name),
     )
 
 

@@ -363,6 +363,7 @@ def _execute_dse(spec, journal_path, arm_faults, job_timeout_s, emit) -> dict:
         "search": {
             "evaluations": result.evaluations,
             "degraded": result.degraded,
+            "feasible": result.feasible,
             "quarantine": [q.diagnostic.code for q in result.quarantine],
             "diagnostics": [d.code for d in result.diagnostics],
         },

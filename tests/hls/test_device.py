@@ -3,12 +3,14 @@
 import pytest
 
 from repro.hls.device import (
+    BUDGET_AXES,
     DEFAULT_DEVICE,
     DEVICES,
     FPGADevice,
     device_names,
     get_device,
 )
+from repro.hls.report import Resources
 
 XC7Z020 = DEFAULT_DEVICE
 
@@ -186,6 +188,45 @@ class TestScaling:
     def test_frozen(self):
         with pytest.raises(Exception):
             XC7Z020.dsp = 1
+
+
+class TestAdmits:
+    """``FPGADevice.admits``: the one fit rule, over all four axes."""
+
+    BUDGET = FPGADevice(name="part", dsp=22, lut=5_320, ff=10_640, bram_bits=513_802)
+
+    def test_equality_is_admitted(self):
+        at_budget = Resources(dsp=22, lut=5_320, ff=10_640, bram_bits=513_802)
+        assert self.BUDGET.admits(at_budget)
+        assert self.BUDGET.overruns(at_budget) == ()
+
+    @pytest.mark.parametrize("axis", BUDGET_AXES)
+    def test_each_axis_over_by_one_is_refused(self, axis):
+        usage = Resources(**{axis: getattr(self.BUDGET, axis) + 1})
+        assert not self.BUDGET.admits(usage)
+        assert self.BUDGET.overruns(usage) == (axis,)
+
+    def test_reads_a_pareto_point(self):
+        from repro.dse.pareto import ParetoPoint
+
+        point = ParetoPoint(
+            key="k", parallelism=(), bank_cap=128, values=(1,), cycles=1,
+            dsp=1, lut=1, ff=1, bram_bits=513_803, power_w=0.0,
+        )
+        assert self.BUDGET.overruns(point) == ("bram_bits",)
+
+    @pytest.mark.parametrize("stages", [2, 3])
+    def test_scaled_usage_is_the_even_split(self, stages):
+        # 3 divides none of the budgets: the split by multiplication
+        # must agree with flooring the budget there too.
+        for axis in BUDGET_AXES:
+            share = getattr(self.BUDGET, axis) // stages
+            for value in (share - 1, share, share + 1):
+                usage = Resources(**{axis: value})
+                assert self.BUDGET.admits(usage.scaled(stages)) == (value <= share)
+
+    def test_full_scale_budget_equals_the_device(self):
+        assert DEFAULT_DEVICE.scaled(1.0) == DEFAULT_DEVICE
 
 
 def test_bare_constant_is_gone():

@@ -166,7 +166,9 @@ class TestExecution:
         assert payload["design"]["total_cycles"] > 0
         assert payload["design"]["schedule"]
         assert payload["search"]["evaluations"] > 0
+        assert payload["search"]["feasible"] is True
         assert "evaluations" not in payload["design"]
+        assert "feasible" not in payload["design"]
         assert [e["stage"] for e in events] == ["build", "search", "done"]
 
     def test_dataflow_dse_job_reports_its_stages_degradation(self):
@@ -177,3 +179,12 @@ class TestExecution:
         search = execute_job(spec)["search"]
         assert search["degraded"] is True
         assert "DSE004" in search["diagnostics"]
+
+    def test_an_over_budget_design_says_so(self):
+        spec = JobSpec.from_request({
+            "kind": "dse", "workload": "image-pipeline", "size": 16,
+            "options": {"resource_fraction": 0.1},
+        })
+        search = execute_job(spec)["search"]
+        assert search["feasible"] is False and search["degraded"] is True
+        assert search["diagnostics"].count("DSE009") == 1
