@@ -19,8 +19,9 @@ optimize alone overspends on fast stages and starves the bottleneck.
    naive composition and FIFO-depth variants of the balanced design)
    becomes a composed :class:`~repro.dse.pareto.ParetoPoint` -- stage
    point keys joined, parallelism entries prefixed ``stage.node`` --
-   pruned by the standard dominance machinery, so serve payloads and
-   reports reuse the PR-9 frontier plumbing unchanged.
+   kept when it fits the budget and pruned by the standard dominance
+   machinery, so serve payloads and reports reuse the PR-9 frontier
+   plumbing unchanged.
 4. **Realization.** The balanced selection is replayed exactly (its
    ``(parallelism, bank_cap)`` per stage) onto the live stage
    functions, so ``design.codegen()`` afterwards emits the optimized
@@ -263,14 +264,15 @@ def auto_dse_dataflow(
         selection[bottleneck] = upgrade
         visited.append(dict(selection))
 
-    # 5. Composed frontier: walk trajectory + naive + depth variants.
+    # 5. Composed frontier: walk trajectory + naive + depth variants,
+    #    each published only when it fits the budget.
     frontier = ParetoFrontier()
-    for trial in visited + [naive_selection]:
-        frontier.insert(_compose_point(design, device, clock_ns, trial, 1, composed_axes))
-    for factor in DEPTH_FACTORS[1:]:
-        frontier.insert(
-            _compose_point(design, device, clock_ns, selection, factor, composed_axes)
-        )
+    trials = [(trial, 1) for trial in visited + [naive_selection]]
+    trials += [(selection, factor) for factor in DEPTH_FACTORS[1:]]
+    for trial, factor in trials:
+        point = _compose_point(design, device, clock_ns, trial, factor, composed_axes)
+        if budget.admits(point):
+            frontier.insert(point)
 
     # 6. Realize the balanced selection on the live stage functions.
     realized: Dict[str, SynthesisReport] = {}

@@ -39,6 +39,8 @@ def test_a_returned_design_fits_or_says_it_does_not(name, fraction):
     else:
         assert result.degraded
         assert len(over) == 1
+    for point in result.frontier or ():
+        assert budget.admits(point), point.key
 
 
 def test_an_over_budget_design_exits_3_unless_allowed(capsys):
