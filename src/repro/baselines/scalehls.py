@@ -29,11 +29,12 @@ from repro.hls.estimator import HlsEstimator
 from repro.hls.report import SynthesisReport
 from repro.polyir.program import PolyProgram
 from repro.dse.analysis import carried_for_statement
+from repro.dse.engine import parallelism_cap
+from repro.dse.options import MAX_PARALLELISM
 from repro.dse.stage2 import (
     MAX_FACTOR_PER_DIM, banked_partitions, derive_partitions, unroll_spreads,
 )
 
-MAX_PARALLELISM = 256
 # Extra design points ScaleHLS's sampler probes per accepted ladder step
 # (its search lacks dependence-guided pruning, hence longer DSE times).
 PROBE_EVALUATIONS = 2
@@ -108,7 +109,7 @@ def optimize(
             maxed = False
             for member in group:
                 trial[member] = parallelism[member] * 2
-                if trial[member] > _max_par(function, member, max_parallelism):
+                if trial[member] > parallelism_cap(function, member, max_parallelism):
                     maxed = True
             if maxed:
                 break
@@ -287,10 +288,3 @@ def _install(function, groups, orders, unrolls) -> None:
                 function.schedule.add(
                     After(currentn, previous, prev_dim, structural=False)
                 )
-
-
-def _max_par(function: Function, node: str, cap: int) -> int:
-    total = 1
-    for it in function.get_compute(node).iters:
-        total *= it.extent
-    return min(cap, total)

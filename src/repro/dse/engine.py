@@ -673,7 +673,7 @@ def _group_trial(
     exhausted = False
     for member in members:
         trial[member] = parallelism[member] * 2
-        if trial[member] > _max_parallelism(function, member, sweep.max_parallelism):
+        if trial[member] > parallelism_cap(function, member, sweep.max_parallelism):
             exhausted = True
     return None if exhausted else trial
 
@@ -905,6 +905,7 @@ def _pick_bottleneck(graph, latencies: Dict[str, int], active) -> Optional[str]:
     return None
 
 
-def _max_parallelism(function: Function, node: str, cap: int) -> int:
+def parallelism_cap(function: Function, node: str, cap: int) -> int:
+    """The largest degree ``node`` can take: its trip product, at most ``cap``."""
     iters = function.get_compute(node).iters
     return min(cap, math.prod(it.extent for it in iters))
