@@ -35,19 +35,17 @@ from repro.hls.report import SynthesisReport
 #: the resource axes mirror :class:`~repro.hls.report.Resources`.
 AXES: Tuple[str, ...] = ("latency", "dsp", "bram", "lut", "ff")
 
-_AXIS_GETTERS = {
-    "latency": lambda report: report.total_cycles,
-    "dsp": lambda report: report.resources.dsp,
-    "bram": lambda report: report.resources.bram_bits,
-    "lut": lambda report: report.resources.lut,
-    "ff": lambda report: report.resources.ff,
-}
+#: The field behind each resource axis, on a report's ``resources`` and
+#: on an :class:`FPGADevice` budget alike.
+_FIELDS = {"dsp": "dsp", "bram": "bram_bits", "lut": "lut", "ff": "ff"}
 
 
 def axis_value(report: SynthesisReport, axis: str) -> int:
     """The minimized value of one axis, read off a synthesis report."""
+    if axis == "latency":
+        return report.total_cycles
     try:
-        return _AXIS_GETTERS[axis](report)
+        return getattr(report.resources, _FIELDS[axis])
     except KeyError:
         raise ValueError(
             f"unknown objective axis {axis!r}; expected one of {AXES}"
@@ -108,7 +106,7 @@ class Objective:
             if axis == "latency":
                 reference.append(float(max(1, baseline.total_cycles)))
             else:
-                reference.append(float(max(1, axis_value_of_device(budget, axis))))
+                reference.append(float(max(1, getattr(budget, _FIELDS[axis]))))
         return tuple(reference)
 
     def scalarize(
@@ -119,19 +117,6 @@ class Objective:
             weight * value / ref
             for weight, value, ref in zip(self.weights, values, reference)
         )
-
-
-def axis_value_of_device(device: FPGADevice, axis: str) -> int:
-    """A device's budget along one resource axis (latency has none)."""
-    if axis == "dsp":
-        return device.dsp
-    if axis == "bram":
-        return device.bram_bits
-    if axis == "lut":
-        return device.lut
-    if axis == "ff":
-        return device.ff
-    raise ValueError(f"axis {axis!r} has no device budget")
 
 
 def parse_objective(spec) -> Objective:
