@@ -96,13 +96,13 @@ def optimize(
     # Greedy in program order: each nest group maxes itself out before
     # the next one is considered (the paper's 3MM imbalance).
     group_list = _group_list(groups, nodes)
-    if dataflow:
-        # Dataflow accounting blind spot: ScaleHLS sizes every stage as
-        # if it had the device to itself, so the summed design can
-        # exceed the board (the paper's 164%-LUT ResNet-18 result).
-        budget = replace(budget, **{
-            axis: getattr(budget, axis) * len(group_list) for axis in BUDGET_AXES
-        })
+    # Dataflow accounting blind spot: ScaleHLS sizes every stage as if it
+    # had the device to itself, so the summed design can exceed the
+    # board (the paper's 164%-LUT ResNet-18 result).
+    stages = len(group_list) if dataflow else 1
+    budget = replace(budget, **{
+        axis: getattr(budget, axis) * stages for axis in BUDGET_AXES
+    })
     for group in group_list:
         while True:
             trial = dict(parallelism)

@@ -333,14 +333,19 @@ def _cmd_dse_all(args, options) -> int:
     if failed:
         return 2
     if any(result.degraded for _, result in results) and not args.allow_degraded:
-        print(
-            "sweep degraded (quarantined candidates, budget exhausted or a "
-            "design over the resource budget); pass --allow-degraded to "
-            "accept the best designs found",
-            file=sys.stderr,
-        )
-        return 3
+        return _refuse_degraded("designs")
     return 0
+
+
+def _refuse_degraded(designs: str) -> int:
+    """Exit 3: a degraded sweep without ``--allow-degraded``."""
+    print(
+        "sweep degraded (quarantined candidates, budget exhausted or a design "
+        "over the resource budget); pass --allow-degraded to accept the best "
+        f"{designs} found",
+        file=sys.stderr,
+    )
+    return 3
 
 
 def _print_over_budget(result, prefix: str = "") -> None:
@@ -423,13 +428,7 @@ def cmd_dse(args) -> int:
             args, "sweep interrupted; stopped at best design found", checkpoint
         )
     if result.degraded and not args.allow_degraded:
-        print(
-            "sweep degraded (quarantined candidates, budget exhausted or a "
-            "design over the resource budget); pass --allow-degraded to "
-            "accept the best design found",
-            file=sys.stderr,
-        )
-        return 3
+        return _refuse_degraded("design")
     return 0
 
 

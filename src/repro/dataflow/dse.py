@@ -298,8 +298,7 @@ def auto_dse_dataflow(
     diagnostics: List[Diagnostic] = []
     for result in stage_results.values():
         quarantine.extend(result.quarantine)
-        # A stage over the budget puts the design over it: the design's
-        # own DSE009 below speaks for both.
+        # A stage over the budget puts the design over it: one DSE009.
         diagnostics.extend(d for d in result.diagnostics if d.code != "DSE009")
     feasible = budget.admits(report.resources)
     if not feasible:

@@ -257,11 +257,10 @@ def auto_dse(
     start = time.perf_counter()
     device = options.resolved_device()
     clock_ns = options.resolved_clock_ns()
-    resource_fraction = options.resource_fraction
     cache = options.cache
     checkpoint = options.checkpoint
     fault_plan = options.fault_plan
-    budget = device.scaled(resource_fraction)
+    budget = device.scaled(options.resource_fraction)
 
     stats = DseStats(cache_enabled=cache)
     engine = DiagnosticEngine()
@@ -370,11 +369,9 @@ def over_budget(report, budget: FPGADevice) -> Diagnostic:
         f"{axis} {getattr(used, axis)} > {getattr(budget, axis)}"
         for axis in budget.overruns(used)
     )
-    return Diagnostic(
-        Severity.WARNING, "DSE009",
-        f"returned design exceeds the {budget.name} budget: {axes}",
-        location=SourceLocation(function=report.function_name),
-    )
+    message = f"returned design exceeds the {budget.name} budget: {axes}"
+    location = SourceLocation(function=report.function_name)
+    return Diagnostic(Severity.WARNING, "DSE009", message, location=location)
 
 
 def _open_journal(
@@ -873,9 +870,7 @@ def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
     frontier = ParetoFrontier()
     for par, cap, jkey in grid:
         entry = scored.get(jkey)
-        if entry is None:
-            continue
-        if not sweep.budget.admits(entry[2].resources):
+        if entry is None or not sweep.budget.admits(entry[2].resources):
             continue
         frontier.insert(
             ParetoPoint.from_report(jkey, par, cap, objective, entry[2])
