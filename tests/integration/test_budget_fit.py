@@ -2,8 +2,8 @@
 
 One rule decides fit everywhere (``FPGADevice.admits``).  A sweep whose
 returned design is over the budget -- a degree-1 baseline that is
-already too large, or a dataflow design whose cheapest stages do not
-fit together -- reports ``feasible=False``, is ``degraded`` and carries
+already too large, or a dataflow design whose realized stages or FIFOs
+do not fit -- reports ``feasible=False``, is ``degraded`` and carries
 one ``DSE009``; every published frontier point fits.
 """
 
@@ -18,8 +18,9 @@ from repro.workloads import dnn
 FRACTIONS = (0.1, 0.25, 1.0)
 
 #: The inputs below whose returned design does not fit (measured): the
-#: degree-1 vgg16 design (25 DSP against 22) and image-pipeline's floor
-#: fallback to its naive picks (30 DSP against 22).
+#: degree-1 vgg16 design (25 DSP against 22), and image-pipeline, whose
+#: realized stages (30 DSP against 22) are larger than the points the
+#: balancer selected (20 DSP): ROADMAP item 12's baseline-banking decision.
 OVER_BUDGET = {("vgg16", 0.1), ("image-pipeline", 0.1)}
 
 
