@@ -9,12 +9,13 @@ they never restructure the algorithm itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+import functools
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.diagnostics import DiagnosticError, caller_location
-from repro.dsl.expr import Access, BinaryOp, Call, Cast, Const, Expr, IterRef, wrap
+from repro.dsl.expr import Access, BinaryOp, Call, Cast, Const, Expr, IterRef, affine_form, wrap
 from repro.dsl.placeholder import Placeholder
 from repro.dsl.schedule import (
     After,
@@ -198,15 +199,15 @@ class Compute:
         the sequential order of the original nest, which yields the usual
         accumulate behaviour when the destination is also read.
 
-        It runs as one generated plain loop nest (:func:`_nest_source`),
-        built afresh on every call; the recursive walk over
+        It runs as one generated loop nest (:func:`_nest_source`) whose
+        safe dims are whole-array grids; the recursive walk over
         ``Expr.evaluate`` (:meth:`_execute_level`) is kept as its oracle.
         """
         # ``__name__`` attributes a numpy warning raised by the store to
         # this module, as it is in the walk (CI errors on repro.* warnings).
         namespace = {"__builtins__": {}, "__name__": __name__, "range": range, "int": int}
         source = _nest_source(self, namespace)
-        exec(compile(source, f"<reference nest {self.name}>", "exec"), namespace)
+        exec(_nest_code(source), namespace)
         namespace["_nest"](arrays)
 
     def _execute_level(self, depth: int, env: Dict[str, int], arrays) -> None:
@@ -228,6 +229,75 @@ class Compute:
         )
 
 
+@functools.lru_cache(maxsize=512)
+def _nest_code(source: str):
+    """``source`` compiled once per process: the text holds no values
+    (constants, bounds and arrays are bound per call into a fresh
+    namespace), so equal text is equal code at any size."""
+    return compile(source, "<reference nest>", "exec")
+
+
+def _grid(lo: int, hi: int, axis: int, rank: int) -> np.ndarray:
+    """The values of one grid iterator, laid along ``axis`` of ``rank``."""
+    shape = [1] * rank
+    shape[axis] = -1
+    return np.arange(lo, hi).reshape(shape)
+
+
+def _values(node: Expr) -> Iterator[Expr]:
+    """``node`` and the sub-expressions whose value it uses: every node
+    but those inside array indices."""
+    yield node
+    if not isinstance(node, Access):
+        for child in node.children():
+            yield from _values(child)
+
+
+def _grid_iters(compute: Compute) -> Set[str]:
+    """The iterators the reference nest runs as whole-array grids.
+
+    ``p`` is a grid when some destination index is affine in ``p`` alone
+    (each cell has one writer among the grid points, and its writes keep
+    their declared order once the other loops run outside the grids),
+    every read of the destination reads exactly the destination cell,
+    ``p`` is never a value and every index naming ``p`` is affine.  The
+    whole compute must work in one floating dtype, casts included:
+    integers keep C division and numpy's overflow warnings per scalar.
+    A ``min`` / ``max`` that mixes an array read with an operand reading
+    none may only be the stored value: per point it can pick the Python
+    scalar, which the statement's next operator would see unconverted.
+    """
+    dest = compute.dest
+    dtype = dest.placeholder.dtype.np_dtype
+    nodes = list(compute.expr.walk()) + list(dest.walk())
+    accesses = [node for node in nodes if isinstance(node, Access)]
+    if dtype.kind != "f" or any(
+        node.placeholder.dtype.np_dtype != dtype
+        for node in accesses
+    ) or any(
+        node.dtype.np_dtype != dtype for node in nodes if isinstance(node, Cast)
+    ):
+        return set()
+    cell = [affine_form(index) for index in dest.indices]
+    for node in accesses:
+        if node is not dest and node.array_name == dest.array_name:
+            if None in cell or [affine_form(i) for i in node.indices] != cell:
+                return set()
+    valued = set()
+    for node in _values(compute.expr):
+        if isinstance(node, IterRef):
+            valued.add(node.name)
+        elif isinstance(node, Call) and node.func in ("min", "max") and node is not compute.expr:
+            if len({bool(arg.loads()) for arg in node.args}) > 1:
+                return set()
+    for node in accesses:
+        for index in node.indices:
+            if affine_form(index) is None:
+                valued.update(index.iter_names())
+    private = {form.dims()[0] for form in cell if form is not None and len(form.dims()) == 1}
+    return private - valued
+
+
 def _nest_source(compute: Compute, namespace: Dict[str, object]) -> str:
     """Python source of ``def _nest(arrays)``, ``compute``'s loop nest.
 
@@ -237,11 +307,16 @@ def _nest_source(compute: Compute, namespace: Dict[str, object]) -> str:
     calls, and constants and loop bounds are the walk's own objects, all
     bound into ``namespace``; the one statement evaluates the value, then
     the destination indices (``int()`` unless a bare iterator, as in
-    ``Access.evaluate``), then stores.  Only the loop structure differs.
+    ``Access.evaluate``), then stores.  The :func:`_grid_iters` become
+    ``np.arange`` grids, one broadcast axis each, so the statement runs
+    over all of them at once; the other loops run outside them in their
+    declared order.  With no grid it is the walk's own loop order.
     Locals are mangled (``_i0``, ``_a0``, ``_b0``): ``in`` is a legal
     DSL iterator name.
     """
     iters = {it.name: f"_i{n}" for n, it in enumerate(compute.iters)}
+    grid_names = _grid_iters(compute)
+    grids = [it for it in compute.iters if it.name in grid_names]
     arrays: Dict[str, str] = {}
 
     def bind(obj) -> str:
@@ -249,13 +324,16 @@ def _nest_source(compute: Compute, namespace: Dict[str, object]) -> str:
         namespace[name] = obj
         return name
 
+    def index(node: Expr) -> str:
+        if isinstance(node, IterRef):
+            return iters[node.name]
+        if grid_names.intersection(node.iter_names()):
+            return value(node)  # affine over grids: an int64 array
+        return f"int({value(node)})"
+
     def access(node: Access) -> str:
         local = arrays.setdefault(node.array_name, f"_a{len(arrays)}")
-        point = "".join(
-            (iters[i.name] if isinstance(i, IterRef) else f"int({value(i)})") + ", "
-            for i in node.indices
-        )
-        return f"{local}[({point})]"
+        return f"{local}[({''.join(index(i) + ', ' for i in node.indices)})]"
 
     def value(node: Expr) -> str:
         if isinstance(node, IterRef):
@@ -276,11 +354,16 @@ def _nest_source(compute: Compute, namespace: Dict[str, object]) -> str:
 
     store = f"{access(compute.dest)} = {value(compute.expr)}"
     lines = [f"    {local} = arrays[{name!r}]" for name, local in arrays.items()]
-    for depth, it in enumerate(compute.iters, 1):
+    lines += [
+        f"    {iters[it.name]} = {bind(_grid)}({bind(it.lo)}, {bind(it.hi)}, {axis}, {len(grids)})"
+        for axis, it in enumerate(grids)
+    ]
+    loops = [it for it in compute.iters if it.name not in grid_names]
+    for depth, it in enumerate(loops, 1):
         lines.append(
             "    " * depth + f"for {iters[it.name]} in range({bind(it.lo)}, {bind(it.hi)}):"
         )
-    lines.append("    " * (len(compute.iters) + 1) + store)
+    lines.append("    " * (len(loops) + 1) + store)
     return "def _nest(arrays):\n" + "\n".join(lines) + "\n"
 
 

@@ -182,22 +182,53 @@ def _int_mod(a: int, b: int) -> int:
 
 def _at_width(np_func, math_func):
     """A math intrinsic at its operand's own width, like C's ``expf``:
-    a numpy scalar goes through the numpy ufunc (``math.exp`` would turn
-    an ``np.float32`` into a double), a Python scalar through ``math``."""
-    return lambda x: np_func(x) if isinstance(x, np.generic) else math_func(x)
+    a numpy scalar or array goes through the numpy ufunc (``math.exp``
+    would turn an ``np.float32`` into a double), a Python scalar through
+    ``math``."""
+    return lambda x: np_func(x) if isinstance(x, (np.generic, np.ndarray)) else math_func(x)
+
+
+def _elementwise(scalar_func, array_func):
+    """``scalar_func``, unless an operand is an ndarray (a grid statement
+    of the reference nest): then ``array_func``, which picks elementwise
+    what ``scalar_func`` picks per point."""
+
+    def call(*args):
+        for arg in args:
+            if isinstance(arg, np.ndarray):
+                return array_func(*args)
+        return scalar_func(*args)
+
+    return call
+
+
+def _fold_where(keep_rhs):
+    """Builtin ``min`` / ``max`` over arrays: an operand replaces the pick
+    only when ``keep_rhs(operand, pick)`` holds, so a NaN pick stays and
+    a NaN operand never wins -- Python's own rule."""
+
+    def fold(first, *rest):
+        for item in rest:
+            first = np.where(keep_rhs(item, first), item, first)
+        return first
+
+    return fold
 
 
 class Call(Expr):
     """An intrinsic call: min/max/abs/sqrt/exp and friends."""
 
     FUNCS: Dict[str, Callable[..., Scalar]] = {
-        "min": min,
-        "max": max,
+        "min": _elementwise(min, _fold_where(lambda b, a: b < a)),
+        "max": _elementwise(max, _fold_where(lambda b, a: b > a)),
         "abs": abs,
         "sqrt": _at_width(np.sqrt, math.sqrt),
         "exp": _at_width(np.exp, math.exp),
         "log": _at_width(np.log, math.log),
-        "relu": lambda x: x if x > 0 else type(x)(0),
+        "relu": _elementwise(
+            lambda x: x if x > 0 else type(x)(0),
+            lambda x: np.where(x > 0, x, x.dtype.type(0)),
+        ),
     }
 
     def __init__(self, func: str, args: Sequence[Expr]):
