@@ -30,8 +30,12 @@ identical to the original sequential nest:
 
 1. **private store position** -- some store index has a non-zero
    coefficient on ``p`` and zero coefficients on every other member of
-   ``P``, which makes writes injective across the ``P`` sub-space
-   (distinct ``P`` points never collide on a cell);
+   ``P`` and on every ``R`` loop nested inside ``p``, which makes writes
+   injective across the ``P`` sub-space (distinct ``P`` points never
+   collide on a cell) and keeps each cell's writes in their declared
+   order once ``R`` is hoisted outside the grids (with ``P[i + k]`` and
+   ``k`` nested inside ``i``, cell ``c`` is written in increasing ``i``,
+   that is in decreasing ``k``);
 2. **read-own-cell** -- every load from the stored array uses exactly
    the store's index tuple, so each cell's update depends only on that
    cell's previous value (the gemm/conv accumulate pattern), never on a
@@ -436,23 +440,21 @@ class _Builder:
                 parallel -= set(bound.expr.coeffs)
 
         # Injectivity fixpoint: every surviving dimension needs a store
-        # position that is private to it among the survivors.  Removing
-        # a dimension can privatize a position for another, so iterate
-        # to a fixpoint, dropping the outermost failing dimension first
-        # (deterministic for a given band).
+        # position that is private to it among the survivors and free of
+        # every scalar loop nested inside it.  Removing a dimension can
+        # privatize a position for another, so iterate to a fixpoint,
+        # dropping the outermost failing dimension first (deterministic
+        # for a given band).
         changed = True
         while changed and parallel:
             changed = False
-            for name in names:
+            for depth, name in enumerate(names):
                 if name not in parallel:
                     continue
+                others = parallel.union(names[depth + 1:]) - {name}
                 private = any(
                     index.coeff(name) != 0
-                    and all(
-                        index.coeff(other) == 0
-                        for other in parallel
-                        if other != name
-                    )
+                    and all(index.coeff(other) == 0 for other in others)
                     for index in store.indices
                 )
                 if not private:

@@ -21,6 +21,7 @@ from repro.affine import (
     simulate,
 )
 from repro.affine import compile as _compile
+from repro.dsl import Function, compute, float32, placeholder, var
 from repro.isl import intern as _intern
 from repro.workloads import dnn, image, polybench, polybench_extra, stencils
 
@@ -102,6 +103,32 @@ class TestKernelStats:
         assert stats["fallback"] is None
         assert stats["vector_nests"] == 0
         assert stats["scalar_loops"] >= 2
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_hoisted_inner_loop_keeps_each_cells_order(self, n):
+        # k is a value, so it stays a scalar loop; i's only store position
+        # i + k also carries k, nested inside i.  Hoisting k outside an i
+        # grid would write cell c in increasing k instead of increasing i
+        # and round the float32 sums differently.  Declared as [k, i], k
+        # is outside i anyway, and i stays a grid.
+        def build(outer_k):
+            with Function("hoist") as f:
+                i, k = var("i", 0, n), var("k", 0, n)
+                A = placeholder("A", (n,), float32)
+                B = placeholder("B", (n,), float32)
+                P = placeholder("P", (2 * n,), float32)
+                iters = [k, i] if outer_k else [i, k]
+                compute("s", iters, P(i + k) + A(i) * B(k) * k, P(i + k))
+            return f
+
+        for outer_k, axes in ((False, 0), (True, 1)):
+            function = build(outer_k)
+            assert check_bit_identity(function, seed=2).stats.vector_axes == axes
+            reference = function.allocate_arrays(seed=2)
+            function.reference_execute(reference)
+            interpreted = function.allocate_arrays(seed=2)
+            interpret(function.lower(), interpreted)
+            assert reference["P"].tobytes() == interpreted["P"].tobytes()
 
     def test_compiled_source_is_inspectable(self):
         kernel = compile_func(polybench.gemm(8).lower())
