@@ -305,7 +305,8 @@ def execute_job(
     Runs in the worker subprocess (under an activated session context).
     ``journal_path`` points into the store's journal directory: a dse
     job checkpoints there and transparently resumes from it when it
-    already exists (the retry/restart path).  ``arm_faults=False``
+    already exists (the retry/restart path); a journal it cannot resume
+    is swept over afresh, with ``DSE005`` in ``search.diagnostics``.  ``arm_faults=False``
     disarms the request's fault spec -- retries after an injected crash
     run fault-free, matching the chaos-resume idiom of the batch layer.
 
@@ -327,6 +328,7 @@ def _execute_dse(spec, journal_path, arm_faults, job_timeout_s, emit) -> dict:
     import time
 
     from repro import workloads
+    from repro.diagnostics import DiagnosticError
     from repro.dse.options import DseOptions
 
     emit({"stage": "build", "workload": spec.workload})
@@ -354,7 +356,18 @@ def _execute_dse(spec, journal_path, arm_faults, job_timeout_s, emit) -> dict:
         options = options.replace(**overrides)
     emit({"stage": "search", "resumed": resume, "faults": plan is not None})
     started = time.perf_counter()
-    result = workload.auto_DSE(options=options)
+    rejected = []
+    try:
+        result = workload.auto_DSE(options=options)
+    except DiagnosticError as exc:
+        if not resume or exc.code != "DSE005":
+            raise
+        # The journal is this key's own: a kill between its creation and
+        # its header leaves it empty or torn, and every later request for
+        # the key would fail the same way.  A fresh sweep replaces it.
+        rejected, resume = [exc.code], False
+        plan = build_fault_plan(spec.fault) if arm_faults else None
+        result = workload.auto_DSE(options=options.replace(resume=False, fault_plan=plan))
     wall_s = time.perf_counter() - started
     emit({"stage": "done", "evaluations": result.evaluations})
     return {
@@ -365,7 +378,7 @@ def _execute_dse(spec, journal_path, arm_faults, job_timeout_s, emit) -> dict:
             "degraded": result.degraded,
             "feasible": result.feasible,
             "quarantine": [q.diagnostic.code for q in result.quarantine],
-            "diagnostics": [d.code for d in result.diagnostics],
+            "diagnostics": rejected + [d.code for d in result.diagnostics],
         },
         "timing": {
             "wall_s": round(wall_s, 6),

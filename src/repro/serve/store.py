@@ -22,8 +22,10 @@ the PR-3 discipline (append one line, flush, fsync; atomic rewrites via
 Corrupt lines (a crash mid-append) are skipped and counted, never
 fatal -- the DSE006 discipline (``SRV005`` here).  DSE checkpoint
 journals for in-flight jobs live under ``journals/<key>.journal``,
-giving near-repeat requests and restarted jobs engine-level resume on
-top of store-level caching.
+giving restarted and retried jobs engine-level resume on top of
+store-level caching; a job's journal is removed once its store line is
+on disk, so a crash leaves a finished job with one or both, never
+neither.
 """
 
 from __future__ import annotations
@@ -125,6 +127,10 @@ class ResultStore:
         with self._lock:
             _append_line(self.store_path, entry)
             self._index[key] = entry
+        # A dataflow design's journal fans out to one file per stage.
+        for name in os.listdir(self.journal_dir):
+            if name.startswith(f"{key}.journal"):
+                os.remove(os.path.join(self.journal_dir, name))
         return entry
 
     def journal_path_for(self, key: str) -> str:

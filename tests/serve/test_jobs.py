@@ -1,6 +1,12 @@
 """JobSpec validation, cache keys, fingerprints, and in-worker execution."""
 
+import json
+
 import pytest
+
+from repro.diagnostics import DiagnosticError
+from repro.dse import DseOptions, auto_dse
+from repro import workloads
 
 from repro.serve.jobs import (
     JobSpec,
@@ -188,3 +194,28 @@ class TestExecution:
         search = execute_job(spec)["search"]
         assert search["feasible"] is False and search["degraded"] is True
         assert search["diagnostics"].count("DSE009") == 1
+
+    @pytest.mark.parametrize("content", [
+        "",  # killed between the journal's creation and its header
+        '{"kind": "header", "form',  # killed mid-header
+        json.dumps({"kind": "header", "engine_version": -1}) + "\n",  # stale
+    ])
+    def test_an_unresumable_journal_is_swept_afresh(self, tmp_path, content):
+        spec = JobSpec.from_request({"kind": "dse", "workload": "gemm", "size": 32})
+        cold = execute_job(spec)
+        journal = tmp_path / "key.journal"
+        journal.write_text(content)
+        payload = execute_job(spec, journal_path=str(journal))
+        assert payload["design"] == cold["design"]
+        assert payload["search"]["diagnostics"] == ["DSE005"] + cold["search"]["diagnostics"]
+        assert payload["timing"]["resumed"] is False
+        # The fresh sweep left a journal the next request resumes from.
+        again = execute_job(spec, journal_path=str(journal))
+        assert again["timing"]["resumed"] is True
+        assert again["search"]["diagnostics"] == cold["search"]["diagnostics"]
+        # A batch --resume still refuses such a journal.
+        journal.write_text(content)
+        with pytest.raises(DiagnosticError) as caught:
+            auto_dse(workloads.get("gemm", 32),
+                     options=DseOptions(checkpoint=str(journal), resume=True))
+        assert caught.value.code == "DSE005"

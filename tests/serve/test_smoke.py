@@ -17,7 +17,7 @@ import pytest
 from repro import workloads
 from repro.dse import auto_dse
 from repro.serve import ServeClient
-from repro.serve.jobs import design_fingerprint, dse_design_payload
+from repro.serve.jobs import JobSpec, cache_key, design_fingerprint, dse_design_payload
 
 pytestmark = pytest.mark.serve
 
@@ -105,6 +105,12 @@ def test_daemon_smoke_concurrent_sigterm_restart_resume(tmp_path):
         assert daemon.process.returncode == 0
     finally:
         daemon.kill()
+    # Only the interrupted sweep's journal is left: gemm's went with its
+    # store line.
+    journals = state_dir / "journals"
+    assert [path.name for path in journals.iterdir()] == [
+        f"{cache_key(JobSpec.from_request({'kind': 'dse', 'workload': 'vgg16', 'size': 4}))}.journal"
+    ]
 
     # Phase 3: restart over the surviving state directory; the ledger
     # re-queues the interrupted job (SRV007) and its design must be
@@ -120,10 +126,12 @@ def test_daemon_smoke_concurrent_sigterm_restart_resume(tmp_path):
             design_fingerprint(record["result"]["design"]) == batch["vgg16"]
         )
 
-        # The finished result is now a warm store hit.
+        # The finished result is now a warm store hit, and its journal
+        # is gone.
         status, payload = client.submit("dse", "vgg16", 4)
         assert status == 200
         assert design_fingerprint(payload["result"]["design"]) == batch["vgg16"]
+        assert list(journals.iterdir()) == []
 
         out = restarted.terminate()
         assert "drained and stopped" in out

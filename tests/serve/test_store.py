@@ -95,6 +95,29 @@ class TestResults:
         assert a != b
         assert os.path.dirname(a) == store.journal_dir
 
+    def test_a_finished_jobs_journal_goes_with_its_store_line(self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path))
+        key, other = cache_key(_spec(size=8)), cache_key(_spec(size=16))
+        journal = store.journal_path_for(key)
+        # A dataflow design's journal fans out to one file per stage.
+        left = [journal, journal + ".conv", store.journal_path_for(other)]
+        for path in left:
+            open(path, "w").close()
+
+        # A crash while the store line is written leaves the journal.
+        def crash(path, record):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr("repro.serve.store._append_line", crash)
+        with pytest.raises(OSError):
+            store.record(key, _spec(size=8), _payload())
+        assert all(os.path.exists(path) for path in left)
+        monkeypatch.undo()
+
+        store.record(key, _spec(size=8), _payload())
+        assert ResultStore(str(tmp_path)).lookup(key) is not None
+        assert os.listdir(store.journal_dir) == [os.path.basename(left[2])]
+
 
 class TestLedger:
     def test_recover_returns_accepted_without_done(self, tmp_path):
