@@ -105,12 +105,12 @@ def test_daemon_smoke_concurrent_sigterm_restart_resume(tmp_path):
         assert daemon.process.returncode == 0
     finally:
         daemon.kill()
-    # Only the interrupted sweep's journal is left: gemm's went with its
-    # store line.
+    # gemm's journal went with its store line; only the interrupted
+    # sweep's may be left (a worker killed before its first candidate
+    # has written none).
     journals = state_dir / "journals"
-    assert [path.name for path in journals.iterdir()] == [
-        f"{cache_key(JobSpec.from_request({'kind': 'dse', 'workload': 'vgg16', 'size': 4}))}.journal"
-    ]
+    vgg16 = JobSpec.from_request({"kind": "dse", "workload": "vgg16", "size": 4})
+    assert {path.name for path in journals.iterdir()} <= {f"{cache_key(vgg16)}.journal"}
 
     # Phase 3: restart over the surviving state directory; the ledger
     # re-queues the interrupted job (SRV007) and its design must be
