@@ -271,12 +271,9 @@ def _grid_iters(compute: Compute) -> Set[str]:
     dtype = dest.placeholder.dtype.np_dtype
     nodes = list(compute.expr.walk()) + list(dest.walk())
     accesses = [node for node in nodes if isinstance(node, Access)]
-    if dtype.kind != "f" or any(
-        node.placeholder.dtype.np_dtype != dtype
-        for node in accesses
-    ) or any(
-        node.dtype.np_dtype != dtype for node in nodes if isinstance(node, Cast)
-    ):
+    dtypes = {node.placeholder.dtype.np_dtype for node in accesses}
+    dtypes.update(node.dtype.np_dtype for node in nodes if isinstance(node, Cast))
+    if dtype.kind != "f" or dtypes != {dtype}:
         return set()
     cell = [affine_form(index) for index in dest.indices]
     for node in accesses:

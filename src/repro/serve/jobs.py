@@ -306,9 +306,10 @@ def execute_job(
     ``journal_path`` points into the store's journal directory: a dse
     job checkpoints there and transparently resumes from it when it
     already exists (the retry/restart path); a journal it cannot resume
-    is swept over afresh, with ``DSE005`` in ``search.diagnostics``.  ``arm_faults=False``
-    disarms the request's fault spec -- retries after an injected crash
-    run fault-free, matching the chaos-resume idiom of the batch layer.
+    is swept over afresh, with ``DSE005`` in ``search.diagnostics``.
+    ``arm_faults=False`` disarms the request's fault spec -- retries
+    after an injected crash run fault-free, matching the chaos-resume
+    idiom of the batch layer.
 
     The payload separates ``design`` (deterministic, cache-safe) from
     ``timing`` (wall clock, never compared).
