@@ -1,12 +1,14 @@
 """Array footprint analysis: which elements a compute actually touches.
 
 The footprint of an access is the *image* of the iteration domain under
-the access relation -- computed exactly with
-:class:`~repro.isl.relation.BasicMap`.  Footprints drive on-chip buffer
-sizing: a tile that touches ``48 x 6`` elements of a ``4096²`` array
-needs a 288-element local buffer, not the whole array.  The summary
-feeds the BRAM column of the synthesis report for locally-bufferable
-workloads.
+the access function, summarized as a box.  The domain is a box and the
+indices are affine, so interval arithmetic gives each image bound
+exactly: a term ``c * d`` over ``d in [lo, hi]`` spans ``[min(c*lo,
+c*hi), max(c*lo, c*hi)]`` and the terms are independent.  Footprints
+drive on-chip buffer sizing: a tile that touches ``48 x 6`` elements of
+a ``4096²`` array needs a 288-element local buffer, not the whole
+array.  The summary feeds the BRAM column of the synthesis report for
+locally-bufferable workloads, and the dataflow stream-window check.
 """
 
 from __future__ import annotations
@@ -15,23 +17,13 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.dsl.compute import Compute
-from repro.depgraph.analysis import domain_of
-from repro.isl.relation import BasicMap
-from repro.isl.sets import BasicSet
-
-_OUT_PREFIX = "e"
 
 
 @dataclass(frozen=True)
 class ArrayFootprint:
-    """Touched region of one array: the element set and its box summary.
-
-    ``footprint`` is the projected element set (bounds exact; stride
-    structure is lost to the rational shadow).
-    """
+    """Touched region of one array as a box (stride structure is lost)."""
 
     array: str
-    footprint: BasicSet                      # over element dims e0, e1, ...
     box: Tuple[Tuple[int, int], ...]         # inclusive per-dim bounds
 
     @property
@@ -44,21 +36,17 @@ class ArrayFootprint:
 
 def access_footprint(compute: Compute, access) -> ArrayFootprint:
     """The footprint of one access over the compute's full domain."""
-    dims = compute.iter_names
-    out_dims = [f"{_OUT_PREFIX}{k}" for k in range(len(access.placeholder.shape))]
-    relation = BasicMap.from_multi_affine(access.access_map(dims), out_dims)
-    restricted = relation.intersect_domain(domain_of(compute))
-    image = restricted.range()
+    bounds = compute.domain_bounds()
+    if any(lo > hi for lo, hi in bounds.values()):
+        raise ValueError(f"{compute.name}: empty iteration domain {bounds}")
     box = []
-    for name in out_dims:
-        lo, hi = image.constant_bounds(name)
-        if lo is None or hi is None:
-            raise ValueError(
-                f"{compute.name}: access to {access.array_name} has an "
-                f"unbounded footprint dimension {name}"
-            )
+    for index in access.affine_indices():
+        lo = hi = index.constant
+        for name, coeff in index.coeffs.items():
+            ends = (coeff * bounds[name][0], coeff * bounds[name][1])
+            lo, hi = lo + min(ends), hi + max(ends)
         box.append((lo, hi))
-    return ArrayFootprint(access.array_name, image, tuple(box))
+    return ArrayFootprint(access.array_name, tuple(box))
 
 
 def compute_footprints(compute: Compute) -> Dict[str, ArrayFootprint]:
@@ -74,9 +62,7 @@ def compute_footprints(compute: Compute) -> Dict[str, ArrayFootprint]:
                 (min(a[0], b[0]), max(a[1], b[1]))
                 for a, b in zip(previous.box, fp.box)
             )
-            results[access.array_name] = ArrayFootprint(
-                access.array_name, previous.footprint, merged
-            )
+            results[access.array_name] = ArrayFootprint(access.array_name, merged)
     return results
 
 

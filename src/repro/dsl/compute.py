@@ -10,7 +10,7 @@ they never restructure the algorithm itself.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Set
 
 import numpy as np
 
@@ -76,18 +76,20 @@ class Compute:
         self.iters: List[Var] = iters
         self.expr: Expr = wrap(expr)
         self.dest: Access = dest
-        used = set(self.expr.iter_names()) | set(dest.iter_names())
-        unknown = used - set(names)
+        nodes = [*self.expr.walk(), *dest.walk()]
+        unknown = {node.name for node in nodes if isinstance(node, IterRef)} - set(names)
         if unknown:
             raise DiagnosticError(
                 f"compute {name!r} references undeclared iterators {sorted(unknown)}",
                 code="DSL004", location=caller_location(compute=name),
                 notes=(f"declared iterators: {names}",),
             )
-        # Computes are immutable, so the arrays they touch are read once.
+        # Computes are immutable, so the arrays they touch are read once;
+        # an array read inside a destination index counts too.
         seen: Dict[str, Placeholder] = {dest.placeholder.name: dest.placeholder}
-        for access in self.loads():
-            seen.setdefault(access.placeholder.name, access.placeholder)
+        for node in nodes:
+            if isinstance(node, Access):
+                seen.setdefault(node.placeholder.name, node.placeholder)
         self._arrays = list(seen.values())
         self.function = function if function is not None else current_function()
         if self.function is not None:
@@ -199,16 +201,11 @@ class Compute:
         the sequential order of the original nest, which yields the usual
         accumulate behaviour when the destination is also read.
 
-        It runs as one generated loop nest (:func:`_nest_source`) whose
+        It runs as one generated loop nest (:func:`_nest_lines`) whose
         safe dims are whole-array grids; the recursive walk over
         ``Expr.evaluate`` (:meth:`_execute_level`) is kept as its oracle.
         """
-        # ``__name__`` attributes a numpy warning raised by the store to
-        # this module, as it is in the walk (CI errors on repro.* warnings).
-        namespace = {"__builtins__": {}, "__name__": __name__, "range": range, "int": int}
-        source = _nest_source(self, namespace)
-        exec(_nest_code(source), namespace)
-        namespace["_nest"](arrays)
+        _run(arrays, lambda namespace, loads: _nest_lines(self, namespace, loads))
 
     def _execute_level(self, depth: int, env: Dict[str, int], arrays) -> None:
         if depth == len(self.iters):
@@ -235,6 +232,25 @@ def _nest_code(source: str):
     (constants, bounds and arrays are bound per call into a fresh
     namespace), so equal text is equal code at any size."""
     return compile(source, "<reference nest>", "exec")
+
+
+def _bind(namespace: Dict[str, object], obj) -> str:
+    """A fresh name for ``obj`` in ``namespace``."""
+    name = f"_b{len(namespace)}"
+    namespace[name] = obj
+    return name
+
+
+def _run(arrays, body: Callable[[Dict[str, object], Dict[str, str]], List[str]]) -> None:
+    """Run ``def _nest(arrays)`` over ``body(namespace, loads)``'s lines,
+    each array in ``loads`` loaded once.  ``__name__`` attributes a numpy
+    warning raised by a store to this module, as in the walk."""
+    namespace = {"__builtins__": {}, "__name__": __name__, "range": range, "int": int}
+    loads: Dict[str, str] = {}
+    lines = body(namespace, loads)
+    lines = [f"    {local} = arrays[{name!r}]" for name, local in loads.items()] + lines
+    exec(_nest_code("def _nest(arrays):\n" + "\n".join(lines or ["    pass"]) + "\n"), namespace)
+    namespace["_nest"](arrays)
 
 
 def _grid(lo: int, hi: int, axis: int, rank: int) -> np.ndarray:
@@ -295,8 +311,11 @@ def _grid_iters(compute: Compute) -> Set[str]:
     return private - valued
 
 
-def _nest_source(compute: Compute, namespace: Dict[str, object]) -> str:
-    """Python source of ``def _nest(arrays)``, ``compute``'s loop nest.
+def _nest_lines(
+    compute: Compute, namespace: Dict[str, object], loads: Dict[str, str],
+    bound: int = 0, indent: int = 1,
+) -> List[str]:
+    """``compute``'s loop nest below its first ``bound`` iterators.
 
     Identical to :meth:`Compute._execute_level` by construction, not by
     test: each operator, intrinsic and cast calls the very
@@ -309,17 +328,16 @@ def _nest_source(compute: Compute, namespace: Dict[str, object]) -> str:
     over all of them at once; the other loops run outside them in their
     declared order.  With no grid it is the walk's own loop order.
     Locals are mangled (``_i0``, ``_a0``, ``_b0``): ``in`` is a legal
-    DSL iterator name.
+    DSL iterator name.  Iterator ``n`` is ``_i{n}``, so the first
+    ``bound`` are the enclosing loops' variables (scalars, never grids:
+    a prefix of the declared order keeps the grids' ordering argument);
+    ``loads`` maps each array read to its local (:func:`_run`).
     """
     iters = {it.name: f"_i{n}" for n, it in enumerate(compute.iters)}
-    grid_names = _grid_iters(compute)
+    grid_names = _grid_iters(compute).difference(it.name for it in compute.iters[:bound])
     grids = [it for it in compute.iters if it.name in grid_names]
-    arrays: Dict[str, str] = {}
 
-    def bind(obj) -> str:
-        name = f"_b{len(namespace)}"
-        namespace[name] = obj
-        return name
+    bind = functools.partial(_bind, namespace)
 
     def index(node: Expr) -> str:
         if isinstance(node, IterRef):
@@ -329,7 +347,7 @@ def _nest_source(compute: Compute, namespace: Dict[str, object]) -> str:
         return f"int({value(node)})"
 
     def access(node: Access) -> str:
-        local = arrays.setdefault(node.array_name, f"_a{len(arrays)}")
+        local = loads.setdefault(node.array_name, f"_a{len(loads)}")
         return f"{local}[({''.join(index(i) + ', ' for i in node.indices)})]"
 
     def value(node: Expr) -> str:
@@ -350,18 +368,17 @@ def _nest_source(compute: Compute, namespace: Dict[str, object]) -> str:
         return f"{bind(fn)}({', '.join(value(child) for child in node.children())})"
 
     store = f"{access(compute.dest)} = {value(compute.expr)}"
-    lines = [f"    {local} = arrays[{name!r}]" for name, local in arrays.items()]
-    lines += [
-        f"    {iters[it.name]} = {bind(_grid)}({bind(it.lo)}, {bind(it.hi)}, {axis}, {len(grids)})"
+    lines = [
+        f"{iters[it.name]} = {bind(_grid)}({bind(it.lo)}, {bind(it.hi)}, {axis}, {len(grids)})"
         for axis, it in enumerate(grids)
     ]
-    loops = [it for it in compute.iters if it.name not in grid_names]
-    for depth, it in enumerate(loops, 1):
+    loops = [it for it in compute.iters[bound:] if it.name not in grid_names]
+    for depth, it in enumerate(loops):
         lines.append(
             "    " * depth + f"for {iters[it.name]} in range({bind(it.lo)}, {bind(it.hi)}):"
         )
-    lines.append("    " * (len(loops) + 1) + store)
-    return "def _nest(arrays):\n" + "\n".join(lines) + "\n"
+    lines.append("    " * len(loops) + store)
+    return ["    " * indent + line for line in lines]
 
 
 def compute(name: str, iters: Sequence[Var], expr, dest: Access) -> Compute:

@@ -19,11 +19,13 @@ layers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+import functools
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.dsl.compute import Compute
+from repro.diagnostics import DiagnosticError
+from repro.dsl.compute import Compute, _bind, _nest_lines, _run
 from repro.dsl.placeholder import PartitionScheme, Placeholder
 from repro.dsl.schedule import Schedule
 
@@ -114,23 +116,39 @@ class Function:
 
         Without structural directives, computes run whole-domain in
         declaration order.  With ``after``/``fuse`` at a loop level, the
-        statements interleave inside the shared loops; that ordering is
-        realized by lowering *only* the structural directives (no loop
-        transformations) and interpreting the result.
+        statements interleave inside the shared loops.  Both run as one
+        generated nest (:func:`_interleave`) built from the DSL alone.
         """
-        structural = self.structural_directives()
-        if not structural:
-            for compute in self.computes:
-                compute.reference_execute(arrays)
-            return
-        from repro.polyir.program import PolyProgram
-        from repro.affine.lowering import lower_program
-        from repro.affine.interp import interpret
+        statics = self._statics()
+        _run(arrays, lambda namespace, loads: _interleave(self.computes, statics, namespace, loads))
 
-        program = PolyProgram(self)
-        for directive in structural:
-            program.apply_directive(directive)
-        interpret(lower_program(program), arrays)
+    def _statics(self) -> Dict[str, List[int]]:
+        """Each compute's static schedule dims under the structural
+        directives, padded to the deepest compute: the surgery of
+        ``PolyProgram._apply_after`` on ``[position] + [0] * depth``."""
+        depth = max((len(c.iters) for c in self.computes), default=0)
+        statics = {c.name: [n] + [0] * depth for n, c in enumerate(self.computes)}
+        for directive in self.structural_directives():
+            consumer, producer = statics[directive.compute_name], statics[directive.other]
+            if directive.level is None:
+                threshold = producer[0]
+                for other in statics.values():
+                    if other is not consumer and other[0] > threshold:
+                        other[0] += 1
+                consumer[0] = threshold + 1
+                continue
+            names = self.get_compute(directive.other).iter_names
+            if directive.level not in names:
+                raise KeyError(f"{directive.other}: no loop level named {directive.level!r}")
+            shared = names.index(directive.level)
+            loops = len(self.get_compute(directive.compute_name).iters)
+            if loops <= shared:
+                raise DiagnosticError(f"{directive.compute_name}: cannot fuse at level "
+                                      f"{directive.level!r}; statement has only {loops} loops",
+                                      code="SCH005")
+            consumer[:shared + 1] = producer[:shared + 1]
+            consumer[shared + 1] = producer[shared + 1] + 1
+        return statics
 
     # -- compilation drivers (lazy imports to avoid layer cycles) ----------------
 
@@ -209,3 +227,56 @@ class Function:
 
     def __repr__(self):
         return f"Function({self.name!r}, computes={[c.name for c in self.computes]})"
+
+
+def _interleave(computes: Sequence[Compute], statics, namespace, loads) -> List[str]:
+    """The lines of ``computes``' interleaved nest, as the AST builder
+    orders their statements (``AstBuilder._build_level``).
+
+    At each level the computes split by static dim, in sorted order.  A
+    group that loops there shares one loop over the hull of its members'
+    bounds, each member guarded by its own; a group that does not
+    descends; a mix is the builder's ``ValueError``.  At full depth the
+    members run by final static, then in declaration order.  A compute
+    alone in its group runs the rest of its nest (:func:`_nest_lines`),
+    the shared loops' variables its first iterators.
+    """
+    depth = max((len(c.iters) for c in computes), default=0)
+    bind = functools.partial(_bind, namespace)
+
+    def alone(compute: Compute, level: int, indent: int, guards) -> List[str]:
+        conditions = guards[compute.name]
+        head = ["    " * indent + f"if {' and '.join(conditions)}:"] if conditions else []
+        return head + _nest_lines(compute, namespace, loads, level, indent + bool(conditions))
+
+    def emit(group: List[Compute], level: int, indent: int, guards) -> List[str]:
+        if level == depth:  # sorted() is stable: ties keep declaration order
+            ordered = sorted(group, key=lambda c: statics[c.name][depth])
+            return [line for c in ordered for line in alone(c, level, indent, guards)]
+        groups: Dict[int, List[Compute]] = {}
+        for compute in group:
+            groups.setdefault(statics[compute.name][level], []).append(compute)
+        lines: List[str] = []
+        for key in sorted(groups):
+            members = groups[key]
+            looping = {level < len(c.iters) for c in members}
+            if len(members) == 1:
+                lines += alone(members[0], level, indent, guards)
+            elif looping == {False}:
+                lines += emit(members, level + 1, indent, guards)
+            elif looping == {True}:
+                lo = min(c.iters[level].lo for c in members)
+                hi = max(c.iters[level].hi for c in members)
+                inner = dict(guards)
+                for c in members:
+                    it = c.iters[level]
+                    if (it.lo, it.hi) != (lo, hi):
+                        inner[c.name] += (f"{bind(it.lo)} <= _i{level} < {bind(it.hi)}",)
+                lines.append("    " * indent + f"for _i{level} in range({bind(lo)}, {bind(hi)}):")
+                lines += emit(members, level + 1, indent + 1, inner)
+            else:
+                raise ValueError(f"dynamic schedule dims at level {level} must be "
+                                 f"single dims: {[c.name for c in members]}")
+        return lines
+
+    return emit(list(computes), 0, 1, {c.name: () for c in computes})

@@ -4,9 +4,10 @@ One *trial* is: build a workload, draw a random legal schedule
 (:mod:`repro.fuzz.generator`), then run the transformed program two
 ways on identical inputs --
 
-* **reference**: ``reference_execute``, which interprets only the
-  structural (``after``/``fuse``) directives -- the DSL-level meaning
-  of the algorithm;
+* **reference**: ``reference_execute``, the DSL-level meaning of the
+  algorithm -- declaration order, interleaved only as the structural
+  (``after``/``fuse``) directives say, run as a nest built from the DSL
+  alone, never through the layers under test;
 * **simulated**: ``simulate``, the full pipeline (``lower()``) followed
   by the compiled numpy simulator (:func:`repro.affine.compile.simulate`).
 
@@ -122,32 +123,43 @@ class TrialResult:
         }
 
 
-def _differential(
-    workload: str, size: int, seed: int, schedule: Dict[str, Any]
-) -> Tuple[str, List[str], Optional[str], Optional[str], Optional[str]]:
-    """Run one serialized schedule differentially.
+#: ``(kind, mismatch_arrays, oracle, stage, error)``
+_Verdict = Tuple[str, List[str], Optional[str], Optional[str], Optional[str]]
 
-    The comparison runs the whole workload both ways -- for a dataflow
-    design, every stage in topological order, with the schedule applied
-    to the stage its ``"stage"`` key names -- over every array.
 
-    Returns ``(kind, mismatch_arrays, oracle, stage, error)``.
-    """
-    from repro.affine import compile as _compile
-
-    stage = "build"
+def _differential(workload: str, size: int, seed: int, schedule: Dict[str, Any]) -> _Verdict:
+    """:func:`_compare` on a fresh build with the serialized schedule applied."""
     try:
         built = build_workload(workload, size)
         _scheduled_stage(built, schedule)
-        stage = "reference"
+    except Exception as exc:
+        return "crash", [], None, "build", _crash_detail(exc)
+    return _compare(built, seed)
+
+
+def _crash_detail(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=6)}"
+
+
+def _compare(built, seed: int) -> _Verdict:
+    """Run a scheduled workload differentially.
+
+    The comparison runs the whole workload both ways -- for a dataflow
+    design, every stage in topological order -- over every array, from
+    one seeded fill: the simulation's inputs are a copy of the
+    reference's, taken before it runs.
+    """
+    from repro.affine import compile as _compile
+
+    stage = "reference"
+    try:
         reference = built.allocate_arrays(seed=seed)
+        simulated = {name: array.copy() for name, array in reference.items()}
         built.reference_execute(reference)
         stage = "simulate"
-        simulated = built.allocate_arrays(seed=seed)
         built.simulate(simulated)
     except Exception as exc:
-        detail = traceback.format_exc(limit=6)
-        return "crash", [], None, stage, f"{type(exc).__name__}: {exc}\n{detail}"
+        return "crash", [], None, stage, _crash_detail(exc)
 
     mismatched = sorted(
         name
@@ -191,41 +203,47 @@ def check_schedule(workload: str, size: int, seed: int, schedule: Dict[str, Any]
     return kind == "pass"
 
 
+def draw_schedule(
+    workload: str, size: int, seed: int, max_directives: int = 6
+) -> Tuple[Any, Dict[str, Any]]:
+    """``workload`` built and randomly, legally scheduled, with its schedule
+    dict (a dataflow design's names the stage it targets under ``"stage"``)."""
+    from repro.dataflow import DataflowDesign
+    from repro.fuzz.generator import random_schedule
+
+    rng = random.Random(seed)
+    built = build_workload(workload, size)
+    stage_name = None
+    # Only a dataflow design has stages for a schedule to target.
+    if isinstance(built, DataflowDesign):
+        stage_name = rng.choice(sorted(built.stages))
+    function = _schedule_target(built, stage_name)
+    random_schedule(function, rng, max_directives=max_directives)
+    schedule = schedule_to_dict(function)
+    if stage_name is not None:
+        schedule["stage"] = stage_name
+    return built, schedule
+
+
 def run_trial(
     workload: str, size: int, seed: int, max_directives: int = 6
 ) -> TrialResult:
     """Generate one random legal schedule for ``workload`` and check it.
 
     Fully deterministic in ``(workload, size, seed, max_directives)``.
+    The differential runs on the workload the schedule was drawn on;
+    replaying the schedule dict on a fresh build gives the same one.
     """
     from repro import trace as _trace
-    from repro.fuzz.generator import random_schedule
 
     with _trace.span("fuzz.trial", category="fuzz",
                      args={"workload": workload, "size": size, "seed": seed}):
-        from repro.dataflow import DataflowDesign
-
-        rng = random.Random(seed)
         try:
-            built = build_workload(workload, size)
-            stage_name = None
-            # Only a dataflow design has stages for a schedule to target.
-            if isinstance(built, DataflowDesign):
-                stage_name = rng.choice(sorted(built.stages))
-            function = _schedule_target(built, stage_name)
-            random_schedule(function, rng, max_directives=max_directives)
-            schedule = schedule_to_dict(function)
-            if stage_name is not None:
-                schedule["stage"] = stage_name
+            built, schedule = draw_schedule(workload, size, seed, max_directives)
         except Exception as exc:
-            detail = traceback.format_exc(limit=6)
-            return TrialResult(
-                workload, size, seed, "crash",
-                stage="generate", error=f"{type(exc).__name__}: {exc}\n{detail}",
-            )
-        kind, mismatched, oracle, stage, error = _differential(
-            workload, size, seed, schedule
-        )
+            return TrialResult(workload, size, seed, "crash", stage="generate",
+                               error=_crash_detail(exc))
+        kind, mismatched, oracle, stage, error = _compare(built, seed)
         return TrialResult(
             workload, size, seed, kind,
             schedule=schedule, error=error, stage=stage,

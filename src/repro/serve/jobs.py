@@ -24,9 +24,9 @@ functions of the request.  ``trace`` re-measures by definition and
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -334,7 +334,8 @@ def _execute_dse(spec, journal_path, arm_faults, job_timeout_s, emit) -> dict:
 
     emit({"stage": "build", "workload": spec.workload})
     workload = workloads.get(spec.workload, spec.size)
-    resume = bool(journal_path) and os.path.exists(journal_path)
+    # A dataflow design journals one file per stage, ``<journal>.<stage>``.
+    resume = bool(journal_path) and bool(glob.glob(glob.escape(journal_path) + "*"))
     plan = build_fault_plan(spec.fault) if arm_faults else None
     overrides = dict(spec.options)
     device_name = overrides.pop("device", None)

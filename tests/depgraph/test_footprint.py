@@ -1,52 +1,53 @@
-"""Unit tests for basic maps (affine relations)."""
+"""Array footprints: the interval box of each access's image.
+
+The iteration domain is a box and the indices are affine, so interval
+arithmetic bounds each image dim exactly.  The box must equal the one a
+brute-force enumeration of the domain gives, for every access of every
+registry workload and dataflow stage.
+"""
+
+import itertools
 
 import pytest
 
-from repro.isl.affine import AffineExpr
-from repro.isl.constraint import Constraint
-from repro.isl.maps import MultiAffineMap
-from repro.isl.relation import BasicMap
-from repro.isl.sets import BasicSet
-
-e = AffineExpr
+from repro import workloads
+from repro.depgraph.footprint import access_footprint
+from repro.workloads import dnn
 
 
-def access_map():
-    """{ [i, j] -> [a, b] : a = i + 1, b = 2j }"""
-    func = MultiAffineMap(["i", "j"], [e.var("i") + 1, e.var("j") * 2])
-    return BasicMap.from_multi_affine(func, ["a", "b"])
+def _enumerated_box(compute, access):
+    names = compute.iter_names
+    ranges = [range(it.lo, it.hi) for it in compute.iters]
+    indices = access.affine_indices()
+    seen = [[] for _ in indices]
+    for point in itertools.product(*ranges):
+        values = dict(zip(names, point))
+        for dim, index in enumerate(indices):
+            seen[dim].append(index.evaluate(values))
+    return tuple((min(values), max(values)) for values in seen)
 
 
-class TestConstruction:
-    def test_from_multi_affine(self):
-        m = access_map()
-        assert m.contains({"i": 0, "j": 3}, {"a": 1, "b": 6})
-        assert not m.contains({"i": 0, "j": 3}, {"a": 1, "b": 5})
-
-    def test_overlapping_spaces_rejected(self):
-        with pytest.raises(ValueError):
-            BasicMap(["i"], ["i"])
-
-    def test_arity_checked(self):
-        func = MultiAffineMap(["i"], [e.var("i")])
-        with pytest.raises(ValueError):
-            BasicMap.from_multi_affine(func, ["a", "b"])
+def _functions():
+    """Every registry entry at size 8, the DNNs at size 2 with 5% of their
+    channels (their index forms, at a point count enumeration affords)."""
+    for name in workloads.names(kind="function"):
+        if name in ("vgg16", "resnet18"):
+            function = getattr(dnn, name)(2, channel_scale=0.05)
+        else:
+            function = workloads.get(name, 8)
+        yield pytest.param(function, id=name)
+    for design in workloads.names(kind="dataflow"):
+        for stage, node in workloads.get(design, 8).stages.items():
+            yield pytest.param(node.function, id=f"{design}.{stage}")
 
 
-class TestImages:
-    def test_domain_and_range(self):
-        m = access_map().intersect_domain(
-            BasicSet.box({"i": (0, 1), "j": (0, 1)}, order=["i", "j"])
-        )
-        assert m.domain().count_points() == 4
-        # the range shadow is a 2x3 box (stride of b smoothed over)
-        assert m.range().count_points() == 6
-
-
-class TestAlgebra:
-    def test_empty_relation(self):
-        m = BasicMap(["i"], ["o"], [Constraint.ge("i", 1), Constraint.le("i", 0)])
-        assert m.is_empty()
+@pytest.mark.parametrize("function", list(_functions()))
+def test_interval_box_equals_enumeration(function):
+    for compute in function.computes:
+        for access in compute.loads() + [compute.store()]:
+            assert access_footprint(compute, access).box == _enumerated_box(compute, access), (
+                compute.name, access,
+            )
 
 
 class TestFootprint:

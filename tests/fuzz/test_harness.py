@@ -19,14 +19,19 @@ import pytest
 import repro
 from repro.affine import compile as _compile
 from repro.fuzz import run_trial, shrink_failure, write_repro_script
+from repro.dsl.serialize import schedule_to_dict
 from repro.fuzz.harness import (
     TrialResult,
     _differential,
+    _schedule_target,
+    _scheduled_stage,
     build_workload,
     check_schedule,
+    draw_schedule,
     replay,
     workload_factory,
 )
+from repro.fuzz.runner import FuzzOptions, plan_trials
 from repro.isl import intern as _intern
 
 pytestmark = pytest.mark.fuzz
@@ -237,7 +242,7 @@ class TestDataflowTrials:
 
 @pytest.mark.perfsmoke
 @pytest.mark.parametrize("name", ["gemm", "image-pipeline"])
-def test_perfsmoke_a_trial_builds_its_workload_twice(monkeypatch, name):
+def test_perfsmoke_a_trial_builds_its_workload_once(monkeypatch, name):
     from repro import workloads
 
     real_get = workloads.get
@@ -249,9 +254,23 @@ def test_perfsmoke_a_trial_builds_its_workload_twice(monkeypatch, name):
 
     monkeypatch.setattr(workloads, "get", counting_get)
     assert run_trial(name, 8, 1).kind == "pass"
-    # One build draws the schedule; one replays it from its dict for
-    # both the reference and the simulation.
-    assert len(builds) == 2
+    # The build that draws the schedule is the one both sides run.
+    assert len(builds) == 1
+
+
+def test_every_trial_dict_replays_on_a_fresh_build():
+    """A trial checks the workload its schedule was drawn on; shrinking,
+    ``check_schedule`` and repro scripts rebuild it from the trial's
+    dict.  Over the seed-0 campaign the two agree: the dict applied to a
+    fresh build serializes back to itself, and the replay passes."""
+    for workload, size, seed, max_directives in plan_trials(FuzzOptions(seed=0, trials=200)):
+        drawn, schedule = draw_schedule(workload, size, seed, max_directives)
+        stage = schedule.get("stage")
+        fresh = _scheduled_stage(build_workload(workload, size), schedule)
+        serialized = {key: value for key, value in schedule.items() if key != "stage"}
+        assert schedule_to_dict(fresh) == serialized
+        assert schedule_to_dict(_schedule_target(drawn, stage)) == serialized
+        assert check_schedule(workload, size, seed, schedule), (workload, size, seed)
 
 
 class TestReplayVerdicts:

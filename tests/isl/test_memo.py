@@ -5,8 +5,6 @@ import pytest
 from repro.isl import memo
 from repro.isl.affine import AffineExpr
 from repro.isl.constraint import Constraint
-from repro.isl.maps import MultiAffineMap
-from repro.isl.relation import BasicMap
 from repro.isl.sets import BasicSet
 
 
@@ -125,28 +123,6 @@ class TestBoundsMemo:
         memo.set_enabled(False)
         fresh = _triangle().dim_bounds("j", context=("i",))
         assert cached == fresh
-
-
-def _identity(in_dim, out_dim):
-    return BasicMap.from_multi_affine(MultiAffineMap([in_dim], [in_dim]), [out_dim])
-
-
-class TestBasicMapHash:
-    def test_equal_maps_hash_equal(self):
-        a = _identity("i", "o")
-        b = _identity("i", "o")
-        assert a == b
-        assert hash(a) == hash(b)
-
-    def test_usable_as_dict_key(self):
-        a = _identity("i", "o")
-        table = {a: "v"}
-        assert table[_identity("i", "o")] == "v"
-
-    def test_different_maps_unequal(self):
-        a = _identity("i", "o")
-        b = _identity("j", "o")
-        assert a != b
 
 
 class TestInternedKeys:

@@ -195,6 +195,17 @@ class TestExecution:
         assert search["feasible"] is False and search["degraded"] is True
         assert search["diagnostics"].count("DSE009") == 1
 
+    def test_a_dataflow_design_resumes_from_its_stage_journals(self, tmp_path):
+        spec = JobSpec.from_request({"kind": "dse", "workload": "image-pipeline", "size": 16})
+        journal = tmp_path / "key.journal"
+        first = execute_job(spec, journal_path=str(journal))
+        # The design fans its journal out per stage; none is the bare path.
+        assert not journal.exists() and list(tmp_path.glob("key.journal.*"))
+        again = execute_job(spec, journal_path=str(journal))
+        assert first["timing"]["resumed"] is False
+        assert again["timing"]["resumed"] is True
+        assert again["design"] == first["design"]
+
     @pytest.mark.parametrize("content", [
         "",  # killed between the journal's creation and its header
         '{"kind": "header", "form',  # killed mid-header
