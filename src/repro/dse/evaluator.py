@@ -320,11 +320,13 @@ class Evaluator:
                 program.apply_schedule(delta.directives)
                 if self.cache:
                     stats.statement_cache_misses += 1
-                    # Copied on store and on load: fusion surgery and
-                    # annotations mutate statics / hw_opts in place.
-                    self._statement_memo[memo_key] = (
-                        delta, program.statements[index].copy()
-                    )
+                    # Fingerprinted before it is stored, so every copy
+                    # carries the body and destination reprs.  Copied on
+                    # store and on load: fusion surgery and annotations
+                    # mutate statics / hw_opts in place.
+                    statement = program.statements[index]
+                    statement.fingerprint()
+                    self._statement_memo[memo_key] = (delta, statement.copy())
             else:
                 stats.statement_cache_hits += 1
                 delta, statement = memoized
