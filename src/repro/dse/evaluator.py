@@ -59,13 +59,13 @@ from repro.diagnostics import (
     SourceLocation,
 )
 from repro.dsl.function import Function
+from repro.dsl.placeholder import PartitionScheme
 from repro.dse.stage1 import plan_stage1
 from repro.dse.stage2 import (
     NodeConfig,
     NodeDelta,
-    banked_partitions,
+    Spreads,
     count_spreads,
-    derive_partitions,
     fusion_directives,
     node_delta,
     plan_node_config,
@@ -232,7 +232,22 @@ class Evaluator:
         self.nodes: List[str] = [c.name for c in function.computes]
 
         self._config_memo: Dict[Tuple[str, int], NodeConfig] = {}
-        self._statement_memo: Dict[tuple, Tuple[NodeDelta, PolyStatement]] = {}
+        self._statement_memo: Dict[tuple, Tuple[NodeDelta, PolyStatement, Spreads]] = {}
+        # The nodes whose stage-1 statement indexes each array, the
+        # arrays in the order a from-scratch count meets them.
+        self._readers: Dict[str, List[int]] = {}
+        for index, stmt in enumerate(self.base.statements):
+            for array, _ in stmt.index_dims():
+                readers = self._readers.setdefault(array.name, [])
+                if index not in readers:
+                    readers.append(index)
+        # (per-node spread counts, spreads) of the last assembled
+        # candidate, and per bank cap (spreads, banking, partitions) of
+        # the last banking derived under it: a candidate recounts and
+        # rebanks only the arrays of the nodes it changes.
+        self._spread_state: Optional[Tuple[list, Spreads]] = None
+        self._banked: Dict[int, tuple] = {}
+        self._schemes: Dict[Tuple[int, ...], PartitionScheme] = {}
         # (config fingerprints, program, node deltas, unroll spreads,
         # lowered top-level ops or None) of the most recent candidate.
         self._scheduled: Optional[
@@ -287,8 +302,7 @@ class Evaluator:
         function.reset_schedule()
         for directive in directives:
             function.schedule.add(directive)
-        banking = derive_partitions(function, max_banks=bank_cap, spreads=spreads)
-        function.set_partitions(banked_partitions(self.partitions, banking))
+        function.set_partitions(self._bank(spreads, bank_cap)[1])
 
     def scheduled(self, configs: Dict[str, NodeConfig]) -> PolyProgram:
         """The polyhedral program of ``configs``, assembled incrementally.
@@ -313,11 +327,15 @@ class Evaluator:
         t0 = time.perf_counter()
         program = self.base.copy()
         deltas = {}
+        counts = []
         for index, (name, memo_key) in enumerate(zip(self.nodes, key)):
             memoized = self._statement_memo.get(memo_key)
             if memoized is None:
                 delta = node_delta(self.plan, configs[name])
                 program.apply_schedule(delta.directives)
+                count = count_spreads(
+                    [(self.base.statements[index].index_dims(), delta.copies)]
+                )
                 if self.cache:
                     stats.statement_cache_misses += 1
                     # Fingerprinted before it is stored, so every copy
@@ -326,21 +344,42 @@ class Evaluator:
                     # mutate statics / hw_opts in place.
                     statement = program.statements[index]
                     statement.fingerprint()
-                    self._statement_memo[memo_key] = (delta, statement.copy())
+                    self._statement_memo[memo_key] = (delta, statement.copy(), count)
             else:
                 stats.statement_cache_hits += 1
-                delta, statement = memoized
+                delta, statement, count = memoized
                 program.statements[index] = statement.copy()
             deltas[name] = delta
+            counts.append(count)
         program.apply_schedule(fusion_directives(self.plan, deltas))
-        spreads = count_spreads(
-            (stmt.index_dims(), deltas[name].copies)
-            for stmt, name in zip(self.base.statements, self.nodes)
-        )
+        spreads = self._merge_spreads(counts)
         stats.lowering_s += time.perf_counter() - t0
         # Only a fully assembled program becomes current.
         self._scheduled = (key, program, deltas, spreads, None)
         return program
+
+    def _merge_spreads(self, counts: List[Spreads]) -> Spreads:
+        """The :func:`~repro.dse.stage2.count_spreads` of a candidate from
+        its nodes' own counts: an array's spreads are the largest any
+        node reading it counts, merged again only for the arrays of the
+        nodes whose count changed since the last candidate."""
+        if self._spread_state is None:
+            spreads: Spreads = {}
+            dirty = self._readers
+        else:
+            last, spreads = self._spread_state
+            spreads = dict(spreads)
+            dirty = {
+                array
+                for count, before in zip(counts, last) if count is not before
+                for array in count
+            }
+        for array in dirty:
+            readers = self._readers[array]
+            columns = zip(*(counts[index][array][1] for index in readers))
+            spreads[array] = (counts[readers[0]][array][0], tuple(map(max, columns)))
+        self._spread_state = (counts, spreads)
+        return spreads
 
     # -- scoring ------------------------------------------------------------
 
@@ -367,13 +406,12 @@ class Evaluator:
         previous, self._scored = self._scored, None
         self.scheduled(configs)
         key, scheduled, _, spreads, body = self._scheduled
-        banking = derive_partitions(self.function, max_banks=bank_cap, spreads=spreads)
+        banking, partitions = self._bank(spreads, bank_cap)
         if previous is not None and previous[:2] == (key, banking):
             plan = _faults.active()
             if plan is None or not plan.estimator_fault_due():
                 self._scored = previous
                 return previous[2], previous[3]
-        partitions = banked_partitions(self.partitions, banking)
         t0 = time.perf_counter()
         if body is None:
             stats.lowerings += 1
@@ -385,6 +423,36 @@ class Evaluator:
         report = self.estimate(func_op)
         self._scored = (key, banking, report, func_op, self.estimator.nest_cycles)
         return report, func_op
+
+    def _bank(self, spreads: Spreads, bank_cap: int) -> Tuple[dict, dict]:
+        """:func:`~repro.dse.stage2.derive_partitions` and
+        :func:`~repro.dse.stage2.banked_partitions` of ``spreads`` under
+        ``bank_cap``, redone only for the arrays whose spreads are not
+        those of the last banking under the same cap; one scheme object
+        per factor tuple."""
+        last = self._banked.get(bank_cap)
+        if last is None:
+            names, banking, partitions = spreads, {}, dict(self.partitions)
+        elif last[0] is spreads:
+            return last[1], last[2]
+        else:
+            before = last[0]
+            names = [name for name, value in spreads.items() if value is not before[name]]
+            banking, partitions = dict(last[1]), dict(last[2])
+        for name in names:
+            shape, values = spreads[name]
+            factors = banking[name] = tuple(
+                max(1, min(spread, extent, bank_cap)) for spread, extent in zip(values, shape)
+            )
+            if any(f > 1 for f in factors):
+                scheme = self._schemes.get(factors)
+                if scheme is None:
+                    scheme = self._schemes[factors] = PartitionScheme(factors, "cyclic")
+                partitions[name] = scheme
+            else:
+                partitions[name] = self.partitions[name]
+        self._banked[bank_cap] = (spreads, banking, partitions)
+        return banking, partitions
 
     @property
     def nest_cycles(self) -> Optional[List[int]]:

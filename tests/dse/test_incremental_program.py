@@ -201,15 +201,17 @@ def test_perfsmoke_a_dnn_sweep_builds_its_program_once(monkeypatch):
         counts["directives"] += 1
         return apply_directive(self, directive)
 
-    derive = evaluator_mod.derive_partitions
+    apply_schedule = PolyProgram.apply_schedule
 
-    def counting_derive(function, max_banks=128, spreads=None):
-        counts["own_programs"] += spreads is None
-        return derive(function, max_banks=max_banks, spreads=spreads)
+    def counting_schedule(self, schedule=None):
+        # A replay of the function's own schedule, as a from-scratch
+        # ``derive_partitions`` makes.
+        counts["own_programs"] += schedule is None
+        return apply_schedule(self, schedule)
 
     monkeypatch.setattr(PolyStatement, "from_compute", staticmethod(counting_from_compute))
     monkeypatch.setattr(PolyProgram, "_apply_directive", counting_apply)
-    monkeypatch.setattr(evaluator_mod, "derive_partitions", counting_derive)
+    monkeypatch.setattr(PolyProgram, "apply_schedule", counting_schedule)
     with SessionContext().activate():
         result = auto_dse(
             workloads.get("vgg16", 6), options=DseOptions(resource_fraction=0.25)
@@ -280,7 +282,6 @@ def test_perfsmoke_index_expressions_are_read_once_per_rewritten_statement(monke
 
     monkeypatch.setattr(Access, "affine_indices", counting)
     monkeypatch.setattr(PolyStatement, "index_dims", scoped(PolyStatement.index_dims))
-    monkeypatch.setattr(evaluator_mod, "derive_partitions", scoped(evaluator_mod.derive_partitions))
     monkeypatch.setattr(Evaluator, "realize", remembering)
     result = auto_dse(
         workloads.get("3mm", KERNEL_SIZE),
@@ -288,6 +289,6 @@ def test_perfsmoke_index_expressions_are_read_once_per_rewritten_statement(monke
     )
     assert result.stats.statement_cache_hits > result.stats.statement_cache_misses > 0
     (evaluator,) = evaluators
-    memoized = [statement for _, statement in evaluator._statement_memo.values()]
+    memoized = [statement for _, statement, _ in evaluator._statement_memo.values()]
     assert len(memoized) == result.stats.statement_cache_misses
     assert 0 < len(calls) <= sum(len(s.accesses()) for s in memoized)

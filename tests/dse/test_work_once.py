@@ -24,7 +24,7 @@ from repro.affine.lowering import lower_program
 from repro.dse import DseOptions, analysis, auto_dse, evaluator, stage1
 from repro.dse.analysis import carried_for_statement, loop_extents
 from repro.dse.evaluator import Evaluator
-from repro.dse.stage2 import derive_partitions, unroll_spreads
+from repro.dse.stage2 import banked_partitions, derive_partitions, unroll_spreads
 from repro.polyir.program import PolyProgram
 from tests.dse.test_stage1 import free_dims
 
@@ -72,6 +72,47 @@ def test_spreads_equal_the_rewritten_programs(name, cache, monkeypatch):
     assert checked and not result.quarantine
     for current, spreads, replayed in checked:
         assert current and spreads == replayed
+
+
+BANKED = {
+    "vgg16@4": lambda: workloads.get("vgg16", 4),
+    "resnet18@4": lambda: workloads.get("resnet18", 4),
+    "3mm@64": lambda: workloads.get("3mm", 64),
+    **{name: SWEPT[name] for name in SWEPT if name.startswith("image-pipeline.")},
+}
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("name", sorted(BANKED))
+def test_banking_by_difference_equals_a_from_scratch_banking(name, cache, monkeypatch):
+    """A candidate recounts and rebanks only the arrays of the nodes it
+    changes; on every candidate of a sweep its spreads, banking and
+    partitions (values and order) are those counted and derived from
+    scratch on the assembled program."""
+    realize = Evaluator.realize
+    checked = []
+
+    def checking(self, configs, bank_cap):
+        outcome = realize(self, configs, bank_cap)
+        _, program, _, spreads, _ = self._scheduled
+        replayed = unroll_spreads(program)
+        banking = derive_partitions(self.function, max_banks=bank_cap, spreads=replayed)
+        partitions = banked_partitions(self.partitions, banking)
+        _, kept_banking, kept_partitions = self._banked[bank_cap]
+        checked.append((
+            (list(spreads.items()), list(kept_banking.items()), list(kept_partitions.items())),
+            (list(replayed.items()), list(banking.items()), list(partitions.items())),
+        ))
+        return outcome
+
+    monkeypatch.setattr(Evaluator, "realize", checking)
+    result = auto_dse(
+        BANKED[name](),
+        options=DseOptions(resource_fraction=0.25, cache=cache, objective="pareto"),
+    )
+    assert len(checked) > 1 and not result.quarantine
+    for incremental, scratch in checked:
+        assert incremental == scratch
 
 
 # -- stage 1 -----------------------------------------------------------------
