@@ -13,7 +13,7 @@ banking without writing it) -- are recorded on the function op.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Hashable, List, Mapping, Optional
 
 from repro import trace as _trace
 from repro.dsl.expr import Access, BinaryOp, Call, Cast, Const, Expr, IterRef, affine_form
@@ -60,6 +60,7 @@ def lower_program_incremental(
     cache: Optional[Dict[tuple, List]] = None,
     stats=None,
     partitions: Optional[Mapping] = None,
+    keys: Optional[Mapping[str, Hashable]] = None,
 ) -> FuncOp:
     """Lower a program, re-lowering only top-level nests not seen before.
 
@@ -70,7 +71,11 @@ def lower_program_incremental(
     ops; on a hit the ops are spliced into the new function by
     reference, which is safe because the DSE pipeline treats lowered
     functions as read-only (mutating passes such as canonicalization run
-    on freshly lowered functions at code generation time).
+    on freshly lowered functions at code generation time).  A caller
+    that knows what each statement is made of passes ``keys``: per
+    statement name, a hashable that stands for all of the statement but
+    its statics (the DSE's node-config fingerprint), so a group is keyed
+    by ``(key, *statics)`` of its members without reading the IR.
 
     ``stats``, when given, must expose ``group_lowerings``,
     ``lowering_cache_hits``/``lowering_cache_misses`` counters and an
@@ -82,7 +87,10 @@ def lower_program_incremental(
         return lower_program(program, stats, partitions)
     body: List = []
     for group in program.toplevel_groups():
-        key = tuple(stmt.fingerprint() for stmt in group)
+        if keys is None:
+            key = tuple(stmt.fingerprint() for stmt in group)
+        else:
+            key = tuple((keys[stmt.name], *stmt.statics) for stmt in group)
         ops = cache.get(key)
         if ops is None:
             if stats is not None:

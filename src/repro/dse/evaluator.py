@@ -18,11 +18,13 @@ Evaluation is memoized at several layers (all local to one
 :class:`Evaluator` unless noted):
 
 - *node config*: ``(node, parallelism)`` -> :class:`NodeConfig`;
-- *statement*: node-config fingerprint -> that node's stage-2 delta and
-  transformed statement, before fusion (a ladder step changes one fusion
-  group, so every other node's statement is reused);
-- *nest lowering*: per top-level loop nest, keyed on statement
-  fingerprints (incremental lowering splices unchanged nests);
+- *statement*: node-config fingerprint -> that node's stage-2 delta,
+  transformed statement (before fusion) and unroll-spread count (a
+  ladder step changes one fusion group, so every other node's statement
+  is reused, and only the arrays the changed nodes read are rebanked);
+- *nest lowering*: per top-level loop nest, keyed on its members'
+  node-config fingerprints and statics (incremental lowering splices
+  unchanged nests);
 - *nest estimates*: per estimator instance, keyed on each top-level
   nest's fingerprint and the partition schemes of the arrays it touches;
 - *isl kernels*: global process-wide memo tables
@@ -257,6 +259,8 @@ class Evaluator:
         # per-nest cycles) of the design ``realize`` scored last.
         self._scored: Optional[tuple] = None
         self._nest_memo: Optional[Dict[tuple, list]] = {} if cache else None
+        # id(nest) -> (nest, the statement names it stores to).
+        self._nest_names: Dict[int, tuple] = {}
 
     # -- planning -----------------------------------------------------------
 
@@ -316,42 +320,45 @@ class Evaluator:
         spreads and, once :meth:`realize` has lowered it, its lowered
         top-level ops -- the banking, lowering, bank-cap retries and
         installed directive list of one candidate share them -- so
-        callers must not transform it.  The spreads are read off the stage-1
-        statements and each node's unroll copies
-        (:func:`~repro.dse.stage2.count_spreads`), not the rewritten ones.
+        callers must not transform it (its statements are the memo's own,
+        but for the ones the fusion surgery edits).  The spreads are
+        merged from each node's count of its stage-1 statement under its
+        unroll copies (:meth:`_merge_spreads`), not read off the
+        rewritten statements.
         """
         key = self.fingerprint(configs)
         if self._scheduled is not None and self._scheduled[0] == key:
             return self._scheduled[1]
         stats = self.stats
         t0 = time.perf_counter()
-        program = self.base.copy()
-        deltas = {}
-        counts = []
+        statements, deltas, counts = [], {}, []
         for index, (name, memo_key) in enumerate(zip(self.nodes, key)):
             memoized = self._statement_memo.get(memo_key)
             if memoized is None:
+                base = self.base.statements[index]
                 delta = node_delta(self.plan, configs[name])
-                program.apply_schedule(delta.directives)
-                count = count_spreads(
-                    [(self.base.statements[index].index_dims(), delta.copies)]
+                single = PolyProgram(self.function, [base.copy()])
+                memoized = (
+                    delta,
+                    single.apply_schedule(delta.directives).statements[0],
+                    count_spreads([(base.index_dims(), delta.copies)]),
                 )
                 if self.cache:
                     stats.statement_cache_misses += 1
-                    # Fingerprinted before it is stored, so every copy
-                    # carries the body and destination reprs.  Copied on
-                    # store and on load: fusion surgery and annotations
-                    # mutate statics / hw_opts in place.
-                    statement = program.statements[index]
-                    statement.fingerprint()
-                    self._statement_memo[memo_key] = (delta, statement.copy(), count)
+                    self._statement_memo[memo_key] = memoized
             else:
                 stats.statement_cache_hits += 1
-                delta, statement, count = memoized
-                program.statements[index] = statement.copy()
+            delta, statement, count = memoized
             deltas[name] = delta
+            statements.append(statement)
             counts.append(count)
-        program.apply_schedule(fusion_directives(self.plan, deltas))
+        # The statements are the memo's own: the fusion surgery edits the
+        # statics of each ``after``'s consumer, so only those are copied.
+        fusion = fusion_directives(self.plan, deltas)
+        for directive in fusion:
+            index = self.nodes.index(directive.compute_name)
+            statements[index] = statements[index].copy()
+        program = PolyProgram(self.function, statements).apply_schedule(fusion)
         spreads = self._merge_spreads(counts)
         stats.lowering_s += time.perf_counter() - t0
         # Only a fully assembled program becomes current.
@@ -415,7 +422,9 @@ class Evaluator:
         t0 = time.perf_counter()
         if body is None:
             stats.lowerings += 1
-            func_op = lower_program_incremental(scheduled, self._nest_memo, stats, partitions)
+            func_op = lower_program_incremental(
+                scheduled, self._nest_memo, stats, partitions, dict(zip(self.nodes, key))
+            )
             self._scheduled = self._scheduled[:4] + (list(func_op.body.ops),)
         else:
             func_op = assemble(self.function, body, partitions)
@@ -479,15 +488,20 @@ class Evaluator:
                 - (stats.retry_backoff_s - backoff_before)
             )
 
-    @staticmethod
-    def node_latencies(func_op: FuncOp, nest_cycles: List[int]) -> Dict[str, int]:
+    def node_latencies(self, func_op: FuncOp, nest_cycles: List[int]) -> Dict[str, int]:
         """Latency attributed to each compute via its top-level loop nest,
         read off ``nest_cycles``: the per-nest cycles of the estimate that
-        scored ``func_op``."""
+        scored ``func_op``.  Each nest's statement names are read once."""
         latencies: Dict[str, int] = {}
         for op, cycles in zip(func_op.body, nest_cycles):
-            for name in {inner.statement_name() for inner in op.walk()
-                         if isinstance(inner, AffineStoreOp)}:
+            held = self._nest_names.get(id(op))
+            if held is None:
+                # The nest is held so that its id is not reused.
+                held = self._nest_names[id(op)] = (op, {
+                    inner.statement_name() for inner in op.walk()
+                    if isinstance(inner, AffineStoreOp)
+                })
+            for name in held[1]:
                 if name:
                     latencies[name] = latencies.get(name, 0) + cycles
         return latencies

@@ -132,6 +132,10 @@ class HlsEstimator:
         # layer, so every other nest of the candidate is a hit.
         self.memoize_reports = memoize_reports
         self._nest_memo: Dict[tuple, Tuple[List[str], Dict[tuple, _Estimate]]] = {}
+        # id(nest) -> (nest, its memo entry): an unchanged nest is the
+        # same op, spliced by reference, so it costs no fingerprint hash.
+        # Holding the nest keeps its id from being reused.
+        self._nest_ids: Dict[int, tuple] = {}
         self.nest_hits = 0
         self.nest_misses = 0
         # Cycles of each top-level nest of the last estimated function.
@@ -176,11 +180,14 @@ class HlsEstimator:
         partition schemes of the arrays it touches, memoized on both."""
         if not self.memoize_reports:
             return self._op(op, {}, partitions)
-        fingerprint = op.fingerprint()
-        entry = self._nest_memo.get(fingerprint)
-        if entry is None:
-            entry = self._nest_memo[fingerprint] = (sorted(used_arrays([op])), {})
-        names, estimates = entry
+        held = self._nest_ids.get(id(op))
+        if held is None:
+            fingerprint = op.fingerprint()
+            entry = self._nest_memo.get(fingerprint)
+            if entry is None:
+                entry = self._nest_memo[fingerprint] = (sorted(used_arrays([op])), {})
+            held = self._nest_ids[id(op)] = (op, entry)
+        names, estimates = held[1]
         schemes = tuple(partitions.get(name) for name in names)
         estimate = estimates.get(schemes)
         if estimate is None:

@@ -47,12 +47,6 @@ class PolyProgram:
             ]
         self.statements: List[PolyStatement] = statements
 
-    def copy(self) -> "PolyProgram":
-        """The same program over copied statements: transforming the copy
-        (in-place ``after`` surgery and annotations included) leaves this
-        one untouched."""
-        return PolyProgram(self.function, [stmt.copy() for stmt in self.statements])
-
     # -- lookup ------------------------------------------------------------
 
     def statement(self, name: str) -> PolyStatement:

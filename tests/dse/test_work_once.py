@@ -308,9 +308,9 @@ def test_no_sweep_lowers_a_schedule_twice_in_a_row(name, objective, cache, monke
     lowered = []
     lower = evaluator.lower_program_incremental
 
-    def recording(program, cache=None, stats=None, partitions=None):
+    def recording(program, *args):
         lowered.append(tuple(stmt.fingerprint() for stmt in program.statements))
-        return lower(program, cache=cache, stats=stats, partitions=partitions)
+        return lower(program, *args)
 
     monkeypatch.setattr(evaluator, "lower_program_incremental", recording)
     result = auto_dse(SWEPT[name](), options=DseOptions(
