@@ -9,13 +9,14 @@ and accesses have already been rewritten.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.depgraph.analysis import (
     CarriedDependence,
     access_pairs,
     carried_dependences_generic,
 )
+from repro.depgraph.vectors import permute
 from repro.polyir.statement import PolyStatement
 
 
@@ -43,6 +44,42 @@ def carried_for_statement(
     if extents is None:
         extents = loop_extents(stmt)
     return carried_dependences_generic(dims, domain, pairs, extents)
+
+
+def relevel(
+    stmt: PolyStatement,
+    order: Sequence[str],
+    extents: Dict[str, int],
+    deps: List[CarriedDependence],
+) -> Optional[Tuple[Dict[str, int], List[CarriedDependence]]]:
+    """``(extents, deps)`` of ``stmt`` with its loops interchanged into
+    ``order``, read off its own ``extents`` and ``deps``; None when they
+    must be recomputed.
+
+    A dim that one index reads alone and alike at source and sink of
+    every self-dependence pair (conv's ``co, h, w``, gemm's ``i, j``) is
+    *pinned*: its step is 0 on every dependence, so no dependence is
+    carried there.  When the interchange keeps the relative order of the
+    other dims, each dependence is carried at the same dim by the same
+    instance pairs: its entries by dim name and its minimum distance
+    stand, its level is that dim's new index and its direction is read
+    off the reordered distance.  The domain does not change, so neither
+    do the extents.
+    """
+    pinned = set(stmt.loop_order)
+    for _, _, src, snk in access_pairs(stmt.dest, stmt.body.loads()):
+        pinned &= {a.dims()[0] for a, b in zip(src, snk) if a == b and len(a.dims()) == 1}
+    if [d for d in stmt.loop_order if d not in pinned] != [d for d in order if d not in pinned]:
+        return None
+    dims = tuple(order)
+    moved = []
+    for dep in deps:
+        distance = permute(dep.distance, dims)
+        moved.append(CarriedDependence(
+            dep.array, dep.kind, dims.index(dep.carried_dim), dims,
+            distance, distance.direction(), dep.min_distance,
+        ))
+    return {dim: extents[dim] for dim in dims}, moved
 
 
 def legal_order(deps: List[CarriedDependence], order: List[str]) -> bool:

@@ -27,7 +27,7 @@ from repro.depgraph.graph import DependenceGraph
 from repro.dsl.function import Function
 from repro.dsl.schedule import After, Directive, Interchange, Skew
 from repro.polyir.program import PolyProgram
-from repro.dse.analysis import carried_for_statement, loop_extents
+from repro.dse.analysis import carried_for_statement, loop_extents, relevel
 
 MAX_ITERATIONS = 4
 _KINDS = ("RAW", "WAR", "WAW")
@@ -85,7 +85,8 @@ def plan_stage1(function: Function, graph: Optional[DependenceGraph] = None) -> 
         plan.orders[stmt.name] = list(final.loop_order)
         # The final statement is the one stage 2 plans over (replaying
         # the directives rebuilds it exactly).  Its analysis, for every
-        # kind, is the restructuring's last one unless a move followed.
+        # kind, is the restructuring's last one, re-leveled when a move
+        # followed, unless the move leaves that to a fresh analysis.
         if analysis is None:
             extents = loop_extents(final)
             analysis = extents, carried_for_statement(final, _KINDS, extents)
@@ -109,7 +110,9 @@ def _restructure_node(
     skewed; the shared outer loops stay where the algorithm put them.
     Each iteration analyzes every dependence kind once and reads the
     RAW-free dims off that.  Returns the directives and, when the last
-    analyzed statement is the final one, its ``(extents, deps)``.
+    analyzed statement is the final one or an interchange of it that
+    :func:`~repro.dse.analysis.relevel` reads the analysis across, the
+    final statement's ``(extents, deps)``.
     """
     directives: List[Directive] = []
     for _ in range(MAX_ITERATIONS):
@@ -123,7 +126,10 @@ def _restructure_node(
             for move in moves:
                 program.apply_directive(move)
             directives.extend(moves)
-            return directives, None if moves else (extents, deps)
+            if not moves:
+                return directives, (extents, deps)
+            final = program.statement(name).loop_order
+            return directives, relevel(stmt, final, extents, deps)
         # No free dim: skew the two innermost loops into a wavefront.
         if stmt.depth() - prefix < 2:
             # too shallow below the frozen prefix

@@ -24,6 +24,7 @@ from repro.affine.lowering import lower_program
 from repro.dse import DseOptions, analysis, auto_dse, evaluator, stage1
 from repro.dse.analysis import carried_for_statement, loop_extents
 from repro.dse.evaluator import Evaluator
+from repro.depgraph.vectors import permute
 from repro.dse.stage2 import banked_partitions, derive_partitions, unroll_spreads
 from repro.polyir.program import PolyProgram
 from tests.dse.test_stage1 import free_dims
@@ -186,24 +187,90 @@ PLANNED = {
 @pytest.mark.parametrize("name", sorted(PLANNED))
 def test_stage1_plan_equals_the_two_analysis_plan(name, monkeypatch):
     calls = []
+    fallbacks = []
     analyze = analysis.carried_for_statement
+    relevel = analysis.relevel
 
     def counting(stmt, kinds=("RAW",), extents=None):
         calls.append(stmt.name)
         return analyze(stmt, kinds, extents)
 
+    def counting_relevel(stmt, order, extents, deps):
+        outcome = relevel(stmt, order, extents, deps)
+        if outcome is None:
+            fallbacks.append(stmt.name)
+        return outcome
+
     function = PLANNED[name]()
     reference = _two_analysis_plan(function)
     for module in (stage1, analysis):
         monkeypatch.setattr(module, "carried_for_statement", counting)
+    monkeypatch.setattr(stage1, "relevel", counting_relevel)
     plan = stage1.plan_stage1(PLANNED[name]())
     assert _plan_view(plan) == _plan_view(reference)
-    # One analysis per restructuring step (a skew adds one), and one
-    # more for a statement that moved after its last step.  The two
-    # analyses per step and the one per final statement came to
-    # 2 * (statements + skews).
+    # One analysis per restructuring step (a skew adds one); a statement
+    # that moved after its last step is analyzed again only when the
+    # analysis cannot be re-leveled across the move.  Two analyses per
+    # step and one per final statement came to 2 * (statements + skews).
     skews = sum(1 for d in plan.directives if isinstance(d, stage1.Skew))
-    assert len(calls) <= 2 * len(plan.orders) + skews
+    assert len(calls) == len(plan.orders) + skews + len(fallbacks)
+
+
+RELEVELED = {
+    **{f"{name}@{size}": (lambda name=name, size=size: workloads.get(name, size))
+       for name in KERNELS for size in (16, 64)},
+    **{f"{name}@{size}": (lambda name=name, size=size: workloads.get(name, size))
+       for name in ("vgg16", "resnet18") for size in (4, 8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELEVELED))
+def test_a_releveled_analysis_equals_a_fresh_one(name, monkeypatch):
+    """Every analysis stage 1 re-levels across an interchange is the one
+    a fresh analysis of the final statement gives (every interchanged
+    DNN layer is re-leveled)."""
+    outcomes = []
+    relevel = analysis.relevel
+
+    def recording(stmt, order, extents, deps):
+        outcome = relevel(stmt, order, extents, deps)
+        outcomes.append((stmt.name, outcome))
+        return outcome
+
+    monkeypatch.setattr(stage1, "relevel", recording)
+    function = RELEVELED[name]()
+    plan = stage1.plan_stage1(function)
+    final = PolyProgram(function).apply_schedule(plan.directives)
+    for node, outcome in outcomes:
+        if name.split("@")[0] in ("vgg16", "resnet18"):
+            assert outcome is not None
+        if outcome is not None:
+            extents, deps = outcome
+            stmt = final.statement(node)
+            fresh = loop_extents(stmt)
+            assert list(extents.items()) == list(fresh.items())
+            assert repr(deps) == repr(carried_for_statement(stmt, stage1._KINDS, fresh))
+
+
+def test_an_interchange_of_unpinned_dims_is_analyzed_afresh():
+    """Seidel's dims are all unpinned (each index is read at an offset by
+    some load), so an interchange of two of them is not re-leveled: the
+    re-leveled dependences would not be the fresh ones."""
+    stmt = PolyProgram(workloads.get("seidel", 16)).statements[0]
+    extents = loop_extents(stmt)
+    deps = carried_for_statement(stmt, stage1._KINDS, extents)
+    outer, inner, *rest = stmt.loop_order
+    swapped = stage1.Interchange(stmt.name, outer, inner)
+    program = PolyProgram(workloads.get("seidel", 16))
+    program.apply_directive(swapped)
+    moved = program.statement(stmt.name)
+    assert analysis.relevel(stmt, moved.loop_order, extents, deps) is None
+    fresh = carried_for_statement(moved, stage1._KINDS, loop_extents(moved))
+    dims = tuple(moved.loop_order)
+    releveled = [
+        (d.array, d.kind, dims.index(d.carried_dim), permute(d.distance, dims)) for d in deps
+    ]
+    assert releveled != [(d.array, d.kind, d.level, d.distance) for d in fresh]
 
 
 # -- one score per design ----------------------------------------------------
