@@ -3,7 +3,7 @@
 Expressions combine loop iterators, constants, placeholder accesses,
 arithmetic operators, and a small library of intrinsic calls.  The same
 AST serves three roles: it is *analyzed* (load/store extraction, affine
-access maps for the polyhedral layers), *lowered* (to the affine dialect
+accesses for the polyhedral layers), *lowered* (to the affine dialect
 and then HLS C), and *executed* (by the reference interpreter used as
 ground truth in tests).
 """
@@ -16,7 +16,6 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.isl.affine import AffineExpr
-from repro.isl.maps import MultiAffineMap
 
 Scalar = Union[int, float]
 
@@ -313,10 +312,6 @@ class Access(Expr):
         Raises :class:`ValueError` for non-affine index expressions.
         """
         return [to_affine(index) for index in self.indices]
-
-    def access_map(self, domain_dims: Sequence[str]) -> MultiAffineMap:
-        """The access as an affine map from the iteration space."""
-        return MultiAffineMap(domain_dims, self.affine_indices())
 
     def __repr__(self):
         return f"{self.array_name}[{', '.join(map(repr, self.indices))}]"

@@ -3,8 +3,7 @@
 This package substitutes for the Integer Set Library (isl) used by the
 paper.  It provides exact-arithmetic affine expressions, affine
 constraints, basic sets (conjunctions of constraints over named
-dimensions), Fourier-Motzkin projection, multi-dimensional affine maps,
-2d+1 schedule maps, and a CLooG-style AST builder that turns a union of
+dimensions), Fourier-Motzkin projection, 2d+1 schedule maps, and a CLooG-style AST builder that turns a union of
 (domain, schedule) pairs into a loop AST with ``for``/``if``/``block``/
 ``user`` nodes -- the four node types named in Section V-B of the paper.
 """
@@ -12,7 +11,7 @@ dimensions), Fourier-Motzkin projection, multi-dimensional affine maps,
 from repro.isl.affine import AffineExpr
 from repro.isl.constraint import Constraint
 from repro.isl.sets import BasicSet
-from repro.isl.maps import MultiAffineMap, ScheduleMap
+from repro.isl.maps import ScheduleMap
 from repro.isl.astbuild import (
     AstBuilder,
     BlockNode,
@@ -25,7 +24,6 @@ __all__ = [
     "AffineExpr",
     "Constraint",
     "BasicSet",
-    "MultiAffineMap",
     "ScheduleMap",
     "AstBuilder",
     "ForNode",

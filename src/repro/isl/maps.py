@@ -1,7 +1,5 @@
-"""Multi-dimensional affine maps and 2d+1 schedule maps.
+"""2d+1 schedule maps.
 
-A :class:`MultiAffineMap` sends a point in an input space (named dims) to
-a tuple of affine expressions -- used for array accesses and schedules.
 A :class:`ScheduleMap` is the standard 2d+1 encoding used by the paper's
 polyhedral IR: output positions alternate between *static* (constant)
 dimensions that sequence statements lexicographically and *dynamic*
@@ -13,44 +11,6 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.isl.affine import AffineExpr, ExprLike
-
-
-class MultiAffineMap:
-    """An affine function from named input dims to a tuple of expressions."""
-
-    __slots__ = ("in_dims", "exprs")
-
-    def __init__(self, in_dims: Sequence[str], exprs: Sequence[ExprLike]):
-        self.in_dims: Tuple[str, ...] = tuple(in_dims)
-        coerced = tuple(AffineExpr.coerce(e) for e in exprs)
-        for expr in coerced:
-            for name in expr.dims():
-                if name not in self.in_dims:
-                    raise ValueError(f"output {expr} uses unknown input dim {name!r}")
-        self.exprs: Tuple[AffineExpr, ...] = coerced
-
-    @property
-    def n_out(self) -> int:
-        return len(self.exprs)
-
-    def apply(self, point: Mapping[str, int]) -> Tuple[int, ...]:
-        return tuple(expr.evaluate(point) for expr in self.exprs)
-
-    def substitute(self, bindings: Mapping[str, ExprLike], new_in_dims: Sequence[str]) -> "MultiAffineMap":
-        """Rewrite input dims (the access-update step of split/tile/skew)."""
-        return MultiAffineMap(new_in_dims, [e.substitute(bindings) for e in self.exprs])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiAffineMap):
-            return NotImplemented
-        return self.in_dims == other.in_dims and self.exprs == other.exprs
-
-    def __hash__(self) -> int:
-        return hash((self.in_dims, self.exprs))
-
-    def __repr__(self) -> str:
-        outs = ", ".join(str(e) for e in self.exprs)
-        return f"{{ [{', '.join(self.in_dims)}] -> [{outs}] }}"
 
 
 class ScheduleMap:

@@ -160,10 +160,3 @@ class TestToAffine:
             to_affine(BinaryOp("/", IterRef("i"), Const(2)))
         with pytest.raises(ValueError):
             to_affine(Const(1.5))
-
-    def test_access_map(self):
-        A = placeholder("A", (8, 8))
-        i, j = IterRef("i"), IterRef("j")
-        access = A[i + 1, j * 2]
-        m = access.access_map(["i", "j"])
-        assert m.apply({"i": 0, "j": 3}) == (1, 6)

@@ -1,32 +1,11 @@
-"""Unit tests for multi-affine maps and 2d+1 schedules."""
+"""Unit tests for 2d+1 schedules."""
 
 import pytest
 
 from repro.isl.affine import AffineExpr
-from repro.isl.maps import MultiAffineMap, ScheduleMap
+from repro.isl.maps import ScheduleMap
 
 e = AffineExpr
-
-
-class TestMultiAffineMap:
-    def test_apply_affine(self):
-        m = MultiAffineMap(["i", "j"], [e.var("i") + e.var("j"), e.var("j") * 2 - 1])
-        assert m.apply({"i": 1, "j": 3}) == (4, 5)
-
-    def test_unknown_input_rejected(self):
-        with pytest.raises(ValueError):
-            MultiAffineMap(["i"], [e.var("j")])
-
-    def test_substitute_for_split(self):
-        # access A[i] under i -> 4*i0 + i1
-        m = MultiAffineMap(["i"], [e.var("i")])
-        s = m.substitute({"i": e.var("i0") * 4 + e.var("i1")}, ["i0", "i1"])
-        assert s.apply({"i0": 2, "i1": 3}) == (11,)
-
-    def test_equality(self):
-        a = MultiAffineMap(["i"], [e.var("i")])
-        b = MultiAffineMap(["i"], [e.var("i")])
-        assert a == b and hash(a) == hash(b)
 
 
 class TestScheduleMap:
