@@ -71,11 +71,9 @@ def lower_program_incremental(
     ops; on a hit the ops are spliced into the new function by
     reference, which is safe because the DSE pipeline treats lowered
     functions as read-only (mutating passes such as canonicalization run
-    on freshly lowered functions at code generation time).  A caller
-    that knows what each statement is made of passes ``keys``: per
-    statement name, a hashable that stands for all of the statement but
-    its statics (the DSE's node-config fingerprint), so a group is keyed
-    by ``(key, *statics)`` of its members without reading the IR.
+    on freshly lowered functions at code generation time).  ``keys``
+    maps a statement name to a hashable standing for all of the statement
+    but its statics: the group key is then ``(key, *statics)`` per member.
 
     ``stats``, when given, must expose ``group_lowerings``,
     ``lowering_cache_hits``/``lowering_cache_misses`` counters and an

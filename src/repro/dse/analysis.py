@@ -53,18 +53,13 @@ def relevel(
     deps: List[CarriedDependence],
 ) -> Optional[Tuple[Dict[str, int], List[CarriedDependence]]]:
     """``(extents, deps)`` of ``stmt`` with its loops interchanged into
-    ``order``, read off its own ``extents`` and ``deps``; None when they
-    must be recomputed.
+    ``order``, read off its own; None when they must be recomputed.
 
     A dim that one index reads alone and alike at source and sink of
-    every self-dependence pair (conv's ``co, h, w``, gemm's ``i, j``) is
-    *pinned*: its step is 0 on every dependence, so no dependence is
-    carried there.  When the interchange keeps the relative order of the
-    other dims, each dependence is carried at the same dim by the same
-    instance pairs: its entries by dim name and its minimum distance
-    stand, its level is that dim's new index and its direction is read
-    off the reordered distance.  The domain does not change, so neither
-    do the extents.
+    every self-dependence pair (conv's ``co, h, w``) is *pinned*: its
+    step is 0 on every dependence.  When the interchange keeps the order
+    of the other dims, each dependence is carried at the same dim by the
+    same instance pairs, so only its level and direction move.
     """
     pinned = set(stmt.loop_order)
     for _, _, src, snk in access_pairs(stmt.dest, stmt.body.loads()):

@@ -239,15 +239,13 @@ class Evaluator:
         # arrays in the order a from-scratch count meets them.
         self._readers: Dict[str, List[int]] = {}
         for index, stmt in enumerate(self.base.statements):
-            for array, _ in stmt.index_dims():
-                readers = self._readers.setdefault(array.name, [])
-                if index not in readers:
-                    readers.append(index)
+            for array in dict.fromkeys(array.name for array, _ in stmt.index_dims()):
+                self._readers.setdefault(array, []).append(index)
         # (per-node spread counts, spreads) of the last assembled
         # candidate, and per bank cap (spreads, banking, partitions) of
         # the last banking derived under it: a candidate recounts and
         # rebanks only the arrays of the nodes it changes.
-        self._spread_state: Optional[Tuple[list, Spreads]] = None
+        self._spread_state = ([None] * len(self.nodes), dict.fromkeys(self._readers))
         self._banked: Dict[int, tuple] = {}
         self._schemes: Dict[Tuple[int, ...], PartitionScheme] = {}
         # (config fingerprints, program, node deltas, unroll spreads,
@@ -367,21 +365,11 @@ class Evaluator:
 
     def _merge_spreads(self, counts: List[Spreads]) -> Spreads:
         """The :func:`~repro.dse.stage2.count_spreads` of a candidate from
-        its nodes' own counts: an array's spreads are the largest any
-        node reading it counts, merged again only for the arrays of the
-        nodes whose count changed since the last candidate."""
-        if self._spread_state is None:
-            spreads: Spreads = {}
-            dirty = self._readers
-        else:
-            last, spreads = self._spread_state
-            spreads = dict(spreads)
-            dirty = {
-                array
-                for count, before in zip(counts, last) if count is not before
-                for array in count
-            }
-        for array in dirty:
+        its nodes' own counts, merged again only for the arrays read by
+        the nodes whose count changed since the last candidate."""
+        last, spreads = self._spread_state
+        spreads = dict(spreads)
+        for array in {a for count, old in zip(counts, last) if count is not old for a in count}:
             readers = self._readers[array]
             columns = zip(*(counts[index][array][1] for index in readers))
             spreads[array] = (counts[readers[0]][array][0], tuple(map(max, columns)))
@@ -435,31 +423,24 @@ class Evaluator:
 
     def _bank(self, spreads: Spreads, bank_cap: int) -> Tuple[dict, dict]:
         """:func:`~repro.dse.stage2.derive_partitions` and
-        :func:`~repro.dse.stage2.banked_partitions` of ``spreads`` under
-        ``bank_cap``, redone only for the arrays whose spreads are not
-        those of the last banking under the same cap; one scheme object
-        per factor tuple."""
-        last = self._banked.get(bank_cap)
-        if last is None:
-            names, banking, partitions = spreads, {}, dict(self.partitions)
-        elif last[0] is spreads:
-            return last[1], last[2]
-        else:
-            before = last[0]
-            names = [name for name, value in spreads.items() if value is not before[name]]
-            banking, partitions = dict(last[1]), dict(last[2])
-        for name in names:
-            shape, values = spreads[name]
+        :func:`~repro.dse.stage2.banked_partitions` of ``spreads``, redone
+        only for the arrays whose spreads are not those of the last
+        banking under ``bank_cap``; one scheme object per factor tuple."""
+        before, banking, partitions = self._banked.get(bank_cap, ({}, {}, self.partitions))
+        banking, partitions = dict(banking), dict(partitions)
+        for name, value in spreads.items():
+            if before.get(name) is value:
+                continue
+            shape, values = value
             factors = banking[name] = tuple(
                 max(1, min(spread, extent, bank_cap)) for spread, extent in zip(values, shape)
             )
+            scheme = self.partitions[name]
             if any(f > 1 for f in factors):
                 scheme = self._schemes.get(factors)
                 if scheme is None:
                     scheme = self._schemes[factors] = PartitionScheme(factors, "cyclic")
-                partitions[name] = scheme
-            else:
-                partitions[name] = self.partitions[name]
+            partitions[name] = scheme
         self._banked[bank_cap] = (spreads, banking, partitions)
         return banking, partitions
 

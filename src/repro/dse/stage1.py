@@ -48,9 +48,8 @@ class Stage1Plan:
     # (shared loops carry the algorithm's interleaving and must survive).
     frozen: Dict[str, int] = field(default_factory=dict)
     # Full (RAW/WAR/WAW) dependence sets per node, filled by stage 1
-    # (the last analysis, re-leveled across a final interchange where
-    # ``relevel`` allows); stage 2 consults these on every parallelism
-    # trial.
+    # (re-leveled across a final interchange where ``relevel`` allows);
+    # stage 2 consults these on every parallelism trial.
     deps_cache: Dict[str, list] = field(default_factory=dict)
     # Constant extent envelope per loop dim of each node's final
     # statement (``loop_extent(dim) or 1``), read by fusion and stage 2.

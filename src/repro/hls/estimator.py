@@ -132,9 +132,8 @@ class HlsEstimator:
         # layer, so every other nest of the candidate is a hit.
         self.memoize_reports = memoize_reports
         self._nest_memo: Dict[tuple, Tuple[List[str], Dict[tuple, _Estimate]]] = {}
-        # id(nest) -> (nest, its memo entry): an unchanged nest is the
-        # same op, spliced by reference, so it costs no fingerprint hash.
-        # Holding the nest keeps its id from being reused.
+        # id(nest) -> (nest, its entry): a spliced nest is the same op,
+        # found without hashing its fingerprint (held: no id reuse).
         self._nest_ids: Dict[int, tuple] = {}
         self.nest_hits = 0
         self.nest_misses = 0

@@ -49,8 +49,6 @@ class PolyStatement:
     #: ``(body, dest, index_dims())`` of the pair it was read from:
     #: carried by ``copy()``, void once a transform rebinds either.
     _index_dims: Optional[tuple] = field(default=None, repr=False, compare=False)
-    #: ``(body, dest, repr(body), repr(dest))``, carried the same way.
-    _reprs: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.statics) != len(self.loop_order) + 1:
@@ -139,17 +137,14 @@ class PolyStatement:
         the attached hardware annotations.  Used by the incremental
         lowering cache to decide whether a loop nest can be reused.
         """
-        reprs = self._reprs
-        if reprs is None or reprs[0] is not self.body or reprs[1] is not self.dest:
-            reprs = self._reprs = (self.body, self.dest, repr(self.body), repr(self.dest))
         return (
             self.name,
             self.domain.dims,
             self.domain.rows,
             tuple(self.loop_order),
             tuple(self.statics),
-            reprs[2],
-            reprs[3],
+            repr(self.body),
+            repr(self.dest),
             tuple(self.hw_opts),
         )
 
