@@ -132,8 +132,9 @@ class HlsEstimator:
         # layer, so every other nest of the candidate is a hit.
         self.memoize_reports = memoize_reports
         self._nest_memo: Dict[tuple, Tuple[List[str], Dict[tuple, _Estimate]]] = {}
-        # id(nest) -> (nest, its entry): a spliced nest is the same op,
-        # found without hashing its fingerprint (held: no id reuse).
+        # id(nest) -> (nest, its entry) for the nests of the last
+        # estimated function: a nest spliced by reference into the next
+        # one is found without hashing its fingerprint (held: no id reuse).
         self._nest_ids: Dict[int, tuple] = {}
         self.nest_hits = 0
         self.nest_misses = 0
@@ -156,7 +157,8 @@ class HlsEstimator:
         hits = self.nest_hits
         with _trace.span("hls.estimate", "hls", args):
             partitions = func.attributes.get("partitions", {})
-            nests = [self._nest(op, partitions) for op in func.body]
+            last, self._nest_ids = self._nest_ids, {}
+            nests = [self._nest(op, partitions, last) for op in func.body]
             result = (self._dataflow_block if self.dataflow else self._block)(nests)
             if args is not None:
                 args["nest_hits"] = self.nest_hits - hits
@@ -174,18 +176,20 @@ class HlsEstimator:
 
     # -- recursive walk -----------------------------------------------------------
 
-    def _nest(self, op: Op, partitions) -> _Estimate:
+    def _nest(self, op: Op, partitions, last: Dict[int, tuple]) -> _Estimate:
         """One top-level nest: a pure function of its fingerprint and the
-        partition schemes of the arrays it touches, memoized on both."""
+        partition schemes of the arrays it touches, memoized on both.
+        ``last`` holds the nests of the previously estimated function."""
         if not self.memoize_reports:
             return self._op(op, {}, partitions)
-        held = self._nest_ids.get(id(op))
+        held = last.get(id(op))
         if held is None:
             fingerprint = op.fingerprint()
             entry = self._nest_memo.get(fingerprint)
             if entry is None:
                 entry = self._nest_memo[fingerprint] = (sorted(used_arrays([op])), {})
-            held = self._nest_ids[id(op)] = (op, entry)
+            held = (op, entry)
+        self._nest_ids[id(op)] = held
         names, estimates = held[1]
         schemes = tuple(partitions.get(name) for name in names)
         estimate = estimates.get(schemes)

@@ -331,3 +331,37 @@ class TestBankPressureDedupe:
             assert HlsEstimator()._bank_pressure_uncached(*args) == fast
         finally:
             set_reference_mode(previous)
+
+
+class TestNestIdentity:
+    """A nest spliced by reference into the next estimated function is
+    found by identity; the estimator holds the nests of one function."""
+
+    def test_a_scalehls_run_holds_one_functions_nests(self, monkeypatch):
+        from repro.baselines import scalehls
+        from repro.workloads import polybench
+
+        sizes = []
+        estimate = HlsEstimator.estimate
+
+        def recording(self, func):
+            report = estimate(self, func)
+            held = {id(op) for op, _ in self._nest_ids.values()}
+            assert held == {id(op) for op in func.body}
+            sizes.append(len(self._nest_ids))
+            return report
+
+        monkeypatch.setattr(HlsEstimator, "estimate", recording)
+        scalehls.optimize(polybench.mm3(32))
+        assert len(sizes) > scalehls.PROBE_EVALUATIONS + 1
+        assert max(sizes) == sizes[0] == 3  # 3mm's three nests, every call
+
+    def test_a_repeated_nest_is_found_without_its_fingerprint(self, monkeypatch):
+        f, _, _ = gemm(8)
+        func_op = lower_to_affine(f)
+        estimator = HlsEstimator()
+        first = estimator.estimate(func_op)
+        (nest,) = func_op.body
+        monkeypatch.setattr(type(nest), "fingerprint", lambda op: pytest.fail("hashed"))
+        assert estimator.estimate(func_op) == first
+        assert estimator.nest_hits == 1
