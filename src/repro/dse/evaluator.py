@@ -61,13 +61,14 @@ from repro.diagnostics import (
     SourceLocation,
 )
 from repro.dsl.function import Function
-from repro.dsl.placeholder import PartitionScheme
 from repro.dse.stage1 import plan_stage1
 from repro.dse.stage2 import (
     NodeConfig,
     NodeDelta,
     Spreads,
+    banked_partitions,
     count_spreads,
+    derive_partitions,
     fusion_directives,
     node_delta,
     plan_node_config,
@@ -247,7 +248,6 @@ class Evaluator:
         # rebanks only the arrays of the nodes it changes.
         self._spread_state = ([None] * len(self.nodes), dict.fromkeys(self._readers))
         self._banked: Dict[int, tuple] = {}
-        self._schemes: Dict[Tuple[int, ...], PartitionScheme] = {}
         # (config fingerprints, program, node deltas, unroll spreads,
         # lowered top-level ops or None) of the most recent candidate.
         self._scheduled: Optional[
@@ -257,8 +257,6 @@ class Evaluator:
         # per-nest cycles) of the design ``realize`` scored last.
         self._scored: Optional[tuple] = None
         self._nest_memo: Optional[Dict[tuple, list]] = {} if cache else None
-        # id(nest) -> (nest, the statement names it stores to).
-        self._nest_names: Dict[int, tuple] = {}
 
     # -- planning -----------------------------------------------------------
 
@@ -411,7 +409,7 @@ class Evaluator:
         if body is None:
             stats.lowerings += 1
             func_op = lower_program_incremental(
-                scheduled, self._nest_memo, stats, partitions, dict(zip(self.nodes, key))
+                scheduled, dict(zip(self.nodes, key)), self._nest_memo, stats, partitions
             )
             self._scheduled = self._scheduled[:4] + (list(func_op.body.ops),)
         else:
@@ -425,22 +423,14 @@ class Evaluator:
         """:func:`~repro.dse.stage2.derive_partitions` and
         :func:`~repro.dse.stage2.banked_partitions` of ``spreads``, redone
         only for the arrays whose spreads are not those of the last
-        banking under ``bank_cap``; one scheme object per factor tuple."""
+        banking under ``bank_cap``."""
         before, banking, partitions = self._banked.get(bank_cap, ({}, {}, self.partitions))
-        banking, partitions = dict(banking), dict(partitions)
-        for name, value in spreads.items():
-            if before.get(name) is value:
-                continue
-            shape, values = value
-            factors = banking[name] = tuple(
-                max(1, min(spread, extent, bank_cap)) for spread, extent in zip(values, shape)
-            )
-            scheme = self.partitions[name]
-            if any(f > 1 for f in factors):
-                scheme = self._schemes.get(factors)
-                if scheme is None:
-                    scheme = self._schemes[factors] = PartitionScheme(factors, "cyclic")
-            partitions[name] = scheme
+        changed = {name: value for name, value in spreads.items() if before.get(name) is not value}
+        rebanked = derive_partitions(self.function, bank_cap, changed)
+        banking = {**banking, **rebanked}
+        partitions = {**partitions, **banked_partitions(
+            {name: self.partitions[name] for name in rebanked}, rebanked
+        )}
         self._banked[bank_cap] = (spreads, banking, partitions)
         return banking, partitions
 
@@ -469,20 +459,15 @@ class Evaluator:
                 - (stats.retry_backoff_s - backoff_before)
             )
 
-    def node_latencies(self, func_op: FuncOp, nest_cycles: List[int]) -> Dict[str, int]:
+    @staticmethod
+    def node_latencies(func_op: FuncOp, nest_cycles: List[int]) -> Dict[str, int]:
         """Latency attributed to each compute via its top-level loop nest,
         read off ``nest_cycles``: the per-nest cycles of the estimate that
-        scored ``func_op``.  Each nest's statement names are read once."""
+        scored ``func_op``."""
         latencies: Dict[str, int] = {}
         for op, cycles in zip(func_op.body, nest_cycles):
-            held = self._nest_names.get(id(op))
-            if held is None:
-                # The nest is held so that its id is not reused.
-                held = self._nest_names[id(op)] = (op, {
-                    inner.statement_name() for inner in op.walk()
-                    if isinstance(inner, AffineStoreOp)
-                })
-            for name in held[1]:
+            for name in {inner.statement_name() for inner in op.walk()
+                         if isinstance(inner, AffineStoreOp)}:
                 if name:
                     latencies[name] = latencies.get(name, 0) + cycles
         return latencies
