@@ -57,23 +57,24 @@ def lower_program(program: PolyProgram, stats=None, partitions: Optional[Mapping
 
 def lower_program_incremental(
     program: PolyProgram,
+    keys: Mapping[str, Hashable],
     cache: Optional[Dict[tuple, List]] = None,
     stats=None,
     partitions: Optional[Mapping] = None,
-    keys: Optional[Mapping[str, Hashable]] = None,
 ) -> FuncOp:
     """Lower a program, re-lowering only top-level nests not seen before.
 
     The AST builder partitions statements by their outermost static dim,
     so each top-level group builds and lowers independently of the
-    others (see :meth:`PolyProgram.build_ast_for`).  ``cache`` maps a
-    group's tuple of statement fingerprints to its previously lowered
-    ops; on a hit the ops are spliced into the new function by
-    reference, which is safe because the DSE pipeline treats lowered
-    functions as read-only (mutating passes such as canonicalization run
-    on freshly lowered functions at code generation time).  ``keys``
-    maps a statement name to a hashable standing for all of the statement
-    but its statics: the group key is then ``(key, *statics)`` per member.
+    others (see :meth:`PolyProgram.build_ast_for`).  ``keys`` maps each
+    statement name to a hashable that stands for all of the statement
+    but its statics (a DSE node-config fingerprint, or
+    :meth:`PolyStatement.fingerprint`).  ``cache`` maps a group's
+    ``(key, *statics)`` per member to its previously lowered ops; on a
+    hit the ops are spliced into the new function by reference, which is
+    safe because the DSE pipeline treats lowered functions as read-only
+    (mutating passes such as canonicalization run on freshly lowered
+    functions at code generation time).
 
     ``stats``, when given, must expose ``group_lowerings``,
     ``lowering_cache_hits``/``lowering_cache_misses`` counters and an
@@ -85,10 +86,7 @@ def lower_program_incremental(
         return lower_program(program, stats, partitions)
     body: List = []
     for group in program.toplevel_groups():
-        if keys is None:
-            key = tuple(stmt.fingerprint() for stmt in group)
-        else:
-            key = tuple((keys[stmt.name], *stmt.statics) for stmt in group)
+        key = tuple((keys[stmt.name], *stmt.statics) for stmt in group)
         ops = cache.get(key)
         if ops is None:
             if stats is not None:

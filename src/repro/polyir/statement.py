@@ -134,8 +134,9 @@ class PolyStatement:
         subtrees and lowered code: the fingerprint covers the exact
         (order-sensitive) domain representation, the full 2d+1 schedule,
         the rewritten body/destination (via their structural reprs), and
-        the attached hardware annotations.  Used by the incremental
-        lowering cache to decide whether a loop nest can be reused.
+        the attached hardware annotations, so it can stand for the
+        statement in :func:`~repro.affine.lowering.lower_program_incremental`'s
+        ``keys``.
         """
         return (
             self.name,

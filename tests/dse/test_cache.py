@@ -22,6 +22,10 @@ def _schedule_fps(result):
     return [d.fingerprint() for d in result.schedule]
 
 
+def _keys(program):
+    return {stmt.name: stmt.fingerprint() for stmt in program.statements}
+
+
 class TestCachedEqualsUncached:
     """auto_dse(f) and auto_dse(f, options=DseOptions(cache=False)) are interchangeable."""
 
@@ -48,17 +52,16 @@ class TestIncrementalLowering:
         function = workloads.get(name)
         program = PolyProgram(function).apply_schedule()
         full = print_func(lower_program(program))
-        incremental = print_func(lower_program_incremental(program, cache={}))
+        incremental = print_func(lower_program_incremental(program, _keys(program), cache={}))
         assert incremental == full
 
     def test_unchanged_nests_are_reused_by_reference(self):
         function = polybench.mm2(32)
         cache = {}
         program = PolyProgram(function).apply_schedule()
-        first = lower_program_incremental(program, cache=cache)
-        second = lower_program_incremental(
-            PolyProgram(function).apply_schedule(), cache=cache
-        )
+        first = lower_program_incremental(program, _keys(program), cache=cache)
+        again = PolyProgram(function).apply_schedule()
+        second = lower_program_incremental(again, _keys(again), cache=cache)
         assert [op for op in first.body] == [op for op in second.body]
 
     def test_cache_counters_feed_stats(self):
@@ -66,11 +69,10 @@ class TestIncrementalLowering:
         cache = {}
         stats = DseStats()
         program = PolyProgram(function).apply_schedule()
-        lower_program_incremental(program, cache=cache, stats=stats)
+        lower_program_incremental(program, _keys(program), cache=cache, stats=stats)
         assert stats.lowering_cache_misses >= 1
-        lower_program_incremental(
-            PolyProgram(function).apply_schedule(), cache=cache, stats=stats
-        )
+        again = PolyProgram(function).apply_schedule()
+        lower_program_incremental(again, _keys(again), cache=cache, stats=stats)
         assert stats.lowering_cache_hits >= 1
 
 
