@@ -60,12 +60,13 @@ class DependenceGraph:
         # An edge S1 -> S2 exists when an earlier compute stores an array a
         # later compute loads (RAW) or re-stores (WAW ordering).
         edge_index: Dict[Tuple[str, str], DependenceEdge] = {}
+        reads = [{a.array_name for a in compute.loads()} for compute in computes]
+        writes = [compute.store().array_name for compute in computes]
         for i, producer in enumerate(computes):
-            stored = producer.store().array_name
-            for consumer in computes[i + 1:]:
-                loads = {a.array_name for a in consumer.loads()}
-                stores = {consumer.store().array_name}
-                if stored in loads or stored in stores:
+            stored = writes[i]
+            for j in range(i + 1, len(computes)):
+                if stored in reads[j] or stored == writes[j]:
+                    consumer = computes[j]
                     key = (producer.name, consumer.name)
                     edge = edge_index.get(key)
                     if edge is None:

@@ -1,11 +1,19 @@
 """Fault-isolated job execution: sandboxing, admission, retry, drain.
 
-Every job runs in its own worker **subprocess**: a crashing candidate
-(:class:`repro.faults.InjectedCrash` is a ``BaseException`` precisely
-so nothing in-process can swallow it) or a hard hang kills only that
-job's process, never the server or a sibling job.  This is also what
-makes session isolation trivial -- one session context active per
-process, ever.
+Every job runs in a worker **subprocess**, one job at a time per
+worker, under a fresh :class:`~repro.serve.session.SessionContext`: a
+crashing candidate (:class:`repro.faults.InjectedCrash` is a
+``BaseException`` precisely so nothing in-process can swallow it) or a
+hard hang kills only that worker, never the server or a sibling job.
+Up to ``workers`` workers live at once and outlive their jobs: a
+worker that reports an outcome goes back to an idle list and takes the
+next job, so a cold request pays for a fork only when no worker is
+idle.  A worker that dies, or is killed at its hard deadline or by a
+drain, is reaped and replaced by a fork at the next dispatch; a crash
+retry always runs on a freshly forked worker.  Sessions need nothing
+more than this: one session is active in a worker at a time, and each
+job's session, fault plan, tracer and deadline are installed and
+restored around it.
 
 Admission control is a bounded queue: when ``queue_limit`` jobs are
 already pending, :meth:`JobExecutor.submit` raises :class:`QueueFull`
@@ -28,20 +36,26 @@ Failure policy, per attempt:
   ``drain_grace_s`` to finish, stragglers are terminated and left
   *accepted-without-done* in the ledger (``SRV006``), so a restarted
   server re-queues them (``SRV007``) and their journals resume.  A
-  draining executor starts no worker: pending jobs wait for the restart.
+  draining executor starts no job and ends its idle workers: pending
+  jobs wait for the restart.
 
 Supervision is event-driven: workers are forked from a warm template
-(:func:`repro.serve.jobs.preload`) and report over a one-way pipe whose
-``send`` is synchronous, so a fired ``Process.sentinel`` means
-everything sent is readable.  One monitor thread owns every pipe and
-process; it blocks on all of them plus a self-pipe that ``submit`` /
-``drain`` / ``close`` write to, with a timeout only while a real
-deadline exists (retry backoff, hard-kill budget, drain grace), and it
-reads, joins and kills outside the executor lock.
+(:func:`repro.serve.jobs.preload`).  Each receives its jobs over its
+own request pipe, whose write end only the server holds (a worker
+forked later closes its siblings' ends), so an idle worker exits on the
+EOF when the server closes it or dies.  Workers report over a one-way
+pipe whose ``send`` is synchronous, so a fired ``Process.sentinel``
+means everything sent is readable.  One monitor thread owns every pipe
+and process; it blocks on all of them (an idle worker's sentinel too)
+plus a self-pipe that ``submit`` / ``drain`` / ``close`` write to, with
+a timeout only while a real deadline exists (retry backoff, hard-kill
+budget, drain grace), and it reads, joins and kills outside the
+executor lock.
 """
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import os
 import threading
@@ -58,7 +72,8 @@ from repro.util.deadline import DeadlineExceeded
 #: Terminal job statuses.
 TERMINAL = ("done", "failed", "timeout", "interrupted")
 #: An exact partition of a job's ``wall_s``, summed over attempts: waiting for
-#: a slot or a retry backoff, inside fork, worker alive, outcome known -> stored.
+#: a slot or a retry backoff, dispatch (includes a fork only when no worker is
+#: idle), worker running the job, outcome known -> stored.
 PHASES = ("queued_s", "spawn_s", "run_s", "finalize_s")
 
 _JOB_IDS = itertools.count(1)
@@ -134,7 +149,7 @@ class Job:
 
 
 def _worker_main(request: dict, journal_path, arm_faults, job_timeout_s, channel):
-    """Worker-subprocess entry point: one job, one fresh session.
+    """One job in a worker, in one fresh session.
 
     Sends ``("event", ...)`` progress messages, then exactly one
     ``(status, fields)`` outcome in the form ``_finalize_locked`` takes.
@@ -164,22 +179,42 @@ def _worker_main(request: dict, journal_path, arm_faults, job_timeout_s, channel
         channel.send(("failed", {"error": f"{type(exc).__name__}: {exc}"}))
 
 
-class _Running:
-    """Book-keeping for one live worker process (monitor thread only)."""
+def _worker_loop(jobs, channel, server_ends) -> None:
+    """Worker-process entry point: run the jobs that arrive on ``jobs``,
+    one at a time, until the server closes it or dies (EOF).
 
-    __slots__ = ("job", "process", "conn", "started", "inbox", "exited")
+    ``server_ends`` are the server's ends of every worker's pipes, this
+    worker's own included, which the fork copied: closing them leaves
+    the server the only writer of each request pipe.
+    """
+    for end in server_ends:
+        end.close()
+    while True:
+        try:
+            request, journal_path, arm_faults, job_timeout_s = jobs.recv()
+        except EOFError:
+            return
+        _worker_main(request, journal_path, arm_faults, job_timeout_s, channel)
 
-    def __init__(self, job, process, conn, started):
-        self.job = job
+
+class _Worker:
+    """One worker process and the server's ends of its pipes (monitor
+    thread only, and ``close`` once the monitor is gone)."""
+
+    __slots__ = ("process", "jobs", "conn", "job", "started", "inbox", "exited")
+
+    def __init__(self, process, jobs, conn):
         self.process = process
-        self.conn = conn  # read end of the worker's one-way pipe
-        self.started = started
+        self.jobs = jobs  # write end of the worker's request pipe
+        self.conn = conn  # read end of the worker's one-way result pipe
+        self.job: Optional[Job] = None  # the job it runs; None while idle
+        self.started = 0.0
         self.inbox: List[tuple] = []  # read by _pump, applied under the lock
         self.exited = False  # sentinel fired, or the pipe hit EOF
 
 
 class JobExecutor:
-    """Runs jobs in sandboxed subprocesses off a bounded queue."""
+    """Runs jobs in long-lived sandboxed subprocesses off a bounded queue."""
 
     def __init__(
         self,
@@ -209,7 +244,13 @@ class JobExecutor:
         self._changed = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
         self._pending: List[Job] = []
-        self._running: Dict[str, _Running] = {}
+        self._running: Dict[str, _Worker] = {}
+        self._idle: List[_Worker] = []
+        # Every forked worker not yet reaped (running, idle or decided), and
+        # the decided ones the monitor reaps next, outside the lock.
+        self._pool: List[_Worker] = []
+        self._decided: List[_Worker] = []
+        self._forks = 0
         # Recent per-job wall times (started -> finished), feeding the
         # 429 Retry-After estimate.  Bounded so one pathological job
         # ages out instead of skewing admission hints forever.
@@ -225,6 +266,9 @@ class JobExecutor:
             target=self._monitor, name="serve-executor", daemon=True
         )
         self._thread.start()
+        # multiprocessing joins every live worker at interpreter exit, and an
+        # idle one only exits once its request pipe closes: close it first.
+        atexit.register(self.close)
 
     # -- admission -----------------------------------------------------
 
@@ -304,6 +348,8 @@ class JobExecutor:
             return {
                 "pending": len(self._pending),
                 "running": len(self._running),
+                "idle": len(self._idle),
+                "forks": self._forks,
                 "jobs": len(self._jobs),
                 "queue_limit": self.queue_limit,
                 "workers": self.workers,
@@ -315,10 +361,10 @@ class JobExecutor:
     def drain(self, grace_s: float = 5.0) -> dict:
         """Stop admitting, give running jobs ``grace_s``, checkpoint rest.
 
-        Returns counts of finished vs interrupted jobs.  Interrupted
-        and still-pending jobs keep their accepted-without-done ledger
-        state, so a restart re-queues them (SRV007) and their journals
-        resume.
+        Returns counts of finished vs interrupted jobs once every worker
+        has been reaped.  Interrupted and still-pending jobs keep their
+        accepted-without-done ledger state, so a restart re-queues them
+        (SRV007) and their journals resume.
         """
         with self._lock:
             self._draining = True
@@ -329,11 +375,12 @@ class JobExecutor:
                 job.error = "server draining: job re-queued at next start"
             interrupted = len(self._pending)
             self._pending.clear()
-            stragglers = [running.job for running in self._running.values()]
+            stragglers = [worker.job for worker in self._running.values()]
             self._wake_locked()
             self._changed.notify_all()
-            # The monitor interrupts whatever outlives the deadline.
-            while self._running:
+            # The monitor interrupts whatever outlives the deadline and
+            # ends every worker, idle or freed.
+            while self._pool:
                 self._changed.wait()
             interrupted += sum(job.status == "interrupted" for job in stragglers)
             finished = sum(job.status == "done" for job in self._jobs.values())
@@ -347,13 +394,17 @@ class JobExecutor:
             self._stop = True
             self._changed.notify_all()
         self._thread.join()
+        atexit.unregister(self.close)
         with self._lock:
-            # The monitor is gone, so its workers are ours to collect.
-            leftover = list(self._running.values())
+            # The monitor is gone, so its workers are ours to end and collect.
+            pool, self._pool = self._pool, []
             self._running.clear()
-        for running in leftover:
-            running.process.kill()
-            self._reap(running)
+            self._idle.clear()
+            self._changed.notify_all()
+        for worker in pool:
+            if worker.job is not None:
+                worker.process.kill()
+            self._reap(worker)
         os.close(self._wake_r)
         os.close(self._wake_w)
 
@@ -366,29 +417,36 @@ class JobExecutor:
     def _monitor(self) -> None:
         """Sleep until a worker speaks or dies, another thread writes
         the self-pipe, or the earliest real deadline passes."""
-        watched: List[_Running] = []
         while True:
             with self._lock:
-                decided = self._poll_running_locked(watched)
+                self._poll_running_locked()
                 stop = self._stop
                 if not stop:
                     self._start_ready_locked()
+                decided, self._decided = self._decided, []
                 watched = list(self._running.values())
+                idle = list(self._idle)
                 timeout = self._timeout_locked()
-            for running in decided:
-                self._reap(running)
+            if decided:
+                for worker in decided:
+                    self._reap(worker)
+                with self._lock:
+                    for worker in decided:
+                        self._pool.remove(worker)
+                    self._changed.notify_all()  # drain() waits for the pool
             if stop:
                 return
             waitables = [self._wake_r]
-            for running in watched:
-                waitables += (running.conn, running.process.sentinel)
+            for worker in watched:
+                waitables += (worker.conn, worker.process.sentinel)
+            waitables += [worker.process.sentinel for worker in idle]
             ready = set(_wait_ready(waitables, timeout))
             if self._wake_r in ready:
                 os.read(self._wake_r, 4096)
-            for running in watched:
-                exited = running.process.sentinel in ready
-                if exited or running.conn in ready:
-                    self._pump(running, exited)
+            for worker in watched + idle:
+                exited = worker.process.sentinel in ready
+                if exited or worker.conn in ready:
+                    self._pump(worker, exited)
 
     def _timeout_locked(self) -> Optional[float]:
         """Seconds to the earliest real deadline; None when there is none."""
@@ -397,7 +455,7 @@ class JobExecutor:
         if self._running and self._draining:
             deadlines.append(self._drain_deadline)
         if self._running and self.job_timeout_s is not None:
-            oldest = min(running.started for running in self._running.values())
+            oldest = min(worker.started for worker in self._running.values())
             deadlines.append(oldest + self.job_timeout_s + self.kill_grace_s)
         return max(0.0, min(deadlines) - now) if deadlines else None
 
@@ -407,9 +465,9 @@ class JobExecutor:
             if len(self._running) >= self.workers:
                 break
             self._pending.remove(job)
-            self._spawn_locked(job)
+            self._dispatch_locked(job)
 
-    def _spawn_locked(self, job: Job) -> None:
+    def _dispatch_locked(self, job: Job) -> None:
         job.enter("spawn_s")
         job.attempts += 1
         arm_faults = job.attempts == 1
@@ -418,85 +476,124 @@ class JobExecutor:
             if job.key is not None and job.spec.kind == "dse"
             else None
         )
-        conn, channel = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                job.spec.as_request(),
-                journal_path,
-                arm_faults,
-                self.job_timeout_s,
-                channel,
-            ),
-            daemon=False,
-        )
-        process.start()
-        # Only the worker may hold the write end (no later-forked sibling
-        # inherits it from us): its death is then an EOF on ``conn``.
-        channel.close()
+        worker = self._idle_worker_locked(fresh=not arm_faults)
+        forked = worker is None
+        if forked:
+            worker = self._fork_locked()
+        try:
+            worker.jobs.send(
+                (job.spec.as_request(), journal_path, arm_faults, self.job_timeout_s)
+            )
+        except OSError:
+            pass  # it died after the check: its sentinel makes this a crash
         started = job.enter("run_s")
         job.status = "running"
         if job.started is None:
             job.started = started
         job.add_event(
-            {"stage": "spawn", "attempt": job.attempts, "faults_armed": arm_faults}
+            {
+                "stage": "spawn",
+                "attempt": job.attempts,
+                "faults_armed": arm_faults,
+                "forked": forked,
+            }
         )
-        self._running[job.id] = _Running(job, process, conn, started)
+        worker.job, worker.started = job, started
+        self._running[job.id] = worker
         self._changed.notify_all()
 
+    def _idle_worker_locked(self, fresh: bool) -> Optional[_Worker]:
+        """A live idle worker for the next job, or None when one must be
+        forked.  An idle worker found dead is replaced.  A crash retry
+        (``fresh``) always gets a fork, like the attempt that died; when
+        the pool is full, the longest-idle worker is retired for it."""
+        if fresh:
+            if self._idle and len(self._running) + len(self._idle) >= self.workers:
+                self._decided.append(self._idle.pop(0))
+            return None
+        while self._idle:
+            worker = self._idle.pop()
+            if worker.process.is_alive():
+                return worker
+            self._decided.append(worker)
+        return None
+
+    def _fork_locked(self) -> _Worker:
+        jobs_r, jobs = self._ctx.Pipe(duplex=False)
+        conn, channel = self._ctx.Pipe(duplex=False)
+        server_ends = [end for other in self._pool for end in (other.jobs, other.conn)]
+        process = self._ctx.Process(
+            target=_worker_loop,
+            args=(jobs_r, channel, server_ends + [jobs, conn]),
+            daemon=False,
+        )
+        process.start()
+        # The worker holds the only other ends: an EOF on ``conn`` is its
+        # death, and one on its request pipe is ours.
+        jobs_r.close()
+        channel.close()
+        worker = _Worker(process, jobs, conn)
+        self._pool.append(worker)
+        self._forks += 1
+        return worker
+
     @staticmethod
-    def _pump(running: _Running, exited: bool) -> None:
+    def _pump(worker: _Worker, exited: bool) -> None:
         """Read what the worker has sent (monitor thread, lock not held):
         once the sentinel has fired, ``poll(0)`` finds all of it.  EOF or
         a message cut short means the only writer is gone -- a death."""
         try:
-            while running.conn.poll(0):
-                running.inbox.append(running.conn.recv())
+            while worker.conn.poll(0):
+                worker.inbox.append(worker.conn.recv())
         except (EOFError, OSError):
             exited = True
         if exited:
-            running.process.join(timeout=1.0)  # collects the exit code
-            running.exited = True
+            worker.process.join(timeout=1.0)  # collects the exit code
+            worker.exited = True
 
     @staticmethod
-    def _reap(running: _Running) -> None:
-        """Collect a worker whose job is decided (lock not held): let a
-        clean exit finish, kill what lingers, close our handles."""
-        process = running.process
+    def _reap(worker: _Worker) -> None:
+        """Collect a worker the pool let go of (lock not held): close its
+        request pipe so an idle one exits, let a clean exit finish, kill
+        what lingers, close our handles."""
+        worker.jobs.close()
+        process = worker.process
         process.join(timeout=1.0)
         if process.is_alive():
             process.kill()
             process.join()
         process.close()
-        running.conn.close()
+        worker.conn.close()
 
-    def _poll_running_locked(self, watched: List[_Running]) -> List[_Running]:
-        """Apply what :meth:`_pump` read, expire deadlines; return decided workers."""
+    def _poll_running_locked(self) -> None:
+        """Apply what :meth:`_pump` read and expire deadlines.  A worker
+        that reported its job's outcome goes back to the idle list; one
+        that died or was killed, and an idle one that died or is no
+        longer needed (a drain), is decided: the monitor reaps it."""
         now = time.monotonic()
         budget = None
         if self.job_timeout_s is not None:
             budget = self.job_timeout_s + self.kill_grace_s
-        decided = []
-        for running in watched:
-            job = running.job
+        for worker in list(self._running.values()):
+            job = worker.job
             outcome = None
-            for kind, payload in running.inbox:
+            for kind, payload in worker.inbox:
                 if kind == "event":
                     job.add_event(payload)
                 else:
                     outcome = (kind, payload)
-            running.inbox.clear()
+            worker.inbox.clear()
             if outcome is not None:
                 self._finalize_locked(job, outcome[0], **outcome[1])
-            elif running.exited:
-                self._handle_crash_locked(job, running.process.exitcode)
+            elif worker.exited:
+                self._handle_crash_locked(job, worker.process.exitcode)
             elif self._draining and now >= self._drain_deadline:
-                running.process.kill()
+                worker.process.kill()
                 error = "server draining: job checkpointed for restart"
                 self._finalize_locked(job, "interrupted", "SRV006", error, ledger=False)
-            elif budget is not None and now - running.started >= budget:
+            elif budget is not None and now - worker.started >= budget:
                 # Blew past the cooperative deadline: a genuine hang.
-                running.process.kill()
+                worker.process.kill()
                 error = (
                     f"worker unresponsive {budget:.3g}s after its "
                     f"{self.job_timeout_s:.3g}s budget; killed"
@@ -505,8 +602,14 @@ class JobExecutor:
             else:
                 continue
             del self._running[job.id]
-            decided.append(running)
-        return decided
+            worker.job = None
+            if outcome is not None and not worker.exited:
+                self._idle.append(worker)
+            else:
+                self._decided.append(worker)
+        for worker in [w for w in self._idle if w.exited or self._draining]:
+            self._idle.remove(worker)
+            self._decided.append(worker)
 
     def _handle_crash_locked(self, job: Job, exitcode) -> None:
         if job.attempts < self.max_attempts and not self._draining:

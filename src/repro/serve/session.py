@@ -11,11 +11,11 @@ tables.
 
 Activation swaps module-level globals, so it isolates *sessions*, not
 *threads*: within one process, at most one session may be active at a
-time.  The serve executor satisfies this trivially by running every job
-in its own worker subprocess (one session active per process, ever);
-in-process callers (tests, the differential harness) activate sessions
-sequentially.  Nesting is fine -- activation restores the previous
-context on exit, in reverse order.
+time.  The serve executor satisfies this by running one job at a time
+in each worker subprocess, each under a fresh session activated and
+restored around it; in-process callers (tests, the differential
+harness) activate sessions sequentially.  Nesting is fine -- activation
+restores the previous context on exit, in reverse order.
 
 Since memoized and unmemoized runs are bit-identical by construction
 (the memo/intern contracts), giving each session fresh tables can only

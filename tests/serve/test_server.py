@@ -19,6 +19,7 @@ class TestEndpoints:
         status = client.status()
         assert status["draining"] is False
         assert status["queue"]["workers"] == 2
+        assert (status["queue"]["idle"], status["queue"]["forks"]) == (0, 0)
         assert status["store"]["entries"] == 0
 
     def test_unknown_routes_and_jobs_404(self, serve_factory):

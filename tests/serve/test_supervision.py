@@ -233,8 +233,11 @@ def test_dse_worker_has_no_child_processes_while_it_runs(
             seen.append(_children_of(os.getpid()))
             return pick(graph, latencies, active)
 
-        engine._pick_bottleneck = sampling  # in this worker only; it exits after the job
-        payload = real(spec, journal_path, arm_faults, job_timeout_s, emit)
+        engine._pick_bottleneck = sampling  # in this worker, which outlives the job
+        try:
+            payload = real(spec, journal_path, arm_faults, job_timeout_s, emit)
+        finally:
+            engine._pick_bottleneck = pick
         emit({"stage": "children", "seen": seen})
         return payload
 
@@ -300,12 +303,278 @@ def test_forked_worker_imports_nothing():
         assert outcome == {"status": "done", "new": [[]]}, (label, outcome)
 
 
+def _running_pid(pid):
+    """True while ``pid`` runs; an exited process awaiting its reaper
+    (state ``Z``) counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _pipe_links(pid):
+    """``pipe:[inode]`` -> how many of ``pid``'s fds refer to that pipe."""
+    links = {}
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("pipe:"):
+            links[target] = links.get(target, 0) + 1
+    return links
+
+
+@pytest.fixture
+def two_idle_workers(make_executor, monkeypatch):
+    """An executor whose two workers both ran a job and now sit idle."""
+    real = executor_module.execute_job
+
+    def overlapping(spec, journal_path, arm_faults, job_timeout_s, emit):
+        threading.Event().wait(0.3)  # long enough that the second job forks too
+        return real(spec, journal_path, arm_faults, job_timeout_s, emit)
+
+    monkeypatch.setattr(executor_module, "execute_job", overlapping)
+    executor = make_executor(workers=2)
+    jobs = [
+        executor.submit(JobSpec.from_request(
+            {"kind": "verify", "workload": workload, "size": 32}
+        ))
+        for workload in ("gemm", "bicg")
+    ]
+    for job in jobs:
+        assert executor.wait(job.id, timeout_s=60.0).status == "done", job.as_dict()
+    snapshot = executor.snapshot()
+    assert (snapshot["idle"], snapshot["forks"], snapshot["running"]) == (2, 2, 0)
+    return executor
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs Linux /proc")
+@pytest.mark.parametrize("end", ["close", "drain"])
+def test_no_worker_outlives_close_or_drain(two_idle_workers, end):
+    executor = two_idle_workers
+    with executor._lock:
+        pids = {worker.process.pid for worker in executor._idle}
+    assert pids <= set(_children_of(os.getpid()))
+    if end == "drain":
+        assert executor.drain(grace_s=5.0) == {"finished": 2, "interrupted": 0}
+        assert executor.snapshot()["idle"] == 0
+    else:
+        executor.close()
+    assert _children_of(os.getpid()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs Linux /proc")
+def test_each_worker_holds_only_its_own_pipe_ends(two_idle_workers):
+    """The later worker closed its sibling's server ends, and each worker
+    closed the server's ends of its own pipes, so the server is the only
+    writer of each request pipe: an idle worker sees EOF when it goes."""
+    executor = two_idle_workers
+    server = _pipe_links(os.getpid())
+    with executor._lock:
+        workers = list(executor._idle)
+    pipes = {}
+    for worker in workers:
+        mine = [os.readlink(f"/proc/self/fd/{end.fileno()}") for end in (worker.jobs, worker.conn)]
+        assert all(server[pipe] == 1 for pipe in mine)
+        pipes[worker.process.pid] = mine
+    for pid, mine in pipes.items():
+        held = _pipe_links(pid)
+        assert [held.get(pipe) for pipe in mine] == [1, 1], "one end of each, no more"
+        for other, theirs in pipes.items():
+            if other != pid:
+                assert not set(theirs) & set(held), "a sibling's pipe end leaked"
+
+
+_IDLE_WORKERS_SCRIPT = """
+import json, sys, threading
+from repro.serve import executor
+from repro.serve.jobs import JobSpec
+from repro.serve.store import ResultStore
+
+real = executor.execute_job
+
+def overlapping(spec, journal_path, arm_faults, job_timeout_s, emit):
+    threading.Event().wait(0.3)  # long enough that the second job forks too
+    return real(spec, journal_path, arm_faults, job_timeout_s, emit)
+
+executor.execute_job = overlapping  # forked workers inherit the patch
+runner = executor.JobExecutor(ResultStore(sys.argv[1]), workers=2)
+jobs = [
+    runner.submit(JobSpec.from_request({"kind": "verify", "workload": w, "size": 32}))
+    for w in ("gemm", "bicg")
+]
+for job in jobs:
+    runner.wait(job.id, timeout_s=120.0)
+with runner._lock:
+    pids = [worker.process.pid for worker in runner._idle]
+print(json.dumps({"status": [job.status for job in jobs], "pids": pids}), flush=True)
+sys.stdin.read()  # hold the idle workers until killed
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs Linux /proc")
+def test_idle_workers_exit_when_their_server_is_sigkilled(tmp_path):
+    server = subprocess.Popen(
+        [sys.executable, "-c", _IDLE_WORKERS_SCRIPT, str(tmp_path)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env=os.environ.copy(),
+    )
+    try:
+        report = json.loads(server.stdout.readline())
+    finally:
+        server.kill()
+        server.wait()
+        server.stdin.close()
+        server.stdout.close()
+    assert report["status"] == ["done", "done"]
+    assert len(report["pids"]) == 2
+    deadline = time.monotonic() + 5.0
+    while any(map(_running_pid, report["pids"])) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not any(map(_running_pid, report["pids"])), report["pids"]
+
+
+def test_an_idle_worker_that_died_is_replaced(make_executor):
+    """A worker killed while idle is noticed and reaped; the next job gets
+    a fresh fork on its first attempt instead of a dead worker."""
+    executor = make_executor(workers=1)
+    assert _run(executor, kind="verify", workload="gemm", size=32).status == "done"
+    with executor._lock:
+        (worker,) = executor._idle
+    os.kill(worker.process.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5.0
+    while executor.snapshot()["idle"] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert executor.snapshot()["idle"] == 0, "the idle worker's death went unseen"
+    job = _run(executor, kind="verify", workload="bicg", size=32)
+    assert job.status == "done", job.as_dict()
+    assert job.attempts == 1
+    assert job.events[0]["forked"] is True
+    assert executor.snapshot()["forks"] == 2
+
+
+def test_a_crash_retry_forks_even_with_a_worker_idle(make_executor, monkeypatch):
+    """With one worker busy and one idle, the pool is full: a crash retry
+    retires the idle worker and forks, so it runs on a fresh worker and
+    the pool never exceeds ``workers`` processes."""
+    real = executor_module.execute_job
+
+    def slow(spec, journal_path, arm_faults, job_timeout_s, emit):
+        if spec.workload == "atax":
+            threading.Event().wait(2.0)  # busy through the whole retry
+        return real(spec, journal_path, arm_faults, job_timeout_s, emit)
+
+    monkeypatch.setattr(executor_module, "execute_job", slow)
+    executor = make_executor(workers=2, backoff_s=0.3)
+    busy = executor.submit(JobSpec.from_request(
+        {"kind": "verify", "workload": "atax", "size": 32}
+    ))
+    crash = executor.submit(JobSpec.from_request({
+        "kind": "dse", "workload": "bicg", "size": 32,
+        "fault": {"faults": [{"kind": "crash", "candidate": 2}]},
+    }))
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        with executor._lock:
+            if any(event["stage"] == "retry" for event in crash.events):
+                break
+        time.sleep(0.005)
+    # Inside the backoff: this job forks into the crashed worker's slot
+    # and then waits idle beside the busy one.
+    quick = _run(executor, kind="verify", workload="gemm", size=32)
+    assert quick.status == "done", quick.as_dict()
+
+    assert executor.wait(crash.id, timeout_s=60.0).status == "done", crash.as_dict()
+    assert crash.attempts == 2
+    assert [e["forked"] for e in crash.events if e["stage"] == "spawn"] == [True, True]
+    assert executor.wait(busy.id, timeout_s=60.0).status == "done", busy.as_dict()
+    snapshot = executor.snapshot()
+    assert (snapshot["forks"], snapshot["idle"]) == (4, 2)
+    with executor._lock:
+        assert len(executor._pool) == 2
+
+
+def test_sequential_jobs_in_one_worker_stay_isolated(make_executor, monkeypatch):
+    """One worker runs dse, a job that fails mid-sweep, trace, fuzz, then a
+    dse whose injected crash kills it (the retry runs on a fresh fork) and
+    one more dse.  Every job starts with no fault plan, tracer or
+    deadline installed, and every dse design equals the batch one."""
+    from repro import workloads
+    from repro.dse import auto_dse
+    from repro.serve.jobs import design_fingerprint, dse_design_payload
+
+    real = executor_module.execute_job
+
+    def spying(spec, journal_path, arm_faults, job_timeout_s, emit):
+        from repro import faults, trace
+        from repro.dse import engine
+        from repro.util import deadline
+
+        active = {
+            "faults": faults.active(), "trace": trace.active(),
+            "deadline": deadline.active(),
+        }
+        emit({
+            "stage": "entry", "pid": os.getpid(),
+            "installed": sorted(name for name, value in active.items() if value),
+        })
+        if spec.workload != "2mm":
+            return real(spec, journal_path, arm_faults, job_timeout_s, emit)
+
+        def refuse(graph, latencies, active):
+            raise RuntimeError("refused mid-sweep")
+
+        pick, engine._pick_bottleneck = engine._pick_bottleneck, refuse
+        try:
+            return real(spec, journal_path, arm_faults, job_timeout_s, emit)
+        finally:
+            engine._pick_bottleneck = pick
+
+    monkeypatch.setattr(executor_module, "execute_job", spying)
+    executor = make_executor(workers=1)
+    dses = {"gemm": 32, "bicg": 32, "atax": 32}
+    requests = [
+        {"kind": "dse", "workload": "gemm", "size": 32},
+        {"kind": "dse", "workload": "2mm", "size": 24,
+         "fault": {"faults": [{"kind": "transient", "candidate": 1}]}},
+        {"kind": "trace", "workload": "gemm", "size": 32, "options": {"dse": True}},
+        {"kind": "fuzz", "options": {"seed": 1, "trials": 3}},
+        {"kind": "dse", "workload": "bicg", "size": 32,
+         "fault": {"faults": [{"kind": "crash", "candidate": 2}]}},
+        {"kind": "dse", "workload": "atax", "size": 32},
+    ]
+    jobs = [_run(executor, **request) for request in requests]
+
+    assert [job.status for job in jobs] == ["done", "failed", "done", "done", "done", "done"]
+    assert "refused mid-sweep" in jobs[1].error
+    assert [job.attempts for job in jobs] == [1, 1, 1, 1, 2, 1]
+    entries = [e for job in jobs for e in job.events if e["stage"] == "entry"]
+    assert [e["installed"] for e in entries] == [[]] * 7
+    # Attempt 1 of the crashing job is the fifth job on the first worker.
+    pids = [e["pid"] for e in entries]
+    assert len(set(pids[:5])) == 1 and len(set(pids[5:])) == 1
+    assert pids[5] != pids[0]
+    forked = [e["forked"] for job in jobs for e in job.events if e["stage"] == "spawn"]
+    assert forked == [True, False, False, False, False, True, False]
+    assert executor.snapshot()["forks"] == 2
+
+    for job in jobs:
+        if job.spec.kind == "dse" and job.spec.workload in dses:
+            name = job.spec.workload
+            batch = dse_design_payload(auto_dse(workloads.get(name, dses[name])), name, dses[name])
+            assert design_fingerprint(job.result["design"]) == design_fingerprint(batch), name
+
+
 @pytest.mark.perfsmoke
 def test_perfsmoke_cold_job_overhead_and_phases(make_executor):
-    """What a cold job costs beyond its sweep: fork, child start-up, the
-    result's trip back and the store write.  The polling executor could
-    not get under 60 ms (a tick to notice the result, then a blind 50 ms
-    drain); event-driven it is ~10 ms."""
+    """What a cold job costs beyond its sweep: dispatch to the idle
+    worker, the result's trip back and the store write (the first job
+    also pays for the fork).  The polling executor could not get under
+    60 ms (a tick to notice the result, then a blind 50 ms drain);
+    event-driven it is ~10 ms, and a few ms once the worker outlives its
+    job."""
     executor = make_executor(workers=1)
     overheads = []
     for fraction in (0.3, 0.4, 0.5, 0.6, 0.7):
@@ -322,3 +591,4 @@ def test_perfsmoke_cold_job_overhead_and_phases(make_executor):
         assert job.events[-1]["phases"] == record["phases"]
         overheads.append(record["wall_s"] - record["result"]["timing"]["wall_s"])
     assert statistics.median(overheads) < 0.030, overheads
+    assert executor.snapshot()["forks"] == 1, "one worker serves all five jobs"
