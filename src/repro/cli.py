@@ -150,18 +150,34 @@ def _single_kernel_only(args, workload, options: Dict[str, object]) -> None:
             )
 
 
-def _print_ir(workload) -> None:
-    """``--emit mlir``: the lowered affine IR, one function per stage."""
+def _hls_c(workload, result) -> str:
+    """``--emit c``: the DSE result's design, else the installed schedule."""
+    from repro.dataflow import DataflowDesign, generate_dataflow_hls_c
+    from repro.pipeline import emit_hls_c
+
+    if result is None:
+        return workload.codegen()
+    if isinstance(workload, DataflowDesign):
+        return generate_dataflow_hls_c(workload, func_ops=result.stage_func_ops)
+    return emit_hls_c(result.func_op)
+
+
+def _print_ir(workload, result) -> None:
+    """``--emit mlir``: the lowered affine IR, one function per stage --
+    the DSE result's design, else the installed schedule lowered."""
     from repro.affine import print_func
     from repro.dataflow import DataflowDesign
 
     # Only a design has stages, each lowered on its own.
     if not isinstance(workload, DataflowDesign):
-        print(print_func(workload.lower()))
+        print(print_func(workload.lower() if result is None else result.func_op))
         return
     for stage in workload.topo_order():
         print(f"// stage {stage.name}")
-        print(print_func(stage.function.lower()))
+        if result is None:
+            print(print_func(stage.function.lower()))
+        else:
+            print(print_func(result.stage_func_ops[stage.name]))
 
 
 def cmd_compile(args) -> int:
@@ -180,6 +196,7 @@ def cmd_compile(args) -> int:
         print(f"// schedule loaded from {args.load_schedule}", file=sys.stderr)
 
     device = _resolve_device(args.device)
+    result = None
     if args.dse:
         from repro.dse.options import DseOptions
 
@@ -198,11 +215,11 @@ def cmd_compile(args) -> int:
 
     emit = args.emit
     if emit in ("c", "all"):
-        print(workload.codegen())
+        print(_hls_c(workload, result))
     if emit in ("mlir", "all"):
-        _print_ir(workload)
+        _print_ir(workload, result)
     if emit in ("report", "all"):
-        report = workload.estimate(device=device)
+        report = workload.estimate(device=device) if result is None else result.report
         print(report.summary())
         for loop in report.loops:
             print("  ", loop)
@@ -213,10 +230,10 @@ def cmd_compile(args) -> int:
     if args.cosim:
         from repro.hlsgen.testbench import cosimulate
 
-        result = cosimulate(workload)
-        status = "MATCH" if result.matched else f"MISMATCH {result.mismatches()}"
+        cosim = cosimulate(workload)
+        status = "MATCH" if cosim.matched else f"MISMATCH {cosim.mismatches()}"
         print(f"// co-simulation: {status}", file=sys.stderr)
-        return 0 if result.matched else 1
+        return 0 if cosim.matched else 1
     return 0
 
 

@@ -16,19 +16,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.affine.ir import FuncOp
 from repro.dataflow.design import DataflowDesign, Stage
-from repro.dataflow.estimate import FifoSpec, resolve_depths
+from repro.dataflow.estimate import resolve_depths
 from repro.hlsgen.codegen import _array_decl, _emit_block, _partition_pragmas
-
-
-def _lowered(stage: Stage):
-    """The stage's FuncOp, canonicalized + pragma'd like the main path."""
-    from repro.affine.passes import InsertDependencePragmas, canonicalize
-
-    func_op = stage.function.lower()
-    canonicalize(func_op)
-    InsertDependencePragmas().run(func_op)
-    return func_op
+from repro.pipeline import canonical, detached
 
 
 def _loop_nest(lines: List[str], shape, body: str, indent: int = 1) -> None:
@@ -50,8 +42,14 @@ def _loop_nest(lines: List[str], shape, body: str, indent: int = 1) -> None:
 def generate_dataflow_hls_c(
     design: DataflowDesign,
     depths: Optional[Dict[str, int]] = None,
+    func_ops: Optional[Dict[str, FuncOp]] = None,
 ) -> str:
-    """Emit the complete dataflow accelerator as HLS C."""
+    """Emit the complete dataflow accelerator as HLS C.
+
+    Each stage kernel is its lowered function in ``func_ops`` (a
+    dataflow DSE result's ``stage_func_ops``, left as they are), or its
+    function's installed schedule lowered afresh.
+    """
     fifos = {f.array: f for f in resolve_depths(design, depths)}
     placeholders = {p.name: p for p in design.placeholders()}
     streams = set(design.stream_arrays())
@@ -74,8 +72,12 @@ def generate_dataflow_hls_c(
 
     ordered = design.topo_order()
     for stage in ordered:
+        if func_ops is None:
+            func_op = canonical(stage.function.lower())
+        else:
+            func_op = canonical(detached(func_ops[stage.name]))
         _emit_stage(
-            lines, design, stage,
+            lines, design, stage, func_op,
             inbound.get(stage.name, []), outbound.get(stage.name, []),
             placeholders,
         )
@@ -112,12 +114,12 @@ def _emit_stage(
     lines: List[str],
     design: DataflowDesign,
     stage: Stage,
+    func_op: FuncOp,
     inbound: List[str],
     outbound: List[str],
     placeholders,
 ) -> None:
     """One ``static void`` task function wrapping the stage kernel."""
-    func_op = _lowered(stage)
     streams = set(design.stream_arrays())
     params: List[str] = []
     for placeholder in stage.function.placeholders():

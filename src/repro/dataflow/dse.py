@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.affine.ir import FuncOp
 from repro.affine.passes.verify import verify_func
 from repro.dataflow.design import DataflowDesign
 from repro.dataflow.estimate import (
@@ -70,6 +71,10 @@ class DataflowDseResult:
     report: DataflowReport
     naive_report: DataflowReport
     stage_results: Dict[str, DseResult]
+    #: Each stage's selected point lowered to the affine dialect and
+    #: structurally verified: what the stage emits (the point installed
+    #: on its function).
+    stage_func_ops: Dict[str, FuncOp]
     selection: Dict[str, ParetoPoint]
     naive_selection: Dict[str, ParetoPoint]
     frontier: List[ParetoPoint]
@@ -276,8 +281,9 @@ def auto_dse_dataflow(
 
     # 6. Realize the balanced selection on the live stage functions.
     realized: Dict[str, SynthesisReport] = {}
+    func_ops: Dict[str, FuncOp] = {}
     for name in order:
-        realized[name] = _realize_stage(
+        realized[name], func_ops[name] = _realize_stage(
             design.stages[name].function,
             device, clock_ns,
             dict(selection[name].parallelism),
@@ -308,6 +314,7 @@ def auto_dse_dataflow(
         report=report,
         naive_report=naive_report,
         stage_results=stage_results,
+        stage_func_ops=func_ops,
         selection=dict(selection),
         naive_selection=dict(naive_selection),
         frontier=frontier.points(),
@@ -433,7 +440,7 @@ def _realize_stage(
     parallelism: Dict[str, int],
     bank_cap: int,
     keep_existing_schedule: bool,
-) -> SynthesisReport:
+) -> Tuple[SynthesisReport, FuncOp]:
     """Replay one frontier candidate exactly and install it.
 
     The candidate goes through the engine's own
@@ -449,4 +456,4 @@ def _realize_stage(
     report, func_op = evaluator.realize(configs, bank_cap)
     verify_func(func_op).raise_if_errors()
     evaluator.install(configs, bank_cap)
-    return report
+    return report, func_op

@@ -40,6 +40,7 @@ from repro.util.deadline import Deadline
 from repro.dsl.function import Function
 from repro.dsl.schedule import Schedule
 from repro.affine.ir import FuncOp
+from repro.affine.passes.verify import verify_func
 from repro.hls.device import FPGADevice
 from repro.hls.report import SynthesisReport, speedup
 from repro.isl import memo as _isl_memo
@@ -98,6 +99,12 @@ class DseResult:
     schedule: Schedule
     plan: Stage1Plan
     configs: Dict[str, NodeConfig]
+    #: The bank cap the design's banking was derived under.
+    bank_cap: int
+    #: The design lowered to the affine dialect, structurally verified:
+    #: what ``print_func`` prints and :func:`repro.pipeline.emit_hls_c`
+    #: emits, equal to lowering ``function`` once the design is installed.
+    func_op: FuncOp
     dse_time_s: float
     evaluations: int
     stats: Optional[DseStats] = None
@@ -212,7 +219,7 @@ def auto_dse(
     function: Function,
     options: Optional[DseOptions] = None,
 ) -> DseResult:
-    """Run the two-stage DSE and install the best schedule found.
+    """Run the two-stage DSE and install the best design found.
 
     All configuration travels in one :class:`~repro.dse.options.DseOptions`::
 
@@ -242,7 +249,23 @@ def auto_dse(
     records hierarchical spans (per candidate, per pipeline layer) and
     bulk-publishes its :class:`~repro.dse.stats.DseStats` counters as
     trace metrics.  Tracing never changes the result.
+
+    The returned result carries the design as a value (``configs``,
+    ``bank_cap``, the lowered ``func_op`` and the ``schedule`` that is
+    installed), so emitting it needs no replay of the function.
     """
+    result, evaluator = sweep(function, options)
+    evaluator.install(result.configs, result.bank_cap)
+    return result
+
+
+def sweep(
+    function: Function,
+    options: Optional[DseOptions] = None,
+) -> Tuple[DseResult, Evaluator]:
+    """:func:`auto_dse` without its install: the result and the evaluator
+    that scored it, which can realize and install any point it scored
+    (dataflow realization installs the balancer's pick, not the best)."""
     if options is None:
         options = DseOptions()
     elif not isinstance(options, DseOptions):
@@ -340,16 +363,19 @@ def auto_dse(
     if tracer is not None:
         _publish_stats_metrics(tracer, stats)
 
-    report, configs, plan, frontier = result
+    best, schedule, frontier = result
+    report = best.report
     feasible = budget.admits(report.resources)
     if not feasible:
         engine.emit(over_budget(report, budget))
     return DseResult(
         function=function,
         report=report,
-        schedule=function.schedule.copy(),
-        plan=plan,
-        configs=configs,
+        schedule=schedule,
+        plan=evaluator.plan,
+        configs=best.configs,
+        bank_cap=best.bank_cap,
+        func_op=best.func_op,
         dse_time_s=stats.total_s,
         evaluations=stats.evaluations,
         stats=stats,
@@ -359,7 +385,7 @@ def auto_dse(
         objective=objective.canonical,
         frontier=frontier,
         feasible=feasible,
-    )
+    ), evaluator
 
 
 def over_budget(report, budget: FPGADevice) -> Diagnostic:
@@ -486,10 +512,7 @@ class _Sweep:
         return self.evaluator.stats
 
 
-def _search(sweep: _Sweep) -> Tuple[
-    SynthesisReport, Dict[str, NodeConfig], Stage1Plan,
-    Optional[List[ParetoPoint]],
-]:
+def _search(sweep: _Sweep) -> Tuple[_Best, Schedule, Optional[List[ParetoPoint]]]:
     evaluator, objective = sweep.evaluator, sweep.objective
     parallelism = {name: 1 for name in evaluator.nodes}
     # The degree-1 baseline must evaluate: without it there is no legal
@@ -533,16 +556,16 @@ def _search(sweep: _Sweep) -> Tuple[
                 sel_par, selected.bank_cap,
             )
 
-    # Install the best design, the sweep's one write.  A design scored
-    # in this process keeps its report; one replayed from the journal or
+    # The chosen design as a value.  One scored in this process keeps
+    # its report and lowered function; one replayed from the journal or
     # picked off the frontier is lowered for real first.
     best = sweep.best
     with _trace.span("dse.finalize", "dse"):
-        report = best.report
         if best.func_op is None:
-            report, _ = evaluator.realize(best.configs, best.bank_cap)
-        evaluator.install(best.configs, best.bank_cap)
-    return report, best.configs, evaluator.plan, frontier_points
+            best.report, best.func_op = evaluator.realize(best.configs, best.bank_cap)
+        verify_func(best.func_op).raise_if_errors()
+        schedule = Schedule(evaluator.directives(best.configs))
+    return best, schedule, frontier_points
 
 
 def _note_scored(

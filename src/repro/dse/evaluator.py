@@ -61,6 +61,7 @@ from repro.diagnostics import (
     SourceLocation,
 )
 from repro.dsl.function import Function
+from repro.dsl.schedule import Directive
 from repro.dse.stage1 import plan_stage1
 from repro.dse.stage2 import (
     NodeConfig,
@@ -282,27 +283,30 @@ class Evaluator:
     def fingerprint(self, configs: Dict[str, NodeConfig]) -> tuple:
         return tuple(configs[name].fingerprint() for name in self.nodes)
 
-    def install(self, configs: Dict[str, NodeConfig], bank_cap: int) -> None:
-        """Write one design onto the function: its schedule and banking.
+    def directives(self, configs: Dict[str, NodeConfig]) -> List[Directive]:
+        """The directive list of ``configs``, as :meth:`install` writes it.
 
         Structural after/fuse directives (algorithm-level loop sharing)
-        are re-added first so they keep their meaning under the new
-        schedule; then come the stage-1 directives, each node's stage-2
-        directives and the fusion directives, read off the deltas the
-        assembled candidate keeps.  The arrays get the partitions
-        :meth:`realize` lowers the design with.
+        come first so they keep their meaning under the new schedule;
+        then the stage-1 directives, each node's stage-2 directives and
+        the fusion directives, read off the deltas the assembled
+        candidate keeps.
         """
         self.scheduled(configs)
-        _, _, deltas, spreads, _ = self._scheduled
+        deltas = self._scheduled[2]
         directives = self.structural + self.plan.directives
         for delta in deltas.values():
             directives += delta.directives
-        directives += fusion_directives(self.plan, deltas)
+        return directives + fusion_directives(self.plan, deltas)
+
+    def install(self, configs: Dict[str, NodeConfig], bank_cap: int) -> None:
+        """Write one design onto the function: its :meth:`directives` and
+        the partitions :meth:`realize` lowers it with."""
         function = self.function
         function.reset_schedule()
-        for directive in directives:
+        for directive in self.directives(configs):
             function.schedule.add(directive)
-        function.set_partitions(self._bank(spreads, bank_cap)[1])
+        function.set_partitions(self._bank(self._scheduled[3], bank_cap)[1])
 
     def scheduled(self, configs: Dict[str, NodeConfig]) -> PolyProgram:
         """The polyhedral program of ``configs``, assembled incrementally.

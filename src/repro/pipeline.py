@@ -8,6 +8,7 @@ synthesis available at the affine level.  These drivers are what the
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 from repro.dsl.function import Function
@@ -46,19 +47,33 @@ def lower_to_affine(function: Function, verify: bool = True) -> FuncOp:
     return func
 
 
-def compile_to_hls_c(function: Function, canonicalize_ir: bool = True) -> str:
-    """Full pipeline: emit synthesizable HLS C.
-
-    The affine IR is canonicalized (trip-1 loops promoted, constant
-    guards folded, dead regions removed) and verified before emission.
-    """
+def canonical(func_op: FuncOp) -> FuncOp:
+    """The form HLS C is emitted from, made in place: ``func_op``
+    canonicalized (trip-1 loops promoted, constant guards folded, dead
+    regions removed, verified) and given its dependence pragmas."""
     from repro.affine.passes import InsertDependencePragmas, canonicalize
 
-    func_op = lower_to_affine(function)
-    if canonicalize_ir:
-        canonicalize(func_op)
-        InsertDependencePragmas().run(func_op)
-    return generate_hls_c(func_op)
+    canonicalize(func_op)
+    InsertDependencePragmas().run(func_op)
+    return func_op
+
+
+def detached(func_op: FuncOp) -> FuncOp:
+    """A copy of ``func_op`` that passes may rewrite: the op tree is
+    copied, the arrays are shared.  A DSE result's ``func_op`` shares its
+    ops with the evaluator's lowering memo, so it is never rewritten."""
+    return copy.deepcopy(func_op, {id(array): array for array in func_op.arrays})
+
+
+def emit_hls_c(func_op: FuncOp) -> str:
+    """HLS C of a lowered function, which is left as it is (a chosen
+    design emits from ``DseResult.func_op`` with no replay)."""
+    return generate_hls_c(canonical(detached(func_op)))
+
+
+def compile_to_hls_c(function: Function) -> str:
+    """Full pipeline: lower the function's schedule and emit HLS C."""
+    return generate_hls_c(canonical(lower_to_affine(function)))
 
 
 def estimate(

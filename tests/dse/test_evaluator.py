@@ -75,7 +75,7 @@ def test_every_route_scores_a_candidate_identically(name):
         designs.append((degree, sorted(banking.items())))
 
         stage_function = build()
-        realized = _realize_stage(
+        realized, _ = _realize_stage(
             stage_function, DEFAULT_DEVICE, DEFAULT_DEVICE.clock_ns,
             par, bank_cap, keep_existing_schedule=False,
         )

@@ -251,7 +251,8 @@ class TestParallelismMetric:
         }
         result = DseResult(
             function=None, report=_report(100, ii=2), schedule=[],
-            plan=None, configs=configs, dse_time_s=0.0, evaluations=1,
+            plan=None, configs=configs, bank_cap=128, func_op=None,
+            dse_time_s=0.0, evaluations=1,
         )
         # product(4, 8) / II 2 -- max(4, 8) / 2 would say 4.0.
         assert result.parallelism == 16.0

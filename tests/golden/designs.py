@@ -17,6 +17,12 @@ whole device) at the smallest size, is recorded too: cycles and the
 digests of the installed function, with no payload or evaluation
 count.
 
+The C and ``print_func`` of a row are those of the installed design,
+replayed: the function lowered again from its schedule.  That replay is
+the oracle of the design a DSE result carries, so computing a row of a
+DSE input also checks that ``emit_hls_c`` and ``print_func`` of the
+result's own lowered functions give the same text.
+
 Run from the repo root::
 
     PYTHONPATH=src python tests/golden/designs.py            # check every row
@@ -99,7 +105,7 @@ def digest(item: Input) -> Dict[str, object]:
     from repro import workloads
     from repro.affine import print_func
     from repro.dse import DseOptions, auto_dse
-    from repro.pipeline import compile_to_hls_c
+    from repro.pipeline import compile_to_hls_c, emit_hls_c
     from repro.serve import SessionContext
     from repro.serve.jobs import dse_design_payload
 
@@ -118,14 +124,17 @@ def digest(item: Input) -> Dict[str, object]:
                 "print_func": _sha(print_func(result.function.lower())),
             }
         if item.kind == "dataflow":
-            from repro.dataflow import auto_dse_dataflow
+            from repro.dataflow import auto_dse_dataflow, generate_dataflow_hls_c
 
             result = auto_dse_dataflow(
                 built, options=DseOptions(resource_fraction=item.fraction)
             )
+            stages = result.design.topo_order()
             c_text = result.design.codegen()
-            ir_text = "\n".join(
-                print_func(stage.function.lower()) for stage in result.design.topo_order()
+            ir_text = "\n".join(print_func(stage.function.lower()) for stage in stages)
+            carried = (
+                generate_dataflow_hls_c(result.design, func_ops=result.stage_func_ops),
+                "\n".join(print_func(result.stage_func_ops[stage.name]) for stage in stages),
             )
         else:
             options = DseOptions(
@@ -136,6 +145,12 @@ def digest(item: Input) -> Dict[str, object]:
             result = auto_dse(built, options=options)
             c_text = compile_to_hls_c(result.function)
             ir_text = print_func(result.function.lower())
+            carried = (emit_hls_c(result.func_op), print_func(result.func_op))
+        if carried != (c_text, ir_text):
+            raise AssertionError(
+                f"{item.key}: the design the result carries emits other C or IR "
+                "than the replay of its installed schedule"
+            )
         payload = dse_design_payload(result, item.name, item.size)
     return {
         "payload": _sha(json.dumps(payload, sort_keys=True)),

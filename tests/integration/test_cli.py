@@ -44,6 +44,42 @@ class TestCompile:
         assert "#pragma HLS pipeline" in captured.out
         assert "auto-DSE" in captured.err
 
+    @pytest.mark.parametrize("name", ["gemm", "seidel", "image-pipeline"])
+    def test_dse_emits_the_design_the_sweep_returned(self, name, capsys, monkeypatch):
+        """`compile --dse --emit all` emits C, IR and report off the
+        result: nothing is lowered after the sweep, and the text is what
+        replaying the installed schedule prints."""
+        from repro import pipeline
+        from repro.affine import print_func
+        from repro.dataflow import DataflowDesign
+        from repro.dsl.function import Function
+
+        swept, lowered = [], []
+        lower_to_affine = pipeline.lower_to_affine
+        monkeypatch.setattr(pipeline, "lower_to_affine", lambda *args, **kwargs: (
+            lowered.append(args[0].name), lower_to_affine(*args, **kwargs))[1])
+        for cls in (Function, DataflowDesign):
+            def auto_dse(workload, options=None, sweep=cls.auto_DSE):
+                result = sweep(workload, options=options)
+                swept.append(workload)
+                lowered.clear()
+                return result
+            monkeypatch.setattr(cls, "auto_DSE", auto_dse)
+
+        assert main(["compile", name, "--size", "32", "--dse", "--emit", "all"]) == 0
+        out = capsys.readouterr().out
+        assert lowered == []
+
+        (workload,) = swept
+        if isinstance(workload, DataflowDesign):
+            ir = "".join(f"// stage {stage.name}\n{print_func(stage.function.lower())}\n"
+                         for stage in workload.topo_order())
+        else:
+            ir = print_func(workload.lower()) + "\n"
+        report = workload.estimate()
+        loops = "".join(f"   {loop}\n" for loop in report.loops)
+        assert out == f"{workload.codegen()}\n{ir}{report.summary()}\n{loops}"
+
     def test_resource_fraction(self, capsys):
         assert main([
             "compile", "gemm", "--size", "32", "--dse",
