@@ -6,10 +6,10 @@ optimize alone overspends on fast stages and starves the bottleneck.
 :func:`auto_dse_dataflow` searches jointly instead:
 
 1. **Per-stage frontiers.** Each stage runs the standard two-stage
-   engine (:func:`repro.dse.engine.auto_dse`) with a full Pareto
-   objective, producing its latency-vs-resource frontier (checkpoint /
-   resume inherited; a design checkpoint fans out to one journal per
-   stage at ``<path>.<stage>``).
+   sweep (:func:`repro.dse.engine.sweep`, :func:`~repro.dse.engine.auto_dse`
+   without its install) with a full Pareto objective, producing its
+   latency-vs-resource frontier (checkpoint / resume inherited; a design
+   checkpoint fans out to one journal per stage at ``<path>.<stage>``).
 2. **Throughput balancing.** A greedy walk starts every stage at its
    cheapest frontier point, then repeatedly upgrades only the current
    *bottleneck* stage to its next-faster point, admitting the step only
@@ -22,11 +22,12 @@ optimize alone overspends on fast stages and starves the bottleneck.
    kept when it fits the budget and pruned by the standard dominance
    machinery, so serve payloads and reports reuse the PR-9 frontier
    plumbing unchanged.
-4. **Realization.** The balanced selection is replayed exactly (its
-   ``(parallelism, bank_cap)`` per stage) onto the live stage
-   functions, so ``design.codegen()`` afterwards emits the optimized
-   accelerator and the returned report comes from real estimation, not
-   frontier arithmetic.
+4. **Realization.** Each stage's selected ``(parallelism, bank_cap)``
+   is lowered, verified and installed by the evaluator of the sweep
+   that scored it, so the installed stage is the point the balancer
+   checked against the budget; ``design.codegen()`` afterwards emits
+   the optimized accelerator and the returned report comes from real
+   estimation, not frontier arithmetic.  Realization is no evaluation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 import textwrap
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.affine.ir import FuncOp
 from repro.affine.passes.verify import verify_func
@@ -46,7 +47,7 @@ from repro.dataflow.estimate import (
     resolve_depths,
 )
 from repro.diagnostics import Diagnostic
-from repro.dse.engine import DseResult, auto_dse, over_budget
+from repro.dse.engine import DseResult, over_budget, sweep
 from repro.dse.evaluator import Evaluator
 from repro.dse.options import DseOptions
 from repro.dse.pareto import Objective, ParetoFrontier, ParetoPoint
@@ -197,6 +198,7 @@ def auto_dse_dataflow(
 
     # 1. Per-stage frontiers.
     stage_results: Dict[str, DseResult] = {}
+    evaluators: Dict[str, Evaluator] = {}
     frontiers: Dict[str, List[ParetoPoint]] = {}
     order = [stage.name for stage in design.topo_order()]
     for name in order:
@@ -222,7 +224,7 @@ def auto_dse_dataflow(
                 and os.path.exists(stage_checkpoint)
             ),
         )
-        result = auto_dse(design.stages[name].function, options=stage_options)
+        result, evaluators[name] = sweep(design.stages[name].function, stage_options)
         stage_results[name] = result
         points = list(result.frontier or ())
         if not points:
@@ -283,13 +285,11 @@ def auto_dse_dataflow(
     realized: Dict[str, SynthesisReport] = {}
     func_ops: Dict[str, FuncOp] = {}
     for name in order:
-        realized[name], func_ops[name] = _realize_stage(
-            design.stages[name].function,
-            device, clock_ns,
-            dict(selection[name].parallelism),
-            selection[name].bank_cap,
-            options.keep_existing_schedule,
-        )
+        evaluator, point = evaluators[name], selection[name]
+        configs = evaluator.configs(dict(point.parallelism))
+        realized[name], func_ops[name] = evaluator.realize(configs, point.bank_cap)
+        verify_func(func_ops[name]).raise_if_errors()
+        evaluator.install(configs, point.bank_cap)
     report = compose_report(design, device, clock_ns, realized, base_fifos)
     naive_report = compose_report(
         design, device, clock_ns,
@@ -432,28 +432,3 @@ def _synthetic_report(
         power_w=point.power_w,
     )
 
-
-def _realize_stage(
-    function,
-    device: FPGADevice,
-    clock_ns: float,
-    parallelism: Dict[str, int],
-    bank_cap: int,
-    keep_existing_schedule: bool,
-) -> Tuple[SynthesisReport, FuncOp]:
-    """Replay one frontier candidate exactly and install it.
-
-    The candidate goes through the engine's own
-    :class:`~repro.dse.evaluator.Evaluator`, so the returned report is
-    real, the lowered function is structurally verified, and the stage
-    function's schedule and banking now *are* the selected design
-    (``codegen()`` emits it).
-    """
-    evaluator = Evaluator(
-        function, device, clock_ns, keep_existing_schedule=keep_existing_schedule
-    )
-    configs = evaluator.configs(parallelism)
-    report, func_op = evaluator.realize(configs, bank_cap)
-    verify_func(func_op).raise_if_errors()
-    evaluator.install(configs, bank_cap)
-    return report, func_op

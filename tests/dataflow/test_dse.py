@@ -100,13 +100,9 @@ class TestRealization:
             for _, degree in point.parallelism
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="realization builds a second evaluator on a stage the sweep "
-        "already installed and keeps that banking as its baseline (ROADMAP 12)",
-    )
     @pytest.mark.parametrize(
-        "name,size,fraction", [("conv-block", 32, 0.25), ("image-pipeline", 64, 0.1)]
+        "name,size,fraction",
+        [("conv-block", 32, 0.25), ("image-pipeline", 32, 0.25), ("image-pipeline", 64, 0.1)],
     )
     def test_each_installed_stage_is_the_point_the_balancer_selected(
         self, name, size, fraction
@@ -115,7 +111,40 @@ class TestRealization:
             options=DseOptions(resource_fraction=fraction)
         )
         for stage, point in result.selection.items():
-            assert result.report.stage_reports[stage].total_cycles == point.cycles, stage
+            report = result.report.stage_reports[stage]
+            used = report.resources
+            assert (report.total_cycles, used.dsp, used.lut, used.ff, used.bram_bits) == (
+                point.cycles, point.dsp, point.lut, point.ff, point.bram_bits
+            ), stage
+
+    def test_each_stage_is_scored_and_realized_by_one_evaluator(self, monkeypatch):
+        from repro.dse.evaluator import Evaluator
+
+        built, realized = [], []
+        init, realize = Evaluator.__init__, Evaluator.realize
+
+        def recording_init(self, function, *args, **kwargs):
+            init(self, function, *args, **kwargs)
+            built.append(function.name)
+
+        def recording_realize(self, configs, bank_cap):
+            realized.append(self.function.name)
+            return realize(self, configs, bank_cap)
+
+        monkeypatch.setattr(Evaluator, "__init__", recording_init)
+        monkeypatch.setattr(Evaluator, "realize", recording_realize)
+        result = workloads.get("conv-block", 32).auto_DSE(options=TIGHT)
+        assert built == ["conv", "relu", "pool"]
+        # Each stage realizes one point more than its sweep scored, and
+        # that realization is no evaluation.
+        assert [
+            realized.count(name) - stage.stats.candidates
+            for name, stage in result.stage_results.items()
+        ] == [1, 1, 1]
+        assert all(
+            stage.stats.evaluations == stage.stats.candidates
+            for stage in result.stage_results.values()
+        )
 
 
 class _Clock:
@@ -136,16 +165,16 @@ class TestDesignWideBudget:
         from repro.dataflow import dse as dataflow_dse
 
         clock = _Clock()
-        real_auto_dse = dataflow_dse.auto_dse
+        real_sweep = dataflow_dse.sweep
         given = []
 
         def stage_sweep(function, options):
             given.append(options.time_budget_s)
             clock.now += 1.5  # every stage sweep takes 1.5 s
-            return real_auto_dse(function, options=options)
+            return real_sweep(function, options)
 
         monkeypatch.setattr(dataflow_dse, "time", clock)
-        monkeypatch.setattr(dataflow_dse, "auto_dse", stage_sweep)
+        monkeypatch.setattr(dataflow_dse, "sweep", stage_sweep)
         workloads.get("image-pipeline", 8).auto_DSE(
             options=DseOptions(time_budget_s=budget)
         )
@@ -155,14 +184,14 @@ class TestDesignWideBudget:
     def test_no_budget_stays_unbounded(self, monkeypatch):
         from repro.dataflow import dse as dataflow_dse
 
-        real_auto_dse = dataflow_dse.auto_dse
+        real_sweep = dataflow_dse.sweep
         given = []
 
         def stage_sweep(function, options):
             given.append(options.time_budget_s)
-            return real_auto_dse(function, options=options)
+            return real_sweep(function, options)
 
-        monkeypatch.setattr(dataflow_dse, "auto_dse", stage_sweep)
+        monkeypatch.setattr(dataflow_dse, "sweep", stage_sweep)
         workloads.get("conv-block", 8).auto_DSE()
         assert given == [None, None, None]
 

@@ -1,10 +1,11 @@
 """The Evaluator seam: every route to a scored candidate agrees.
 
-The search and dataflow realization are both clients of
-:class:`repro.dse.evaluator.Evaluator`.  These tests pin that one
-candidate yields the same report and the same lowered IR whichever
-client asks, cached or not, and that scoring it writes nothing on the
-function: only ``install`` does.
+The search is the client of :class:`repro.dse.evaluator.Evaluator`, and
+dataflow realization asks the evaluator of a stage's sweep for a point
+it scored earlier.  These tests pin that one candidate yields the same
+report and the same lowered IR whichever way it is asked for, cached or
+not, and that scoring it writes nothing on the function: only
+``install`` does.
 """
 
 import pytest
@@ -12,11 +13,9 @@ import pytest
 from repro import workloads
 from repro.affine import print_func
 from repro.affine.lowering import lower_program
-from repro.dataflow.dse import _realize_stage
 from repro.dse import DseOptions, auto_dse
 from repro.dse.evaluator import Evaluator
 from repro.dse.stage2 import derive_partitions
-from repro.hls.device import DEFAULT_DEVICE
 from repro.hls.estimator import HlsEstimator
 from repro.polyir.program import PolyProgram
 
@@ -56,7 +55,7 @@ def test_every_route_scores_a_candidate_identically(name):
     build = SEAM_WORKLOADS[name]
     cached = Evaluator(build())
     uncached = Evaluator(build(), cache=False)
-    designs = []
+    designs, scored = [], []
     for degree, bank_cap in POINTS:
         par = {node: degree for node in cached.nodes}
         before = _state(cached.function)
@@ -73,14 +72,7 @@ def test_every_route_scores_a_candidate_identically(name):
             uncached.function, max_banks=bank_cap, spreads=uncached._scheduled[3]
         )
         designs.append((degree, sorted(banking.items())))
-
-        stage_function = build()
-        realized, _ = _realize_stage(
-            stage_function, DEFAULT_DEVICE, DEFAULT_DEVICE.clock_ns,
-            par, bank_cap, keep_existing_schedule=False,
-        )
-        assert realized == report
-        assert _installed_ir(stage_function) == ir
+        scored.append((par, bank_cap, report, ir))
     # The memoizing evaluator revisits a design without lowering a nest
     # or estimating one.  The other lowers a schedule once for the bank
     # caps that follow it, and estimates every candidate but one that
@@ -98,6 +90,15 @@ def test_every_route_scores_a_candidate_identically(name):
     assert uncached.stats.lowerings == changes([degree for degree, _ in designs])
     assert uncached.stats.estimations == changes(designs)
     assert cached.stats.lowerings == uncached.stats.lowerings
+    # Dataflow realization: the evaluator that scored a point realizes
+    # and installs it again after others, whatever it installed last,
+    # from the banking its function had when it was built.
+    for par, bank_cap, report, ir in reversed(scored):
+        again, func_op = cached.realize(cached.configs(par), bank_cap)
+        assert again == report and print_func(func_op) == ir
+        cached.install(cached.configs(par), bank_cap)
+        assert _installed_ir(cached.function) == ir
+    assert (cached.stats.group_lowerings, cached.estimator.nest_misses) == work
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])

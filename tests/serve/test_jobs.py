@@ -188,7 +188,7 @@ class TestExecution:
 
     def test_an_over_budget_design_says_so(self):
         spec = JobSpec.from_request({
-            "kind": "dse", "workload": "image-pipeline", "size": 16,
+            "kind": "dse", "workload": "conv-block", "size": 128,
             "options": {"resource_fraction": 0.1},
         })
         search = execute_job(spec)["search"]
