@@ -179,16 +179,19 @@ def _worker_main(request: dict, journal_path, arm_faults, job_timeout_s, channel
         channel.send(("failed", {"error": f"{type(exc).__name__}: {exc}"}))
 
 
-def _worker_loop(jobs, channel, server_ends) -> None:
+def _worker_loop(jobs, channel, server_ends, self_pipe) -> None:
     """Worker-process entry point: run the jobs that arrive on ``jobs``,
     one at a time, until the server closes it or dies (EOF).
 
     ``server_ends`` are the server's ends of every worker's pipes, this
     worker's own included, which the fork copied: closing them leaves
-    the server the only writer of each request pipe.
+    the server the only writer of each request pipe.  ``self_pipe`` are
+    the executor's self-pipe descriptors the fork copied, closed too.
     """
     for end in server_ends:
         end.close()
+    for fd in self_pipe:
+        os.close(fd)
     while True:
         try:
             request, journal_path, arm_faults, job_timeout_s = jobs.recv()
@@ -522,9 +525,12 @@ class JobExecutor:
         jobs_r, jobs = self._ctx.Pipe(duplex=False)
         conn, channel = self._ctx.Pipe(duplex=False)
         server_ends = [end for other in self._pool for end in (other.jobs, other.conn)]
+        # Raw descriptors are inherited by a fork only, not by a spawn.
+        forked = self._ctx.get_start_method() == "fork"
+        self_pipe = (self._wake_r, self._wake_w) if forked else ()
         process = self._ctx.Process(
             target=_worker_loop,
-            args=(jobs_r, channel, server_ends + [jobs, conn]),
+            args=(jobs_r, channel, server_ends + [jobs, conn], self_pipe),
             daemon=False,
         )
         process.start()

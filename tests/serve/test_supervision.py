@@ -387,6 +387,23 @@ def test_each_worker_holds_only_its_own_pipe_ends(two_idle_workers):
                 assert not set(theirs) & set(held), "a sibling's pipe end leaked"
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs Linux /proc")
+def test_an_idle_worker_holds_no_end_of_the_self_pipe(two_idle_workers):
+    executor = two_idle_workers
+    self_pipe = {
+        (stat.st_dev, stat.st_ino)
+        for stat in map(os.fstat, (executor._wake_r, executor._wake_w))
+    }
+    with executor._lock:
+        pids = [worker.process.pid for worker in executor._idle]
+    for pid in pids:
+        held = set()
+        for fd in os.listdir(f"/proc/{pid}/fd"):
+            stat = os.stat(f"/proc/{pid}/fd/{fd}")
+            held.add((stat.st_dev, stat.st_ino))
+        assert not self_pipe & held, pid
+
+
 _IDLE_WORKERS_SCRIPT = """
 import json, sys, threading
 from repro.serve import executor
