@@ -150,18 +150,6 @@ def _single_kernel_only(args, workload, options: Dict[str, object]) -> None:
             )
 
 
-def _hls_c(workload, result) -> str:
-    """``--emit c``: the DSE result's design, else the installed schedule."""
-    from repro.dataflow import DataflowDesign, generate_dataflow_hls_c
-    from repro.pipeline import emit_hls_c
-
-    if result is None:
-        return workload.codegen()
-    if isinstance(workload, DataflowDesign):
-        return generate_dataflow_hls_c(workload, func_ops=result.stage_func_ops)
-    return emit_hls_c(result.func_op)
-
-
 def _print_ir(workload, result) -> None:
     """``--emit mlir``: the lowered affine IR, one function per stage --
     the DSE result's design, else the installed schedule lowered."""
@@ -174,10 +162,8 @@ def _print_ir(workload, result) -> None:
         return
     for stage in workload.topo_order():
         print(f"// stage {stage.name}")
-        if result is None:
-            print(print_func(stage.function.lower()))
-        else:
-            print(print_func(result.stage_func_ops[stage.name]))
+        lowered = stage.function.lower() if result is None else result.stage_func_ops[stage.name]
+        print(print_func(lowered))
 
 
 def cmd_compile(args) -> int:
@@ -215,7 +201,7 @@ def cmd_compile(args) -> int:
 
     emit = args.emit
     if emit in ("c", "all"):
-        print(_hls_c(workload, result))
+        print((workload if result is None else result).codegen())
     if emit in ("mlir", "all"):
         _print_ir(workload, result)
     if emit in ("report", "all"):

@@ -44,12 +44,9 @@ def generate_dataflow_hls_c(
     depths: Optional[Dict[str, int]] = None,
     func_ops: Optional[Dict[str, FuncOp]] = None,
 ) -> str:
-    """Emit the complete dataflow accelerator as HLS C.
-
-    Each stage kernel is its lowered function in ``func_ops`` (a
-    dataflow DSE result's ``stage_func_ops``, left as they are), or its
-    function's installed schedule lowered afresh.
-    """
+    """Emit the complete dataflow accelerator as HLS C: each stage from
+    its lowered function in ``func_ops`` (left as it is), else from its
+    installed schedule lowered afresh."""
     fifos = {f.array: f for f in resolve_depths(design, depths)}
     placeholders = {p.name: p for p in design.placeholders()}
     streams = set(design.stream_arrays())
@@ -72,12 +69,9 @@ def generate_dataflow_hls_c(
 
     ordered = design.topo_order()
     for stage in ordered:
-        if func_ops is None:
-            func_op = canonical(stage.function.lower())
-        else:
-            func_op = canonical(detached(func_ops[stage.name]))
+        lowered = stage.function.lower() if func_ops is None else detached(func_ops[stage.name])
         _emit_stage(
-            lines, design, stage, func_op,
+            lines, design, stage, canonical(lowered),
             inbound.get(stage.name, []), outbound.get(stage.name, []),
             placeholders,
         )

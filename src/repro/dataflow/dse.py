@@ -35,11 +35,12 @@ from __future__ import annotations
 import os
 import textwrap
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.affine.ir import FuncOp
 from repro.affine.passes.verify import verify_func
+from repro.dataflow.codegen import generate_dataflow_hls_c
 from repro.dataflow.design import DataflowDesign
 from repro.dataflow.estimate import (
     DataflowReport,
@@ -72,9 +73,8 @@ class DataflowDseResult:
     report: DataflowReport
     naive_report: DataflowReport
     stage_results: Dict[str, DseResult]
-    #: Each stage's selected point lowered to the affine dialect and
-    #: structurally verified: what the stage emits (the point installed
-    #: on its function).
+    #: Each stage's selected point, lowered and structurally verified:
+    #: what :meth:`codegen` emits (the point installed on its function).
     stage_func_ops: Dict[str, FuncOp]
     selection: Dict[str, ParetoPoint]
     naive_selection: Dict[str, ParetoPoint]
@@ -95,6 +95,10 @@ class DataflowDseResult:
     # Same conditions as a single kernel's, over the merged stats, the
     # stages' pooled quarantine and the design's own fit.
     degraded = DseResult.degraded
+
+    def codegen(self) -> str:
+        """The dataflow HLS C of the design, emitted from ``stage_func_ops``."""
+        return generate_dataflow_hls_c(self.design, func_ops=self.stage_func_ops)
 
     @property
     def balanced_speedup(self) -> float:
@@ -160,12 +164,7 @@ class DataflowDseResult:
                 }
                 for fifo in self.report.fifos
             ],
-            "resources": {
-                "dsp": self.report.resources.dsp,
-                "lut": self.report.resources.lut,
-                "ff": self.report.resources.ff,
-                "bram_bits": self.report.resources.bram_bits,
-            },
+            "resources": asdict(self.report.resources),
             "power_w": self.report.power_w,
             "frontier": [point.to_record() for point in self.frontier],
             "evaluations": self.evaluations,

@@ -251,26 +251,17 @@ def estimate_design(
     device: Optional[FPGADevice] = None,
     clock_ns: Optional[float] = None,
     depths: Optional[Dict[str, int]] = None,
-    stage_reports: Optional[Dict[str, SynthesisReport]] = None,
 ) -> DataflowReport:
-    """Virtual synthesis of the whole pipeline under current schedules.
+    """Virtual synthesis of the whole pipeline under current schedules:
+    each stage estimated afresh via the standard pipeline."""
+    from repro.pipeline import estimate
 
-    ``stage_reports`` lets the DSE supply already-estimated per-stage
-    reports (avoiding re-lowering); otherwise each stage estimates
-    fresh via the standard pipeline.
-    """
     device = device or DEFAULT_DEVICE
     clock = clock_ns if clock_ns is not None else device.clock_ns
-    reports: Dict[str, SynthesisReport] = {}
-    for stage in design.topo_order():
-        if stage_reports is not None and stage.name in stage_reports:
-            reports[stage.name] = stage_reports[stage.name]
-        else:
-            from repro.pipeline import estimate
-
-            reports[stage.name] = estimate(
-                stage.function, device=device, clock_ns=clock
-            )
+    reports = {
+        stage.name: estimate(stage.function, device=device, clock_ns=clock)
+        for stage in design.topo_order()
+    }
     fifos = resolve_depths(design, depths)
     return compose_report(design, device, clock, reports, fifos)
 

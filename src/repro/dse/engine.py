@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import faults as _faults
@@ -50,10 +50,7 @@ from repro.dse.checkpoint import (
     make_header,
     workload_fingerprint,
 )
-from repro.dse.evaluator import (  # noqa: F401  (re-exported helpers)
-    Evaluator,
-    _backoff_sleep,
-)
+from repro.dse.evaluator import Evaluator
 from repro.dse.options import DseOptions
 from repro.dse.pareto import (
     Objective,
@@ -101,9 +98,8 @@ class DseResult:
     configs: Dict[str, NodeConfig]
     #: The bank cap the design's banking was derived under.
     bank_cap: int
-    #: The design lowered to the affine dialect, structurally verified:
-    #: what ``print_func`` prints and :func:`repro.pipeline.emit_hls_c`
-    #: emits, equal to lowering ``function`` once the design is installed.
+    #: The design lowered to the affine dialect and structurally verified,
+    #: as lowering ``function`` gives it once the design is installed.
     func_op: FuncOp
     dse_time_s: float
     evaluations: int
@@ -161,6 +157,12 @@ class DseResult:
         ii = self.report.worst_ii() or 1
         return total / ii
 
+    def codegen(self) -> str:
+        """HLS C of the design, emitted from ``func_op``."""
+        from repro.pipeline import emit_hls_c
+
+        return emit_hls_c(self.func_op)
+
     def speedup_vs(self, baseline: SynthesisReport) -> float:
         """Wall-clock speedup of this design over a baseline report."""
         return speedup(baseline, self.report)
@@ -176,12 +178,7 @@ class DseResult:
         """
         return {
             "total_cycles": self.report.total_cycles,
-            "resources": {
-                "dsp": self.report.resources.dsp,
-                "lut": self.report.resources.lut,
-                "ff": self.report.resources.ff,
-                "bram_bits": self.report.resources.bram_bits,
-            },
+            "resources": asdict(self.report.resources),
             "power_w": self.report.power_w,
             "tile_vectors": self.tile_vectors(),
             "schedule": [list(d.fingerprint()) for d in self.schedule],
@@ -249,10 +246,6 @@ def auto_dse(
     records hierarchical spans (per candidate, per pipeline layer) and
     bulk-publishes its :class:`~repro.dse.stats.DseStats` counters as
     trace metrics.  Tracing never changes the result.
-
-    The returned result carries the design as a value (``configs``,
-    ``bank_cap``, the lowered ``func_op`` and the ``schedule`` that is
-    installed), so emitting it needs no replay of the function.
     """
     result, evaluator = sweep(function, options)
     evaluator.install(result.configs, result.bank_cap)

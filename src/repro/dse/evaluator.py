@@ -3,10 +3,10 @@
 Every design point is scored the same way -- node configs -> polyhedral
 program -> derived banking -> polyir/isl lowering -> virtual-HLS
 estimate -- and :class:`Evaluator` is the only place that pipeline is
-spelled out.  The search (:mod:`repro.dse.engine`) and dataflow
-realization (:mod:`repro.dataflow.dse`) are both clients of it, so they
-cannot drift apart: the same report, the same ``DSE003`` timeout and the
-same ``DSE001`` wrapper come out of every route.
+spelled out.  The search (:mod:`repro.dse.engine`) is its client, and
+dataflow realization (:mod:`repro.dataflow.dse`) asks each stage sweep's
+own evaluator for the point the balancer selected, so no second
+evaluator re-derives a design its sweep scored.
 
 A candidate is a value: its program is assembled once, incrementally,
 in both cache modes (:meth:`Evaluator.scheduled`), and its banking
@@ -173,7 +173,9 @@ class Evaluator:
     program) and reads the arrays' partition schemes once; after that
     :meth:`configs` plans a parallelism vector, :meth:`realize` banks,
     lowers and estimates it without touching the function, and
-    :meth:`install` writes a chosen design onto it.  ``stats`` receives
+    :meth:`install` writes a chosen design onto it -- any design it
+    scored, in any order, banked over the schemes read at construction.
+    ``stats`` receives
     the work and per-layer hit/miss counters (a private
     :class:`DseStats` when the caller does not keep one).
     """

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List
 from repro.dse import auto_dse
 from repro.evaluation.frameworks import Claim, Experiment, Reading, format_table
 from repro.hlsgen import generate_hls_c
-from repro.pipeline import lower_to_affine
 from repro.workloads import image, polybench, stencils
 
 BENCHMARKS: Dict[str, Callable] = {
@@ -55,7 +54,7 @@ def run(benchmarks: Dict[str, Callable] = BENCHMARKS) -> List[LocPoint]:
         manual_primitives = len(result.schedule.directives) + sum(
             1 for p in function.placeholders() if p.partition_scheme is not None
         )
-        hls_c = generate_hls_c(lower_to_affine(function))
+        hls_c = generate_hls_c(result.func_op)
         hls_loc = sum(1 for line in hls_c.splitlines() if line.strip())
         points.append(
             LocPoint(

@@ -59,15 +59,13 @@ def canonical(func_op: FuncOp) -> FuncOp:
 
 
 def detached(func_op: FuncOp) -> FuncOp:
-    """A copy of ``func_op`` that passes may rewrite: the op tree is
-    copied, the arrays are shared.  A DSE result's ``func_op`` shares its
-    ops with the evaluator's lowering memo, so it is never rewritten."""
+    """A copy of ``func_op`` that passes may rewrite, sharing its arrays
+    (a DSE result's ``func_op`` shares ops with the lowering memo)."""
     return copy.deepcopy(func_op, {id(array): array for array in func_op.arrays})
 
 
 def emit_hls_c(func_op: FuncOp) -> str:
-    """HLS C of a lowered function, which is left as it is (a chosen
-    design emits from ``DseResult.func_op`` with no replay)."""
+    """HLS C of a lowered function, which is left as it is."""
     return generate_hls_c(canonical(detached(func_op)))
 
 

@@ -116,15 +116,6 @@ class PolyStatement:
             )
         self.hw_opts.append(opt)
 
-    def hw_opts_at(self, level: str) -> List[HardwareOpt]:
-        return [o for o in self.hw_opts if o.level == level]
-
-    def pipelined_level(self) -> Optional[str]:
-        for opt in self.hw_opts:
-            if opt.kind == "pipeline":
-                return opt.level
-        return None
-
     # -- misc ----------------------------------------------------------------------
 
     def fingerprint(self) -> tuple:

@@ -526,11 +526,11 @@ class JobExecutor:
         conn, channel = self._ctx.Pipe(duplex=False)
         server_ends = [end for other in self._pool for end in (other.jobs, other.conn)]
         # Raw descriptors are inherited by a fork only, not by a spawn.
-        forked = self._ctx.get_start_method() == "fork"
-        self_pipe = (self._wake_r, self._wake_w) if forked else ()
+        fork = self._ctx.get_start_method() == "fork"
         process = self._ctx.Process(
             target=_worker_loop,
-            args=(jobs_r, channel, server_ends + [jobs, conn], self_pipe),
+            args=(jobs_r, channel, server_ends + [jobs, conn],
+                  (self._wake_r, self._wake_w) if fork else ()),
             daemon=False,
         )
         process.start()

@@ -27,10 +27,6 @@ class ConvSpec:
     size: int       # output spatial extent (square)
     kernel: int = 3
 
-    @property
-    def in_size(self) -> int:
-        return self.size + self.kernel - 1  # valid convolution padding
-
 
 @dataclass(frozen=True)
 class ResidualSpec:

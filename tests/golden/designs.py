@@ -20,8 +20,8 @@ count.
 The C and ``print_func`` of a row are those of the installed design,
 replayed: the function lowered again from its schedule.  That replay is
 the oracle of the design a DSE result carries, so computing a row of a
-DSE input also checks that ``emit_hls_c`` and ``print_func`` of the
-result's own lowered functions give the same text.
+DSE input also checks that the result's ``codegen()`` and the
+``print_func`` of its own lowered functions give the same text.
 
 Run from the repo root::
 
@@ -105,7 +105,7 @@ def digest(item: Input) -> Dict[str, object]:
     from repro import workloads
     from repro.affine import print_func
     from repro.dse import DseOptions, auto_dse
-    from repro.pipeline import compile_to_hls_c, emit_hls_c
+    from repro.pipeline import compile_to_hls_c
     from repro.serve import SessionContext
     from repro.serve.jobs import dse_design_payload
 
@@ -124,7 +124,7 @@ def digest(item: Input) -> Dict[str, object]:
                 "print_func": _sha(print_func(result.function.lower())),
             }
         if item.kind == "dataflow":
-            from repro.dataflow import auto_dse_dataflow, generate_dataflow_hls_c
+            from repro.dataflow import auto_dse_dataflow
 
             result = auto_dse_dataflow(
                 built, options=DseOptions(resource_fraction=item.fraction)
@@ -133,7 +133,7 @@ def digest(item: Input) -> Dict[str, object]:
             c_text = result.design.codegen()
             ir_text = "\n".join(print_func(stage.function.lower()) for stage in stages)
             carried = (
-                generate_dataflow_hls_c(result.design, func_ops=result.stage_func_ops),
+                result.codegen(),
                 "\n".join(print_func(result.stage_func_ops[stage.name]) for stage in stages),
             )
         else:
@@ -145,7 +145,7 @@ def digest(item: Input) -> Dict[str, object]:
             result = auto_dse(built, options=options)
             c_text = compile_to_hls_c(result.function)
             ir_text = print_func(result.function.lower())
-            carried = (emit_hls_c(result.func_op), print_func(result.func_op))
+            carried = (result.codegen(), print_func(result.func_op))
         if carried != (c_text, ir_text):
             raise AssertionError(
                 f"{item.key}: the design the result carries emits other C or IR "

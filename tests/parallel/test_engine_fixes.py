@@ -17,7 +17,7 @@ import pytest
 from repro.diagnostics import DiagnosticError
 from repro.dse import auto_dse
 from repro.dse.checkpoint import CheckpointJournal, make_header
-from repro.dse.engine import _backoff_sleep
+from repro.dse.evaluator import _backoff_sleep
 from repro.faults import Fault, FaultPlan
 from repro.hls.device import DEFAULT_DEVICE
 from repro.util.deadline import Deadline, DeadlineExceeded, deadline_scope
