@@ -20,8 +20,7 @@ FRACTIONS = (0.1, 0.25, 1.0)
 #: The inputs below whose returned design does not fit (measured): the
 #: degree-1 vgg16 design (25 DSP against 22).  A dataflow design's
 #: realized stages are the points the balancer selected and checked
-#: against the budget (image-pipeline's once realized at 30 DSP against
-#: the 20 it selected).
+#: against the budget.
 OVER_BUDGET = {("vgg16", 0.1)}
 
 
