@@ -72,7 +72,8 @@ _EXPORTS = {
     "ServeClient": "repro.serve",
     "ServeConfig": "repro.serve",
     "ReproServer": "repro.serve",
-    "SessionContext": "repro.serve",
+    # The engine's process state (memo, intern, tracer, fault plan)
+    "SessionContext": "repro.session",
     # Tracing and metrics
     "Tracer": "repro.trace",
     "tracing": "repro.trace",

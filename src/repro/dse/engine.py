@@ -14,20 +14,21 @@ candidate is scored -- and every memo layer that makes scoring cheap --
 lives in :class:`repro.dse.evaluator.Evaluator`, which dataflow
 realization shares.
 
-``cache=False`` disables every memo layer (including the global isl
-tables for the duration of the call) so measured speedups compare
-genuinely uncached runs; cached and uncached searches visit identical
-design points and return bit-identical results.
+``cache=False`` disables every memo layer -- the isl tables too: the
+sweep and its evaluator run under a
+:class:`~repro.session.SessionContext` whose memo context is disabled
+-- so measured speedups compare genuinely uncached runs; cached and
+uncached searches visit identical design points and return
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro import faults as _faults
 from repro import trace as _trace
 from repro.diagnostics import (
     Diagnostic,
@@ -44,6 +45,7 @@ from repro.affine.passes.verify import verify_func
 from repro.hls.device import FPGADevice
 from repro.hls.report import SynthesisReport, speedup
 from repro.isl import memo as _isl_memo
+from repro.session import SessionContext
 from repro.dse.checkpoint import (
     CheckpointJournal,
     candidate_key,
@@ -238,9 +240,8 @@ def auto_dse(
     * ``options.time_budget_s`` bounds the whole sweep; when it runs out
       the search degrades gracefully to the best design found
       (``DSE004``).
-    * ``options.fault_plan`` installs a deterministic fault-injection
-      plan for the duration of the call (:mod:`repro.faults`; testing
-      only).
+    * ``options.fault_plan`` is the sweep context's deterministic
+      fault-injection plan (:mod:`repro.faults`; testing only).
 
     Observability: when a :mod:`repro.trace` tracer is active, the sweep
     records hierarchical spans (per candidate, per pipeline layer) and
@@ -311,9 +312,12 @@ def sweep(
 
     journal = _open_journal(function, options, device, clock_ns, engine)
 
-    isl_before = _isl_memo.stats_snapshot()
-    isl_was_enabled = _isl_memo.set_enabled(cache)
-    previous_plan = _faults.install(fault_plan) if fault_plan is not None else None
+    # The sweep's context: an uncached sweep memoizes into no isl table,
+    # and the fault plan is the sweep's own (None installs none).
+    context = replace(SessionContext.current(), fault_plan=fault_plan)
+    if not cache:
+        context.memo = _isl_memo.MemoContext(enabled=False)
+    isl_before = context.memo.stats_snapshot()
 
     span_args = None
     if _trace.enabled():
@@ -325,7 +329,7 @@ def sweep(
             "cache": cache,
         }
     try:
-        with _trace.span("dse.auto_dse", "dse", span_args):
+        with context.activate(), _trace.span("dse.auto_dse", "dse", span_args):
             evaluator = Evaluator(
                 function, device=device, clock_ns=clock_ns,
                 keep_existing_schedule=options.keep_existing_schedule,
@@ -336,18 +340,14 @@ def sweep(
             result = _search(
                 _Sweep(
                     evaluator, budget, objective, options.max_parallelism,
-                    engine, quarantine,
-                    journal=journal, fault_plan=fault_plan,
+                    engine, quarantine, journal=journal,
                 )
             )
     finally:
-        _isl_memo.set_enabled(isl_was_enabled)
-        if fault_plan is not None:
-            _faults.install(previous_plan)
         if journal is not None:
             journal.close()
 
-    stats.finish_isl(isl_before, _isl_memo.stats_snapshot())
+    stats.finish_isl(isl_before, context.memo.stats_snapshot())
     stats.report_hits = evaluator.estimator.nest_hits
     stats.report_misses = evaluator.estimator.nest_misses
     stats.total_s = time.perf_counter() - start
@@ -489,7 +489,6 @@ class _Sweep:
     engine: DiagnosticEngine
     quarantine: List[QuarantinedCandidate]
     journal: Optional[CheckpointJournal] = None
-    fault_plan: Optional[_faults.FaultPlan] = None
     best: Optional[_Best] = None
     # Multi-objective bookkeeping.  The ladder runs identically for every
     # objective (single-objective results stay bit-identical); frontier
@@ -635,16 +634,17 @@ def _evaluate(
             "bank_cap": bank_cap,
             "parallelism": dict(par),
         }
-    if sweep.fault_plan is not None:
-        sweep.fault_plan.enter_candidate(ordinal)
+    fault_plan = evaluator.context.fault_plan
+    if fault_plan is not None:
+        fault_plan.enter_candidate(ordinal)
     t0 = time.perf_counter()
     try:
         with _trace.span("dse.candidate", "dse", span_args):
             with evaluator.watchdog():
                 report, func_op = evaluator.realize(configs, bank_cap)
     finally:
-        if sweep.fault_plan is not None:
-            sweep.fault_plan.exit_candidate()
+        if fault_plan is not None:
+            fault_plan.exit_candidate()
     if journal is not None:
         journal.append_eval(
             ordinal, jkey, par, bank_cap, report=report,

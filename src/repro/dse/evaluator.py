@@ -27,8 +27,11 @@ Evaluation is memoized at several layers (all local to one
   unchanged nests);
 - *nest estimates*: per estimator instance, keyed on each top-level
   nest's fingerprint and the partition schemes of the arrays it touches;
-- *isl kernels*: global process-wide memo tables
-  (:mod:`repro.isl.memo`; switched by ``auto_dse``, not here).
+- *isl kernels*: the memo context (:mod:`repro.isl.memo`) of the
+  :class:`~repro.session.SessionContext` the evaluator was built under,
+  which :meth:`Evaluator.realize` and :meth:`Evaluator.install`
+  activate, so an evaluator that outlives its sweep (dataflow
+  realization) works in that sweep's cache mode and fault plan.
 
 A revisited design -- same configs, same derived banking -- is answered
 in full by the nest-lowering and nest-estimate layers, so there is no
@@ -48,7 +51,6 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from repro import faults as _faults
 from repro import trace as _trace
 from repro.affine.ir import AffineStoreOp, FuncOp
 from repro.affine.lowering import assemble, lower_program_incremental
@@ -80,6 +82,7 @@ from repro.hls.estimator import HlsEstimator, TransientEstimatorError
 from repro.hls.report import SynthesisReport
 from repro.polyir.program import PolyProgram
 from repro.polyir.statement import PolyStatement
+from repro.session import SessionContext
 from repro.util.deadline import (
     Deadline,
     DeadlineExceeded,
@@ -174,10 +177,11 @@ class Evaluator:
     :meth:`configs` plans a parallelism vector, :meth:`realize` banks,
     lowers and estimates it without touching the function, and
     :meth:`install` writes a chosen design onto it -- any design it
-    scored, in any order, banked over the schemes read at construction.
-    ``stats`` receives
-    the work and per-layer hit/miss counters (a private
-    :class:`DseStats` when the caller does not keep one).
+    scored, in any order, banked over the schemes read at construction,
+    under the :class:`~repro.session.SessionContext` active at
+    construction (:attr:`context`).  ``stats`` receives the work and
+    per-layer hit/miss counters (a private :class:`DseStats` when the
+    caller does not keep one).
     """
 
     def __init__(
@@ -195,6 +199,7 @@ class Evaluator:
     ):
         device = device or DEFAULT_DEVICE
         self.function = function
+        self.context = SessionContext.current()
         self.location = SourceLocation(function=function.name)
         self.cache = cache
         self.candidate_timeout_s = candidate_timeout_s
@@ -305,10 +310,11 @@ class Evaluator:
         """Write one design onto the function: its :meth:`directives` and
         the partitions :meth:`realize` lowers it with."""
         function = self.function
-        function.reset_schedule()
-        for directive in self.directives(configs):
-            function.schedule.add(directive)
-        function.set_partitions(self._bank(self._scheduled[3], bank_cap)[1])
+        with self.context.activate():
+            function.reset_schedule()
+            for directive in self.directives(configs):
+                function.schedule.add(directive)
+            function.set_partitions(self._bank(self._scheduled[3], bank_cap)[1])
 
     def scheduled(self, configs: Dict[str, NodeConfig]) -> PolyProgram:
         """The polyhedral program of ``configs``, assembled incrementally.
@@ -403,25 +409,26 @@ class Evaluator:
         """
         stats = self.stats
         previous, self._scored = self._scored, None
-        self.scheduled(configs)
-        key, scheduled, _, spreads, body = self._scheduled
-        banking, partitions = self._bank(spreads, bank_cap)
-        if previous is not None and previous[:2] == (key, banking):
-            plan = _faults.active()
-            if plan is None or not plan.estimator_fault_due():
-                self._scored = previous
-                return previous[2], previous[3]
-        t0 = time.perf_counter()
-        if body is None:
-            stats.lowerings += 1
-            func_op = lower_program_incremental(
-                scheduled, dict(zip(self.nodes, key)), self._nest_memo, stats, partitions
-            )
-            self._scheduled = self._scheduled[:4] + (list(func_op.body.ops),)
-        else:
-            func_op = assemble(self.function, body, partitions)
-        stats.lowering_s += time.perf_counter() - t0
-        report = self.estimate(func_op)
+        with self.context.activate():
+            self.scheduled(configs)
+            key, scheduled, _, spreads, body = self._scheduled
+            banking, partitions = self._bank(spreads, bank_cap)
+            if previous is not None and previous[:2] == (key, banking):
+                plan = self.context.fault_plan
+                if plan is None or not plan.estimator_fault_due():
+                    self._scored = previous
+                    return previous[2], previous[3]
+            t0 = time.perf_counter()
+            if body is None:
+                stats.lowerings += 1
+                func_op = lower_program_incremental(
+                    scheduled, dict(zip(self.nodes, key)), self._nest_memo, stats, partitions
+                )
+                self._scheduled = self._scheduled[:4] + (list(func_op.body.ops),)
+            else:
+                func_op = assemble(self.function, body, partitions)
+            stats.lowering_s += time.perf_counter() - t0
+            report = self.estimate(func_op)
         self._scored = (key, banking, report, func_op, self.estimator.nest_cycles)
         return report, func_op
 

@@ -2,14 +2,15 @@
 
 A :class:`FaultPlan` schedules failures at chosen *candidate ordinals*
 (the 0-based index of real candidate evaluations the DSE engine starts,
-cache hits and journal replays excluded).  The plan is installed for the
-duration of one ``auto_dse`` call (``auto_dse(fault_plan=...)``) and is
-consulted from hooks *inside the production code paths* -- the estimator
-entry point, the checkpoint journal writer -- so the machinery under
-test is the real quarantine/retry/journal code, not a mock.  A candidate
-that would take the score of the design scored just before it (a bank
-cap that derives the same banking) is scored afresh when an estimator
-fault is scheduled at its ordinal, so every scheduled fault fires.
+cache hits and journal replays excluded).  The plan is installed by the
+context of one sweep (``DseOptions(fault_plan=...)``, see
+:class:`repro.session.SessionContext`) and is consulted from hooks
+*inside the production code paths* -- the estimator entry point, the
+checkpoint journal writer -- so the machinery under test is the real
+quarantine/retry/journal code, not a mock.  A candidate that would take
+the score of the design scored just before it (a bank cap that derives
+the same banking) is scored afresh when an estimator fault is scheduled
+at its ordinal, so every scheduled fault fires.
 
 Fault kinds:
 
@@ -46,7 +47,6 @@ the plan actually exercised what it scheduled.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -230,17 +230,3 @@ def install(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
     previous = _ACTIVE_PLAN
     _ACTIVE_PLAN = plan
     return previous
-
-
-def clear() -> None:
-    install(None)
-
-
-@contextmanager
-def injected(plan: FaultPlan):
-    """Install ``plan`` for the duration of the block."""
-    previous = install(plan)
-    try:
-        yield plan
-    finally:
-        install(previous)

@@ -25,9 +25,10 @@ experiment) gets a snapshot of the parent's at fork time.  Since
 memoized and unmemoized runs are bit-identical, a warm, fresh or
 inherited table can only change speed, never results.
 
-The tables can be disabled per context (``set_enabled(False)``) so the
-DSE engine's ``cache=False`` escape hatch measures genuinely uncached
-runs.
+A context is built enabled or disabled (``MemoContext(enabled=False)``):
+a ``cache=False`` DSE sweep runs under a disabled one of its own (see
+:class:`repro.session.SessionContext`), so an uncached sweep neither
+reads nor fills the tables of the context around it.
 """
 
 from __future__ import annotations
@@ -93,11 +94,11 @@ class MemoContext:
 
     __slots__ = ("projection", "emptiness", "bounds", "enabled")
 
-    def __init__(self, cap: int = 65536):
+    def __init__(self, enabled: bool = True, cap: int = 65536):
         self.projection = MemoTable("projection", cap)
         self.emptiness = MemoTable("emptiness", cap)
         self.bounds = MemoTable("bounds", cap)
-        self.enabled = True
+        self.enabled = enabled
 
     def tables(self) -> Tuple[MemoTable, ...]:
         return (self.projection, self.emptiness, self.bounds)
@@ -129,17 +130,6 @@ def activate(context: MemoContext) -> MemoContext:
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = context
-    return previous
-
-
-def enabled() -> bool:
-    return _ACTIVE.enabled
-
-
-def set_enabled(flag: bool) -> bool:
-    """Enable/disable the active context's tables; returns the previous."""
-    previous = _ACTIVE.enabled
-    _ACTIVE.enabled = bool(flag)
     return previous
 
 

@@ -1,7 +1,7 @@
 """Fault-isolated job execution: sandboxing, admission, retry, drain.
 
 Every job runs in a worker **subprocess**, one job at a time per
-worker, under a fresh :class:`~repro.serve.session.SessionContext`: a
+worker, under a fresh :class:`~repro.session.SessionContext`: a
 crashing candidate (:class:`repro.faults.InjectedCrash` is a
 ``BaseException`` precisely so nothing in-process can swallow it) or a
 hard hang kills only that worker, never the server or a sibling job.
@@ -65,7 +65,7 @@ from multiprocessing.connection import wait as _wait_ready
 from typing import Deque, Dict, List, Optional
 
 from repro.serve.jobs import JobSpec, cache_key, execute_job, preload
-from repro.serve.session import SessionContext
+from repro.session import SessionContext
 from repro.serve.store import ResultStore
 from repro.util.deadline import DeadlineExceeded
 

@@ -4,7 +4,7 @@ A :class:`JobSpec` is the validated form of one ``POST /v1/jobs``
 request.  Validation happens in the server thread (bad requests are
 rejected with ``SRV001`` before anything is queued); execution happens
 in a sandboxed worker subprocess via :func:`execute_job`, under a fresh
-:class:`~repro.serve.session.SessionContext`.
+:class:`~repro.session.SessionContext`.
 
 Cache keys are content addresses: the canonical JSON of the request
 (kind, workload, size, sorted engine options, fault spec) plus the

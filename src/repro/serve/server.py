@@ -24,7 +24,7 @@ Submissions carry ``{"kind", "workload", "size", "options", "fault",
 "session", "force"}``; cacheable requests are answered from the
 content-addressed store unless ``force`` is set.  Sessions are
 bookkeeping on this side of the process boundary -- each *job* already
-gets a pristine :class:`~repro.serve.session.SessionContext` in its
+gets a pristine :class:`~repro.session.SessionContext` in its
 worker subprocess, so sessions group jobs for accounting and warm
 per-session journals rather than sharing any mutable compiler state.
 

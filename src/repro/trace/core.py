@@ -250,8 +250,10 @@ def install(tracer: Optional[Tracer]) -> Optional[Tracer]:
     """Install (or clear, with None) the global tracer; returns previous.
 
     Worker processes forked while the parent traces inherit the
-    parent's ``_ACTIVE``; worker entry points call ``install(None)``
-    first so a worker never records into an orphaned copy.
+    parent's ``_ACTIVE``.  The reset is the worker's own install: a
+    serve job runs under a fresh :class:`~repro.session.SessionContext`,
+    whose activation installs no tracer, and a ``report_all`` experiment
+    installs its own, so a worker never records into an orphaned copy.
     """
     global _ACTIVE
     previous = _ACTIVE

@@ -285,8 +285,7 @@ class TestDirectBoundsRead:
                     auto_dse(TARGETS[target](), options=DseOptions(cache=False))
         monkeypatch.setattr(BasicSet, "dim_bounds", dim_bounds)
         direct = 0
-        with SessionContext().activate():
-            _memo.set_enabled(False)
+        with SessionContext(memo=_memo.MemoContext(enabled=False)).activate():
             for bset, name, context in asked.values():
                 keep = set(context) | {name}
                 direct += all(keep.issuperset(c.dims()) for c in _involving(bset, name))

@@ -1,4 +1,4 @@
-"""The global isl memo tables: correctness, counters, determinism."""
+"""The isl memo tables: correctness, counters, determinism."""
 
 import pytest
 
@@ -10,14 +10,15 @@ from repro.isl.sets import BasicSet
 
 @pytest.fixture(autouse=True)
 def fresh_tables():
-    """Each test sees empty, enabled tables; global state is restored."""
-    previous = memo.set_enabled(True)
-    memo.clear_all()
-    for table in memo.active().tables():
-        table.reset_counters()
+    """Each test sees empty, enabled tables; the active context is restored."""
+    previous = memo.activate(memo.MemoContext())
     yield
-    memo.clear_all()
-    memo.set_enabled(previous)
+    memo.activate(previous)
+
+
+def _uncached():
+    """Turn the isl memo off for the rest of the test (the fixture restores)."""
+    memo.activate(memo.MemoContext(enabled=False))
 
 
 def _triangle(n=8):
@@ -57,11 +58,6 @@ class TestMemoTable:
         assert table.get(1) is None
         assert table.get(3) == "c"
 
-    def test_set_enabled_returns_previous(self):
-        assert memo.set_enabled(False) is True
-        assert memo.set_enabled(True) is False
-        assert memo.enabled()
-
     def test_stats_snapshot_keys(self):
         snapshot = memo.stats_snapshot()
         assert set(snapshot) == {t.name for t in memo.active().tables()}
@@ -80,14 +76,14 @@ class TestProjectionMemo:
     def test_memoized_matches_uncached_exactly(self):
         bset = _triangle()
         cached = bset.drop_dim("j")
-        memo.set_enabled(False)
+        _uncached()
         fresh = _triangle().drop_dim("j")
         # Bit-identical: same constraint tuple in the same order.
         assert cached.dims == fresh.dims
         assert cached.constraints == fresh.constraints
 
     def test_disabled_tables_stay_cold(self):
-        memo.set_enabled(False)
+        _uncached()
         _triangle().drop_dim("j")
         assert memo.active().projection.hits == 0
         assert memo.active().projection.misses == 0
@@ -120,7 +116,7 @@ class TestBoundsMemo:
         bset = _triangle()
         bset.dim_bounds("j", context=("i",))
         cached = bset.dim_bounds("j", context=("i",))
-        memo.set_enabled(False)
+        _uncached()
         fresh = _triangle().dim_bounds("j", context=("i",))
         assert cached == fresh
 

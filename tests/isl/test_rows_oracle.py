@@ -85,9 +85,9 @@ def _mismatches(systems):
 
 @pytest.fixture
 def no_memo():
-    previous = _memo.set_enabled(False)
+    previous = _memo.activate(_memo.MemoContext(enabled=False))
     yield
-    _memo.set_enabled(previous)
+    _memo.activate(previous)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -142,12 +142,9 @@ def test_the_systems_of_a_sweep_match_the_oracle(name, isl_mode, monkeypatch):
     monkeypatch.undo()
     assert queries and steps
 
-    previous = _memo.set_enabled(False)
-    try:
+    with SessionContext(memo=_memo.MemoContext(enabled=False)).activate():
         for bset, dim, context in queries:
             assert _bounds_mismatch(bset, dim, context) is None
         for bset, dim in steps:
             expected = oracle.construct(oracle.eliminate(list(bset.constraints), dim))
             assert list(bset.drop_dim(dim).constraints) == expected, (str(bset), dim)
-    finally:
-        _memo.set_enabled(previous)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import faults as _faults
 from repro import trace as _trace
 from repro import workloads
 from repro.dse import auto_dse
+from repro.faults import Fault, FaultPlan
 from repro.isl import intern as _intern
 from repro.isl import memo as _memo
 from repro.serve import SessionContext
@@ -15,18 +17,22 @@ pytestmark = pytest.mark.serve
 
 class TestActivation:
     def test_installs_private_tables_and_restores(self):
-        base_memo = _memo.active()
-        base_intern = _intern.active()
-        base_tracer = _trace.active()
+        base = SessionContext.current()
+        plan = FaultPlan([Fault("transient", 0)])
         session = SessionContext()
-        with session.activate():
-            assert _memo.active() is session.memo
-            assert _intern.active() is session.intern
-            assert _memo.active() is not base_memo
-            assert _intern.active() is not base_intern
-        assert _memo.active() is base_memo
-        assert _intern.active() is base_intern
-        assert _trace.active() is base_tracer
+        assert session.tracer is None and session.fault_plan is None
+        with _trace.tracing(), SessionContext(fault_plan=plan).activate():
+            assert _faults.active() is plan
+            outer = SessionContext.current()
+            with session.activate():
+                assert SessionContext.current() == session
+                assert _memo.active() is not base.memo
+                assert _intern.active() is not base.intern
+                # A fresh session starts with no tracer and no fault plan.
+                assert _trace.active() is None
+                assert _faults.active() is None
+            assert SessionContext.current() == outer
+        assert SessionContext.current() == base
 
     def test_nested_sessions_restore_in_order(self):
         base = _memo.active()
@@ -52,14 +58,6 @@ class TestActivation:
         with session.activate():
             assert _trace.active() is tracer
         assert _trace.active() is not tracer
-
-    def test_jobs_run_counts_activations(self):
-        session = SessionContext()
-        for _ in range(3):
-            with session.activate():
-                pass
-        assert session.jobs_run == 3
-        assert session.stats()["jobs_run"] == 3
 
 
 class TestIsolation:

@@ -107,14 +107,15 @@ class TestSpanCoverage:
         # A design scored again hits every nest.  (The sweep reads node
         # latencies off the estimate that scored a design, and takes the
         # score of the design just before without estimating, so a
-        # revisit is driven here by hand.)
+        # revisit is driven here by hand, by an evaluator built under the
+        # tracer it records into.)
         from repro.dse.evaluator import Evaluator
 
-        evaluator = Evaluator(polybench.gemm(20))
-        configs, other = (
-            evaluator.configs(dict.fromkeys(evaluator.nodes, degree)) for degree in (4, 1)
-        )
         with trace.tracing() as again:
+            evaluator = Evaluator(polybench.gemm(20))
+            configs, other = (
+                evaluator.configs(dict.fromkeys(evaluator.nodes, degree)) for degree in (4, 1)
+            )
             evaluator.realize(configs, 16)
             evaluator.realize(other, 16)
             evaluator.realize(configs, 16)
