@@ -335,7 +335,7 @@ def sweep(
                 keep_existing_schedule=options.keep_existing_schedule,
                 candidate_timeout_s=options.candidate_timeout_s,
                 cache=cache, sweep_deadline=sweep_deadline,
-                stats=stats, diagnostics=engine,
+                stats=stats, diagnostics=engine, context=context,
             )
             result = _search(
                 _Sweep(

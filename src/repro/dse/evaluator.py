@@ -178,8 +178,9 @@ class Evaluator:
     lowers and estimates it without touching the function, and
     :meth:`install` writes a chosen design onto it -- any design it
     scored, in any order, banked over the schemes read at construction,
-    under the :class:`~repro.session.SessionContext` active at
-    construction (:attr:`context`).  ``stats`` receives the work and
+    under :attr:`context` (the sweep's
+    :class:`~repro.session.SessionContext`, by default the one active at
+    construction).  ``stats`` receives the work and
     per-layer hit/miss counters (a private :class:`DseStats` when the
     caller does not keep one).
     """
@@ -196,10 +197,11 @@ class Evaluator:
         sweep_deadline: Optional[Deadline] = None,
         stats: Optional[DseStats] = None,
         diagnostics: Optional[DiagnosticEngine] = None,
+        context: Optional[SessionContext] = None,
     ):
         device = device or DEFAULT_DEVICE
         self.function = function
-        self.context = SessionContext.current()
+        self.context = context or SessionContext.current()
         self.location = SourceLocation(function=function.name)
         self.cache = cache
         self.candidate_timeout_s = candidate_timeout_s

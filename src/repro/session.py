@@ -36,6 +36,9 @@ from repro import trace as _trace
 from repro.isl import intern as _intern
 from repro.isl import memo as _memo
 
+#: The innermost context :meth:`SessionContext.activate` installed.
+_INNERMOST: Optional["SessionContext"] = None
+
 
 @dataclass
 class SessionContext:
@@ -58,14 +61,26 @@ class SessionContext:
 
     @contextmanager
     def activate(self):
-        """Install this context's four fields around a block."""
+        """Install this context's four fields around a block.
+
+        Activating the innermost active context again installs nothing:
+        a sweep's evaluator scores its candidates inside the sweep's own
+        activation of the same context.
+        """
+        global _INNERMOST
+        if _INNERMOST is self:
+            yield self
+            return
+        outer = _INNERMOST
         previous_memo = _memo.activate(self.memo)
         previous_intern = _intern.activate(self.intern)
         previous_tracer = _trace.install(self.tracer)
         previous_plan = _faults.install(self.fault_plan)
+        _INNERMOST = self
         try:
             yield self
         finally:
+            _INNERMOST = outer
             _faults.install(previous_plan)
             _trace.install(previous_tracer)
             _intern.activate(previous_intern)

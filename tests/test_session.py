@@ -40,7 +40,14 @@ class TestActivation:
         with outer.activate():
             with inner.activate():
                 assert _memo.active() is inner.memo
+                # Activating the innermost context again is a no-op.
+                with inner.activate():
+                    pass
+                assert SessionContext.current() == inner
             assert _memo.active() is outer.memo
+            with inner.activate():
+                assert _memo.active() is inner.memo
+            assert SessionContext.current() == outer
         assert _memo.active() is base
 
     def test_exception_still_restores(self):
