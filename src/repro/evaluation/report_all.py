@@ -24,12 +24,14 @@ import io
 import sys
 import time
 from contextlib import redirect_stdout
+from dataclasses import replace
 from typing import List, Optional
 
 from repro import trace as _trace
 from repro.diagnostics import Diagnostic, Severity, SourceLocation
 from repro.evaluation import ALL_EXPERIMENTS
 from repro.evaluation.frameworks import Experiment, format_table
+from repro.session import SessionContext
 from repro.util import atomic_write
 
 
@@ -58,16 +60,14 @@ def _run_experiment(payload: tuple) -> dict:
     error: Optional[str] = None
     verdicts = []
     tracer = _trace.Tracer() if want_trace else None
-    previous = _trace.install(tracer)
     try:
         experiment = ALL_EXPERIMENTS[name]
-        with redirect_stdout(capture):
-            result = experiment.main(**kwargs)
-        verdicts = experiment.verdicts(result)
+        with replace(SessionContext.current(), tracer=tracer).activate():
+            with redirect_stdout(capture):
+                result = experiment.main(**kwargs)
+            verdicts = experiment.verdicts(result)
     except Exception as exc:  # keep the report going; record the failure
         error = f"{type(exc).__name__}: {exc}"
-    finally:
-        _trace.install(previous)
     return {
         "text": capture.getvalue(),
         "error": error,

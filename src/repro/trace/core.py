@@ -253,7 +253,8 @@ def install(tracer: Optional[Tracer]) -> Optional[Tracer]:
     parent's ``_ACTIVE``.  The reset is the worker's own install: a
     serve job runs under a fresh :class:`~repro.session.SessionContext`,
     whose activation installs no tracer, and a ``report_all`` experiment
-    installs its own, so a worker never records into an orphaned copy.
+    runs under a context holding its own, so a worker never records into
+    an orphaned copy.
     """
     global _ACTIVE
     previous = _ACTIVE
