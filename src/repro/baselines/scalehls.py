@@ -29,10 +29,10 @@ from repro.hls.estimator import HlsEstimator
 from repro.hls.report import SynthesisReport
 from repro.polyir.program import PolyProgram
 from repro.dse.analysis import carried_for_statement
-from repro.dse.engine import parallelism_cap
 from repro.dse.options import MAX_PARALLELISM
 from repro.dse.stage2 import (
-    MAX_FACTOR_PER_DIM, banked_partitions, derive_partitions, unroll_spreads,
+    MAX_FACTOR_PER_DIM, Space, banked_partitions, derive_partitions, interchanges,
+    order_after_splits, unroll_spreads,
 )
 
 # Extra design points ScaleHLS's sampler probes per accepted ladder step
@@ -90,42 +90,35 @@ def optimize(
         func_op = lower_program(program, partitions=banked_partitions(baseline, banking))
         return estimator.estimate(func_op), unrolls
 
-    report, unrolls = evaluate(parallelism)
-    best = (report, unrolls, dict(parallelism))
+    best = evaluate(parallelism)
 
     # Greedy in program order: each nest group maxes itself out before
-    # the next one is considered (the paper's 3MM imbalance).
-    group_list = _group_list(groups, nodes)
+    # the next one is considered (the paper's 3MM imbalance).  The space
+    # orders its groups by their first statement.
+    space = Space.build(function, groups, max_parallelism)
     # Dataflow accounting blind spot: ScaleHLS sizes every stage as if it
     # had the device to itself, so the summed design can exceed the
     # board (the paper's 164%-LUT ResNet-18 result).
-    stages = len(group_list) if dataflow else 1
+    stages = len(space.groups) if dataflow else 1
     budget = replace(budget, **{
         axis: getattr(budget, axis) * stages for axis in BUDGET_AXES
     })
-    for group in group_list:
-        while True:
-            trial = dict(parallelism)
-            maxed = False
-            for member in group:
-                trial[member] = parallelism[member] * 2
-                if trial[member] > parallelism_cap(function, member, max_parallelism):
-                    maxed = True
-            if maxed:
-                break
+    for group in space.groups:
+        while (trial := space.step(parallelism, group)) is not None:
             trial_report, trial_unrolls = evaluate(trial)
             # ScaleHLS's sampler also probes alternative factor
             # placements per step (it lacks dependence-guided pruning),
             # which is where its longer DSE time comes from.
             for _ in range(PROBE_EVALUATIONS):
                 evaluate(trial)
-            if budget.admits(trial_report.resources) and trial_report.total_cycles <= best[0].total_cycles:
-                parallelism = trial
-                best = (trial_report, trial_unrolls, dict(parallelism))
-            else:
+            if not (
+                budget.admits(trial_report.resources)
+                and trial_report.total_cycles <= best[0].total_cycles
+            ):
                 break
+            parallelism, best = trial, (trial_report, trial_unrolls)
 
-    report, unrolls, parallelism = best
+    report, unrolls = best
     _install(function, groups, orders, unrolls)
     function.set_partitions(banked_partitions(baseline, derive_partitions(function)))
     elapsed = time.perf_counter() - start
@@ -160,17 +153,6 @@ def _nest_groups(function: Function) -> List[List[str]]:
                 group_of[member] = a
             groups.remove(b)
     return groups
-
-
-def _group_list(groups: List[List[str]], nodes: List[str]) -> List[List[str]]:
-    ordered = []
-    seen = set()
-    for node in nodes:
-        for group in groups:
-            if node in group and id(group) not in seen:
-                seen.add(id(group))
-                ordered.append(group)
-    return ordered
 
 
 def _common_orders(function: Function, groups: List[List[str]]) -> Dict[str, List[str]]:
@@ -239,15 +221,10 @@ def _install(function, groups, orders, unrolls) -> None:
     pipeline_levels: Dict[str, Tuple[str, int]] = {}
     for compute in function.computes:
         node = compute.name
-        base = compute.iter_names
         order = list(orders[node])
         # interchanges to the common order
-        current = list(base)
-        for position, want in enumerate(order):
-            at = current.index(want)
-            if at != position:
-                compute.interchange(current[position], want)
-                current[position], current[at] = current[at], current[position]
+        for move in interchanges(node, list(compute.iter_names), order):
+            compute.interchange(move.i, move.j)
 
         extents = {it.name: it.extent for it in compute.iters}
         unrolled_parts: List[str] = []
@@ -262,17 +239,9 @@ def _install(function, groups, orders, unrolls) -> None:
         sequential = [d for d in final_order if d not in unrolled_parts]
         # reorder: sequential loops outer, unrolled parts inner
         target = sequential + unrolled_parts
-        sim = []
-        for dim in final_order:
-            sim.append(dim)
-            if dim.endswith("_t") and f"{dim[:-2]}_u" in unrolled_parts:
-                sim.append(f"{dim[:-2]}_u")
-        current = sim
-        for position, want in enumerate(target):
-            at = current.index(want)
-            if at != position:
-                compute.interchange(current[position], want)
-                current[position], current[at] = current[at], current[position]
+        current = order_after_splits(final_order, unrolled_parts)
+        for move in interchanges(node, current, target):
+            compute.interchange(move.i, move.j)
         pipeline_dim = sequential[-1] if sequential else target[0]
         compute.pipeline(pipeline_dim, 1)
         for part in unrolled_parts:

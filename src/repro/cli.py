@@ -23,6 +23,7 @@ crash-safe journaling,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Dict, Optional
@@ -362,16 +363,6 @@ def _indent(text: str, prefix: str = "  ") -> str:
     return "\n".join(prefix + line for line in text.splitlines())
 
 
-class _null_context:
-    """``with`` no-op for the tracing-disabled CLI paths."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return None
-
-
 def cmd_dse(args) -> int:
     from repro import trace as trace_mod
     from repro.diagnostics import DiagnosticError
@@ -390,7 +381,7 @@ def cmd_dse(args) -> int:
     ))
     tracer = trace_mod.Tracer() if args.trace else None
     if args.all:
-        with trace_mod.tracing(tracer) if tracer else _null_context():
+        with trace_mod.tracing(tracer) if tracer else contextlib.nullcontext():
             code = _cmd_dse_all(args, options)
         if tracer is not None:
             _export_trace(tracer, args.trace)
@@ -399,7 +390,7 @@ def cmd_dse(args) -> int:
     checkpoint = args.resume or args.checkpoint
     options = options.replace(checkpoint=checkpoint, resume=args.resume is not None)
     try:
-        with trace_mod.tracing(tracer) if tracer else _null_context():
+        with trace_mod.tracing(tracer) if tracer else contextlib.nullcontext():
             result = workload.auto_DSE(options=options)
     except DiagnosticError as exc:
         print(exc.diagnostic.render(), file=sys.stderr)
@@ -446,7 +437,7 @@ def cmd_verify(args) -> int:
 
         load_schedule(function, args.load_schedule)
     tracer = trace_mod.Tracer() if (args.trace or args.stats) else None
-    with trace_mod.tracing(tracer) if tracer else _null_context():
+    with trace_mod.tracing(tracer) if tracer else contextlib.nullcontext():
         engine = function.verify()
     print(engine.render())
     if tracer is not None and args.stats:
@@ -564,7 +555,7 @@ def cmd_fuzz(args) -> int:
     except (ValueError, KeyError) as exc:
         raise SystemExit(str(exc))
     tracer = trace_mod.Tracer() if args.trace else None
-    with trace_mod.tracing(tracer) if tracer else _null_context():
+    with trace_mod.tracing(tracer) if tracer else contextlib.nullcontext():
         campaign = run_campaign(options)
     if tracer is not None:
         _export_trace(tracer, args.trace)

@@ -24,7 +24,6 @@ bit-identical results.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -60,12 +59,8 @@ from repro.dse.pareto import (
     ParetoPoint,
 )
 from repro.dse.stage1 import Stage1Plan
-from repro.dse.stage2 import NodeConfig
+from repro.dse.stage2 import NodeConfig, Space
 from repro.dse.stats import DseStats
-
-# The banking fallback ladder: full banking first, then trade banks for
-# operator sharing when the spatial design overflows the device.
-BANK_CAPS = (128, 16, 8)
 
 
 @dataclass
@@ -339,7 +334,8 @@ def sweep(
             )
             result = _search(
                 _Sweep(
-                    evaluator, budget, objective, options.max_parallelism,
+                    evaluator, budget, objective,
+                    evaluator.space(options.max_parallelism),
                     engine, quarantine, journal=journal,
                 )
             )
@@ -485,7 +481,7 @@ class _Sweep:
     evaluator: Evaluator
     budget: FPGADevice
     objective: Objective
-    max_parallelism: int
+    space: Space
     engine: DiagnosticEngine
     quarantine: List[QuarantinedCandidate]
     journal: Optional[CheckpointJournal] = None
@@ -507,16 +503,17 @@ class _Sweep:
 def _search(sweep: _Sweep) -> Tuple[_Best, Schedule, Optional[List[ParetoPoint]]]:
     evaluator, objective = sweep.evaluator, sweep.objective
     parallelism = {name: 1 for name in evaluator.nodes}
+    bank_cap = sweep.space.bank_caps[0]
     # The degree-1 baseline must evaluate: without it there is no legal
     # design to degrade to, so a failure here is fatal (as a diagnostic,
     # not a traceback).
     try:
-        report, configs, func_op, nest_cycles = _evaluate(sweep, parallelism)
+        report, configs, func_op, nest_cycles = _evaluate(sweep, parallelism, bank_cap)
     except KeyboardInterrupt:
         raise
     except Exception as exc:
         raise DiagnosticError(evaluator.diagnostic_of(exc)) from exc
-    sweep.best = _Best(report, configs, dict(parallelism), 128, func_op, nest_cycles)
+    sweep.best = _Best(report, configs, dict(parallelism), bank_cap, func_op, nest_cycles)
     # The degree-1 design is the latency normalizer for weighted
     # objectives (the worst latency the ladder ever accepts).
     baseline_report = report
@@ -595,7 +592,7 @@ def _quarantine(
 def _evaluate(
     sweep: _Sweep,
     par: Dict[str, int],
-    bank_cap: int = 128,
+    bank_cap: int,
     force: bool = False,
 ) -> Tuple[
     SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp], Optional[List[int]]
@@ -677,22 +674,8 @@ def _latencies_for_best(sweep: _Sweep) -> Dict[str, int]:
     return latencies
 
 
-def _group_trial(
-    sweep: _Sweep, parallelism: Dict[str, int], members: List[str]
-) -> Optional[Dict[str, int]]:
-    """``parallelism`` with one fusion group doubled; None past its cap."""
-    trial = dict(parallelism)
-    function = sweep.evaluator.function
-    exhausted = False
-    for member in members:
-        trial[member] = parallelism[member] * 2
-        if trial[member] > parallelism_cap(function, member, sweep.max_parallelism):
-            exhausted = True
-    return None if exhausted else trial
-
-
 def _is_noop_step(
-    sweep: _Sweep, trial: Dict[str, int], members: List[str]
+    sweep: _Sweep, trial: Dict[str, int], members: Tuple[str, ...]
 ) -> bool:
     """Whether doubling ``members`` re-plans the best design's own configs.
 
@@ -726,12 +709,7 @@ def _climb(sweep: _Sweep, parallelism: Dict[str, int]) -> None:
     """The bottleneck ladder: double the critical group until nothing fits."""
     evaluator, stats, engine = sweep.evaluator, sweep.stats, sweep.engine
     graph, deadline = evaluator.graph, evaluator.sweep_deadline
-    # Fused statements share one pipeline, so they step together: the
-    # optimization unit is the fusion group of the bottleneck node.
-    group_of = {name: [name] for name in evaluator.nodes}
-    for group in evaluator.plan.fused_groups:
-        for member in group:
-            group_of[member] = group
+    space = sweep.space
     active = set(evaluator.nodes)
     try:
         while active:
@@ -762,8 +740,10 @@ def _climb(sweep: _Sweep, parallelism: Dict[str, int]) -> None:
             bottleneck = _pick_bottleneck(graph, latencies, active)
             if bottleneck is None:
                 break
-            members = group_of[bottleneck]
-            trial = _group_trial(sweep, parallelism, members)
+            # Fused statements share one pipeline, so they step together:
+            # the optimization unit is the fusion group of the bottleneck.
+            members = space.group_of(bottleneck)
+            trial = space.step(parallelism, members)
             if trial is None:
                 active.difference_update(members)
                 continue
@@ -782,7 +762,7 @@ def _climb(sweep: _Sweep, parallelism: Dict[str, int]) -> None:
             # Full banking first; if the spatial design overflows, trade
             # banks for operator sharing (a larger II lets copies timeshare
             # units -- the paper's BICG [1,32] / II=2 design point).
-            for bank_cap in BANK_CAPS:
+            for bank_cap in space.bank_caps:
                 try:
                     trial_report, trial_configs, trial_func, trial_cycles = _evaluate(
                         sweep, trial, bank_cap
@@ -844,7 +824,7 @@ def _enrich(sweep: _Sweep) -> List[ParetoPoint]:
     grid: List[Tuple[Dict[str, int], int, str]] = [
         (par, cap, candidate_key(par, cap))
         for par in visited.values()
-        for cap in BANK_CAPS
+        for cap in sweep.space.bank_caps
     ]
     stats.pareto_candidates += len(grid)
 
@@ -914,9 +894,3 @@ def _pick_bottleneck(graph, latencies: Dict[str, int], active) -> Optional[str]:
     if remaining:
         return max(remaining, key=lambda n: latencies.get(n, 0))
     return None
-
-
-def parallelism_cap(function: Function, node: str, cap: int) -> int:
-    """The largest degree ``node`` can take: its trip product, at most ``cap``."""
-    iters = function.get_compute(node).iters
-    return min(cap, math.prod(it.extent for it in iters))

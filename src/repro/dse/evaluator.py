@@ -68,6 +68,7 @@ from repro.dse.stage1 import plan_stage1
 from repro.dse.stage2 import (
     NodeConfig,
     NodeDelta,
+    Space,
     Spreads,
     banked_partitions,
     count_spreads,
@@ -269,6 +270,10 @@ class Evaluator:
         self._nest_memo: Optional[Dict[tuple, list]] = {} if cache else None
 
     # -- planning -----------------------------------------------------------
+
+    def space(self, max_parallelism: int) -> Space:
+        """The design space: the plan's fusion groups step together."""
+        return Space.build(self.function, self.plan.fused_groups, max_parallelism)
 
     def node_config(self, name: str, degree: int) -> NodeConfig:
         # With the cache off the memo tables simply stay empty.

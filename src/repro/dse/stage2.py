@@ -6,12 +6,18 @@ degree* it splits loops into unrolled intra-tile parts (the paper's tile
 sizes, e.g. ``[1, 32]``), pipelines the best free dim, completely
 unrolls the intra-tile loops, and cyclically partitions arrays so the
 unrolled copies hit distinct memory banks.
+
+The degrees and bank caps stage 2 may try form one :class:`Space`; the
+search walks it, frontier enrichment completes a grid inside it, and an
+exhaustive enumeration of it is the search's exact-optimum oracle.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dsl.function import Function
 from repro.dsl.placeholder import PartitionScheme, Placeholder
@@ -28,6 +34,63 @@ from repro.dse.analysis import legal_order
 from repro.dse.stage1 import Stage1Plan
 
 MAX_FACTOR_PER_DIM = 64
+
+# The banking fallback ladder: full banking first, then trade banks for
+# operator sharing when the spatial design overflows the device.
+BANK_CAPS = (128, 16, 8)
+
+
+@dataclass(frozen=True)
+class Space:
+    """The stage-2 design space: every ``(parallelism, bank_cap)`` point.
+
+    A group's members share one pipeline, hence one degree: a power of
+    two from the group's ladder, which runs up to the smallest trip
+    product of its members and at most ``max_parallelism``.  Every
+    parallelism vector is banked under each of ``bank_caps``.
+    """
+
+    groups: Tuple[Tuple[str, ...], ...]  # ordered by their first node
+    ladders: Tuple[Tuple[int, ...], ...]  # per group: 1, 2, 4, ...
+    bank_caps: Tuple[int, ...] = BANK_CAPS
+
+    @classmethod
+    def build(
+        cls, function: Function, groups: Iterable[Sequence[str]], max_parallelism: int
+    ) -> "Space":
+        """``function``'s space, ``groups`` stepping together (other nodes alone)."""
+        trips = {c.name: math.prod(it.extent for it in c.iters) for c in function.computes}
+        group_of = {name: (name,) for name in trips}
+        for group in groups:
+            group_of.update(dict.fromkeys(group, tuple(group)))
+        ordered = tuple(dict.fromkeys(group_of.values()))
+        caps = [min([max_parallelism] + [trips[m] for m in group]) for group in ordered]
+        return cls(ordered, tuple(
+            tuple(2 ** k for k in range(max(cap, 1).bit_length())) for cap in caps
+        ))
+
+    def group_of(self, node: str) -> Tuple[str, ...]:
+        return next(group for group in self.groups if node in group)
+
+    def step(
+        self, parallelism: Dict[str, int], group: Tuple[str, ...]
+    ) -> Optional[Dict[str, int]]:
+        """``parallelism`` with ``group`` doubled; None past its ladder."""
+        degree = parallelism[group[0]] * 2
+        if degree > self.ladders[self.groups.index(group)][-1]:
+            return None
+        return {**parallelism, **dict.fromkeys(group, degree)}
+
+    def points(self) -> Iterator[Tuple[Dict[str, int], int]]:
+        """Every ``(parallelism, bank_cap)``, the caps of a vector consecutive."""
+        for degrees in itertools.product(*self.ladders):
+            parallelism = {
+                member: degree
+                for group, degree in zip(self.groups, degrees)
+                for member in group
+            }
+            for bank_cap in self.bank_caps:
+                yield parallelism, bank_cap
 
 
 @dataclass
@@ -188,8 +251,8 @@ def node_delta(plan: Stage1Plan, config: NodeConfig) -> NodeDelta:
 
     sequential = [d for d in order if d not in unrolled_parts and d != pipeline_level]
     target = sequential + [pipeline_level] + unrolled_parts
-    current = _simulate_order(order, unrolled_parts, pipeline_level)
-    directives.extend(_reorder(node, current, target))
+    current = order_after_splits(order, unrolled_parts)
+    directives.extend(interchanges(node, current, target))
 
     directives.append(Pipeline(node, pipeline_level, 1))
     for part in unrolled_parts:
@@ -197,21 +260,21 @@ def node_delta(plan: Stage1Plan, config: NodeConfig) -> NodeDelta:
     return NodeDelta(directives, pipeline_level, target, extents, copies)
 
 
-def _simulate_order(order_after_splits: List[str], unrolled: List[str], pipeline_dim: str) -> List[str]:
-    """Loop order right after the split directives (splits insert inner
-    parts immediately after their outer part)."""
+def order_after_splits(order: List[str], unrolled: List[str]) -> List[str]:
+    """Loop order right after the split directives: each ``_u`` part in
+    ``unrolled`` lands right after its ``_t`` part in ``order``."""
     result: List[str] = []
-    for dim in order_after_splits:
+    for dim in order:
         result.append(dim)
         if dim.endswith("_t") and dim[:-2] + "_u" in unrolled:
             result.append(dim[:-2] + "_u")
     return result
 
 
-def _reorder(node: str, current: List[str], target: List[str]) -> List[Directive]:
+def interchanges(node: str, current: List[str], target: List[str]) -> List[Interchange]:
     """Interchange directives converting ``current`` order into ``target``."""
     order = list(current)
-    moves: List[Directive] = []
+    moves: List[Interchange] = []
     if set(order) != set(target):
         raise ValueError(f"{node}: cannot reorder {order} into {target}")
     for position, want in enumerate(target):

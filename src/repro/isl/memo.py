@@ -73,10 +73,6 @@ class MemoTable:
     def clear(self) -> None:
         self.data.clear()
 
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 class MemoContext:
     """One process/session worth of isl memo tables.
