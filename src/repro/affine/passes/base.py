@@ -4,8 +4,7 @@ Mirrors MLIR's pass manager in miniature: passes transform a
 :class:`~repro.affine.ir.FuncOp` in place and report whether they
 changed anything; the :class:`PassManager` runs a pipeline and can
 iterate to a fixed point.  Like MLIR, the manager re-verifies the
-function after every pass that changed it (``verify_each=False``
-disables this for hot paths such as the DSE inner loop).
+function after every pass that changed it.
 """
 
 from __future__ import annotations
@@ -36,21 +35,14 @@ class Pass:
 class PassManager:
     """Runs a pass pipeline, optionally iterating to a fixed point.
 
-    With ``verify_each`` (the default) the structural verifier runs
-    after every pass that reports a change, so a broken rewrite is
-    caught at the pass that introduced it rather than at code
-    generation.
+    The structural verifier runs after every pass that reports a
+    change, so a broken rewrite is caught at the pass that introduced
+    it rather than at code generation.
     """
 
-    def __init__(
-        self,
-        passes: Optional[List[Pass]] = None,
-        max_iterations: int = 8,
-        verify_each: bool = True,
-    ):
+    def __init__(self, passes: Optional[List[Pass]] = None, max_iterations: int = 8):
         self.passes = passes if passes is not None else []
         self.max_iterations = max_iterations
-        self.verify_each = verify_each
 
     def add(self, pass_: Pass) -> "PassManager":
         self.passes.append(pass_)
@@ -62,7 +54,7 @@ class PassManager:
             changed = False
             for pass_ in self.passes:
                 pass_changed = self._run_one(pass_, func)
-                if pass_changed and self.verify_each:
+                if pass_changed:
                     self._verify_after(pass_, func)
                 changed |= pass_changed
             changed_any |= changed

@@ -166,7 +166,7 @@ class DropDeadAnnotations(Pass):
         return changed
 
 
-def default_pipeline(verify_each: bool = True) -> PassManager:
+def default_pipeline() -> PassManager:
     """The canonicalization pipeline run before code generation."""
     return PassManager(
         [
@@ -174,15 +174,14 @@ def default_pipeline(verify_each: bool = True) -> PassManager:
             PromoteTripOneLoops(),
             DropEmptyLoops(),
             DropDeadAnnotations(),
-        ],
-        verify_each=verify_each,
+        ]
     )
 
 
-def canonicalize(func: FuncOp, verify_each: bool = True) -> FuncOp:
+def canonicalize(func: FuncOp) -> FuncOp:
     """Run the default pipeline to a fixed point and verify; returns func."""
     from repro.affine.passes.verify import VerifyStructure
 
-    default_pipeline(verify_each=verify_each).run(func, to_fixed_point=True)
+    default_pipeline().run(func, to_fixed_point=True)
     VerifyStructure().run(func)
     return func

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Dict, Optional
 
@@ -118,6 +119,16 @@ def _validated(options):
         raise SystemExit(str(exc))
 
 
+def _load_schedule(function, path: str) -> None:
+    """``--load-schedule``: a missing or malformed file exits with one line."""
+    from repro.dsl.serialize import load_schedule
+
+    try:
+        load_schedule(function, path)
+    except (OSError, ValueError) as exc:  # JSON and schedule format errors
+        raise SystemExit(f"cannot load schedule {path!r}: {exc}")
+
+
 def _add_device_flag(parser) -> None:
     parser.add_argument(
         "--device", metavar="NAME", default=None,
@@ -177,9 +188,7 @@ def cmd_compile(args) -> int:
     })
 
     if args.load_schedule:
-        from repro.dsl.serialize import load_schedule
-
-        load_schedule(workload, args.load_schedule)
+        _load_schedule(workload, args.load_schedule)
         print(f"// schedule loaded from {args.load_schedule}", file=sys.stderr)
 
     device = _resolve_device(args.device)
@@ -197,7 +206,10 @@ def cmd_compile(args) -> int:
     if args.save_schedule:
         from repro.dsl.serialize import save_schedule
 
-        save_schedule(workload, args.save_schedule)
+        try:
+            save_schedule(workload, args.save_schedule)
+        except OSError as exc:
+            raise SystemExit(f"cannot save schedule {args.save_schedule!r}: {exc}")
         print(f"// schedule saved to {args.save_schedule}", file=sys.stderr)
 
     emit = args.emit
@@ -278,8 +290,6 @@ def _cmd_dse_all(args, options) -> int:
     ``DIR/<workload>[-<size>].journal``; ``--resume DIR`` resumes every
     workload whose journal exists there and journals the rest.
     """
-    import os
-
     from repro import workloads
     from repro.dse.stats import DseStats
 
@@ -433,9 +443,7 @@ def cmd_verify(args) -> int:
     function = _build_workload(args.workload, args.size)
     _single_kernel_only(args, function, {"--load-schedule": args.load_schedule})
     if args.load_schedule:
-        from repro.dsl.serialize import load_schedule
-
-        load_schedule(function, args.load_schedule)
+        _load_schedule(function, args.load_schedule)
     tracer = trace_mod.Tracer() if (args.trace or args.stats) else None
     with trace_mod.tracing(tracer) if tracer else contextlib.nullcontext():
         engine = function.verify()
@@ -532,11 +540,14 @@ def cmd_fuzz(args) -> int:
         if args.workloads
         else None
     )
-    sizes = (
-        tuple(int(s) for s in args.sizes.split(",") if s.strip())
-        if args.sizes
-        else None
-    )
+    try:
+        sizes = (
+            tuple(int(s) for s in args.sizes.split(",") if s.strip())
+            if args.sizes
+            else None
+        )
+    except ValueError:
+        raise SystemExit(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     if args.server:
         return _cmd_fuzz_server(args, workloads, sizes)
     options = FuzzOptions(
@@ -552,7 +563,10 @@ def cmd_fuzz(args) -> int:
         options.sizes = sizes
     try:
         options.validate()
-    except (ValueError, KeyError) as exc:
+        if args.out:
+            # Before the campaign, not after it: the reproducers land here.
+            os.makedirs(args.out, exist_ok=True)
+    except (ValueError, KeyError, OSError) as exc:
         raise SystemExit(str(exc))
     tracer = trace_mod.Tracer() if args.trace else None
     with trace_mod.tracing(tracer) if tracer else contextlib.nullcontext():

@@ -113,12 +113,6 @@ class DataflowDesign:
             seen.setdefault(edge.array)
         return tuple(seen)
 
-    def edge_for(self, array: str) -> StreamEdge:
-        for edge in self.edges:
-            if edge.array == array:
-                return edge
-        raise KeyError(f"no stream edge carries array {array!r}")
-
     def placeholders(self) -> List[Placeholder]:
         """One placeholder per distinct array name, in first-use order.
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dsl.compute import Compute
 from repro.dsl.function import Function
-from repro.depgraph.analysis import NodeAnalysis, analyze_compute, cross_offsets
+from repro.depgraph.analysis import NodeAnalysis, analyze_compute
 
 
 @dataclass
@@ -81,17 +81,10 @@ class DependenceGraph:
     def successors(self, name: str) -> List[str]:
         return [e.dst for e in self.edges if e.src == name]
 
-    def predecessors(self, name: str) -> List[str]:
-        return [e.src for e in self.edges if e.dst == name]
-
     def sources(self) -> List[str]:
         """Nodes with no incoming edges."""
         targets = {e.dst for e in self.edges}
         return [n for n in self.nodes if n not in targets]
-
-    def sinks(self) -> List[str]:
-        origins = {e.src for e in self.edges}
-        return [n for n in self.nodes if n not in origins]
 
     def data_paths(self) -> List[List[str]]:
         """All source-to-sink paths, DFS order (Fig. 8 step 4)."""
@@ -110,10 +103,6 @@ class DependenceGraph:
             dfs(source, [])
         return paths
 
-    def topological_order(self) -> List[str]:
-        """Nodes in dependence order (creation order is already topological)."""
-        return [c.name for c in self.function.computes]
-
     # -- fine-grained analysis (Fig. 8 step 3) -----------------------------------
 
     def analyze(self) -> None:
@@ -126,12 +115,6 @@ class DependenceGraph:
         if node.analysis is None:
             node.analysis = analyze_compute(node.compute)
         return node.analysis
-
-    def edge_alignment(self, edge: DependenceEdge):
-        """Producer/consumer access alignment for a graph edge."""
-        return cross_offsets(
-            self.nodes[edge.src].compute, self.nodes[edge.dst].compute
-        )
 
     def __repr__(self):
         edges = ", ".join(f"{e.src}->{e.dst}" for e in self.edges)

@@ -55,7 +55,7 @@ CODES: Dict[str, str] = {
     "DSE002": "estimator failed after bounded retries",
     "DSE003": "candidate evaluation exceeded its time budget (timeout quarantine)",
     "DSE004": "sweep wall-clock budget exhausted; degraded to best design found",
-    "DSE005": "checkpoint journal rejected (missing, unreadable, or stale header)",
+    "DSE005": "checkpoint journal rejected (missing, unreadable, stale header, or cannot be created)",
     "DSE006": "corrupt or truncated checkpoint journal line skipped",
     "DSE007": "sweep interrupted; stopped at best design found (checkpoint flushed)",
     # DSE008 is retired; the number is not reused.

@@ -139,10 +139,6 @@ class DiagnosticError(ValueError):
     def code(self) -> str:
         return self.diagnostic.code
 
-    def with_location(self, location: SourceLocation) -> "DiagnosticError":
-        """A copy of this error anchored at ``location``."""
-        return type(self)(replace(self.diagnostic, location=location))
-
 
 class DiagnosticEngine:
     """Collects diagnostics; the driver decides when errors become fatal."""

@@ -3,11 +3,11 @@
 A sweep run with ``auto_dse(checkpoint=path)`` journals every candidate
 it really evaluates to a JSON-lines file: one header line identifying
 the run (workload fingerprint, device, search parameters, engine
-version), then one ``eval`` record per scored or quarantined candidate
-and one ``lat`` record per bottleneck-latency analysis.  Appends are
-single ``write`` calls flushed and fsynced, so a killed process loses at
-most the line being written -- and a truncated trailing line is
-tolerated on resume.
+version), then one ``eval`` record per scored or quarantined candidate,
+and in the frontier modes one ``frontier`` record at the end.  Appends
+are single ``write`` calls flushed and fsynced, so a killed process
+loses at most the line being written -- and a truncated trailing line
+is tolerated on resume.
 
 ``auto_dse(checkpoint=path, resume=True)`` validates the header against
 the current run (a stale or mismatched journal is rejected with
@@ -19,7 +19,10 @@ transient machine condition -- and retrying is what makes a faulty run
 converge to the fault-free result), and unreadable lines are skipped
 with a ``DSE006`` warning.  Because the search trajectory is a pure
 function of the per-candidate scores, a resumed sweep lands on the same
-best design an uninterrupted run would have found.
+best design an uninterrupted run would have found.  A replayed design
+the search needs lowered -- the best one, for its bottleneck analysis
+and for the result -- is realized again: its per-node latencies are
+recomputed, not journaled.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import __version__ as _REPRO_VERSION
 from repro.diagnostics import DiagnosticEngine, DiagnosticError, SourceLocation
@@ -40,7 +43,7 @@ from repro.util.atomic import append_line
 # version must not be mixed into a new sweep.
 ENGINE_VERSION = 1
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def candidate_key(parallelism: Dict[str, int], bank_cap: int) -> str:
@@ -49,15 +52,15 @@ def candidate_key(parallelism: Dict[str, int], bank_cap: int) -> str:
     return f"cap={bank_cap}|{nodes}"
 
 
-def workload_fingerprint(function, keep_existing_schedule: bool = False) -> str:
+def workload_fingerprint(function) -> str:
     """A structural digest of the workload a sweep explores.
 
     Covers the algorithm (computes: iterators with ranges, expression,
     destination), the arrays (shape, dtype, baseline partitioning), and
-    the directives the search builds upon (structural after/fuse, or the
-    full schedule when the caller keeps it).  Anything that changes the
-    search space changes the digest, so a checkpoint from a different
-    workload -- or a resized one -- is rejected at resume.
+    the directives the search builds upon (structural after/fuse).
+    Anything that changes the search space changes the digest, so a
+    checkpoint from a different workload -- or a resized one -- is
+    rejected at resume.
     """
     parts = [f"function {function.name}"]
     for placeholder in function.placeholders():
@@ -72,12 +75,7 @@ def workload_fingerprint(function, keep_existing_schedule: bool = False) -> str:
         parts.append(
             f"compute {compute.name} ({iters}) {compute.dest!r} = {compute.expr!r}"
         )
-    directives = (
-        list(function.schedule)
-        if keep_existing_schedule
-        else function.structural_directives()
-    )
-    for directive in directives:
+    for directive in function.structural_directives():
         parts.append(f"directive {directive.fingerprint()}")
     digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
     return digest[:16]
@@ -89,7 +87,6 @@ def make_header(
     resource_fraction: float,
     clock_ns: float,
     max_parallelism: int,
-    keep_existing_schedule: bool,
 ) -> Dict[str, object]:
     """The identity record a journal must match to be resumable."""
     return {
@@ -98,12 +95,11 @@ def make_header(
         "engine_version": ENGINE_VERSION,
         "repro_version": _REPRO_VERSION,
         "function": function.name,
-        "workload_fp": workload_fingerprint(function, keep_existing_schedule),
+        "workload_fp": workload_fingerprint(function),
         "device": device.name,
         "clock_ns": clock_ns,
         "resource_fraction": resource_fraction,
         "max_parallelism": max_parallelism,
-        "keep_existing_schedule": keep_existing_schedule,
     }
 
 
@@ -132,13 +128,6 @@ class CheckpointJournal:
         self._handle = handle
         self._fault_plan = fault_plan
         self._evals: Dict[str, dict] = {}
-        self._latencies: Dict[str, Dict[str, int]] = {}
-        #: The last journaled frontier record (multi-objective sweeps),
-        #: loaded on resume so an interrupted sweep can cross-check the
-        #: frontier it reconstructs against the one it had published.
-        self.frontier_record: Optional[dict] = None
-        self.replayable = 0
-        self.skipped_lines = 0
 
     # -- construction -------------------------------------------------------
 
@@ -146,7 +135,10 @@ class CheckpointJournal:
     def create(
         cls, path: str, header: Dict[str, object], fault_plan=None
     ) -> "CheckpointJournal":
-        handle = open(path, "w+b")
+        try:
+            handle = open(path, "w+b")
+        except OSError as exc:
+            raise _reject(path, f"cannot create journal: {exc}") from exc
         journal = cls(path, header, handle, fault_plan)
         try:
             journal._write_line(json.dumps(header, sort_keys=True))
@@ -215,27 +207,15 @@ class CheckpointJournal:
                 kind = record["kind"]
                 if kind == "eval":
                     journal._absorb_eval(record["key"], record)
-                elif kind == "lat":
-                    journal._latencies[record["key"]] = {
-                        str(name): int(cycles)
-                        for name, cycles in record["latencies"].items()
-                    }
-                elif kind == "frontier":
-                    # Later records supersede earlier ones: a resumed
-                    # sweep re-publishes its frontier at the end, and
-                    # the freshest publication is the authoritative one.
-                    journal.frontier_record = record
-                elif kind != "header":
+                elif kind not in ("header", "frontier"):
                     raise ValueError(f"unknown record kind {kind!r}")
             except (ValueError, KeyError, TypeError) as exc:
-                journal.skipped_lines += 1
                 if engine is not None:
                     engine.warning(
                         "DSE006",
                         f"skipping corrupt journal line {number}: {exc}",
                         location=SourceLocation(file=path, line=number),
                     )
-        journal.replayable = sum(1 for r in journal._evals.values() if r["ok"])
         return journal
 
     def _absorb_eval(self, key: str, record: dict) -> None:
@@ -314,28 +294,14 @@ class CheckpointJournal:
         (:meth:`repro.dse.pareto.ParetoPoint.to_record`).  Enrichment
         evaluations are journaled as ordinary ``eval`` records, so a
         resumed sweep reconstructs the same frontier from replays; this
-        record makes the published frontier directly inspectable and
-        lets resumed runs cross-check their reconstruction.
+        record makes the published frontier directly inspectable.
         """
         record = {
             "kind": "frontier",
             "objective": objective,
             "points": list(points),
         }
-        self.frontier_record = record
         self._write_line(json.dumps(record, sort_keys=True))
-
-    def append_latencies(self, key: str, latencies: Dict[str, int]) -> None:
-        """Journal the per-node latency attribution of one design."""
-        if key in self._latencies:
-            return
-        self._latencies[key] = dict(latencies)
-        self._write_line(
-            json.dumps(
-                {"kind": "lat", "key": key, "latencies": latencies},
-                sort_keys=True,
-            )
-        )
 
     # -- replay -------------------------------------------------------------
 
@@ -345,9 +311,6 @@ class CheckpointJournal:
         if record is not None and record["ok"]:
             return record
         return None
-
-    def latencies(self, key: str) -> Optional[Dict[str, int]]:
-        return self._latencies.get(key)
 
     def report_from(
         self, record: dict, function_name: str, device: FPGADevice, clock_ns: float
@@ -385,9 +348,3 @@ class CheckpointJournal:
             os.unlink(self.path)
         except OSError:
             pass
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -42,7 +42,7 @@ from repro.dsl.schedule import Schedule
 from repro.affine.ir import FuncOp
 from repro.affine.passes.verify import verify_func
 from repro.hls.device import FPGADevice
-from repro.hls.report import SynthesisReport, speedup
+from repro.hls.report import SynthesisReport
 from repro.isl import memo as _isl_memo
 from repro.session import SessionContext
 from repro.dse.checkpoint import (
@@ -159,10 +159,6 @@ class DseResult:
         from repro.pipeline import emit_hls_c
 
         return emit_hls_c(self.func_op)
-
-    def speedup_vs(self, baseline: SynthesisReport) -> float:
-        """Wall-clock speedup of this design over a baseline report."""
-        return speedup(baseline, self.report)
 
     def payload(self) -> dict:
         """The deterministic slice of the result (serve store / differential).
@@ -318,16 +314,13 @@ def sweep(
     if _trace.enabled():
         span_args = {
             "function": function.name,
-            "fingerprint": workload_fingerprint(
-                function, options.keep_existing_schedule
-            ),
+            "fingerprint": workload_fingerprint(function),
             "cache": cache,
         }
     try:
         with context.activate(), _trace.span("dse.auto_dse", "dse", span_args):
             evaluator = Evaluator(
                 function, device=device, clock_ns=clock_ns,
-                keep_existing_schedule=options.keep_existing_schedule,
                 candidate_timeout_s=options.candidate_timeout_s,
                 cache=cache, sweep_deadline=sweep_deadline,
                 stats=stats, diagnostics=engine, context=context,
@@ -400,8 +393,7 @@ def _open_journal(
     if options.checkpoint is None:
         return None
     header = make_header(
-        function, device, options.resource_fraction, clock_ns,
-        options.max_parallelism, options.keep_existing_schedule,
+        function, device, options.resource_fraction, clock_ns, options.max_parallelism
     )
     if options.resume:
         return CheckpointJournal.resume(
@@ -593,7 +585,6 @@ def _evaluate(
     sweep: _Sweep,
     par: Dict[str, int],
     bank_cap: int,
-    force: bool = False,
 ) -> Tuple[
     SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp], Optional[List[int]]
 ]:
@@ -608,7 +599,7 @@ def _evaluate(
     stats.evaluations += 1
     configs = evaluator.configs(par)
     jkey = candidate_key(par, bank_cap)
-    if journal is not None and not force:
+    if journal is not None:
         record = journal.replay(jkey)
         if record is not None:
             # Resumed sweep: this candidate was already scored before
@@ -652,26 +643,16 @@ def _evaluate(
 
 
 def _latencies_for_best(sweep: _Sweep) -> Dict[str, int]:
-    """Per-node latencies of the current best design, journal-aware.
+    """Per-node latencies of the current best design.
 
     On a resumed sweep the best design may have been replayed (no
-    lowered func_op); its latency attribution comes from the journal,
-    or -- if the crash landed between the eval and lat appends -- from
-    one forced re-evaluation.
+    lowered func_op); it is realized first, as the finalize does.
     """
-    best, journal = sweep.best, sweep.journal
-    jkey = candidate_key(best.parallelism, best.bank_cap)
+    best, evaluator = sweep.best, sweep.evaluator
     if best.func_op is None:
-        cached = journal.latencies(jkey) if journal is not None else None
-        if cached is not None:
-            return cached
-        _, _, best.func_op, best.nest_cycles = _evaluate(
-            sweep, best.parallelism, best.bank_cap, force=True
-        )
-    latencies = sweep.evaluator.node_latencies(best.func_op, best.nest_cycles)
-    if journal is not None:
-        journal.append_latencies(jkey, latencies)
-    return latencies
+        best.report, best.func_op = evaluator.realize(best.configs, best.bank_cap)
+        best.nest_cycles = evaluator.nest_cycles
+    return evaluator.node_latencies(best.func_op, best.nest_cycles)
 
 
 def _is_noop_step(

@@ -192,7 +192,6 @@ class Evaluator:
         device: Optional[FPGADevice] = None,
         clock_ns: Optional[float] = None,
         *,
-        keep_existing_schedule: bool = False,
         cache: bool = True,
         candidate_timeout_s: Optional[float] = None,
         sweep_deadline: Optional[Deadline] = None,
@@ -216,18 +215,16 @@ class Evaluator:
 
         # Reset the function to the directives the search builds upon.
         self.structural = function.structural_directives()
-        if not keep_existing_schedule:
-            function.reset_schedule()
-            for directive in self.structural:
-                function.schedule.add(directive)
+        function.reset_schedule()
+        for directive in self.structural:
+            function.schedule.add(directive)
         # Every candidate's banking is laid over these schemes.
         self.partitions = function.partitions()
         if diagnostics is not None:
             # Legality preflight on those directives (structural
-            # after/fuse, or the user's full schedule when kept): a
-            # dependence-violating directive is rejected here, before
-            # any lowering, with a diagnostic naming the violated
-            # dependence.
+            # after/fuse): a dependence-violating directive is rejected
+            # here, before any lowering, with a diagnostic naming the
+            # violated dependence.
             from repro.preflight import preflight_schedule
 
             preflight_schedule(function, engine=diagnostics)

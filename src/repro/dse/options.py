@@ -34,8 +34,7 @@ class DseOptions:
       (``None`` inherits the device's own clock target, so zoo parts
       retimed with ``FPGADevice.at_clock`` estimate at their declared
       frequency);
-    * **search**: ``max_parallelism``, ``keep_existing_schedule``,
-      ``cache``;
+    * **search**: ``max_parallelism``, ``cache``;
     * **resilience**: ``checkpoint``, ``resume``,
       ``candidate_timeout_s``, ``time_budget_s``, ``fault_plan``;
     * **objective**: ``objective`` (a spec string parsed by
@@ -50,7 +49,6 @@ class DseOptions:
     resource_fraction: float = 1.0
     clock_ns: Optional[float] = None
     max_parallelism: int = MAX_PARALLELISM
-    keep_existing_schedule: bool = False
     cache: bool = True
     checkpoint: Optional[str] = None
     resume: bool = False

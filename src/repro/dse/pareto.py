@@ -273,23 +273,6 @@ class ParetoPoint:
             "power_w": self.power_w,
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "ParetoPoint":
-        return cls(
-            key=record["key"],
-            parallelism=tuple(
-                sorted((name, int(deg)) for name, deg in record["parallelism"].items())
-            ),
-            bank_cap=int(record["bank_cap"]),
-            values=tuple(int(v) for v in record["values"]),
-            cycles=int(record["cycles"]),
-            dsp=int(record["dsp"]),
-            lut=int(record["lut"]),
-            ff=int(record["ff"]),
-            bram_bits=int(record["bram_bits"]),
-            power_w=float(record["power_w"]),
-        )
-
 
 @dataclass
 class ParetoFrontier:
@@ -340,13 +323,6 @@ class ParetoFrontier:
 
     def to_records(self) -> List[dict]:
         return [point.to_record() for point in self.points()]
-
-    @classmethod
-    def from_records(cls, records: Sequence[dict]) -> "ParetoFrontier":
-        frontier = cls()
-        for record in records:
-            frontier.insert(ParetoPoint.from_record(record))
-        return frontier
 
 
 def frontier_summary(points: Sequence[ParetoPoint], objective: Objective) -> str:

@@ -55,11 +55,6 @@ class FixedType(DType):
     def np_dtype(self) -> np.dtype:
         return np.dtype("float64")
 
-    def quantize(self, value: float) -> float:
-        """Round to the nearest representable fixed-point value."""
-        step = 2.0 ** -self.frac_bits
-        return round(value / step) * step
-
 
 def fixed(total_bits: int, int_bits: int) -> FixedType:
     """An ``ap_fixed<total_bits, int_bits>`` type (paper Section IV-A:

@@ -99,10 +99,6 @@ class Placeholder:
             total *= extent
         return total
 
-    @property
-    def size_bits(self) -> int:
-        return self.n_elements * self.dtype.bits
-
     def allocate(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """A fresh numpy buffer for the functional simulator."""
         if rng is None:

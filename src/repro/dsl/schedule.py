@@ -212,10 +212,6 @@ class Unroll(Directive):
             )
 
 
-LOOP_TRANSFORMS = (Interchange, Split, Tile, Skew, Reverse, Shift, After, Fuse)
-HARDWARE_OPTS = (Pipeline, Unroll)
-
-
 @dataclass
 class Schedule:
     """The ordered list of directives attached to a function."""
@@ -224,12 +220,6 @@ class Schedule:
 
     def add(self, directive: Directive) -> None:
         self.directives.append(directive)
-
-    def loop_transforms(self) -> List[Directive]:
-        return [d for d in self.directives if isinstance(d, LOOP_TRANSFORMS)]
-
-    def hardware_opts(self) -> List[Directive]:
-        return [d for d in self.directives if isinstance(d, HARDWARE_OPTS)]
 
     def for_compute(self, name: str) -> List[Directive]:
         return [d for d in self.directives if d.compute_name == name]

@@ -114,10 +114,6 @@ class FPGADevice:
             raise ValueError(f"clock frequency must be > 0 MHz, got {mhz}")
         return replace(self, clock_ns=1000.0 / mhz)
 
-    @property
-    def clock_mhz(self) -> float:
-        return 1000.0 / self.clock_ns
-
 
 def _mb(megabits: float) -> int:
     return int(megabits * 1024 * 1024)

@@ -22,7 +22,7 @@ items that are already normalized (int, nonzero, sorted by name) and
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.isl import intern as _intern
 
@@ -278,11 +278,3 @@ def _from_sums(coeffs: Mapping[str, int], const: int) -> AffineExpr:
     if len(items) > 1:
         items.sort()
     return _from_items(tuple(items), const)
-
-
-def sum_exprs(exprs: Iterable[ExprLike]) -> AffineExpr:
-    """Sum an iterable of expression-likes (empty sum is 0)."""
-    total = AffineExpr.const(0)
-    for expr in exprs:
-        total = total + AffineExpr.coerce(expr)
-    return total

@@ -91,16 +91,6 @@ class Constraint:
         """The constraint ``lhs <= rhs``."""
         return Constraint(AffineExpr.coerce(rhs) - AffineExpr.coerce(lhs), GE)
 
-    @staticmethod
-    def lt(lhs: ExprLike, rhs: ExprLike) -> "Constraint":
-        """The strict integer constraint ``lhs < rhs`` (i.e. ``lhs <= rhs - 1``)."""
-        return Constraint.le(AffineExpr.coerce(lhs) + 1, rhs)
-
-    @staticmethod
-    def gt(lhs: ExprLike, rhs: ExprLike) -> "Constraint":
-        """The strict integer constraint ``lhs > rhs``."""
-        return Constraint.ge(AffineExpr.coerce(lhs), AffineExpr.coerce(rhs) + 1)
-
     # -- queries -------------------------------------------------------
 
     def is_equality(self) -> bool:
@@ -123,9 +113,6 @@ class Constraint:
             g = self.expr.coeff_gcd()
             return g != 0 and self.expr.constant % g != 0
         return self.expr.is_constant() and self.expr.constant < 0
-
-    def involves(self, name: str) -> bool:
-        return self.expr.coeff(name) != 0
 
     def dims(self):
         return self.expr.dims()

@@ -8,7 +8,7 @@ dimensions that carry loop iterators.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.isl.affine import AffineExpr, ExprLike
 
@@ -68,24 +68,6 @@ class ScheduleMap:
         """The expression at dynamic position ``level`` (0-based)."""
         return self.entries[2 * level + 1]
 
-    def with_static_dim(self, level: int, value: int) -> "ScheduleMap":
-        entries = list(self.entries)
-        entries[2 * level] = AffineExpr.const(value)
-        return ScheduleMap(self.in_dims, entries)
-
-    def with_dynamic_dims(self, exprs: Sequence[ExprLike], in_dims: Optional[Sequence[str]] = None) -> "ScheduleMap":
-        """Replace all dynamic dims (padding/truncating static dims to fit)."""
-        dims = tuple(in_dims) if in_dims is not None else self.in_dims
-        entries: List[ExprLike] = []
-        for index, expr in enumerate(exprs):
-            static = self.static_dim(index) if index < self.depth else 0
-            entries.append(static)
-            entries.append(expr)
-        entries.append(self.static_dim(self.depth) if len(self.entries) % 2 else 0)
-        # Last static: entries always odd-length; final element is last static.
-        entries[-1] = self.entries[-1].constant
-        return ScheduleMap(dims, entries)
-
     def substitute(self, bindings: Mapping[str, ExprLike], new_in_dims: Sequence[str]) -> "ScheduleMap":
         return ScheduleMap(new_in_dims, [e.substitute(bindings) for e in self.entries])
 
@@ -106,10 +88,6 @@ class ScheduleMap:
         for _ in range(depth - self.depth):
             entries.extend([AffineExpr.const(0), AffineExpr.const(0)])
         return ScheduleMap(self.in_dims, entries)
-
-    def vector_at(self, point: Mapping[str, int]) -> Tuple[int, ...]:
-        """The full 2d+1 timestamp of a statement instance."""
-        return tuple(e.evaluate(point) for e in self.entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleMap):

@@ -155,14 +155,7 @@ class PolyProgram:
 
     def build_ast(self) -> AstNode:
         """Union all domains/schedules and build the annotated AST."""
-        builder = AstBuilder()
-        records = [
-            (stmt.name, stmt.domain, stmt.schedule_map(), stmt)
-            for stmt in self.statements
-        ]
-        ast = builder.build(records)
-        self._annotate(ast)
-        return ast
+        return self.build_ast_for(self.statements)
 
     def toplevel_groups(self) -> List[List[PolyStatement]]:
         """Statements grouped by their outermost static dim, in order.

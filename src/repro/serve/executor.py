@@ -58,6 +58,7 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
+import signal
 import threading
 import time
 from collections import deque
@@ -181,18 +182,29 @@ def _worker_main(request: dict, journal_path, arm_faults, job_timeout_s, channel
 
 def _worker_loop(jobs, channel, server_ends, self_pipe) -> None:
     """Worker-process entry point: run the jobs that arrive on ``jobs``,
-    one at a time, until the server closes it or dies (EOF).
+    one at a time, until the server closes it or dies (EOF), or a
+    SIGTERM/SIGINT arrives.
 
     ``server_ends`` are the server's ends of every worker's pipes, this
     worker's own included, which the fork copied: closing them leaves
     the server the only writer of each request pipe.  ``self_pipe`` are
     the executor's self-pipe descriptors the fork copied, closed too.
+    The signal handlers are the worker's own, not the server's drain the
+    fork copied: a signal ends an idle worker at once, and one running a
+    job after it has sent that job's outcome.
     """
     for end in server_ends:
         end.close()
     for fd in self_pipe:
         os.close(fd)
+    signalled, wake = os.pipe()
+    os.set_blocking(wake, False)
+    signal.set_wakeup_fd(wake)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: None)  # the wakeup fd says it
     while True:
+        if signalled in _wait_ready([jobs, signalled]):
+            return
         try:
             request, journal_path, arm_faults, job_timeout_s = jobs.recv()
         except EOFError:

@@ -43,7 +43,6 @@ _OPTION_KEYS = {
         "clock_ns",
         "cache",
         "max_parallelism",
-        "keep_existing_schedule",
         "candidate_timeout_s",
         "time_budget_s",
         "objective",
@@ -79,6 +78,41 @@ def _validate_dse_options(options: dict, device) -> None:
         DseOptions(**dict(options, device=device)).validate()
     except TypeError as exc:
         raise ValueError(f"invalid dse options: {exc}") from None
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fuzz_options(options: dict, workload=None, size=None, job_timeout_s=None):
+    """The validated :class:`~repro.fuzz.FuzzOptions` of a fuzz request:
+    integer counts, a list of workload names and one of sizes.  The
+    request's own workload and size stand in for absent lists."""
+    from repro.fuzz import FuzzOptions
+
+    for key in ("seed", "trials", "max_directives"):
+        if key in options and not _is_int(options[key]):
+            raise ValueError(f"options.{key} must be an integer, got {options[key]!r}")
+    for key, valid in (("workloads", lambda v: isinstance(v, str)),
+                       ("sizes", lambda v: _is_int(v) and v >= 1)):
+        if key in options and not (
+            isinstance(options[key], list) and all(map(valid, options[key]))
+        ):
+            raise ValueError(f"options.{key} must be a list, got {options[key]!r}")
+    overrides = dict(options)
+    if workload is not None:
+        overrides.setdefault("workloads", [workload])
+    if size is not None:
+        overrides.setdefault("sizes", [size])
+    time_budget = overrides.pop("time_budget_s", None)
+    if job_timeout_s is not None:
+        time_budget = min(time_budget, job_timeout_s) if time_budget else job_timeout_s
+    fuzz = FuzzOptions(time_budget_s=time_budget, **overrides)
+    try:
+        fuzz.validate()
+    except TypeError as exc:  # a time budget that is no number
+        raise ValueError(f"invalid fuzz options: {exc}") from None
+    return fuzz
 
 
 @dataclass
@@ -143,6 +177,10 @@ class JobSpec:
             device = get_device(device)  # raises on unknown names / bad modifiers
         if kind == "dse":
             _validate_dse_options(options, device)
+        elif kind == "fuzz":
+            _fuzz_options(options, workload, size)
+        elif kind == "trace" and not isinstance(options.get("dse", False), bool):
+            raise ValueError(f"options.dse must be a JSON boolean, got {options['dse']!r}")
         fault = payload.get("fault")
         if fault is not None:
             if kind != "dse":
@@ -458,20 +496,9 @@ def _execute_trace(spec, job_timeout_s, emit) -> dict:
 def _execute_fuzz(spec, job_timeout_s, emit) -> dict:
     import time
 
-    from repro.fuzz import FuzzOptions, run_campaign
+    from repro.fuzz import run_campaign
 
-    overrides = dict(spec.options)
-    if spec.workload is not None:
-        overrides.setdefault("workloads", [spec.workload])
-    if spec.size is not None:
-        overrides.setdefault("sizes", [spec.size])
-    time_budget = overrides.pop("time_budget_s", None)
-    if job_timeout_s is not None:
-        time_budget = min(time_budget, job_timeout_s) if time_budget else job_timeout_s
-    options = FuzzOptions(time_budget_s=time_budget)
-    for key, value in overrides.items():
-        setattr(options, key, value)
-    options.validate()
+    options = _fuzz_options(spec.options, spec.workload, spec.size, job_timeout_s)
     emit({"stage": "campaign", "trials": options.trials, "seed": options.seed})
     started = time.perf_counter()
     campaign = run_campaign(options)

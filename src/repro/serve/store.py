@@ -1,8 +1,7 @@
 """The crash-safe, content-addressed result store and job ledger.
 
 Two append-only JSON-lines journals under ``--state-dir``, written with
-the PR-3 discipline (append one line, flush, fsync; atomic rewrites via
-:func:`repro.util.atomic.atomic_write` when compacting):
+the checkpoint discipline (append one line, flush, fsync):
 
 ``store.jsonl``
     One line per completed cacheable result: ``{"key", "request",
@@ -36,7 +35,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.serve.jobs import JobSpec, design_fingerprint
-from repro.util.atomic import append_line, atomic_write
+from repro.util.atomic import append_line
 
 STORE_FORMAT = 1
 
@@ -188,23 +187,6 @@ class ResultStore:
                 continue
             pending.append((job_id, spec, record.get("key")))
         return pending
-
-    # -- maintenance ---------------------------------------------------
-
-    def compact(self) -> int:
-        """Rewrite ``store.jsonl`` with one line per live key.
-
-        Atomic (write-new-then-rename), so a crash mid-compaction
-        leaves either the old or the new file, never a torn one.
-        Returns the number of live entries kept.
-        """
-        with self._lock:
-            lines = [
-                json.dumps(self._index[key], sort_keys=True, separators=(",", ":"))
-                for key in sorted(self._index)
-            ]
-            atomic_write(self.store_path, "".join(line + "\n" for line in lines))
-            return len(lines)
 
     def stats(self) -> dict:
         with self._lock:

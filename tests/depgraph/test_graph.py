@@ -50,24 +50,18 @@ class TestConstruction:
 
 
 class TestTraversal:
-    def test_sources_and_sinks(self, fig8_function):
+    def test_sources(self, fig8_function):
         g = build_dependence_graph(fig8_function, analyze=False)
         assert g.sources() == ["S1"]
-        assert g.sinks() == ["S4"]
 
     def test_data_paths_match_paper(self, fig8_function):
         g = build_dependence_graph(fig8_function, analyze=False)
         paths = {tuple(p) for p in g.data_paths()}
         assert paths == {("S1", "S2", "S4"), ("S1", "S3", "S4")}
 
-    def test_successors_predecessors(self, fig8_function):
+    def test_successors(self, fig8_function):
         g = build_dependence_graph(fig8_function, analyze=False)
         assert set(g.successors("S1")) == {"S2", "S3"}
-        assert g.predecessors("S4") == ["S2", "S3"]
-
-    def test_topological_order(self, fig8_function):
-        g = build_dependence_graph(fig8_function, analyze=False)
-        assert g.topological_order() == ["S1", "S2", "S3", "S4"]
 
 
 class TestAnalysisIntegration:
@@ -88,11 +82,6 @@ class TestAnalysisIntegration:
         g = build_dependence_graph(fig8_function)
         raws = [d for d in g.node_analysis("S4").carried if d.kind == RAW]
         assert {d.carried_dim for d in raws} == {"k"}
-
-    def test_edge_alignment(self, fig8_function):
-        g = build_dependence_graph(fig8_function, analyze=False)
-        edge = next(e for e in g.edges if (e.src, e.dst) == ("S1", "S2"))
-        assert g.edge_alignment(edge) == {"A": (0, 0)}
 
 
 class TestIndependentComputes:

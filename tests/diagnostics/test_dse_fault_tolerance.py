@@ -18,10 +18,10 @@ def test_illegal_existing_schedule_rejected_at_preflight():
     # names the dependence.
     f = seidel(8, 2)
     f.get_compute("S").interchange("t", "j")
-    with pytest.raises(DiagnosticError) as info:
-        f.auto_DSE(options=DseOptions(keep_existing_schedule=True))
-    assert info.value.code == "LEG001"
-    assert "carried" in str(info.value) and "A" in str(info.value)
+    engine = f.verify()
+    assert {d.code for d in engine.errors()} == {"LEG001"}
+    text = engine.render()
+    assert "carried" in text and "A" in text
 
 
 def test_failing_candidates_are_quarantined_not_fatal(monkeypatch):

@@ -108,9 +108,3 @@ class TestDiagnosticError:
         exc = DiagnosticError(d)
         assert exc.diagnostic is d
         assert "SCH002" in str(exc)
-
-    def test_with_location(self):
-        exc = DiagnosticError("msg", code="SCH001")
-        anchored = exc.with_location(SourceLocation(function="gemm"))
-        assert anchored.diagnostic.location.function == "gemm"
-        assert anchored.code == "SCH001"

@@ -156,7 +156,7 @@ class TestCodegenGuard:
 
 
 class _BreakStores(Pass):
-    """Deliberately corrupts every store (for verify_each tests)."""
+    """Deliberately corrupts every store (for the pass manager's verifier)."""
 
     name = "break-stores"
 
@@ -173,8 +173,3 @@ class TestPassManagerVerification:
             PassManager([_BreakStores()]).run(func)
         assert "break-stores" in str(info.value)
         assert "VER002" in str(info.value)
-
-    def test_verify_each_escape_hatch(self):
-        func = lower_to_affine(polybench.gemm(8))
-        # The hot-path escape hatch: no re-verification, no raise.
-        PassManager([_BreakStores()], verify_each=False).run(func)

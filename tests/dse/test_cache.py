@@ -9,7 +9,6 @@ from repro.affine.ir import AffineStoreOp, FuncOp
 from repro.dse.evaluator import Evaluator
 from repro.dse.stats import DseStats
 from repro.hls.estimator import HlsEstimator
-from repro.hls.report import speedup
 from repro.polyir.program import PolyProgram
 from repro import workloads
 from repro.workloads import polybench
@@ -108,15 +107,6 @@ class TestIncrementalLowering:
         again = PolyProgram(function).apply_schedule()
         lower_program_incremental(again, _keys(again), cache=cache, stats=stats)
         assert stats.lowering_cache_hits >= 1
-
-
-class TestSpeedupVs:
-    def test_speedup_vs_delegates_to_report_speedup(self):
-        function = polybench.gemm(64)
-        baseline = function.estimate()
-        result = auto_dse(function)
-        assert result.speedup_vs(baseline) == speedup(baseline, result.report)
-        assert result.speedup_vs(baseline) > 1.0
 
 
 def _shell_latencies(func_op, device, clock_ns):

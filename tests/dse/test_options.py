@@ -126,7 +126,7 @@ class TestDataclassSurface:
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(DseOptions)] == [
             "device", "resource_fraction", "clock_ns", "max_parallelism",
-            "keep_existing_schedule", "cache", "checkpoint", "resume",
+            "cache", "checkpoint", "resume",
             "candidate_timeout_s", "time_budget_s", "fault_plan",
             "objective",
         ]

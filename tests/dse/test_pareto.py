@@ -190,22 +190,6 @@ class TestFrontierProperties:
 
 
 class TestRecords:
-    def test_point_record_round_trip(self):
-        point = ParetoPoint(
-            key="cand", parallelism=(("S1", 4), ("S2", 8)), bank_cap=16,
-            values=(100, 12), cycles=100, dsp=12, lut=34, ff=56,
-            bram_bits=78, power_w=0.125,
-        )
-        assert ParetoPoint.from_record(point.to_record()) == point
-
-    def test_frontier_records_round_trip(self):
-        frontier = ParetoFrontier()
-        frontier.insert(_point("a", (1, 5)))
-        frontier.insert(_point("b", (5, 1)))
-        frontier.insert(_point("c", (9, 9)))  # dominated, pruned
-        rebuilt = ParetoFrontier.from_records(frontier.to_records())
-        assert rebuilt.points() == frontier.points()
-
     def test_summary_is_deterministic_text(self):
         objective = parse_objective("pareto")
         points = [_point("a", (1, 5)), _point("b", (5, 1))]

@@ -66,7 +66,6 @@ class TestPlaceholder:
         A = placeholder("A", (32, 16), float32)
         assert A.shape == (32, 16)
         assert A.n_elements == 512
-        assert A.size_bits == 512 * 32
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
@@ -230,8 +229,6 @@ class TestSchedulingPrimitives:
         f, s, (i, j, k) = gemm
         s.interchange(k, i)
         s.pipeline(j)
-        assert len(f.schedule.loop_transforms()) == 1
-        assert len(f.schedule.hardware_opts()) == 1
         assert len(f.schedule.for_compute("s")) == 2
 
 

@@ -86,7 +86,7 @@ class TestDeviceZoo:
 
 class TestAtClock:
     def test_clock_mhz_round_trip(self):
-        assert XC7Z020.at_clock(250).clock_mhz == pytest.approx(250.0)
+        assert 1000.0 / XC7Z020.at_clock(250).clock_ns == pytest.approx(250.0)
 
     def test_budgets_unchanged(self):
         retimed = XC7Z020.at_clock(300)

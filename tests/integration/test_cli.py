@@ -126,6 +126,60 @@ class TestDseOptionErrors:
         assert excinfo.value.code == message
 
 
+class TestInputBoundaries:
+    """A file or value the CLI cannot use ends in one line, not a traceback."""
+
+    @staticmethod
+    def _exit_message(argv) -> str:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        return message
+
+    def test_missing_schedule_file(self, tmp_path):
+        path = str(tmp_path / "missing.json")
+        message = self._exit_message(["compile", "gemm", "--size", "8", "--load-schedule", path])
+        assert message.startswith(f"cannot load schedule {path!r}: ")
+        assert "No such file" in message
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_malformed_schedule_json(self, command, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        message = self._exit_message([command, "gemm", "--size", "8", "--load-schedule", str(path)])
+        assert message.startswith(f"cannot load schedule {str(path)!r}: Expecting property name")
+
+    def test_schedule_without_directives(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        message = self._exit_message(["compile", "gemm", "--size", "8", "--load-schedule", str(path)])
+        assert message.endswith("missing 'directives' key")
+
+    def test_save_schedule_into_missing_directory(self, tmp_path):
+        path = str(tmp_path / "no" / "s.json")
+        message = self._exit_message(["compile", "gemm", "--size", "8", "--save-schedule", path])
+        assert message.startswith(f"cannot save schedule {path!r}: ")
+
+    def test_fuzz_sizes_not_integers(self):
+        message = self._exit_message(["fuzz", "--sizes", "a"])
+        assert message == "--sizes must be comma-separated integers, got 'a'"
+
+    def test_fuzz_out_that_cannot_be_created(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        message = self._exit_message(
+            ["fuzz", "--trials", "1", "--sizes", "8", "--out", str(blocker / "out")]
+        )
+        assert "Not a directory" in message
+
+    def test_checkpoint_in_missing_directory(self, tmp_path, capsys):
+        path = str(tmp_path / "no" / "sweep.journal")
+        assert main(["dse", "gemm", "--size", "8", "--checkpoint", path]) == 2
+        err = capsys.readouterr().err
+        assert "error[DSE005]" in err and "cannot create journal" in err
+
+
 class TestExperiment:
     def test_single_experiment(self, capsys):
         assert main(["experiment", "fig2", "--size", "32"]) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isl.affine import AffineExpr, sum_exprs
+from repro.isl.affine import AffineExpr
 
 
 class TestConstruction:
@@ -176,12 +176,3 @@ class TestEqualityHash:
     def test_str_roundtrip_stable(self):
         e = AffineExpr({"i": -2, "j": 1}, -3)
         assert str(e) == "-2*i + j - 3"
-
-
-def test_sum_exprs():
-    total = sum_exprs(["i", "j", 5])
-    assert total == AffineExpr({"i": 1, "j": 1}, 5)
-
-
-def test_sum_exprs_empty():
-    assert sum_exprs([]).is_zero()

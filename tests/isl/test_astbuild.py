@@ -186,7 +186,7 @@ class TestLexicographicCorrectness:
         def timestamp(entry):
             name, values = entry
             sched = s1 if name == "A" else s2.pad_to_depth(2)
-            return sched.vector_at(values)
+            return tuple(entry.evaluate(values) for entry in sched.entries)
 
         stamps = [timestamp(t) for t in trace]
         assert stamps == sorted(stamps)

@@ -184,7 +184,7 @@ class TestEnclosureTrap:
 
 
 def _involving(bset, name):
-    return [c for c in bset.constraints if c.involves(name)]
+    return [c for c in bset.constraints if name in c.dims()]
 
 
 class TestReachingProjection:

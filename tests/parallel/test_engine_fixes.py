@@ -154,7 +154,7 @@ class TestNoStrayJournalOnEarlyRaise:
     def test_journal_discard_removes_the_file(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         function = polybench.gemm(16)
-        header = make_header(function, DEFAULT_DEVICE, 1.0, 10.0, 256, False)
+        header = make_header(function, DEFAULT_DEVICE, 1.0, 10.0, 256)
         journal = CheckpointJournal.create(str(path), header)
         assert path.exists()
         journal.discard()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.diagnostics import DiagnosticError
+from repro.dse.checkpoint import FORMAT_VERSION
 from repro.workloads import polybench
 from repro.dse.options import DseOptions
 
@@ -42,6 +43,47 @@ def test_resume_replays_all_candidates(tmp_path):
     assert fingerprint(resumed) == fingerprint(first)
     assert resumed.stats.replayed == first.stats.candidates
     assert resumed.stats.candidates == 0
+
+
+@pytest.mark.parametrize("factory", [polybench.gemm, polybench.mm3, polybench.bicg])
+def test_resume_realizes_replayed_best_designs(tmp_path, factory):
+    """Each best design the ladder stands on was replayed, so it is
+    realized again for its bottleneck analysis: no candidate starts, and
+    the resumed result is the first one, loop table included."""
+    journal = tmp_path / "sweep.jsonl"
+    first = factory(64).auto_DSE(options=DseOptions(checkpoint=str(journal)))
+    resumed = factory(64).auto_DSE(options=DseOptions(checkpoint=str(journal), resume=True))
+    assert fingerprint(resumed) == fingerprint(first)
+    assert resumed.stats.candidates == 0
+    assert resumed.evaluations == first.evaluations
+    assert [str(loop) for loop in resumed.report.loops] == [str(loop) for loop in first.report.loops]
+
+
+@pytest.mark.parametrize(
+    "objective, tail",
+    [("single", []), ("pareto", ["frontier"]), ("weighted:latency=1,dsp=1", ["frontier"])],
+)
+def test_a_journal_holds_its_header_evals_and_frontier_only(tmp_path, objective, tail):
+    journal = tmp_path / "gemm.jsonl"
+    polybench.gemm(64).auto_DSE(options=DseOptions(objective=objective, checkpoint=str(journal)))
+    kinds = [json.loads(line)["kind"] for line in journal.read_text().splitlines()]
+    evals = kinds.count("eval")
+    assert evals > 1
+    assert kinds == ["header"] + ["eval"] * evals + tail
+
+
+def test_resume_rejects_a_journal_of_an_older_format(tmp_path):
+    journal = tmp_path / "gemm.jsonl"
+    polybench.gemm(16).auto_DSE(options=DseOptions(checkpoint=str(journal)))
+    lines = journal.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["format"] == FORMAT_VERSION
+    header.update(format=FORMAT_VERSION - 1, keep_existing_schedule=False)
+    journal.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(DiagnosticError) as info:
+        polybench.gemm(16).auto_DSE(options=DseOptions(checkpoint=str(journal), resume=True))
+    assert info.value.code == "DSE005"
+    assert "format" in str(info.value)
 
 
 def test_replayed_enrichment_is_neither_estimated_nor_memo_answered(tmp_path):

@@ -48,11 +48,27 @@ class TestValidation:
             {"kind": "dse", "workload": "gemm", "options": {"surrogate": False}},
             # A campaign runs its trials in order: `jobs` is no fuzz option.
             {"kind": "fuzz", "options": {"trials": 2, "jobs": 2}},
+            # Fuzz and trace options are checked before queueing, as dse's are.
+            {"kind": "fuzz", "options": {"trials": "3"}},
+            {"kind": "fuzz", "options": {"workloads": "gemm"}},
+            {"kind": "fuzz", "options": {"workloads": ["nope"]}},
+            {"kind": "fuzz", "options": {"sizes": [8, "a"]}},
+            {"kind": "fuzz", "options": {"sizes": [0]}},
+            {"kind": "fuzz", "options": {"time_budget_s": "soon"}},
+            {"kind": "trace", "workload": "gemm", "options": {"dse": "no"}},
+            # The search always builds on the structural directives.
+            {"kind": "dse", "workload": "gemm", "options": {"keep_existing_schedule": True}},
         ],
     )
     def test_rejects_bad_requests(self, body):
         with pytest.raises(ValueError):
             JobSpec.from_request(body)
+
+    def test_fuzz_and_trace_options_of_the_right_types_pass(self):
+        JobSpec.from_request({"kind": "fuzz", "options": {
+            "seed": 1, "trials": 2, "workloads": ["gemm"], "sizes": [8], "time_budget_s": 5,
+        }})
+        JobSpec.from_request({"kind": "trace", "workload": "gemm", "options": {"dse": True}})
 
     def test_fuzz_needs_no_workload(self):
         spec = JobSpec.from_request({"kind": "fuzz", "options": {"trials": 2}})

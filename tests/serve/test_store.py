@@ -73,21 +73,6 @@ class TestResults:
         assert reopened.stats()["corrupt_skipped"] == 4
         assert reopened.stats()["entries"] == 1
 
-    def test_compact_rewrites_one_line_per_live_key(self, tmp_path):
-        spec = _spec()
-        key = cache_key(spec)
-        store = ResultStore(str(tmp_path))
-        for cycles in (1, 2, 3):
-            store.record(key, spec, _payload(cycles=cycles))
-        assert store.compact() == 1
-        with open(store.store_path, encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == 1
-        assert json.loads(lines[0])["design"]["total_cycles"] == 3
-        assert ResultStore(str(tmp_path)).lookup(key)["design"][
-            "total_cycles"
-        ] == 3
-
     def test_journal_paths_are_per_key(self, tmp_path):
         store = ResultStore(str(tmp_path))
         a = store.journal_path_for(cache_key(_spec(size=8)))

@@ -453,6 +453,76 @@ def test_idle_workers_exit_when_their_server_is_sigkilled(tmp_path):
     assert not any(map(_running_pid, report["pids"])), report["pids"]
 
 
+_SIGTERM_SCRIPT = """
+import json, os, signal, sys, threading, time
+from repro.serve import ReproServer, ServeConfig, executor
+from repro.serve.jobs import JobSpec
+
+real = executor.execute_job
+
+def slow_bicg(spec, journal_path, arm_faults, job_timeout_s, emit):
+    if spec.workload == "bicg":
+        emit({"stage": "slow"})  # sent once the worker's handlers are its own
+        threading.Event().wait(0.5)  # a job the SIGTERM lands in
+    return real(spec, journal_path, arm_faults, job_timeout_s, emit)
+
+def running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+def seconds_to_exit(pid, limit=1.0):
+    start = time.monotonic()
+    while running(pid):
+        if time.monotonic() - start > limit:
+            return None
+        time.sleep(0.01)
+    return time.monotonic() - start
+
+executor.execute_job = slow_bicg  # forked workers inherit the patch
+server = ReproServer(ServeConfig(port=0, workers=1, state_dir=sys.argv[1]))
+server.install_signal_handlers()  # before the first fork, as run_server does
+runner = server.executor
+report = {}
+job = runner.submit(JobSpec.from_request({"kind": "verify", "workload": "gemm", "size": 8}))
+report["idle_job"] = runner.wait(job.id, timeout_s=120.0).status
+with runner._lock:
+    (worker,) = runner._idle
+os.kill(worker.process.pid, signal.SIGTERM)
+report["idle_exit_s"] = seconds_to_exit(worker.process.pid)
+job = runner.submit(JobSpec.from_request({"kind": "verify", "workload": "bicg", "size": 8}))
+while True:
+    with runner._lock:
+        busy = runner._running.get(job.id)
+        if any(e["stage"] == "slow" for e in job.events):
+            break
+    time.sleep(0.01)
+os.kill(busy.process.pid, signal.SIGTERM)
+report["busy_job"] = runner.wait(job.id, timeout_s=120.0).status
+report["busy_exit_s"] = seconds_to_exit(busy.process.pid)
+print(json.dumps(report), flush=True)
+server.shutdown()
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs Linux /proc")
+def test_sigterm_ends_a_worker_once_its_job_is_done(tmp_path):
+    """The server's SIGTERM/SIGINT handlers are installed before the fork,
+    as ``run_server`` does, yet a SIGTERM to a worker ends that worker:
+    an idle one within a second, a busy one after it reported its job."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SIGTERM_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=os.environ.copy(),
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[0])
+    assert report["idle_job"] == report["busy_job"] == "done", report
+    assert report["idle_exit_s"] is not None, "the idle worker outlived SIGTERM"
+    assert report["busy_exit_s"] is not None, "the worker outlived its job"
+
+
 def test_an_idle_worker_that_died_is_replaced(make_executor):
     """A worker killed while idle is noticed and reaped; the next job gets
     a fresh fork on its first attempt instead of a dead worker."""

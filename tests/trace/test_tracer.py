@@ -39,23 +39,12 @@ class TestSpans:
         assert span.args == {"k": 1}
         assert span.category == "cat"
 
-    def test_current_span(self):
-        tracer = Tracer()
-        assert tracer.current_span() is None
-        with tracer.span("outer"):
-            assert tracer.current_span().name == "outer"
-            with tracer.span("inner"):
-                assert tracer.current_span().name == "inner"
-            assert tracer.current_span().name == "outer"
-        assert tracer.current_span() is None
-
     def test_stack_recovers_from_exceptions(self):
         tracer = Tracer()
         with pytest.raises(RuntimeError):
             with tracer.span("outer"):
                 with tracer.span("inner"):
                     raise RuntimeError("boom")
-        assert tracer.current_span() is None
         with tracer.span("after"):
             pass
         assert tracer.spans[-1].parent == -1
