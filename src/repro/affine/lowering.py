@@ -12,7 +12,6 @@ banking without writing it) -- are recorded on the function op.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Hashable, List, Mapping, Optional
 
 from repro import trace as _trace
@@ -38,28 +37,16 @@ from repro.affine.ir import (
 )
 
 
-def lower_program(program: PolyProgram, stats=None, partitions: Optional[Mapping] = None) -> FuncOp:
-    """Lower a polyhedral program (with built AST) to a FuncOp.
-
-    ``stats`` is accounted as in :func:`lower_program_incremental`:
-    every top-level nest counts as (re)lowered.
-    """
+def lower_program(program: PolyProgram, partitions: Optional[Mapping] = None) -> FuncOp:
+    """Lower a polyhedral program (with built AST) to a FuncOp."""
     with _trace.span("affine.lower_program", "affine"):
-        start = perf_counter()
-        ast = program.build_ast()
-        if stats is not None:
-            stats.astbuild_s += perf_counter() - start
-        func = lower_ast(ast, program.function, partitions)
-    if stats is not None:
-        stats.group_lowerings += len(func.body)
-    return func
+        return lower_ast(program.build_ast(), program.function, partitions)
 
 
 def lower_program_incremental(
     program: PolyProgram,
     keys: Mapping[str, Hashable],
     cache: Optional[Dict[tuple, List]] = None,
-    stats=None,
     partitions: Optional[Mapping] = None,
 ) -> FuncOp:
     """Lower a program, re-lowering only top-level nests not seen before.
@@ -74,38 +61,27 @@ def lower_program_incremental(
     hit the ops are spliced into the new function by reference, which is
     safe because the DSE pipeline treats lowered functions as read-only
     (mutating passes such as canonicalization run on freshly lowered
-    functions at code generation time).
-
-    ``stats``, when given, must expose ``group_lowerings``,
-    ``lowering_cache_hits``/``lowering_cache_misses`` counters and an
-    ``astbuild_s`` accumulator (see :class:`repro.dse.stats.DseStats`).
-    ``group_lowerings`` and ``astbuild_s`` are accounted with or without
-    a ``cache`` (no cache: one whole-program build, every nest lowered).
+    functions at code generation time).  A miss adds one entry to
+    ``cache``, so its growth is the number of nests lowered (the DSE
+    evaluator counts its nest memo's hits and misses that way).  Without
+    a ``cache`` the whole program is built and lowered at once.
     """
     if cache is None:
-        return lower_program(program, stats, partitions)
+        return lower_program(program, partitions)
     body: List = []
     for group in program.toplevel_groups():
         key = tuple((keys[stmt.name], *stmt.statics) for stmt in group)
         ops = cache.get(key)
         if ops is None:
-            if stats is not None:
-                stats.lowering_cache_misses += 1
-                stats.group_lowerings += 1
             group_args = None
             if _trace.enabled():
                 group_args = {"statements": [stmt.name for stmt in group]}
             with _trace.span("affine.lower_group", "affine", group_args):
-                start = perf_counter()
                 ast = program.build_ast_for(group)
-                if stats is not None:
-                    stats.astbuild_s += perf_counter() - start
                 block = Block()
                 _lower_node(ast, block)
                 ops = list(block.ops)
                 cache[key] = ops
-        elif stats is not None:
-            stats.lowering_cache_hits += 1
         body += ops
     return assemble(program.function, body, partitions)
 

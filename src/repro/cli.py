@@ -42,7 +42,7 @@ CHECKPOINT_HELP = (
     "journal every evaluated candidate to PATH (crash-safe sweep); "
     "with --all, a directory holding one journal per workload"
 )
-STATS_HELP = "print per-phase wall time and work/cache counters"
+STATS_HELP = "print the run's work/cache counters, then its span profile"
 TRACE_HELP = "write a Chrome trace_event JSON of this run to PATH"
 
 
@@ -68,6 +68,30 @@ def _add_run_flags(
         parser.add_argument(
             "--trace", metavar="PATH", default=None, help=TRACE_HELP
         )
+
+
+@contextlib.contextmanager
+def _run_traced(args):
+    """The run's tracer, active over the block when ``--trace`` or
+    ``--stats`` asks for one (None otherwise); written to ``--trace``
+    once the block completes."""
+    from repro import trace as trace_mod
+
+    if not (args.trace or args.stats):
+        yield None
+        return
+    with trace_mod.tracing() as tracer:
+        yield tracer
+    if args.trace:
+        _export_trace(tracer, args.trace)
+
+
+def _print_profile(tracer) -> None:
+    """``--stats``' closing block: the run's span profile."""
+    from repro.trace import render_text_profile
+
+    print()
+    print(render_text_profile(tracer))
 
 
 def _export_trace(tracer, path: str) -> None:
@@ -282,7 +306,7 @@ def _print_frontier(result, prefix: str = "") -> None:
         print(_indent(text, prefix) if prefix else text)
 
 
-def _cmd_dse_all(args, options) -> int:
+def _cmd_dse_all(args, options, tracer) -> int:
     """`repro dse --all`: one sweep per workload, in process and in order.
 
     A workload that raises prints ``FAILED`` and the others still run.
@@ -335,8 +359,8 @@ def _cmd_dse_all(args, options) -> int:
                 args, "sweep interrupted; stopped at best design found", directory
             )
     if args.stats:
-        # Per-workload breakdowns first, then the merge, whose totals
-        # are the sum of the blocks above.
+        # Per-workload counters first, then the merge, whose totals are
+        # the sum of the blocks above.
         for label, result in results:
             print()
             print(f"workload {label}:")
@@ -344,6 +368,7 @@ def _cmd_dse_all(args, options) -> int:
         print()
         print("merged (totals are the sum of the workloads above):")
         print(_indent(DseStats.merge([r.stats for _, r in results]).summary()))
+        _print_profile(tracer)
     if failed:
         return 2
     if any(result.degraded for _, result in results) and not args.allow_degraded:
@@ -374,7 +399,6 @@ def _indent(text: str, prefix: str = "  ") -> str:
 
 
 def cmd_dse(args) -> int:
-    from repro import trace as trace_mod
     from repro.diagnostics import DiagnosticError
     from repro.dse.options import DseOptions
 
@@ -389,18 +413,14 @@ def cmd_dse(args) -> int:
         time_budget_s=args.time_budget,
         objective=objective,
     ))
-    tracer = trace_mod.Tracer() if args.trace else None
     if args.all:
-        with trace_mod.tracing(tracer) if tracer else contextlib.nullcontext():
-            code = _cmd_dse_all(args, options)
-        if tracer is not None:
-            _export_trace(tracer, args.trace)
-        return code
+        with _run_traced(args) as tracer:
+            return _cmd_dse_all(args, options, tracer)
     workload = _build_workload(args.workload, args.size)
     checkpoint = args.resume or args.checkpoint
     options = options.replace(checkpoint=checkpoint, resume=args.resume is not None)
     try:
-        with trace_mod.tracing(tracer) if tracer else contextlib.nullcontext():
+        with _run_traced(args) as tracer:
             result = workload.auto_DSE(options=options)
     except DiagnosticError as exc:
         print(exc.diagnostic.render(), file=sys.stderr)
@@ -411,8 +431,6 @@ def cmd_dse(args) -> int:
         return _interrupted(
             args, "\ninterrupted before a best design was found", checkpoint
         )
-    if tracer is not None:
-        _export_trace(tracer, args.trace)
     print(result.summary(args.workload))
     print(result.report.summary())
     _print_over_budget(result)
@@ -427,6 +445,7 @@ def cmd_dse(args) -> int:
     if args.stats:
         print()
         print(result.stats_summary())
+        _print_profile(tracer)
     if result.stats.interrupted:
         return _interrupted(
             args, "sweep interrupted; stopped at best design found", checkpoint
@@ -437,24 +456,19 @@ def cmd_dse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from repro import trace as trace_mod
-    from repro.trace import render_metrics, render_text_profile
+    from repro.trace import render_metrics
 
     function = _build_workload(args.workload, args.size)
     _single_kernel_only(args, function, {"--load-schedule": args.load_schedule})
     if args.load_schedule:
         _load_schedule(function, args.load_schedule)
-    tracer = trace_mod.Tracer() if (args.trace or args.stats) else None
-    with trace_mod.tracing(tracer) if tracer else contextlib.nullcontext():
+    with _run_traced(args) as tracer:
         engine = function.verify()
     print(engine.render())
-    if tracer is not None and args.stats:
-        print()
-        print(render_text_profile(tracer))
+    if args.stats:
+        _print_profile(tracer)
         print()
         print(render_metrics(tracer))
-    if tracer is not None and args.trace:
-        _export_trace(tracer, args.trace)
     return 1 if engine.has_errors else 0
 
 
@@ -532,7 +546,6 @@ def _run_fuzz_job(client, args, workloads, sizes) -> int:
 
 def cmd_fuzz(args) -> int:
     """`repro fuzz`: differential fuzzing over the legal schedule space."""
-    from repro import trace as trace_mod
     from repro.fuzz import FuzzOptions, run_campaign
 
     workloads = (
@@ -568,11 +581,8 @@ def cmd_fuzz(args) -> int:
             os.makedirs(args.out, exist_ok=True)
     except (ValueError, KeyError, OSError) as exc:
         raise SystemExit(str(exc))
-    tracer = trace_mod.Tracer() if args.trace else None
-    with trace_mod.tracing(tracer) if tracer else contextlib.nullcontext():
+    with _run_traced(args) as tracer:
         campaign = run_campaign(options)
-    if tracer is not None:
-        _export_trace(tracer, args.trace)
     print(
         f"fuzz campaign: seed={options.seed} trials={campaign.trials_run}"
         f"/{options.trials} passed={campaign.passed} "
@@ -593,6 +603,7 @@ def cmd_fuzz(args) -> int:
         print("trials per workload:")
         for name in sorted(by_workload):
             print(f"  {name}: {by_workload[name]}")
+        _print_profile(tracer)
     return 1 if campaign.failures else 0
 
 

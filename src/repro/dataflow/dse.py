@@ -48,7 +48,7 @@ from repro.dataflow.estimate import (
     resolve_depths,
 )
 from repro.diagnostics import Diagnostic
-from repro.dse.engine import DseResult, over_budget, sweep
+from repro.dse.engine import DseResult, over_budget, publish_stats_metrics, sweep
 from repro.dse.evaluator import Evaluator
 from repro.dse.options import DseOptions
 from repro.dse.pareto import Objective, ParetoFrontier, ParetoPoint
@@ -289,6 +289,8 @@ def auto_dse_dataflow(
         realized[name], func_ops[name] = evaluator.realize(configs, point.bank_cap)
         verify_func(func_ops[name]).raise_if_errors()
         evaluator.install(configs, point.bank_cap)
+        # Realization counts into the stage's stats: publish them after it.
+        publish_stats_metrics(stage_results[name].stats)
     report = compose_report(design, device, clock_ns, realized, base_fifos)
     naive_report = compose_report(
         design, device, clock_ns,

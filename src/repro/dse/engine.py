@@ -235,12 +235,14 @@ def auto_dse(
       fault-injection plan (:mod:`repro.faults`; testing only).
 
     Observability: when a :mod:`repro.trace` tracer is active, the sweep
-    records hierarchical spans (per candidate, per pipeline layer) and
-    bulk-publishes its :class:`~repro.dse.stats.DseStats` counters as
-    trace metrics.  Tracing never changes the result.
+    records hierarchical spans (per candidate, per pipeline layer) and,
+    once the design is installed, bulk-publishes its
+    :class:`~repro.dse.stats.DseStats` counters as trace metrics.
+    Tracing never changes the result.
     """
     result, evaluator = sweep(function, options)
     evaluator.install(result.configs, result.bank_cap)
+    publish_stats_metrics(result.stats)
     return result
 
 
@@ -341,10 +343,6 @@ def sweep(
     stats.report_misses = evaluator.estimator.nest_misses
     stats.total_s = time.perf_counter() - start
 
-    tracer = _trace.active()
-    if tracer is not None:
-        _publish_stats_metrics(tracer, stats)
-
     best, schedule, frontier = result
     report = best.report
     feasible = budget.admits(report.resources)
@@ -404,10 +402,10 @@ def _open_journal(
     )
 
 
-# DseStats counters published as trace metrics at the end of a traced
-# sweep, with their metric names.  Bulk-loading from the authoritative
-# stats (instead of counting twice in the hot loops) keeps the metrics
-# consistent with `--stats` for free.
+# DseStats counters published as trace metrics once a traced sweep's
+# design is installed (a dataflow design's: realized), with their metric
+# names.  Bulk-loading from the authoritative stats (instead of counting
+# twice in the hot loops) keeps the metrics consistent with `--stats`.
 _STATS_METRICS = (
     ("evaluations", "dse.evaluations"),
     ("candidates", "dse.candidates"),
@@ -433,8 +431,12 @@ _STATS_METRICS = (
 )
 
 
-def _publish_stats_metrics(tracer, stats: DseStats) -> None:
-    """Mirror one sweep's :class:`DseStats` into the tracer's metrics."""
+def publish_stats_metrics(stats: DseStats) -> None:
+    """Mirror one sweep's :class:`DseStats` into the active tracer's
+    metrics (none when tracing is off)."""
+    tracer = _trace.active()
+    if tracer is None:
+        return
     metrics = tracer.metrics
     for attr, name in _STATS_METRICS:
         value = getattr(stats, attr)

@@ -113,8 +113,9 @@ def _backoff_sleep(
     gives up early -- without raising -- once the whole-sweep deadline
     is exhausted, so the search loop's own budget check fires at the
     next iteration.  Returns the wall time actually slept, read off the
-    clock (a nap that wakes late counts in full), so callers can
-    attribute it separately from estimation time.
+    clock (a nap that wakes late counts in full), for
+    ``DseStats.retry_backoff_s``; it falls between ``hls.estimate``
+    spans, so the span profile never charges it to estimation.
     """
     start = time.monotonic()
     end = start + seconds
@@ -231,7 +232,6 @@ class Evaluator:
             diagnostics.raise_if_errors()
 
         self.graph = build_dependence_graph(function, analyze=False)
-        t0 = time.perf_counter()
         with _trace.span("dse.stage1", "dse"):
             self.plan = plan_stage1(function, self.graph)
             # What every candidate shares: structural + stage-1
@@ -239,7 +239,6 @@ class Evaluator:
             self.base = PolyProgram(function).apply_schedule(
                 self.structural + self.plan.directives
             )
-        self.stats.stage1_s += time.perf_counter() - t0
         self.nodes: List[str] = [c.name for c in function.computes]
 
         self._config_memo: Dict[Tuple[str, int], NodeConfig] = {}
@@ -342,7 +341,6 @@ class Evaluator:
         if self._scheduled is not None and self._scheduled[0] == key:
             return self._scheduled[1]
         stats = self.stats
-        t0 = time.perf_counter()
         statements, deltas, counts = [], {}, []
         for index, (name, memo_key) in enumerate(zip(self.nodes, key)):
             memoized = self._statement_memo.get(memo_key)
@@ -372,7 +370,6 @@ class Evaluator:
             statements[index] = statements[index].copy()
         program = PolyProgram(self.function, statements).apply_schedule(fusion)
         spreads = self._merge_spreads(counts)
-        stats.lowering_s += time.perf_counter() - t0
         # Only a fully assembled program becomes current.
         self._scheduled = (key, program, deltas, spreads, None)
         return program
@@ -411,7 +408,6 @@ class Evaluator:
         and another banking (a bank cap that binds) reuses its lowered
         ops under its own ``partitions`` and is estimated afresh.
         """
-        stats = self.stats
         previous, self._scored = self._scored, None
         with self.context.activate():
             self.scheduled(configs)
@@ -422,16 +418,11 @@ class Evaluator:
                 if plan is None or not plan.estimator_fault_due():
                     self._scored = previous
                     return previous[2], previous[3]
-            t0 = time.perf_counter()
             if body is None:
-                stats.lowerings += 1
-                func_op = lower_program_incremental(
-                    scheduled, dict(zip(self.nodes, key)), self._nest_memo, stats, partitions
-                )
+                func_op = self._lower(scheduled, key, partitions)
                 self._scheduled = self._scheduled[:4] + (list(func_op.body.ops),)
             else:
                 func_op = assemble(self.function, body, partitions)
-            stats.lowering_s += time.perf_counter() - t0
             report = self.estimate(func_op)
         self._scored = (key, banking, report, func_op, self.estimator.nest_cycles)
         return report, func_op
@@ -457,24 +448,28 @@ class Evaluator:
         scored last; None before the first call or after a failed one."""
         return None if self._scored is None else self._scored[4]
 
+    def _lower(self, scheduled: PolyProgram, key: tuple, partitions: dict) -> FuncOp:
+        """Lower a schedule and count it.  A nest is a top-level op: with
+        the nest memo a miss adds one entry and every other nest is a
+        hit; without it every nest is lowered."""
+        stats, memo = self.stats, self._nest_memo
+        stats.lowerings += 1
+        known = len(memo) if memo is not None else 0
+        func_op = lower_program_incremental(scheduled, dict(zip(self.nodes, key)), memo, partitions)
+        nests = len(func_op.body)
+        lowered = nests if memo is None else len(memo) - known
+        stats.group_lowerings += lowered
+        if memo is not None:
+            stats.lowering_cache_misses += lowered
+            stats.lowering_cache_hits += nests - lowered
+        return func_op
+
     def estimate(self, func_op: FuncOp) -> SynthesisReport:
-        """One counted, timed estimator call with transient-fault retries."""
-        stats = self.stats
-        stats.estimations += 1
-        t0 = time.perf_counter()
-        backoff_before = stats.retry_backoff_s
-        try:
-            return _estimate_with_retries(
-                self.estimator, func_op, self.location, stats, self.sweep_deadline
-            )
-        finally:
-            # Retry backoff is idle waiting, not estimation: attribute
-            # it to its own counter so --stats does not inflate the
-            # estimator's share of the profile.
-            stats.estimation_s += (
-                time.perf_counter() - t0
-                - (stats.retry_backoff_s - backoff_before)
-            )
+        """One counted estimator call with transient-fault retries."""
+        self.stats.estimations += 1
+        return _estimate_with_retries(
+            self.estimator, func_op, self.location, self.stats, self.sweep_deadline
+        )
 
     @staticmethod
     def node_latencies(func_op: FuncOp, nest_cycles: List[int]) -> Dict[str, int]:

@@ -3,10 +3,13 @@
 :class:`DseStats` records how much work one :func:`~repro.dse.engine.auto_dse`
 call performed and how much each caching layer saved: design-point
 evaluations, cache hits/misses per layer (nest lowering, report,
-config, statement), the globally memoized isl kernel counters
-(delta over the run), and wall-time per phase (stage 1, lowering, AST
-building, estimation).  Attached to :class:`~repro.dse.engine.DseResult`
-and printed by ``repro dse --stats``.
+config, statement) and the globally memoized isl kernel counters
+(delta over the run).  It counts, and keeps no clock but the sweep's
+total and the time lost to retry backoff and timeouts: where a sweep's
+time goes is the span tree's to say (``dse.stage1``,
+``affine.lower_group``, ``isl.ast_build``, ``hls.estimate``, ...).
+``repro dse --stats`` prints these counters, then the span profile of
+the run.  Attached to :class:`~repro.dse.engine.DseResult`.
 """
 
 from __future__ import annotations
@@ -74,11 +77,7 @@ class DseStats:
     # -- globally memoized isl kernels (delta over this run) ----------------
     isl_counters: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
-    # -- wall time ----------------------------------------------------------
-    stage1_s: float = 0.0
-    lowering_s: float = 0.0       # includes astbuild_s
-    astbuild_s: float = 0.0
-    estimation_s: float = 0.0
+    # -- the sweep's wall time (``DseResult.dse_time_s``) -------------------
     total_s: float = 0.0
 
     # Fields that are properties of a run rather than amounts of work;
@@ -90,7 +89,7 @@ class DseStats:
     def merge(cls, parts: "Sequence[DseStats]") -> "DseStats":
         """Fold per-sweep stats into one deterministic aggregate.
 
-        Numeric counters and wall times sum (merged totals equal the sum
+        Numeric counters and times sum (merged totals equal the sum
         of the parts, in order -- float addition is performed left to
         right so the result is reproducible); ``cache_enabled`` holds
         only if every sweep cached; the degradation flags hold if any
@@ -131,7 +130,8 @@ class DseStats:
         }
 
     def summary(self) -> str:
-        """A human-readable multi-line profile."""
+        """The counters as a human-readable block; the span profile
+        times the sweep."""
 
         def rate(hits: int, misses: int) -> str:
             total = hits + misses
@@ -147,6 +147,7 @@ class DseStats:
             f"  estimations        {self.estimations}",
             f"  quarantined        {self.quarantined}"
             f" (estimator retries: {self.estimator_retries},"
+            f" retry backoff {self.retry_backoff_s * 1e3:.1f} ms,"
             f" timeouts: {self.timeouts})",
             f"  replayed           {self.replayed}"
             f" (from checkpoint journal)",
@@ -173,13 +174,4 @@ class DseStats:
             lines.append(
                 f"    isl {name:<14} {hits:6d} {misses:8d}   {rate(hits, misses):>8}"
             )
-        lines += [
-            "  wall time:",
-            f"    stage 1            {self.stage1_s * 1e3:8.1f} ms",
-            f"    lowering           {self.lowering_s * 1e3:8.1f} ms"
-            f" (ast build {self.astbuild_s * 1e3:.1f} ms)",
-            f"    estimation         {self.estimation_s * 1e3:8.1f} ms"
-            f" (retry backoff {self.retry_backoff_s * 1e3:.1f} ms)",
-            f"    total              {self.total_s * 1e3:8.1f} ms",
-        ]
         return "\n".join(lines)

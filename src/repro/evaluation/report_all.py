@@ -196,7 +196,7 @@ def summary_table() -> str:
 def main(argv=None) -> int:
     # The run flags are spelled/documented identically to `repro dse`
     # and `repro verify` (docs/api.md).
-    from repro.cli import _add_run_flags, _export_trace
+    from repro.cli import _add_run_flags, _run_traced
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -217,25 +217,21 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise SystemExit(str(exc))
     failures: List[Diagnostic] = []
-    tracer = _trace.Tracer() if (args.trace or args.stats) else None
-    report = run_all(
-        quick=args.quick,
-        stream=None if args.output else sys.stdout,
-        failures=failures,
-        jobs=args.jobs,
-        trace=tracer,
-        device=args.device,
-    )
-    if args.output:
-        atomic_write(args.output, report)
-        print(f"report written to {args.output}")
-    if tracer is not None and args.stats:
-        from repro.trace import render_metrics, render_text_profile
-
-        print(render_text_profile(tracer, min_fraction=0.001), file=sys.stderr)
-        print(render_metrics(tracer), file=sys.stderr)
-    if tracer is not None and args.trace:
-        _export_trace(tracer, args.trace)
+    with _run_traced(args) as tracer:
+        report = run_all(
+            quick=args.quick,
+            stream=None if args.output else sys.stdout,
+            failures=failures,
+            jobs=args.jobs,
+            trace=tracer,
+            device=args.device,
+        )
+        if args.output:
+            atomic_write(args.output, report)
+            print(f"report written to {args.output}")
+        if args.stats:
+            print(_trace.render_text_profile(tracer, min_fraction=0.001), file=sys.stderr)
+            print(_trace.render_metrics(tracer), file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -180,6 +180,10 @@ def _worker_main(request: dict, journal_path, arm_faults, job_timeout_s, channel
         channel.send(("failed", {"error": f"{type(exc).__name__}: {exc}"}))
 
 
+#: The signals a worker handles itself: each ends it (once its job is done).
+_WORKER_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
 def _worker_loop(jobs, channel, server_ends, self_pipe) -> None:
     """Worker-process entry point: run the jobs that arrive on ``jobs``,
     one at a time, until the server closes it or dies (EOF), or a
@@ -191,7 +195,10 @@ def _worker_loop(jobs, channel, server_ends, self_pipe) -> None:
     the executor's self-pipe descriptors the fork copied, closed too.
     The signal handlers are the worker's own, not the server's drain the
     fork copied: a signal ends an idle worker at once, and one running a
-    job after it has sent that job's outcome.
+    job after it has sent that job's outcome.  SIGTERM/SIGINT arrive
+    blocked (see :meth:`JobExecutor._fork_locked`) and are unblocked once
+    these handlers and the wakeup fd are in place, so one sent in between
+    is delivered to them.
     """
     for end in server_ends:
         end.close()
@@ -200,8 +207,9 @@ def _worker_loop(jobs, channel, server_ends, self_pipe) -> None:
     signalled, wake = os.pipe()
     os.set_blocking(wake, False)
     signal.set_wakeup_fd(wake)
-    for signum in (signal.SIGTERM, signal.SIGINT):
+    for signum in _WORKER_SIGNALS:
         signal.signal(signum, lambda *_: None)  # the wakeup fd says it
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
     while True:
         if signalled in _wait_ready([jobs, signalled]):
             return
@@ -545,7 +553,14 @@ class JobExecutor:
                   (self._wake_r, self._wake_w) if fork else ()),
             daemon=False,
         )
-        process.start()
+        # The child inherits this thread's mask: a signal sent before
+        # `_worker_loop` installs its own handlers waits for them rather
+        # than running the server's drain handler the fork copied.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
+        try:
+            process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         # The worker holds the only other ends: an EOF on ``conn`` is its
         # death, and one on its request pipe is ours.
         jobs_r.close()

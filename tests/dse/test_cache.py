@@ -3,11 +3,11 @@
 import pytest
 
 from repro.affine import print_func
+from repro import trace
 from repro.affine.lowering import lower_program, lower_program_incremental
 from repro.dse import auto_dse
 from repro.affine.ir import AffineStoreOp, FuncOp
 from repro.dse.evaluator import Evaluator
-from repro.dse.stats import DseStats
 from repro.hls.estimator import HlsEstimator
 from repro.polyir.program import PolyProgram
 from repro import workloads
@@ -98,15 +98,16 @@ class TestIncrementalLowering:
         assert [op for op in first.body] == [op for op in second.body]
 
     def test_cache_counters_feed_stats(self):
-        function = polybench.gemm(32)
-        cache = {}
-        stats = DseStats()
-        program = PolyProgram(function).apply_schedule()
-        lower_program_incremental(program, _keys(program), cache=cache, stats=stats)
-        assert stats.lowering_cache_misses >= 1
-        again = PolyProgram(function).apply_schedule()
-        lower_program_incremental(again, _keys(again), cache=cache, stats=stats)
-        assert stats.lowering_cache_hits >= 1
+        """The evaluator counts its own nest memo: a miss per nest it
+        lowers, a hit per nest spliced from an earlier lowering."""
+        evaluator = Evaluator(polybench.mm2(32))
+        stats = evaluator.stats
+        counts = []
+        for parallelism in ({}, {evaluator.nodes[0]: 2}, {}):
+            evaluator.realize(evaluator.configs(parallelism), 16)
+            counts.append((stats.lowering_cache_hits, stats.lowering_cache_misses))
+        assert counts == [(0, 2), (1, 3), (3, 3)]
+        assert stats.group_lowerings == stats.lowering_cache_misses
 
 
 def _shell_latencies(func_op, device, clock_ns):
@@ -193,14 +194,17 @@ class TestDseStats:
     def test_lowering_is_accounted_with_the_cache_on_or_off(self, factory, nests):
         """`--no-cache --stats` used to print `ast build 0.0 ms`.
 
-        Each distinct schedule is lowered once with the cache on or off.
-        "Nests actually (re)lowered": without the nest memo that is every
-        nest of every lowering, with it only the misses -- the same on a
-        one-nest kernel (gemm), fewer on a multi-nest one (2mm)."""
-        uncached = auto_dse(factory(64), options=DseOptions(cache=False)).stats
-        cached = auto_dse(factory(64)).stats
-        for stats in (uncached, cached):
-            assert 0 < stats.astbuild_s <= stats.lowering_s
+        Each distinct schedule is lowered once with the cache on or off,
+        and its AST build is timed by the ``isl.ast_build`` spans either
+        way.  "Nests actually (re)lowered": without the nest memo that is
+        every nest of every lowering, with it only the misses -- the same
+        on a one-nest kernel (gemm), fewer on a multi-nest one (2mm)."""
+        runs = {}
+        for cache in (False, True):
+            with trace.tracing() as tracer:
+                runs[cache] = auto_dse(factory(64), options=DseOptions(cache=cache)).stats
+            assert sum(s.dur for s in tracer.spans if s.name == "isl.ast_build") > 0
+        uncached, cached = runs[False], runs[True]
         assert cached.lowerings == uncached.lowerings < uncached.evaluations
         assert uncached.group_lowerings == nests * uncached.lowerings
         assert uncached.lowering_cache_misses == 0

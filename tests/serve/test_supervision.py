@@ -490,8 +490,9 @@ job = runner.submit(JobSpec.from_request({"kind": "verify", "workload": "gemm", 
 report["idle_job"] = runner.wait(job.id, timeout_s=120.0).status
 with runner._lock:
     (worker,) = runner._idle
-os.kill(worker.process.pid, signal.SIGTERM)
-report["idle_exit_s"] = seconds_to_exit(worker.process.pid)
+    idle_pid = worker.process.pid
+os.kill(idle_pid, signal.SIGTERM)
+report["idle_exit_s"] = seconds_to_exit(idle_pid)
 job = runner.submit(JobSpec.from_request({"kind": "verify", "workload": "bicg", "size": 8}))
 while True:
     with runner._lock:
@@ -499,9 +500,10 @@ while True:
         if any(e["stage"] == "slow" for e in job.events):
             break
     time.sleep(0.01)
-os.kill(busy.process.pid, signal.SIGTERM)
+busy_pid = busy.process.pid  # once it exits, the reaper closes the process object
+os.kill(busy_pid, signal.SIGTERM)
 report["busy_job"] = runner.wait(job.id, timeout_s=120.0).status
-report["busy_exit_s"] = seconds_to_exit(busy.process.pid)
+report["busy_exit_s"] = seconds_to_exit(busy_pid)
 print(json.dumps(report), flush=True)
 server.shutdown()
 """
@@ -521,6 +523,43 @@ def test_sigterm_ends_a_worker_once_its_job_is_done(tmp_path):
     assert report["idle_job"] == report["busy_job"] == "done", report
     assert report["idle_exit_s"] is not None, "the idle worker outlived SIGTERM"
     assert report["busy_exit_s"] is not None, "the worker outlived its job"
+
+
+def test_a_sigterm_between_fork_and_worker_loop_waits_for_its_handlers(
+    make_executor, monkeypatch
+):
+    """A SIGTERM that lands after the fork but before ``_worker_loop``
+    installs its handlers used to run the handler the fork copied (here
+    the default one: the worker died of the signal).  It now waits,
+    blocked, for the worker's own handlers, and the worker ends through
+    its own path, exit code 0; the job it never started is retried."""
+    real = executor_module._worker_loop
+
+    def late(*args):
+        time.sleep(0.3)  # hold the window open
+        real(*args)
+
+    monkeypatch.setattr(executor_module, "_worker_loop", late)
+    executor = make_executor(workers=1)
+    job = executor.submit(JobSpec.from_request(
+        {"kind": "verify", "workload": "gemm", "size": 8}
+    ))
+    while True:
+        with executor._lock:
+            if executor._pool:
+                pid = executor._pool[0].process.pid
+                break
+        time.sleep(0.001)
+    os.kill(pid, signal.SIGTERM)
+    deadline = time.monotonic() + 1.0
+    retry = None
+    while retry is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+        with executor._lock:
+            retry = next((e for e in job.events if e["stage"] == "retry"), None)
+    assert retry is not None, "the worker outlived SIGTERM"
+    assert retry["exitcode"] == 0, retry
+    assert executor.wait(job.id, timeout_s=60.0).status == "done"
 
 
 def test_an_idle_worker_that_died_is_replaced(make_executor):

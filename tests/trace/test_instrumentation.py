@@ -7,10 +7,15 @@ DSE engine itself) and that the DSE metrics mirror the authoritative
 :class:`~repro.dse.stats.DseStats` counters exactly.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro import trace
+from repro import trace, workloads
 from repro.dse import auto_dse
+from repro.dse.engine import _STATS_METRICS
+from repro.dse.options import DseOptions
+from repro.session import SessionContext
 from repro.trace import span_categories
 from repro.workloads import polybench
 
@@ -182,6 +187,27 @@ class TestMetricParity:
         categories = set(_categories(tracer))
         assert "dse" not in categories
         assert {"isl", "affine", "hls"} <= categories
+
+
+@pytest.mark.parametrize("name, size", [("gemm", 64), ("3mm", 64), ("conv-block", 16)])
+@pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
+def test_spans_stats_and_metrics_count_the_same_work(name, size, cache):
+    """One sweep's work read three ways agrees: the span tree, the
+    :class:`~repro.dse.stats.DseStats` counters and the trace metrics
+    mirrored from them (for a dataflow design: after realization, which
+    lowers and estimates each stage's pick once more)."""
+    with SessionContext().activate(), trace.tracing() as tracer:
+        result = workloads.get(name, size).auto_DSE(options=DseOptions(cache=cache))
+    stats = result.stats
+    calls = Counter(span.name for span in tracer.spans)
+    assert calls["dse.candidate"] == stats.candidates > 0
+    assert calls["hls.estimate"] == stats.estimations
+    if cache:
+        assert calls["affine.lower_group"] == stats.lowering_cache_misses > 0
+    else:
+        assert calls["affine.lower_program"] == stats.lowerings > 0
+    for field, metric in _STATS_METRICS:
+        assert tracer.metrics.value(metric) == getattr(stats, field), metric
 
 
 class TestChromeRoundTrip:
